@@ -24,6 +24,17 @@
 //! [`StreamingSession::with_observer`] or
 //! [`crate::OnlineEngine::run_observed`].
 //!
+//! ## Borrowed or owned packer
+//!
+//! The session reaches its packer through a [`PackerHandle`]. The
+//! default handle borrows (`&'p mut dyn OnlinePacker`), which is what
+//! every constructor taking `&mut` builds. [`OwnedSession`] holds a
+//! `Box<dyn OnlinePacker + Send>` instead, so the session is `Send +
+//! 'static` and can sit in a struct next to other state — `dbp-serve`
+//! keeps one per shard under its coordinator lock. Both handles resolve
+//! to the same `&mut dyn OnlinePacker` per call, so the borrowed path
+//! compiles to the code it always did.
+//!
 //! ## Hot-path complexity
 //!
 //! The session is built for unbounded streams: every per-arrival and
@@ -57,6 +68,7 @@ use crate::packing::{BinId, Packing};
 use crate::size::Size;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::marker::PhantomData;
 
 /// Snapshot format version written by [`StreamingSession::snapshot`] and
 /// accepted by [`StreamingSession::restore`].
@@ -128,10 +140,53 @@ pub enum Admission {
     Shed,
 }
 
+/// How a [`StreamingSession`] holds its packer: borrowed
+/// (`&mut dyn OnlinePacker`, the default) or owned
+/// (`Box<dyn OnlinePacker + Send>`, see [`OwnedSession`]).
+pub trait PackerHandle {
+    /// The packer, for queries.
+    fn packer(&self) -> &dyn OnlinePacker;
+    /// The packer, for decisions and state changes.
+    fn packer_mut(&mut self) -> &mut dyn OnlinePacker;
+}
+
+impl PackerHandle for &mut dyn OnlinePacker {
+    #[inline]
+    fn packer(&self) -> &dyn OnlinePacker {
+        &**self
+    }
+    #[inline]
+    fn packer_mut(&mut self) -> &mut dyn OnlinePacker {
+        &mut **self
+    }
+}
+
+impl PackerHandle for Box<dyn OnlinePacker + Send> {
+    #[inline]
+    fn packer(&self) -> &dyn OnlinePacker {
+        &**self
+    }
+    #[inline]
+    fn packer_mut(&mut self) -> &mut dyn OnlinePacker {
+        &mut **self
+    }
+}
+
+/// A session that owns its packer: `Send + 'static`, so it can live in a
+/// shared struct. Build one with [`StreamingSession::owned`] or
+/// [`StreamingSession::restore_owned`].
+pub type OwnedSession = StreamingSession<'static, NoopObserver, Box<dyn OnlinePacker + Send>>;
+
 /// An in-progress online packing over a stream of arrivals.
-pub struct StreamingSession<'p, O: PackObserver = NoopObserver> {
+pub struct StreamingSession<
+    'p,
+    O: PackObserver = NoopObserver,
+    P: PackerHandle = &'p mut dyn OnlinePacker,
+> {
     mode: ClairvoyanceMode,
-    packer: &'p mut dyn OnlinePacker,
+    packer: P,
+    /// Ties `'p` to the session when the handle does not borrow.
+    _borrow: PhantomData<&'p mut ()>,
     obs: O,
     open: OpenBins,
     /// Indexed by `BinId` — bins are numbered in opening order, so the
@@ -168,15 +223,53 @@ impl<'p> StreamingSession<'p, NoopObserver> {
     }
 }
 
+impl OwnedSession {
+    /// Starts an unobserved session that owns `packer`; the packer's
+    /// [`OnlinePacker::reset`] is invoked.
+    pub fn owned(mode: ClairvoyanceMode, packer: Box<dyn OnlinePacker + Send>) -> Self {
+        Self::start(mode, packer, NoopObserver)
+    }
+
+    /// [`StreamingSession::restore`] for a session that owns `packer`.
+    pub fn restore_owned(
+        mode: ClairvoyanceMode,
+        packer: Box<dyn OnlinePacker + Send>,
+        snap: &SessionSnapshot,
+    ) -> Result<Self, DbpError> {
+        Self::resume(mode, packer, snap, NoopObserver)
+    }
+}
+
 impl<'p, O: PackObserver> StreamingSession<'p, O> {
     /// Starts a session that reports every packing event to `obs` (pass
     /// `&mut observer` to keep ownership). The packer's
     /// [`OnlinePacker::reset`] is invoked.
     pub fn with_observer(mode: ClairvoyanceMode, packer: &'p mut dyn OnlinePacker, obs: O) -> Self {
-        packer.reset();
+        Self::start(mode, packer, obs)
+    }
+
+    /// Reconstructs a session from a [`SessionSnapshot`], validating the
+    /// snapshot as it goes: version and packer name must match, records
+    /// must be indexed by bin id, every open bin must respect capacity,
+    /// and live items / pending departures must correspond one-to-one.
+    /// The packer is `reset()` and then handed its saved state.
+    pub fn restore_with_observer(
+        mode: ClairvoyanceMode,
+        packer: &'p mut dyn OnlinePacker,
+        snap: &SessionSnapshot,
+        obs: O,
+    ) -> Result<Self, DbpError> {
+        Self::resume(mode, packer, snap, obs)
+    }
+}
+
+impl<'p, O: PackObserver, P: PackerHandle> StreamingSession<'p, O, P> {
+    fn start(mode: ClairvoyanceMode, mut packer: P, obs: O) -> Self {
+        packer.packer_mut().reset();
         StreamingSession {
             mode,
             packer,
+            _borrow: PhantomData,
             obs,
             open: OpenBins::new(),
             records: Vec::new(),
@@ -219,8 +312,8 @@ impl<'p, O: PackObserver> StreamingSession<'p, O> {
         above.sort_unstable();
         SessionSnapshot {
             version: SNAPSHOT_VERSION,
-            packer: self.packer.name(),
-            packer_state: self.packer.save_state(),
+            packer: self.packer.packer().name(),
+            packer_state: self.packer.packer().save_state(),
             open_bins,
             records: self.records.clone(),
             departures,
@@ -231,14 +324,9 @@ impl<'p, O: PackObserver> StreamingSession<'p, O> {
         }
     }
 
-    /// Reconstructs a session from a [`SessionSnapshot`], validating the
-    /// snapshot as it goes: version and packer name must match, records
-    /// must be indexed by bin id, every open bin must respect capacity,
-    /// and live items / pending departures must correspond one-to-one.
-    /// The packer is `reset()` and then handed its saved state.
-    pub fn restore_with_observer(
+    fn resume(
         mode: ClairvoyanceMode,
-        packer: &'p mut dyn OnlinePacker,
+        mut packer: P,
         snap: &SessionSnapshot,
         obs: O,
     ) -> Result<Self, DbpError> {
@@ -250,12 +338,12 @@ impl<'p, O: PackObserver> StreamingSession<'p, O> {
                 ),
             });
         }
-        if packer.name() != snap.packer {
+        let name = packer.packer().name();
+        if name != snap.packer {
             return Err(DbpError::InvalidParameter {
                 what: format!(
-                    "snapshot was taken with packer '{}' but '{}' was supplied",
-                    snap.packer,
-                    packer.name()
+                    "snapshot was taken with packer '{}' but '{name}' was supplied",
+                    snap.packer
                 ),
             });
         }
@@ -275,8 +363,8 @@ impl<'p, O: PackObserver> StreamingSession<'p, O> {
                 });
             }
         }
-        packer.reset();
-        packer.restore_state(&snap.packer_state)?;
+        packer.packer_mut().reset();
+        packer.packer_mut().restore_state(&snap.packer_state)?;
         let mut open = OpenBins::new();
         let mut placement = HashMap::new();
         // Re-inserting bins in opening order rebuilds both the global and
@@ -326,6 +414,7 @@ impl<'p, O: PackObserver> StreamingSession<'p, O> {
         Ok(StreamingSession {
             mode,
             packer,
+            _borrow: PhantomData,
             obs,
             open,
             records: snap.records.clone(),
@@ -540,7 +629,7 @@ impl<'p, O: PackObserver> StreamingSession<'p, O> {
         };
         if !(O::ENABLED && self.obs.wants_timing()) {
             self.close_until(now)?;
-            return Ok((self.packer.place(&view, &self.open), 0));
+            return Ok((self.packer.packer_mut().place(&view, &self.open), 0));
         }
         let sweep_due = self
             .departures
@@ -558,7 +647,7 @@ impl<'p, O: PackObserver> StreamingSession<'p, O> {
         } else {
             std::time::Instant::now()
         };
-        let decision = self.packer.place(&view, &self.open);
+        let decision = self.packer.packer_mut().place(&view, &self.open);
         Ok((decision, decide_start.elapsed().as_nanos() as u64))
     }
 
@@ -660,7 +749,7 @@ impl<'p, O: PackObserver> StreamingSession<'p, O> {
                     // an O(fleet) scan per placement just because an
                     // observer is attached.
                     let open_bins = self.open.len();
-                    let scanned = self.packer.last_scanned().unwrap_or(open_bins);
+                    let scanned = self.packer.packer().last_scanned().unwrap_or(open_bins);
                     self.obs.on_event(&PackEvent::PlacementDecided {
                         id: item.id(),
                         bin: bid,
@@ -690,7 +779,7 @@ impl<'p, O: PackObserver> StreamingSession<'p, O> {
                     items: Vec::new(),
                 });
                 if O::ENABLED {
-                    let rejected = self.packer.last_scanned().unwrap_or(pool);
+                    let rejected = self.packer.packer().last_scanned().unwrap_or(pool);
                     self.obs.on_event(&PackEvent::BinOpened {
                         bin: bid,
                         at: now,
@@ -1071,34 +1160,54 @@ mod tests {
         s.finish().unwrap();
     }
 
+    fn feed<'p, P: PackerHandle>(
+        mut s: StreamingSession<'p, NoopObserver, P>,
+        items: &[Item],
+    ) -> StreamingSession<'p, NoopObserver, P> {
+        for r in items {
+            s.arrive(r).unwrap();
+        }
+        s
+    }
+
+    #[test]
+    fn owned_session_is_send() {
+        fn assert_send<T: Send + 'static>() {}
+        assert_send::<OwnedSession>();
+    }
+
     #[test]
     fn snapshot_restore_resumes_bit_identical() {
         // Cut the stream after every prefix length k, resume from the
         // snapshot, and require the finished run to equal the
-        // uninterrupted one bit-for-bit.
+        // uninterrupted one bit-for-bit — for the borrowed session and
+        // for the one that owns its packer.
+        let mode = || ClairvoyanceMode::Clairvoyant;
         let inst = sample();
         let mut packer = FirstFit;
-        let mut s = StreamingSession::new(ClairvoyanceMode::Clairvoyant, &mut packer);
-        for r in inst.items() {
-            s.arrive(r).unwrap();
-        }
-        let full = s.finish().unwrap();
+        let full = feed(StreamingSession::new(mode(), &mut packer), inst.items())
+            .finish()
+            .unwrap();
+        let owned = feed(
+            OwnedSession::owned(mode(), Box::new(FirstFit)),
+            inst.items(),
+        )
+        .finish()
+        .unwrap();
+        assert_eq!(owned, full, "owning the packer changed the run");
         for k in 0..=inst.len() {
+            let (head, tail) = inst.items().split_at(k);
             let mut p1 = FirstFit;
-            let mut s1 = StreamingSession::new(ClairvoyanceMode::Clairvoyant, &mut p1);
-            for r in inst.items().iter().take(k) {
-                s1.arrive(r).unwrap();
-            }
-            let snap = s1.snapshot();
-            drop(s1);
+            let snap = feed(StreamingSession::new(mode(), &mut p1), head).snapshot();
             let mut p2 = FirstFit;
-            let mut s2 =
-                StreamingSession::restore(ClairvoyanceMode::Clairvoyant, &mut p2, &snap).unwrap();
-            for r in inst.items().iter().skip(k) {
-                s2.arrive(r).unwrap();
-            }
-            let resumed = s2.finish().unwrap();
+            let s2 = StreamingSession::restore(mode(), &mut p2, &snap).unwrap();
+            let resumed = feed(s2, tail).finish().unwrap();
             assert_eq!(resumed, full, "resume after {k} events diverged");
+
+            let snap = feed(OwnedSession::owned(mode(), Box::new(FirstFit)), head).snapshot();
+            let s2 = OwnedSession::restore_owned(mode(), Box::new(FirstFit), &snap).unwrap();
+            let resumed = feed(s2, tail).finish().unwrap();
+            assert_eq!(resumed, full, "owned resume after {k} events diverged");
         }
     }
 

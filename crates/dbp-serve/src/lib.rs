@@ -4,13 +4,13 @@
 //! network-facing service: tenants submit jobs with clairvoyant
 //! departure estimates over line-delimited JSON, and get back placement
 //! decisions (or typed rejects) computed by the bench roster's online
-//! packers behind a sharded engine pool.
+//! packers, one streaming session per shard.
 //!
 //! The layering keeps every policy decision out of the transport:
 //!
 //! - [`protocol`] — the wire format, transport-agnostic (pure
 //!   line ⇄ value mapping; an async front-end could reuse it as-is).
-//! - [`service`] — shard engines, admission control (global fleet cap
+//! - [`service`] — shard sessions, admission control (global fleet cap
 //!   with typed `fleet_capacity` rejects), exactly-once job ids via a
 //!   dense watermark, and periodic checkpointing.
 //! - [`state`] — the checkpoint codec: one manifest line plus one

@@ -143,11 +143,13 @@ fn read_capped_line(
     }
 }
 
-/// Writes one protocol response line.
+/// Writes one protocol response line with a single `write_all`, so the
+/// ack and its terminator leave in one segment (the socket is
+/// `TCP_NODELAY` and unbuffered).
 fn write_response(writer: &mut TcpStream, resp: &Response) -> std::io::Result<()> {
-    writer.write_all(render_response(resp).as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()
+    let mut line = render_response(resp);
+    line.push('\n');
+    writer.write_all(line.as_bytes())
 }
 
 /// Serves one connection until EOF or shutdown.

@@ -1,11 +1,11 @@
-//! The scheduling service: shard engines, admission, checkpoints.
+//! The scheduling service: shard sessions, admission, checkpoints.
 //!
-//! A [`Service`] owns one engine thread per shard. Each engine holds a
-//! packer from the bench roster and a [`StreamingSession`] built on its
-//! own stack (the session *borrows* the packer, so neither can live in a
-//! shared struct), and answers `Place`/`Snapshot` commands over a
-//! channel. A single coordinator lock serialises submissions, which
-//! keeps the global invariants trivial to state:
+//! A [`Service`] keeps one [`OwnedSession`] per shard, each owning a
+//! packer from the bench roster, inside a single coordinator lock. A
+//! submission routes, decides on its shard's session, logs and answers
+//! all under that lock; there are no engine threads, because the lock
+//! already serialises every decision. That keeps the global invariants
+//! trivial to state:
 //!
 //! - **Exactly-once ids.** A dense id watermark plus an overflow set
 //!   records every decided job — placed *or* shed, because a shed is a
@@ -34,22 +34,21 @@ use crate::state::{
 };
 use crate::wal::{self, DecisionFrame, FrameOutcome, FsyncPolicy, WalWriter};
 use dbp_bench::registry::{online_packer, AlgoParams, ONLINE_ALGOS};
-use dbp_core::stream::{Admission, SessionSnapshot, StreamingSession};
+use dbp_core::stream::{Admission, OwnedSession};
 use dbp_core::{ClairvoyanceMode, DbpError, Item, Size, Time};
 use dbp_shard::ShardRouter;
 use dbp_telemetry::Histogram;
 use std::collections::{BTreeMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Sender, SyncSender};
 use std::sync::Mutex;
-use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Service configuration.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Shard (engine thread) count.
+    /// Shard count: independent packer sessions the router splits
+    /// submissions across.
     pub shards: usize,
     /// Packer roster name ([`ONLINE_ALGOS`]).
     pub algo: String,
@@ -114,114 +113,6 @@ impl ServeConfig {
     }
 }
 
-/// Commands the coordinator sends a shard engine.
-enum ShardCmd {
-    /// Place one item under an open-bin cap; reply with the admission
-    /// and the shard's open-bin count after the arrival sweep.
-    Place {
-        item: Item,
-        cap: usize,
-        resp: SyncSender<Result<(Admission, usize), DbpError>>,
-    },
-    /// Reply with a session snapshot.
-    Snapshot { resp: SyncSender<SessionSnapshot> },
-    /// Exit the engine loop.
-    Shutdown,
-}
-
-struct Engine {
-    tx: Sender<ShardCmd>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl Engine {
-    fn spawn(
-        shard: usize,
-        algo: &str,
-        params: AlgoParams,
-        snap: Option<SessionSnapshot>,
-    ) -> Result<Engine, DbpError> {
-        let (tx, rx) = mpsc::channel::<ShardCmd>();
-        let (ready_tx, ready_rx) = mpsc::sync_channel::<Result<(), DbpError>>(1);
-        let algo = algo.to_string();
-        let handle = std::thread::Builder::new()
-            .name(format!("dbp-serve-{shard}"))
-            .spawn(move || {
-                let mut packer = online_packer(&algo, params);
-                let mut session = match snap {
-                    Some(s) => {
-                        match StreamingSession::restore(
-                            ClairvoyanceMode::Clairvoyant,
-                            packer.as_mut(),
-                            &s,
-                        ) {
-                            Ok(sess) => {
-                                let _ = ready_tx.send(Ok(()));
-                                sess
-                            }
-                            Err(e) => {
-                                let _ = ready_tx.send(Err(e));
-                                return;
-                            }
-                        }
-                    }
-                    None => {
-                        let _ = ready_tx.send(Ok(()));
-                        StreamingSession::new(ClairvoyanceMode::Clairvoyant, packer.as_mut())
-                    }
-                };
-                while let Ok(cmd) = rx.recv() {
-                    match cmd {
-                        ShardCmd::Place { item, cap, resp } => {
-                            let out = session
-                                .arrive_capped(&item, cap)
-                                .map(|adm| (adm, session.open_bins()));
-                            let failed = out.is_err();
-                            let _ = resp.send(out);
-                            if failed {
-                                // The session may be inconsistent after a
-                                // packer error; stop rather than serve
-                                // wrong placements.
-                                return;
-                            }
-                        }
-                        ShardCmd::Snapshot { resp } => {
-                            let _ = resp.send(session.snapshot());
-                        }
-                        ShardCmd::Shutdown => return,
-                    }
-                }
-            })
-            .map_err(|e| DbpError::Internal {
-                what: format!("cannot spawn shard engine {shard}: {e}"),
-            })?;
-        let mut engine = Engine {
-            tx,
-            handle: Some(handle),
-        };
-        match ready_rx.recv() {
-            Ok(Ok(())) => Ok(engine),
-            Ok(Err(e)) => {
-                engine.join();
-                Err(e)
-            }
-            Err(_) => {
-                engine.join();
-                Err(DbpError::Internal {
-                    what: format!("shard engine {shard} died before reporting ready"),
-                })
-            }
-        }
-    }
-
-    fn join(&mut self) {
-        let _ = self.tx.send(ShardCmd::Shutdown);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
 #[derive(Clone, Copy, Debug, Default)]
 struct Totals {
     submitted: u64,
@@ -231,9 +122,8 @@ struct Totals {
 }
 
 struct Core {
-    engines: Vec<Engine>,
-    /// Open bins per shard, as of that shard's last placement reply.
-    open_bins: Vec<usize>,
+    /// One session per shard, each owning its packer.
+    shards: Vec<OwnedSession>,
     last_arrival: Option<Time>,
     /// Every id below this was decided (placed or shed).
     watermark: u32,
@@ -257,11 +147,17 @@ struct Core {
     /// WAL append latency (encode + write + policy sync); observability
     /// only.
     wal_append_ns: Histogram,
-    /// A shard engine failure poisons the whole service.
+    /// A shard's packer error (or a WAL append failure) poisons the
+    /// whole service.
     failed: Option<DbpError>,
 }
 
 impl Core {
+    /// Open bins across the whole fleet.
+    fn fleet_open_bins(&self) -> usize {
+        self.shards.iter().map(OwnedSession::open_bins).sum()
+    }
+
     fn is_decided(&self, id: u32) -> bool {
         id < self.watermark || self.above.contains(&id)
     }
@@ -319,7 +215,7 @@ pub struct Service {
 impl Service {
     /// Boots the service: validates `cfg`, restores the newest good
     /// checkpoint when a checkpoint directory is configured (walking
-    /// past torn files), and spawns one engine per shard.
+    /// past torn files), and builds one session per shard.
     pub fn start(cfg: ServeConfig) -> Result<Service, DbpError> {
         let boot = Instant::now();
         cfg.validate()?;
@@ -363,31 +259,30 @@ impl Service {
             delta: cfg.delta,
             mu: cfg.mu,
         };
-        let mut engines = Vec::with_capacity(cfg.shards);
-        for shard in 0..cfg.shards {
-            let snap = restored.as_ref().map(|ck| ck.sessions[shard].clone());
-            match Engine::spawn(shard, &cfg.algo, params, snap) {
-                Ok(e) => engines.push(e),
-                Err(e) => {
-                    for mut eng in engines {
-                        eng.join();
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        let mut core = match &restored {
-            Some(ck) => Core {
-                open_bins: ck.sessions.iter().map(|s| s.open_bins.len()).collect(),
-                engines,
-                last_arrival: ck.last_arrival,
-                watermark: ck.watermark,
-                above: ck.above.iter().copied().collect(),
-                placed: ck.placed,
-                shed: ck.shed,
-                rejected: ck.rejected,
-                tenants: ck
-                    .tenants
+        let packer = || online_packer(&cfg.algo, params);
+        let shards = match &restored {
+            Some(ck) => ck
+                .sessions
+                .iter()
+                .map(|snap| {
+                    OwnedSession::restore_owned(ClairvoyanceMode::Clairvoyant, packer(), snap)
+                })
+                .collect::<Result<_, _>>()?,
+            None => (0..cfg.shards)
+                .map(|_| OwnedSession::owned(ClairvoyanceMode::Clairvoyant, packer()))
+                .collect(),
+        };
+        let ck = restored.as_ref();
+        let mut core = Core {
+            shards,
+            last_arrival: ck.and_then(|ck| ck.last_arrival),
+            watermark: ck.map_or(0, |ck| ck.watermark),
+            above: ck.map_or_else(HashSet::new, |ck| ck.above.iter().copied().collect()),
+            placed: ck.map_or(0, |ck| ck.placed),
+            shed: ck.map_or(0, |ck| ck.shed),
+            rejected: ck.map_or(0, |ck| ck.rejected),
+            tenants: ck.map_or_else(BTreeMap::new, |ck| {
+                ck.tenants
                     .iter()
                     .map(|t| {
                         (
@@ -400,46 +295,20 @@ impl Service {
                             },
                         )
                     })
-                    .collect(),
-                decided_since_ckpt: 0,
-                ckpt_seq: ck.seq,
-                decision_seq: ck.decision_seq,
-                wal: None,
-                place_ns: Histogram::new(),
-                wal_append_ns: Histogram::new(),
-                failed: None,
-            },
-            None => Core {
-                open_bins: vec![0; cfg.shards],
-                engines,
-                last_arrival: None,
-                watermark: 0,
-                above: HashSet::new(),
-                placed: 0,
-                shed: 0,
-                rejected: 0,
-                tenants: BTreeMap::new(),
-                decided_since_ckpt: 0,
-                ckpt_seq: 0,
-                decision_seq: 0,
-                wal: None,
-                place_ns: Histogram::new(),
-                wal_append_ns: Histogram::new(),
-                failed: None,
-            },
+                    .collect()
+            }),
+            decided_since_ckpt: 0,
+            ckpt_seq: ck.map_or(0, |ck| ck.seq),
+            decision_seq: ck.map_or(0, |ck| ck.decision_seq),
+            wal: None,
+            place_ns: Histogram::new(),
+            wal_append_ns: Histogram::new(),
+            failed: None,
         };
-        let mut recovery = None;
-        if let Some(wal_dir) = &cfg.wal_dir {
-            match Self::recover_from_wal(&cfg, wal_dir, &mut core, boot) {
-                Ok(stats) => recovery = Some(stats),
-                Err(e) => {
-                    for engine in &mut core.engines {
-                        engine.join();
-                    }
-                    return Err(e);
-                }
-            }
-        }
+        let recovery = match &cfg.wal_dir {
+            Some(wal_dir) => Some(Self::recover_from_wal(&cfg, wal_dir, &mut core, boot)?),
+            None => None,
+        };
         Ok(Service {
             cfg,
             core: Mutex::new(core),
@@ -568,7 +437,7 @@ impl Service {
                     placed: core.placed,
                     shed: core.shed,
                     rejected: core.rejected,
-                    open_bins: core.open_bins.iter().sum(),
+                    open_bins: core.fleet_open_bins(),
                     checkpoint_seq: core.ckpt_seq,
                     decision_seq: core.decision_seq,
                 })
@@ -590,6 +459,8 @@ impl Service {
                     Ok(core) => core,
                     Err(resp) => return resp,
                 };
+                let open_bins: Vec<usize> =
+                    core.shards.iter().map(OwnedSession::open_bins).collect();
                 Response::Metrics {
                     text: crate::metrics::render_metrics(&crate::metrics::MetricsView {
                         algo: &self.cfg.algo,
@@ -597,7 +468,7 @@ impl Service {
                         placed: core.placed,
                         shed: core.shed,
                         rejected: core.rejected,
-                        open_bins: &core.open_bins,
+                        open_bins: &open_bins,
                         checkpoint_seq: core.ckpt_seq,
                         decision_seq: core.decision_seq,
                         place_ns: &core.place_ns,
@@ -691,27 +562,16 @@ impl Service {
             Some(fleet) => {
                 // This shard may keep its open bins and claim whatever
                 // headroom the fleet as a whole has left.
-                let total: usize = core.open_bins.iter().sum();
-                core.open_bins[shard] + fleet.saturating_sub(total)
+                let total = core.fleet_open_bins();
+                core.shards[shard].open_bins() + fleet.saturating_sub(total)
             }
         };
-        let (resp_tx, resp_rx) = mpsc::sync_channel(1);
-        let sent = core.engines[shard].tx.send(ShardCmd::Place {
-            item,
-            cap,
-            resp: resp_tx,
-        });
-        let reply = match sent {
-            Ok(()) => resp_rx.recv().map_err(|_| DbpError::Internal {
-                what: format!("shard engine {shard} died mid-placement"),
-            }),
-            Err(_) => Err(DbpError::Internal {
-                what: format!("shard engine {shard} is gone"),
-            }),
-        };
-        let (admission, open_now) = match reply.and_then(|r| r) {
-            Ok(out) => out,
+        let admission = match core.shards[shard].arrive_capped(&item, cap) {
+            Ok(admission) => admission,
             Err(e) => {
+                // The session may be inconsistent after a packer error:
+                // refuse everything from here on rather than serve wrong
+                // placements.
                 core.failed = Some(e.clone());
                 return (
                     Response::Error {
@@ -721,7 +581,6 @@ impl Service {
                 );
             }
         };
-        core.open_bins[shard] = open_now;
         core.last_arrival = Some(s.arrival);
         // Both outcomes are final decisions: record the id either way so
         // a resumed client never replays them.
@@ -788,7 +647,7 @@ impl Service {
         let (resp, routed) = Self::decide(&self.cfg, &mut core, s);
         let outcome = match Self::outcome_of(&resp, routed) {
             Some(outcome) => outcome,
-            // An engine failure is not a decision: nothing to log.
+            // A shard failure is not a decision: nothing to log.
             None => return resp,
         };
         // Write-ahead discipline: the decision is durable (per the
@@ -854,18 +713,14 @@ impl Service {
             .ok_or_else(|| DbpError::InvalidParameter {
                 what: "no checkpoint directory configured".into(),
             })?;
-        let mut sessions = Vec::with_capacity(core.engines.len());
-        for (shard, engine) in core.engines.iter().enumerate() {
-            let (resp_tx, resp_rx) = mpsc::sync_channel(1);
-            let gone = || DbpError::Internal {
-                what: format!("shard engine {shard} is gone"),
-            };
-            engine
-                .tx
-                .send(ShardCmd::Snapshot { resp: resp_tx })
-                .map_err(|_| gone())?;
-            sessions.push(resp_rx.recv().map_err(|_| gone())?);
+        // A failed service's sessions may disagree with what clients
+        // were told; never make that state durable.
+        if let Some(e) = &core.failed {
+            return Err(DbpError::Internal {
+                what: format!("service is failed: {e}"),
+            });
         }
+        let sessions = core.shards.iter().map(OwnedSession::snapshot).collect();
         let mut above: Vec<u32> = core.above.iter().copied().collect();
         above.sort_unstable();
         let seq = core.ckpt_seq + 1;
@@ -906,20 +761,5 @@ impl Service {
             }
         }
         Ok(seq)
-    }
-}
-
-impl Drop for Service {
-    fn drop(&mut self) {
-        // Join engines even through a poisoned lock: the coordinator
-        // state may be suspect, but the engine threads still need their
-        // shutdown command.
-        let mut core = match self.core.lock() {
-            Ok(core) => core,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        for engine in &mut core.engines {
-            engine.join();
-        }
     }
 }

@@ -1,5 +1,5 @@
-//! Service-level behaviour: differential equivalence with a plain
-//! streaming session, typed rejects, and multi-tenant accounting.
+//! Service-level behaviour: differential equivalence with plain
+//! streaming sessions, typed rejects, and multi-tenant accounting.
 
 use dbp_bench::registry::{online_packer, AlgoParams};
 use dbp_core::stream::{Admission, StreamingSession};
@@ -29,27 +29,53 @@ fn stream(n: u32) -> Vec<(u32, f64, i64, i64)> {
         .collect()
 }
 
-#[test]
-fn single_shard_service_matches_a_plain_streaming_session() {
-    let service = Service::start(ServeConfig::new(1, "best-fit")).unwrap();
-    let mut packer = online_packer("best-fit", AlgoParams { delta: 1, mu: 1.0 });
-    let mut session = StreamingSession::new(ClairvoyanceMode::Clairvoyant, packer.as_mut());
+/// Feeds one stream to an uncapped `shards`-shard service and to
+/// `shards` plain streaming sessions routed by the same
+/// `ShardRouter::route`: every placement must agree on shard and bin.
+fn service_matches_plain_sessions(shards: usize) {
+    let cfg = ServeConfig::new(shards, "best-fit");
+    let router = cfg.router;
+    let service = Service::start(cfg).unwrap();
+    let mut packers: Vec<_> = (0..shards)
+        .map(|_| online_packer("best-fit", AlgoParams { delta: 1, mu: 1.0 }))
+        .collect();
+    let mut sessions: Vec<_> = packers
+        .iter_mut()
+        .map(|p| StreamingSession::new(ClairvoyanceMode::Clairvoyant, p.as_mut()))
+        .collect();
     for (id, size, arrival, departure) in stream(300) {
         let resp = service.handle(&submit("t", id, size, arrival, departure));
         let item = Item::new(id, Size::from_f64(size), arrival, departure);
-        let expect = match session.arrive_capped(&item, usize::MAX).unwrap() {
+        let want_shard = router.route(&item, shards);
+        let expect = match sessions[want_shard]
+            .arrive_capped(&item, usize::MAX)
+            .unwrap()
+        {
             Admission::Placed(bin) => bin,
             Admission::Shed => panic!("uncapped session shed item {id}"),
         };
         match resp {
             Response::Placed { shard, bin, .. } => {
-                assert_eq!(shard, 0);
+                assert_eq!(shard, want_shard);
                 assert_eq!(bin, expect.0, "job {id} diverged from the plain session");
             }
             other => panic!("job {id}: service answered {other:?}"),
         }
     }
-    session.finish().unwrap();
+    for session in sessions {
+        let run = session.finish().unwrap();
+        assert!(run.bins_opened() > 0, "the stream never reached a shard");
+    }
+}
+
+#[test]
+fn single_shard_service_matches_a_plain_streaming_session() {
+    service_matches_plain_sessions(1);
+}
+
+#[test]
+fn multi_shard_service_matches_independent_sessions() {
+    service_matches_plain_sessions(3);
 }
 
 #[test]
@@ -197,7 +223,7 @@ fn a_poisoned_state_lock_degrades_to_typed_errors() {
     ));
     // A handler panicking while holding the state lock poisons it. Every
     // later request must get a typed error — no panic, no unwrap crash —
-    // and dropping the service must still join its engines cleanly.
+    // and dropping the service must still be clean.
     service.poison_for_tests();
     for req in [
         submit("t", 1, 0.4, 1, 9),

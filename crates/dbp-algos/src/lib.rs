@@ -27,12 +27,12 @@
 //!   duration classes refined by departure-time classes.
 //!
 //! **Vector online algorithms** (dynamic *vector* bin packing, after
-//! Murhekar et al. 2023): [`online::VecAnyFit`],
-//! [`online::VecClassifyByDepartureTime`] and
-//! [`online::VecClassifyByDuration`] lift the scalar roster to
-//! multi-resource items under all-axes feasibility (bit-identical to the
-//! scalar packers at `dims == 1`), and [`online::DotProductFit`] /
-//! [`online::MaxNormFit`] add the vector-native placement heuristics.
+//! Murhekar et al. 2023): [`online::AnyFit`],
+//! [`online::ClassifyByDepartureTime`] and [`online::ClassifyByDuration`]
+//! pack any [`dbp_core::Demand`] type, so the same packers place
+//! multi-resource items under all-axes feasibility, and
+//! [`online::DotProductFit`] / [`online::MaxNormFit`] add the
+//! vector-native placement heuristics.
 //!
 //! **Adversaries ([`adversary`]):** the executable Theorem 3 construction
 //! that forces any deterministic online packer to a ratio of at least the

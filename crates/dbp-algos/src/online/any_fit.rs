@@ -5,9 +5,15 @@
 //! Fit, `2μ+1`), and Tang et al. (First Fit, `μ+4`). They never consult
 //! departure times, so they run identically under clairvoyant and
 //! non-clairvoyant engines.
+//!
+//! The rules pack any [`Demand`] type. Under vector demands an item fits
+//! a bin only on every axis, and Best/Worst Fit rank levels by a
+//! [`Scalarization`] (sum of axis levels by default); for one axis every
+//! scalarization is the level itself.
 
 use super::{rule_tagged_in, ScanMode};
 use dbp_core::online::{Decision, ItemView, OnlinePacker, OpenBins};
+use dbp_core::{Demand, Scalarization};
 
 /// Which open bin an [`AnyFit`] packer prefers among those that fit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -53,15 +59,18 @@ impl FitRule {
 #[derive(Clone, Copy, Debug)]
 pub struct AnyFit {
     rule: FitRule,
+    scal: Scalarization,
     mode: ScanMode,
     scanned: usize,
 }
 
 impl AnyFit {
-    /// Creates a packer with the given preference rule.
+    /// Creates a packer with the given preference rule (sum
+    /// scalarization).
     pub fn new(rule: FitRule) -> Self {
         AnyFit {
             rule,
+            scal: Scalarization::default(),
             mode: ScanMode::default(),
             scanned: 0,
         }
@@ -73,6 +82,22 @@ impl AnyFit {
     pub fn with_linear_scan(mut self) -> Self {
         self.mode = ScanMode::Linear;
         self
+    }
+
+    /// Selects how Best/Worst Fit collapse a vector level to a rank (no
+    /// effect on one axis).
+    pub fn with_scalarization(mut self, scal: Scalarization) -> Self {
+        self.scal = scal;
+        self
+    }
+
+    /// Display name: the rule, plus the scalarization when it is not the
+    /// default.
+    pub fn name(&self) -> String {
+        match self.scal {
+            Scalarization::Sum => self.rule.name().to_string(),
+            s => format!("{}[{}]", self.rule.name(), s.name()),
+        }
     }
 
     /// First Fit — the best-known online algorithm in the non-clairvoyant
@@ -97,13 +122,14 @@ impl AnyFit {
     }
 }
 
-impl OnlinePacker for AnyFit {
+impl<D: Demand> OnlinePacker<D> for AnyFit {
     fn name(&self) -> String {
-        self.rule.name().to_string()
+        AnyFit::name(self)
     }
 
-    fn place(&mut self, item: &ItemView, open_bins: &OpenBins) -> Decision {
-        let (decision, scanned) = rule_tagged_in(self.mode, self.rule, 0, item, open_bins);
+    fn place(&mut self, item: &ItemView<D>, open_bins: &OpenBins<D>) -> Decision {
+        let (decision, scanned) =
+            rule_tagged_in(self.mode, self.rule, self.scal, 0, item, open_bins);
         self.scanned = scanned;
         decision
     }

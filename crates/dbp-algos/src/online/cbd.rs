@@ -11,9 +11,11 @@
 
 use super::{first_fit_tagged_in, ScanMode};
 use dbp_core::online::{Decision, ItemView, OnlinePacker, OpenBins};
+use dbp_core::Demand;
 
 /// Classify-by-duration First Fit with base duration `b` (ticks) and
-/// category ratio `α > 1`.
+/// category ratio `α > 1`. Packs any [`Demand`] type: categories depend
+/// only on durations, feasibility inside a category is the demand type's.
 /// # Example
 ///
 /// ```
@@ -98,6 +100,11 @@ impl ClassifyByDuration {
         self.alpha
     }
 
+    /// Display name including `b` and `α`.
+    pub fn name(&self) -> String {
+        format!("cbd(b={},alpha={:.3})", self.base, self.alpha)
+    }
+
     /// Category index `i` such that `duration ∈ [b·αⁱ, b·αⁱ⁺¹)`, clamped
     /// into `i32` range and offset into `u64` tag space.
     ///
@@ -146,12 +153,12 @@ pub fn optimal_num_categories(mu: f64) -> u32 {
     best_n
 }
 
-impl OnlinePacker for ClassifyByDuration {
+impl<D: Demand> OnlinePacker<D> for ClassifyByDuration {
     fn name(&self) -> String {
-        format!("cbd(b={},alpha={:.3})", self.base, self.alpha)
+        ClassifyByDuration::name(self)
     }
 
-    fn place(&mut self, item: &ItemView, open_bins: &OpenBins) -> Decision {
+    fn place(&mut self, item: &ItemView<D>, open_bins: &OpenBins<D>) -> Decision {
         let dur = item
             .duration()
             .expect("ClassifyByDuration requires a clairvoyant engine");

@@ -13,12 +13,15 @@ use super::{first_fit_tagged_in, ScanMode};
 use dbp_core::error::DbpError;
 use dbp_core::interval::Time;
 use dbp_core::online::{Decision, ItemView, OnlinePacker, OpenBins, PackerState};
+use dbp_core::Demand;
 
 /// Classify-by-departure-time First Fit with interval length `ρ` (ticks).
 ///
 /// Category boundaries are anchored at the first arrival the packer
 /// observes, matching the paper's convention that the first item arrives at
-/// time 0 and the first category is departures in `(0, ρ]`.
+/// time 0 and the first category is departures in `(0, ρ]`. Packs any
+/// [`Demand`] type: categories depend only on time, feasibility inside a
+/// category is the demand type's.
 /// # Example
 ///
 /// ```
@@ -79,6 +82,11 @@ impl ClassifyByDepartureTime {
         self.rho
     }
 
+    /// Display name including `ρ`.
+    pub fn name(&self) -> String {
+        format!("cbdt(rho={})", self.rho)
+    }
+
     /// The departure-time category of an item departing at `dep`, with
     /// category `i` covering departures in `(epoch + (i−1)ρ, epoch + iρ]`.
     fn category(&self, dep: Time) -> u64 {
@@ -89,16 +97,16 @@ impl ClassifyByDepartureTime {
     }
 }
 
-impl OnlinePacker for ClassifyByDepartureTime {
+impl<D: Demand> OnlinePacker<D> for ClassifyByDepartureTime {
     fn name(&self) -> String {
-        format!("cbdt(rho={})", self.rho)
+        ClassifyByDepartureTime::name(self)
     }
 
     fn reset(&mut self) {
         self.epoch = None;
     }
 
-    fn place(&mut self, item: &ItemView, open_bins: &OpenBins) -> Decision {
+    fn place(&mut self, item: &ItemView<D>, open_bins: &OpenBins<D>) -> Decision {
         if self.epoch.is_none() {
             self.epoch = Some(item.arrival);
         }

@@ -1,5 +1,12 @@
 //! Online packers: the Any Fit family and the paper's classification
 //! strategies.
+//!
+//! The Any-Fit family ([`AnyFit`]) and the two classification strategies
+//! ([`ClassifyByDepartureTime`], [`ClassifyByDuration`]) implement
+//! [`dbp_core::OnlinePacker`] for every [`Demand`] type: one body packs
+//! scalar sizes and demand vectors alike, and at one dimension the
+//! vector run is the scalar run. The dot-product and max-norm rules are
+//! vector-only (see [`DotProductFit`], [`MaxNormFit`]).
 
 mod any_fit;
 mod cbd;
@@ -15,12 +22,10 @@ pub use cbdt::ClassifyByDepartureTime;
 pub use combined::CombinedClassify;
 pub use hybrid_ff::HybridFirstFit;
 pub use sliding::SlidingDepartureWindow;
-pub use vector::{
-    DotProductFit, MaxNormFit, VecAnyFit, VecClassifyByDepartureTime, VecClassifyByDuration,
-};
+pub use vector::{DotProductFit, MaxNormFit};
 
 use dbp_core::online::{Decision, ItemView, OpenBins};
-use dbp_core::Size;
+use dbp_core::{Demand, Scalarization};
 
 /// How a roster packer consults the open set.
 ///
@@ -55,7 +60,11 @@ pub enum ScanMode {
 /// `OnlinePacker::last_scanned` so the engine's `candidates_scanned`
 /// work metric reports the algorithm's *real* scan — the category walk —
 /// rather than a whole-fleet proxy.
-pub(crate) fn first_fit_tagged(tag: u64, size: Size, open_bins: &OpenBins) -> (Decision, usize) {
+pub(crate) fn first_fit_tagged<D: Demand>(
+    tag: u64,
+    size: D,
+    open_bins: &OpenBins<D>,
+) -> (Decision, usize) {
     let mut scanned = 0;
     for b in open_bins.iter_tag(tag) {
         scanned += 1;
@@ -67,14 +76,14 @@ pub(crate) fn first_fit_tagged(tag: u64, size: Size, open_bins: &OpenBins) -> (D
 }
 
 /// [`first_fit_tagged`] dispatched by [`ScanMode`]: the indexed path
-/// answers from [`OpenBins::first_fit`] in O(log category) and reports
-/// the index nodes probed; the linear path is the seed's category walk.
-/// Both choose the same bin on every input.
-pub(crate) fn first_fit_tagged_in(
+/// answers from [`OpenBins::first_fit`] and reports the index nodes
+/// probed; the linear path is the seed's category walk. Both choose the
+/// same bin on every input.
+pub(crate) fn first_fit_tagged_in<D: Demand>(
     mode: ScanMode,
     tag: u64,
-    size: Size,
-    open_bins: &OpenBins,
+    size: D,
+    open_bins: &OpenBins<D>,
 ) -> (Decision, usize) {
     match mode {
         ScanMode::Linear => first_fit_tagged(tag, size, open_bins),
@@ -93,14 +102,16 @@ pub(crate) fn first_fit_tagged_in(
 /// preserves the classical tie-breaks: Best Fit resolves level ties to
 /// the *latest* opened (`max_by_key` keeps the last maximum), Worst Fit
 /// to the *earliest* (`min_by_key` keeps the first minimum), and Next
-/// Fit looks only at the newest bin of the tag. Best/Worst Fit examine
-/// the whole category, Next Fit exactly one bin — the returned counts
+/// Fit looks only at the newest bin of the tag. Vector levels rank by
+/// `scal`; a scalar level is its own key. Best/Worst Fit examine the
+/// whole category, Next Fit exactly one bin — the returned counts
 /// reflect that.
-pub(crate) fn rule_tagged(
+pub(crate) fn rule_tagged<D: Demand>(
     rule: FitRule,
+    scal: Scalarization,
     tag: u64,
-    item: &ItemView,
-    open_bins: &OpenBins,
+    item: &ItemView<D>,
+    open_bins: &OpenBins<D>,
 ) -> (Decision, usize) {
     let candidates = open_bins.iter_tag(tag);
     let mut scanned = 0;
@@ -110,7 +121,7 @@ pub(crate) fn rule_tagged(
             let decision = candidates
                 .inspect(|_| scanned += 1)
                 .filter(|b| b.fits(item.size))
-                .max_by_key(|b| b.level())
+                .max_by_key(|b| b.level().key(scal))
                 .map(|b| Decision::Existing(b.id()))
                 .unwrap_or(Decision::New { tag });
             (decision, scanned)
@@ -119,7 +130,7 @@ pub(crate) fn rule_tagged(
             let decision = candidates
                 .inspect(|_| scanned += 1)
                 .filter(|b| b.fits(item.size))
-                .min_by_key(|b| b.level())
+                .min_by_key(|b| b.level().key(scal))
                 .map(|b| Decision::Existing(b.id()))
                 .unwrap_or(Decision::New { tag });
             (decision, scanned)
@@ -141,24 +152,25 @@ pub(crate) fn rule_tagged(
 ///
 /// The indexed paths answer from the [`OpenBins`] fit queries, whose
 /// keys encode the same tie-breaks the linear fold applies: Best Fit
-/// takes the min-gap entry of the `(gap, opening-order)` set with level
-/// ties to the latest opened, Worst Fit its max-gap entry with ties to
-/// the earliest. Next Fit reads the tag's newest bin in O(1) either
-/// way, so the two modes share that arm.
-pub(crate) fn rule_tagged_in(
+/// takes the fullest feasible entry of the `(level, opening-order)` set
+/// with level ties to the latest opened, Worst Fit the emptiest with
+/// ties to the earliest. Next Fit reads the tag's newest bin in O(1)
+/// either way, so the two modes share that arm.
+pub(crate) fn rule_tagged_in<D: Demand>(
     mode: ScanMode,
     rule: FitRule,
+    scal: Scalarization,
     tag: u64,
-    item: &ItemView,
-    open_bins: &OpenBins,
+    item: &ItemView<D>,
+    open_bins: &OpenBins<D>,
 ) -> (Decision, usize) {
     if mode == ScanMode::Linear || rule == FitRule::Next {
-        return rule_tagged(rule, tag, item, open_bins);
+        return rule_tagged(rule, scal, tag, item, open_bins);
     }
     let (hit, probes) = match rule {
         FitRule::First => open_bins.first_fit(tag, item.size),
-        FitRule::Best => open_bins.best_fit(tag, item.size),
-        FitRule::Worst => open_bins.worst_fit(tag, item.size),
+        FitRule::Best => open_bins.best_fit_by(tag, item.size, scal),
+        FitRule::Worst => open_bins.worst_fit_by(tag, item.size, scal),
         FitRule::Next => unreachable!("handled by the linear arm"),
     };
     let decision = hit.map(Decision::Existing).unwrap_or(Decision::New { tag });

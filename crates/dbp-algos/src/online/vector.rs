@@ -1,13 +1,12 @@
-//! The vector Any-Fit + classification roster, plus the Murhekar et al.
-//! 2023 dynamic-vector-bin-packing placement heuristics.
+//! The vector-native placement heuristics of Murhekar et al. 2023
+//! (dynamic vector bin packing).
 //!
-//! Every packer here drives a [`VecStreamingSession`] through
-//! [`VecOnlinePacker`]; feasibility is always the all-axes predicate
-//! ([`VecOpenBin::fits`]). The Any-Fit family and both classification
-//! strategies are structured exactly like their scalar twins, so at
-//! `dims == 1` each produces decisions bit-identical to the scalar
-//! roster — the dim-1 differential suite asserts run equality packer by
-//! packer. Two roster entries are vector-native:
+//! The Any-Fit family and both classification strategies pack vectors
+//! with the same bodies that pack scalars ([`super::AnyFit`],
+//! [`super::ClassifyByDepartureTime`], [`super::ClassifyByDuration`]
+//! implement `OnlinePacker<D>` for every demand type). The two rules
+//! here need the full level or residual *vector*, which no scalar
+//! ordering captures, so they exist only for [`SizeVec`]:
 //!
 //! * [`DotProductFit`] — place in the feasible bin maximizing the dot
 //!   product of the item's demand and the bin's residual gap (Panigrahy
@@ -16,404 +15,9 @@
 //! * [`MaxNormFit`] — place in the feasible bin minimizing the
 //!   post-placement maximum axis level (L∞ norm): keeps every bin's
 //!   bottleneck axis as low as possible.
-//!
-//! Best/Worst Fit need a total order on level vectors and take a
-//! [`Scalarization`]; First/Next Fit and the classification packers are
-//! scalarization-free (feasibility alone decides). Like the scalar
-//! roster, every indexed packer keeps a `with_linear_scan()` foil that
-//! walks its category and must choose the same bin on every input.
 
-use super::{FitRule, ScanMode};
-use dbp_core::online::Decision;
-use dbp_core::sizevec::{Scalarization, SizeVec};
-use dbp_core::vecbins::VecOpenBins;
-use dbp_core::vecstream::{VecItemView, VecOnlinePacker};
-use dbp_core::Time;
-
-/// Vector First Fit restricted to bins carrying `tag`: earliest-opened
-/// bin feasible on all axes, else a new bin with that tag. Returns the
-/// decision and the number of candidates inspected.
-pub(crate) fn vec_first_fit_tagged(
-    tag: u64,
-    size: &SizeVec,
-    open_bins: &VecOpenBins,
-) -> (Decision, usize) {
-    let mut scanned = 0;
-    for b in open_bins.iter_tag(tag) {
-        scanned += 1;
-        if b.fits(size) {
-            return (Decision::Existing(b.id()), scanned);
-        }
-    }
-    (Decision::New { tag }, scanned)
-}
-
-/// [`vec_first_fit_tagged`] dispatched by [`ScanMode`]: the indexed path
-/// answers from the componentwise-max tree
-/// ([`VecOpenBins::first_fit`]); the linear path walks the category.
-/// Both choose the same bin on every input.
-pub(crate) fn vec_first_fit_tagged_in(
-    mode: ScanMode,
-    tag: u64,
-    size: &SizeVec,
-    open_bins: &VecOpenBins,
-) -> (Decision, usize) {
-    match mode {
-        ScanMode::Linear => vec_first_fit_tagged(tag, size, open_bins),
-        ScanMode::Indexed => {
-            let (hit, probes) = open_bins.first_fit(tag, size);
-            let decision = hit.map(Decision::Existing).unwrap_or(Decision::New { tag });
-            (decision, probes)
-        }
-    }
-}
-
-/// Applies a [`FitRule`] among bins carrying `tag` under vector
-/// feasibility, ranking Best/Worst by `scal`. Candidates come from
-/// [`VecOpenBins::iter_tag`] in opening order, preserving the scalar
-/// tie-breaks: Best resolves scalarized-level ties to the *latest*
-/// opened (`max_by_key` keeps the last maximum), Worst to the
-/// *earliest*, Next looks only at the newest bin of the tag.
-pub(crate) fn vec_rule_tagged(
-    rule: FitRule,
-    scal: Scalarization,
-    tag: u64,
-    item: &VecItemView,
-    open_bins: &VecOpenBins,
-) -> (Decision, usize) {
-    let candidates = open_bins.iter_tag(tag);
-    let mut scanned = 0;
-    match rule {
-        FitRule::First => vec_first_fit_tagged(tag, &item.size, open_bins),
-        FitRule::Best => {
-            let decision = candidates
-                .inspect(|_| scanned += 1)
-                .filter(|b| b.fits(&item.size))
-                .max_by_key(|b| scal.key(&b.level()))
-                .map(|b| Decision::Existing(b.id()))
-                .unwrap_or(Decision::New { tag });
-            (decision, scanned)
-        }
-        FitRule::Worst => {
-            let decision = candidates
-                .inspect(|_| scanned += 1)
-                .filter(|b| b.fits(&item.size))
-                .min_by_key(|b| scal.key(&b.level()))
-                .map(|b| Decision::Existing(b.id()))
-                .unwrap_or(Decision::New { tag });
-            (decision, scanned)
-        }
-        FitRule::Next => {
-            let mut candidates = candidates;
-            let decision = candidates
-                .next_back()
-                .inspect(|_| scanned = 1)
-                .filter(|b| b.fits(&item.size))
-                .map(|b| Decision::Existing(b.id()))
-                .unwrap_or(Decision::New { tag });
-            (decision, scanned)
-        }
-    }
-}
-
-/// [`vec_rule_tagged`] dispatched by [`ScanMode`]: the indexed Best and
-/// Worst paths walk the scalarized level-ordered set from the
-/// appropriate end until an entry is feasible on all axes; Next reads
-/// the tag tail in O(1) either way.
-pub(crate) fn vec_rule_tagged_in(
-    mode: ScanMode,
-    rule: FitRule,
-    scal: Scalarization,
-    tag: u64,
-    item: &VecItemView,
-    open_bins: &VecOpenBins,
-) -> (Decision, usize) {
-    if mode == ScanMode::Linear || rule == FitRule::Next {
-        return vec_rule_tagged(rule, scal, tag, item, open_bins);
-    }
-    let (hit, probes) = match rule {
-        FitRule::First => open_bins.first_fit(tag, &item.size),
-        FitRule::Best => open_bins.best_fit(tag, &item.size, scal),
-        FitRule::Worst => open_bins.worst_fit(tag, &item.size, scal),
-        FitRule::Next => unreachable!("handled by the linear arm"),
-    };
-    let decision = hit.map(Decision::Existing).unwrap_or(Decision::New { tag });
-    (decision, probes)
-}
-
-/// The vector Any Fit packer: First/Best/Worst/Next Fit under all-axes
-/// feasibility, with Best/Worst ranked by a [`Scalarization`] (sum of
-/// axis levels by default).
-///
-/// # Example
-///
-/// ```
-/// use dbp_algos::online::VecAnyFit;
-/// use dbp_core::{SizeVec, VecInstance, VecItem, VecOnlineEngine};
-///
-/// // Fits on axis 0, collides on axis 1: two bins.
-/// let jobs = VecInstance::from_items(vec![
-///     VecItem::new(0, SizeVec::from_f64s(&[0.4, 0.8]), 0, 10),
-///     VecItem::new(1, SizeVec::from_f64s(&[0.4, 0.8]), 2, 8),
-/// ]).unwrap();
-/// let run = VecOnlineEngine::non_clairvoyant()
-///     .run(&jobs, &mut VecAnyFit::first_fit())
-///     .unwrap();
-/// assert_eq!(run.bins_opened(), 2);
-/// ```
-#[derive(Clone, Copy, Debug)]
-pub struct VecAnyFit {
-    rule: FitRule,
-    scal: Scalarization,
-    mode: ScanMode,
-    scanned: usize,
-}
-
-impl VecAnyFit {
-    /// Creates a packer with the given preference rule (sum
-    /// scalarization).
-    pub fn new(rule: FitRule) -> Self {
-        VecAnyFit {
-            rule,
-            scal: Scalarization::default(),
-            mode: ScanMode::default(),
-            scanned: 0,
-        }
-    }
-
-    /// Switches to the linear category walk — same decisions — for
-    /// differential proofs and scan-depth ablations.
-    pub fn with_linear_scan(mut self) -> Self {
-        self.mode = ScanMode::Linear;
-        self
-    }
-
-    /// Selects how Best/Worst Fit collapse a level vector to a rank.
-    pub fn with_scalarization(mut self, scal: Scalarization) -> Self {
-        self.scal = scal;
-        self
-    }
-
-    /// Vector First Fit.
-    pub fn first_fit() -> Self {
-        Self::new(FitRule::First)
-    }
-
-    /// Vector Best Fit (fullest feasible by scalarized level).
-    pub fn best_fit() -> Self {
-        Self::new(FitRule::Best)
-    }
-
-    /// Vector Worst Fit (emptiest feasible by scalarized level).
-    pub fn worst_fit() -> Self {
-        Self::new(FitRule::Worst)
-    }
-
-    /// Vector Next Fit (newest bin only).
-    pub fn next_fit() -> Self {
-        Self::new(FitRule::Next)
-    }
-}
-
-impl VecOnlinePacker for VecAnyFit {
-    fn name(&self) -> String {
-        match self.scal {
-            Scalarization::Sum => self.rule.name().to_string(),
-            s => format!("{}[{}]", self.rule.name(), s.name()),
-        }
-    }
-
-    fn place(&mut self, item: &VecItemView, open_bins: &VecOpenBins) -> Decision {
-        let (decision, scanned) =
-            vec_rule_tagged_in(self.mode, self.rule, self.scal, 0, item, open_bins);
-        self.scanned = scanned;
-        decision
-    }
-
-    fn last_scanned(&self) -> Option<usize> {
-        Some(self.scanned)
-    }
-}
-
-/// Vector classify-by-departure-time First Fit: the §5.2 strategy with
-/// vector feasibility inside each departure category. Structured exactly
-/// like the scalar [`super::ClassifyByDepartureTime`] (same epoch
-/// anchoring, same category formula), so dim-1 runs are bit-identical.
-#[derive(Clone, Debug)]
-pub struct VecClassifyByDepartureTime {
-    rho: i64,
-    epoch: Option<Time>,
-    mode: ScanMode,
-    scanned: usize,
-}
-
-impl VecClassifyByDepartureTime {
-    /// Creates the packer with interval length `ρ ≥ 1`.
-    ///
-    /// # Panics
-    /// If `rho < 1`.
-    pub fn new(rho: i64) -> Self {
-        assert!(rho >= 1, "rho must be at least one tick");
-        VecClassifyByDepartureTime {
-            rho,
-            epoch: None,
-            mode: ScanMode::default(),
-            scanned: 0,
-        }
-    }
-
-    /// Switches to the linear category walk for differential proofs.
-    pub fn with_linear_scan(mut self) -> Self {
-        self.mode = ScanMode::Linear;
-        self
-    }
-
-    /// The optimal parameter when `Δ` and `μ` are known: `ρ = √μ·Δ`
-    /// (Theorem 4's choice, unchanged by dimensionality).
-    pub fn with_known_durations(min_duration: i64, mu: f64) -> Self {
-        let rho = ((mu.sqrt() * min_duration as f64).round() as i64).max(1);
-        Self::new(rho)
-    }
-
-    /// The configured `ρ`.
-    pub fn rho(&self) -> i64 {
-        self.rho
-    }
-
-    fn category(&self, dep: Time) -> u64 {
-        let epoch = self.epoch.expect("category queried before first arrival");
-        let off = dep - epoch;
-        debug_assert!(off >= 1);
-        ((off + self.rho - 1) / self.rho) as u64
-    }
-}
-
-impl VecOnlinePacker for VecClassifyByDepartureTime {
-    fn name(&self) -> String {
-        format!("cbdt(rho={})", self.rho)
-    }
-
-    fn reset(&mut self) {
-        self.epoch = None;
-    }
-
-    fn place(&mut self, item: &VecItemView, open_bins: &VecOpenBins) -> Decision {
-        if self.epoch.is_none() {
-            self.epoch = Some(item.arrival);
-        }
-        let dep = item
-            .departure
-            .expect("VecClassifyByDepartureTime requires a clairvoyant engine");
-        let tag = self.category(dep);
-        let (decision, scanned) = vec_first_fit_tagged_in(self.mode, tag, &item.size, open_bins);
-        self.scanned = scanned;
-        decision
-    }
-
-    fn last_scanned(&self) -> Option<usize> {
-        Some(self.scanned)
-    }
-}
-
-/// Vector classify-by-duration First Fit: the §5.3 strategy with vector
-/// feasibility inside each duration category. Category arithmetic is
-/// copied from the scalar [`super::ClassifyByDuration`] verbatim
-/// (including the boundary-correction loops and the known-durations
-/// clamp), so dim-1 runs are bit-identical.
-#[derive(Clone, Debug)]
-pub struct VecClassifyByDuration {
-    base: i64,
-    alpha: f64,
-    max_category: Option<i64>,
-    mode: ScanMode,
-    scanned: usize,
-}
-
-impl VecClassifyByDuration {
-    /// Creates the packer. `base ≥ 1` anchors category boundaries;
-    /// `alpha > 1` is the intra-category max/min duration ratio.
-    ///
-    /// # Panics
-    /// If `base < 1` or `alpha <= 1`.
-    pub fn new(base: i64, alpha: f64) -> Self {
-        assert!(base >= 1, "base duration must be at least one tick");
-        assert!(alpha > 1.0, "alpha must exceed 1");
-        VecClassifyByDuration {
-            base,
-            alpha,
-            max_category: None,
-            mode: ScanMode::default(),
-            scanned: 0,
-        }
-    }
-
-    /// Switches to the linear category walk for differential proofs.
-    pub fn with_linear_scan(mut self) -> Self {
-        self.mode = ScanMode::Linear;
-        self
-    }
-
-    /// The optimal known-durations configuration of Theorem 5 (same
-    /// clamped last category as the scalar packer).
-    pub fn with_known_durations(min_duration: i64, mu: f64) -> Self {
-        let n = super::cbd::optimal_num_categories(mu);
-        let alpha = mu.powf(1.0 / n as f64);
-        let mut packer = Self::new(min_duration, if alpha > 1.0 { alpha } else { 2.0 });
-        packer.max_category = Some(n as i64 - 1);
-        packer
-    }
-
-    /// The configured base duration `b`.
-    pub fn base(&self) -> i64 {
-        self.base
-    }
-
-    /// The configured ratio `α`.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
-    /// Category index (same arithmetic as the scalar packer).
-    pub fn category(&self, duration: i64) -> u64 {
-        debug_assert!(duration >= 1);
-        let ratio = duration as f64 / self.base as f64;
-        let mut i = (ratio.ln() / self.alpha.ln()).floor() as i64;
-        while self.boundary(i) > duration as f64 {
-            i -= 1;
-        }
-        while self.boundary(i + 1) <= duration as f64 {
-            i += 1;
-        }
-        if let Some(max) = self.max_category {
-            i = i.min(max);
-        }
-        (i + (1 << 32)) as u64
-    }
-
-    fn boundary(&self, i: i64) -> f64 {
-        self.base as f64 * self.alpha.powi(i as i32)
-    }
-}
-
-impl VecOnlinePacker for VecClassifyByDuration {
-    fn name(&self) -> String {
-        format!("cbd(b={},alpha={:.3})", self.base, self.alpha)
-    }
-
-    fn place(&mut self, item: &VecItemView, open_bins: &VecOpenBins) -> Decision {
-        let dur = item
-            .duration()
-            .expect("VecClassifyByDuration requires a clairvoyant engine");
-        let tag = self.category(dur);
-        let (decision, scanned) = vec_first_fit_tagged_in(self.mode, tag, &item.size, open_bins);
-        self.scanned = scanned;
-        decision
-    }
-
-    fn last_scanned(&self) -> Option<usize> {
-        Some(self.scanned)
-    }
-}
+use dbp_core::online::{Decision, ItemView, OnlinePacker, OpenBins};
+use dbp_core::SizeVec;
 
 /// Dot-product placement (Panigrahy et al.; Murhekar et al. 2023 for the
 /// dynamic setting): among feasible bins, maximize `Σ_d demand_d·gap_d`
@@ -442,17 +46,17 @@ impl DotProductFit {
     }
 }
 
-impl VecOnlinePacker for DotProductFit {
+impl OnlinePacker<SizeVec> for DotProductFit {
     fn name(&self) -> String {
         "dot-product".into()
     }
 
-    fn place(&mut self, item: &VecItemView, open_bins: &VecOpenBins) -> Decision {
+    fn place(&mut self, item: &ItemView<SizeVec>, open_bins: &OpenBins<SizeVec>) -> Decision {
         let mut scanned = 0;
         let decision = open_bins
             .iter()
             .inspect(|_| scanned += 1)
-            .filter(|b| b.fits(&item.size))
+            .filter(|b| b.fits(item.size))
             .max_by_key(|b| item.size.dot_raw(&b.gap()))
             .map(|b| Decision::Existing(b.id()))
             .unwrap_or(Decision::NEW);
@@ -490,17 +94,17 @@ impl MaxNormFit {
     }
 }
 
-impl VecOnlinePacker for MaxNormFit {
+impl OnlinePacker<SizeVec> for MaxNormFit {
     fn name(&self) -> String {
         "max-norm".into()
     }
 
-    fn place(&mut self, item: &VecItemView, open_bins: &VecOpenBins) -> Decision {
+    fn place(&mut self, item: &ItemView<SizeVec>, open_bins: &OpenBins<SizeVec>) -> Decision {
         let mut scanned = 0;
         let decision = open_bins
             .iter()
             .inspect(|_| scanned += 1)
-            .filter(|b| b.fits(&item.size))
+            .filter(|b| b.fits(item.size))
             .min_by_key(|b| b.level().add(&item.size).max_raw())
             .map(|b| Decision::Existing(b.id()))
             .unwrap_or(Decision::NEW);
@@ -517,9 +121,11 @@ impl VecOnlinePacker for MaxNormFit {
 mod tests {
     use super::*;
     use crate::online::{AnyFit, ClassifyByDepartureTime, ClassifyByDuration};
-    use dbp_core::online::{OnlineEngine, OnlinePacker, OnlineRun};
-    use dbp_core::vecstream::VecOnlineEngine;
-    use dbp_core::{Instance, Item, Size, VecInstance, VecItem};
+    use dbp_core::online::{OnlineEngine, OnlineRun};
+    use dbp_core::{
+        Instance, Item, Scalarization, Size, VecClairvoyance, VecInstance, VecItem,
+        VecOnlinePacker, VecStreamingSession,
+    };
 
     /// Deterministic splitmix64 for test instance generation.
     fn mix(x: &mut u64) -> u64 {
@@ -564,7 +170,7 @@ mod tests {
     }
 
     fn vec_run(inst: &VecInstance, p: &mut dyn VecOnlinePacker) -> OnlineRun {
-        VecOnlineEngine::clairvoyant().run(inst, p).unwrap()
+        VecStreamingSession::run(VecClairvoyance::Clairvoyant, inst, p).unwrap()
     }
 
     #[test]
@@ -574,36 +180,36 @@ mod tests {
                 let inst = gen_vec_instance(seed, 160, dims);
                 let pairs: Vec<(Box<dyn VecOnlinePacker>, Box<dyn VecOnlinePacker>)> = vec![
                     (
-                        Box::new(VecAnyFit::first_fit()),
-                        Box::new(VecAnyFit::first_fit().with_linear_scan()),
+                        Box::new(AnyFit::first_fit()),
+                        Box::new(AnyFit::first_fit().with_linear_scan()),
                     ),
                     (
-                        Box::new(VecAnyFit::best_fit()),
-                        Box::new(VecAnyFit::best_fit().with_linear_scan()),
+                        Box::new(AnyFit::best_fit()),
+                        Box::new(AnyFit::best_fit().with_linear_scan()),
                     ),
                     (
-                        Box::new(VecAnyFit::worst_fit()),
-                        Box::new(VecAnyFit::worst_fit().with_linear_scan()),
+                        Box::new(AnyFit::worst_fit()),
+                        Box::new(AnyFit::worst_fit().with_linear_scan()),
                     ),
                     (
-                        Box::new(VecAnyFit::best_fit().with_scalarization(Scalarization::MaxAxis)),
+                        Box::new(AnyFit::best_fit().with_scalarization(Scalarization::MaxAxis)),
                         Box::new(
-                            VecAnyFit::best_fit()
+                            AnyFit::best_fit()
                                 .with_scalarization(Scalarization::MaxAxis)
                                 .with_linear_scan(),
                         ),
                     ),
                     (
-                        Box::new(VecAnyFit::next_fit()),
-                        Box::new(VecAnyFit::next_fit().with_linear_scan()),
+                        Box::new(AnyFit::next_fit()),
+                        Box::new(AnyFit::next_fit().with_linear_scan()),
                     ),
                     (
-                        Box::new(VecClassifyByDepartureTime::new(8)),
-                        Box::new(VecClassifyByDepartureTime::new(8).with_linear_scan()),
+                        Box::new(ClassifyByDepartureTime::new(8)),
+                        Box::new(ClassifyByDepartureTime::new(8).with_linear_scan()),
                     ),
                     (
-                        Box::new(VecClassifyByDuration::new(1, 2.0)),
-                        Box::new(VecClassifyByDuration::new(1, 2.0).with_linear_scan()),
+                        Box::new(ClassifyByDuration::new(1, 2.0)),
+                        Box::new(ClassifyByDuration::new(1, 2.0).with_linear_scan()),
                     ),
                 ];
                 for (mut indexed, mut linear) in pairs {
@@ -628,36 +234,24 @@ mod tests {
             let mu = scalar.mu().unwrap();
             let dmin = scalar.min_duration().unwrap();
             let cases: Vec<(Box<dyn VecOnlinePacker>, Box<dyn OnlinePacker>)> = vec![
+                (Box::new(AnyFit::first_fit()), Box::new(AnyFit::first_fit())),
+                (Box::new(AnyFit::best_fit()), Box::new(AnyFit::best_fit())),
+                (Box::new(AnyFit::worst_fit()), Box::new(AnyFit::worst_fit())),
+                (Box::new(AnyFit::next_fit()), Box::new(AnyFit::next_fit())),
                 (
-                    Box::new(VecAnyFit::first_fit()),
-                    Box::new(AnyFit::first_fit()),
-                ),
-                (
-                    Box::new(VecAnyFit::best_fit()),
-                    Box::new(AnyFit::best_fit()),
-                ),
-                (
-                    Box::new(VecAnyFit::worst_fit()),
-                    Box::new(AnyFit::worst_fit()),
-                ),
-                (
-                    Box::new(VecAnyFit::next_fit()),
-                    Box::new(AnyFit::next_fit()),
-                ),
-                (
-                    Box::new(VecClassifyByDepartureTime::new(13)),
+                    Box::new(ClassifyByDepartureTime::new(13)),
                     Box::new(ClassifyByDepartureTime::new(13)),
                 ),
                 (
-                    Box::new(VecClassifyByDepartureTime::with_known_durations(dmin, mu)),
+                    Box::new(ClassifyByDepartureTime::with_known_durations(dmin, mu)),
                     Box::new(ClassifyByDepartureTime::with_known_durations(dmin, mu)),
                 ),
                 (
-                    Box::new(VecClassifyByDuration::new(2, 1.8)),
+                    Box::new(ClassifyByDuration::new(2, 1.8)),
                     Box::new(ClassifyByDuration::new(2, 1.8)),
                 ),
                 (
-                    Box::new(VecClassifyByDuration::with_known_durations(dmin, mu)),
+                    Box::new(ClassifyByDuration::with_known_durations(dmin, mu)),
                     Box::new(ClassifyByDuration::with_known_durations(dmin, mu)),
                 ),
             ];

@@ -15,13 +15,14 @@
 //! the fault plan, recovery policy, fleet cap, and admission policy are
 //! all derived from the same two numbers.
 
+use crate::diff::clairvoyance_for;
 use crate::fuzz::{case_instance, isolated, Failure};
 use crate::invariants::{CheckId, Violation};
 use crate::shrink::{shrink_instance, ShrinkBudget};
 use crate::AuditSummary;
 use dbp_bench::grid::{run_grid_checked, GridCell};
 use dbp_bench::registry::{online_packer, AlgoParams, ONLINE_ALGOS};
-use dbp_core::{ClairvoyanceMode, DbpError, Instance, StreamingSession};
+use dbp_core::{DbpError, Instance, StreamingSession};
 use dbp_resilience::chaos::{run_chaos, ChaosConfig, ChaosReport};
 use dbp_resilience::checkpoint::{snapshot_from_json, snapshot_to_json};
 use dbp_resilience::fault::{AdmissionPolicy, FaultPlan, RecoveryPolicy};
@@ -93,14 +94,6 @@ pub fn case_chaos_config(seed: u64, case_idx: u64, inst: &Instance) -> ChaosConf
     }
 }
 
-fn mode_for(algo: &str) -> ClairvoyanceMode {
-    if matches!(algo, "cbdt" | "cbd" | "combined") {
-        ClairvoyanceMode::Clairvoyant
-    } else {
-        ClairvoyanceMode::NonClairvoyant
-    }
-}
-
 fn classify(err: &DbpError) -> CheckId {
     match err {
         DbpError::CapacityExceeded { .. } => CheckId::ChaosCapacity,
@@ -117,7 +110,7 @@ pub fn audit_chaos_algo(inst: &Instance, algo: &str, cfg: &ChaosConfig) -> Vec<V
     let mut out = Vec::new();
 
     let mut packer = online_packer(algo, params);
-    match run_chaos(inst, &mut *packer, mode_for(algo), cfg) {
+    match run_chaos(inst, &mut *packer, clairvoyance_for(algo), cfg) {
         Ok(report) => {
             if let Err(e) = report.verify(inst) {
                 out.push(Violation::new(classify(&e), format!("{algo}: {e}")));
@@ -158,7 +151,7 @@ fn check_resume(inst: &Instance, algo: &str, params: AlgoParams) -> Vec<Violatio
 
     let run_full = (|| {
         let mut p = online_packer(algo, params);
-        let mut s = StreamingSession::new(mode_for(algo), &mut *p);
+        let mut s = StreamingSession::new(clairvoyance_for(algo), &mut *p);
         for item in &items {
             s.arrive(item)?;
         }
@@ -177,14 +170,14 @@ fn check_resume(inst: &Instance, algo: &str, params: AlgoParams) -> Vec<Violatio
     let cut = items.len() / 2;
     let resumed = (|| {
         let mut p = online_packer(algo, params);
-        let mut s = StreamingSession::new(mode_for(algo), &mut *p);
+        let mut s = StreamingSession::new(clairvoyance_for(algo), &mut *p);
         for item in &items[..cut] {
             s.arrive(item)?;
         }
         let snap = snapshot_from_json(&snapshot_to_json(&s.snapshot()))?;
         drop(s);
         let mut p2 = online_packer(algo, params);
-        let mut s2 = StreamingSession::restore(mode_for(algo), &mut *p2, &snap)?;
+        let mut s2 = StreamingSession::restore(clairvoyance_for(algo), &mut *p2, &snap)?;
         for item in &items[cut..] {
             s2.arrive(item)?;
         }

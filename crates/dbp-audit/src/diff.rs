@@ -23,7 +23,9 @@ use crate::invariants::{
     check_packing, check_run, check_theorem_ceiling, CheckId, ExactBaselines, Violation,
 };
 use dbp_bench::reference::reference_next_fit;
-use dbp_bench::registry::{offline_packer, online_packer, online_packer_linear, AlgoParams};
+use dbp_bench::registry::{
+    needs_departures, offline_packer, online_packer, online_packer_linear, AlgoParams,
+};
 use dbp_core::observe::EventLog;
 use dbp_core::stream::StreamingSession;
 use dbp_core::{ClairvoyanceMode, Instance, OnlineEngine, OnlinePacker, OnlineRun};
@@ -33,7 +35,7 @@ use dbp_obs::replay::replay_events;
 /// same mapping the CLI's `compare` uses: classification strategies need
 /// departure times, Any Fit variants are run honestly without them.
 pub fn clairvoyance_for(algo: &str) -> ClairvoyanceMode {
-    if matches!(algo, "cbdt" | "cbd" | "combined") {
+    if needs_departures(algo) {
         ClairvoyanceMode::Clairvoyant
     } else {
         ClairvoyanceMode::NonClairvoyant

@@ -8,7 +8,7 @@
 //! never appear in the real roster.
 
 use dbp_core::online::{Decision, ItemView, OpenBins};
-use dbp_core::{OnlinePacker, VecItemView, VecOnlinePacker, VecOpenBins};
+use dbp_core::{OnlinePacker, SizeVec};
 
 /// First Fit with the capacity check ignored: places into the first open
 /// bin with *any* headroom, even when the item does not fit. The engine
@@ -42,12 +42,12 @@ impl OnlinePacker for OverfullFirstFit {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct AxisBlindFirstFit;
 
-impl VecOnlinePacker for AxisBlindFirstFit {
+impl OnlinePacker<SizeVec> for AxisBlindFirstFit {
     fn name(&self) -> String {
         "faulty-axis-blind-ff".into()
     }
 
-    fn place(&mut self, item: &VecItemView, open_bins: &VecOpenBins) -> Decision {
+    fn place(&mut self, item: &ItemView<SizeVec>, open_bins: &OpenBins<SizeVec>) -> Decision {
         for b in open_bins {
             if item.size.axis(0) <= b.gap().axis(0) {
                 return Decision::Existing(b.id());
@@ -95,7 +95,8 @@ impl OnlinePacker for PanicOnNth {
 mod tests {
     use super::*;
     use dbp_core::{
-        DbpError, Instance, OnlineEngine, SizeVec, VecInstance, VecItem, VecOnlineEngine,
+        DbpError, Instance, OnlineEngine, VecClairvoyance, VecInstance, VecItem,
+        VecStreamingSession,
     };
 
     #[test]
@@ -107,9 +108,12 @@ mod tests {
             VecItem::new(1, SizeVec::from_f64s(&[0.2, 0.8]), 1, 9),
         ];
         let inst = VecInstance::from_items(items).unwrap();
-        let err = VecOnlineEngine::non_clairvoyant()
-            .run(&inst, &mut AxisBlindFirstFit)
-            .unwrap_err();
+        let err = VecStreamingSession::run(
+            VecClairvoyance::NonClairvoyant,
+            &inst,
+            &mut AxisBlindFirstFit,
+        )
+        .unwrap_err();
         assert!(matches!(err, DbpError::BadDecision { .. }));
     }
 

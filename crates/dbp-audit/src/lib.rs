@@ -33,8 +33,8 @@
 //!   capacity against the original instance.
 //! * [`vector`] — the dynamic *vector* bin packing family: per-axis
 //!   capacity, the max-axis lower bound, indexed-vs-linear and
-//!   dim-1-vs-scalar differentials, the streaming-vs-batch foil, plus a
-//!   vector shrinker and per-axis JSON fixtures.
+//!   dim-1-vs-scalar differentials, the streaming-vs-batch foil, plus
+//!   per-axis JSON fixtures (shrunk by the same [`shrink`] loop).
 //!
 //! See `docs/auditing.md` for the invariant list, the shrink loop, the
 //! fixture format, and how to reproduce any failure from its seed.

@@ -17,13 +17,14 @@
 //! reproduces from `(seed, case)` exactly like a plain audit failure;
 //! the router rotates with the case.
 
+use crate::diff::clairvoyance_for;
 use crate::fuzz::{case_instance, isolated, Failure};
 use crate::invariants::{CheckId, Violation};
 use crate::shrink::{shrink_instance, ShrinkBudget};
 use crate::AuditSummary;
 use dbp_bench::grid::{run_grid_checked, GridCell};
 use dbp_bench::registry::{online_packer, AlgoParams, ONLINE_ALGOS};
-use dbp_core::{ClairvoyanceMode, DbpError, Instance, Item, OnlineRun, StreamingSession};
+use dbp_core::{DbpError, Instance, Item, OnlineRun, StreamingSession};
 use dbp_shard::{ShardConfig, ShardRouter, ShardedSession};
 
 /// Shard-sweep configuration.
@@ -71,14 +72,6 @@ pub fn case_router(seed: u64, case_idx: u64) -> ShardRouter {
     }
 }
 
-pub(crate) fn mode_for(algo: &str) -> ClairvoyanceMode {
-    if matches!(algo, "cbdt" | "cbd" | "combined") {
-        ClairvoyanceMode::Clairvoyant
-    } else {
-        ClairvoyanceMode::NonClairvoyant
-    }
-}
-
 /// Stream-order items: the session contract wants non-decreasing
 /// arrivals, which `case_instance` families don't all guarantee.
 pub(crate) fn stream_order(inst: &Instance) -> Vec<Item> {
@@ -96,7 +89,7 @@ fn run_reference_shard(
     shard: usize,
 ) -> Result<OnlineRun, DbpError> {
     let mut packer = online_packer(algo, params);
-    let mut session = StreamingSession::new(mode_for(algo), packer.as_mut());
+    let mut session = StreamingSession::new(clairvoyance_for(algo), packer.as_mut());
     for item in items {
         if router.route(item, k) == shard {
             session.arrive(item)?;
@@ -126,7 +119,7 @@ pub fn audit_shard_algo(
     };
     let sharded = (|| {
         let packers = (0..k).map(|_| online_packer(algo, params)).collect();
-        let mut fleet = ShardedSession::new(mode_for(algo), packers, cfg)?;
+        let mut fleet = ShardedSession::new(clairvoyance_for(algo), packers, cfg)?;
         for item in &items {
             fleet.arrive(item)?;
         }

@@ -8,7 +8,8 @@
 //! 2. **shorten intervals** — halve durations toward 1 tick;
 //! 3. **left-shift arrivals** — move arrivals toward 0 (shifting the whole
 //!    interval), compacting the timeline;
-//! 4. **round sizes** — snap awkward sizes to clean eighths of a bin.
+//! 4. **round sizes** — snap awkward sizes to clean eighths of a bin,
+//!    axis by axis for vector demands.
 //!
 //! Passes repeat to a fixpoint under an evaluation budget; ids are
 //! renumbered `0..n` at the end when the predicate allows it. The
@@ -16,7 +17,69 @@
 //! caller's job (wrap the audit in `catch_unwind`; see
 //! [`crate::fuzz`]).
 
-use dbp_core::{Instance, Item, Size};
+use dbp_core::{DbpError, Instance, Item, Job, Size, SizeVec, Time, VecInstance, VecItem};
+
+/// An instance type the shrinker can rebuild: scalar [`Instance`]s and
+/// [`VecInstance`]s share one shrinker through it.
+pub trait Shrinkable: Sized {
+    /// The item type.
+    type Item: Job + Copy;
+    /// The items in arrival order.
+    fn items(&self) -> &[Self::Item];
+    /// Rebuilds an instance, validating like the real constructor.
+    fn from_items(items: Vec<Self::Item>) -> Result<Self, DbpError>;
+    /// `item` with a new id and interval, if that interval is valid.
+    fn retimed(item: &Self::Item, id: u32, arrival: Time, departure: Time) -> Option<Self::Item>;
+    /// The item's demand, one [`Size`] per axis.
+    fn axes(item: &Self::Item) -> Vec<Size>;
+    /// `item` with axis `d` of its demand replaced by `s`.
+    fn with_axis(item: &Self::Item, d: usize, s: Size) -> Self::Item;
+}
+
+impl Shrinkable for Instance {
+    type Item = Item;
+    fn items(&self) -> &[Item] {
+        Instance::items(self)
+    }
+    fn from_items(items: Vec<Item>) -> Result<Self, DbpError> {
+        Instance::from_items(items)
+    }
+    fn retimed(item: &Item, id: u32, arrival: Time, departure: Time) -> Option<Item> {
+        Item::try_new(id, item.size(), arrival, departure).ok()
+    }
+    fn axes(item: &Item) -> Vec<Size> {
+        vec![item.size()]
+    }
+    fn with_axis(item: &Item, _d: usize, s: Size) -> Item {
+        Item::new(item.id().0, s, item.arrival(), item.departure())
+    }
+}
+
+impl Shrinkable for VecInstance {
+    type Item = VecItem;
+    fn items(&self) -> &[VecItem] {
+        VecInstance::items(self)
+    }
+    fn from_items(items: Vec<VecItem>) -> Result<Self, DbpError> {
+        VecInstance::from_items(items)
+    }
+    fn retimed(item: &VecItem, id: u32, arrival: Time, departure: Time) -> Option<VecItem> {
+        VecItem::try_new(id, item.size(), arrival, departure).ok()
+    }
+    fn axes(item: &VecItem) -> Vec<Size> {
+        item.size().axes().to_vec()
+    }
+    fn with_axis(item: &VecItem, d: usize, s: Size) -> VecItem {
+        let mut axes = item.size().axes().to_vec();
+        axes[d] = s;
+        VecItem::new(
+            item.id().0,
+            SizeVec::new(&axes),
+            item.arrival(),
+            item.departure(),
+        )
+    }
+}
 
 /// Caps on the shrink search.
 #[derive(Clone, Copy, Debug)]
@@ -36,59 +99,89 @@ struct Shrinker<'a, F> {
     evals_left: usize,
 }
 
-impl<F: FnMut(&Instance) -> bool> Shrinker<'_, F> {
+impl<F> Shrinker<'_, F> {
     /// Evaluates a candidate item set; `Some(inst)` if it still fails.
-    fn still_fails(&mut self, items: &[Item]) -> Option<Instance> {
+    fn still_fails<I: Shrinkable>(&mut self, items: &[I::Item]) -> Option<I>
+    where
+        F: FnMut(&I) -> bool,
+    {
         if self.evals_left == 0 {
             return None;
         }
         self.evals_left -= 1;
-        let inst = Instance::from_items(items.to_vec()).ok()?;
+        let inst = I::from_items(items.to_vec()).ok()?;
         (self.pred)(&inst).then_some(inst)
+    }
+
+    /// Replaces one item (if `replacement` is valid) and reports whether
+    /// the failure survives; restores the item otherwise.
+    fn try_replace<I: Shrinkable>(
+        &mut self,
+        items: &mut [I::Item],
+        idx: usize,
+        replacement: Option<I::Item>,
+    ) -> bool
+    where
+        F: FnMut(&I) -> bool,
+    {
+        let Some(replacement) = replacement else {
+            return false;
+        };
+        let prev = items[idx];
+        items[idx] = replacement;
+        if self.still_fails::<I>(items).is_some() {
+            true
+        } else {
+            items[idx] = prev;
+            false
+        }
     }
 }
 
 /// Greedily shrinks `inst` while `pred` keeps returning `true` (= still
 /// failing). Returns the smallest instance reached; `inst` itself if
 /// nothing smaller fails. `pred` is never called on the original.
-pub fn shrink_instance<F>(inst: &Instance, mut pred: F, budget: ShrinkBudget) -> Instance
+pub fn shrink_instance<I, F>(inst: &I, mut pred: F, budget: ShrinkBudget) -> I
 where
-    F: FnMut(&Instance) -> bool,
+    I: Shrinkable,
+    F: FnMut(&I) -> bool,
 {
     let mut s = Shrinker {
         pred: &mut pred,
         evals_left: budget.max_evals,
     };
-    let mut items: Vec<Item> = inst.items().to_vec();
+    let mut items: Vec<I::Item> = inst.items().to_vec();
 
     loop {
         let mut changed = false;
-        changed |= drop_chunks(&mut s, &mut items);
-        changed |= shorten_durations(&mut s, &mut items);
-        changed |= shift_arrivals(&mut s, &mut items);
-        changed |= round_sizes(&mut s, &mut items);
+        changed |= drop_chunks::<I, F>(&mut s, &mut items);
+        changed |= shorten_durations::<I, F>(&mut s, &mut items);
+        changed |= shift_arrivals::<I, F>(&mut s, &mut items);
+        changed |= round_sizes::<I, F>(&mut s, &mut items);
         if !changed || s.evals_left == 0 {
             break;
         }
     }
 
     // Final cosmetic pass: renumber ids 0..n if the failure survives it.
-    let renumbered: Vec<Item> = items
+    let renumbered: Vec<I::Item> = items
         .iter()
         .enumerate()
-        .map(|(i, it)| it.with_id(i as u32))
+        .map(|(i, it)| {
+            I::retimed(it, i as u32, it.arrival(), it.departure()).expect("same interval")
+        })
         .collect();
     if let Some(inst) = s.still_fails(&renumbered) {
         return inst;
     }
-    Instance::from_items(items).expect("shrunk items stay valid")
+    I::from_items(items).expect("shrunk items stay valid")
 }
 
 /// Removes windows of decreasing size; restarts at the largest window
 /// after any success (standard delta-debugging descent).
-fn drop_chunks<F: FnMut(&Instance) -> bool>(
+fn drop_chunks<I: Shrinkable, F: FnMut(&I) -> bool>(
     s: &mut Shrinker<'_, F>,
-    items: &mut Vec<Item>,
+    items: &mut Vec<I::Item>,
 ) -> bool {
     let mut changed = false;
     let mut chunk = (items.len() / 2).max(1);
@@ -99,7 +192,7 @@ fn drop_chunks<F: FnMut(&Instance) -> bool>(
             let end = (start + chunk).min(items.len());
             let mut candidate = items.clone();
             candidate.drain(start..end);
-            if s.still_fails(&candidate).is_some() {
+            if s.still_fails::<I>(&candidate).is_some() {
                 *items = candidate;
                 changed = true;
                 removed_any = true;
@@ -121,76 +214,26 @@ fn drop_chunks<F: FnMut(&Instance) -> bool>(
     }
 }
 
-/// Replaces one item and reports whether the failure survives.
-fn try_replace<F: FnMut(&Instance) -> bool>(
+fn shorten_durations<I: Shrinkable, F: FnMut(&I) -> bool>(
     s: &mut Shrinker<'_, F>,
-    items: &mut [Item],
-    idx: usize,
-    replacement: Item,
-) -> bool {
-    let prev = items[idx];
-    items[idx] = replacement;
-    if s.still_fails(items).is_some() {
-        true
-    } else {
-        items[idx] = prev;
-        false
-    }
-}
-
-fn shorten_durations<F: FnMut(&Instance) -> bool>(
-    s: &mut Shrinker<'_, F>,
-    items: &mut [Item],
+    items: &mut [I::Item],
 ) -> bool {
     let mut changed = false;
     for idx in 0..items.len() {
         // Try 1 tick first (the biggest jump), then successive halvings.
         loop {
             let it = items[idx];
-            let dur = it.duration();
+            let (id, a) = (it.id().0, it.arrival());
+            let dur = it.departure() - a;
             if dur <= 1 || s.evals_left == 0 {
                 break;
             }
-            let one = it.with_departure(it.arrival() + 1);
-            if let Ok(cand) = one {
-                if try_replace(s, items, idx, cand) {
-                    changed = true;
-                    break;
-                }
-            }
-            let half = it.with_departure(it.arrival() + (dur / 2).max(1));
-            match half {
-                Ok(cand) if try_replace(s, items, idx, cand) => changed = true,
-                _ => break,
-            }
-        }
-    }
-    changed
-}
-
-fn shift_arrivals<F: FnMut(&Instance) -> bool>(
-    s: &mut Shrinker<'_, F>,
-    items: &mut [Item],
-) -> bool {
-    let mut changed = false;
-    for idx in 0..items.len() {
-        loop {
-            let it = items[idx];
-            let a = it.arrival();
-            if a == 0 || s.evals_left == 0 {
-                break;
-            }
-            let dur = it.duration();
-            let target = if a > 1 { a / 2 } else { 0 };
-            let cand = Item::new(it.id().0, it.size(), target, target + dur);
-            if try_replace(s, items, idx, cand) {
+            if s.try_replace(items, idx, I::retimed(&it, id, a, a + 1)) {
                 changed = true;
-            } else if target != 0 {
-                let cand = Item::new(it.id().0, it.size(), 0, dur);
-                if try_replace(s, items, idx, cand) {
-                    changed = true;
-                }
                 break;
+            }
+            if s.try_replace(items, idx, I::retimed(&it, id, a, a + (dur / 2).max(1))) {
+                changed = true;
             } else {
                 break;
             }
@@ -199,26 +242,57 @@ fn shift_arrivals<F: FnMut(&Instance) -> bool>(
     changed
 }
 
-fn round_sizes<F: FnMut(&Instance) -> bool>(s: &mut Shrinker<'_, F>, items: &mut [Item]) -> bool {
+fn shift_arrivals<I: Shrinkable, F: FnMut(&I) -> bool>(
+    s: &mut Shrinker<'_, F>,
+    items: &mut [I::Item],
+) -> bool {
+    let mut changed = false;
+    for idx in 0..items.len() {
+        loop {
+            let it = items[idx];
+            let (id, a) = (it.id().0, it.arrival());
+            if a == 0 || s.evals_left == 0 {
+                break;
+            }
+            let dur = it.departure() - a;
+            let target = if a > 1 { a / 2 } else { 0 };
+            if s.try_replace(items, idx, I::retimed(&it, id, target, target + dur)) {
+                changed = true;
+            } else {
+                if target != 0 && s.try_replace(items, idx, I::retimed(&it, id, 0, dur)) {
+                    changed = true;
+                }
+                break;
+            }
+        }
+    }
+    changed
+}
+
+fn round_sizes<I: Shrinkable, F: FnMut(&I) -> bool>(
+    s: &mut Shrinker<'_, F>,
+    items: &mut [I::Item],
+) -> bool {
     let eighth = Size::SCALE / 8;
     let mut changed = false;
     for idx in 0..items.len() {
-        let it = items[idx];
-        if it.size().raw().is_multiple_of(eighth) {
-            continue;
-        }
-        // Prefer the nearest clean eighths, trying downward first (smaller
-        // is simpler) then upward (capacity failures need mass).
-        let down = (it.size().raw() / eighth) * eighth;
-        let up = down + eighth;
-        for raw in [down, up] {
-            if raw == 0 || raw > Size::SCALE || s.evals_left == 0 {
+        for (d, ax) in I::axes(&items[idx]).into_iter().enumerate() {
+            if ax.raw().is_multiple_of(eighth) {
                 continue;
             }
-            let cand = Item::new(it.id().0, Size::from_raw(raw), it.arrival(), it.departure());
-            if try_replace(s, items, idx, cand) {
-                changed = true;
-                break;
+            // Prefer the nearest clean eighths, trying downward first
+            // (smaller is simpler) then upward (capacity failures need
+            // mass).
+            let down = (ax.raw() / eighth) * eighth;
+            for raw in [down, down + eighth] {
+                if raw == 0 || raw > Size::SCALE || s.evals_left == 0 {
+                    continue;
+                }
+                let cand = I::with_axis(&items[idx], d, Size::from_raw(raw));
+                if s.try_replace(items, idx, Some(cand)) {
+                    changed = true;
+                    break;
+                }
             }
         }
     }

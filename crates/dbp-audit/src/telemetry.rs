@@ -18,9 +18,10 @@
 //! router rotation, so a telemetry failure reproduces from
 //! `(seed, case)` like every other audit failure.
 
+use crate::diff::clairvoyance_for;
 use crate::fuzz::{case_instance, isolated, Failure};
 use crate::invariants::{CheckId, Violation};
-use crate::shard::{case_router, mode_for, stream_order};
+use crate::shard::{case_router, stream_order};
 use crate::AuditSummary;
 use dbp_bench::grid::{run_grid_checked, GridCell};
 use dbp_bench::registry::{online_packer, AlgoParams, ONLINE_ALGOS};
@@ -57,7 +58,7 @@ fn run_profile(items: &[Item], algo: &str, params: AlgoParams) -> Result<Profile
     let mut packer = online_packer(algo, params);
     // Tiny batches exercise the span chunking; sampled timing is fine —
     // the audit only reads work histograms, which timing never touches.
-    profile_stream(mode_for(algo), packer.as_mut(), items, 8, false)
+    profile_stream(clairvoyance_for(algo), packer.as_mut(), items, 8, false)
 }
 
 fn run_sharded_telemetry(
@@ -75,7 +76,7 @@ fn run_sharded_telemetry(
         ..ShardConfig::new(k, router)
     };
     let packers = (0..k).map(|_| online_packer(algo, params)).collect();
-    let mut fleet = ShardedSession::new(mode_for(algo), packers, cfg)?;
+    let mut fleet = ShardedSession::new(clairvoyance_for(algo), packers, cfg)?;
     for item in items {
         fleet.arrive(item)?;
     }

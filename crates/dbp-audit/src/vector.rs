@@ -15,9 +15,9 @@
 //!    [`CheckId::VectorLowerBound`]).
 //! 4. **Usage accounting** — total usage equals the sum of per-bin
 //!    lifetimes ([`CheckId::UsageAccounting`]).
-//! 5. **dim-1 ≡ scalar** — at one dimension, roster packers that have a
-//!    scalar twin must reproduce its run bit for bit
-//!    ([`CheckId::Differential`]).
+//! 5. **dim-1 ≡ scalar** — at one dimension, a roster name that is also
+//!    in the scalar roster (the same packer) must reproduce its scalar
+//!    run bit for bit ([`CheckId::Differential`]).
 //!
 //! One extra cell per instance, `batch-foil`, replays the streaming
 //! stack against the original batch [`dbp_multidim::pack_online`]
@@ -25,23 +25,26 @@
 //! side uses the unclamped constructors, matching the foil's unclamped
 //! category math).
 //!
-//! Failures shrink with [`shrink_vec_instance`] — the vector port of the
-//! scalar shrinker (drop chunks, shorten durations, left-shift arrivals,
-//! round every axis to eighths) — and persist as [`VecFixture`] JSON with
-//! per-axis raw sizes, so counterexamples replay bit-identically.
+//! Failures shrink with the scalar audit's shrinker, which is generic over
+//! the instance type ([`shrink_instance`]: drop chunks, shorten
+//! durations, left-shift arrivals, round every axis to eighths), and
+//! persist as [`VecFixture`] JSON with per-axis raw sizes, so
+//! counterexamples replay bit-identically.
 
+use crate::diff::clairvoyance_for;
 use crate::fuzz::{case_instance, isolated, Failure};
 use crate::invariants::{CheckId, Violation};
-use crate::shrink::ShrinkBudget;
+use crate::shrink::{shrink_instance, ShrinkBudget};
 use crate::AuditSummary;
-use dbp_algos::online::{VecAnyFit, VecClassifyByDepartureTime, VecClassifyByDuration};
+use dbp_algos::online::{AnyFit, ClassifyByDepartureTime, ClassifyByDuration};
 use dbp_bench::grid::{run_grid_checked, GridCell};
 use dbp_bench::registry::{
-    online_packer, vector_packer, vector_packer_linear, AlgoParams, VECTOR_ALGOS,
+    needs_departures, online_packer, vector_packer, vector_packer_linear, AlgoParams, ONLINE_ALGOS,
+    VECTOR_ALGOS,
 };
 use dbp_core::{
-    DbpError, OnlineEngine, OnlineRun, Size, SizeVec, VecInstance, VecItem, VecOnlineEngine,
-    VecOnlinePacker, MAX_DIMS,
+    DbpError, OnlineEngine, OnlineRun, Size, SizeVec, VecClairvoyance, VecInstance, VecItem,
+    VecOnlinePacker, VecStreamingSession, MAX_DIMS,
 };
 use dbp_multidim::{pack_online, Classification, MultiInstance};
 use dbp_obs::json::{self, Json};
@@ -140,20 +143,11 @@ pub fn case_vec_instance(
 
 /// Classification strategies need the departure; the Any-Fit family and
 /// the vector-native heuristics run blind.
-fn engine_for(algo: &str) -> VecOnlineEngine {
-    if matches!(algo, "cbdt" | "cbd") {
-        VecOnlineEngine::clairvoyant()
+fn mode_for(algo: &str) -> VecClairvoyance {
+    if needs_departures(algo) {
+        VecClairvoyance::Clairvoyant
     } else {
-        VecOnlineEngine::non_clairvoyant()
-    }
-}
-
-/// Scalar roster twins of the vector roster names (the vector-native
-/// heuristics have none).
-fn scalar_twin(algo: &str) -> Option<&str> {
-    match algo {
-        "first-fit" | "best-fit" | "worst-fit" | "next-fit" | "cbdt" | "cbd" => Some(algo),
-        _ => None,
+        VecClairvoyance::NonClairvoyant
     }
 }
 
@@ -192,13 +186,13 @@ fn check_vec_run(inst: &VecInstance, algo: &str, run: &OnlineRun, out: &mut Vec<
 
 /// Runs one vector algorithm's audit on one instance: indexed vs linear,
 /// per-axis validity, the lower bound, accounting, and (at one
-/// dimension) the scalar-twin differential.
+/// dimension) the dim-1-vs-scalar differential.
 pub fn audit_vector_algo(inst: &VecInstance, algo: &str) -> Vec<Violation> {
     let params = AlgoParams::from_vec_instance(inst);
     let mut out = Vec::new();
 
     let mut indexed = vector_packer(algo, params);
-    let run = match engine_for(algo).run(inst, indexed.as_mut()) {
+    let run = match VecStreamingSession::run(mode_for(algo), inst, indexed.as_mut()) {
         Ok(r) => r,
         Err(e) => {
             return vec![Violation::new(
@@ -209,7 +203,7 @@ pub fn audit_vector_algo(inst: &VecInstance, algo: &str) -> Vec<Violation> {
     };
 
     let mut linear = vector_packer_linear(algo, params);
-    match engine_for(algo).run(inst, linear.as_mut()) {
+    match VecStreamingSession::run(mode_for(algo), inst, linear.as_mut()) {
         Ok(foil) => {
             if foil != run {
                 out.push(Violation::new(
@@ -226,33 +220,26 @@ pub fn audit_vector_algo(inst: &VecInstance, algo: &str) -> Vec<Violation> {
 
     check_vec_run(inst, algo, &run, &mut out);
 
-    if inst.dims() == 1 {
-        if let Some(twin) = scalar_twin(algo) {
-            match project_axis(inst, 0) {
-                Ok(scalar) => {
-                    let mut sp = online_packer(twin, AlgoParams::from_instance(&scalar));
-                    let engine = if matches!(twin, "cbdt" | "cbd") {
-                        OnlineEngine::clairvoyant()
-                    } else {
-                        OnlineEngine::non_clairvoyant()
-                    };
-                    match engine.run(&scalar, sp.as_mut()) {
-                        Ok(sref) if sref == run => {}
-                        Ok(_) => out.push(Violation::new(
-                            CheckId::Differential,
-                            format!("{algo}: dim-1 run diverges from the scalar twin"),
-                        )),
-                        Err(e) => out.push(Violation::new(
-                            CheckId::EngineError,
-                            format!("{algo}: scalar twin failed: {e}"),
-                        )),
-                    }
+    if inst.dims() == 1 && ONLINE_ALGOS.contains(&algo) {
+        match project_axis(inst, 0) {
+            Ok(scalar) => {
+                let mut sp = online_packer(algo, AlgoParams::from_instance(&scalar));
+                match OnlineEngine::new(clairvoyance_for(algo)).run(&scalar, sp.as_mut()) {
+                    Ok(sref) if sref == run => {}
+                    Ok(_) => out.push(Violation::new(
+                        CheckId::Differential,
+                        format!("{algo}: dim-1 run diverges from the scalar run"),
+                    )),
+                    Err(e) => out.push(Violation::new(
+                        CheckId::EngineError,
+                        format!("{algo}: scalar run failed: {e}"),
+                    )),
                 }
-                Err(e) => out.push(Violation::new(
-                    CheckId::EngineError,
-                    format!("{algo}: axis-0 projection failed: {e}"),
-                )),
             }
+            Err(e) => out.push(Violation::new(
+                CheckId::EngineError,
+                format!("{algo}: axis-0 projection failed: {e}"),
+            )),
         }
     }
     out
@@ -274,31 +261,32 @@ pub fn audit_batch_foil(inst: &VecInstance) -> Vec<Violation> {
     let multi = MultiInstance::from_vector(inst);
     let mut out = Vec::new();
     let cases: Vec<(Classification, Box<dyn VecOnlinePacker>)> = vec![
-        (Classification::None, Box::new(VecAnyFit::first_fit())),
+        (Classification::None, Box::new(AnyFit::first_fit())),
         (
             Classification::ByDepartureTime { rho: 7 },
-            Box::new(VecClassifyByDepartureTime::new(7)),
+            Box::new(ClassifyByDepartureTime::new(7)),
         ),
         (
             Classification::ByDuration {
                 base: 1,
                 alpha: 2.0,
             },
-            Box::new(VecClassifyByDuration::new(1, 2.0)),
+            Box::new(ClassifyByDuration::new(1, 2.0)),
         ),
     ];
     for (classify, mut packer) in cases {
         let batch = pack_online(&multi, classify);
-        let streamed = match VecOnlineEngine::clairvoyant().run(inst, packer.as_mut()) {
-            Ok(r) => r,
-            Err(e) => {
-                out.push(Violation::new(
-                    CheckId::EngineError,
-                    format!("batch-foil {classify:?}: streaming run failed: {e}"),
-                ));
-                continue;
-            }
-        };
+        let streamed =
+            match VecStreamingSession::run(VecClairvoyance::Clairvoyant, inst, packer.as_mut()) {
+                Ok(r) => r,
+                Err(e) => {
+                    out.push(Violation::new(
+                        CheckId::EngineError,
+                        format!("batch-foil {classify:?}: streaming run failed: {e}"),
+                    ));
+                    continue;
+                }
+            };
         if bin_ids(&streamed) != batch.bins {
             out.push(Violation::new(
                 CheckId::Differential,
@@ -388,186 +376,11 @@ pub fn run_vector_audit(cfg: &VectorAuditConfig) -> AuditSummary {
 // Shrinking
 // ---------------------------------------------------------------------
 
-struct VecShrinker<'a, F> {
-    pred: &'a mut F,
-    evals_left: usize,
-}
-
-impl<F: FnMut(&VecInstance) -> bool> VecShrinker<'_, F> {
-    fn still_fails(&mut self, items: &[VecItem]) -> bool {
-        if self.evals_left == 0 {
-            return false;
-        }
-        self.evals_left -= 1;
-        match VecInstance::from_items(items.to_vec()) {
-            Ok(inst) => (self.pred)(&inst),
-            Err(_) => false,
-        }
-    }
-
-    fn try_replace(&mut self, items: &mut [VecItem], idx: usize, replacement: VecItem) -> bool {
-        let prev = items[idx];
-        items[idx] = replacement;
-        if self.still_fails(items) {
-            true
-        } else {
-            items[idx] = prev;
-            false
-        }
-    }
-}
-
-/// Greedily shrinks a failing vector instance: drop item chunks, shorten
-/// durations toward one tick, left-shift arrivals toward zero, and round
-/// every axis to clean eighths — the vector port of
-/// [`crate::shrink::shrink_instance`]. `pred` returns `true` while the
-/// candidate still fails; panic isolation is the caller's job.
-pub fn shrink_vec_instance<F>(inst: &VecInstance, mut pred: F, budget: ShrinkBudget) -> VecInstance
-where
-    F: FnMut(&VecInstance) -> bool,
-{
-    let mut s = VecShrinker {
-        pred: &mut pred,
-        evals_left: budget.max_evals,
-    };
-    let mut items: Vec<VecItem> = inst.items().to_vec();
-
-    loop {
-        let mut changed = false;
-
-        // Drop windows of decreasing size.
-        let mut chunk = (items.len() / 2).max(1);
-        'chunks: loop {
-            let mut start = 0;
-            let mut removed_any = false;
-            while start < items.len() && items.len() > 1 {
-                let end = (start + chunk).min(items.len());
-                let mut candidate = items.clone();
-                candidate.drain(start..end);
-                if s.still_fails(&candidate) {
-                    items = candidate;
-                    changed = true;
-                    removed_any = true;
-                } else {
-                    start = end;
-                }
-                if s.evals_left == 0 {
-                    break 'chunks;
-                }
-            }
-            if removed_any && chunk < items.len() {
-                chunk = (items.len() / 2).max(1);
-            } else if chunk > 1 {
-                chunk /= 2;
-            } else {
-                break;
-            }
-        }
-
-        // Shorten durations: one tick first, then halvings.
-        for idx in 0..items.len() {
-            loop {
-                let it = items[idx];
-                let dur = it.duration();
-                if dur <= 1 || s.evals_left == 0 {
-                    break;
-                }
-                let one = VecItem::new(it.id().0, it.size(), it.arrival(), it.arrival() + 1);
-                if s.try_replace(&mut items, idx, one) {
-                    changed = true;
-                    break;
-                }
-                let half = VecItem::new(
-                    it.id().0,
-                    it.size(),
-                    it.arrival(),
-                    it.arrival() + (dur / 2).max(1),
-                );
-                if s.try_replace(&mut items, idx, half) {
-                    changed = true;
-                } else {
-                    break;
-                }
-            }
-        }
-
-        // Left-shift arrivals toward zero.
-        for idx in 0..items.len() {
-            loop {
-                let it = items[idx];
-                let a = it.arrival();
-                if a == 0 || s.evals_left == 0 {
-                    break;
-                }
-                let dur = it.duration();
-                let target = if a > 1 { a / 2 } else { 0 };
-                let cand = VecItem::new(it.id().0, it.size(), target, target + dur);
-                if s.try_replace(&mut items, idx, cand) {
-                    changed = true;
-                } else {
-                    if target != 0 {
-                        let cand = VecItem::new(it.id().0, it.size(), 0, dur);
-                        if s.try_replace(&mut items, idx, cand) {
-                            changed = true;
-                        }
-                    }
-                    break;
-                }
-            }
-        }
-
-        // Round each axis to clean eighths (down first, then up).
-        let eighth = Size::SCALE / 8;
-        for idx in 0..items.len() {
-            let it = items[idx];
-            let axes: Vec<Size> = it.size().axes().to_vec();
-            for (d, &ax) in axes.iter().enumerate() {
-                if ax.raw() % eighth == 0 {
-                    continue;
-                }
-                let down = (ax.raw() / eighth) * eighth;
-                for raw in [down, down + eighth] {
-                    if raw == 0 || raw > Size::SCALE || s.evals_left == 0 {
-                        continue;
-                    }
-                    let mut new_axes = items[idx].size().axes().to_vec();
-                    new_axes[d] = Size::from_raw(raw);
-                    let cand = VecItem::new(
-                        it.id().0,
-                        SizeVec::new(&new_axes),
-                        it.arrival(),
-                        it.departure(),
-                    );
-                    if s.try_replace(&mut items, idx, cand) {
-                        changed = true;
-                        break;
-                    }
-                }
-            }
-        }
-
-        if !changed || s.evals_left == 0 {
-            break;
-        }
-    }
-
-    // Final cosmetic pass: renumber ids 0..n if the failure survives it.
-    let renumbered: Vec<VecItem> = items
-        .iter()
-        .enumerate()
-        .map(|(i, it)| VecItem::new(i as u32, it.size(), it.arrival(), it.departure()))
-        .collect();
-    if s.still_fails(&renumbered) {
-        return VecInstance::from_items(renumbered).expect("renumbered items stay valid");
-    }
-    VecInstance::from_items(items).expect("shrunk items stay valid")
-}
-
 /// Shrinks a vector roster failure to a minimal instance that still
 /// fails the same algorithm (any violation or panic counts).
 pub fn shrink_vector_failure(inst: &VecInstance, algo: &str, budget: ShrinkBudget) -> VecInstance {
     let algo = algo.to_string();
-    shrink_vec_instance(
+    shrink_instance(
         inst,
         move |candidate| match isolated(|| {
             if algo == "batch-foil" {
@@ -838,13 +651,16 @@ mod tests {
         let inst = VecInstance::from_items(items).unwrap();
 
         let fails = |candidate: &VecInstance| {
-            VecOnlineEngine::non_clairvoyant()
-                .run(candidate, &mut AxisBlindFirstFit)
-                .is_err()
+            VecStreamingSession::run(
+                VecClairvoyance::NonClairvoyant,
+                candidate,
+                &mut AxisBlindFirstFit,
+            )
+            .is_err()
         };
         assert!(fails(&inst), "axis-blind bug must be caught");
 
-        let small = shrink_vec_instance(&inst, fails, ShrinkBudget::default());
+        let small = shrink_instance(&inst, fails, ShrinkBudget::default());
         assert!(fails(&small), "shrunk instance must still fail");
         assert!(small.len() <= 2, "got {} items: {small:?}", small.len());
 
@@ -894,7 +710,7 @@ mod tests {
                 .iter()
                 .any(|r| r.size().axis(1).raw() * 2 >= Size::SCALE)
         };
-        let small = shrink_vec_instance(&inst, fails, ShrinkBudget::default());
+        let small = shrink_instance(&inst, fails, ShrinkBudget::default());
         assert!(fails(&small));
         assert_eq!(small.len(), 1);
         assert_eq!(small.items()[0].id().0, 0, "ids renumbered");

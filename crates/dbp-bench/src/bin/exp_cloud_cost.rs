@@ -8,7 +8,7 @@
 //! usage ratio against LB3. This is the table an operator would read to
 //! choose a scheduler.
 
-use dbp_bench::registry::{online_packer, AlgoParams, ONLINE_ALGOS};
+use dbp_bench::registry::{needs_departures, online_packer, AlgoParams, ONLINE_ALGOS};
 use dbp_bench::report::{f3, Table};
 use dbp_core::online::ClairvoyanceMode;
 use dbp_sim::{simulate, Billing};
@@ -51,7 +51,7 @@ fn main() {
         };
         for algo in ONLINE_ALGOS {
             let mut packer = online_packer(algo, params);
-            let mode = if matches!(*algo, "cbdt" | "cbd" | "combined") {
+            let mode = if needs_departures(algo) {
                 ClairvoyanceMode::Clairvoyant
             } else {
                 ClairvoyanceMode::NonClairvoyant

@@ -9,7 +9,7 @@
 //! that optimizing the classical objective can be a poor proxy for
 //! renting cost, the paper's §2 point.
 
-use dbp_bench::registry::{online_packer, AlgoParams, ONLINE_ALGOS};
+use dbp_bench::registry::{needs_departures, online_packer, AlgoParams, ONLINE_ALGOS};
 use dbp_bench::report::{f3, Table};
 use dbp_core::accounting::lower_bounds;
 use dbp_core::online::ClairvoyanceMode;
@@ -31,7 +31,7 @@ fn both_objectives_on_real_trace() {
     let mut rows: Vec<(String, f64, i64)> = Vec::new();
     for algo in ONLINE_ALGOS {
         let mut p = online_packer(algo, params);
-        let mode = if matches!(*algo, "cbdt" | "cbd" | "combined") {
+        let mode = if needs_departures(algo) {
             ClairvoyanceMode::Clairvoyant
         } else {
             ClairvoyanceMode::NonClairvoyant

@@ -32,8 +32,11 @@
 use crate::registry::{
     online_packer, online_packer_linear, vector_packer, vector_packer_linear, AlgoParams,
 };
-use dbp_core::stream::StreamingSession;
-use dbp_core::{ClairvoyanceMode, Instance, VecInstance, VecStreamingSession};
+use dbp_core::observe::PackObserver;
+use dbp_core::stream::{PackerHandle, StreamingSession};
+use dbp_core::{
+    ClairvoyanceMode, Demand, Instance, VecClairvoyance, VecInstance, VecStreamingSession,
+};
 use dbp_obs::json::{self, Json};
 use dbp_shard::{ShardConfig, ShardRouter, ShardedSession};
 use dbp_telemetry::TelemetryRecorder;
@@ -356,17 +359,32 @@ impl CheckReport {
     }
 }
 
-/// Times one fresh run of a baseline cell and returns its items/sec,
-/// best-of-3: the minimum elapsed time of three back-to-back runs.
-/// Scheduler and frequency noise only ever adds time, and on shared
-/// single-CPU runners individual cells swing by ±10–20% — enough to
-/// trip the gate spuriously from a single sample.
-fn run_cell(schema: &str, inst: &Instance, cell: &BaselineCell) -> Result<f64, String> {
+/// Items/sec of a cell over `items` items, best-of-3: the minimum
+/// elapsed time of three back-to-back runs of `once`. Scheduler and
+/// frequency noise only ever adds time, and on shared single-CPU runners
+/// individual cells swing by ±10–20% — enough to trip the gate
+/// spuriously from a single sample.
+fn best_of_3(items: usize, mut once: impl FnMut() -> Result<f64, String>) -> Result<f64, String> {
     let mut best = f64::INFINITY;
     for _ in 0..3 {
-        best = best.min(run_cell_once(schema, inst, cell)?);
+        best = best.min(once()?);
     }
-    Ok(inst.len() as f64 / best.max(f64::MIN_POSITIVE))
+    Ok(items as f64 / best.max(f64::MIN_POSITIVE))
+}
+
+/// Streams `items` through `session` to the end; returns elapsed seconds.
+fn time_session<P: PackerHandle, O: PackObserver<P::Demand>>(
+    mut session: StreamingSession<'_, O, P>,
+    items: &[<P::Demand as Demand>::Item],
+    cell: &BaselineCell,
+) -> Result<f64, String> {
+    let err = |e: dbp_core::DbpError| format!("{}: {e}", cell.label());
+    let started = Instant::now();
+    for item in items {
+        session.arrive(item).map_err(err)?;
+    }
+    session.finish().map_err(err)?;
+    Ok(started.elapsed().as_secs_f64())
 }
 
 /// One timed run of a baseline cell; returns elapsed seconds.
@@ -383,77 +401,50 @@ fn run_cell_once(schema: &str, inst: &Instance, cell: &BaselineCell) -> Result<f
             online_packer(name, params)
         }
     };
-    let elapsed_s = match (schema, cell.telemetry.as_deref()) {
+    let mode = ClairvoyanceMode::Clairvoyant;
+    match (schema, cell.telemetry.as_deref()) {
         ("dbp-bench/shard-v1", _) => {
             let cfg = ShardConfig {
                 threads: Some(cell.workers.max(1)),
                 ..ShardConfig::new(cell.shards.max(1), ShardRouter::hash())
             };
             let packers = (0..cell.shards.max(1)).map(|_| make(&cell.algo)).collect();
-            let mut fleet =
-                ShardedSession::new(ClairvoyanceMode::Clairvoyant, packers, cfg).map_err(err)?;
+            let mut fleet = ShardedSession::new(mode, packers, cfg).map_err(err)?;
             let started = Instant::now();
             for item in inst.items() {
                 fleet.arrive(item).map_err(err)?;
             }
             fleet.finish().map_err(err)?;
-            started.elapsed().as_secs_f64()
+            Ok(started.elapsed().as_secs_f64())
         }
         (_, Some("sampled")) => {
             let mut packer = make(&cell.algo);
-            let mut session = StreamingSession::with_observer(
-                ClairvoyanceMode::Clairvoyant,
-                packer.as_mut(),
-                TelemetryRecorder::new(),
-            );
-            let started = Instant::now();
-            for item in inst.items() {
-                session.arrive(item).map_err(err)?;
-            }
-            session.finish().map_err(err)?;
-            started.elapsed().as_secs_f64()
+            let session =
+                StreamingSession::with_observer(mode, packer.as_mut(), TelemetryRecorder::new());
+            time_session(session, inst.items(), cell)
         }
+        // Engine cells and telemetry-off cells: a bare session.
         _ => {
-            // Engine cells and telemetry-off cells: a bare session.
             let mut packer = make(&cell.algo);
-            let mut session = StreamingSession::new(ClairvoyanceMode::Clairvoyant, packer.as_mut());
-            let started = Instant::now();
-            for item in inst.items() {
-                session.arrive(item).map_err(err)?;
-            }
-            session.finish().map_err(err)?;
-            started.elapsed().as_secs_f64()
+            time_session(
+                StreamingSession::new(mode, packer.as_mut()),
+                inst.items(),
+                cell,
+            )
         }
-    };
-    Ok(elapsed_s)
-}
-
-/// Times one fresh run of a `vector-v1` baseline cell, best-of-3 like
-/// [`run_cell`].
-fn run_vec_cell(inst: &VecInstance, cell: &BaselineCell) -> Result<f64, String> {
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        best = best.min(run_vec_cell_once(inst, cell)?);
     }
-    Ok(inst.len() as f64 / best.max(f64::MIN_POSITIVE))
 }
 
+/// One timed run of a `vector-v1` baseline cell; returns elapsed seconds.
 fn run_vec_cell_once(inst: &VecInstance, cell: &BaselineCell) -> Result<f64, String> {
     let params = AlgoParams::from_vec_instance(inst);
-    let err = |e: dbp_core::DbpError| format!("{}: {e}", cell.label());
     let mut packer = if cell.linear_scan() {
         vector_packer_linear(&cell.algo, params)
     } else {
         vector_packer(&cell.algo, params)
     };
-    let mut session =
-        VecStreamingSession::new(dbp_core::VecClairvoyance::Clairvoyant, packer.as_mut());
-    let started = Instant::now();
-    for item in inst.items() {
-        session.arrive(item).map_err(err)?;
-    }
-    session.finish().map_err(err)?;
-    Ok(started.elapsed().as_secs_f64())
+    let session = VecStreamingSession::new(VecClairvoyance::Clairvoyant, packer.as_mut());
+    time_session(session.into_inner(), inst.items(), cell)
 }
 
 /// Runs the gate: every baseline cell re-measured serially (one cell at
@@ -505,13 +496,15 @@ pub fn run_check(
                 let inst = vector_baseline_instance(&baseline.mode, key)?;
                 vec_instances.insert(key, inst);
             }
-            run_vec_cell(&vec_instances[key], cell)?
+            let inst = &vec_instances[key];
+            best_of_3(inst.len(), || run_vec_cell_once(inst, cell))?
         } else {
             if !instances.contains_key(key) {
                 let inst = baseline_instance(&baseline.schema, &baseline.mode, key)?;
                 instances.insert(key, inst);
             }
-            run_cell(&baseline.schema, &instances[key], cell)?
+            let inst = &instances[key];
+            best_of_3(inst.len(), || run_cell_once(&baseline.schema, inst, cell))?
         };
         let fresh_ips = fresh * (1.0 - inject_pct / 100.0);
         let delta_pct = (fresh_ips - cell.items_per_sec) / cell.items_per_sec * 100.0;
@@ -636,13 +629,13 @@ mod tests {
             scan: None,
             items_per_sec: 0.0,
         };
-        let ips = run_vec_cell(&inst, &cell).unwrap();
+        let ips = best_of_3(inst.len(), || run_vec_cell_once(&inst, &cell)).unwrap();
         assert!(ips > 0.0);
         let linear = BaselineCell {
             scan: Some("linear".into()),
             ..cell
         };
-        assert!(run_vec_cell(&inst, &linear).unwrap() > 0.0);
+        assert!(run_vec_cell_once(&inst, &linear).unwrap() > 0.0);
     }
 
     #[test]
@@ -698,7 +691,10 @@ mod tests {
             scan: None,
             items_per_sec: 0.0,
         };
-        let measured = run_cell("dbp-bench/engine-v1", &inst, &cell).unwrap();
+        let measured = best_of_3(inst.len(), || {
+            run_cell_once("dbp-bench/engine-v1", &inst, &cell)
+        })
+        .unwrap();
         let baseline = Baseline {
             schema: "dbp-bench/engine-v1".into(),
             mode: "short".into(),

@@ -7,7 +7,7 @@ use dbp_algos::offline::{
 };
 use dbp_algos::online::{
     AnyFit, ClassifyByDepartureTime, ClassifyByDuration, CombinedClassify, DotProductFit,
-    HybridFirstFit, MaxNormFit, VecAnyFit, VecClassifyByDepartureTime, VecClassifyByDuration,
+    HybridFirstFit, MaxNormFit,
 };
 use dbp_core::{OfflinePacker, OnlinePacker, VecOnlinePacker};
 
@@ -51,6 +51,13 @@ pub const ONLINE_ALGOS: &[&str] = &[
     "cbd",
     "combined",
 ];
+
+/// Whether the named online algorithm reads departure times (the
+/// classification strategies). Such a packer cannot run on a
+/// non-clairvoyant session: callers refuse the combination up front.
+pub fn needs_departures(name: &str) -> bool {
+    matches!(name, "cbdt" | "cbd" | "combined")
+}
 
 /// The canonical offline roster used by the E1 sweep. The last two are
 /// sort-order ablations of DDFF with no proven bounds.
@@ -122,8 +129,9 @@ pub fn online_packer_linear(name: &str, params: AlgoParams) -> Box<dyn OnlinePac
 }
 
 /// The canonical vector online roster: the Any-Fit family and both
-/// classification strategies under all-axes feasibility, plus the two
-/// vector-native heuristics (Murhekar et al. 2023).
+/// classification strategies — the same packers as the scalar roster,
+/// under all-axes feasibility — plus the two vector-native heuristics
+/// (Murhekar et al. 2023).
 pub const VECTOR_ALGOS: &[&str] = &[
     "first-fit",
     "best-fit",
@@ -143,15 +151,15 @@ pub const VECTOR_ALGOS: &[&str] = &[
 /// On an unknown name.
 pub fn vector_packer(name: &str, params: AlgoParams) -> Box<dyn VecOnlinePacker + Send> {
     match name {
-        "first-fit" => Box::new(VecAnyFit::first_fit()),
-        "best-fit" => Box::new(VecAnyFit::best_fit()),
-        "worst-fit" => Box::new(VecAnyFit::worst_fit()),
-        "next-fit" => Box::new(VecAnyFit::next_fit()),
-        "cbdt" => Box::new(VecClassifyByDepartureTime::with_known_durations(
+        "first-fit" => Box::new(AnyFit::first_fit()),
+        "best-fit" => Box::new(AnyFit::best_fit()),
+        "worst-fit" => Box::new(AnyFit::worst_fit()),
+        "next-fit" => Box::new(AnyFit::next_fit()),
+        "cbdt" => Box::new(ClassifyByDepartureTime::with_known_durations(
             params.delta,
             params.mu,
         )),
-        "cbd" => Box::new(VecClassifyByDuration::with_known_durations(
+        "cbd" => Box::new(ClassifyByDuration::with_known_durations(
             params.delta,
             params.mu,
         )),
@@ -170,16 +178,16 @@ pub fn vector_packer(name: &str, params: AlgoParams) -> Box<dyn VecOnlinePacker 
 /// On an unknown name.
 pub fn vector_packer_linear(name: &str, params: AlgoParams) -> Box<dyn VecOnlinePacker + Send> {
     match name {
-        "first-fit" => Box::new(VecAnyFit::first_fit().with_linear_scan()),
-        "best-fit" => Box::new(VecAnyFit::best_fit().with_linear_scan()),
-        "worst-fit" => Box::new(VecAnyFit::worst_fit().with_linear_scan()),
-        "next-fit" => Box::new(VecAnyFit::next_fit().with_linear_scan()),
+        "first-fit" => Box::new(AnyFit::first_fit().with_linear_scan()),
+        "best-fit" => Box::new(AnyFit::best_fit().with_linear_scan()),
+        "worst-fit" => Box::new(AnyFit::worst_fit().with_linear_scan()),
+        "next-fit" => Box::new(AnyFit::next_fit().with_linear_scan()),
         "cbdt" => Box::new(
-            VecClassifyByDepartureTime::with_known_durations(params.delta, params.mu)
+            ClassifyByDepartureTime::with_known_durations(params.delta, params.mu)
                 .with_linear_scan(),
         ),
         "cbd" => Box::new(
-            VecClassifyByDuration::with_known_durations(params.delta, params.mu).with_linear_scan(),
+            ClassifyByDuration::with_known_durations(params.delta, params.mu).with_linear_scan(),
         ),
         "dot-product" => Box::new(DotProductFit::new().with_linear_scan()),
         "max-norm" => Box::new(MaxNormFit::new().with_linear_scan()),

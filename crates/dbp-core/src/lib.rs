@@ -21,6 +21,9 @@
 //! * [`online`] — the event-driven online packing engine: it feeds items to an
 //!   [`online::OnlinePacker`] in arrival order, enforces capacity, closes bins
 //!   when their last item departs, and accounts usage time exactly.
+//! * [`demand`] — the [`Demand`] trait the engine is generic over:
+//!   [`Size`] for the paper's one-dimensional packing, [`SizeVec`] for
+//!   dynamic vector bin packing (its `d = 1` case is the scalar problem).
 //!
 //! ## Exactness
 //!
@@ -50,6 +53,7 @@
 #![warn(missing_docs)]
 
 pub mod accounting;
+pub mod demand;
 pub mod error;
 pub mod events;
 pub mod instance;
@@ -65,9 +69,8 @@ pub mod size;
 pub mod sizevec;
 pub mod stats;
 pub mod stream;
-pub mod vecbins;
-pub mod vecstream;
 
+pub use demand::{Clairvoyance, Demand, Job, VecClairvoyance};
 pub use error::DbpError;
 pub use instance::Instance;
 pub use interval::{Interval, Time};
@@ -76,16 +79,15 @@ pub use item::{Item, ItemId};
 pub use observe::{EventLog, FitDecision, NoopObserver, OpKind, PackEvent, PackObserver, Tee};
 pub use online::{
     ActiveItem, ClairvoyanceMode, Decision, OnlineEngine, OnlinePacker, OnlineRun, PackerState,
+    VecItemView, VecOnlinePacker, VecOpenBins,
 };
 pub use openbins::OpenBins;
 pub use packing::{BinId, OfflinePacker, Packing};
 pub use size::Size;
 pub use sizevec::{Scalarization, SizeVec, VecInstance, VecItem, MAX_DIMS};
-pub use stream::{Admission, BinSnapshot, SessionSnapshot, StreamingSession, SNAPSHOT_VERSION};
-pub use vecbins::{VecActiveItem, VecOpenBin, VecOpenBins};
-pub use vecstream::{
-    VecClairvoyance, VecEventLog, VecItemView, VecNoopObserver, VecOnlineEngine, VecOnlinePacker,
-    VecPackEvent, VecPackObserver, VecStreamingSession,
+pub use stream::{
+    Admission, BinSnapshot, SessionSnapshot, StreamingSession, VecStreamingSession,
+    SNAPSHOT_VERSION,
 };
 
 /// Result alias used throughout the workspace.

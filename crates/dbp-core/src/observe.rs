@@ -7,7 +7,9 @@
 //! module defines the event vocabulary ([`PackEvent`]) and the observer
 //! trait ([`PackObserver`]) through which [`crate::OnlineEngine`] and
 //! [`crate::stream::StreamingSession`] expose every packing decision as
-//! it happens.
+//! it happens. Both are generic over the demand type: `PackEvent` (=
+//! `PackEvent<Size>`) carries scalar sizes and levels, `PackEvent<SizeVec>`
+//! per-axis vectors.
 //!
 //! ## Zero cost when disabled
 //!
@@ -46,13 +48,13 @@ pub enum FitDecision {
 /// [`PackEvent::PlacementDecided`], then the placement's
 /// [`PackEvent::LevelChanged`].
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum PackEvent {
+pub enum PackEvent<D = Size> {
     /// An item was revealed to the packer.
     ItemArrived {
         /// The item id.
         id: ItemId,
-        /// The item size.
-        size: Size,
+        /// The item demand.
+        size: D,
         /// Arrival time (current simulation time).
         at: Time,
         /// The *true* departure time driving the simulation.
@@ -106,7 +108,7 @@ pub enum PackEvent {
         /// When.
         at: Time,
         /// The level after the change.
-        level: Size,
+        level: D,
         /// Number of bins open after the change.
         open_bins: usize,
     },
@@ -177,14 +179,14 @@ pub enum OpKind {
 /// compile every emission site away. The trait is deliberately not
 /// dyn-compatible — composition is by type ([`Tee`], `Option<O>`), never
 /// by boxing, so the disabled path stays free.
-pub trait PackObserver {
+pub trait PackObserver<D = Size> {
     /// Whether the engine should construct and emit events at all. Guards
     /// every emission site; `false` makes observation free.
     const ENABLED: bool = true;
 
     /// Receives one event. Called synchronously from the packing loop, so
     /// implementations should be cheap and must not panic.
-    fn on_event(&mut self, event: &PackEvent);
+    fn on_event(&mut self, event: &PackEvent<D>);
 
     /// Asked once per arrival (before any clock is read) whether this
     /// observer wants wall-clock timing for it. Returning `false` skips
@@ -210,20 +212,20 @@ pub trait PackObserver {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NoopObserver;
 
-impl PackObserver for NoopObserver {
+impl<D> PackObserver<D> for NoopObserver {
     const ENABLED: bool = false;
     #[inline(always)]
-    fn on_event(&mut self, _event: &PackEvent) {}
+    fn on_event(&mut self, _event: &PackEvent<D>) {}
     #[inline(always)]
     fn wants_timing(&mut self) -> bool {
         false
     }
 }
 
-impl<O: PackObserver> PackObserver for &mut O {
+impl<D, O: PackObserver<D>> PackObserver<D> for &mut O {
     const ENABLED: bool = O::ENABLED;
     #[inline(always)]
-    fn on_event(&mut self, event: &PackEvent) {
+    fn on_event(&mut self, event: &PackEvent<D>) {
         (**self).on_event(event);
     }
     #[inline(always)]
@@ -239,10 +241,10 @@ impl<O: PackObserver> PackObserver for &mut O {
 /// An observer that may be absent at runtime. `None` still pays the
 /// (branch-only) enabled path; use [`NoopObserver`] when absence is known
 /// at compile time.
-impl<O: PackObserver> PackObserver for Option<O> {
+impl<D, O: PackObserver<D>> PackObserver<D> for Option<O> {
     const ENABLED: bool = O::ENABLED;
     #[inline(always)]
-    fn on_event(&mut self, event: &PackEvent) {
+    fn on_event(&mut self, event: &PackEvent<D>) {
         if let Some(o) = self {
             o.on_event(event);
         }
@@ -267,10 +269,10 @@ impl<O: PackObserver> PackObserver for Option<O> {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Tee<A, B>(pub A, pub B);
 
-impl<A: PackObserver, B: PackObserver> PackObserver for Tee<A, B> {
+impl<D, A: PackObserver<D>, B: PackObserver<D>> PackObserver<D> for Tee<A, B> {
     const ENABLED: bool = A::ENABLED || B::ENABLED;
     #[inline(always)]
-    fn on_event(&mut self, event: &PackEvent) {
+    fn on_event(&mut self, event: &PackEvent<D>) {
         self.0.on_event(event);
         self.1.on_event(event);
     }
@@ -289,21 +291,27 @@ impl<A: PackObserver, B: PackObserver> PackObserver for Tee<A, B> {
 
 /// Collects every event into a `Vec` — the simplest real observer, used
 /// by tests and by in-memory consumers (replay cross-checks).
-#[derive(Clone, Debug, Default)]
-pub struct EventLog {
+#[derive(Clone, Debug)]
+pub struct EventLog<D = Size> {
     /// The recorded events, in emission order.
-    pub events: Vec<PackEvent>,
+    pub events: Vec<PackEvent<D>>,
 }
 
-impl EventLog {
+impl<D> Default for EventLog<D> {
+    fn default() -> Self {
+        EventLog { events: Vec::new() }
+    }
+}
+
+impl<D> EventLog<D> {
     /// An empty log.
     pub fn new() -> Self {
         Self::default()
     }
 }
 
-impl PackObserver for EventLog {
-    fn on_event(&mut self, event: &PackEvent) {
+impl<D: Clone> PackObserver<D> for EventLog<D> {
+    fn on_event(&mut self, event: &PackEvent<D>) {
         self.events.push(event.clone());
     }
 }
@@ -347,9 +355,9 @@ mod tests {
             }
         }
 
-        assert!(!NoopObserver.wants_timing());
+        assert!(!PackObserver::<Size>::wants_timing(&mut NoopObserver));
         assert!(
-            EventLog::new().wants_timing(),
+            EventLog::<Size>::new().wants_timing(),
             "default times every arrival"
         );
         let mut none: Option<Sampler> = None;
@@ -374,7 +382,7 @@ mod tests {
 
     #[test]
     fn tee_delivers_to_both() {
-        let ev = PackEvent::BinOpened {
+        let ev: PackEvent = PackEvent::BinOpened {
             bin: BinId(0),
             at: 3,
             tag: 7,

@@ -27,7 +27,9 @@ use crate::interval::Time;
 use crate::item::{Item, ItemId};
 use crate::packing::{BinId, Packing};
 use crate::size::Size;
+use crate::sizevec::SizeVec;
 
+use crate::demand::Demand;
 pub use crate::openbins::OpenBins;
 
 use std::sync::Arc;
@@ -55,19 +57,19 @@ impl std::fmt::Debug for ClairvoyanceMode {
 }
 
 /// The packer's view of the arriving item.
-#[derive(Clone, Copy, Debug)]
-pub struct ItemView {
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ItemView<D = Size> {
     /// Item id.
     pub id: ItemId,
-    /// Item size.
-    pub size: Size,
+    /// Item demand.
+    pub size: D,
     /// Arrival time (the current time).
     pub arrival: Time,
     /// Departure as visible under the engine's clairvoyance mode.
     pub departure: Option<Time>,
 }
 
-impl ItemView {
+impl<D> ItemView<D> {
     /// Duration, if the departure is visible.
     pub fn duration(&self) -> Option<i64> {
         self.departure.map(|d| d - self.arrival)
@@ -76,11 +78,11 @@ impl ItemView {
 
 /// An item currently residing in an open bin, as visible to packers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ActiveItem {
+pub struct ActiveItem<D = Size> {
     /// Item id.
     pub id: ItemId,
-    /// Item size.
-    pub size: Size,
+    /// Item demand.
+    pub size: D,
     /// Departure as visible under the engine's clairvoyance mode.
     pub departure: Option<Time>,
 }
@@ -88,20 +90,21 @@ pub struct ActiveItem {
 /// A currently open bin, as visible to packers.
 ///
 /// Bins are presented in opening order (First Fit's "opened earliest"
-/// tie-break is simply the first feasible element).
+/// tie-break is simply the first feasible element). Capacity is one on
+/// every axis of the demand type.
 #[derive(Clone, Debug)]
-pub struct OpenBin {
+pub struct OpenBin<D = Size> {
     id: BinId,
     opened_at: Time,
     tag: u64,
-    level: Size,
-    items: Vec<ActiveItem>,
+    level: D,
+    items: Vec<ActiveItem<D>>,
 }
 
-impl OpenBin {
+impl<D: Demand> OpenBin<D> {
     /// Creates a bin holding its first item (crate-internal: bins are only
     /// created by the engines).
-    pub(crate) fn new(id: BinId, opened_at: Time, tag: u64, first: ActiveItem) -> OpenBin {
+    pub(crate) fn new(id: BinId, opened_at: Time, tag: u64, first: ActiveItem<D>) -> OpenBin<D> {
         OpenBin {
             id,
             opened_at,
@@ -112,7 +115,7 @@ impl OpenBin {
     }
 
     /// Adds an item, enforcing capacity.
-    pub(crate) fn push_item(&mut self, active: ActiveItem, size: Size) -> Result<(), DbpError> {
+    pub(crate) fn push_item(&mut self, active: ActiveItem<D>, size: D) -> Result<(), DbpError> {
         if !self.fits(size) {
             return Err(DbpError::BadDecision {
                 what: format!(
@@ -121,7 +124,7 @@ impl OpenBin {
                 ),
             });
         }
-        self.level += size;
+        self.level = self.level.add(size);
         self.items.push(active);
         Ok(())
     }
@@ -136,7 +139,7 @@ impl OpenBin {
                 what: format!("item {id} missing from its bin at departure"),
             })?;
         let removed = self.items.swap_remove(pos);
-        self.level -= removed.size;
+        self.level = self.level.sub(removed.size);
         Ok(self.items.is_empty())
     }
 
@@ -157,25 +160,26 @@ impl OpenBin {
         self.tag
     }
 
-    /// Current level (total size of active items).
-    pub fn level(&self) -> Size {
+    /// Current level (total demand of active items).
+    pub fn level(&self) -> D {
         self.level
     }
 
-    /// Remaining headroom (`capacity − level`).
-    pub fn gap(&self) -> Size {
-        Size::CAPACITY - self.level
+    /// Remaining headroom (`capacity − level`, per axis).
+    pub fn gap(&self) -> D {
+        self.level.gap()
     }
 
-    /// Whether `size` fits right now. Because items never return and the
-    /// current contents' levels only decrease in the future, fitting now
-    /// implies fitting for the item's entire residence.
-    pub fn fits(&self, size: Size) -> bool {
-        self.level + size <= Size::CAPACITY
+    /// Whether `size` fits right now (on every axis). Because items never
+    /// return and the current contents' levels only decrease in the
+    /// future, fitting now implies fitting for the item's entire
+    /// residence.
+    pub fn fits(&self, size: D) -> bool {
+        self.level.fits(size)
     }
 
     /// The active items in the bin.
-    pub fn items(&self) -> &[ActiveItem] {
+    pub fn items(&self) -> &[ActiveItem<D>] {
         &self.items
     }
 }
@@ -249,8 +253,11 @@ impl PackerState {
     }
 }
 
-/// An online packing algorithm.
-pub trait OnlinePacker {
+/// An online packing algorithm over demand type `D` ([`Size`] unless
+/// stated). Algorithms whose rule does not depend on the demand type —
+/// the Any-Fit family and the classification strategies — implement it
+/// for every [`Demand`], so one body serves scalar and vector sessions.
+pub trait OnlinePacker<D: Demand = Size> {
     /// Display name including parameterization, e.g. `"cbdt(rho=8)"`.
     fn name(&self) -> String;
 
@@ -268,7 +275,7 @@ pub trait OnlinePacker {
     /// [`OpenBins::worst_fit`]): O(log category), decision-identical to
     /// the linear scans, and they hand back the probe count to report
     /// from [`OnlinePacker::last_scanned`].
-    fn place(&mut self, item: &ItemView, open_bins: &OpenBins) -> Decision;
+    fn place(&mut self, item: &ItemView<D>, open_bins: &OpenBins<D>) -> Decision;
 
     /// How much work the most recent [`OnlinePacker::place`] call did to
     /// reach its decision, or `None` if this packer does not track it.
@@ -316,6 +323,64 @@ pub trait OnlinePacker {
                 ),
             })
         }
+    }
+}
+
+/// The vector roster's packer interface: the four [`OnlinePacker`]
+/// methods a vector session calls, as an object-safe trait of its own
+/// so callers can box or implement it without naming the demand type.
+/// Every `OnlinePacker<SizeVec>` is one.
+pub trait VecOnlinePacker {
+    /// Display name including parameterization.
+    fn name(&self) -> String;
+    /// Called once before each run; resets internal state.
+    fn reset(&mut self) {}
+    /// Chooses where the arriving item goes.
+    fn place(&mut self, item: &VecItemView, open_bins: &VecOpenBins) -> Decision;
+    /// Work done by the most recent `place` (see
+    /// [`OnlinePacker::last_scanned`]).
+    fn last_scanned(&self) -> Option<usize> {
+        None
+    }
+}
+
+/// The arriving-item view of a vector session.
+pub type VecItemView = ItemView<SizeVec>;
+
+/// The open-bin set of a vector session.
+pub type VecOpenBins = OpenBins<SizeVec>;
+
+impl<T: OnlinePacker<SizeVec> + ?Sized> VecOnlinePacker for T {
+    fn name(&self) -> String {
+        OnlinePacker::name(self)
+    }
+    fn reset(&mut self) {
+        OnlinePacker::reset(self)
+    }
+    fn place(&mut self, item: &VecItemView, open_bins: &VecOpenBins) -> Decision {
+        OnlinePacker::place(self, item, open_bins)
+    }
+    fn last_scanned(&self) -> Option<usize> {
+        OnlinePacker::last_scanned(self)
+    }
+}
+
+/// A borrowed `dyn VecOnlinePacker` seen as an `OnlinePacker<SizeVec>`:
+/// the packer handle of [`crate::VecStreamingSession`].
+pub struct VecPackerRef<'p>(pub(crate) &'p mut dyn VecOnlinePacker);
+
+impl OnlinePacker<SizeVec> for VecPackerRef<'_> {
+    fn name(&self) -> String {
+        self.0.name()
+    }
+    fn reset(&mut self) {
+        self.0.reset()
+    }
+    fn place(&mut self, item: &VecItemView, open_bins: &VecOpenBins) -> Decision {
+        self.0.place(item, open_bins)
+    }
+    fn last_scanned(&self) -> Option<usize> {
+        self.0.last_scanned()
     }
 }
 

@@ -20,17 +20,35 @@
 //! touch small contiguous records instead of dragging every bin's item
 //! vector through the cache.
 //!
+//! The set is generic over the [`Demand`] type: `OpenBins` (= `OpenBins<Size>`)
+//! for the paper's one-dimensional sizes, `OpenBins<SizeVec>` for vector
+//! packing, where an item fits a bin only when it fits on **every** axis.
+//! The slab, lists and index maintenance are one body; the demand type
+//! supplies the arithmetic and the two places where one axis and many
+//! axes differ (see [`crate::demand`]).
+//!
 //! ## Indexed fit queries
 //!
 //! On top of the order lists, `OpenBins` answers the three Any-Fit
-//! placement queries in O(log B) instead of O(B):
+//! placement queries without walking the category:
 //!
-//! * [`OpenBins::first_fit`] — earliest-opened bin of a tag with
-//!   residual ≥ size, via a max-gap tournament tree over the tag's
-//!   opening order;
-//! * [`OpenBins::best_fit`] — minimum residual ≥ size, via a residual-
-//!   ordered set keyed `(gap, opening-order)`;
-//! * [`OpenBins::worst_fit`] — maximum residual, same set.
+//! * [`OpenBins::first_fit`] — earliest-opened bin of a tag with room,
+//!   via a max-gap tournament tree over the tag's opening order. For one
+//!   axis a node's max gap decides its subtree exactly, so the query is a
+//!   single O(log B) root-to-leaf path. For vectors each node holds the
+//!   per-axis maximum, a *necessary* condition only (the maxima may come
+//!   from different bins), so the query is a pruned left-first DFS: still
+//!   O(log B) when one axis dominates, never more than the tree.
+//! * [`OpenBins::best_fit`] — the fullest feasible bin, via a level-ordered
+//!   set keyed `(level, opening-order)`.
+//! * [`OpenBins::worst_fit`] — the emptiest feasible bin, same set.
+//!
+//! For one axis feasibility is a key range, so Best and Worst Fit are one
+//! O(log B) range lookup each. Vector levels are ranked by a
+//! [`Scalarization`] ([`OpenBins::best_fit_by`]) that cannot express
+//! all-axes feasibility, so the vector queries walk the set from the
+//! fullest (best) or emptiest (worst) end until an entry fits, and the
+//! probe count reports exactly how many entries they inspected.
 //!
 //! The keys are chosen so ties break *identically* to a linear
 //! `iter_tag` scan through `Iterator::max_by_key`/`min_by_key`:
@@ -38,12 +56,11 @@
 //! * First Fit takes the **earliest-opened** feasible bin (leftmost
 //!   feasible leaf in opening order).
 //! * Best Fit takes the fullest feasible bin, resolving level ties to
-//!   the **latest** opened (`max_by_key` keeps the last maximum), so the
-//!   set is ordered by `(gap, Reverse(seq))` and the query takes the
-//!   *smallest* element with `gap ≥ size`.
-//! * Worst Fit takes the emptiest bin, resolving ties to the
-//!   **earliest** opened (`min_by_key` keeps the first minimum) — the
-//!   *largest* element of the same set.
+//!   the **latest** opened (`max_by_key` keeps the last maximum): the
+//!   *largest* feasible `(level, seq)` entry.
+//! * Worst Fit takes the emptiest feasible bin, resolving ties to the
+//!   **earliest** opened (`min_by_key` keeps the first minimum): the
+//!   *smallest* feasible entry.
 //!
 //! `seq` is a per-tag opening sequence number, so both structures order
 //! bins exactly as the tag list iterates them. The structures are built
@@ -55,13 +72,14 @@
 //! bit-identical to the linear scan by the dbp-audit differential
 //! harness and the indexed-vs-linear proptest family.
 
+use crate::demand::{Demand, LevelKey};
 use crate::error::DbpError;
 use crate::item::ItemId;
 use crate::online::{ActiveItem, OpenBin};
 use crate::packing::BinId;
 use crate::size::Size;
+use crate::sizevec::Scalarization;
 use std::cell::RefCell;
-use std::cmp::Reverse;
 use std::collections::{BTreeSet, HashMap};
 
 /// Sentinel for "no slot" in the intrusive lists.
@@ -89,54 +107,69 @@ struct TagList {
     next_seq: u64,
 }
 
-/// A residual-ordered entry: `(gap, Reverse(per-tag seq), slot)`. The
-/// first two fields are unique per bin; the slot rides along for O(1)
-/// resolution of the chosen bin.
-type GapKey = (u64, Reverse<u64>, u32);
-
 /// The lazily-built fit structures of one tag.
-#[derive(Clone, Debug, Default)]
-struct FitIndex {
+#[derive(Clone, Debug)]
+struct FitIndex<D: Demand> {
     /// Max-gap tournament tree over the tag's opening order (First Fit).
-    seg: Option<GapTree>,
-    /// Residual-ordered set (Best/Worst Fit).
-    ordered: Option<BTreeSet<GapKey>>,
+    seg: Option<GapTree<D>>,
+    /// Level-ordered set under one scalarization (Best/Worst Fit);
+    /// rebuilt if a query asks for a different scalarization.
+    ordered: Option<(Scalarization, BTreeSet<LevelKey>)>,
+}
+
+impl<D: Demand> Default for FitIndex<D> {
+    fn default() -> Self {
+        FitIndex {
+            seg: None,
+            ordered: None,
+        }
+    }
 }
 
 /// Interior-mutable index state: queries take `&OpenBins` (packers hold a
 /// shared borrow inside `place`) but must be able to build structures on
 /// first use.
-#[derive(Clone, Debug, Default)]
-struct FitState {
-    by_tag: HashMap<u64, FitIndex>,
+#[derive(Clone, Debug)]
+struct FitState<D: Demand> {
+    by_tag: HashMap<u64, FitIndex<D>>,
     /// slot → leaf position in its tag's [`GapTree`] (meaningful only
     /// while that tree exists).
     pos: Vec<u32>,
 }
 
+impl<D: Demand> Default for FitState<D> {
+    fn default() -> Self {
+        FitState {
+            by_tag: HashMap::new(),
+            pos: Vec::new(),
+        }
+    }
+}
+
 /// A max-gap tournament (segment) tree over one tag's opening order.
 ///
 /// Leaf `p` holds the residual gap of the `p`-th-opened live bin of the
-/// tag; internal nodes hold the max of their children. Dead or
-/// unallocated leaves hold gap 0, which no valid item size (raw ≥ 1) can
-/// match, so removals are O(log) leaf kills and the leftmost-feasible
-/// descent never lands on a closed bin. When more than half the
-/// positions are dead the tree compacts, preserving relative order, so
-/// memory stays proportional to the live fleet.
+/// tag; internal nodes hold the [`Demand::combine`] (per-axis max) of
+/// their children. Dead or unallocated leaves hold the zero node, which
+/// no valid item demand (raw ≥ 1 on every axis) can match, so removals
+/// are O(log) leaf kills and the leftmost-feasible descent never lands on
+/// a closed bin. When more than half the positions are dead the tree
+/// compacts, preserving relative order, so memory stays proportional to
+/// the live fleet.
 #[derive(Clone, Debug)]
-struct GapTree {
+struct GapTree<D: Demand> {
     /// Heap layout: `node[1]` is the root, leaf `p` lives at `node[cap + p]`.
-    node: Vec<u64>,
+    node: Vec<D::Node>,
     cap: usize,
     /// Leaf position → slab slot; [`NIL`] marks dead positions.
     slot_at: Vec<u32>,
     live: usize,
 }
 
-impl GapTree {
-    fn new() -> GapTree {
+impl<D: Demand> GapTree<D> {
+    fn new() -> GapTree<D> {
         GapTree {
-            node: vec![0; 2],
+            node: vec![D::Node::default(); 2],
             cap: 1,
             slot_at: Vec::new(),
             live: 0,
@@ -146,7 +179,7 @@ impl GapTree {
     /// Appends a live leaf in opening order, returning its position.
     /// `moved` is invoked with `(slot, new_pos)` for every relocated
     /// leaf if the append forces a rebuild.
-    fn append(&mut self, slot: u32, gap: u64, moved: impl FnMut(u32, u32)) -> u32 {
+    fn append(&mut self, slot: u32, gap: D::Node, moved: impl FnMut(u32, u32)) -> u32 {
         if self.slot_at.len() == self.cap {
             self.rebuild(self.cap * 2, moved);
         }
@@ -157,13 +190,13 @@ impl GapTree {
         p
     }
 
-    /// Updates the gap at `pos` and restores the max property upward.
-    fn set(&mut self, pos: u32, gap: u64) {
+    /// Updates the gap at `pos` and restores the envelope upward.
+    fn set(&mut self, pos: u32, gap: D::Node) {
         let mut i = self.cap + pos as usize;
         self.node[i] = gap;
         while i > 1 {
             i /= 2;
-            let m = self.node[2 * i].max(self.node[2 * i + 1]);
+            let m = D::combine(self.node[2 * i], self.node[2 * i + 1]);
             if self.node[i] == m {
                 break;
             }
@@ -174,7 +207,7 @@ impl GapTree {
     /// Kills the leaf at `pos` (bin closed).
     fn kill(&mut self, pos: u32) {
         self.slot_at[pos as usize] = NIL;
-        self.set(pos, 0);
+        self.set(pos, D::Node::default());
         self.live -= 1;
     }
 
@@ -188,7 +221,7 @@ impl GapTree {
     /// preserving relative (opening) order. `moved` receives every
     /// surviving leaf's `(slot, new_pos)`.
     fn rebuild(&mut self, min_cap: usize, mut moved: impl FnMut(u32, u32)) {
-        let entries: Vec<(u32, u64)> = self
+        let entries: Vec<(u32, D::Node)> = self
             .slot_at
             .iter()
             .enumerate()
@@ -197,7 +230,7 @@ impl GapTree {
             .collect();
         let cap = entries.len().max(min_cap).max(1).next_power_of_two();
         self.node.clear();
-        self.node.resize(2 * cap, 0);
+        self.node.resize(2 * cap, D::Node::default());
         self.cap = cap;
         self.slot_at.clear();
         self.live = entries.len();
@@ -207,50 +240,78 @@ impl GapTree {
             moved(slot, p as u32);
         }
         for i in (1..cap).rev() {
-            self.node[i] = self.node[2 * i].max(self.node[2 * i + 1]);
+            self.node[i] = D::combine(self.node[2 * i], self.node[2 * i + 1]);
         }
     }
 
-    /// The leftmost (earliest-opened) live leaf with gap ≥ `size`,
+    /// The leftmost (earliest-opened) live leaf whose gap covers `want`,
     /// together with the number of tree nodes probed.
-    fn query(&self, size: u64) -> (Option<u32>, usize) {
+    fn query(&self, want: D::Node) -> (Option<u32>, usize) {
         if self.live == 0 {
             return (None, 0);
         }
         let mut probes = 1;
-        if self.node[1] < size {
+        if !D::covers(self.node[1], want) {
             return (None, probes);
         }
-        let mut i = 1;
-        while i < self.cap {
-            probes += 1;
-            i *= 2;
-            if self.node[i] < size {
-                i += 1;
+        if D::EXACT_NODES {
+            // A covering node always has a covering child: descend one
+            // path, preferring the left (earlier-opened) subtree.
+            let mut i = 1;
+            while i < self.cap {
+                probes += 1;
+                i *= 2;
+                if !D::covers(self.node[i], want) {
+                    i += 1;
+                }
+            }
+            return (Some(self.slot_at[i - self.cap]), probes);
+        }
+        // Covering is only necessary: pruned left-first DFS. A passing
+        // *leaf* is exact, so the first leaf reached is the leftmost
+        // feasible bin. The right child is pushed first so the left pops
+        // first. The stack holds at most one pending sibling per level
+        // plus the node in hand, so a fixed array covers any `u32` slab.
+        let mut stack = [0usize; 66];
+        let mut len = 1;
+        stack[0] = 1;
+        while len > 0 {
+            len -= 1;
+            let i = stack[len];
+            if i >= self.cap {
+                return (Some(self.slot_at[i - self.cap]), probes);
+            }
+            let (l, r) = (2 * i, 2 * i + 1);
+            probes += 2;
+            for child in [r, l] {
+                if D::covers(self.node[child], want) {
+                    stack[len] = child;
+                    len += 1;
+                }
             }
         }
-        (Some(self.slot_at[i - self.cap]), probes)
+        (None, probes)
     }
 
     fn approx_bytes(&self) -> usize {
-        self.node.capacity() * std::mem::size_of::<u64>()
+        self.node.capacity() * std::mem::size_of::<D::Node>()
             + self.slot_at.capacity() * std::mem::size_of::<u32>()
     }
 }
 
 /// The set of currently open bins, ordered by opening time.
 ///
-/// Packers receive `&OpenBins` in [`crate::online::OnlinePacker::place`].
+/// Packers receive `&OpenBins<D>` in [`crate::online::OnlinePacker::place`].
 /// Use [`OpenBins::iter`] (or `for bin in open_bins`) to scan the whole
 /// fleet in opening order, [`OpenBins::iter_tag`] to scan one category,
 /// [`OpenBins::get`] for O(1) lookup by id, and the indexed fit queries
 /// ([`OpenBins::first_fit`], [`OpenBins::best_fit`],
-/// [`OpenBins::worst_fit`]) for O(log category) placement decisions that
-/// match the linear scan bit for bit.
+/// [`OpenBins::worst_fit`]) for placement decisions that match the
+/// linear scan bit for bit.
 #[derive(Clone, Debug)]
-pub struct OpenBins {
+pub struct OpenBins<D: Demand = Size> {
     /// Slab payload (struct-of-arrays: cold half).
-    bins: Vec<Option<OpenBin>>,
+    bins: Vec<Option<OpenBin<D>>>,
     /// Slab links and index keys (struct-of-arrays: hot half). Entries
     /// for free slots are stale and rewritten on insert.
     links: Vec<Links>,
@@ -263,18 +324,18 @@ pub struct OpenBins {
     /// tag's last bin closes, so the map tracks *live* tags only.
     tags: HashMap<u64, TagList>,
     /// Lazily-built fit-query structures (see module docs).
-    fit: RefCell<FitState>,
+    fit: RefCell<FitState<D>>,
 }
 
-impl Default for OpenBins {
+impl<D: Demand> Default for OpenBins<D> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl OpenBins {
+impl<D: Demand> OpenBins<D> {
     /// An empty open set.
-    pub fn new() -> OpenBins {
+    pub fn new() -> OpenBins<D> {
         OpenBins {
             bins: Vec::new(),
             links: Vec::new(),
@@ -297,12 +358,12 @@ impl OpenBins {
         self.index.is_empty()
     }
 
-    fn bin_at(&self, s: u32) -> &OpenBin {
+    fn bin_at(&self, s: u32) -> &OpenBin<D> {
         self.bins[s as usize].as_ref().expect("linked slot")
     }
 
     /// The bin with this id, if it is open. O(1).
-    pub fn get(&self, id: BinId) -> Option<&OpenBin> {
+    pub fn get(&self, id: BinId) -> Option<&OpenBin<D>> {
         self.index.get(&id).map(|&s| self.bin_at(s))
     }
 
@@ -312,17 +373,17 @@ impl OpenBins {
     }
 
     /// The earliest-opened bin.
-    pub fn first(&self) -> Option<&OpenBin> {
+    pub fn first(&self) -> Option<&OpenBin<D>> {
         self.iter().next()
     }
 
     /// The latest-opened bin.
-    pub fn last(&self) -> Option<&OpenBin> {
+    pub fn last(&self) -> Option<&OpenBin<D>> {
         self.iter().next_back()
     }
 
     /// All open bins in opening order.
-    pub fn iter(&self) -> Iter<'_> {
+    pub fn iter(&self) -> Iter<'_, D> {
         Iter {
             bins: &self.bins,
             links: &self.links,
@@ -336,7 +397,7 @@ impl OpenBins {
     /// The open bins carrying `tag`, in opening order. Scans only that
     /// category: cost is proportional to the category's size, not the
     /// fleet's.
-    pub fn iter_tag(&self, tag: u64) -> Iter<'_> {
+    pub fn iter_tag(&self, tag: u64) -> Iter<'_, D> {
         let (head, tail) = self
             .tags
             .get(&tag)
@@ -369,86 +430,106 @@ impl OpenBins {
         })
     }
 
+    /// The level-ordered set entry of the bin in slot `s`.
+    fn level_key(&self, s: u32, scal: Scalarization) -> LevelKey {
+        (
+            self.bin_at(s).level().key(scal),
+            self.links[s as usize].seq,
+            s,
+        )
+    }
+
     // ------------------------------------------------------------------
     // Indexed fit queries
     // ------------------------------------------------------------------
 
-    /// Indexed First Fit within `tag`: the earliest-opened bin with
-    /// residual ≥ `size`, or `None` if no bin of the tag fits. Returns
-    /// the decision together with the number of index nodes probed
-    /// (surfaced through `OnlinePacker::last_scanned`). O(log category);
-    /// the first call on a tag builds its tree in O(category).
+    /// Indexed First Fit within `tag`: the earliest-opened bin with room
+    /// for `size` (on every axis), or `None` if no bin of the tag fits.
+    /// Returns the decision together with the number of index nodes
+    /// probed (surfaced through `OnlinePacker::last_scanned`). The first
+    /// call on a tag builds its tree in O(category).
     ///
-    /// `size` must be a valid (positive) item size.
-    pub fn first_fit(&self, tag: u64, size: Size) -> (Option<BinId>, usize) {
-        debug_assert!(size.raw() >= 1, "fit queries require a positive size");
+    /// `size` must be a valid item demand.
+    pub fn first_fit(&self, tag: u64, size: D) -> (Option<BinId>, usize) {
+        debug_assert!(
+            size.is_valid_item_size(),
+            "fit queries require a valid demand"
+        );
         let mut st = self.fit.borrow_mut();
         let FitState { by_tag, pos } = &mut *st;
         let entry = by_tag.entry(tag).or_default();
         if entry.seg.is_none() {
             let mut tree = GapTree::new();
             for s in self.tag_slots(tag) {
-                let p = tree.append(s, self.bin_at(s).gap().raw(), |sl, pp| {
+                let p = tree.append(s, self.bin_at(s).gap().node(), |sl, pp| {
                     pos[sl as usize] = pp
                 });
                 pos[s as usize] = p;
             }
             entry.seg = Some(tree);
         }
-        let (slot, probes) = entry
-            .seg
-            .as_ref()
-            .expect("just built")
-            .query(size.raw().max(1));
+        let (slot, probes) = entry.seg.as_ref().expect("just built").query(size.node());
         (slot.map(|s| self.bin_at(s).id()), probes)
     }
 
-    /// Indexed Best Fit within `tag`: the fullest bin with residual ≥
+    /// Indexed Best Fit within `tag`: the fullest bin with room for
     /// `size`, level ties resolved to the **latest** opened — exactly the
     /// bin a linear opening-order scan through `max_by_key(level)` keeps.
-    /// Returns the decision and the probe count. O(log category) after a
-    /// first-use O(category·log) build.
-    pub fn best_fit(&self, tag: u64, size: Size) -> (Option<BinId>, usize) {
-        debug_assert!(size.raw() >= 1, "fit queries require a positive size");
-        let mut st = self.fit.borrow_mut();
-        let set = self.ordered_set(&mut st, tag);
-        let probes = usize::from(!set.is_empty());
-        match set.range((size.raw(), Reverse(u64::MAX), 0u32)..).next() {
-            Some(&(_, _, slot)) => (Some(self.bin_at(slot).id()), probes),
-            None => (None, probes),
-        }
+    /// Returns the decision and the probe count. Vector levels rank by
+    /// the default [`Scalarization`]; see [`OpenBins::best_fit_by`].
+    pub fn best_fit(&self, tag: u64, size: D) -> (Option<BinId>, usize) {
+        self.best_fit_by(tag, size, Scalarization::default())
     }
 
-    /// Indexed Worst Fit within `tag`: the emptiest bin if it fits,
-    /// level ties resolved to the **earliest** opened — exactly the bin
-    /// a linear scan through `min_by_key(level)` keeps. (If the
-    /// emptiest bin cannot take `size`, no bin can.) Returns the
-    /// decision and the probe count.
-    pub fn worst_fit(&self, tag: u64, size: Size) -> (Option<BinId>, usize) {
-        debug_assert!(size.raw() >= 1, "fit queries require a positive size");
-        let mut st = self.fit.borrow_mut();
-        let set = self.ordered_set(&mut st, tag);
-        let probes = usize::from(!set.is_empty());
-        match set.iter().next_back() {
-            Some(&(gap, _, slot)) if gap >= size.raw() => (Some(self.bin_at(slot).id()), probes),
-            _ => (None, probes),
-        }
+    /// Indexed Worst Fit within `tag`: the emptiest bin with room for
+    /// `size`, level ties resolved to the **earliest** opened — exactly
+    /// the bin a linear scan through `min_by_key(level)` keeps.
+    pub fn worst_fit(&self, tag: u64, size: D) -> (Option<BinId>, usize) {
+        self.worst_fit_by(tag, size, Scalarization::default())
     }
 
-    /// The residual-ordered set of `tag`, built on first use.
-    fn ordered_set<'a>(&self, st: &'a mut FitState, tag: u64) -> &'a BTreeSet<GapKey> {
+    /// [`OpenBins::best_fit`] with levels ranked by `scal` (ignored for
+    /// one axis, where every scalarization is the level).
+    pub fn best_fit_by(&self, tag: u64, size: D, scal: Scalarization) -> (Option<BinId>, usize) {
+        debug_assert!(
+            size.is_valid_item_size(),
+            "fit queries require a valid demand"
+        );
+        let mut st = self.fit.borrow_mut();
+        let set = self.ordered_set(&mut st, tag, scal);
+        let (slot, probes) = D::best_in(set, size, |s| self.bin_at(s).fits(size));
+        (slot.map(|s| self.bin_at(s).id()), probes)
+    }
+
+    /// [`OpenBins::worst_fit`] with levels ranked by `scal`.
+    pub fn worst_fit_by(&self, tag: u64, size: D, scal: Scalarization) -> (Option<BinId>, usize) {
+        debug_assert!(
+            size.is_valid_item_size(),
+            "fit queries require a valid demand"
+        );
+        let mut st = self.fit.borrow_mut();
+        let set = self.ordered_set(&mut st, tag, scal);
+        let (slot, probes) = D::worst_in(set, size, |s| self.bin_at(s).fits(size));
+        (slot.map(|s| self.bin_at(s).id()), probes)
+    }
+
+    /// The level-ordered set of `tag` under `scal`, (re)built on first
+    /// use or on a scalarization switch.
+    fn ordered_set<'a>(
+        &self,
+        st: &'a mut FitState<D>,
+        tag: u64,
+        scal: Scalarization,
+    ) -> &'a BTreeSet<LevelKey> {
         let entry = st.by_tag.entry(tag).or_default();
-        if entry.ordered.is_none() {
-            entry.ordered = Some(
-                self.tag_slots(tag)
-                    .map(|s| {
-                        let b = self.bin_at(s);
-                        (b.gap().raw(), Reverse(self.links[s as usize].seq), s)
-                    })
-                    .collect(),
-            );
+        if entry.ordered.as_ref().map(|(s, _)| *s) != Some(scal) {
+            let set = self
+                .tag_slots(tag)
+                .map(|s| self.level_key(s, scal))
+                .collect();
+            entry.ordered = Some((scal, set));
         }
-        entry.ordered.as_ref().expect("just built")
+        &entry.ordered.as_ref().expect("just built").1
     }
 
     // ------------------------------------------------------------------
@@ -461,18 +542,17 @@ impl OpenBins {
     pub(crate) fn push_to(
         &mut self,
         id: BinId,
-        active: ActiveItem,
-        size: Size,
-    ) -> Option<Result<Size, DbpError>> {
+        active: ActiveItem<D>,
+        size: D,
+    ) -> Option<Result<D, DbpError>> {
         let s = *self.index.get(&id)?;
         let bin = self.bins[s as usize].as_mut().expect("indexed slot");
-        let old_gap = bin.gap().raw();
+        let old_level = bin.level();
         if let Err(e) = bin.push_item(active, size) {
             return Some(Err(e));
         }
-        let (level, new_gap, tag) = (bin.level(), bin.gap().raw(), bin.tag());
-        let seq = self.links[s as usize].seq;
-        self.fit_level_changed(tag, s, seq, old_gap, new_gap);
+        let (level, tag) = (bin.level(), bin.tag());
+        self.fit_level_changed(tag, s, old_level, level);
         Some(Ok(level))
     }
 
@@ -484,22 +564,21 @@ impl OpenBins {
         &mut self,
         id: BinId,
         item: ItemId,
-    ) -> Option<Result<(bool, Size), DbpError>> {
+    ) -> Option<Result<(bool, D), DbpError>> {
         let s = *self.index.get(&id)?;
         let bin = self.bins[s as usize].as_mut().expect("indexed slot");
-        let old_gap = bin.gap().raw();
+        let old_level = bin.level();
         let became_empty = match bin.remove_item(item) {
             Ok(e) => e,
             Err(e) => return Some(Err(e)),
         };
-        let (level, new_gap, tag) = (bin.level(), bin.gap().raw(), bin.tag());
-        let seq = self.links[s as usize].seq;
-        self.fit_level_changed(tag, s, seq, old_gap, new_gap);
+        let (level, tag) = (bin.level(), bin.tag());
+        self.fit_level_changed(tag, s, old_level, level);
         Some(Ok((became_empty, level)))
     }
 
     /// Propagates a level change into the tag's active fit structures.
-    fn fit_level_changed(&mut self, tag: u64, slot: u32, seq: u64, old_gap: u64, new_gap: u64) {
+    fn fit_level_changed(&mut self, tag: u64, slot: u32, old_level: D, new_level: D) {
         let FitState { by_tag, pos } = self.fit.get_mut();
         if by_tag.is_empty() {
             return;
@@ -508,20 +587,21 @@ impl OpenBins {
             return;
         };
         if let Some(tree) = entry.seg.as_mut() {
-            tree.set(pos[slot as usize], new_gap);
+            tree.set(pos[slot as usize], new_level.gap().node());
         }
-        if let Some(set) = entry.ordered.as_mut() {
-            set.remove(&(old_gap, Reverse(seq), slot));
-            set.insert((new_gap, Reverse(seq), slot));
+        if let Some((scal, set)) = entry.ordered.as_mut() {
+            let seq = self.links[slot as usize].seq;
+            set.remove(&(old_level.key(*scal), seq, slot));
+            set.insert((new_level.key(*scal), seq, slot));
         }
     }
 
     /// Appends a newly opened bin (engine-internal). O(1) plus O(log)
     /// per active fit structure of the tag.
-    pub(crate) fn insert(&mut self, bin: OpenBin) {
+    pub(crate) fn insert(&mut self, bin: OpenBin<D>) {
         let id = bin.id();
         let tag = bin.tag();
-        let gap = bin.gap().raw();
+        let level = bin.level();
         debug_assert!(!self.index.contains_key(&id), "bin {id:?} already open");
 
         let s = match self.free.pop() {
@@ -581,10 +661,10 @@ impl OpenBins {
         };
         self.bins[s as usize] = Some(bin);
         self.index.insert(id, s);
-        self.fit_on_insert(tag, s, gap, seq);
+        self.fit_on_insert(tag, s, level, seq);
     }
 
-    fn fit_on_insert(&mut self, tag: u64, slot: u32, gap: u64, seq: u64) {
+    fn fit_on_insert(&mut self, tag: u64, slot: u32, level: D, seq: u64) {
         let FitState { by_tag, pos } = self.fit.get_mut();
         if by_tag.is_empty() {
             return;
@@ -593,17 +673,17 @@ impl OpenBins {
             return;
         };
         if let Some(tree) = entry.seg.as_mut() {
-            let p = tree.append(slot, gap, |sl, pp| pos[sl as usize] = pp);
+            let p = tree.append(slot, level.gap().node(), |sl, pp| pos[sl as usize] = pp);
             pos[slot as usize] = p;
         }
-        if let Some(set) = entry.ordered.as_mut() {
-            set.insert((gap, Reverse(seq), slot));
+        if let Some((scal, set)) = entry.ordered.as_mut() {
+            set.insert((level.key(*scal), seq, slot));
         }
     }
 
     /// Removes a closed bin and returns it (engine-internal). O(1) plus
     /// amortized O(log) per active fit structure of the tag.
-    pub(crate) fn remove(&mut self, id: BinId) -> Option<OpenBin> {
+    pub(crate) fn remove(&mut self, id: BinId) -> Option<OpenBin<D>> {
         let s = self.index.remove(&id)?;
         let bin = self.bins[s as usize].take().expect("indexed slot");
         let links = self.links[s as usize];
@@ -640,11 +720,11 @@ impl OpenBins {
         }
 
         self.free.push(s);
-        self.fit_on_remove(tag, s, bin.gap().raw(), links.seq, tag_died);
+        self.fit_on_remove(tag, s, bin.level(), links.seq, tag_died);
         Some(bin)
     }
 
-    fn fit_on_remove(&mut self, tag: u64, slot: u32, gap: u64, seq: u64, tag_died: bool) {
+    fn fit_on_remove(&mut self, tag: u64, slot: u32, level: D, seq: u64, tag_died: bool) {
         let FitState { by_tag, pos } = self.fit.get_mut();
         if by_tag.is_empty() {
             return;
@@ -665,8 +745,8 @@ impl OpenBins {
                 tree.rebuild(0, |sl, pp| pos[sl as usize] = pp);
             }
         }
-        if let Some(set) = entry.ordered.as_mut() {
-            set.remove(&(gap, Reverse(seq), slot));
+        if let Some((scal, set)) = entry.ordered.as_mut() {
+            set.remove(&(level.key(*scal), seq, slot));
         }
     }
 
@@ -683,11 +763,11 @@ impl OpenBins {
                     e.seg.as_ref().map(GapTree::approx_bytes).unwrap_or(0)
                         + e.ordered
                             .as_ref()
-                            .map(|s| s.len() * size_of::<GapKey>())
+                            .map(|(_, s)| s.len() * size_of::<LevelKey>())
                             .unwrap_or(0)
                 })
                 .sum::<usize>();
-        self.bins.capacity() * size_of::<Option<OpenBin>>()
+        self.bins.capacity() * size_of::<Option<OpenBin<D>>>()
             + self.links.capacity() * size_of::<Links>()
             + self.free.capacity() * size_of::<u32>()
             + self.index.capacity() * (size_of::<BinId>() + size_of::<u32>())
@@ -843,7 +923,7 @@ impl OpenBins {
                     if tree.slot_at.get(p as usize) != Some(&s) {
                         return err(format!("tag {tag} slot {s} lost its tree leaf"));
                     }
-                    if tree.node[tree.cap + p as usize] != self.bin_at(s).gap().raw() {
+                    if tree.node[tree.cap + p as usize] != self.bin_at(s).gap().node() {
                         return err(format!("tag {tag} slot {s} leaf gap is stale"));
                     }
                     if last_pos.is_some_and(|lp| lp >= p) {
@@ -857,21 +937,16 @@ impl OpenBins {
                     }
                 }
                 for i in 1..tree.cap {
-                    if tree.node[i] != tree.node[2 * i].max(tree.node[2 * i + 1]) {
+                    if tree.node[i] != D::combine(tree.node[2 * i], tree.node[2 * i + 1]) {
                         return err(format!("tag {tag} tree node {i} violates max property"));
                     }
                 }
             }
-            if let Some(set) = entry.ordered.as_ref() {
-                let expect: BTreeSet<GapKey> = slots
-                    .iter()
-                    .map(|&s| {
-                        let b = self.bin_at(s);
-                        (b.gap().raw(), Reverse(self.links[s as usize].seq), s)
-                    })
-                    .collect();
+            if let Some((scal, set)) = entry.ordered.as_ref() {
+                let expect: BTreeSet<LevelKey> =
+                    slots.iter().map(|&s| self.level_key(s, *scal)).collect();
                 if *set != expect {
-                    return err(format!("tag {tag} residual-ordered set is stale"));
+                    return err(format!("tag {tag} level-ordered set is stale"));
                 }
             }
         }
@@ -879,11 +954,11 @@ impl OpenBins {
     }
 }
 
-impl<'a> IntoIterator for &'a OpenBins {
-    type Item = &'a OpenBin;
-    type IntoIter = Iter<'a>;
+impl<'a, D: Demand> IntoIterator for &'a OpenBins<D> {
+    type Item = &'a OpenBin<D>;
+    type IntoIter = Iter<'a, D>;
 
-    fn into_iter(self) -> Iter<'a> {
+    fn into_iter(self) -> Iter<'a, D> {
         self.iter()
     }
 }
@@ -893,8 +968,8 @@ impl<'a> IntoIterator for &'a OpenBins {
 /// Returned by [`OpenBins::iter`] (whole fleet) and [`OpenBins::iter_tag`]
 /// (one category).
 #[derive(Clone, Debug)]
-pub struct Iter<'a> {
-    bins: &'a [Option<OpenBin>],
+pub struct Iter<'a, D: Demand = Size> {
+    bins: &'a [Option<OpenBin<D>>],
     links: &'a [Links],
     front: u32,
     back: u32,
@@ -902,16 +977,16 @@ pub struct Iter<'a> {
     done: bool,
 }
 
-impl<'a> Iter<'a> {
-    fn bin(&self, s: u32) -> &'a OpenBin {
+impl<'a, D: Demand> Iter<'a, D> {
+    fn bin(&self, s: u32) -> &'a OpenBin<D> {
         self.bins[s as usize].as_ref().expect("linked slot")
     }
 }
 
-impl<'a> Iterator for Iter<'a> {
-    type Item = &'a OpenBin;
+impl<'a, D: Demand> Iterator for Iter<'a, D> {
+    type Item = &'a OpenBin<D>;
 
-    fn next(&mut self) -> Option<&'a OpenBin> {
+    fn next(&mut self) -> Option<&'a OpenBin<D>> {
         if self.done {
             return None;
         }
@@ -930,8 +1005,8 @@ impl<'a> Iterator for Iter<'a> {
     }
 }
 
-impl<'a> DoubleEndedIterator for Iter<'a> {
-    fn next_back(&mut self) -> Option<&'a OpenBin> {
+impl<'a, D: Demand> DoubleEndedIterator for Iter<'a, D> {
+    fn next_back(&mut self) -> Option<&'a OpenBin<D>> {
         if self.done {
             return None;
         }
@@ -950,7 +1025,7 @@ impl<'a> DoubleEndedIterator for Iter<'a> {
     }
 }
 
-impl std::iter::FusedIterator for Iter<'_> {}
+impl<D: Demand> std::iter::FusedIterator for Iter<'_, D> {}
 
 #[cfg(test)]
 mod tests {
@@ -958,31 +1033,36 @@ mod tests {
     use crate::item::ItemId;
     use crate::online::ActiveItem;
     use crate::size::Size;
+    use crate::sizevec::SizeVec;
 
-    fn bin(id: u32, tag: u64) -> OpenBin {
+    /// A bin of demand type `D` opened by its first item of demand `size`.
+    fn bin_of<D: Demand>(id: u32, tag: u64, size: D) -> OpenBin<D> {
         OpenBin::new(
             BinId(id),
             id as i64,
             tag,
             ActiveItem {
                 id: ItemId(id),
-                size: Size::from_f64(0.25),
+                size,
                 departure: None,
             },
         )
     }
 
+    fn bin(id: u32, tag: u64) -> OpenBin {
+        bin_sized(id, tag, 0.25)
+    }
+
     fn bin_sized(id: u32, tag: u64, size: f64) -> OpenBin {
-        OpenBin::new(
-            BinId(id),
-            id as i64,
-            tag,
-            ActiveItem {
-                id: ItemId(id),
-                size: Size::from_f64(size),
-                departure: None,
-            },
-        )
+        bin_of(id, tag, Size::from_f64(size))
+    }
+
+    fn sv(fracs: &[f64]) -> SizeVec {
+        SizeVec::from_f64s(fracs)
+    }
+
+    fn vbin(id: u32, tag: u64, level: &[f64]) -> OpenBin<SizeVec> {
+        bin_of(id, tag, sv(level))
     }
 
     fn ids(it: impl Iterator<Item = u32>) -> Vec<u32> {
@@ -991,26 +1071,31 @@ mod tests {
 
     #[test]
     fn opening_order_is_preserved_through_removals() {
-        let mut open = OpenBins::new();
-        for i in 0..6 {
-            open.insert(bin(i, i as u64 % 2));
+        fn check<D: Demand>(unit: D) {
+            let mut open = OpenBins::new();
+            for i in 0..6 {
+                open.insert(bin_of(i, i as u64 % 2, unit));
+            }
+            assert_eq!(open.len(), 6);
+            assert_eq!(ids(open.iter().map(|b| b.id().0)), vec![0, 1, 2, 3, 4, 5]);
+
+            open.remove(BinId(0)).unwrap(); // head
+            open.remove(BinId(3)).unwrap(); // middle
+            open.remove(BinId(5)).unwrap(); // tail
+            assert_eq!(ids(open.iter().map(|b| b.id().0)), vec![1, 2, 4]);
+            assert_eq!(open.first().unwrap().id(), BinId(1));
+            assert_eq!(open.last().unwrap().id(), BinId(4));
+
+            // Slab reuses freed slots without disturbing order.
+            open.insert(bin_of(6, 1, unit));
+            assert_eq!(ids(open.iter().map(|b| b.id().0)), vec![1, 2, 4, 6]);
+            assert_eq!(ids(open.iter_tag(1).map(|b| b.id().0)), vec![1, 6]);
+            assert_eq!(open.position(BinId(4)), Some(2));
+            assert_eq!(open.position(BinId(0)), None);
+            open.validate().unwrap();
         }
-        assert_eq!(open.len(), 6);
-        assert_eq!(ids(open.iter().map(|b| b.id().0)), vec![0, 1, 2, 3, 4, 5]);
-
-        open.remove(BinId(0)).unwrap(); // head
-        open.remove(BinId(3)).unwrap(); // middle
-        open.remove(BinId(5)).unwrap(); // tail
-        assert_eq!(ids(open.iter().map(|b| b.id().0)), vec![1, 2, 4]);
-        assert_eq!(open.first().unwrap().id(), BinId(1));
-        assert_eq!(open.last().unwrap().id(), BinId(4));
-
-        // Slab reuses freed slots without disturbing order.
-        open.insert(bin(6, 1));
-        assert_eq!(ids(open.iter().map(|b| b.id().0)), vec![1, 2, 4, 6]);
-        assert_eq!(open.position(BinId(4)), Some(2));
-        assert_eq!(open.position(BinId(0)), None);
-        open.validate().unwrap();
+        check(Size::from_f64(0.25));
+        check(sv(&[0.25, 0.25]));
     }
 
     #[test]
@@ -1066,23 +1151,56 @@ mod tests {
         assert_eq!(removed.id(), BinId(10));
         assert!(open.remove(BinId(10)).is_none());
         assert_eq!(open.len(), 1);
+        assert!(open.approx_bytes() > 0);
     }
 
     /// The linear scans the indexed queries must reproduce bit for bit.
-    fn linear_first(open: &OpenBins, tag: u64, size: Size) -> Option<BinId> {
+    fn linear_first<D: Demand>(open: &OpenBins<D>, tag: u64, size: D) -> Option<BinId> {
         open.iter_tag(tag).find(|b| b.fits(size)).map(|b| b.id())
     }
-    fn linear_best(open: &OpenBins, tag: u64, size: Size) -> Option<BinId> {
+    fn linear_best<D: Demand>(
+        open: &OpenBins<D>,
+        tag: u64,
+        size: D,
+        scal: Scalarization,
+    ) -> Option<BinId> {
         open.iter_tag(tag)
             .filter(|b| b.fits(size))
-            .max_by_key(|b| b.level())
+            .max_by_key(|b| b.level().key(scal))
             .map(|b| b.id())
     }
-    fn linear_worst(open: &OpenBins, tag: u64, size: Size) -> Option<BinId> {
+    fn linear_worst<D: Demand>(
+        open: &OpenBins<D>,
+        tag: u64,
+        size: D,
+        scal: Scalarization,
+    ) -> Option<BinId> {
         open.iter_tag(tag)
             .filter(|b| b.fits(size))
-            .min_by_key(|b| b.level())
+            .min_by_key(|b| b.level().key(scal))
             .map(|b| b.id())
+    }
+
+    /// Every indexed query against its linear scan, under every
+    /// scalarization.
+    fn assert_queries_match<D: Demand>(open: &OpenBins<D>, tag: u64, size: D) {
+        assert_eq!(
+            open.first_fit(tag, size).0,
+            linear_first(open, tag, size),
+            "ff {size:?}"
+        );
+        for scal in [Scalarization::Sum, Scalarization::MaxAxis] {
+            assert_eq!(
+                open.best_fit_by(tag, size, scal).0,
+                linear_best(open, tag, size, scal),
+                "bf {size:?} {scal:?}"
+            );
+            assert_eq!(
+                open.worst_fit_by(tag, size, scal).0,
+                linear_worst(open, tag, size, scal),
+                "wf {size:?} {scal:?}"
+            );
+        }
     }
 
     #[test]
@@ -1094,18 +1212,7 @@ mod tests {
             open.insert(bin_sized(i as u32, 0, *lvl));
         }
         for size in [0.1, 0.26, 0.5, 0.74, 0.76, 1.0] {
-            let s = Size::from_f64(size);
-            assert_eq!(
-                open.first_fit(0, s).0,
-                linear_first(&open, 0, s),
-                "ff {size}"
-            );
-            assert_eq!(open.best_fit(0, s).0, linear_best(&open, 0, s), "bf {size}");
-            assert_eq!(
-                open.worst_fit(0, s).0,
-                linear_worst(&open, 0, s),
-                "wf {size}"
-            );
+            assert_queries_match(&open, 0, Size::from_f64(size));
         }
         // Best fit level ties resolve to the LATEST opened (ids 1 and 4
         // both at 0.5): max_by_key keeps the last maximum.
@@ -1114,6 +1221,80 @@ mod tests {
         // Worst fit level ties resolve to the EARLIEST opened (ids 0 and
         // 2 both at 0.25): min_by_key keeps the first minimum.
         assert_eq!(open.worst_fit(0, s).0, Some(BinId(0)));
+        open.validate().unwrap();
+
+        // The same contract for vectors, where scalarized ties (bins 0
+        // and 2 sum to 0.75, bins 1 and 4 too) meet all-axes feasibility.
+        let mut open = OpenBins::new();
+        let levels: &[&[f64]] = &[
+            &[0.25, 0.5],
+            &[0.5, 0.25],
+            &[0.25, 0.5],
+            &[0.75, 0.2],
+            &[0.5, 0.25],
+        ];
+        for (i, lvl) in levels.iter().enumerate() {
+            open.insert(vbin(i as u32, 0, lvl));
+        }
+        for size in [
+            &[0.1, 0.1][..],
+            &[0.26, 0.4],
+            &[0.5, 0.5],
+            &[0.74, 0.1],
+            &[0.9, 0.9],
+            &[0.2, 0.2],
+        ] {
+            assert_queries_match(&open, 0, sv(size));
+        }
+        assert_eq!(
+            open.worst_fit(0, sv(&[0.2, 0.2])).0,
+            Some(BinId(0)),
+            "worst-fit ties resolve earliest"
+        );
+        open.validate().unwrap();
+    }
+
+    #[test]
+    fn vector_feasibility_requires_every_axis() {
+        let mut open = OpenBins::new();
+        // Bin 0 has room on axis 0 only; bin 1 has room on both.
+        open.insert(vbin(0, 0, &[0.1, 0.9]));
+        open.insert(vbin(1, 0, &[0.5, 0.5]));
+        let need = sv(&[0.3, 0.3]);
+        assert_eq!(open.first_fit(0, need).0, Some(BinId(1)));
+        assert_eq!(open.first_fit(0, need).0, linear_first(&open, 0, need));
+        // On axis 0 alone, bin 0 would win — the scalar shortcut is wrong.
+        let axis0_only = sv(&[0.3, 0.05]);
+        assert_eq!(open.first_fit(0, axis0_only).0, Some(BinId(0)));
+        open.validate().unwrap();
+    }
+
+    #[test]
+    fn vector_best_fit_skips_infeasible_fuller_bins() {
+        let mut open = OpenBins::new();
+        // Fullest by sum, but axis 1 is nearly exhausted.
+        open.insert(vbin(0, 0, &[0.2, 0.95]));
+        open.insert(vbin(1, 0, &[0.5, 0.5]));
+        let s = sv(&[0.2, 0.2]);
+        let (hit, probes) = open.best_fit(0, s);
+        assert_eq!(hit, Some(BinId(1)));
+        assert_eq!(probes, 2, "walked past the infeasible fuller bin");
+        assert_eq!(hit, linear_best(&open, 0, s, Scalarization::Sum));
+        open.validate().unwrap();
+    }
+
+    #[test]
+    fn vector_worst_fit_cannot_use_the_scalar_shortcut() {
+        let mut open = OpenBins::new();
+        // Emptiest by sum, but infeasible on axis 1; a fuller bin fits.
+        open.insert(vbin(0, 0, &[0.05, 0.95]));
+        open.insert(vbin(1, 0, &[0.6, 0.3]));
+        let s = sv(&[0.2, 0.2]);
+        assert_eq!(open.worst_fit(0, s).0, Some(BinId(1)));
+        assert_eq!(
+            open.worst_fit(0, s).0,
+            linear_worst(&open, 0, s, Scalarization::Sum)
+        );
         open.validate().unwrap();
     }
 
@@ -1150,21 +1331,51 @@ mod tests {
         assert_eq!(open.worst_fit(7, Size::from_f64(0.05)).0, Some(BinId(1)));
         // Departure shrinks a level back down.
         open.remove_from(BinId(20), ItemId(20)).unwrap().unwrap();
-        assert_eq!(
-            open.best_fit(7, Size::from_f64(0.05)).0,
-            linear_best(&open, 7, Size::from_f64(0.05))
-        );
+        assert_queries_match(&open, 7, Size::from_f64(0.05));
+        open.validate().unwrap();
+
+        // Vectors, including a scalarization switch (the set rebuilds).
+        let mut open = OpenBins::new();
+        for i in 0..8 {
+            open.insert(vbin(i, 7, &[0.3, 0.2]));
+        }
+        let s = sv(&[0.5, 0.5]);
+        assert_eq!(open.first_fit(7, s).0, Some(BinId(0)));
+        assert_eq!(open.best_fit(7, s).0, Some(BinId(7)));
+        open.push_to(
+            BinId(2),
+            ActiveItem {
+                id: ItemId(100),
+                size: sv(&[0.4, 0.1]),
+                departure: None,
+            },
+            sv(&[0.4, 0.1]),
+        )
+        .unwrap()
+        .unwrap();
+        assert_eq!(open.best_fit(7, sv(&[0.3, 0.3])).0, Some(BinId(2)));
+        assert_queries_match(&open, 7, sv(&[0.3, 0.3]));
+        open.validate().unwrap();
+        open.remove(BinId(0)).unwrap();
+        open.remove(BinId(2)).unwrap();
+        open.insert(vbin(20, 7, &[0.9, 0.05]));
+        assert_queries_match(&open, 7, sv(&[0.65, 0.1]));
+        open.remove_from(BinId(20), ItemId(20)).unwrap().unwrap();
+        assert_queries_match(&open, 7, sv(&[0.05, 0.05]));
         open.validate().unwrap();
     }
 
     #[test]
     fn empty_and_missing_tags_report_zero_probes() {
-        let open = OpenBins::new();
-        let s = Size::from_f64(0.5);
-        assert_eq!(open.first_fit(3, s), (None, 0));
-        assert_eq!(open.best_fit(3, s), (None, 0));
-        assert_eq!(open.worst_fit(3, s), (None, 0));
-        open.validate().unwrap();
+        fn check<D: Demand>(size: D) {
+            let open = OpenBins::<D>::new();
+            assert_eq!(open.first_fit(3, size), (None, 0));
+            assert_eq!(open.best_fit(3, size), (None, 0));
+            assert_eq!(open.worst_fit(3, size), (None, 0));
+            open.validate().unwrap();
+        }
+        check(Size::from_f64(0.5));
+        check(sv(&[0.5, 0.5]));
     }
 
     #[test]
@@ -1185,6 +1396,18 @@ mod tests {
         let (hit, probes) = open.first_fit(0, s);
         assert_eq!(hit, Some(BinId(2000)));
         assert!(probes <= 12, "{probes} probes for 1001 bins");
+        open.validate().unwrap();
+
+        // Vectors on a uniform fleet: every full subtree is rejected at
+        // its envelope, so the pruned DFS stays O(log B) too.
+        let mut open = OpenBins::new();
+        for i in 0..1000 {
+            open.insert(vbin(i, 0, &[0.999, 0.999]));
+        }
+        open.insert(vbin(2000, 0, &[0.25, 0.25]));
+        let (hit, probes) = open.first_fit(0, sv(&[0.5, 0.5]));
+        assert_eq!(hit, Some(BinId(2000)));
+        assert!(probes <= 40, "{probes} probes for 1001 bins");
         open.validate().unwrap();
     }
 
@@ -1207,6 +1430,29 @@ mod tests {
         open.insert(bin_sized(999, 0, 0.6));
         assert_eq!(open.first_fit(0, s).0, Some(BinId(1)));
         open.validate().unwrap();
+    }
+
+    #[test]
+    fn vector_tree_prunes_and_compacts_preserving_order() {
+        let mut open = OpenBins::new();
+        for i in 0..256 {
+            open.insert(vbin(i, 0, &[0.6, 0.6]));
+        }
+        let s = sv(&[0.3, 0.3]);
+        assert_eq!(open.first_fit(0, s).0, Some(BinId(0)));
+        for i in (0..256).filter(|i| i % 3 != 1) {
+            open.remove(BinId(i)).unwrap();
+        }
+        open.validate().unwrap();
+        assert_eq!(open.first_fit(0, s).0, linear_first(&open, 0, s));
+        assert_eq!(open.first_fit(0, s).0, Some(BinId(1)));
+        open.insert(vbin(999, 0, &[0.6, 0.6]));
+        assert_eq!(open.first_fit(0, s).0, Some(BinId(1)));
+        open.validate().unwrap();
+        // An infeasible query is rejected at the root in one probe.
+        let (hit, probes) = open.first_fit(0, sv(&[0.9, 0.9]));
+        assert_eq!(hit, None);
+        assert_eq!(probes, 1);
     }
 
     #[test]
@@ -1236,6 +1482,21 @@ mod tests {
             Size::CAPACITY,
         );
         assert!(matches!(over, Some(Err(_))));
+        open.validate().unwrap();
+
+        // A vector push that overflows one axis only is refused too.
+        let mut open = OpenBins::new();
+        open.insert(vbin(1, 0, &[0.5, 0.5]));
+        let over = open.push_to(
+            BinId(1),
+            ActiveItem {
+                id: ItemId(6),
+                size: sv(&[0.2, 0.6]),
+                departure: None,
+            },
+            sv(&[0.2, 0.6]),
+        );
+        assert!(matches!(over, Some(Err(DbpError::BadDecision { .. }))));
         open.validate().unwrap();
     }
 }

@@ -4,7 +4,7 @@
 //! *vector* bin packing line — generalizes items to a demand **vector**
 //! (CPU, memory, GPU, …): a bin has unit capacity on every axis and an
 //! item fits iff it fits on *all* axes simultaneously. [`SizeVec`] is the
-//! exact fixed-point vector twin of [`Size`]: up to [`MAX_DIMS`] axes,
+//! exact fixed-point vector form of [`Size`]: up to [`MAX_DIMS`] axes,
 //! each a [`Size`] (so all the exactness guarantees of the scalar type —
 //! dyadic rationals, overflow-checked sums, exact capacity comparison —
 //! hold per axis).
@@ -16,8 +16,8 @@
 //!
 //! At `dims == 1` the vector path is **bit-identical** to the scalar
 //! path: one axis, the same raw `u64` arithmetic, the same feasibility
-//! predicate — which is what lets the differential suite prove the
-//! vector streaming engine equal to the scalar [`crate::StreamingSession`]
+//! predicate — which is what lets the differential suite prove a
+//! [`crate::StreamingSession`] over `SizeVec` equal to one over `Size`
 //! on lifted instances.
 
 use crate::error::DbpError;
@@ -274,7 +274,7 @@ impl Scalarization {
 }
 
 /// A multi-resource job: a demand vector active over `[arrival,
-/// departure)`. The vector twin of [`Item`].
+/// departure)`. The vector form of [`Item`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VecItem {
     id: ItemId,

@@ -3,15 +3,22 @@
 //! [`crate::OnlineEngine::run`] takes a whole [`crate::Instance`] — fine
 //! for experiments, but a real scheduler receives jobs as they arrive and
 //! cannot hand over the future. [`StreamingSession`] is the incremental
-//! twin: call [`StreamingSession::arrive`] per job (non-decreasing
+//! engine: call [`StreamingSession::arrive`] per job (non-decreasing
 //! arrival times), and the session returns the bin id the packer chose;
 //! call [`StreamingSession::finish`] to flush remaining departures and
 //! obtain the same [`OnlineRun`] the batch engine produces.
 //!
-//! The batch engine and the streaming session are verified to produce
-//! identical runs on identical input order (see tests) — the batch path
-//! is a thin convenience over this one conceptually, and both enforce the
+//! The batch engine is a thin loop over this session, so both enforce the
 //! same rules: capacity, bin closure on last departure, no migration.
+//!
+//! ## Any demand type
+//!
+//! The session is generic over the [`Demand`] type its packer handle
+//! places: scalar [`crate::Item`]s by default, [`crate::VecItem`]s for a
+//! packer over `SizeVec`. Every mechanism below — departures, the id
+//! watermark, snapshots, fleet caps, fault injection and observation —
+//! is one body for both. [`VecStreamingSession`] is the vector entry
+//! point for a borrowed [`VecOnlinePacker`].
 //!
 //! ## Observability
 //!
@@ -55,17 +62,18 @@
 //! are observable via [`StreamingSession::id_watermark`] and
 //! [`StreamingSession::dedupe_backlog`].
 
+use crate::demand::{Clairvoyance, Demand, Job, VecClairvoyance};
 use crate::error::DbpError;
 use crate::interval::Time;
-use crate::item::{Item, ItemId};
+use crate::item::ItemId;
 use crate::observe::{FitDecision, NoopObserver, OpKind, PackEvent, PackObserver};
 use crate::online::{
     ActiveItem, BinRecord, ClairvoyanceMode, Decision, ItemView, OnlinePacker, OnlineRun, OpenBin,
-    PackerState,
+    PackerState, VecOnlinePacker, VecPackerRef,
 };
 use crate::openbins::OpenBins;
 use crate::packing::{BinId, Packing};
-use crate::size::Size;
+use crate::sizevec::{SizeVec, VecInstance};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::marker::PhantomData;
@@ -82,7 +90,7 @@ pub const SNAPSHOT_VERSION: u32 = 1;
 /// [`OpenBin::items`]), so rebuilding bins from a snapshot reproduces
 /// packer-visible state bit-for-bit.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BinSnapshot {
+pub struct BinSnapshot<D = crate::size::Size> {
     /// The bin id (global opening order).
     pub id: BinId,
     /// When the bin was opened.
@@ -90,7 +98,7 @@ pub struct BinSnapshot {
     /// The packer-supplied category tag.
     pub tag: u64,
     /// The resident items, in the bin's exact internal order.
-    pub items: Vec<ActiveItem>,
+    pub items: Vec<ActiveItem<D>>,
 }
 
 /// A versioned, self-contained snapshot of a [`StreamingSession`]'s
@@ -103,7 +111,7 @@ pub struct BinSnapshot {
 /// Hash-based collections are stored as sorted vectors and the departure
 /// heap as a sorted list, so equal sessions produce byte-equal encodings.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SessionSnapshot {
+pub struct SessionSnapshot<D = crate::size::Size> {
     /// Format version ([`SNAPSHOT_VERSION`]).
     pub version: u32,
     /// `packer.name()` at snapshot time; restore refuses a mismatch.
@@ -111,7 +119,7 @@ pub struct SessionSnapshot {
     /// The packer's saved internal state.
     pub packer_state: PackerState,
     /// Open bins in opening order.
-    pub open_bins: Vec<BinSnapshot>,
+    pub open_bins: Vec<BinSnapshot<D>>,
     /// Full bin history (indexed by bin id).
     pub records: Vec<BinRecord>,
     /// Pending departures as sorted `(time, item)` pairs, cancelled
@@ -142,53 +150,72 @@ pub enum Admission {
 
 /// How a [`StreamingSession`] holds its packer: borrowed
 /// (`&mut dyn OnlinePacker`, the default) or owned
-/// (`Box<dyn OnlinePacker + Send>`, see [`OwnedSession`]).
+/// (`Box<dyn OnlinePacker + Send>`, see [`OwnedSession`]). The handle also
+/// fixes the session's demand type.
 pub trait PackerHandle {
+    /// The demand type the packer places.
+    type Demand: Demand;
     /// The packer, for queries.
-    fn packer(&self) -> &dyn OnlinePacker;
+    fn packer(&self) -> &dyn OnlinePacker<Self::Demand>;
     /// The packer, for decisions and state changes.
-    fn packer_mut(&mut self) -> &mut dyn OnlinePacker;
+    fn packer_mut(&mut self) -> &mut dyn OnlinePacker<Self::Demand>;
 }
 
-impl PackerHandle for &mut dyn OnlinePacker {
+impl<D: Demand> PackerHandle for &mut dyn OnlinePacker<D> {
+    type Demand = D;
     #[inline]
-    fn packer(&self) -> &dyn OnlinePacker {
+    fn packer(&self) -> &dyn OnlinePacker<D> {
         &**self
     }
     #[inline]
-    fn packer_mut(&mut self) -> &mut dyn OnlinePacker {
+    fn packer_mut(&mut self) -> &mut dyn OnlinePacker<D> {
         &mut **self
     }
 }
 
-impl PackerHandle for Box<dyn OnlinePacker + Send> {
+impl<D: Demand> PackerHandle for Box<dyn OnlinePacker<D> + Send> {
+    type Demand = D;
     #[inline]
-    fn packer(&self) -> &dyn OnlinePacker {
+    fn packer(&self) -> &dyn OnlinePacker<D> {
         &**self
     }
     #[inline]
-    fn packer_mut(&mut self) -> &mut dyn OnlinePacker {
+    fn packer_mut(&mut self) -> &mut dyn OnlinePacker<D> {
         &mut **self
     }
 }
+
+impl PackerHandle for VecPackerRef<'_> {
+    type Demand = SizeVec;
+    #[inline]
+    fn packer(&self) -> &dyn OnlinePacker<SizeVec> {
+        self
+    }
+    #[inline]
+    fn packer_mut(&mut self) -> &mut dyn OnlinePacker<SizeVec> {
+        self
+    }
+}
+
+/// The demand type of handle `P`.
+type DemandOf<P> = <P as PackerHandle>::Demand;
+/// The item type of handle `P`'s sessions.
+type ItemOf<P> = <DemandOf<P> as Demand>::Item;
 
 /// A session that owns its packer: `Send + 'static`, so it can live in a
 /// shared struct. Build one with [`StreamingSession::owned`] or
 /// [`StreamingSession::restore_owned`].
 pub type OwnedSession = StreamingSession<'static, NoopObserver, Box<dyn OnlinePacker + Send>>;
 
-/// An in-progress online packing over a stream of arrivals.
-pub struct StreamingSession<
-    'p,
-    O: PackObserver = NoopObserver,
-    P: PackerHandle = &'p mut dyn OnlinePacker,
-> {
-    mode: ClairvoyanceMode,
+/// An in-progress online packing over a stream of arrivals, for any
+/// demand type (fixed by the packer handle `P`).
+pub struct StreamingSession<'p, O = NoopObserver, P: PackerHandle = &'p mut dyn OnlinePacker> {
+    mode: <DemandOf<P> as Demand>::Mode,
     packer: P,
     /// Ties `'p` to the session when the handle does not borrow.
     _borrow: PhantomData<&'p mut ()>,
     obs: O,
-    open: OpenBins,
+    open: OpenBins<DemandOf<P>>,
     /// Indexed by `BinId` — bins are numbered in opening order, so the
     /// record for bin `b` is `records[b.0 as usize]`.
     records: Vec<BinRecord>,
@@ -263,8 +290,12 @@ impl<'p, O: PackObserver> StreamingSession<'p, O> {
     }
 }
 
-impl<'p, O: PackObserver, P: PackerHandle> StreamingSession<'p, O, P> {
-    fn start(mode: ClairvoyanceMode, mut packer: P, obs: O) -> Self {
+impl<'p, P: PackerHandle, O: PackObserver<DemandOf<P>>> StreamingSession<'p, O, P> {
+    /// Starts a session over any packer handle (and so any demand type)
+    /// reporting to `obs`; the packer's [`OnlinePacker::reset`] is
+    /// invoked. [`StreamingSession::new`] and friends are the scalar
+    /// shorthands.
+    pub fn start(mode: <DemandOf<P> as Demand>::Mode, mut packer: P, obs: O) -> Self {
         packer.packer_mut().reset();
         StreamingSession {
             mode,
@@ -288,7 +319,7 @@ impl<'p, O: PackObserver, P: PackerHandle> StreamingSession<'p, O, P> {
     /// [`StreamingSession::restore`] and feeding the remaining stream
     /// produces a final [`OnlineRun`] bit-identical to an uninterrupted
     /// run (verified across the whole roster in `dbp-resilience`).
-    pub fn snapshot(&self) -> SessionSnapshot {
+    pub fn snapshot(&self) -> SessionSnapshot<DemandOf<P>> {
         let open_bins = self
             .open
             .iter()
@@ -325,9 +356,9 @@ impl<'p, O: PackObserver, P: PackerHandle> StreamingSession<'p, O, P> {
     }
 
     fn resume(
-        mode: ClairvoyanceMode,
+        mode: <DemandOf<P> as Demand>::Mode,
         mut packer: P,
-        snap: &SessionSnapshot,
+        snap: &SessionSnapshot<DemandOf<P>>,
         obs: O,
     ) -> Result<Self, DbpError> {
         if snap.version != SNAPSHOT_VERSION {
@@ -428,14 +459,6 @@ impl<'p, O: PackObserver, P: PackerHandle> StreamingSession<'p, O, P> {
         })
     }
 
-    fn visible_departure(&self, item: &Item) -> Option<Time> {
-        match &self.mode {
-            ClairvoyanceMode::Clairvoyant => Some(item.departure()),
-            ClairvoyanceMode::NonClairvoyant => None,
-            ClairvoyanceMode::Noisy(f) => Some(f(item).max(item.arrival() + 1)),
-        }
-    }
-
     /// Processes all departures up to and including time `t`. Each
     /// departure is O(1): the item's bin comes from the pruned
     /// `placement` map and the bin itself from the indexed open set.
@@ -446,8 +469,9 @@ impl<'p, O: PackObserver, P: PackerHandle> StreamingSession<'p, O, P> {
             }
             self.departures.pop();
             // Items displaced by a server failure never depart normally;
-            // their heap entries are stale and simply skipped.
-            if self.cancelled.remove(&id.0) {
+            // their heap entries are stale and simply skipped. The set is
+            // empty unless a bin failed, so skip hashing in that case.
+            if !self.cancelled.is_empty() && self.cancelled.remove(&id.0) {
                 continue;
             }
             let bin_id = self
@@ -474,7 +498,7 @@ impl<'p, O: PackObserver, P: PackerHandle> StreamingSession<'p, O, P> {
                     self.obs.on_event(&PackEvent::LevelChanged {
                         bin: bin_id,
                         at: dt,
-                        level: Size::ZERO,
+                        level: level_after,
                         open_bins: self.open.len(),
                     });
                     self.obs.on_event(&PackEvent::BinClosed {
@@ -583,7 +607,7 @@ impl<'p, O: PackObserver, P: PackerHandle> StreamingSession<'p, O, P> {
     }
 
     /// Emits the arrival (and noisy-estimate) events for an admitted item.
-    fn emit_arrival(&mut self, item: &Item, visible_dep: Option<Time>) {
+    fn emit_arrival(&mut self, item: &ItemOf<P>, visible_dep: Option<Time>) {
         if O::ENABLED {
             self.obs.on_event(&PackEvent::ItemArrived {
                 id: item.id(),
@@ -592,7 +616,7 @@ impl<'p, O: PackObserver, P: PackerHandle> StreamingSession<'p, O, P> {
                 departure: item.departure(),
                 visible_departure: visible_dep,
             });
-            if matches!(self.mode, ClairvoyanceMode::Noisy(_)) {
+            if self.mode.is_noisy() {
                 self.obs.on_event(&PackEvent::EstimateUsed {
                     id: item.id(),
                     estimate: visible_dep.expect("noisy mode always estimates"),
@@ -617,7 +641,7 @@ impl<'p, O: PackObserver, P: PackerHandle> StreamingSession<'p, O, P> {
     /// [`RunMetrics::depart_ns`]: ../../dbp_telemetry/struct.RunMetrics.html
     fn sweep_and_decide(
         &mut self,
-        item: &Item,
+        item: &ItemOf<P>,
         visible_dep: Option<Time>,
         now: Time,
     ) -> Result<(Decision, u64), DbpError> {
@@ -653,12 +677,12 @@ impl<'p, O: PackObserver, P: PackerHandle> StreamingSession<'p, O, P> {
 
     /// Feeds one arrival. Arrival times must be non-decreasing and item
     /// ids unique; the chosen bin id is returned.
-    pub fn arrive(&mut self, item: &Item) -> Result<BinId, DbpError> {
+    pub fn arrive(&mut self, item: &ItemOf<P>) -> Result<BinId, DbpError> {
         let now = item.arrival();
         self.check_order(now)?;
         self.note_id(item.id().0)?;
         self.last_arrival = Some(now);
-        let visible_dep = self.visible_departure(item);
+        let visible_dep = self.mode.visible_departure(item);
         let (decision, decide_ns) = self.sweep_and_decide(item, visible_dep, now)?;
         self.emit_arrival(item, visible_dep);
         self.commit_decision(item, visible_dep, decision, decide_ns)
@@ -682,7 +706,7 @@ impl<'p, O: PackObserver, P: PackerHandle> StreamingSession<'p, O, P> {
     /// deterministic and harmless for the roster packers.
     pub fn arrive_capped(
         &mut self,
-        item: &Item,
+        item: &ItemOf<P>,
         max_open_bins: usize,
     ) -> Result<Admission, DbpError> {
         let now = item.arrival();
@@ -694,7 +718,7 @@ impl<'p, O: PackObserver, P: PackerHandle> StreamingSession<'p, O, P> {
             return Err(DbpError::DuplicateItemId { id: raw_id });
         }
         self.last_arrival = Some(now);
-        let visible_dep = self.visible_departure(item);
+        let visible_dep = self.mode.visible_departure(item);
         let (decision, decide_ns) = self.sweep_and_decide(item, visible_dep, now)?;
         if matches!(decision, Decision::New { .. }) && self.open.len() >= max_open_bins {
             if O::ENABLED {
@@ -717,7 +741,7 @@ impl<'p, O: PackObserver, P: PackerHandle> StreamingSession<'p, O, P> {
     /// and [`StreamingSession::arrive_capped`]).
     fn commit_decision(
         &mut self,
-        item: &Item,
+        item: &ItemOf<P>,
         visible_dep: Option<Time>,
         decision: Decision,
         decide_ns: u64,
@@ -820,7 +844,11 @@ impl<'p, O: PackObserver, P: PackerHandle> StreamingSession<'p, O, P> {
     ///
     /// `at` must be at least the last arrival time; subsequent arrivals
     /// must not precede `at`.
-    pub fn fail_bin(&mut self, bin: BinId, at: Time) -> Result<Vec<ActiveItem>, DbpError> {
+    pub fn fail_bin(
+        &mut self,
+        bin: BinId,
+        at: Time,
+    ) -> Result<Vec<ActiveItem<DemandOf<P>>>, DbpError> {
         if let Some(last) = self.last_arrival {
             if at < last {
                 return Err(DbpError::BadDecision {
@@ -833,7 +861,7 @@ impl<'p, O: PackObserver, P: PackerHandle> StreamingSession<'p, O, P> {
         let state = self.open.remove(bin).ok_or_else(|| DbpError::BadDecision {
             what: format!("bin {bin:?} is not open at {at}"),
         })?;
-        let displaced: Vec<ActiveItem> = state.items().to_vec();
+        let displaced = state.items().to_vec();
         for a in &displaced {
             self.placement.remove(&a.id);
             self.cancelled.insert(a.id.0);
@@ -858,20 +886,12 @@ impl<'p, O: PackObserver, P: PackerHandle> StreamingSession<'p, O, P> {
     /// among the bins actually alive at the fault instant, not ones that
     /// had already drained.
     pub fn advance(&mut self, at: Time) -> Result<(), DbpError> {
-        if let Some(last) = self.last_arrival {
-            if at < last {
-                return Err(DbpError::BadDecision {
-                    what: format!("cannot advance to {at} before last arrival {last}"),
-                });
-            }
-        }
-        self.last_arrival = Some(at);
-        self.close_until(at)
+        self.advance_to(at)
     }
 
     /// The currently open bins (fault injectors use this to pick
     /// victims; same view the packer sees).
-    pub fn open_set(&self) -> &OpenBins {
+    pub fn open_set(&self) -> &OpenBins<DemandOf<P>> {
         &self.open
     }
 
@@ -917,13 +937,87 @@ impl<'p, O: PackObserver, P: PackerHandle> StreamingSession<'p, O, P> {
     }
 }
 
+/// A session streaming [`crate::VecItem`]s through a borrowed
+/// [`VecOnlinePacker`]: the generic [`StreamingSession`] at
+/// [`SizeVec`], under its own `new` so the scalar
+/// [`StreamingSession::new`] stays unambiguous. Every session method is
+/// reachable through `Deref`.
+pub struct VecStreamingSession<'p, O = NoopObserver>(StreamingSession<'p, O, VecPackerRef<'p>>);
+
+impl<'p> VecStreamingSession<'p> {
+    /// Starts an unobserved vector session; the packer is reset.
+    pub fn new(mode: VecClairvoyance, packer: &'p mut dyn VecOnlinePacker) -> Self {
+        Self::with_observer(mode, packer, NoopObserver)
+    }
+
+    /// Streams a whole instance through a fresh session and returns the
+    /// finished run.
+    pub fn run(
+        mode: VecClairvoyance,
+        inst: &VecInstance,
+        packer: &mut dyn VecOnlinePacker,
+    ) -> Result<OnlineRun, DbpError> {
+        VecStreamingSession::run_observed(mode, inst, packer, NoopObserver)
+    }
+}
+
+impl<'p, O: PackObserver<SizeVec>> VecStreamingSession<'p, O> {
+    /// Starts a vector session reporting every packing event to `obs`.
+    pub fn with_observer(
+        mode: VecClairvoyance,
+        packer: &'p mut dyn VecOnlinePacker,
+        obs: O,
+    ) -> Self {
+        VecStreamingSession(StreamingSession::start(mode, VecPackerRef(packer), obs))
+    }
+
+    /// [`VecStreamingSession::run`] reporting to `obs`.
+    pub fn run_observed(
+        mode: VecClairvoyance,
+        inst: &VecInstance,
+        packer: &'p mut dyn VecOnlinePacker,
+        obs: O,
+    ) -> Result<OnlineRun, DbpError> {
+        let mut session = Self::with_observer(mode, packer, obs);
+        for item in inst.items() {
+            session.arrive(item)?;
+        }
+        session.finish()
+    }
+
+    /// Flushes all remaining departures and returns the finished run.
+    pub fn finish(self) -> Result<OnlineRun, DbpError> {
+        self.0.finish()
+    }
+
+    /// The generic session underneath.
+    pub fn into_inner(self) -> StreamingSession<'p, O, VecPackerRef<'p>> {
+        self.0
+    }
+}
+
+impl<'p, O> std::ops::Deref for VecStreamingSession<'p, O> {
+    type Target = StreamingSession<'p, O, VecPackerRef<'p>>;
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl<O> std::ops::DerefMut for VecStreamingSession<'_, O> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::instance::Instance;
+    use crate::item::Item;
     use crate::observe::EventLog;
     use crate::online::OnlineEngine;
     use crate::size::Size;
+    use crate::sizevec::VecItem;
 
     struct FirstFit;
     impl OnlinePacker for FirstFit {
@@ -1160,7 +1254,7 @@ mod tests {
         s.finish().unwrap();
     }
 
-    fn feed<'p, P: PackerHandle>(
+    fn feed<'p, P: PackerHandle<Demand = Size>>(
         mut s: StreamingSession<'p, NoopObserver, P>,
         items: &[Item],
     ) -> StreamingSession<'p, NoopObserver, P> {
@@ -1434,5 +1528,101 @@ mod tests {
                 (FitDecision::OpenedNew, 2),
             ]
         );
+    }
+
+    /// Vector First Fit over the whole fleet: the same body as the
+    /// scalar test packer, at any demand type.
+    struct AnyFirstFit;
+    impl<D: Demand> OnlinePacker<D> for AnyFirstFit {
+        fn name(&self) -> String {
+            "ff".into()
+        }
+        fn place(&mut self, item: &ItemView<D>, open: &OpenBins<D>) -> Decision {
+            open.iter()
+                .find(|b| b.fits(item.size))
+                .map(|b| Decision::Existing(b.id()))
+                .unwrap_or(Decision::NEW)
+        }
+    }
+
+    fn sv(fracs: &[f64]) -> SizeVec {
+        SizeVec::from_f64s(fracs)
+    }
+
+    fn vec_sample() -> VecInstance {
+        VecInstance::from_items(vec![
+            VecItem::new(0, sv(&[0.5, 0.2]), 0, 10),
+            VecItem::new(1, sv(&[0.5, 0.9]), 2, 8),
+            VecItem::new(2, sv(&[0.5, 0.5]), 3, 9),
+            VecItem::new(3, sv(&[0.9, 0.1]), 5, 20),
+            VecItem::new(4, sv(&[0.1, 0.1]), 12, 30),
+        ])
+        .unwrap()
+    }
+
+    #[test]
+    fn vector_axis_overflow_forces_new_bins() {
+        // Item 1 fits item 0's bin on axis 0 (0.5+0.5) but not axis 1
+        // (0.2+0.9): vector feasibility must open a second bin.
+        let run = VecStreamingSession::run(
+            VecClairvoyance::Clairvoyant,
+            &vec_sample(),
+            &mut AnyFirstFit,
+        )
+        .unwrap();
+        assert_eq!(run.packing.bin_of(ItemId(0)), run.packing.bin_of(ItemId(2)));
+        assert_ne!(run.packing.bin_of(ItemId(0)), run.packing.bin_of(ItemId(1)));
+        let expect: u128 = run.bins.iter().map(|r| r.usage()).sum();
+        assert_eq!(run.usage, expect);
+    }
+
+    #[test]
+    fn dim1_vector_session_is_bit_identical_to_scalar_session() {
+        let inst = sample();
+        let scalar = OnlineEngine::clairvoyant()
+            .run(&inst, &mut AnyFirstFit)
+            .unwrap();
+        let lifted = VecInstance::lift(&inst, 1);
+        let vector =
+            VecStreamingSession::run(VecClairvoyance::Clairvoyant, &lifted, &mut AnyFirstFit)
+                .unwrap();
+        assert_eq!(vector, scalar);
+    }
+
+    #[test]
+    fn vector_session_reports_per_axis_levels_and_hides_departures() {
+        let mut log = EventLog::new();
+        let mut packer = AnyFirstFit;
+        let mut s = VecStreamingSession::with_observer(
+            VecClairvoyance::NonClairvoyant,
+            &mut packer,
+            &mut log,
+        );
+        for item in vec_sample().items() {
+            s.arrive(item).unwrap();
+        }
+        s.advance_to(20).unwrap();
+        assert_eq!(s.open_bins(), 1, "only the bin holding item 4 is left");
+        s.finish().unwrap();
+        let opened = log
+            .events
+            .iter()
+            .filter(|e| matches!(e, PackEvent::BinOpened { .. }))
+            .count();
+        let closed = log
+            .events
+            .iter()
+            .filter(|e| matches!(e, PackEvent::BinClosed { .. }))
+            .count();
+        assert_eq!((opened, closed), (3, 3));
+        for e in &log.events {
+            match e {
+                PackEvent::LevelChanged { level, .. } => assert_eq!(level.dims(), 2),
+                PackEvent::ItemArrived {
+                    visible_departure, ..
+                } => assert_eq!(*visible_departure, None),
+                _ => {}
+            }
+        }
     }
 }

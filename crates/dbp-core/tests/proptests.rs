@@ -3,11 +3,14 @@
 
 use dbp_core::events::load_segments;
 use dbp_core::interval::{span_of, union_components, Interval};
-use dbp_core::online::{ClairvoyanceMode, Decision, ItemView, OnlinePacker, OpenBins};
+use dbp_core::observe::NoopObserver;
+use dbp_core::online::{ClairvoyanceMode, Decision, ItemView, OnlinePacker, OpenBin, OpenBins};
 use dbp_core::profile::{BTreeProfile, LevelProfile, SegTreeProfile};
 use dbp_core::stats::StepSeries;
 use dbp_core::stream::StreamingSession;
-use dbp_core::{Instance, Item, Packing, Size};
+use dbp_core::{
+    Demand, Instance, Item, Packing, Scalarization, Size, SizeVec, VecClairvoyance, VecItem,
+};
 use proptest::prelude::*;
 
 /// Naive per-tick reference model of a level profile over [0, N).
@@ -188,19 +191,19 @@ fn arb_fleet_ops() -> impl Strategy<Value = Vec<FleetOp>> {
 
 /// A deliberately adversarial packer for the index-consistency property:
 /// it round-robins across three tags and four query kinds, so every fit
-/// structure (per-tag gap tree, per-tag residual-ordered set) is active
+/// structure (per-tag gap tree, per-tag level-ordered set) is active
 /// on a fleet that is concurrently mutated by the engine's arrivals,
-/// departures, and failures.
+/// departures, and failures. One body for every demand type.
 struct MixedFit {
     n: u64,
 }
 
-impl OnlinePacker for MixedFit {
+impl<D: Demand> OnlinePacker<D> for MixedFit {
     fn name(&self) -> String {
         "mixed-fit".into()
     }
 
-    fn place(&mut self, item: &ItemView, open_bins: &OpenBins) -> Decision {
+    fn place(&mut self, item: &ItemView<D>, open_bins: &OpenBins<D>) -> Decision {
         self.n += 1;
         let tag = self.n % 3;
         let hit = match self.n % 4 {
@@ -216,83 +219,130 @@ impl OnlinePacker for MixedFit {
     }
 }
 
+/// Drives `ops` through a non-clairvoyant session over demand type `D`
+/// and checks, after every step, the `OpenBins` internals (level-order
+/// index, gap trees, free list, intrusive tag lists — all via
+/// `validate()`) and every indexed query against the linear scan over
+/// the intrusive lists. `demand(k)` is the demand of an item sized `k`
+/// sixty-fourths; `job` builds the item.
+fn check_fleet_model<D: Demand>(
+    ops: &[FleetOp],
+    mode: D::Mode,
+    demand: impl Fn(u64) -> D,
+    job: impl Fn(u32, D, i64, i64) -> D::Item,
+) -> Result<(), String> {
+    let mut packer = MixedFit { n: 0 };
+    let mut session =
+        StreamingSession::start(mode, &mut packer as &mut dyn OnlinePacker<D>, NoopObserver);
+    let mut now = 0i64;
+    let mut next_id = 0u32;
+    for op in ops {
+        match op {
+            FleetOp::Arrive { size_64ths, dur } => {
+                session.advance_to(now).unwrap();
+                session
+                    .arrive(&job(next_id, demand(*size_64ths), now, now + dur))
+                    .unwrap();
+                next_id += 1;
+            }
+            FleetOp::Advance { dt } => {
+                now += dt;
+                session.advance_to(now).unwrap();
+            }
+            FleetOp::Fail { pick } => {
+                let victim = {
+                    let open = session.open_set();
+                    if open.is_empty() {
+                        continue;
+                    }
+                    open.iter().nth(pick % open.len()).unwrap().id()
+                };
+                session.fail_bin(victim, now).unwrap();
+            }
+        }
+
+        let open = session.open_set();
+        if let Err(why) = open.validate() {
+            prop_assert!(false, "index invariants broken after {:?}: {}", op, why);
+        }
+        for tag in 0..3u64 {
+            for s in [1u64, 16, 33, 64] {
+                let size = demand(s);
+                let key = |b: &&OpenBin<D>| b.level().key(Scalarization::Sum);
+                let lin_first = open.iter_tag(tag).find(|b| b.fits(size)).map(|b| b.id());
+                let lin_best = open
+                    .iter_tag(tag)
+                    .filter(|b| b.fits(size))
+                    .max_by_key(key)
+                    .map(|b| b.id());
+                let lin_worst = open
+                    .iter_tag(tag)
+                    .filter(|b| b.fits(size))
+                    .min_by_key(key)
+                    .map(|b| b.id());
+                prop_assert_eq!(
+                    open.first_fit(tag, size).0,
+                    lin_first,
+                    "first-fit tag {} size {:?}",
+                    tag,
+                    size
+                );
+                prop_assert_eq!(
+                    open.best_fit(tag, size).0,
+                    lin_best,
+                    "best-fit tag {} size {:?}",
+                    tag,
+                    size
+                );
+                prop_assert_eq!(
+                    open.worst_fit(tag, size).0,
+                    lin_worst,
+                    "worst-fit tag {} size {:?}",
+                    tag,
+                    size
+                );
+            }
+        }
+    }
+    session.finish().unwrap();
+    Ok(())
+}
+
+/// A `dims`-axis demand from one sixty-fourths draw: axis `d` is a
+/// deterministic rotation of the draw, so axes disagree and a bin that
+/// fits on one axis can overflow another.
+fn vec_demand(dims: usize, size_64ths: u64) -> SizeVec {
+    let axes: Vec<Size> = (0..dims as u64)
+        .map(|d| Size::from_ratio((size_64ths - 1 + 23 * d) % 64 + 1, 64).unwrap())
+        .collect();
+    SizeVec::new(&axes)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Satellite invariant for the indexed fit queries: interleaving
     /// open/close/`fail_bin`/departure-prune, the `OpenBins` internals
-    /// (residual-order index, gap trees, free list, intrusive tag lists
-    /// — all via `validate()`) never disagree with each other, and the
-    /// indexed queries never disagree with the linear scan over the
-    /// intrusive lists — including after slab slots are recycled
-    /// through the free list.
+    /// never disagree with each other, and the indexed queries never
+    /// disagree with the linear scan over the intrusive lists —
+    /// including after slab slots are recycled through the free list —
+    /// for scalar sizes and for 2–4-axis demand vectors.
     #[test]
-    fn open_bins_index_never_disagrees_with_the_linear_model(ops in arb_fleet_ops()) {
-        let mut packer = MixedFit { n: 0 };
-        let mut session =
-            StreamingSession::new(ClairvoyanceMode::NonClairvoyant, &mut packer);
-        let mut now = 0i64;
-        let mut next_id = 0u32;
-        for op in &ops {
-            match op {
-                FleetOp::Arrive { size_64ths, dur } => {
-                    let size = Size::from_ratio(*size_64ths, 64).unwrap();
-                    session.advance_to(now).unwrap();
-                    session.arrive(&Item::new(next_id, size, now, now + dur)).unwrap();
-                    next_id += 1;
-                }
-                FleetOp::Advance { dt } => {
-                    now += dt;
-                    session.advance_to(now).unwrap();
-                }
-                FleetOp::Fail { pick } => {
-                    let victim = {
-                        let open = session.open_set();
-                        if open.is_empty() {
-                            continue;
-                        }
-                        open.iter().nth(pick % open.len()).unwrap().id()
-                    };
-                    session.fail_bin(victim, now).unwrap();
-                }
-            }
-
-            let open = session.open_set();
-            if let Err(why) = open.validate() {
-                prop_assert!(false, "index invariants broken after {:?}: {}", op, why);
-            }
-            // The linear reference model is the walk over the intrusive
-            // tag lists — an independent code path from the fit index.
-            for tag in 0..3u64 {
-                for s in [1u64, 16, 33, 64] {
-                    let size = Size::from_ratio(s, 64).unwrap();
-                    let lin_first =
-                        open.iter_tag(tag).find(|b| b.fits(size)).map(|b| b.id());
-                    let lin_best = open
-                        .iter_tag(tag)
-                        .filter(|b| b.fits(size))
-                        .max_by_key(|b| b.level())
-                        .map(|b| b.id());
-                    let lin_worst = open
-                        .iter_tag(tag)
-                        .filter(|b| b.fits(size))
-                        .min_by_key(|b| b.level())
-                        .map(|b| b.id());
-                    prop_assert_eq!(
-                        open.first_fit(tag, size).0, lin_first,
-                        "first-fit tag {} size {}/64", tag, s
-                    );
-                    prop_assert_eq!(
-                        open.best_fit(tag, size).0, lin_best,
-                        "best-fit tag {} size {}/64", tag, s
-                    );
-                    prop_assert_eq!(
-                        open.worst_fit(tag, size).0, lin_worst,
-                        "worst-fit tag {} size {}/64", tag, s
-                    );
-                }
-            }
-        }
-        session.finish().unwrap();
+    fn open_bins_index_never_disagrees_with_the_linear_model(
+        ops in arb_fleet_ops(),
+        dims in 2usize..=4,
+    ) {
+        check_fleet_model(
+            &ops,
+            ClairvoyanceMode::NonClairvoyant,
+            |k| Size::from_ratio(k, 64).unwrap(),
+            Item::new,
+        )?;
+        check_fleet_model(
+            &ops,
+            VecClairvoyance::NonClairvoyant,
+            |k| vec_demand(dims, k),
+            VecItem::new,
+        )?;
     }
 }

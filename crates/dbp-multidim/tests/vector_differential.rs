@@ -3,27 +3,23 @@
 //! Three equivalences, each a proptest family:
 //!
 //! 1. **Streaming vs batch foil** — the event-driven
-//!    [`VecStreamingSession`] path (vector First Fit + classification
-//!    packers over [`VecOpenBins`]) must produce bit-identical bin
-//!    contents and usage to the original batch [`pack_online`] reference
-//!    for every [`Classification`] variant. The batch foil never clamps
-//!    duration categories, so the streaming side uses the unclamped
-//!    `VecClassifyByDuration::new` constructor here.
+//!    [`VecStreamingSession`] path (First Fit + classification packers
+//!    over `OpenBins<SizeVec>`) must produce bit-identical bin contents
+//!    and usage to the original batch [`pack_online`] reference for every
+//!    [`Classification`] variant. The batch foil never clamps duration
+//!    categories, so the streaming side uses the unclamped
+//!    `ClassifyByDuration::new` constructor here.
 //! 2. **dim-1 ≡ scalar** — lifting a scalar instance to one-dimensional
-//!    vectors and running the vector roster must reproduce the scalar
-//!    [`StreamingSession`] roster run for run, as full [`OnlineRun`]
-//!    equality.
+//!    vectors and running the roster must reproduce the scalar
+//!    `StreamingSession` run for run, as full [`OnlineRun`] equality.
 //! 3. **Indexed ≡ linear** — every indexed vector packer must choose the
 //!    same bins as its `with_linear_scan()` foil on every input, at
 //!    every dimensionality.
 
-use dbp_algos::online::{
-    AnyFit, ClassifyByDepartureTime, ClassifyByDuration, VecAnyFit, VecClassifyByDepartureTime,
-    VecClassifyByDuration,
-};
+use dbp_algos::online::{AnyFit, ClassifyByDepartureTime, ClassifyByDuration};
 use dbp_core::{
     Instance, Item, OnlineEngine, OnlinePacker, OnlineRun, Scalarization, Size, SizeVec,
-    VecInstance, VecItem, VecOnlineEngine, VecOnlinePacker,
+    VecClairvoyance, VecInstance, VecItem, VecOnlinePacker, VecStreamingSession,
 };
 use dbp_multidim::{pack_online, Classification, MultiInstance};
 use proptest::prelude::*;
@@ -66,7 +62,7 @@ fn arb_scalar_instance(max_items: usize) -> impl Strategy<Value = Instance> {
 }
 
 fn stream(inst: &VecInstance, packer: &mut dyn VecOnlinePacker) -> OnlineRun {
-    VecOnlineEngine::clairvoyant().run(inst, packer).unwrap()
+    VecStreamingSession::run(VecClairvoyance::Clairvoyant, inst, packer).unwrap()
 }
 
 /// Per-bin item ids in opening order — the batch foil's result shape.
@@ -89,14 +85,14 @@ proptest! {
     ) {
         let multi = MultiInstance::from_vector(&inst);
         let cases: Vec<(Classification, Box<dyn VecOnlinePacker>)> = vec![
-            (Classification::None, Box::new(VecAnyFit::first_fit())),
+            (Classification::None, Box::new(AnyFit::first_fit())),
             (
                 Classification::ByDepartureTime { rho },
-                Box::new(VecClassifyByDepartureTime::new(rho)),
+                Box::new(ClassifyByDepartureTime::new(rho)),
             ),
             (
                 Classification::ByDuration { base, alpha: 2.0 },
-                Box::new(VecClassifyByDuration::new(base, 2.0)),
+                Box::new(ClassifyByDuration::new(base, 2.0)),
             ),
         ];
         for (classify, mut packer) in cases {
@@ -124,16 +120,16 @@ proptest! {
     fn dim1_roster_matches_scalar_roster(inst in arb_scalar_instance(24)) {
         let lifted = VecInstance::lift(&inst, 1);
         let cases: Vec<(Box<dyn VecOnlinePacker>, Box<dyn OnlinePacker>)> = vec![
-            (Box::new(VecAnyFit::first_fit()), Box::new(AnyFit::first_fit())),
-            (Box::new(VecAnyFit::best_fit()), Box::new(AnyFit::best_fit())),
-            (Box::new(VecAnyFit::worst_fit()), Box::new(AnyFit::worst_fit())),
-            (Box::new(VecAnyFit::next_fit()), Box::new(AnyFit::next_fit())),
+            (Box::new(AnyFit::first_fit()), Box::new(AnyFit::first_fit())),
+            (Box::new(AnyFit::best_fit()), Box::new(AnyFit::best_fit())),
+            (Box::new(AnyFit::worst_fit()), Box::new(AnyFit::worst_fit())),
+            (Box::new(AnyFit::next_fit()), Box::new(AnyFit::next_fit())),
             (
-                Box::new(VecClassifyByDepartureTime::new(7)),
+                Box::new(ClassifyByDepartureTime::new(7)),
                 Box::new(ClassifyByDepartureTime::new(7)),
             ),
             (
-                Box::new(VecClassifyByDuration::new(1, 2.0)),
+                Box::new(ClassifyByDuration::new(1, 2.0)),
                 Box::new(ClassifyByDuration::new(1, 2.0)),
             ),
         ];
@@ -153,40 +149,40 @@ proptest! {
     ) {
         let pairs: Vec<(Box<dyn VecOnlinePacker>, Box<dyn VecOnlinePacker>)> = vec![
             (
-                Box::new(VecAnyFit::first_fit()),
-                Box::new(VecAnyFit::first_fit().with_linear_scan()),
+                Box::new(AnyFit::first_fit()),
+                Box::new(AnyFit::first_fit().with_linear_scan()),
             ),
             (
-                Box::new(VecAnyFit::best_fit()),
-                Box::new(VecAnyFit::best_fit().with_linear_scan()),
+                Box::new(AnyFit::best_fit()),
+                Box::new(AnyFit::best_fit().with_linear_scan()),
             ),
             (
-                Box::new(VecAnyFit::worst_fit()),
-                Box::new(VecAnyFit::worst_fit().with_linear_scan()),
+                Box::new(AnyFit::worst_fit()),
+                Box::new(AnyFit::worst_fit().with_linear_scan()),
             ),
             (
-                Box::new(VecAnyFit::best_fit().with_scalarization(Scalarization::MaxAxis)),
+                Box::new(AnyFit::best_fit().with_scalarization(Scalarization::MaxAxis)),
                 Box::new(
-                    VecAnyFit::best_fit()
+                    AnyFit::best_fit()
                         .with_scalarization(Scalarization::MaxAxis)
                         .with_linear_scan(),
                 ),
             ),
             (
-                Box::new(VecAnyFit::worst_fit().with_scalarization(Scalarization::MaxAxis)),
+                Box::new(AnyFit::worst_fit().with_scalarization(Scalarization::MaxAxis)),
                 Box::new(
-                    VecAnyFit::worst_fit()
+                    AnyFit::worst_fit()
                         .with_scalarization(Scalarization::MaxAxis)
                         .with_linear_scan(),
                 ),
             ),
             (
-                Box::new(VecClassifyByDepartureTime::new(9)),
-                Box::new(VecClassifyByDepartureTime::new(9).with_linear_scan()),
+                Box::new(ClassifyByDepartureTime::new(9)),
+                Box::new(ClassifyByDepartureTime::new(9).with_linear_scan()),
             ),
             (
-                Box::new(VecClassifyByDuration::new(2, 1.7)),
-                Box::new(VecClassifyByDuration::new(2, 1.7).with_linear_scan()),
+                Box::new(ClassifyByDuration::new(2, 1.7)),
+                Box::new(ClassifyByDuration::new(2, 1.7).with_linear_scan()),
             ),
         ];
         for (mut indexed, mut linear) in pairs {
@@ -204,7 +200,7 @@ proptest! {
     fn streaming_run_is_valid_and_bounded(
         inst in (2usize..=4).prop_flat_map(|d| arb_vec_instance(d, 24))
     ) {
-        let run = stream(&inst, &mut VecAnyFit::first_fit());
+        let run = stream(&inst, &mut AnyFit::first_fit());
         inst.validate_packing(&run.packing).unwrap();
         prop_assert!(run.usage >= inst.vector_lower_bound());
     }

@@ -16,9 +16,9 @@
 //! * [`offline`] — synthesizes the event stream for a finished offline
 //!   [`dbp_core::Packing`], so all of the above work for offline packers
 //!   too.
-//! * [`vectrace`] — the vector stack's JSONL trace: [`dbp_core::VecPackEvent`]
-//!   lines with per-axis raw fixed-point arrays
-//!   ([`vectrace::VecTraceWriter`] streams; [`vectrace::parse_jsonl`]
+//! * [`vectrace`] — the line schema of vector runs: `PackEvent<SizeVec>`
+//!   lines with per-axis raw fixed-point arrays (the same
+//!   [`trace::TraceWriter`] streams them; [`vectrace::parse_jsonl`]
 //!   reads them back bit-identically).
 //!
 //! Attach any combination of observers with [`dbp_core::observe::Tee`]:
@@ -65,6 +65,6 @@ pub use metrics::{merge_reports, merge_step_series, MetricsAggregator, MetricsRe
 pub use offline::emit_packing;
 pub use replay::{replay_events, replay_jsonl, Replay};
 pub use trace::{
-    events_to_jsonl, events_to_jsonl_tagged, parse_jsonl, parse_jsonl_tagged, TraceWriter,
+    events_to_jsonl, events_to_jsonl_tagged, parse_jsonl, parse_jsonl_tagged, LineSchema,
+    TraceWriter,
 };
-pub use vectrace::VecTraceWriter;

@@ -20,25 +20,12 @@ pub fn event_to_json(ev: &PackEvent) -> String {
             at,
             departure,
             visible_departure,
-        } => {
-            let vis = match visible_departure {
-                Some(t) => t.to_string(),
-                None => "null".to_string(),
-            };
-            format!(
-                "{{\"type\":\"item_arrived\",\"id\":{},\"size_raw\":{},\"at\":{at},\
-                 \"departure\":{departure},\"visible_departure\":{vis}}}",
-                id.0,
-                size.raw()
-            )
-        }
-        PackEvent::EstimateUsed {
-            id,
-            estimate,
-            actual,
         } => format!(
-            "{{\"type\":\"estimate_used\",\"id\":{},\"estimate\":{estimate},\"actual\":{actual}}}",
-            id.0
+            "{{\"type\":\"item_arrived\",\"id\":{},\"size_raw\":{},\"at\":{at},\
+             \"departure\":{departure},\"visible_departure\":{}}}",
+            id.0,
+            size.raw(),
+            opt_json(*visible_departure)
         ),
         PackEvent::PlacementDecided {
             id,
@@ -57,10 +44,6 @@ pub fn event_to_json(ev: &PackEvent) -> String {
                 id.0, bin.0
             )
         }
-        PackEvent::BinOpened { bin, at, tag } => format!(
-            "{{\"type\":\"bin_opened\",\"bin\":{},\"at\":{at},\"tag\":{tag}}}",
-            bin.0
-        ),
         PackEvent::LevelChanged {
             bin,
             at,
@@ -72,13 +55,44 @@ pub fn event_to_json(ev: &PackEvent) -> String {
             bin.0,
             level.raw()
         ),
+        other => demand_free_json("", other),
+    }
+}
+
+/// `null` or the value, for optional integer fields.
+pub(crate) fn opt_json(t: Option<i64>) -> String {
+    t.map_or_else(|| "null".to_string(), |t| t.to_string())
+}
+
+/// Encodes an event that carries no demand (every variant but
+/// `ItemArrived`, `PlacementDecided` and `LevelChanged`), with the line
+/// type prefixed by `prefix`. The scalar and vector schemas share these
+/// lines apart from the prefix.
+///
+/// # Panics
+/// On a demand-carrying variant.
+pub(crate) fn demand_free_json<D>(prefix: &str, ev: &PackEvent<D>) -> String {
+    match ev {
+        PackEvent::EstimateUsed {
+            id,
+            estimate,
+            actual,
+        } => format!(
+            "{{\"type\":\"{prefix}estimate_used\",\"id\":{},\"estimate\":{estimate},\
+             \"actual\":{actual}}}",
+            id.0
+        ),
+        PackEvent::BinOpened { bin, at, tag } => format!(
+            "{{\"type\":\"{prefix}bin_opened\",\"bin\":{},\"at\":{at},\"tag\":{tag}}}",
+            bin.0
+        ),
         PackEvent::BinClosed {
             bin,
             at,
             opened_at,
             items,
         } => format!(
-            "{{\"type\":\"bin_closed\",\"bin\":{},\"at\":{at},\"opened_at\":{opened_at},\
+            "{{\"type\":\"{prefix}bin_closed\",\"bin\":{},\"at\":{at},\"opened_at\":{opened_at},\
              \"items\":{items}}}",
             bin.0
         ),
@@ -89,61 +103,123 @@ pub fn event_to_json(ev: &PackEvent) -> String {
             displaced,
             open_bins,
         } => format!(
-            "{{\"type\":\"bin_failed\",\"bin\":{},\"at\":{at},\"opened_at\":{opened_at},\
+            "{{\"type\":\"{prefix}bin_failed\",\"bin\":{},\"at\":{at},\"opened_at\":{opened_at},\
              \"displaced\":{displaced},\"open_bins\":{open_bins}}}",
             bin.0
         ),
         PackEvent::ArrivalShed { id, at, open_bins } => format!(
-            "{{\"type\":\"arrival_shed\",\"id\":{},\"at\":{at},\"open_bins\":{open_bins}}}",
+            "{{\"type\":\"{prefix}arrival_shed\",\"id\":{},\"at\":{at},\"open_bins\":{open_bins}}}",
             id.0
         ),
+        PackEvent::ItemArrived { .. }
+        | PackEvent::PlacementDecided { .. }
+        | PackEvent::LevelChanged { .. } => {
+            unreachable!("demand-carrying events have schema-specific lines")
+        }
     }
 }
 
-fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, String> {
+pub(crate) fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, String> {
     v.get(key).ok_or_else(|| format!("missing field {key:?}"))
 }
 
-fn field_i64(v: &Json, key: &str) -> Result<i64, String> {
+pub(crate) fn field_i64(v: &Json, key: &str) -> Result<i64, String> {
     field(v, key)?
         .as_i64()
         .ok_or_else(|| format!("field {key:?} is not an integer"))
 }
 
-fn field_u64(v: &Json, key: &str) -> Result<u64, String> {
+pub(crate) fn field_u64(v: &Json, key: &str) -> Result<u64, String> {
     field(v, key)?
         .as_u64()
         .ok_or_else(|| format!("field {key:?} is not an unsigned integer"))
 }
 
+/// An unsigned field narrowed to `u32` (item and bin ids), refusing
+/// values that do not fit instead of truncating them: a line with
+/// `"id":4294967296` is an error, not item 0.
+pub(crate) fn field_u32(v: &Json, key: &str) -> Result<u32, String> {
+    let n = field_u64(v, key)?;
+    u32::try_from(n).map_err(|_| format!("field {key:?} = {n} exceeds u32"))
+}
+
+/// An unsigned count field, refusing values that do not fit `usize`.
+pub(crate) fn field_usize(v: &Json, key: &str) -> Result<usize, String> {
+    let n = field_u64(v, key)?;
+    usize::try_from(n).map_err(|_| format!("field {key:?} = {n} exceeds usize"))
+}
+
+/// An integer field that may be `null`.
+pub(crate) fn field_opt_i64(v: &Json, key: &str) -> Result<Option<i64>, String> {
+    let f = field(v, key)?;
+    if f.is_null() {
+        Ok(None)
+    } else {
+        f.as_i64()
+            .map(Some)
+            .ok_or_else(|| format!("field {key:?} is not an integer"))
+    }
+}
+
+/// Decodes a line type `ty` (prefix already stripped) that carries no
+/// demand; `None` if `ty` is not one of them.
+pub(crate) fn demand_free_from_json<D>(ty: &str, v: &Json) -> Option<Result<PackEvent<D>, String>> {
+    let decode = || -> Result<PackEvent<D>, String> {
+        Ok(match ty {
+            "estimate_used" => PackEvent::EstimateUsed {
+                id: ItemId(field_u32(v, "id")?),
+                estimate: field_i64(v, "estimate")?,
+                actual: field_i64(v, "actual")?,
+            },
+            "bin_opened" => PackEvent::BinOpened {
+                bin: BinId(field_u32(v, "bin")?),
+                at: field_i64(v, "at")?,
+                tag: field_u64(v, "tag")?,
+            },
+            "bin_closed" => PackEvent::BinClosed {
+                bin: BinId(field_u32(v, "bin")?),
+                at: field_i64(v, "at")?,
+                opened_at: field_i64(v, "opened_at")?,
+                items: field_usize(v, "items")?,
+            },
+            "bin_failed" => PackEvent::BinFailed {
+                bin: BinId(field_u32(v, "bin")?),
+                at: field_i64(v, "at")?,
+                opened_at: field_i64(v, "opened_at")?,
+                displaced: field_usize(v, "displaced")?,
+                open_bins: field_usize(v, "open_bins")?,
+            },
+            _ => PackEvent::ArrivalShed {
+                id: ItemId(field_u32(v, "id")?),
+                at: field_i64(v, "at")?,
+                open_bins: field_usize(v, "open_bins")?,
+            },
+        })
+    };
+    matches!(
+        ty,
+        "estimate_used" | "bin_opened" | "bin_closed" | "bin_failed" | "arrival_shed"
+    )
+    .then(decode)
+}
+
+/// The line's `"type"` field.
+pub(crate) fn line_type(v: &Json) -> Result<&str, String> {
+    field(v, "type")?
+        .as_str()
+        .ok_or_else(|| "field \"type\" is not a string".to_string())
+}
+
 /// Decodes one event from a parsed JSON object.
 pub fn event_from_json(v: &Json) -> Result<PackEvent, String> {
-    let ty = field(v, "type")?
-        .as_str()
-        .ok_or("field \"type\" is not a string")?;
+    let ty = line_type(v)?;
     match ty {
-        "item_arrived" => {
-            let vis = field(v, "visible_departure")?;
-            let visible_departure = if vis.is_null() {
-                None
-            } else {
-                Some(
-                    vis.as_i64()
-                        .ok_or("field \"visible_departure\" is not an integer")?,
-                )
-            };
-            Ok(PackEvent::ItemArrived {
-                id: ItemId(field_u64(v, "id")? as u32),
-                size: Size::from_raw(field_u64(v, "size_raw")?),
-                at: field_i64(v, "at")?,
-                departure: field_i64(v, "departure")?,
-                visible_departure,
-            })
-        }
-        "estimate_used" => Ok(PackEvent::EstimateUsed {
-            id: ItemId(field_u64(v, "id")? as u32),
-            estimate: field_i64(v, "estimate")?,
-            actual: field_i64(v, "actual")?,
+        "item_arrived" => Ok(PackEvent::ItemArrived {
+            id: ItemId(field_u32(v, "id")?),
+            size: Size::from_raw(field_u64(v, "size_raw")?),
+            at: field_i64(v, "at")?,
+            departure: field_i64(v, "departure")?,
+            visible_departure: field_opt_i64(v, "visible_departure")?,
         }),
         "placement_decided" => {
             let rule = match field(v, "fit_rule")?.as_str() {
@@ -152,49 +228,30 @@ pub fn event_from_json(v: &Json) -> Result<PackEvent, String> {
                 other => return Err(format!("bad fit_rule {other:?}")),
             };
             Ok(PackEvent::PlacementDecided {
-                id: ItemId(field_u64(v, "id")? as u32),
-                bin: BinId(field_u64(v, "bin")? as u32),
+                id: ItemId(field_u32(v, "id")?),
+                bin: BinId(field_u32(v, "bin")?),
                 fit_rule: rule,
-                candidates_scanned: field_u64(v, "candidates_scanned")? as usize,
+                candidates_scanned: field_usize(v, "candidates_scanned")?,
                 decide_ns: field_u64(v, "decide_ns")?,
             })
         }
-        "bin_opened" => Ok(PackEvent::BinOpened {
-            bin: BinId(field_u64(v, "bin")? as u32),
-            at: field_i64(v, "at")?,
-            tag: field_u64(v, "tag")?,
-        }),
         "level_changed" => Ok(PackEvent::LevelChanged {
-            bin: BinId(field_u64(v, "bin")? as u32),
+            bin: BinId(field_u32(v, "bin")?),
             at: field_i64(v, "at")?,
             level: Size::from_raw(field_u64(v, "level_raw")?),
-            open_bins: field_u64(v, "open_bins")? as usize,
+            open_bins: field_usize(v, "open_bins")?,
         }),
-        "bin_closed" => Ok(PackEvent::BinClosed {
-            bin: BinId(field_u64(v, "bin")? as u32),
-            at: field_i64(v, "at")?,
-            opened_at: field_i64(v, "opened_at")?,
-            items: field_u64(v, "items")? as usize,
-        }),
-        "bin_failed" => Ok(PackEvent::BinFailed {
-            bin: BinId(field_u64(v, "bin")? as u32),
-            at: field_i64(v, "at")?,
-            opened_at: field_i64(v, "opened_at")?,
-            displaced: field_u64(v, "displaced")? as usize,
-            open_bins: field_u64(v, "open_bins")? as usize,
-        }),
-        "arrival_shed" => Ok(PackEvent::ArrivalShed {
-            id: ItemId(field_u64(v, "id")? as u32),
-            at: field_i64(v, "at")?,
-            open_bins: field_u64(v, "open_bins")? as usize,
-        }),
-        other => Err(format!("unknown event type {}", escape(other))),
+        other => demand_free_from_json(other, v)
+            .unwrap_or_else(|| Err(format!("unknown event type {}", escape(other)))),
     }
 }
 
-/// Parses a whole JSONL trace. Blank lines are skipped; errors carry the
+/// Parses JSONL with `decode` per non-blank line; errors carry the
 /// 1-based line number.
-pub fn parse_jsonl(text: &str) -> Result<Vec<PackEvent>, DbpError> {
+pub(crate) fn parse_lines<E>(
+    text: &str,
+    mut decode: impl FnMut(&Json) -> Result<E, String>,
+) -> Result<Vec<E>, DbpError> {
     let mut events = Vec::new();
     for (i, line) in text.lines().enumerate() {
         let line = line.trim();
@@ -202,9 +259,15 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<PackEvent>, DbpError> {
             continue;
         }
         let value = parse(line).map_err(|what| DbpError::Trace { line: i + 1, what })?;
-        events.push(event_from_json(&value).map_err(|what| DbpError::Trace { line: i + 1, what })?);
+        events.push(decode(&value).map_err(|what| DbpError::Trace { line: i + 1, what })?);
     }
     Ok(events)
+}
+
+/// Parses a whole JSONL trace. Blank lines are skipped; errors carry the
+/// 1-based line number.
+pub fn parse_jsonl(text: &str) -> Result<Vec<PackEvent>, DbpError> {
+    parse_lines(text, event_from_json)
 }
 
 /// Serializes a slice of events as a JSONL document.
@@ -242,24 +305,31 @@ pub fn events_to_jsonl_tagged(shard: usize, events: &[PackEvent]) -> String {
 /// untagged lines). Blank lines are skipped; errors carry the 1-based
 /// line number.
 pub fn parse_jsonl_tagged(text: &str) -> Result<Vec<(Option<usize>, PackEvent)>, DbpError> {
-    let mut events = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let value = parse(line).map_err(|what| DbpError::Trace { line: i + 1, what })?;
+    parse_lines(text, |value| {
         let shard = value
             .get("shard")
             .and_then(Json::as_u64)
             .map(|s| s as usize);
-        let ev = event_from_json(&value).map_err(|what| DbpError::Trace { line: i + 1, what })?;
-        events.push((shard, ev));
-    }
-    Ok(events)
+        Ok((shard, event_from_json(value)?))
+    })
 }
 
-/// A [`PackObserver`] that streams events to a writer as JSONL.
+/// A demand type with a JSONL line schema: [`Size`] writes this
+/// module's lines, [`dbp_core::SizeVec`] the `vec_*` lines of
+/// [`crate::vectrace`].
+pub trait LineSchema: Sized {
+    /// Encodes one event as a single JSON line (no trailing newline).
+    fn to_line(ev: &PackEvent<Self>) -> String;
+}
+
+impl LineSchema for Size {
+    fn to_line(ev: &PackEvent) -> String {
+        event_to_json(ev)
+    }
+}
+
+/// A [`PackObserver`] that streams events to a writer as JSONL, in the
+/// line schema of the session's demand type ([`LineSchema`]).
 ///
 /// `on_event` must not panic, so I/O errors are latched: the first error
 /// stops further writing and is surfaced by [`TraceWriter::finish`] (or
@@ -301,12 +371,12 @@ impl<W: Write> TraceWriter<W> {
     }
 }
 
-impl<W: Write> PackObserver for TraceWriter<W> {
-    fn on_event(&mut self, event: &PackEvent) {
+impl<W: Write, D: LineSchema> PackObserver<D> for TraceWriter<W> {
+    fn on_event(&mut self, event: &PackEvent<D>) {
         if self.error.is_some() {
             return;
         }
-        let mut line = event_to_json(event);
+        let mut line = D::to_line(event);
         line.push('\n');
         match self.sink.write_all(line.as_bytes()) {
             Ok(()) => self.lines += 1,
@@ -410,6 +480,34 @@ mod tests {
         assert!(matches!(err, DbpError::Trace { line: 2, .. }), "{err:?}");
         let err = parse_jsonl("{\"type\":\"mystery\"}\n").unwrap_err();
         assert!(matches!(err, DbpError::Trace { line: 1, .. }), "{err:?}");
+    }
+
+    #[test]
+    fn out_of_range_ids_and_bins_are_refused() {
+        // 2^32 must not wrap to item or bin 0.
+        for line in [
+            "{\"type\":\"item_arrived\",\"id\":4294967296,\"size_raw\":1,\"at\":0,\
+             \"departure\":1,\"visible_departure\":null}",
+            "{\"type\":\"level_changed\",\"bin\":4294967296,\"at\":0,\"level_raw\":1,\
+             \"open_bins\":1}",
+            "{\"type\":\"bin_closed\",\"bin\":4294967296,\"at\":1,\"opened_at\":0,\"items\":1}",
+            "{\"type\":\"arrival_shed\",\"id\":4294967296,\"at\":0,\"open_bins\":1}",
+        ] {
+            let err = parse_jsonl(line).unwrap_err();
+            assert!(
+                matches!(&err, DbpError::Trace { line: 1, what } if what.contains("exceeds u32")),
+                "{line}: {err:?}"
+            );
+        }
+        // The largest id still decodes.
+        let max = "{\"type\":\"arrival_shed\",\"id\":4294967295,\"at\":0,\"open_bins\":1}";
+        assert!(matches!(
+            parse_jsonl(max).unwrap()[..],
+            [PackEvent::ArrivalShed {
+                id: ItemId(u32::MAX),
+                ..
+            }]
+        ));
     }
 
     #[test]

@@ -1,15 +1,28 @@
-//! JSONL trace format for the vector stack: one [`VecPackEvent`] per
+//! JSONL line schema for vector runs: one [`PackEvent<SizeVec>`] per
 //! line.
 //!
 //! The scalar schema ([`crate::trace`]) stays untouched; vector events
 //! get their own line types (`vec_item_arrived`, `vec_level_changed`, …)
 //! with demand and level vectors written as per-axis **raw** fixed-point
 //! arrays (`axes_raw`, `level_raw`), never floats — a parsed trace
-//! carries the bit-identical vectors the run produced.
+//! carries the bit-identical vectors the run produced. Events without a
+//! demand share the scalar lines under the `vec_` prefix. The writer is
+//! the generic [`crate::TraceWriter`]; this module supplies the lines.
+//!
+//! The schema records what the packer saw: `vec_item_arrived` carries
+//! the *visible* departure (`null` when blind) and
+//! `vec_placement_decided` the probe count but not the decide time. A
+//! decoded arrival therefore reports the visible departure as its
+//! departure (the arrival time when hidden), so clairvoyant traces
+//! round-trip exactly.
 
-use crate::json::{escape, parse, Json};
-use dbp_core::{BinId, DbpError, ItemId, Size, SizeVec, VecPackEvent, VecPackObserver};
-use std::io::Write;
+use crate::json::{escape, Json};
+use crate::trace::{
+    demand_free_from_json, demand_free_json, field, field_i64, field_opt_i64, field_u32,
+    field_usize, line_type, opt_json, parse_lines, LineSchema,
+};
+use dbp_core::observe::{FitDecision, PackEvent};
+use dbp_core::{BinId, DbpError, ItemId, Size, SizeVec};
 
 fn axes_json(v: &SizeVec) -> String {
     let axes = v
@@ -22,40 +35,35 @@ fn axes_json(v: &SizeVec) -> String {
 }
 
 /// Encodes one vector event as a single JSON line (no trailing newline).
-pub fn event_to_json(ev: &VecPackEvent) -> String {
+pub fn event_to_json(ev: &PackEvent<SizeVec>) -> String {
     match ev {
-        VecPackEvent::ItemArrived {
+        PackEvent::ItemArrived {
             id,
             size,
             at,
-            departure,
-        } => {
-            let dep = match departure {
-                Some(t) => t.to_string(),
-                None => "null".to_string(),
-            };
-            format!(
-                "{{\"type\":\"vec_item_arrived\",\"id\":{},\"axes_raw\":{},\"at\":{at},\
-                 \"departure\":{dep}}}",
-                id.0,
-                axes_json(size)
-            )
-        }
-        VecPackEvent::BinOpened { bin, at, tag } => format!(
-            "{{\"type\":\"vec_bin_opened\",\"bin\":{},\"at\":{at},\"tag\":{tag}}}",
-            bin.0
+            visible_departure,
+            ..
+        } => format!(
+            "{{\"type\":\"vec_item_arrived\",\"id\":{},\"axes_raw\":{},\"at\":{at},\
+             \"departure\":{}}}",
+            id.0,
+            axes_json(size),
+            opt_json(*visible_departure)
         ),
-        VecPackEvent::PlacementDecided {
+        PackEvent::PlacementDecided {
             id,
             bin,
-            opened,
-            scanned,
+            fit_rule,
+            candidates_scanned,
+            ..
         } => format!(
-            "{{\"type\":\"vec_placement_decided\",\"id\":{},\"bin\":{},\"opened\":{opened},\
-             \"scanned\":{scanned}}}",
-            id.0, bin.0
+            "{{\"type\":\"vec_placement_decided\",\"id\":{},\"bin\":{},\"opened\":{},\
+             \"scanned\":{candidates_scanned}}}",
+            id.0,
+            bin.0,
+            *fit_rule == FitDecision::OpenedNew
         ),
-        VecPackEvent::LevelChanged {
+        PackEvent::LevelChanged {
             bin,
             at,
             level,
@@ -66,33 +74,14 @@ pub fn event_to_json(ev: &VecPackEvent) -> String {
             bin.0,
             axes_json(level)
         ),
-        VecPackEvent::BinClosed {
-            bin,
-            at,
-            opened_at,
-            items,
-        } => format!(
-            "{{\"type\":\"vec_bin_closed\",\"bin\":{},\"at\":{at},\"opened_at\":{opened_at},\
-             \"items\":{items}}}",
-            bin.0
-        ),
+        other => demand_free_json("vec_", other),
     }
 }
 
-fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, String> {
-    v.get(key).ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn field_i64(v: &Json, key: &str) -> Result<i64, String> {
-    field(v, key)?
-        .as_i64()
-        .ok_or_else(|| format!("field {key:?} is not an integer"))
-}
-
-fn field_u64(v: &Json, key: &str) -> Result<u64, String> {
-    field(v, key)?
-        .as_u64()
-        .ok_or_else(|| format!("field {key:?} is not an unsigned integer"))
+impl LineSchema for SizeVec {
+    fn to_line(ev: &PackEvent<SizeVec>) -> String {
+        event_to_json(ev)
+    }
 }
 
 fn field_vec(v: &Json, key: &str) -> Result<SizeVec, String> {
@@ -111,78 +100,56 @@ fn field_vec(v: &Json, key: &str) -> Result<SizeVec, String> {
 }
 
 /// Decodes one vector event from a parsed JSON object.
-pub fn event_from_json(v: &Json) -> Result<VecPackEvent, String> {
-    let ty = field(v, "type")?
-        .as_str()
-        .ok_or("field \"type\" is not a string")?;
+pub fn event_from_json(v: &Json) -> Result<PackEvent<SizeVec>, String> {
+    let ty = line_type(v)?;
+    let Some(ty) = ty.strip_prefix("vec_") else {
+        return Err(format!("unknown event type {}", escape(ty)));
+    };
     match ty {
-        "vec_item_arrived" => {
-            let dep = field(v, "departure")?;
-            let departure = if dep.is_null() {
-                None
-            } else {
-                Some(
-                    dep.as_i64()
-                        .ok_or("field \"departure\" is not an integer")?,
-                )
-            };
-            Ok(VecPackEvent::ItemArrived {
-                id: ItemId(field_u64(v, "id")? as u32),
+        "item_arrived" => {
+            let at = field_i64(v, "at")?;
+            let visible_departure = field_opt_i64(v, "departure")?;
+            Ok(PackEvent::ItemArrived {
+                id: ItemId(field_u32(v, "id")?),
                 size: field_vec(v, "axes_raw")?,
-                at: field_i64(v, "at")?,
-                departure,
+                at,
+                departure: visible_departure.unwrap_or(at),
+                visible_departure,
             })
         }
-        "vec_bin_opened" => Ok(VecPackEvent::BinOpened {
-            bin: BinId(field_u64(v, "bin")? as u32),
-            at: field_i64(v, "at")?,
-            tag: field_u64(v, "tag")?,
-        }),
-        "vec_placement_decided" => {
-            let opened = match field(v, "opened")? {
-                Json::Bool(b) => *b,
+        "placement_decided" => {
+            let fit_rule = match field(v, "opened")? {
+                Json::Bool(true) => FitDecision::OpenedNew,
+                Json::Bool(false) => FitDecision::Reused,
                 _ => return Err("field \"opened\" is not a bool".into()),
             };
-            Ok(VecPackEvent::PlacementDecided {
-                id: ItemId(field_u64(v, "id")? as u32),
-                bin: BinId(field_u64(v, "bin")? as u32),
-                opened,
-                scanned: field_u64(v, "scanned")? as usize,
+            Ok(PackEvent::PlacementDecided {
+                id: ItemId(field_u32(v, "id")?),
+                bin: BinId(field_u32(v, "bin")?),
+                fit_rule,
+                candidates_scanned: field_usize(v, "scanned")?,
+                decide_ns: 0,
             })
         }
-        "vec_level_changed" => Ok(VecPackEvent::LevelChanged {
-            bin: BinId(field_u64(v, "bin")? as u32),
+        "level_changed" => Ok(PackEvent::LevelChanged {
+            bin: BinId(field_u32(v, "bin")?),
             at: field_i64(v, "at")?,
             level: field_vec(v, "level_raw")?,
-            open_bins: field_u64(v, "open_bins")? as usize,
+            open_bins: field_usize(v, "open_bins")?,
         }),
-        "vec_bin_closed" => Ok(VecPackEvent::BinClosed {
-            bin: BinId(field_u64(v, "bin")? as u32),
-            at: field_i64(v, "at")?,
-            opened_at: field_i64(v, "opened_at")?,
-            items: field_u64(v, "items")? as usize,
-        }),
-        other => Err(format!("unknown event type {}", escape(other))),
+        other => demand_free_from_json(other, v)
+            .unwrap_or_else(|| Err(format!("unknown event type vec_{}", escape(other)))),
     }
 }
 
 /// Parses a whole vector JSONL trace. Blank lines are skipped; errors
 /// carry the 1-based line number.
-pub fn parse_jsonl(text: &str) -> Result<Vec<VecPackEvent>, DbpError> {
-    let mut events = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let value = parse(line).map_err(|what| DbpError::Trace { line: i + 1, what })?;
-        events.push(event_from_json(&value).map_err(|what| DbpError::Trace { line: i + 1, what })?);
-    }
-    Ok(events)
+pub fn parse_jsonl(text: &str) -> Result<Vec<PackEvent<SizeVec>>, DbpError> {
+    parse_lines(text, event_from_json)
 }
 
 /// Serializes a slice of vector events as a JSONL document.
-pub fn events_to_jsonl(events: &[VecPackEvent]) -> String {
+pub fn events_to_jsonl(events: &[PackEvent<SizeVec>]) -> String {
     let mut out = String::new();
     for ev in events {
         out.push_str(&event_to_json(ev));
@@ -191,103 +158,65 @@ pub fn events_to_jsonl(events: &[VecPackEvent]) -> String {
     out
 }
 
-/// A [`VecPackObserver`] that streams events to a writer as JSONL.
-///
-/// `on_event` must not panic, so I/O errors are latched: the first error
-/// stops further writing and is surfaced by [`VecTraceWriter::finish`]
-/// (or inspectable via [`VecTraceWriter::error`]).
-pub struct VecTraceWriter<W: Write> {
-    sink: W,
-    lines: u64,
-    error: Option<std::io::Error>,
-}
-
-impl<W: Write> VecTraceWriter<W> {
-    /// Wraps a writer. Consider a `BufWriter` for file sinks: one write
-    /// per event otherwise.
-    pub fn new(sink: W) -> Self {
-        VecTraceWriter {
-            sink,
-            lines: 0,
-            error: None,
-        }
-    }
-
-    /// Number of event lines successfully written.
-    pub fn lines_written(&self) -> u64 {
-        self.lines
-    }
-
-    /// The latched I/O error, if any write failed.
-    pub fn error(&self) -> Option<&std::io::Error> {
-        self.error.as_ref()
-    }
-
-    /// Flushes and returns the inner writer, surfacing any latched error.
-    pub fn finish(mut self) -> std::io::Result<W> {
-        if let Some(e) = self.error.take() {
-            return Err(e);
-        }
-        self.sink.flush()?;
-        Ok(self.sink)
-    }
-}
-
-impl<W: Write> VecPackObserver for VecTraceWriter<W> {
-    fn on_event(&mut self, event: &VecPackEvent) {
-        if self.error.is_some() {
-            return;
-        }
-        let mut line = event_to_json(event);
-        line.push('\n');
-        match self.sink.write_all(line.as_bytes()) {
-            Ok(()) => self.lines += 1,
-            Err(e) => self.error = Some(e),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbp_core::{VecInstance, VecItem, VecOnlineEngine};
+    use crate::json::parse;
+    use crate::TraceWriter;
+    use dbp_algos::online::AnyFit;
+    use dbp_core::{EventLog, VecClairvoyance, VecInstance, VecItem, VecStreamingSession};
 
-    fn samples() -> Vec<VecPackEvent> {
+    fn samples() -> Vec<PackEvent<SizeVec>> {
         vec![
-            VecPackEvent::ItemArrived {
+            PackEvent::ItemArrived {
                 id: ItemId(7),
                 size: SizeVec::from_f64s(&[0.3, 0.6]),
                 at: 5,
-                departure: Some(40),
+                departure: 40,
+                visible_departure: Some(40),
             },
-            VecPackEvent::ItemArrived {
+            PackEvent::ItemArrived {
                 id: ItemId(8),
                 size: SizeVec::new(&[Size::from_raw(1), Size::from_raw(3)]),
                 at: 5,
-                departure: None,
+                departure: 5,
+                visible_departure: None,
             },
-            VecPackEvent::BinOpened {
+            PackEvent::BinOpened {
                 bin: BinId(2),
                 at: 5,
                 tag: 9,
             },
-            VecPackEvent::PlacementDecided {
+            PackEvent::PlacementDecided {
                 id: ItemId(7),
                 bin: BinId(2),
-                opened: true,
-                scanned: 2,
+                fit_rule: FitDecision::OpenedNew,
+                candidates_scanned: 2,
+                decide_ns: 0,
             },
-            VecPackEvent::LevelChanged {
+            PackEvent::LevelChanged {
                 bin: BinId(2),
                 at: 5,
                 level: SizeVec::from_f64s(&[0.3, 0.6]),
                 open_bins: 3,
             },
-            VecPackEvent::BinClosed {
+            PackEvent::BinClosed {
                 bin: BinId(2),
                 at: 40,
                 opened_at: 5,
                 items: 2,
+            },
+            PackEvent::BinFailed {
+                bin: BinId(3),
+                at: 17,
+                opened_at: 6,
+                displaced: 2,
+                open_bins: 1,
+            },
+            PackEvent::ArrivalShed {
+                id: ItemId(9),
+                at: 18,
+                open_bins: 4,
             },
         ]
     }
@@ -296,6 +225,7 @@ mod tests {
     fn every_event_round_trips() {
         for ev in samples() {
             let line = event_to_json(&ev);
+            assert!(line.starts_with("{\"type\":\"vec_"), "{line}");
             let back = event_from_json(&parse(&line).unwrap()).unwrap();
             assert_eq!(back, ev, "round-trip failed for {line}");
         }
@@ -317,13 +247,31 @@ mod tests {
         assert!(matches!(err, DbpError::Trace { line: 2, .. }), "{err:?}");
         let err = parse_jsonl("{\"type\":\"mystery\"}\n").unwrap_err();
         assert!(matches!(err, DbpError::Trace { line: 1, .. }), "{err:?}");
+        // A scalar line is not a vector line.
+        let err =
+            parse_jsonl("{\"type\":\"bin_opened\",\"bin\":0,\"at\":0,\"tag\":0}\n").unwrap_err();
+        assert!(matches!(err, DbpError::Trace { line: 1, .. }), "{err:?}");
+    }
+
+    #[test]
+    fn out_of_range_ids_and_bins_are_refused() {
+        for line in [
+            "{\"type\":\"vec_item_arrived\",\"id\":4294967296,\"axes_raw\":[1,1],\"at\":0,\"departure\":null}",
+            "{\"type\":\"vec_placement_decided\",\"id\":0,\"bin\":4294967296,\"opened\":true,\"scanned\":0}",
+            "{\"type\":\"vec_bin_opened\",\"bin\":4294967296,\"at\":0,\"tag\":0}",
+        ] {
+            let err = parse_jsonl(line).unwrap_err();
+            assert!(
+                matches!(&err, DbpError::Trace { line: 1, what } if what.contains("exceeds u32")),
+                "{line}: {err:?}"
+            );
+        }
     }
 
     /// A real engine run streams through the writer and parses back to
     /// the exact event sequence an in-memory log records.
     #[test]
     fn live_run_traces_losslessly() {
-        use dbp_algos::online::VecAnyFit;
         let items = vec![
             VecItem::new(0, SizeVec::from_f64s(&[0.6, 0.2]), 0, 12),
             VecItem::new(1, SizeVec::from_f64s(&[0.5, 0.5]), 1, 9),
@@ -331,39 +279,32 @@ mod tests {
             VecItem::new(3, SizeVec::from_f64s(&[0.1, 0.1]), 8, 20),
         ];
         let inst = VecInstance::from_items(items).unwrap();
+        let mode = VecClairvoyance::Clairvoyant;
 
-        let mut log = dbp_core::VecEventLog::new();
-        let run_logged = VecOnlineEngine::clairvoyant()
-            .run_observed(&inst, &mut VecAnyFit::first_fit(), &mut log)
-            .unwrap();
+        let mut log = EventLog::new();
+        let run_logged =
+            VecStreamingSession::run_observed(mode, &inst, &mut AnyFit::first_fit(), &mut log)
+                .unwrap();
 
-        let mut writer = VecTraceWriter::new(Vec::new());
-        let run_traced = VecOnlineEngine::clairvoyant()
-            .run_observed(&inst, &mut VecAnyFit::first_fit(), &mut writer)
-            .unwrap();
+        let mut writer = TraceWriter::new(Vec::new());
+        let run_traced =
+            VecStreamingSession::run_observed(mode, &inst, &mut AnyFit::first_fit(), &mut writer)
+                .unwrap();
         assert_eq!(run_logged, run_traced);
         assert_eq!(writer.lines_written(), log.events.len() as u64);
 
+        // The vector lines do not carry the sampled decide time.
+        let untimed: Vec<_> = log
+            .events
+            .into_iter()
+            .map(|mut ev| {
+                if let PackEvent::PlacementDecided { decide_ns, .. } = &mut ev {
+                    *decide_ns = 0;
+                }
+                ev
+            })
+            .collect();
         let text = String::from_utf8(writer.finish().unwrap()).unwrap();
-        assert_eq!(parse_jsonl(&text).unwrap(), log.events);
-    }
-
-    #[test]
-    fn writer_latches_io_errors() {
-        struct Broken;
-        impl Write for Broken {
-            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
-                Err(std::io::Error::other("disk on fire"))
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let mut w = VecTraceWriter::new(Broken);
-        w.on_event(&samples()[0]);
-        w.on_event(&samples()[1]); // must not panic
-        assert_eq!(w.lines_written(), 0);
-        assert!(w.error().is_some());
-        assert!(w.finish().is_err());
+        assert_eq!(parse_jsonl(&text).unwrap(), untimed);
     }
 }

@@ -110,7 +110,7 @@ mod tests {
     use super::*;
     use dbp_algos::online::AnyFit;
     use dbp_core::accounting::lower_bounds;
-    use dbp_core::{OnlineEngine, OnlinePacker};
+    use dbp_core::OnlineEngine;
 
     #[test]
     fn tail_trap_hurts_first_fit() {

@@ -22,6 +22,7 @@
 //! | 4 | runtime error (engine failure, packing validation) |
 //! | 5 | audit / chaos / shard-audit / telemetry violations found |
 
+use clairvoyant_dbp::audit::diff::clairvoyance_for;
 use clairvoyant_dbp::core::accounting::lower_bounds;
 use clairvoyant_dbp::core::stats::instance_stats;
 use clairvoyant_dbp::prelude::*;
@@ -30,7 +31,9 @@ use clairvoyant_dbp::workloads::scenarios::{
     AnalyticsWorkload, CloudGamingWorkload, DiurnalWorkload, SpikeWorkload,
 };
 use clairvoyant_dbp::workloads::trace;
-use dbp_bench::registry::{offline_packer, online_packer, AlgoParams, OFFLINE_ALGOS, ONLINE_ALGOS};
+use dbp_bench::registry::{
+    needs_departures, offline_packer, online_packer, AlgoParams, OFFLINE_ALGOS, ONLINE_ALGOS,
+};
 use std::collections::HashMap;
 use std::process::ExitCode;
 
@@ -342,14 +345,6 @@ fn parse_dims(flags: &HashMap<String, String>) -> Result<usize, CliError> {
     }
 }
 
-fn clair_mode(algo: &str) -> ClairvoyanceMode {
-    if matches!(algo, "cbdt" | "cbd" | "combined") {
-        ClairvoyanceMode::Clairvoyant
-    } else {
-        ClairvoyanceMode::NonClairvoyant
-    }
-}
-
 fn load_trace(flags: &HashMap<String, String>) -> Result<Instance, CliError> {
     let path = get(flags, "trace")?;
     trace::load(path).map_err(io_err)
@@ -366,6 +361,17 @@ fn known_algo(algo: &str, roster: &[&str], what: &str) -> Result<(), CliError> {
             roster.join(", ")
         )))
     }
+}
+
+/// Refuses `--non-clairvoyant` for a packer that classifies by departure
+/// times: it would have nothing to classify by.
+fn check_clairvoyance(flags: &HashMap<String, String>, algo: &str) -> Result<(), CliError> {
+    if flags.contains_key("non-clairvoyant") && needs_departures(algo) {
+        return Err(CliError::Usage(format!(
+            "--non-clairvoyant hides departure times, but {algo} classifies by them"
+        )));
+    }
+    Ok(())
 }
 
 /// Builds the named workload's seeded instance, or `None` for an
@@ -436,6 +442,9 @@ fn pack(flags: &HashMap<String, String>) -> Result<(), CliError> {
         if offline { OFFLINE_ALGOS } else { ONLINE_ALGOS },
         if offline { "offline" } else { "online" },
     )?;
+    if !offline {
+        check_clairvoyance(flags, algo)?;
+    }
     if flags.contains_key("shards") {
         if offline {
             return Err(CliError::Usage(
@@ -519,11 +528,12 @@ fn pack_vector(
     inst: &Instance,
     algo: &str,
 ) -> Result<(), CliError> {
-    use clairvoyant_dbp::core::{VecInstance, VecOnlineEngine};
+    use clairvoyant_dbp::core::{VecClairvoyance, VecInstance, VecStreamingSession};
     use dbp_bench::registry::{vector_packer, VECTOR_ALGOS};
 
     let dims = parse_dims(flags)?;
     known_algo(algo, VECTOR_ALGOS, "vector")?;
+    check_clairvoyance(flags, algo)?;
     for unsupported in ["offline", "shards", "metrics"] {
         if flags.contains_key(unsupported) {
             return Err(CliError::Usage(format!(
@@ -536,18 +546,17 @@ fn pack_vector(
     let vinst = VecInstance::lift(inst, dims);
     let params = AlgoParams::from_vec_instance(&vinst);
     let mut packer = vector_packer(algo, params);
-    let engine = if flags.contains_key("non-clairvoyant") {
-        VecOnlineEngine::non_clairvoyant()
+    let mode = if flags.contains_key("non-clairvoyant") {
+        VecClairvoyance::NonClairvoyant
     } else {
-        VecOnlineEngine::clairvoyant()
+        VecClairvoyance::Clairvoyant
     };
     let run = match flags.get("trace-out") {
         Some(path) => {
             let file = std::fs::File::create(path)
                 .map_err(|e| io_err(format!("cannot create {path}: {e}")))?;
-            let mut writer = dbp_obs::VecTraceWriter::new(std::io::BufWriter::new(file));
-            let run = engine
-                .run_observed(&vinst, packer.as_mut(), &mut writer)
+            let mut writer = dbp_obs::TraceWriter::new(std::io::BufWriter::new(file));
+            let run = VecStreamingSession::run_observed(mode, &vinst, packer.as_mut(), &mut writer)
                 .map_err(runtime_err)?;
             let lines = writer.lines_written();
             writer
@@ -556,7 +565,7 @@ fn pack_vector(
             eprintln!("trace:       {lines} events -> {path}");
             run
         }
-        None => engine.run(&vinst, packer.as_mut()).map_err(runtime_err)?,
+        None => VecStreamingSession::run(mode, &vinst, packer.as_mut()).map_err(runtime_err)?,
     };
     vinst.validate_packing(&run.packing).map_err(runtime_err)?;
     let lb = vinst.vector_lower_bound();
@@ -782,7 +791,7 @@ fn bench(flags: &HashMap<String, String>) -> Result<(), CliError> {
         let lb = lower_bounds(&inst).best().max(1);
         let params = AlgoParams::from_instance(&inst);
         let mut packer = online_packer(algo, params);
-        let run = OnlineEngine::new(clair_mode(algo))
+        let run = OnlineEngine::new(clairvoyance_for(algo))
             .run(&inst, packer.as_mut())
             .expect("roster run");
         run.packing.validate(&inst).expect("roster packing");
@@ -795,7 +804,7 @@ fn bench(flags: &HashMap<String, String>) -> Result<(), CliError> {
 /// The `bench --dims D` path: the vector roster over seeded correlated
 /// `D`-axis workload replicas, on the same panic-isolated grid.
 fn bench_vector_grid(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    use clairvoyant_dbp::core::VecOnlineEngine;
+    use clairvoyant_dbp::core::{VecClairvoyance, VecStreamingSession};
     use clairvoyant_dbp::workloads::random::DurationDist;
     use clairvoyant_dbp::workloads::vector::{CorrelatedVectorWorkload, VectorWorkload};
     use dbp_bench::grid::{run_grid_checked, GridCell};
@@ -833,12 +842,12 @@ fn bench_vector_grid(flags: &HashMap<String, String>) -> Result<(), CliError> {
         let lb = inst.vector_lower_bound().max(1);
         let params = AlgoParams::from_vec_instance(&inst);
         let mut packer = vector_packer(algo, params);
-        let engine = if matches!(algo, "cbdt" | "cbd") {
-            VecOnlineEngine::clairvoyant()
+        let mode = if needs_departures(algo) {
+            VecClairvoyance::Clairvoyant
         } else {
-            VecOnlineEngine::non_clairvoyant()
+            VecClairvoyance::NonClairvoyant
         };
-        let run = engine.run(&inst, packer.as_mut()).expect("roster run");
+        let run = VecStreamingSession::run(mode, &inst, packer.as_mut()).expect("roster run");
         inst.validate_packing(&run.packing).expect("roster packing");
         (run.usage, run.bins_opened(), run.usage as f64 / lb as f64)
     });
@@ -1269,9 +1278,12 @@ fn audit_self_test(flags: &HashMap<String, String>) -> Result<(), CliError> {
 fn audit_self_test_vector(seed: u64) -> Result<(), CliError> {
     use clairvoyant_dbp::audit::faulty::AxisBlindFirstFit;
     use clairvoyant_dbp::audit::fuzz::isolated;
+    use clairvoyant_dbp::audit::shrink::shrink_instance;
     use clairvoyant_dbp::audit::shrink::ShrinkBudget;
-    use clairvoyant_dbp::audit::vector::{shrink_vec_instance, VecFixture};
-    use clairvoyant_dbp::core::{SizeVec, VecInstance, VecItem, VecOnlineEngine};
+    use clairvoyant_dbp::audit::vector::VecFixture;
+    use clairvoyant_dbp::core::{
+        SizeVec, VecClairvoyance, VecInstance, VecItem, VecStreamingSession,
+    };
 
     // Two items that overlap in time and fit on axis 0 but not axis 1,
     // padded with decoys the shrinker must strip.
@@ -1291,7 +1303,11 @@ fn audit_self_test_vector(seed: u64) -> Result<(), CliError> {
 
     let fails = |candidate: &VecInstance| {
         !matches!(
-            isolated(|| VecOnlineEngine::non_clairvoyant().run(candidate, &mut AxisBlindFirstFit)),
+            isolated(|| VecStreamingSession::run(
+                VecClairvoyance::NonClairvoyant,
+                candidate,
+                &mut AxisBlindFirstFit
+            )),
             Ok(Ok(_))
         )
     };
@@ -1302,7 +1318,7 @@ fn audit_self_test_vector(seed: u64) -> Result<(), CliError> {
     }
     println!("self-test: axis-blind first-fit rejected by per-axis feasibility");
 
-    let small = shrink_vec_instance(&inst, fails, ShrinkBudget::default());
+    let small = shrink_instance(&inst, fails, ShrinkBudget::default());
     println!(
         "self-test: vector witness shrunk {} -> {} items",
         inst.len(),
@@ -1697,7 +1713,7 @@ fn prof(flags: &HashMap<String, String>) -> Result<(), CliError> {
     let params = AlgoParams::from_instance(&inst);
     let mut packer = online_packer(algo, params);
     let profile = profile_stream(
-        clair_mode(algo),
+        clairvoyance_for(algo),
         packer.as_mut(),
         &items,
         batch,
@@ -1779,7 +1795,7 @@ fn prof_self_test(
     let mut runs = Vec::new();
     for _ in 0..2 {
         let mut packer = online_packer(algo, params);
-        let p = profile_stream(clair_mode(algo), packer.as_mut(), items, 0, false)
+        let p = profile_stream(clairvoyance_for(algo), packer.as_mut(), items, 0, false)
             .map_err(runtime_err)?;
         runs.push(p.telemetry.work);
     }
@@ -1803,7 +1819,8 @@ fn prof_self_test(
             ..ShardConfig::new(k, ShardRouter::hash())
         };
         let packers = (0..k).map(|_| online_packer(algo, params)).collect();
-        let mut fleet = ShardedSession::new(clair_mode(algo), packers, cfg).map_err(runtime_err)?;
+        let mut fleet =
+            ShardedSession::new(clairvoyance_for(algo), packers, cfg).map_err(runtime_err)?;
         for item in items {
             fleet.arrive(item).map_err(runtime_err)?;
         }
@@ -1833,7 +1850,7 @@ fn compare(flags: &HashMap<String, String>) -> Result<(), CliError> {
     );
     for algo in ONLINE_ALGOS {
         let mut packer = online_packer(algo, params);
-        let run = OnlineEngine::new(clair_mode(algo))
+        let run = OnlineEngine::new(clairvoyance_for(algo))
             .run(&inst, packer.as_mut())
             .map_err(runtime_err)?;
         run.packing.validate(&inst).map_err(runtime_err)?;

@@ -127,7 +127,7 @@ fn non_clairvoyant_flag_respected() {
         &path,
     ]);
     // CBDT requires clairvoyance: non-clairvoyant mode must fail loudly
-    // (panics inside — surfaced as a failed exit status), while FF works.
+    // (refused as a usage error), while FF works.
     let (ok_ff, _, _) = dbp(&[
         "pack",
         "--trace",
@@ -146,6 +146,49 @@ fn non_clairvoyant_flag_respected() {
         "--non-clairvoyant",
     ]);
     assert!(!ok_cbdt);
+}
+
+#[test]
+fn classifiers_refuse_non_clairvoyant_up_front() {
+    // A packer that classifies by departure times has nothing to go on
+    // without them: every pack path refuses the pair as a usage error
+    // (exit 2) instead of panicking mid-run (exit 101).
+    let path = temp_trace("nc-refuse.csv");
+    dbp(&[
+        "generate",
+        "--workload",
+        "poisson",
+        "--n",
+        "200",
+        "--seed",
+        "3",
+        "--out",
+        &path,
+    ]);
+    let scalar = ["cbdt", "cbd", "combined"].map(|algo| (algo, vec![]));
+    let vector = ["cbdt", "cbd"].map(|algo| (algo, vec!["--dims", "2"]));
+    let sharded = ["cbdt"].map(|algo| (algo, vec!["--shards", "2"]));
+    for (algo, extra) in scalar.into_iter().chain(vector).chain(sharded) {
+        let mut args = vec![
+            "pack",
+            "--trace",
+            &path,
+            "--algo",
+            algo,
+            "--non-clairvoyant",
+        ];
+        args.extend(extra.iter().copied());
+        let (code, _, err) = dbp_code(&args);
+        assert_eq!(code, Some(2), "{args:?}: {err}");
+        assert!(err.contains("--non-clairvoyant"), "{args:?}: {err}");
+    }
+    // The same packers still run clairvoyantly on both paths.
+    for extra in [&[][..], &["--dims", "2"]] {
+        let mut args = vec!["pack", "--trace", &path, "--algo", "cbd"];
+        args.extend(extra.iter().copied());
+        let (code, _, err) = dbp_code(&args);
+        assert_eq!(code, Some(0), "{args:?}: {err}");
+    }
 }
 
 #[test]

@@ -13,7 +13,7 @@
 //! git diff results/golden_vector.json   # review the drift, then commit
 //! ```
 
-use clairvoyant_dbp::core::VecOnlineEngine;
+use clairvoyant_dbp::core::{VecClairvoyance, VecStreamingSession};
 use clairvoyant_dbp::obs::json::{self, Json};
 use clairvoyant_dbp::workloads::random::DurationDist;
 use clairvoyant_dbp::workloads::vector::{CorrelatedVectorWorkload, VectorWorkload};
@@ -52,14 +52,13 @@ fn evaluate_grid() -> Vec<Cell> {
                 .generate_seeded(seed);
             let params = AlgoParams::from_vec_instance(&inst);
             for algo in VECTOR_ALGOS {
-                let engine = if matches!(*algo, "cbdt" | "cbd") {
-                    VecOnlineEngine::clairvoyant()
+                let mode = if matches!(*algo, "cbdt" | "cbd") {
+                    VecClairvoyance::Clairvoyant
                 } else {
-                    VecOnlineEngine::non_clairvoyant()
+                    VecClairvoyance::NonClairvoyant
                 };
                 let mut packer = vector_packer(algo, params);
-                let run = engine
-                    .run(&inst, packer.as_mut())
+                let run = VecStreamingSession::run(mode, &inst, packer.as_mut())
                     .expect("roster run on a clean instance");
                 inst.validate_packing(&run.packing)
                     .expect("roster packing is per-axis feasible");

@@ -16,11 +16,10 @@
 //! all derived from the same two numbers.
 
 use crate::diff::clairvoyance_for;
-use crate::fuzz::{case_instance, isolated, Failure};
+use crate::fuzz::{case_instance, isolated, mix, run_sweep};
 use crate::invariants::{CheckId, Violation};
 use crate::shrink::{shrink_instance, ShrinkBudget};
 use crate::AuditSummary;
-use dbp_bench::grid::{run_grid_checked, GridCell};
 use dbp_bench::registry::{online_packer, AlgoParams, ONLINE_ALGOS};
 use dbp_core::{DbpError, Instance, StreamingSession};
 use dbp_resilience::chaos::{run_chaos, ChaosConfig, ChaosReport};
@@ -49,13 +48,6 @@ impl Default for ChaosAuditConfig {
             threads: None,
         }
     }
-}
-
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// The deterministic chaos configuration for `(seed, case_idx)` on a
@@ -214,49 +206,15 @@ pub fn audit_chaos_instance(inst: &Instance, cfg: &ChaosConfig) -> Vec<(String, 
 /// Runs the chaos sweep. Same containment guarantees as
 /// [`crate::fuzz::run_audit`]: any panic is confined to its cell.
 pub fn run_chaos_audit(cfg: &ChaosAuditConfig) -> AuditSummary {
-    let cells: Vec<GridCell<u64>> = (0..cfg.cases)
-        .map(|i| GridCell {
-            label: format!("chaos{i}"),
-            input: i,
-        })
-        .collect();
     let (seed, max_items) = (cfg.seed, cfg.max_items);
-
-    let results = run_grid_checked(cells, cfg.threads, move |&case_idx| {
+    run_sweep(cfg.cases, cfg.threads, move |case_idx| {
         let (family, inst) = case_instance(seed, case_idx, max_items);
         let chaos = case_chaos_config(seed, case_idx, &inst);
-        let per_algo = audit_chaos_instance(&inst, &chaos);
-        (family, per_algo)
-    });
-
-    let mut summary = AuditSummary {
-        cases: cfg.cases,
-        ..Default::default()
-    };
-    for (case_idx, res) in results.into_iter().enumerate() {
-        match res.output {
-            Ok((family, per_algo)) => {
-                summary.cells += per_algo.len();
-                for (algo, violations) in per_algo {
-                    if !violations.is_empty() {
-                        summary.failures.push(Failure {
-                            case: case_idx as u64,
-                            family: format!("chaos:{family}"),
-                            algo,
-                            violations,
-                        });
-                    }
-                }
-            }
-            Err(p) => summary.failures.push(Failure {
-                case: case_idx as u64,
-                family: "chaos:<generation>".into(),
-                algo: "<cell>".into(),
-                violations: vec![Violation::new(CheckId::Panic, p.message)],
-            }),
-        }
-    }
-    summary
+        (
+            format!("chaos:{family}"),
+            audit_chaos_instance(&inst, &chaos),
+        )
+    })
 }
 
 /// Shrinks a chaos failure to a minimal instance that still fails the

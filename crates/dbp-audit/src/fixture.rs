@@ -18,22 +18,27 @@
 //! }
 //! ```
 //!
+//! A vector fixture adds `"kind": "vector"` after the version and gives
+//! each item per-axis `"axes_raw": [..]` in place of `size_raw`.
+//!
 //! Sizes are stored as **raw** [`Size`] units (`u64`, `SCALE` = 1.0) and
 //! parsed with `dbp-obs`'s literal-text JSON numbers, so they round-trip
 //! exactly — a fixture replays the bit-identical instance that failed.
 
-use dbp_core::{DbpError, Instance, Item, Size};
+use crate::shrink::Shrinkable;
+use dbp_core::{DbpError, Job, Size};
 use dbp_obs::json::{self, Json};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 /// One item of a fixture instance.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FixtureItem {
     /// Item id.
     pub id: u32,
-    /// Raw size units (`Size::SCALE` = full bin).
-    pub size_raw: u64,
+    /// Raw size units per axis (`Size::SCALE` = full bin): exactly one
+    /// in a scalar fixture.
+    pub raw: Vec<u64>,
     /// Arrival tick.
     pub arrival: i64,
     /// Departure tick.
@@ -57,20 +62,22 @@ pub struct Fixture {
     pub case: u64,
     /// Free-form provenance note.
     pub note: String,
+    /// Whether the items carry vector demands.
+    pub vector: bool,
     /// The shrunk instance's items.
     pub items: Vec<FixtureItem>,
 }
 
 impl Fixture {
-    /// Builds a fixture from an instance plus metadata.
-    pub fn from_instance(
+    /// Builds a fixture from a scalar or vector instance plus metadata.
+    pub fn from_instance<I: Shrinkable>(
         name: impl Into<String>,
         algo: impl Into<String>,
         check: impl Into<String>,
         seed: u64,
         case: u64,
         note: impl Into<String>,
-        inst: &Instance,
+        inst: &I,
     ) -> Fixture {
         Fixture {
             name: name.into(),
@@ -79,12 +86,13 @@ impl Fixture {
             seed,
             case,
             note: note.into(),
+            vector: I::VECTOR,
             items: inst
                 .items()
                 .iter()
                 .map(|r| FixtureItem {
                     id: r.id().0,
-                    size_raw: r.size().raw(),
+                    raw: I::axes(r).iter().map(|s| s.raw()).collect(),
                     arrival: r.arrival(),
                     departure: r.departure(),
                 })
@@ -92,14 +100,26 @@ impl Fixture {
         }
     }
 
-    /// Reconstructs the instance.
-    pub fn instance(&self) -> Result<Instance, DbpError> {
+    /// Reconstructs the instance; `I` must match the fixture's kind.
+    pub fn instance<I: Shrinkable>(&self) -> Result<I, DbpError> {
+        if self.vector != I::VECTOR {
+            return Err(DbpError::InvalidParameter {
+                what: format!(
+                    "fixture {} holds {} demands",
+                    self.name,
+                    if self.vector { "vector" } else { "scalar" }
+                ),
+            });
+        }
         let items = self
             .items
             .iter()
-            .map(|fi| Item::try_new(fi.id, Size::from_raw(fi.size_raw), fi.arrival, fi.departure))
+            .map(|fi| {
+                let axes: Vec<Size> = fi.raw.iter().map(|&r| Size::from_raw(r)).collect();
+                I::new_item(fi.id, &axes, fi.arrival, fi.departure)
+            })
             .collect::<Result<Vec<_>, _>>()?;
-        Instance::from_items(items)
+        I::from_items(items)
     }
 
     /// Serializes to the on-disk JSON form.
@@ -107,6 +127,9 @@ impl Fixture {
         let mut s = String::new();
         let _ = writeln!(s, "{{");
         let _ = writeln!(s, "  \"version\": 1,");
+        if self.vector {
+            let _ = writeln!(s, "  \"kind\": \"vector\",");
+        }
         let _ = writeln!(s, "  \"name\": \"{}\",", json::escape(&self.name));
         let _ = writeln!(s, "  \"algo\": \"{}\",", json::escape(&self.algo));
         let _ = writeln!(s, "  \"check\": \"{}\",", json::escape(&self.check));
@@ -116,10 +139,21 @@ impl Fixture {
         let _ = writeln!(s, "  \"items\": [");
         for (i, it) in self.items.iter().enumerate() {
             let comma = if i + 1 < self.items.len() { "," } else { "" };
+            let raw = it
+                .raw
+                .iter()
+                .map(u64::to_string)
+                .collect::<Vec<_>>()
+                .join(", ");
+            let demand = if self.vector {
+                format!("\"axes_raw\": [{raw}]")
+            } else {
+                format!("\"size_raw\": {raw}")
+            };
             let _ = writeln!(
                 s,
-                "    {{\"id\": {}, \"size_raw\": {}, \"arrival\": {}, \"departure\": {}}}{comma}",
-                it.id, it.size_raw, it.arrival, it.departure
+                "    {{\"id\": {}, {demand}, \"arrival\": {}, \"departure\": {}}}{comma}",
+                it.id, it.arrival, it.departure
             );
         }
         let _ = writeln!(s, "  ]");
@@ -137,6 +171,11 @@ impl Fixture {
         if version != 1 {
             return Err(format!("unsupported fixture version {version}"));
         }
+        let vector = match v.get("kind") {
+            None => false,
+            Some(kind) if kind.as_str() == Some("vector") => true,
+            Some(kind) => return Err(format!("unknown fixture kind {kind:?}")),
+        };
         let field = |key: &str| -> Result<String, String> {
             v.get(key)
                 .and_then(Json::as_str)
@@ -158,15 +197,28 @@ impl Fixture {
                     .and_then(Json::as_i64)
                     .ok_or_else(|| format!("item {i}: missing field {key:?}"))
             };
+            let raw = if vector {
+                let Some(Json::Arr(axes)) = it.get("axes_raw") else {
+                    return Err(format!("item {i}: missing axes_raw array"));
+                };
+                axes.iter()
+                    .map(|a| {
+                        a.as_u64()
+                            .ok_or_else(|| format!("item {i}: non-numeric axis"))
+                    })
+                    .collect::<Result<Vec<_>, _>>()?
+            } else {
+                vec![it
+                    .get("size_raw")
+                    .and_then(Json::as_u64)
+                    .ok_or_else(|| format!("item {i}: missing size_raw"))?]
+            };
             items.push(FixtureItem {
                 id: it
                     .get("id")
                     .and_then(Json::as_u64)
                     .ok_or_else(|| format!("item {i}: missing id"))? as u32,
-                size_raw: it
-                    .get("size_raw")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("item {i}: missing size_raw"))?,
+                raw,
                 arrival: geti("arrival")?,
                 departure: geti("departure")?,
             });
@@ -178,6 +230,7 @@ impl Fixture {
             seed: num("seed")?,
             case: num("case")?,
             note: field("note").unwrap_or_default(),
+            vector,
             items,
         })
     }
@@ -218,6 +271,7 @@ pub fn load_dir(dir: &Path) -> Result<Vec<(String, Fixture)>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dbp_core::{Instance, VecInstance};
 
     fn sample() -> Fixture {
         Fixture {
@@ -227,16 +281,17 @@ mod tests {
             seed: 7,
             case: 42,
             note: "hand-written \"sample\"".into(),
+            vector: false,
             items: vec![
                 FixtureItem {
                     id: 0,
-                    size_raw: Size::SCALE,
+                    raw: vec![Size::SCALE],
                     arrival: 0,
                     departure: 10,
                 },
                 FixtureItem {
                     id: 1,
-                    size_raw: 11_744_051, // an awkward raw value, exact
+                    raw: vec![11_744_051], // an awkward raw value, exact
                     arrival: 3,
                     departure: 12,
                 },
@@ -249,8 +304,10 @@ mod tests {
         let f = sample();
         let parsed = Fixture::parse(&f.to_json()).unwrap();
         assert_eq!(parsed, f);
-        let inst = parsed.instance().unwrap();
+        let inst: Instance = parsed.instance().unwrap();
         assert_eq!(inst.items()[1].size().raw(), 11_744_051);
+        // A fixture replays only as its own kind.
+        assert!(parsed.instance::<VecInstance>().is_err());
     }
 
     #[test]

@@ -93,7 +93,7 @@ impl AuditSummary {
 }
 
 /// splitmix64 — derives stream-independent sub-seeds.
-fn mix(mut z: u64) -> u64 {
+pub(crate) fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -244,23 +244,33 @@ pub fn audit_instance(
 /// are contained to their cell and reported as [`CheckId::Panic`]
 /// failures; the sweep always completes.
 pub fn run_audit(cfg: &AuditConfig) -> AuditSummary {
-    let cells: Vec<GridCell<u64>> = (0..cfg.cases)
+    let limits = cfg.limits;
+    let (seed, max_items, offline) = (cfg.seed, cfg.max_items, cfg.offline);
+    run_sweep(cfg.cases, cfg.threads, move |case_idx| {
+        let (family, inst) = case_instance(seed, case_idx, max_items);
+        (family, audit_instance(&inst, limits, offline))
+    })
+}
+
+/// The sweep loop every audit family shares: runs cases `0..cases` on
+/// the panic-isolated grid, where `audit_case` generates one case and
+/// returns its family label with each cell's violations. A case whose
+/// generation or audit panics is reported as one [`CheckId::Panic`]
+/// failure and the sweep carries on.
+pub fn run_sweep<F>(cases: u64, threads: Option<usize>, audit_case: F) -> AuditSummary
+where
+    F: Fn(u64) -> (String, Vec<(String, Vec<Violation>)>) + Sync,
+{
+    let cells: Vec<GridCell<u64>> = (0..cases)
         .map(|i| GridCell {
             label: format!("case{i}"),
             input: i,
         })
         .collect();
-    let limits = cfg.limits;
-    let (seed, max_items, offline) = (cfg.seed, cfg.max_items, cfg.offline);
-
-    let results = run_grid_checked(cells, cfg.threads, move |&case_idx| {
-        let (family, inst) = case_instance(seed, case_idx, max_items);
-        let per_algo = audit_instance(&inst, limits, offline);
-        (family, per_algo)
-    });
+    let results = run_grid_checked(cells, threads, |&case_idx| audit_case(case_idx));
 
     let mut summary = AuditSummary {
-        cases: cfg.cases,
+        cases,
         ..Default::default()
     };
     for (case_idx, res) in results.into_iter().enumerate() {

@@ -18,11 +18,10 @@
 //! the router rotates with the case.
 
 use crate::diff::clairvoyance_for;
-use crate::fuzz::{case_instance, isolated, Failure};
+use crate::fuzz::{case_instance, isolated, mix, run_sweep};
 use crate::invariants::{CheckId, Violation};
 use crate::shrink::{shrink_instance, ShrinkBudget};
 use crate::AuditSummary;
-use dbp_bench::grid::{run_grid_checked, GridCell};
 use dbp_bench::registry::{online_packer, AlgoParams, ONLINE_ALGOS};
 use dbp_core::{DbpError, Instance, Item, OnlineRun, StreamingSession};
 use dbp_shard::{ShardConfig, ShardRouter, ShardedSession};
@@ -50,13 +49,6 @@ impl Default for ShardAuditConfig {
             threads: None,
         }
     }
-}
-
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// The deterministic router for `(seed, case_idx)` — the three policies
@@ -253,49 +245,15 @@ pub fn audit_shard_instance(inst: &Instance, router: ShardRouter) -> Vec<(String
 /// Runs the shard sweep. Same containment guarantees as
 /// [`crate::fuzz::run_audit`]: any panic is confined to its cell.
 pub fn run_shard_audit(cfg: &ShardAuditConfig) -> AuditSummary {
-    let cells: Vec<GridCell<u64>> = (0..cfg.cases)
-        .map(|i| GridCell {
-            label: format!("shard{i}"),
-            input: i,
-        })
-        .collect();
     let (seed, max_items) = (cfg.seed, cfg.max_items);
-
-    let results = run_grid_checked(cells, cfg.threads, move |&case_idx| {
+    run_sweep(cfg.cases, cfg.threads, move |case_idx| {
         let (family, inst) = case_instance(seed, case_idx, max_items);
         let router = case_router(seed, case_idx);
-        let per_cell = audit_shard_instance(&inst, router);
-        (family, router.name(), per_cell)
-    });
-
-    let mut summary = AuditSummary {
-        cases: cfg.cases,
-        ..Default::default()
-    };
-    for (case_idx, res) in results.into_iter().enumerate() {
-        match res.output {
-            Ok((family, router, per_cell)) => {
-                summary.cells += per_cell.len();
-                for (algo, violations) in per_cell {
-                    if !violations.is_empty() {
-                        summary.failures.push(Failure {
-                            case: case_idx as u64,
-                            family: format!("shard[{router}]:{family}"),
-                            algo,
-                            violations,
-                        });
-                    }
-                }
-            }
-            Err(p) => summary.failures.push(Failure {
-                case: case_idx as u64,
-                family: "shard:<generation>".into(),
-                algo: "<cell>".into(),
-                violations: vec![Violation::new(CheckId::Panic, p.message)],
-            }),
-        }
-    }
-    summary
+        (
+            format!("shard[{}]:{family}", router.name()),
+            audit_shard_instance(&inst, router),
+        )
+    })
 }
 
 /// Shrinks a shard failure to a minimal instance that still fails the

@@ -20,64 +20,77 @@
 use dbp_core::{DbpError, Instance, Item, Job, Size, SizeVec, Time, VecInstance, VecItem};
 
 /// An instance type the shrinker can rebuild: scalar [`Instance`]s and
-/// [`VecInstance`]s share one shrinker through it.
+/// [`VecInstance`]s share one shrinker and one fixture format
+/// ([`crate::fixture::Fixture`]) through it.
 pub trait Shrinkable: Sized {
     /// The item type.
     type Item: Job + Copy;
+    /// Whether demands are vectors (a `"kind": "vector"` fixture).
+    const VECTOR: bool;
     /// The items in arrival order.
     fn items(&self) -> &[Self::Item];
     /// Rebuilds an instance, validating like the real constructor.
     fn from_items(items: Vec<Self::Item>) -> Result<Self, DbpError>;
-    /// `item` with a new id and interval, if that interval is valid.
-    fn retimed(item: &Self::Item, id: u32, arrival: Time, departure: Time) -> Option<Self::Item>;
+    /// A validated item with demand `axes` (exactly one axis for a
+    /// scalar item).
+    fn new_item(
+        id: u32,
+        axes: &[Size],
+        arrival: Time,
+        departure: Time,
+    ) -> Result<Self::Item, DbpError>;
     /// The item's demand, one [`Size`] per axis.
     fn axes(item: &Self::Item) -> Vec<Size>;
-    /// `item` with axis `d` of its demand replaced by `s`.
-    fn with_axis(item: &Self::Item, d: usize, s: Size) -> Self::Item;
+    /// `item` with a new id and interval, if that interval is valid.
+    fn retimed(item: &Self::Item, id: u32, arrival: Time, departure: Time) -> Option<Self::Item> {
+        Self::new_item(id, &Self::axes(item), arrival, departure).ok()
+    }
 }
 
 impl Shrinkable for Instance {
     type Item = Item;
+    const VECTOR: bool = false;
     fn items(&self) -> &[Item] {
         Instance::items(self)
     }
     fn from_items(items: Vec<Item>) -> Result<Self, DbpError> {
         Instance::from_items(items)
     }
-    fn retimed(item: &Item, id: u32, arrival: Time, departure: Time) -> Option<Item> {
-        Item::try_new(id, item.size(), arrival, departure).ok()
+    fn new_item(id: u32, axes: &[Size], arrival: Time, departure: Time) -> Result<Item, DbpError> {
+        match axes {
+            [size] => Item::try_new(id, *size, arrival, departure),
+            _ => Err(DbpError::InvalidParameter {
+                what: format!(
+                    "item {id}: a scalar demand has one axis, got {}",
+                    axes.len()
+                ),
+            }),
+        }
     }
     fn axes(item: &Item) -> Vec<Size> {
         vec![item.size()]
-    }
-    fn with_axis(item: &Item, _d: usize, s: Size) -> Item {
-        Item::new(item.id().0, s, item.arrival(), item.departure())
     }
 }
 
 impl Shrinkable for VecInstance {
     type Item = VecItem;
+    const VECTOR: bool = true;
     fn items(&self) -> &[VecItem] {
         VecInstance::items(self)
     }
     fn from_items(items: Vec<VecItem>) -> Result<Self, DbpError> {
         VecInstance::from_items(items)
     }
-    fn retimed(item: &VecItem, id: u32, arrival: Time, departure: Time) -> Option<VecItem> {
-        VecItem::try_new(id, item.size(), arrival, departure).ok()
+    fn new_item(
+        id: u32,
+        axes: &[Size],
+        arrival: Time,
+        departure: Time,
+    ) -> Result<VecItem, DbpError> {
+        VecItem::try_new(id, SizeVec::try_new(axes)?, arrival, departure)
     }
     fn axes(item: &VecItem) -> Vec<Size> {
         item.size().axes().to_vec()
-    }
-    fn with_axis(item: &VecItem, d: usize, s: Size) -> VecItem {
-        let mut axes = item.size().axes().to_vec();
-        axes[d] = s;
-        VecItem::new(
-            item.id().0,
-            SizeVec::new(&axes),
-            item.arrival(),
-            item.departure(),
-        )
     }
 }
 
@@ -288,8 +301,11 @@ fn round_sizes<I: Shrinkable, F: FnMut(&I) -> bool>(
                 if raw == 0 || raw > Size::SCALE || s.evals_left == 0 {
                     continue;
                 }
-                let cand = I::with_axis(&items[idx], d, Size::from_raw(raw));
-                if s.try_replace(items, idx, Some(cand)) {
+                let it = items[idx];
+                let mut axes = I::axes(&it);
+                axes[d] = Size::from_raw(raw);
+                let cand = I::new_item(it.id().0, &axes, it.arrival(), it.departure());
+                if s.try_replace(items, idx, cand.ok()) {
                     changed = true;
                     break;
                 }

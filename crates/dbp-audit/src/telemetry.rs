@@ -19,11 +19,10 @@
 //! `(seed, case)` like every other audit failure.
 
 use crate::diff::clairvoyance_for;
-use crate::fuzz::{case_instance, isolated, Failure};
+use crate::fuzz::{case_instance, isolated, run_sweep};
 use crate::invariants::{CheckId, Violation};
 use crate::shard::{case_router, stream_order};
 use crate::AuditSummary;
-use dbp_bench::grid::{run_grid_checked, GridCell};
 use dbp_bench::registry::{online_packer, AlgoParams, ONLINE_ALGOS};
 use dbp_core::{DbpError, Instance, Item};
 use dbp_shard::{ShardConfig, ShardReport, ShardRouter, ShardedSession};
@@ -241,49 +240,15 @@ pub fn audit_telemetry_instance(
 /// Runs the telemetry sweep. Same containment guarantees as
 /// [`crate::fuzz::run_audit`]: any panic is confined to its cell.
 pub fn run_telemetry_audit(cfg: &TelemetryAuditConfig) -> AuditSummary {
-    let cells: Vec<GridCell<u64>> = (0..cfg.cases)
-        .map(|i| GridCell {
-            label: format!("telemetry{i}"),
-            input: i,
-        })
-        .collect();
     let (seed, max_items) = (cfg.seed, cfg.max_items);
-
-    let results = run_grid_checked(cells, cfg.threads, move |&case_idx| {
+    run_sweep(cfg.cases, cfg.threads, move |case_idx| {
         let (family, inst) = case_instance(seed, case_idx, max_items);
         let router = case_router(seed, case_idx);
-        let per_cell = audit_telemetry_instance(&inst, router);
-        (family, router.name(), per_cell)
-    });
-
-    let mut summary = AuditSummary {
-        cases: cfg.cases,
-        ..Default::default()
-    };
-    for (case_idx, res) in results.into_iter().enumerate() {
-        match res.output {
-            Ok((family, router, per_cell)) => {
-                summary.cells += per_cell.len();
-                for (algo, violations) in per_cell {
-                    if !violations.is_empty() {
-                        summary.failures.push(Failure {
-                            case: case_idx as u64,
-                            family: format!("telemetry[{router}]:{family}"),
-                            algo,
-                            violations,
-                        });
-                    }
-                }
-            }
-            Err(p) => summary.failures.push(Failure {
-                case: case_idx as u64,
-                family: "telemetry:<generation>".into(),
-                algo: "<cell>".into(),
-                violations: vec![Violation::new(CheckId::Panic, p.message)],
-            }),
-        }
-    }
-    summary
+        (
+            format!("telemetry[{}]:{family}", router.name()),
+            audit_telemetry_instance(&inst, router),
+        )
+    })
 }
 
 #[cfg(test)]

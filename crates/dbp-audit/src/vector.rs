@@ -25,33 +25,30 @@
 //! side uses the unclamped constructors, matching the foil's unclamped
 //! category math).
 //!
-//! Failures shrink with the scalar audit's shrinker, which is generic over
-//! the instance type ([`shrink_instance`]: drop chunks, shorten
-//! durations, left-shift arrivals, round every axis to eighths), and
-//! persist as [`VecFixture`] JSON with per-axis raw sizes, so
+//! The sweep runs on the shared loop ([`run_sweep`]). Failures shrink
+//! with the scalar audit's shrinker, which is generic over the instance
+//! type ([`shrink_instance`]: drop chunks, shorten durations, left-shift
+//! arrivals, round every axis to eighths), and persist as vector
+//! [`crate::fixture::Fixture`]s with per-axis raw sizes, so
 //! counterexamples replay bit-identically.
 
 use crate::diff::clairvoyance_for;
-use crate::fuzz::{case_instance, isolated, Failure};
+use crate::fuzz::{case_instance, isolated, mix, run_sweep};
 use crate::invariants::{CheckId, Violation};
 use crate::shrink::{shrink_instance, ShrinkBudget};
 use crate::AuditSummary;
 use dbp_algos::online::{AnyFit, ClassifyByDepartureTime, ClassifyByDuration};
-use dbp_bench::grid::{run_grid_checked, GridCell};
 use dbp_bench::registry::{
     needs_departures, online_packer, vector_packer, vector_packer_linear, AlgoParams, ONLINE_ALGOS,
     VECTOR_ALGOS,
 };
 use dbp_core::{
-    DbpError, OnlineEngine, OnlineRun, Size, SizeVec, VecClairvoyance, VecInstance, VecItem,
-    VecOnlinePacker, VecStreamingSession, MAX_DIMS,
+    DbpError, OnlineEngine, OnlineRun, VecClairvoyance, VecInstance, VecOnlinePacker,
+    VecStreamingSession, MAX_DIMS,
 };
 use dbp_multidim::{pack_online, Classification, MultiInstance};
-use dbp_obs::json::{self, Json};
 use dbp_workloads::random::DurationDist;
 use dbp_workloads::vector::{project_axis, CorrelatedVectorWorkload, VectorWorkload};
-use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
 
 /// Vector-sweep configuration.
 #[derive(Clone, Copy, Debug)]
@@ -80,13 +77,6 @@ impl Default for VectorAuditConfig {
             threads: None,
         }
     }
-}
-
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Generates the vector instance for `(seed, case_idx)`: dimensionality
@@ -328,48 +318,11 @@ pub fn audit_vector_instance(inst: &VecInstance) -> Vec<(String, Vec<Violation>)
 /// Runs the vector sweep. Same containment guarantees as
 /// [`crate::fuzz::run_audit`]: any panic is confined to its cell.
 pub fn run_vector_audit(cfg: &VectorAuditConfig) -> AuditSummary {
-    let cells: Vec<GridCell<u64>> = (0..cfg.cases)
-        .map(|i| GridCell {
-            label: format!("vec{i}"),
-            input: i,
-        })
-        .collect();
     let (seed, max_items, max_dims) = (cfg.seed, cfg.max_items, cfg.max_dims);
-
-    let results = run_grid_checked(cells, cfg.threads, move |&case_idx| {
+    run_sweep(cfg.cases, cfg.threads, move |case_idx| {
         let (family, inst) = case_vec_instance(seed, case_idx, max_items, max_dims);
-        let per_algo = audit_vector_instance(&inst);
-        (family, per_algo)
-    });
-
-    let mut summary = AuditSummary {
-        cases: cfg.cases,
-        ..Default::default()
-    };
-    for (case_idx, res) in results.into_iter().enumerate() {
-        match res.output {
-            Ok((family, per_algo)) => {
-                summary.cells += per_algo.len();
-                for (algo, violations) in per_algo {
-                    if !violations.is_empty() {
-                        summary.failures.push(Failure {
-                            case: case_idx as u64,
-                            family: family.clone(),
-                            algo,
-                            violations,
-                        });
-                    }
-                }
-            }
-            Err(p) => summary.failures.push(Failure {
-                case: case_idx as u64,
-                family: "vector:<generation>".into(),
-                algo: "<cell>".into(),
-                violations: vec![Violation::new(CheckId::Panic, p.message)],
-            }),
-        }
-    }
-    summary
+        (family, audit_vector_instance(&inst))
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -396,200 +349,12 @@ pub fn shrink_vector_failure(inst: &VecInstance, algo: &str, budget: ShrinkBudge
     )
 }
 
-// ---------------------------------------------------------------------
-// Fixtures
-// ---------------------------------------------------------------------
-
-/// One item of a vector fixture instance: per-axis **raw** [`Size`]
-/// units, so demands round-trip exactly.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct VecFixtureItem {
-    /// Item id.
-    pub id: u32,
-    /// Raw size units per axis (`Size::SCALE` = full bin).
-    pub axes_raw: Vec<u64>,
-    /// Arrival tick.
-    pub arrival: i64,
-    /// Departure tick.
-    pub departure: i64,
-}
-
-/// A persisted vector counterexample — the multi-axis sibling of
-/// [`crate::fixture::Fixture`], with the same metadata envelope and a
-/// per-axis `axes_raw` array per item.
-#[derive(Clone, Debug, PartialEq)]
-pub struct VecFixture {
-    /// Short kebab-case name (also the file stem).
-    pub name: String,
-    /// The algorithm that failed.
-    pub algo: String,
-    /// The violated check's stable id.
-    pub check: String,
-    /// The fuzzer seed that produced the original failure.
-    pub seed: u64,
-    /// The case index under that seed.
-    pub case: u64,
-    /// Free-form provenance note.
-    pub note: String,
-    /// The shrunk instance's items.
-    pub items: Vec<VecFixtureItem>,
-}
-
-impl VecFixture {
-    /// Builds a fixture from an instance plus metadata.
-    pub fn from_instance(
-        name: impl Into<String>,
-        algo: impl Into<String>,
-        check: impl Into<String>,
-        seed: u64,
-        case: u64,
-        note: impl Into<String>,
-        inst: &VecInstance,
-    ) -> VecFixture {
-        VecFixture {
-            name: name.into(),
-            algo: algo.into(),
-            check: check.into(),
-            seed,
-            case,
-            note: note.into(),
-            items: inst
-                .items()
-                .iter()
-                .map(|r| VecFixtureItem {
-                    id: r.id().0,
-                    axes_raw: r.size().axes().iter().map(|s| s.raw()).collect(),
-                    arrival: r.arrival(),
-                    departure: r.departure(),
-                })
-                .collect(),
-        }
-    }
-
-    /// Reconstructs the instance.
-    pub fn instance(&self) -> Result<VecInstance, DbpError> {
-        let items = self
-            .items
-            .iter()
-            .map(|fi| {
-                let axes: Vec<Size> = fi.axes_raw.iter().map(|&r| Size::from_raw(r)).collect();
-                VecItem::try_new(fi.id, SizeVec::try_new(&axes)?, fi.arrival, fi.departure)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        VecInstance::from_items(items)
-    }
-
-    /// Serializes to the on-disk JSON form (version 1, `kind: "vector"`).
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(s, "{{");
-        let _ = writeln!(s, "  \"version\": 1,");
-        let _ = writeln!(s, "  \"kind\": \"vector\",");
-        let _ = writeln!(s, "  \"name\": \"{}\",", json::escape(&self.name));
-        let _ = writeln!(s, "  \"algo\": \"{}\",", json::escape(&self.algo));
-        let _ = writeln!(s, "  \"check\": \"{}\",", json::escape(&self.check));
-        let _ = writeln!(s, "  \"seed\": {},", self.seed);
-        let _ = writeln!(s, "  \"case\": {},", self.case);
-        let _ = writeln!(s, "  \"note\": \"{}\",", json::escape(&self.note));
-        let _ = writeln!(s, "  \"items\": [");
-        for (i, it) in self.items.iter().enumerate() {
-            let comma = if i + 1 < self.items.len() { "," } else { "" };
-            let axes = it
-                .axes_raw
-                .iter()
-                .map(|r| r.to_string())
-                .collect::<Vec<_>>()
-                .join(", ");
-            let _ = writeln!(
-                s,
-                "    {{\"id\": {}, \"axes_raw\": [{axes}], \"arrival\": {}, \"departure\": {}}}{comma}",
-                it.id, it.arrival, it.departure
-            );
-        }
-        let _ = writeln!(s, "  ]");
-        let _ = write!(s, "}}");
-        s
-    }
-
-    /// Parses the on-disk JSON form.
-    pub fn parse(text: &str) -> Result<VecFixture, String> {
-        let v = json::parse(text)?;
-        let version = v
-            .get("version")
-            .and_then(Json::as_u64)
-            .ok_or("missing version")?;
-        if version != 1 {
-            return Err(format!("unsupported fixture version {version}"));
-        }
-        match v.get("kind").and_then(Json::as_str) {
-            Some("vector") => {}
-            other => return Err(format!("not a vector fixture (kind {other:?})")),
-        }
-        let field = |key: &str| -> Result<String, String> {
-            v.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing string field {key:?}"))
-        };
-        let num = |key: &str| -> Result<u64, String> {
-            v.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("missing numeric field {key:?}"))
-        };
-        let Some(Json::Arr(raw_items)) = v.get("items") else {
-            return Err("missing items array".into());
-        };
-        let mut items = Vec::with_capacity(raw_items.len());
-        for (i, it) in raw_items.iter().enumerate() {
-            let geti = |key: &str| -> Result<i64, String> {
-                it.get(key)
-                    .and_then(Json::as_i64)
-                    .ok_or_else(|| format!("item {i}: missing field {key:?}"))
-            };
-            let Some(Json::Arr(axes)) = it.get("axes_raw") else {
-                return Err(format!("item {i}: missing axes_raw array"));
-            };
-            let axes_raw = axes
-                .iter()
-                .map(|a| {
-                    a.as_u64()
-                        .ok_or_else(|| format!("item {i}: non-numeric axis"))
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            items.push(VecFixtureItem {
-                id: it
-                    .get("id")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("item {i}: missing id"))? as u32,
-                axes_raw,
-                arrival: geti("arrival")?,
-                departure: geti("departure")?,
-            });
-        }
-        Ok(VecFixture {
-            name: field("name")?,
-            algo: field("algo")?,
-            check: field("check")?,
-            seed: num("seed")?,
-            case: num("case")?,
-            note: field("note").unwrap_or_default(),
-            items,
-        })
-    }
-
-    /// Writes the fixture to `dir/<name>.json`, creating `dir` if needed.
-    pub fn write_to(&self, dir: &Path) -> std::io::Result<PathBuf> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{}.json", self.name));
-        std::fs::write(&path, self.to_json())?;
-        Ok(path)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::faulty::AxisBlindFirstFit;
+    use crate::fixture::Fixture;
+    use dbp_core::{Size, SizeVec, VecItem};
 
     #[test]
     fn case_vec_generation_is_deterministic_and_varied() {
@@ -664,7 +429,7 @@ mod tests {
         assert!(fails(&small), "shrunk instance must still fail");
         assert!(small.len() <= 2, "got {} items: {small:?}", small.len());
 
-        let fixture = VecFixture::from_instance(
+        let fixture = Fixture::from_instance(
             "axis-blind-ff",
             "faulty-axis-blind-ff",
             CheckId::EngineError.as_str(),
@@ -673,26 +438,11 @@ mod tests {
             "injected axis-blind fault",
             &small,
         );
-        let parsed = VecFixture::parse(&fixture.to_json()).unwrap();
+        let parsed = Fixture::parse(&fixture.to_json()).unwrap();
         assert_eq!(parsed, fixture);
-        let replayed = parsed.instance().unwrap();
+        let replayed: VecInstance = parsed.instance().unwrap();
         assert_eq!(&replayed, &small, "fixture replay must be bit-identical");
         assert!(fails(&replayed));
-    }
-
-    #[test]
-    fn vec_fixture_rejects_scalar_fixtures() {
-        let scalar = crate::fixture::Fixture {
-            name: "s".into(),
-            algo: "first-fit".into(),
-            check: "capacity".into(),
-            seed: 0,
-            case: 0,
-            note: String::new(),
-            items: vec![],
-        };
-        let err = VecFixture::parse(&scalar.to_json()).unwrap_err();
-        assert!(err.contains("not a vector fixture"), "{err}");
     }
 
     #[test]

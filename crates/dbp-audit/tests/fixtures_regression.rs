@@ -1,10 +1,12 @@
 //! Replays every checked-in fixture under `fixtures/` through the full
-//! audit: once a counterexample is shrunk and committed, the bug it
-//! witnessed can never silently return.
+//! audit — scalar fixtures through the scalar roster, vector fixtures
+//! through the vector roster: once a counterexample is shrunk and
+//! committed, the bug it witnessed can never silently return.
 
 use dbp_audit::fixture::load_dir;
 use dbp_audit::fuzz::audit_instance;
 use dbp_audit::invariants::ExactLimits;
+use dbp_audit::vector::audit_vector_instance;
 use std::path::Path;
 
 #[test]
@@ -16,12 +18,21 @@ fn all_committed_fixtures_pass_the_full_roster() {
         "no fixtures found in {} — the committed set should never be empty",
         dir.display()
     );
+    assert!(
+        fixtures.iter().any(|(_, f)| f.vector) && fixtures.iter().any(|(_, f)| !f.vector),
+        "the committed set should hold both fixture kinds"
+    );
     let mut failures = Vec::new();
     for (path, fixture) in &fixtures {
-        let inst = fixture
-            .instance()
-            .unwrap_or_else(|e| panic!("{path}: invalid instance: {e}"));
-        for (algo, violations) in audit_instance(&inst, ExactLimits::default(), true) {
+        let cells = if fixture.vector {
+            fixture.instance().map(|inst| audit_vector_instance(&inst))
+        } else {
+            fixture
+                .instance()
+                .map(|inst| audit_instance(&inst, ExactLimits::default(), true))
+        };
+        let cells = cells.unwrap_or_else(|e| panic!("{path}: invalid instance: {e}"));
+        for (algo, violations) in cells {
             if !violations.is_empty() {
                 failures.push(format!("{path} [{algo}]: {violations:?}"));
             }

@@ -1,17 +1,24 @@
-//! Engine throughput benchmark: stream a million-item workload through
-//! the full online roster and record the trajectory in `BENCH_engine.json`.
+//! Engine throughput benchmark: stream million-item workloads through
+//! the full online rosters and record the trajectory in
+//! `BENCH_engine.json`.
 //!
 //! Unlike the Criterion micro-benches (which time small closed loops),
 //! this measures the *engine* end to end the way an integrator runs it:
-//! one [`StreamingSession`] per algorithm fed arrivals one at a time,
-//! timing the whole stream including departure processing, and tracking
-//! peak open bins plus a live-memory RSS proxy
-//! ([`StreamingSession::approx_live_bytes`], sampled every 1024
-//! arrivals). Cells fan out across cores via [`dbp_bench::run_grid`].
+//! one [`StreamingSession`](dbp_core::StreamingSession) per cell fed
+//! arrivals one at a time, timing the whole stream including departure
+//! processing, and tracking peak open bins plus a live-memory RSS proxy
+//! (sampled every 1024 arrivals). Every cell streams through
+//! [`BenchInstance::run_cell`], the loop `dbp bench --check` re-times
+//! it with. Cells fan out across cores via [`dbp_bench::run_grid`].
+//!
+//! The scalar roster streams Poisson arrivals; the vector roster streams
+//! the 3-axis correlated `corr-vec` workload. Each cell records its
+//! `dims` (1 for scalar cells).
 //!
 //! Usage: `cargo run --release -p dbp-bench --bin bench_engine [-- flags]`
 //!
-//! * `--short`  — ~100k items instead of ~1M (the CI smoke configuration).
+//! * `--short`  — ~100k items per workload instead of ~1M (the CI smoke
+//!   configuration).
 //! * `--serial` — one cell at a time, for minimum-noise timings.
 //! * `--out P`  — write the JSON report to `P` (default
 //!   `BENCH_engine.json` in the working directory, i.e. the repo root).
@@ -19,26 +26,13 @@
 //! The JSON is a measurement artifact: regenerate it with a release build
 //! from the repo root after engine changes (see `docs/performance.md`).
 
-use dbp_bench::registry::{online_packer, online_packer_linear, AlgoParams, ONLINE_ALGOS};
+use dbp_bench::check::{
+    scalar_workload, vector_baseline_instance, BaselineCell, BenchInstance, ENGINE_SCHEMA, SEED,
+};
+use dbp_bench::registry::{ONLINE_ALGOS, VECTOR_ALGOS};
 use dbp_bench::report::Table;
 use dbp_bench::{run_grid, GridCell};
-use dbp_core::stream::StreamingSession;
-use dbp_core::ClairvoyanceMode;
-use dbp_workloads::random::{DurationDist, PoissonWorkload};
 use dbp_workloads::Workload;
-use std::time::Instant;
-
-const SEED: u64 = 1;
-
-struct AlgoReport {
-    items: usize,
-    elapsed_s: f64,
-    items_per_sec: f64,
-    peak_open_bins: usize,
-    peak_live_bytes: usize,
-    bins_opened: usize,
-    usage: u128,
-}
 
 fn usage_exit() -> ! {
     eprintln!("usage: bench_engine [--short] [--serial] [--out PATH]");
@@ -58,61 +52,83 @@ fn main() {
             _ => usage_exit(),
         }
     }
+    let mode = if short { "short" } else { "full" };
 
     // Poisson arrivals at 4 items/tick: the horizon sets the expected
     // item count. The full horizon targets comfortably over one million
     // items (40σ above the line for this rate), per the perf trajectory's
-    // acceptance floor.
-    let horizon = if short { 26_000 } else { 260_000 };
-    let workload = PoissonWorkload::new(4.0, horizon);
-    let inst = workload.generate_seeded(SEED);
-    // Deep-fleet variant: identical arrivals, but exponential durations
-    // with mean 1000 hold expected concurrent load ≈ rate · mean duration
-    // · mean size ≈ 1100 bins' worth, so every algorithm sustains a fleet
-    // of 1000+ open bins. This is the cell that catches scan-depth
-    // cliffs: a linear open-bin walk collapses here while the indexed
-    // fit queries stay flat.
-    let deep_workload =
-        PoissonWorkload::new(4.0, horizon).with_durations(DurationDist::Exponential {
-            mean: 1000.0,
-            min: 1,
-            max: 10_000,
-        });
-    let deep_inst = deep_workload.generate_seeded(SEED);
-    let mode = if short { "short" } else { "full" };
+    // acceptance floor. The deep-fleet variant keeps the arrivals but
+    // holds items for mean-1000 exponential durations, so every algorithm
+    // sustains a fleet of 1000+ open bins: the cell that catches
+    // scan-depth cliffs, where a linear open-bin walk collapses while the
+    // indexed fit queries stay flat.
+    let workload = scalar_workload(ENGINE_SCHEMA, mode, "default").expect("default workload");
+    let deep_workload = scalar_workload(ENGINE_SCHEMA, mode, "deep").expect("deep workload");
+    // The blanket `VectorWorkload` impl gives every scalar workload a
+    // second `generate_seeded`.
+    let inst = BenchInstance::Scalar(Workload::generate_seeded(&workload, SEED));
+    let deep_inst = BenchInstance::Scalar(Workload::generate_seeded(&deep_workload, SEED));
+    // The vector deep fleet runs one arrival per tick, so hundreds of
+    // bins stay open and a linear walk pays for every one of them.
+    let vec_inst = BenchInstance::Vector(
+        vector_baseline_instance(mode, "default").expect("default vector workload"),
+    );
+    let vec_deep_inst = BenchInstance::Vector(
+        vector_baseline_instance(mode, "deep").expect("deep vector workload"),
+    );
     println!(
-        "engine benchmark ({mode}): {} items from {} seed {SEED}\n  deep-fleet cells: {} items from {}\n",
-        inst.len(),
+        "engine benchmark ({mode}): {} items from {} seed {SEED}\n  deep-fleet cells: {} items from {}\n  \
+         vector cells: {} items, {} axes; deep-fleet vector cells: {} items\n",
+        inst.item_count(),
         workload.name(),
-        deep_inst.len(),
+        deep_inst.item_count(),
         deep_workload.name(),
+        vec_inst.item_count(),
+        vec_inst.dims(),
+        vec_deep_inst.item_count(),
     );
     if !short {
         assert!(
-            inst.len() >= 1_000_000,
+            inst.item_count() >= 1_000_000 && vec_inst.item_count() >= 1_000_000,
             "full mode must stream at least one million items"
         );
     }
 
-    // Cell input: (algo, deep workload?, linear-scan foil?). The foil
-    // cells re-run the two headline rules on the deep fleet with the
-    // seed's O(fleet) open-bin walk, so the indexed speedup is measured
-    // inside the artifact rather than against a stale baseline.
-    let mut cells: Vec<GridCell<(&str, bool, bool)>> = ONLINE_ALGOS
-        .iter()
-        .map(|algo| GridCell {
-            label: algo.to_string(),
-            input: (*algo, false, false),
-        })
-        .collect();
-    cells.extend(ONLINE_ALGOS.iter().map(|algo| GridCell {
-        label: format!("{algo}@deep"),
-        input: (*algo, true, false),
-    }));
-    cells.extend(["first-fit", "best-fit"].iter().map(|algo| GridCell {
-        label: format!("{algo}@deep/linear"),
-        input: (*algo, true, true),
-    }));
+    // Each roster runs on its default workload; deep-fleet cells re-run
+    // the scalar roster and the vector headline rules, and the foil cells
+    // re-run the two headline rules on each deep fleet with the O(fleet)
+    // open-bin walk, so the indexed speedup is measured inside the
+    // artifact rather than against a stale baseline.
+    let headline: &[&str] = &["first-fit", "best-fit"];
+    let mut cells = Vec::new();
+    for (dims, roster, deep_roster) in [
+        (1, ONLINE_ALGOS, ONLINE_ALGOS),
+        (vec_inst.dims(), VECTOR_ALGOS, headline),
+    ] {
+        let variants = [
+            (roster, "default", "indexed"),
+            (deep_roster, "deep", "indexed"),
+            (headline, "deep", "linear"),
+        ];
+        for (algos, workload, scan) in variants {
+            cells.extend(algos.iter().map(|algo| {
+                let cell = BaselineCell {
+                    algo: algo.to_string(),
+                    shards: 1,
+                    workers: 1,
+                    telemetry: None,
+                    workload: Some(workload.into()),
+                    scan: Some(scan.into()),
+                    dims,
+                    items_per_sec: 0.0,
+                };
+                GridCell {
+                    label: cell.label(),
+                    input: cell,
+                }
+            }));
+        }
+    }
     let n_cells = cells.len();
     let workers = if serial {
         1
@@ -122,53 +138,31 @@ fn main() {
             .unwrap_or(1)
             .min(n_cells)
     };
-    let inst_ref = &inst;
-    let deep_ref = &deep_inst;
-    let results = run_grid(
-        cells,
-        Some(workers),
-        move |&(algo, deep, linear): &(&str, bool, bool)| {
-            let inst = if deep { deep_ref } else { inst_ref };
-            let params = AlgoParams::from_instance(inst);
-            let mut packer = if linear {
-                online_packer_linear(algo, params)
-            } else {
-                online_packer(algo, params)
-            };
-            let mut session = StreamingSession::new(ClairvoyanceMode::Clairvoyant, packer.as_mut());
-            let mut peak_open_bins = 0usize;
-            let mut peak_live_bytes = 0usize;
-            let started = Instant::now();
-            for (k, item) in inst.items().iter().enumerate() {
-                session.arrive(item).expect("benchmark stream is valid");
-                peak_open_bins = peak_open_bins.max(session.open_bins());
-                if k % 1024 == 0 {
-                    peak_live_bytes = peak_live_bytes.max(session.approx_live_bytes());
-                }
-            }
-            let run = session.finish().expect("stream drains cleanly");
-            let elapsed_s = started.elapsed().as_secs_f64();
-            if deep && !short {
-                // The whole point of the cell: the fleet really is deep.
-                assert!(
-                    peak_open_bins >= 1000,
-                    "{algo}@deep peaked at only {peak_open_bins} open bins"
-                );
-            }
-            AlgoReport {
-                items: inst.len(),
-                elapsed_s,
-                items_per_sec: inst.len() as f64 / elapsed_s,
-                peak_open_bins,
-                peak_live_bytes,
-                bins_opened: run.bins_opened(),
-                usage: run.usage,
-            }
-        },
-    );
+    let results = run_grid(cells, Some(workers), |cell: &BaselineCell| {
+        let inst = match (cell.workload_key(), cell.dims) {
+            ("default", 1) => &inst,
+            ("deep", 1) => &deep_inst,
+            ("default", _) => &vec_inst,
+            _ => &vec_deep_inst,
+        };
+        let run = inst
+            .run_cell(&cell.algo, cell.linear_scan())
+            .expect("benchmark stream is valid");
+        // The whole point of a deep cell: the fleet really is deep.
+        let floor = if cell.dims == 1 { 1000 } else { 300 };
+        if cell.workload_key() == "deep" && !short {
+            assert!(
+                run.peak_open_bins >= floor,
+                "{} peaked at only {} open bins",
+                cell.label(),
+                run.peak_open_bins
+            );
+        }
+        (cell.clone(), inst.item_count(), run)
+    });
 
     let mut table = Table::new(&[
-        "algo",
+        "cell",
         "items/s",
         "elapsed_s",
         "peak_open",
@@ -177,10 +171,10 @@ fn main() {
         "usage",
     ]);
     for r in &results {
-        let o = &r.output;
+        let (_, items, o) = &r.output;
         table.row(&[
             r.label.clone(),
-            format!("{:.0}", o.items_per_sec),
+            format!("{:.0}", *items as f64 / o.elapsed_s),
             format!("{:.3}", o.elapsed_s),
             o.peak_open_bins.to_string(),
             format!("{}", o.peak_live_bytes / 1024),
@@ -192,43 +186,47 @@ fn main() {
 
     let mut json = String::new();
     json.push_str("{\n");
-    json.push_str("  \"schema\": \"dbp-bench/engine-v1\",\n");
+    json.push_str(&format!("  \"schema\": \"{ENGINE_SCHEMA}\",\n"));
     json.push_str(&format!("  \"mode\": \"{mode}\",\n"));
     json.push_str(&format!(
         "  \"workload\": {{ \"generator\": \"{}\", \"seed\": {SEED}, \"items\": {} }},\n",
         workload.name(),
-        inst.len()
+        inst.item_count()
     ));
     json.push_str(&format!(
         "  \"deep_workload\": {{ \"generator\": \"{}\", \"seed\": {SEED}, \"items\": {} }},\n",
         deep_workload.name(),
-        deep_inst.len()
+        deep_inst.item_count()
+    ));
+    json.push_str(&format!(
+        "  \"vector_workload\": {{ \"generator\": \"corr-vec\", \"dims\": {}, \"seed\": {SEED}, \"items\": {} }},\n",
+        vec_inst.dims(),
+        vec_inst.item_count()
+    ));
+    json.push_str(&format!(
+        "  \"vector_deep_workload\": {{ \"generator\": \"corr-vec/deep\", \"dims\": {}, \"seed\": {SEED}, \"items\": {} }},\n",
+        vec_deep_inst.dims(),
+        vec_deep_inst.item_count()
     ));
     json.push_str(&format!("  \"parallel_workers\": {workers},\n"));
     json.push_str("  \"results\": [\n");
     for (i, r) in results.iter().enumerate() {
-        let o = &r.output;
-        // Labels are `algo`, `algo@deep`, or `algo@deep/linear`; the
-        // JSON keeps the roster name, workload, and scan machinery as
-        // separate fields so the perf gate can rebuild the right
-        // instance and packer variant per cell.
-        let (algo, rest) = match r.label.split_once('@') {
-            Some((a, w)) => (a, w),
-            None => (r.label.as_str(), "default"),
-        };
-        let (cell_workload, scan) = match rest.split_once('/') {
-            Some((w, s)) => (w, s),
-            None => (rest, "indexed"),
-        };
+        let (cell, items, o) = &r.output;
         json.push_str(&format!(
-            "    {{ \"algo\": \"{algo}\", \"workload\": \"{cell_workload}\", \
-             \"scan\": \"{scan}\", \
-             \"items\": {}, \"elapsed_s\": {:.6}, \
+            "    {{ \"algo\": \"{}\", \"workload\": \"{}\", \"scan\": \"{}\", \"dims\": {}, \
+             \"items\": {items}, \"elapsed_s\": {:.6}, \
              \"items_per_sec\": {:.0}, \"peak_open_bins\": {}, \
              \"peak_live_bytes\": {}, \"bins_opened\": {}, \"usage\": {} }}{}\n",
-            o.items,
+            cell.algo,
+            cell.workload_key(),
+            if cell.linear_scan() {
+                "linear"
+            } else {
+                "indexed"
+            },
+            cell.dims,
             o.elapsed_s,
-            o.items_per_sec,
+            *items as f64 / o.elapsed_s,
             o.peak_open_bins,
             o.peak_live_bytes,
             o.bins_opened,

@@ -9,10 +9,13 @@
 //!
 //! | schema | cell key | fresh run |
 //! |---|---|---|
-//! | `dbp-bench/engine-v1` | `algo` | plain [`StreamingSession`] |
+//! | `dbp-bench/engine-v1` | `algo`, `algo/d{D}` | plain [`StreamingSession`] over the scalar or the `D`-axis vector recipe |
 //! | `dbp-bench/shard-v1` | `algo/k{K}` | [`ShardedSession`] with the recorded worker count |
 //! | `dbp-bench/telemetry-v1` | `algo/{off,sampled}` | session without / with a [`TelemetryRecorder`] |
-//! | `dbp-bench/vector-v1` | `algo` | [`VecStreamingSession`] over the correlated vector workload |
+//!
+//! An engine cell's `dims` field (absent means 1) picks its demand
+//! type; engine cells are recorded and re-timed by one loop,
+//! [`stream_cell`], generic over it.
 //!
 //! Wall-clock throughput is inherently noisy and machine-dependent, so
 //! the gate records both hosts' parallelism, compares *ratios* rather
@@ -35,7 +38,7 @@ use crate::registry::{
 use dbp_core::observe::PackObserver;
 use dbp_core::stream::{PackerHandle, StreamingSession};
 use dbp_core::{
-    ClairvoyanceMode, Demand, Instance, VecClairvoyance, VecInstance, VecStreamingSession,
+    ClairvoyanceMode, DbpError, Demand, Instance, VecClairvoyance, VecInstance, VecStreamingSession,
 };
 use dbp_obs::json::{self, Json};
 use dbp_shard::{ShardConfig, ShardRouter, ShardedSession};
@@ -43,11 +46,19 @@ use dbp_telemetry::TelemetryRecorder;
 use dbp_workloads::random::{DurationDist, PoissonWorkload};
 use dbp_workloads::vector::{CorrelatedVectorWorkload, VectorWorkload};
 use dbp_workloads::Workload;
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Every benchmark binary streams this seed.
-const SEED: u64 = 1;
+pub const SEED: u64 = 1;
+
+/// The schema tag of `BENCH_engine.json`.
+pub const ENGINE_SCHEMA: &str = "dbp-bench/engine-v1";
+
+/// Per-axis mean demands of the vector recipe; its length is the only
+/// vector `dims` a baseline cell can name.
+const VECTOR_MEANS: [f64; 3] = [0.3, 0.2, 0.45];
 
 /// One baseline measurement to reproduce.
 #[derive(Clone, Debug)]
@@ -61,12 +72,15 @@ pub struct BaselineCell {
     /// Telemetry variant for `telemetry-v1` cells (`"off"`/`"sampled"`).
     pub telemetry: Option<String>,
     /// Workload variant the cell streamed (`None`/`"default"` for the
-    /// schema's standard recipe, `"deep"` for the 1000+-open-bin
+    /// schema's standard recipe, `"deep"` for the open-bin-heavy
     /// deep-fleet cells the engine benchmark records).
     pub workload: Option<String>,
     /// Scan machinery the cell used (`None`/`"indexed"` for the fit
     /// index, `"linear"` for the open-bin-walk foil cells).
     pub scan: Option<String>,
+    /// Resource axes per demand: 1 for the scalar recipes, more for the
+    /// vector recipe ([`vector_baseline_instance`]).
+    pub dims: usize,
     /// Recorded throughput.
     pub items_per_sec: f64,
 }
@@ -79,6 +93,10 @@ impl BaselineCell {
             (None, 1) => self.algo.clone(),
             (None, k) => format!("{}/k{k}", self.algo),
         };
+        let base = match self.dims {
+            1 => base,
+            d => format!("{base}/d{d}"),
+        };
         let base = match self.workload.as_deref() {
             Some(w) if w != "default" => format!("{base}@{w}"),
             _ => base,
@@ -89,13 +107,13 @@ impl BaselineCell {
         }
     }
 
-    /// The workload recipe key this cell must be re-measured under.
-    fn workload_key(&self) -> &str {
+    /// The workload recipe key this cell must be measured under.
+    pub fn workload_key(&self) -> &str {
         self.workload.as_deref().unwrap_or("default")
     }
 
-    /// Whether the cell must be re-measured with the linear-scan foil.
-    fn linear_scan(&self) -> bool {
+    /// Whether the cell must be measured with the linear-scan foil.
+    pub fn linear_scan(&self) -> bool {
         self.scan.as_deref() == Some("linear")
     }
 }
@@ -140,10 +158,7 @@ pub fn parse_baseline(text: &str) -> Result<Baseline, String> {
         .to_string();
     if !matches!(
         schema.as_str(),
-        "dbp-bench/engine-v1"
-            | "dbp-bench/shard-v1"
-            | "dbp-bench/telemetry-v1"
-            | "dbp-bench/vector-v1"
+        ENGINE_SCHEMA | "dbp-bench/shard-v1" | "dbp-bench/telemetry-v1"
     ) {
         return Err(format!("unsupported baseline schema {schema:?}"));
     }
@@ -178,6 +193,7 @@ pub fn parse_baseline(text: &str) -> Result<Baseline, String> {
                 .and_then(Json::as_str)
                 .map(str::to_string),
             scan: cell.get("scan").and_then(Json::as_str).map(str::to_string),
+            dims: cell.get("dims").and_then(Json::as_u64).unwrap_or(1) as usize,
             items_per_sec: field(cell, "items_per_sec")?
                 .as_f64()
                 .ok_or("items_per_sec is not a number")?,
@@ -205,15 +221,19 @@ fn horizon_for(mode: &str) -> Result<i64, String> {
     }
 }
 
-/// Regenerates the instance a baseline cell streamed: every schema uses
+/// The scalar workload a baseline cell streams: every schema uses
 /// Poisson(rate = 4) at seed 1; the shard benchmark's default recipe
 /// deepens the fleet with long exponential durations, and `"deep"` cells
 /// (the engine benchmark's 1000+-open-bin rows) use the even longer
-/// mean-1000 exponential durations their bench binary bakes in.
-pub fn baseline_instance(schema: &str, mode: &str, workload: &str) -> Result<Instance, String> {
+/// mean-1000 exponential durations.
+pub fn scalar_workload(
+    schema: &str,
+    mode: &str,
+    workload: &str,
+) -> Result<PoissonWorkload, String> {
     let horizon = horizon_for(mode)?;
     let base = PoissonWorkload::new(4.0, horizon);
-    let workload = match (schema, workload) {
+    Ok(match (schema, workload) {
         ("dbp-bench/shard-v1", "default") => base.with_durations(DurationDist::Exponential {
             mean: 500.0,
             min: 1,
@@ -226,15 +246,33 @@ pub fn baseline_instance(schema: &str, mode: &str, workload: &str) -> Result<Ins
             max: 10_000,
         }),
         (_, other) => return Err(format!("unknown cell workload {other:?}")),
-    };
-    // Disambiguated: the blanket `VectorWorkload` impl gives every
-    // scalar workload a second `generate_seeded`.
-    Ok(Workload::generate_seeded(&workload, SEED))
+    })
 }
 
-/// Item count for a `vector-v1` baseline mode. Unlike the Poisson
-/// schemas (which target an expected count through a horizon), the
-/// correlated vector workload draws an exact item count.
+/// Regenerates the instance a baseline cell streamed: the scalar
+/// [`scalar_workload`] at one axis, the [`vector_baseline_instance`] at
+/// its axis count (engine cells only).
+pub fn baseline_instance(
+    schema: &str,
+    mode: &str,
+    workload: &str,
+    dims: usize,
+) -> Result<BenchInstance, String> {
+    if dims == 1 {
+        // Disambiguated: the blanket `VectorWorkload` impl gives every
+        // scalar workload a second `generate_seeded`.
+        let w = scalar_workload(schema, mode, workload)?;
+        return Ok(BenchInstance::Scalar(Workload::generate_seeded(&w, SEED)));
+    }
+    if schema != ENGINE_SCHEMA || dims != VECTOR_MEANS.len() {
+        return Err(format!("no {schema} recipe for {dims}-axis cells"));
+    }
+    vector_baseline_instance(mode, workload).map(BenchInstance::Vector)
+}
+
+/// Item count for a vector baseline mode. Unlike the Poisson recipes
+/// (which target an expected count through a horizon), the correlated
+/// vector workload draws an exact item count.
 fn vector_items_for(mode: &str) -> Result<usize, String> {
     match mode {
         "full" => Ok(1_050_000),
@@ -243,15 +281,14 @@ fn vector_items_for(mode: &str) -> Result<usize, String> {
     }
 }
 
-/// Regenerates the vector instance a `vector-v1` baseline cell
-/// streamed: 3-axis correlated demands (`ρ = 0.6`) at seed 1. The
-/// `"deep"` variant stretches arrivals to one per tick and holds items
-/// with mean-1000 exponential durations, sustaining a fleet of hundreds
-/// of open bins — the cell that catches vector scan-depth cliffs.
+/// Regenerates the vector instance a `dims: 3` baseline cell streamed:
+/// 3-axis correlated demands (`ρ = 0.6`) at seed 1. The `"deep"`
+/// variant stretches arrivals to one per tick and holds items with
+/// mean-1000 exponential durations, sustaining a fleet of hundreds of
+/// open bins — the cell that catches vector scan-depth cliffs.
 pub fn vector_baseline_instance(mode: &str, workload: &str) -> Result<VecInstance, String> {
     let n = vector_items_for(mode)?;
-    let means = [0.3, 0.2, 0.45];
-    let base = CorrelatedVectorWorkload::new(n, &means, 0.5, 0.6)
+    let base = CorrelatedVectorWorkload::new(n, &VECTOR_MEANS, 0.5, 0.6)
         .map_err(|e| format!("vector baseline workload: {e}"))?;
     let w = match workload {
         "default" => base,
@@ -265,6 +302,104 @@ pub fn vector_baseline_instance(mode: &str, workload: &str) -> Result<VecInstanc
         other => return Err(format!("unknown cell workload {other:?}")),
     };
     Ok(VectorWorkload::generate_seeded(&w, SEED))
+}
+
+/// The instance an engine cell streams: scalar or vector demands.
+pub enum BenchInstance {
+    /// One axis: the Poisson recipes.
+    Scalar(Instance),
+    /// Several axes: the correlated vector recipe.
+    Vector(VecInstance),
+}
+
+impl BenchInstance {
+    /// The number of items.
+    pub fn item_count(&self) -> usize {
+        match self {
+            BenchInstance::Scalar(inst) => inst.len(),
+            BenchInstance::Vector(inst) => inst.len(),
+        }
+    }
+
+    /// Resource axes per demand.
+    pub fn dims(&self) -> usize {
+        match self {
+            BenchInstance::Scalar(_) => 1,
+            BenchInstance::Vector(inst) => inst.dims(),
+        }
+    }
+
+    /// Streams the instance through roster packer `algo` (its
+    /// linear-scan foil when `linear`) on a fresh clairvoyant session.
+    pub fn run_cell(&self, algo: &str, linear: bool) -> Result<CellRun, DbpError> {
+        match self {
+            BenchInstance::Scalar(inst) => {
+                let params = AlgoParams::from_instance(inst);
+                let mut packer = if linear {
+                    online_packer_linear(algo, params)
+                } else {
+                    online_packer(algo, params)
+                };
+                let session = StreamingSession::new(ClairvoyanceMode::Clairvoyant, packer.as_mut());
+                stream_cell(session, inst.items())
+            }
+            BenchInstance::Vector(inst) => {
+                let params = AlgoParams::from_vec_instance(inst);
+                let mut packer = if linear {
+                    vector_packer_linear(algo, params)
+                } else {
+                    vector_packer(algo, params)
+                };
+                let session =
+                    VecStreamingSession::new(VecClairvoyance::Clairvoyant, packer.as_mut());
+                stream_cell(session.into_inner(), inst.items())
+            }
+        }
+    }
+}
+
+/// One streamed cell: its wall time and what the engine benchmark
+/// records about the run.
+#[derive(Clone, Copy, Debug)]
+pub struct CellRun {
+    /// Wall time of the whole stream, departures and `finish` included.
+    pub elapsed_s: f64,
+    /// Most bins open at once.
+    pub peak_open_bins: usize,
+    /// Peak of the session's live-memory proxy, sampled every 1024
+    /// arrivals.
+    pub peak_live_bytes: usize,
+    /// Bins opened over the run.
+    pub bins_opened: usize,
+    /// Total usage (bin-ticks, raw).
+    pub usage: u128,
+}
+
+/// Streams `items` through `session` to the end: the one loop that both
+/// records engine cells and re-times them under the gate, for any
+/// demand type.
+pub fn stream_cell<P: PackerHandle, O: PackObserver<P::Demand>>(
+    mut session: StreamingSession<'_, O, P>,
+    items: &[<P::Demand as Demand>::Item],
+) -> Result<CellRun, DbpError> {
+    let mut peak_open_bins = 0;
+    let mut peak_live_bytes = 0;
+    let started = Instant::now();
+    for (k, item) in items.iter().enumerate() {
+        session.arrive(item)?;
+        peak_open_bins = peak_open_bins.max(session.open_bins());
+        if k % 1024 == 0 {
+            peak_live_bytes = peak_live_bytes.max(session.approx_live_bytes());
+        }
+    }
+    let run = session.finish()?;
+    Ok(CellRun {
+        elapsed_s: started.elapsed().as_secs_f64(),
+        peak_open_bins,
+        peak_live_bytes,
+        bins_opened: run.bins_opened(),
+        usage: run.usage,
+    })
 }
 
 /// One gate comparison.
@@ -372,43 +507,28 @@ fn best_of_3(items: usize, mut once: impl FnMut() -> Result<f64, String>) -> Res
     Ok(items as f64 / best.max(f64::MIN_POSITIVE))
 }
 
-/// Streams `items` through `session` to the end; returns elapsed seconds.
-fn time_session<P: PackerHandle, O: PackObserver<P::Demand>>(
-    mut session: StreamingSession<'_, O, P>,
-    items: &[<P::Demand as Demand>::Item],
-    cell: &BaselineCell,
-) -> Result<f64, String> {
-    let err = |e: dbp_core::DbpError| format!("{}: {e}", cell.label());
-    let started = Instant::now();
-    for item in items {
-        session.arrive(item).map_err(err)?;
-    }
-    session.finish().map_err(err)?;
-    Ok(started.elapsed().as_secs_f64())
-}
-
 /// One timed run of a baseline cell; returns elapsed seconds.
-fn run_cell_once(schema: &str, inst: &Instance, cell: &BaselineCell) -> Result<f64, String> {
-    let params = AlgoParams::from_instance(inst);
-    let err = |e: dbp_core::DbpError| format!("{}: {e}", cell.label());
+fn run_cell_once(schema: &str, inst: &BenchInstance, cell: &BaselineCell) -> Result<f64, String> {
+    let err = |e: DbpError| format!("{}: {e}", cell.label());
     // Foil cells are re-measured with the same linear-scan packer
     // variant they recorded, so their (deliberately slow) baselines are
     // compared like-for-like.
-    let make = |name: &str| {
+    let make = |inst: &Instance| {
+        let params = AlgoParams::from_instance(inst);
         if cell.linear_scan() {
-            online_packer_linear(name, params)
+            online_packer_linear(&cell.algo, params)
         } else {
-            online_packer(name, params)
+            online_packer(&cell.algo, params)
         }
     };
     let mode = ClairvoyanceMode::Clairvoyant;
-    match (schema, cell.telemetry.as_deref()) {
-        ("dbp-bench/shard-v1", _) => {
+    match (schema, cell.telemetry.as_deref(), inst) {
+        ("dbp-bench/shard-v1", _, BenchInstance::Scalar(inst)) => {
             let cfg = ShardConfig {
                 threads: Some(cell.workers.max(1)),
                 ..ShardConfig::new(cell.shards.max(1), ShardRouter::hash())
             };
-            let packers = (0..cell.shards.max(1)).map(|_| make(&cell.algo)).collect();
+            let packers = (0..cell.shards.max(1)).map(|_| make(inst)).collect();
             let mut fleet = ShardedSession::new(mode, packers, cfg).map_err(err)?;
             let started = Instant::now();
             for item in inst.items() {
@@ -417,34 +537,18 @@ fn run_cell_once(schema: &str, inst: &Instance, cell: &BaselineCell) -> Result<f
             fleet.finish().map_err(err)?;
             Ok(started.elapsed().as_secs_f64())
         }
-        (_, Some("sampled")) => {
-            let mut packer = make(&cell.algo);
+        (_, Some("sampled"), BenchInstance::Scalar(inst)) => {
+            let mut packer = make(inst);
             let session =
                 StreamingSession::with_observer(mode, packer.as_mut(), TelemetryRecorder::new());
-            time_session(session, inst.items(), cell)
+            Ok(stream_cell(session, inst.items()).map_err(err)?.elapsed_s)
         }
         // Engine cells and telemetry-off cells: a bare session.
-        _ => {
-            let mut packer = make(&cell.algo);
-            time_session(
-                StreamingSession::new(mode, packer.as_mut()),
-                inst.items(),
-                cell,
-            )
-        }
+        _ => Ok(inst
+            .run_cell(&cell.algo, cell.linear_scan())
+            .map_err(err)?
+            .elapsed_s),
     }
-}
-
-/// One timed run of a `vector-v1` baseline cell; returns elapsed seconds.
-fn run_vec_cell_once(inst: &VecInstance, cell: &BaselineCell) -> Result<f64, String> {
-    let params = AlgoParams::from_vec_instance(inst);
-    let mut packer = if cell.linear_scan() {
-        vector_packer_linear(&cell.algo, params)
-    } else {
-        vector_packer(&cell.algo, params)
-    };
-    let session = VecStreamingSession::new(VecClairvoyance::Clairvoyant, packer.as_mut());
-    time_session(session.into_inner(), inst.items(), cell)
 }
 
 /// Runs the gate: every baseline cell re-measured serially (one cell at
@@ -462,12 +566,10 @@ pub fn run_check(
     if !(0.0..100.0).contains(&inject_pct) {
         return Err(format!("inject {inject_pct}% out of range [0, 100)"));
     }
-    // Cells may stream different workload recipes (`default` vs `deep`);
-    // build each instance once and share it across its cells.
-    let is_vector = baseline.schema == "dbp-bench/vector-v1";
-    let mut instances: std::collections::HashMap<&str, Instance> = std::collections::HashMap::new();
-    let mut vec_instances: std::collections::HashMap<&str, VecInstance> =
-        std::collections::HashMap::new();
+    // Cells may stream different workload recipes (`default` vs `deep`,
+    // scalar vs vector); build each instance once and share it across
+    // its cells.
+    let mut instances: HashMap<(&str, usize), BenchInstance> = HashMap::new();
     let mut rows = Vec::new();
     for cell in &baseline.cells {
         if cell.items_per_sec <= 0.0 {
@@ -490,22 +592,20 @@ pub fn run_check(
             });
             continue;
         }
-        let key = cell.workload_key();
-        let fresh = if is_vector {
-            if !vec_instances.contains_key(key) {
-                let inst = vector_baseline_instance(&baseline.mode, key)?;
-                vec_instances.insert(key, inst);
-            }
-            let inst = &vec_instances[key];
-            best_of_3(inst.len(), || run_vec_cell_once(inst, cell))?
-        } else {
-            if !instances.contains_key(key) {
-                let inst = baseline_instance(&baseline.schema, &baseline.mode, key)?;
-                instances.insert(key, inst);
-            }
-            let inst = &instances[key];
-            best_of_3(inst.len(), || run_cell_once(&baseline.schema, inst, cell))?
+        let key = (cell.workload_key(), cell.dims);
+        let inst = match instances.entry(key) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => e.insert(baseline_instance(
+                &baseline.schema,
+                &baseline.mode,
+                key.0,
+                key.1,
+            )?),
         };
+        let inst = &*inst;
+        let fresh = best_of_3(inst.item_count(), || {
+            run_cell_once(&baseline.schema, inst, cell)
+        })?;
         let fresh_ips = fresh * (1.0 - inject_pct / 100.0);
         let delta_pct = (fresh_ips - cell.items_per_sec) / cell.items_per_sec * 100.0;
         rows.push(CheckRow {
@@ -576,7 +676,8 @@ mod tests {
           "results": [
             { "algo": "best-fit", "workload": "default", "scan": "indexed", "items_per_sec": 1000 },
             { "algo": "best-fit", "workload": "deep", "items_per_sec": 1000 },
-            { "algo": "best-fit", "workload": "deep", "scan": "linear", "items_per_sec": 1000 }
+            { "algo": "best-fit", "workload": "deep", "scan": "linear", "items_per_sec": 1000 },
+            { "algo": "best-fit", "workload": "deep", "scan": "linear", "dims": 3, "items_per_sec": 1000 }
           ] }"#;
         let b = parse_baseline(deep).unwrap();
         assert_eq!(b.cells[0].label(), "best-fit");
@@ -584,58 +685,48 @@ mod tests {
         assert_eq!(b.cells[2].label(), "best-fit@deep/linear");
         assert!(b.cells[2].linear_scan());
         assert!(!b.cells[1].linear_scan());
+        // An absent `dims` means a scalar cell; vector cells say so in
+        // the label.
+        assert_eq!(b.cells[2].dims, 1);
+        assert_eq!(b.cells[3].label(), "best-fit/d3@deep/linear");
     }
 
     #[test]
     fn unknown_cell_workload_is_rejected() {
         assert!(
-            baseline_instance("dbp-bench/engine-v1", "short", "shallow").is_err(),
+            baseline_instance(ENGINE_SCHEMA, "short", "shallow", 1).is_err(),
             "unknown workload recipes must not silently fall back"
         );
         assert!(vector_baseline_instance("short", "shallow").is_err());
+        // Vector cells exist only in the engine schema, at the vector
+        // recipe's axis count.
+        assert!(baseline_instance(ENGINE_SCHEMA, "short", "default", 2).is_err());
+        assert!(baseline_instance("dbp-bench/shard-v1", "short", "default", 3).is_err());
     }
 
-    /// The vector schema parses, labels like the engine schema, and the
-    /// gate re-measures its cells through the vector session (proven the
-    /// same way as the scalar gate: an impossible baseline regresses, a
-    /// trivial one passes).
+    /// A `dims: 3` engine cell is re-timed over the vector recipe:
+    /// against an impossible baseline it regresses, against a near-zero
+    /// one it passes.
     #[test]
-    fn vector_baseline_parses_and_gates() {
-        let parsed = parse_baseline(
-            r#"{ "schema": "dbp-bench/vector-v1", "mode": "short",
+    fn vector_cells_gate_in_an_engine_baseline() {
+        let b = parse_baseline(
+            r#"{ "schema": "dbp-bench/engine-v1", "mode": "short",
               "parallel_workers": 1,
               "results": [
-                { "algo": "dot-product", "workload": "default", "scan": "indexed", "items_per_sec": 1000 },
-                { "algo": "first-fit", "workload": "deep", "scan": "linear", "items_per_sec": 1000 }
+                { "algo": "first-fit", "dims": 3, "items_per_sec": 1e15 },
+                { "algo": "first-fit", "dims": 3, "items_per_sec": 0.001 }
               ] }"#,
         )
         .unwrap();
-        assert_eq!(parsed.schema, "dbp-bench/vector-v1");
-        assert_eq!(parsed.cells[0].label(), "dot-product");
-        assert_eq!(parsed.cells[1].label(), "first-fit@deep/linear");
-
-        // Tiny synthetic instance keeps the gate-trip proof fast: drive
-        // run_vec_cell directly rather than through the short recipe.
-        let means = [0.3, 0.2];
-        let inst = CorrelatedVectorWorkload::new(500, &means, 0.5, 0.0)
-            .unwrap()
-            .generate_seeded(3);
-        let cell = BaselineCell {
-            algo: "first-fit".into(),
-            shards: 1,
-            workers: 1,
-            telemetry: None,
-            workload: None,
-            scan: None,
-            items_per_sec: 0.0,
-        };
-        let ips = best_of_3(inst.len(), || run_vec_cell_once(&inst, &cell)).unwrap();
-        assert!(ips > 0.0);
-        let linear = BaselineCell {
-            scan: Some("linear".into()),
-            ..cell
-        };
-        assert!(run_vec_cell_once(&inst, &linear).unwrap() > 0.0);
+        let inst = baseline_instance(ENGINE_SCHEMA, "short", "default", 3).unwrap();
+        assert!(matches!(inst, BenchInstance::Vector(_)) && inst.dims() == 3);
+        let report = run_check(&b, 20.0, 0.0).unwrap();
+        assert_eq!(report.rows[0].label, "first-fit/d3");
+        assert!(report.rows[0].regressed, "impossible baseline must regress");
+        assert!(
+            !report.rows[1].regressed,
+            "any real machine beats 0.001 items/s"
+        );
     }
 
     #[test]
@@ -681,7 +772,7 @@ mod tests {
         // Measure once, write the measurement as the baseline, then
         // re-check with a 50% injected slowdown at 20% tolerance: the
         // gate must trip even though the machine did not change.
-        let inst = baseline_instance("dbp-bench/engine-v1", "short", "default").unwrap();
+        let inst = baseline_instance(ENGINE_SCHEMA, "short", "default", 1).unwrap();
         let cell = BaselineCell {
             algo: "first-fit".into(),
             shards: 1,
@@ -689,10 +780,11 @@ mod tests {
             telemetry: None,
             workload: None,
             scan: None,
+            dims: 1,
             items_per_sec: 0.0,
         };
-        let measured = best_of_3(inst.len(), || {
-            run_cell_once("dbp-bench/engine-v1", &inst, &cell)
+        let measured = best_of_3(inst.item_count(), || {
+            run_cell_once(ENGINE_SCHEMA, &inst, &cell)
         })
         .unwrap();
         let baseline = Baseline {

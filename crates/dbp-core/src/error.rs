@@ -13,6 +13,13 @@ pub enum DbpError {
         /// The offending end time.
         end: Time,
     },
+    /// An interval whose length `end − start` overflows `i64`.
+    IntervalOverflow {
+        /// The offending start time.
+        start: Time,
+        /// The offending end time.
+        end: Time,
+    },
     /// An item size outside `(0, 1]`, or an unrepresentable ratio.
     InvalidSize {
         /// What was wrong with the size.
@@ -69,6 +76,9 @@ impl fmt::Display for DbpError {
         match self {
             DbpError::EmptyInterval { start, end } => {
                 write!(f, "empty interval [{start}, {end}): start must precede end")
+            }
+            DbpError::IntervalOverflow { start, end } => {
+                write!(f, "interval [{start}, {end}) is longer than i64::MAX ticks")
             }
             DbpError::InvalidSize { what } => write!(f, "invalid size: {what}"),
             DbpError::DuplicateItemId { id } => write!(f, "duplicate item id {id}"),

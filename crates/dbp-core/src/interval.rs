@@ -25,21 +25,24 @@ pub struct Interval {
 impl Interval {
     /// Creates `[start, end)`. Returns an error unless `start < end`
     /// (zero-length active intervals are not meaningful: such an item would
-    /// never be active).
+    /// never be active) and the length `end − start` fits in an `i64`, so
+    /// [`Interval::len`] is always at least 1.
     pub fn new(start: Time, end: Time) -> Result<Self, DbpError> {
-        if start < end {
-            Ok(Self { start, end })
-        } else {
+        if start >= end {
             Err(DbpError::EmptyInterval { start, end })
+        } else if end.checked_sub(start).is_none() {
+            Err(DbpError::IntervalOverflow { start, end })
+        } else {
+            Ok(Self { start, end })
         }
     }
 
-    /// Creates `[start, end)`, panicking if `start >= end`.
+    /// Creates `[start, end)`, panicking where [`Interval::new`] errs.
     ///
     /// Convenient in tests and generators where inputs are known-good.
     #[track_caller]
     pub fn of(start: Time, end: Time) -> Self {
-        Self::new(start, end).expect("Interval::of requires start < end")
+        Self::new(start, end).expect("Interval::of requires a valid interval")
     }
 
     /// Left endpoint `I⁻` (inclusive).
@@ -179,6 +182,18 @@ mod tests {
         assert!(Interval::new(3, 3).is_err());
         assert!(Interval::new(5, 2).is_err());
         assert!(Interval::new(2, 5).is_ok());
+    }
+
+    #[test]
+    fn rejects_lengths_that_overflow_i64() {
+        // The length would wrap to -1 in a release build.
+        assert!(matches!(
+            Interval::new(Time::MIN, Time::MAX),
+            Err(DbpError::IntervalOverflow { .. })
+        ));
+        assert!(Interval::new(Time::MIN, 0).is_err());
+        assert_eq!(Interval::new(Time::MIN, -1).unwrap().len(), Time::MAX);
+        assert_eq!(Interval::new(0, Time::MAX).unwrap().len(), Time::MAX);
     }
 
     #[test]

@@ -139,6 +139,10 @@ mod tests {
         assert!(Item::try_new(0, Size::CAPACITY + Size::EPSILON, 0, 1).is_err());
         assert!(Item::try_new(0, Size::HALF, 5, 5).is_err());
         assert!(Item::try_new(0, Size::HALF, 5, 6).is_ok());
+        assert!(matches!(
+            Item::try_new(0, Size::HALF, i64::MIN, i64::MAX),
+            Err(DbpError::IntervalOverflow { .. })
+        ));
     }
 
     #[test]

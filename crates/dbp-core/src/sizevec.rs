@@ -628,6 +628,10 @@ mod tests {
             VecItem::try_new(2, sv(&[0.5]), 10, 10),
             Err(DbpError::EmptyInterval { .. })
         ));
+        assert!(matches!(
+            VecItem::try_new(3, sv(&[0.5]), i64::MIN, i64::MAX),
+            Err(DbpError::IntervalOverflow { .. })
+        ));
     }
 
     #[test]

@@ -53,7 +53,6 @@ OPTIONS (run mode):
   --resume             start from the service's id watermark instead
                        of job 0 (same seed ⇒ same stream)
   --out FILE           write one JSON line per decision
-  --bench-out FILE     write throughput/latency summary JSON
   --status-out FILE    write the service's final status response JSON
                        (watermark + totals, for CI accounting checks)
   --checkpoint         request a checkpoint after the last job
@@ -242,7 +241,6 @@ struct RunOpts {
     stop_after: Option<usize>,
     resume: bool,
     out: Option<String>,
-    bench_out: Option<String>,
     status_out: Option<String>,
     checkpoint: bool,
     shutdown: bool,
@@ -364,35 +362,6 @@ fn run(opts: &RunOpts) -> Result<(), Fail> {
             writeln!(f, "{}", record.render(*job)).map_err(|e| io_err(e, "decision log"))?;
         }
         f.flush().map_err(|e| io_err(e, "decision log"))?;
-    }
-
-    if let Some(path) = &opts.bench_out {
-        let h = &stats.latency_ns;
-        let us = |ns: u64| ns as f64 / 1_000.0;
-        let elapsed_s = elapsed.as_secs_f64().max(1e-9);
-        let body = format!(
-            "{{\n  \"format\": \"dbp-serve/bench-v1\",\n  \"seed\": {},\n  \"jobs\": {},\n  \
-             \"sent\": {},\n  \"tenants\": {},\n  \"window\": {},\n  \"elapsed_s\": {:.6},\n  \
-             \"req_per_sec\": {:.1},\n  \"placed\": {},\n  \"shed\": {},\n  \"rejected\": {},\n  \
-             \"latency_us\": {{\n    \"p50\": {:.1},\n    \"p90\": {:.1},\n    \"p99\": {:.1},\n    \
-             \"max\": {:.1},\n    \"mean\": {:.1}\n  }}\n}}\n",
-            opts.seed,
-            opts.jobs,
-            to_send.len(),
-            opts.tenants,
-            opts.window,
-            elapsed_s,
-            to_send.len() as f64 / elapsed_s,
-            stats.placed,
-            stats.shed,
-            stats.rejected,
-            us(h.quantile(0.50)),
-            us(h.quantile(0.90)),
-            us(h.quantile(0.99)),
-            us(h.max()),
-            h.mean() / 1_000.0,
-        );
-        std::fs::write(path, body).map_err(|e| io_err(e, path))?;
     }
 
     eprintln!(
@@ -560,7 +529,6 @@ fn parse_args(args: &[String]) -> Result<Mode, Fail> {
         stop_after: None,
         resume: false,
         out: None,
-        bench_out: None,
         status_out: None,
         checkpoint: false,
         shutdown: false,
@@ -609,14 +577,6 @@ fn parse_args(args: &[String]) -> Result<Mode, Fail> {
                 opts.out = Some(
                     args.get(i)
                         .ok_or_else(|| usage("--out needs a path".into()))?
-                        .clone(),
-                );
-            }
-            "--bench-out" => {
-                i += 1;
-                opts.bench_out = Some(
-                    args.get(i)
-                        .ok_or_else(|| usage("--bench-out needs a path".into()))?
                         .clone(),
                 );
             }

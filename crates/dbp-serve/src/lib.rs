@@ -25,8 +25,6 @@
 //! - [`torture`] — the deterministic crash-point harness: injects an
 //!   IO failure (or a real `abort`) at every WAL/checkpoint IO
 //!   boundary in turn and proves recovery from each prefix.
-//! - [`bench`] — fsync-policy throughput/latency cells for
-//!   `BENCH_serve.json`, re-runnable under `dbp bench --check`.
 //! - [`metrics`] — the Prometheus exposition (per-tenant counters,
 //!   open-bin gauges, placement latency histogram).
 //! - [`server`] — the blocking TCP front end and its tiny HTTP shim
@@ -39,7 +37,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod metrics;
 pub mod protocol;
 pub mod server;

@@ -98,7 +98,23 @@ fn kill_and_restore_replays_bit_identically() {
 
 #[test]
 fn torn_newest_checkpoint_falls_back_to_the_previous_good_one() {
-    let dir = fresh_dir("restart-torn");
+    // Tear the newest checkpoint mid-file, as a crash mid-write would.
+    damaged_newest_checkpoint_falls_back("restart-torn", |bytes| bytes[..bytes.len() / 2].to_vec());
+}
+
+/// Regression: a manifest nested far deeper than any real checkpoint
+/// used to overflow the JSON parser's stack and abort the boot.
+#[test]
+fn deeply_nested_newest_checkpoint_falls_back_instead_of_aborting() {
+    damaged_newest_checkpoint_falls_back("restart-nested", |_| {
+        format!("{}\n", "[".repeat(100_000)).into_bytes()
+    });
+}
+
+/// Writes two checkpoints, rewrites the newest with `damage`, and checks
+/// that the restart skips it and resumes from the older one.
+fn damaged_newest_checkpoint_falls_back(name: &str, damage: impl Fn(&[u8]) -> Vec<u8>) {
+    let dir = fresh_dir(name);
     let jobs = stream();
     // Explicit checkpoints only, so exactly two files exist.
     let mut cfg = cfg_with_dir(&dir);
@@ -126,7 +142,6 @@ fn torn_newest_checkpoint_falls_back_to_the_previous_good_one() {
         (seq, watermark)
     };
 
-    // Tear the newest checkpoint mid-file, as a crash mid-write would.
     let newest = std::fs::read_dir(&dir)
         .unwrap()
         .filter_map(|e| e.ok().map(|e| e.path()))
@@ -134,7 +149,7 @@ fn torn_newest_checkpoint_falls_back_to_the_previous_good_one() {
         .max()
         .unwrap();
     let bytes = std::fs::read(&newest).unwrap();
-    std::fs::write(&newest, &bytes[..bytes.len() / 2]).unwrap();
+    std::fs::write(&newest, damage(&bytes)).unwrap();
 
     let service = Service::start(cfg).unwrap();
     assert_eq!(service.restored_seq(), Some(first_seq));

@@ -1,11 +1,14 @@
 //! End-to-end over a real socket: line protocol, the HTTP metrics
 //! shim, malformed-input handling, and graceful shutdown.
 
-use dbp_serve::protocol::{parse_response, render_request, Request, Response, Submit};
+use dbp_serve::protocol::{
+    parse_response, render_request, RejectReason, Request, Response, Submit,
+};
 use dbp_serve::{server, ServeConfig, Service};
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn submit_line(job: u32, arrival: i64) -> String {
     render_request(&Request::Submit(Submit {
@@ -162,4 +165,73 @@ fn oversized_request_lines_get_a_typed_error_not_unbounded_memory() {
         reader.read_line(&mut line).unwrap();
     }
     server_thread.join().unwrap().unwrap();
+}
+
+/// Sends one raw request line on a fresh connection and returns the
+/// response, failing the test if none arrives within `budget`.
+fn exchange_within(addr: SocketAddr, line: &[u8], budget: Duration) -> Response {
+    let conn = TcpStream::connect(addr).unwrap();
+    conn.set_read_timeout(Some(budget)).unwrap();
+    let mut writer = conn.try_clone().unwrap();
+    let mut reader = BufReader::new(conn);
+    writer.write_all(line).unwrap();
+    writer.write_all(b"\n").unwrap();
+    writer.flush().unwrap();
+    let mut resp = String::new();
+    reader
+        .read_line(&mut resp)
+        .unwrap_or_else(|e| panic!("no response within {budget:?}: {e}"));
+    parse_response(resp.trim_end()).unwrap()
+}
+
+/// Checks that `status` still answers promptly, then shuts the server
+/// down and joins it.
+fn still_serving_then_shutdown(
+    addr: SocketAddr,
+    server_thread: std::thread::JoinHandle<std::io::Result<()>>,
+) {
+    let budget = Duration::from_secs(5);
+    let status = exchange_within(addr, b"{\"op\":\"status\"}", budget);
+    assert!(matches!(status, Response::Status(_)), "{status:?}");
+    let bye = exchange_within(addr, b"{\"op\":\"shutdown\"}", budget);
+    assert!(matches!(bye, Response::ShuttingDown), "{bye:?}");
+    server_thread.join().unwrap().unwrap();
+}
+
+/// Regression: a line of 60,000 `[` (under the line cap) used to recurse
+/// the JSON parser off the connection worker's stack and abort the whole
+/// service. It now gets a typed protocol error.
+#[test]
+fn deeply_nested_request_line_gets_an_error_not_an_abort() {
+    let service = Arc::new(Service::start(ServeConfig::new(1, "first-fit")).unwrap());
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server_thread = std::thread::spawn(move || server::run(service, listener, 2));
+
+    let line = vec![b'['; 60_000];
+    assert!(line.len() < server::MAX_LINE);
+    match exchange_within(addr, &line, Duration::from_secs(5)) {
+        Response::Error { what } => assert!(what.contains("nesting"), "got: {what}"),
+        other => panic!("{other:?}"),
+    }
+    still_serving_then_shutdown(addr, server_thread);
+}
+
+/// Regression: under `cbd`, a submit spanning `[i64::MIN, i64::MAX)`
+/// wrapped the interval length to -1, and the duration classifier looped
+/// forever while holding the core lock, hanging every connection. The
+/// span is now refused as an invalid job.
+#[test]
+fn overflowing_span_is_rejected_not_a_livelock() {
+    let service = Arc::new(Service::start(ServeConfig::new(1, "cbd")).unwrap());
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server_thread = std::thread::spawn(move || server::run(service, listener, 2));
+
+    let line = br#"{"op":"submit","tenant":"a","job":0,"size_raw":1000,"arrival":-9223372036854775808,"departure":9223372036854775807}"#;
+    match exchange_within(addr, line, Duration::from_secs(5)) {
+        Response::Rejected { reason, .. } => assert_eq!(reason, RejectReason::InvalidJob),
+        other => panic!("{other:?}"),
+    }
+    still_serving_then_shutdown(addr, server_thread);
 }

@@ -23,6 +23,8 @@
 //! | 5 | audit / chaos / shard-audit / telemetry violations found |
 
 use clairvoyant_dbp::audit::diff::clairvoyance_for;
+use clairvoyant_dbp::audit::fixture::Fixture;
+use clairvoyant_dbp::audit::shrink::Shrinkable;
 use clairvoyant_dbp::core::accounting::lower_bounds;
 use clairvoyant_dbp::core::stats::instance_stats;
 use clairvoyant_dbp::prelude::*;
@@ -77,7 +79,6 @@ USAGE:
   dbp serve-torture [--self-test] [--jobs <n>] [--stride <k>]
                [--checkpoint-every <decisions>] [--algo <name>]
                [--fsync <policy>] [--scratch <dir>]
-  dbp serve-bench [--mode <short|full>] [--out <BENCH_serve.json>]
   dbp algos
 
 Online algorithms take their Theorem 4/5 optimal parameters from the
@@ -164,9 +165,10 @@ failure at every WAL/checkpoint IO boundary in turn (`--stride` to
 sample) and checks recovery from each prefix plus corruption drills
 (torn tails, bit flips, CRC-consistent rewrites); exit 5 on any
 violation. The environment knob DBP_CRASH_AT_IO=<n> aborts the whole
-process at global IO op n instead (the CI kill-grade drill).
-`serve-bench` records the fsync-policy cost table (BENCH_serve.json),
-gateable with `bench --check`. See docs/serving.md.
+process at global IO op n instead (the CI kill-grade drill). The
+serving path's throughput, latency and recovery time are measured by
+the repository benchmark's serve-* workloads (BENCHMARK.json). See
+docs/serving.md.
 
 `chaos` sweeps the roster under seeded fault injection (spot
 revocations, rack failures, crashes) with rotating recovery and
@@ -247,7 +249,6 @@ fn main() -> ExitCode {
         "prof" => prof(&flags),
         "serve" => serve(&flags),
         "serve-torture" => serve_torture(&flags),
-        "serve-bench" => serve_bench(&flags),
         "algos" => {
             println!("online:  {}", ONLINE_ALGOS.join(", "));
             println!("offline: {}", OFFLINE_ALGOS.join(", "));
@@ -927,44 +928,19 @@ fn bench_check(flags: &HashMap<String, String>) -> Result<(), CliError> {
     let inject: f64 = get_num(flags, "inject", 0.0)?;
     let text =
         std::fs::read_to_string(path).map_err(|e| io_err(format!("cannot read {path}: {e}")))?;
-    // Serving-path baselines (`dbp-serve/...` schemas) re-run through
-    // the Service itself; engine baselines through dbp-bench.
-    let schema_tag = clairvoyant_dbp::obs::json::parse(&text)
-        .ok()
-        .and_then(|root| {
-            root.get("schema")
-                .and_then(|s| s.as_str().map(String::from))
-        })
-        .unwrap_or_default();
-    let report = if schema_tag.starts_with("dbp-serve/") {
-        use clairvoyant_dbp::serve::bench::{parse_serve_baseline, run_serve_check};
-        let baseline = parse_serve_baseline(&text).map_err(|e| io_err(format!("{path}: {e}")))?;
-        println!(
-            "bench check: {schema_tag} ({} mode), {} cells, tolerance {tolerance}%{}",
-            baseline.mode,
-            baseline.cells.len(),
-            if inject > 0.0 {
-                format!(", injected slowdown {inject}%")
-            } else {
-                String::new()
-            }
-        );
-        run_serve_check(&baseline, tolerance, inject).map_err(CliError::Usage)?
-    } else {
-        let baseline = parse_baseline(&text).map_err(|e| io_err(format!("{path}: {e}")))?;
-        println!(
-            "bench check: {} ({} mode), {} cells, tolerance {tolerance}%{}",
-            baseline.schema,
-            baseline.mode,
-            baseline.cells.len(),
-            if inject > 0.0 {
-                format!(", injected slowdown {inject}%")
-            } else {
-                String::new()
-            }
-        );
-        run_check(&baseline, tolerance, inject).map_err(CliError::Usage)?
-    };
+    let baseline = parse_baseline(&text).map_err(|e| io_err(format!("{path}: {e}")))?;
+    println!(
+        "bench check: {} ({} mode), {} cells, tolerance {tolerance}%{}",
+        baseline.schema,
+        baseline.mode,
+        baseline.cells.len(),
+        if inject > 0.0 {
+            format!(", injected slowdown {inject}%")
+        } else {
+            String::new()
+        }
+    );
+    let report = run_check(&baseline, tolerance, inject).map_err(CliError::Usage)?;
     if report.host_parallelism != report.baseline_host_parallelism {
         println!(
             "note: baseline host parallelism {} vs this host {} — treat tight margins as noise",
@@ -972,19 +948,19 @@ fn bench_check(flags: &HashMap<String, String>) -> Result<(), CliError> {
         );
     }
     println!(
-        "\n{:<22} {:>14} {:>14} {:>9}  verdict",
+        "\n{:<26} {:>14} {:>14} {:>9}  verdict",
         "cell", "baseline_ips", "fresh_ips", "delta"
     );
     for r in &report.rows {
         if r.skipped {
             println!(
-                "{:<22} {:>14.0} {:>14} {:>9}  SKIPPED (degraded baseline)",
+                "{:<26} {:>14.0} {:>14} {:>9}  SKIPPED (degraded baseline)",
                 r.label, r.baseline_ips, "-", "-"
             );
             continue;
         }
         println!(
-            "{:<22} {:>14.0} {:>14.0} {:>8.1}%  {}",
+            "{:<26} {:>14.0} {:>14.0} {:>8.1}%  {}",
             r.label,
             r.baseline_ips,
             r.fresh_ips,
@@ -1017,20 +993,119 @@ fn bench_check(flags: &HashMap<String, String>) -> Result<(), CliError> {
     }
 }
 
+/// Finishes a seeded sweep: prints `header`, and when the sweep found
+/// violations lists every failing cell, turns each one `shrink` can
+/// replay into a minimal fixture persisted under `fixtures_dir`, and
+/// returns the exit-5 error. Every audit family reports through here.
+fn report_sweep(
+    tag: &str,
+    header: String,
+    summary: &clairvoyant_dbp::audit::AuditSummary,
+    fixtures_dir: &str,
+    shrink: impl Fn(&clairvoyant_dbp::audit::fuzz::Failure) -> Option<Fixture>,
+) -> Result<(), CliError> {
+    println!("{tag}: {header}");
+    if summary.ok() {
+        println!("{tag}: no violations");
+        return Ok(());
+    }
+    println!(
+        "{tag}: {} failing cells, {} violations",
+        summary.failures.len(),
+        summary.violations()
+    );
+    for f in &summary.failures {
+        println!("\ncase {} [{}] algo {}:", f.case, f.family, f.algo);
+        for v in &f.violations {
+            println!("  [{}] {}", v.check, v.detail);
+        }
+        let Some(fixture) = shrink(f) else { continue };
+        let n = fixture.items.len();
+        match fixture.write_to(std::path::Path::new(fixtures_dir)) {
+            Ok(path) => println!("  shrunk to {n} items -> {}", path.display()),
+            Err(e) => println!("  shrunk to {n} items (write failed: {e})"),
+        }
+    }
+    Err(CliError::Violations(format!(
+        "{} {tag} violations",
+        summary.violations()
+    )))
+}
+
+/// The fixture for sweep failure `f` shrunk from `inst` to `small`, named
+/// `{prefix}seed{S}-case{C}-{algo}{suffix}`.
+fn shrunk_fixture<I: Shrinkable>(
+    prefix: &str,
+    suffix: &str,
+    algo: &str,
+    seed: u64,
+    f: &clairvoyant_dbp::audit::fuzz::Failure,
+    inst: &I,
+    small: &I,
+) -> Fixture {
+    Fixture::from_instance(
+        format!("{prefix}seed{seed}-case{}-{algo}{suffix}", f.case),
+        algo,
+        f.violations[0].check.as_str(),
+        seed,
+        f.case,
+        format!(
+            "shrunk from {} to {} items",
+            inst.items().len(),
+            small.items().len()
+        ),
+        small,
+    )
+}
+
 /// Runs the differential fuzzing sweep (`dbp audit`), shrinking any
 /// failure to a minimal fixture, or the `--self-test` pipeline proof.
+/// `--dims D` runs the vector family instead (indexed vs linear foils,
+/// per-axis capacity, the max-axis lower bound, dim-1 scalar
+/// equivalence, batch-reference differentials) over seeded vector
+/// instances with up to `D` axes.
 fn audit(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    use clairvoyant_dbp::audit::fixture::Fixture;
-    use clairvoyant_dbp::audit::fuzz::{self, shrink_roster_failure};
+    use clairvoyant_dbp::audit::fuzz::{case_instance, run_audit, shrink_roster_failure};
     use clairvoyant_dbp::audit::shrink::ShrinkBudget;
+    use clairvoyant_dbp::audit::vector::{
+        case_vec_instance, run_vector_audit, shrink_vector_failure, VectorAuditConfig,
+    };
     use clairvoyant_dbp::audit::{AuditConfig, QuietPanics};
-    use std::path::Path;
 
     if flags.contains_key("self-test") {
         return audit_self_test(flags);
     }
+    let fixtures_dir = flags
+        .get("fixtures-dir")
+        .map(String::as_str)
+        .unwrap_or("audit-fixtures");
+    // Expected panics (engine rejections, injected faults) are caught and
+    // reported as violations; keep them off stderr.
+    let _quiet = QuietPanics::new();
+
     if flags.contains_key("dims") {
-        return audit_vector(flags);
+        let cfg = VectorAuditConfig {
+            cases: get_num(flags, "cases", 200)?,
+            seed: get_num(flags, "seed", 0)?,
+            max_items: get_num(flags, "max-items", 24)?,
+            max_dims: parse_dims(flags)?,
+            threads: get_threads(flags)?,
+        };
+        let summary = run_vector_audit(&cfg);
+        let header = format!(
+            "{} vector cases x roster = {} cells, seed {}, dims <= {}",
+            summary.cases, summary.cells, cfg.seed, cfg.max_dims
+        );
+        return report_sweep("audit", header, &summary, fixtures_dir, |f| {
+            if f.algo.starts_with('<') {
+                return None;
+            }
+            let (_, inst) = case_vec_instance(cfg.seed, f.case, cfg.max_items, cfg.max_dims);
+            let small = shrink_vector_failure(&inst, &f.algo, ShrinkBudget::default());
+            Some(shrunk_fixture(
+                "vec-", "", &f.algo, cfg.seed, f, &inst, &small,
+            ))
+        });
     }
 
     let cfg = AuditConfig {
@@ -1041,130 +1116,21 @@ fn audit(flags: &HashMap<String, String>) -> Result<(), CliError> {
         offline: !flags.contains_key("no-offline"),
         ..Default::default()
     };
-    let fixtures_dir = flags
-        .get("fixtures-dir")
-        .map(String::as_str)
-        .unwrap_or("audit-fixtures");
-
-    // Expected panics (engine rejections, injected faults) are caught and
-    // reported as violations; keep them off stderr.
-    let _quiet = QuietPanics::new();
-    let summary = fuzz::run_audit(&cfg);
-    println!(
-        "audit: {} cases x roster = {} cells, seed {}",
+    let summary = run_audit(&cfg);
+    let header = format!(
+        "{} cases x roster = {} cells, seed {}",
         summary.cases, summary.cells, cfg.seed
     );
-    if summary.ok() {
-        println!("audit: no violations");
-        return Ok(());
-    }
-
-    println!(
-        "audit: {} failing (case, algo) cells, {} violations",
-        summary.failures.len(),
-        summary.violations()
-    );
-    for f in &summary.failures {
-        println!("\ncase {} [{}] algo {}:", f.case, f.family, f.algo);
-        for v in &f.violations {
-            println!("  [{}] {}", v.check, v.detail);
-        }
-        // Shrink and persist a replayable fixture (skip cells that failed
-        // before an algorithm was even involved).
+    report_sweep("audit", header, &summary, fixtures_dir, |f| {
+        // Cells that failed before an algorithm was involved cannot be
+        // shrunk.
         if f.algo.starts_with('<') || f.algo == "exact-oracles" {
-            continue;
+            return None;
         }
-        let (_, inst) = fuzz::case_instance(cfg.seed, f.case, cfg.max_items);
+        let (_, inst) = case_instance(cfg.seed, f.case, cfg.max_items);
         let small = shrink_roster_failure(&inst, &f.algo, cfg.limits, ShrinkBudget::default());
-        let fixture = Fixture::from_instance(
-            format!("seed{}-case{}-{}", cfg.seed, f.case, f.algo),
-            &f.algo,
-            f.violations[0].check.as_str(),
-            cfg.seed,
-            f.case,
-            format!("shrunk from {} to {} items", inst.len(), small.len()),
-            &small,
-        );
-        match fixture.write_to(Path::new(fixtures_dir)) {
-            Ok(path) => println!("  shrunk to {} items -> {}", small.len(), path.display()),
-            Err(e) => println!("  shrunk to {} items (write failed: {e})", small.len()),
-        }
-    }
-    Err(CliError::Violations(format!(
-        "{} audit violations",
-        summary.violations()
-    )))
-}
-
-/// The `audit --dims D` path: the vector invariant family (indexed vs
-/// linear foils, per-axis capacity, the max-axis lower bound, dim-1
-/// scalar equivalence, batch-reference differentials) over seeded
-/// vector instances with dimensionality up to `D`, shrinking failures
-/// to vector-fixture JSON.
-fn audit_vector(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    use clairvoyant_dbp::audit::shrink::ShrinkBudget;
-    use clairvoyant_dbp::audit::vector::{
-        case_vec_instance, run_vector_audit, shrink_vector_failure, VecFixture, VectorAuditConfig,
-    };
-    use clairvoyant_dbp::audit::QuietPanics;
-    use std::path::Path;
-
-    let cfg = VectorAuditConfig {
-        cases: get_num(flags, "cases", 200)?,
-        seed: get_num(flags, "seed", 0)?,
-        max_items: get_num(flags, "max-items", 24)?,
-        max_dims: parse_dims(flags)?,
-        threads: get_threads(flags)?,
-    };
-    let fixtures_dir = flags
-        .get("fixtures-dir")
-        .map(String::as_str)
-        .unwrap_or("audit-fixtures");
-
-    let _quiet = QuietPanics::new();
-    let summary = run_vector_audit(&cfg);
-    println!(
-        "audit: {} vector cases x roster = {} cells, seed {}, dims <= {}",
-        summary.cases, summary.cells, cfg.seed, cfg.max_dims
-    );
-    if summary.ok() {
-        println!("audit: no violations");
-        return Ok(());
-    }
-
-    println!(
-        "audit: {} failing (case, algo) cells, {} violations",
-        summary.failures.len(),
-        summary.violations()
-    );
-    for f in &summary.failures {
-        println!("\ncase {} [{}] algo {}:", f.case, f.family, f.algo);
-        for v in &f.violations {
-            println!("  [{}] {}", v.check, v.detail);
-        }
-        if f.algo.starts_with('<') {
-            continue;
-        }
-        let (_, inst) = case_vec_instance(cfg.seed, f.case, cfg.max_items, cfg.max_dims);
-        let small = shrink_vector_failure(&inst, &f.algo, ShrinkBudget::default());
-        let fixture = VecFixture::from_instance(
-            format!("vec-seed{}-case{}-{}", cfg.seed, f.case, f.algo),
-            &f.algo,
-            f.violations[0].check.as_str(),
-            cfg.seed,
-            f.case,
-            format!("shrunk from {} to {} items", inst.len(), small.len()),
-            &small,
-        );
-        match fixture.write_to(Path::new(fixtures_dir)) {
-            Ok(path) => println!("  shrunk to {} items -> {}", small.len(), path.display()),
-            Err(e) => println!("  shrunk to {} items (write failed: {e})", small.len()),
-        }
-    }
-    Err(CliError::Violations(format!(
-        "{} vector audit violations",
-        summary.violations()
-    )))
+        Some(shrunk_fixture("", "", &f.algo, cfg.seed, f, &inst, &small))
+    })
 }
 
 /// Proves the audit pipeline end to end with injected faults: the
@@ -1174,7 +1140,6 @@ fn audit_vector(flags: &HashMap<String, String>) -> Result<(), CliError> {
 fn audit_self_test(flags: &HashMap<String, String>) -> Result<(), CliError> {
     use clairvoyant_dbp::audit::diff::audit_online_with;
     use clairvoyant_dbp::audit::faulty::{OverfullFirstFit, PanicOnNth};
-    use clairvoyant_dbp::audit::fixture::Fixture;
     use clairvoyant_dbp::audit::fuzz::{case_instance, isolated};
     use clairvoyant_dbp::audit::invariants::{exact_baselines, ExactLimits};
     use clairvoyant_dbp::audit::shrink::{shrink_instance, ShrinkBudget};
@@ -1274,13 +1239,12 @@ fn audit_self_test(flags: &HashMap<String, String>) -> Result<(), CliError> {
 }
 
 /// The vector leg of `audit --self-test`: catch the axis-blind packer,
-/// shrink the witness, and round-trip it through [`VecFixture`] JSON.
+/// shrink the witness, and round-trip it through a vector [`Fixture`].
 fn audit_self_test_vector(seed: u64) -> Result<(), CliError> {
     use clairvoyant_dbp::audit::faulty::AxisBlindFirstFit;
     use clairvoyant_dbp::audit::fuzz::isolated;
     use clairvoyant_dbp::audit::shrink::shrink_instance;
     use clairvoyant_dbp::audit::shrink::ShrinkBudget;
-    use clairvoyant_dbp::audit::vector::VecFixture;
     use clairvoyant_dbp::core::{
         SizeVec, VecClairvoyance, VecInstance, VecItem, VecStreamingSession,
     };
@@ -1331,7 +1295,7 @@ fn audit_self_test_vector(seed: u64) -> Result<(), CliError> {
         )));
     }
 
-    let fixture = VecFixture::from_instance(
+    let fixture = Fixture::from_instance(
         "self-test-axis-blind-ff",
         "faulty-axis-blind-ff",
         "engine-error",
@@ -1340,9 +1304,10 @@ fn audit_self_test_vector(seed: u64) -> Result<(), CliError> {
         "self-test injected vector fault",
         &small,
     );
-    let round_trip = VecFixture::parse(&fixture.to_json())
+    let round_trip = Fixture::parse(&fixture.to_json())
         .map_err(|e| runtime_err(format!("vector fixture round-trip: {e}")))?;
-    if round_trip != fixture || round_trip.instance().map_err(runtime_err)? != small {
+    if round_trip != fixture || round_trip.instance::<VecInstance>().map_err(runtime_err)? != small
+    {
         return Err(CliError::Violations(
             "self-test: vector fixture did not round-trip".into(),
         ));
@@ -1360,11 +1325,9 @@ fn audit_self_test_vector(seed: u64) -> Result<(), CliError> {
 /// proves the three pillars on built-in scenarios.
 fn chaos(flags: &HashMap<String, String>) -> Result<(), CliError> {
     use clairvoyant_dbp::audit::chaos::{shrink_chaos_failure, ChaosAuditConfig};
-    use clairvoyant_dbp::audit::fixture::Fixture;
     use clairvoyant_dbp::audit::fuzz::case_instance;
     use clairvoyant_dbp::audit::shrink::ShrinkBudget;
     use clairvoyant_dbp::audit::{run_chaos_audit, QuietPanics};
-    use std::path::Path;
 
     if flags.contains_key("self-test") {
         return chaos_self_test(flags);
@@ -1383,48 +1346,20 @@ fn chaos(flags: &HashMap<String, String>) -> Result<(), CliError> {
 
     let _quiet = QuietPanics::new();
     let summary = run_chaos_audit(&cfg);
-    println!(
-        "chaos: {} cases x roster = {} cells, seed {}",
+    let header = format!(
+        "{} cases x roster = {} cells, seed {}",
         summary.cases, summary.cells, cfg.seed
     );
-    if summary.ok() {
-        println!("chaos: no violations");
-        return Ok(());
-    }
-
-    println!(
-        "chaos: {} failing (case, algo) cells, {} violations",
-        summary.failures.len(),
-        summary.violations()
-    );
-    for f in &summary.failures {
-        println!("\ncase {} [{}] algo {}:", f.case, f.family, f.algo);
-        for v in &f.violations {
-            println!("  [{}] {}", v.check, v.detail);
-        }
+    report_sweep("chaos", header, &summary, fixtures_dir, |f| {
         if f.algo.starts_with('<') {
-            continue;
+            return None;
         }
         let (_, inst) = case_instance(cfg.seed, f.case, cfg.max_items);
         let small = shrink_chaos_failure(&inst, &f.algo, cfg.seed, f.case, ShrinkBudget::default());
-        let fixture = Fixture::from_instance(
-            format!("chaos-seed{}-case{}-{}", cfg.seed, f.case, f.algo),
-            &f.algo,
-            f.violations[0].check.as_str(),
-            cfg.seed,
-            f.case,
-            format!("chaos: shrunk from {} to {} items", inst.len(), small.len()),
-            &small,
-        );
-        match fixture.write_to(Path::new(fixtures_dir)) {
-            Ok(path) => println!("  shrunk to {} items -> {}", small.len(), path.display()),
-            Err(e) => println!("  shrunk to {} items (write failed: {e})", small.len()),
-        }
-    }
-    Err(CliError::Violations(format!(
-        "{} chaos violations",
-        summary.violations()
-    )))
+        Some(shrunk_fixture(
+            "chaos-", "", &f.algo, cfg.seed, f, &inst, &small,
+        ))
+    })
 }
 
 /// Proves the three resilience pillars on built-in scenarios:
@@ -1551,12 +1486,10 @@ fn chaos_self_test(flags: &HashMap<String, String>) -> Result<(), CliError> {
 /// K ∈ {1, 2, 3}, with failures shrunk to minimal fixtures exactly like
 /// `audit` and `chaos`.
 fn shard_audit(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    use clairvoyant_dbp::audit::fixture::Fixture;
     use clairvoyant_dbp::audit::fuzz::case_instance;
     use clairvoyant_dbp::audit::shard::shrink_shard_failure;
     use clairvoyant_dbp::audit::shrink::ShrinkBudget;
     use clairvoyant_dbp::audit::{run_shard_audit, QuietPanics, ShardAuditConfig};
-    use std::path::Path;
 
     let cfg = ShardAuditConfig {
         cases: get_num(flags, "cases", 200)?,
@@ -1571,55 +1504,22 @@ fn shard_audit(flags: &HashMap<String, String>) -> Result<(), CliError> {
 
     let _quiet = QuietPanics::new();
     let summary = run_shard_audit(&cfg);
-    println!(
-        "shard-audit: {} cases x roster x K = {} cells, seed {}",
+    let header = format!(
+        "{} cases x roster x K = {} cells, seed {}",
         summary.cases, summary.cells, cfg.seed
     );
-    if summary.ok() {
-        println!("shard-audit: no violations");
-        return Ok(());
-    }
-
-    println!(
-        "shard-audit: {} failing (case, algo/K) cells, {} violations",
-        summary.failures.len(),
-        summary.violations()
-    );
-    for f in &summary.failures {
-        println!("\ncase {} [{}] cell {}:", f.case, f.family, f.algo);
-        for v in &f.violations {
-            println!("  [{}] {}", v.check, v.detail);
-        }
+    report_sweep("shard-audit", header, &summary, fixtures_dir, |f| {
         // Cell labels are "{algo}/k{K}"; generation failures carry no
         // algorithm and cannot be shrunk.
-        let Some((algo, k)) = f.algo.rsplit_once("/k") else {
-            continue;
-        };
-        let Ok(k) = k.parse::<usize>() else { continue };
+        let (algo, k) = f.algo.rsplit_once("/k")?;
+        let k = k.parse::<usize>().ok()?;
         let (_, inst) = case_instance(cfg.seed, f.case, cfg.max_items);
         let small = shrink_shard_failure(&inst, algo, k, cfg.seed, f.case, ShrinkBudget::default());
-        let fixture = Fixture::from_instance(
-            format!("shard-seed{}-case{}-{}-k{}", cfg.seed, f.case, algo, k),
-            algo,
-            f.violations[0].check.as_str(),
-            cfg.seed,
-            f.case,
-            format!(
-                "shard k={k}: shrunk from {} to {} items",
-                inst.len(),
-                small.len()
-            ),
-            &small,
-        );
-        match fixture.write_to(Path::new(fixtures_dir)) {
-            Ok(path) => println!("  shrunk to {} items -> {}", small.len(), path.display()),
-            Err(e) => println!("  shrunk to {} items (write failed: {e})", small.len()),
-        }
-    }
-    Err(CliError::Violations(format!(
-        "{} shard-audit violations",
-        summary.violations()
-    )))
+        let suffix = format!("-k{k}");
+        Some(shrunk_fixture(
+            "shard-", &suffix, algo, cfg.seed, f, &inst, &small,
+        ))
+    })
 }
 
 /// Runs the telemetry sweep (`dbp telemetry-audit`): replay bit-identity
@@ -2012,34 +1912,4 @@ fn serve_torture(flags: &HashMap<String, String>) -> Result<(), CliError> {
             report.drills,
         )))
     }
-}
-
-/// `dbp serve-bench` — record the serving-path fsync-policy baseline
-/// (`BENCH_serve.json`): one cell per fsync variant, re-checkable with
-/// `dbp bench --check`.
-fn serve_bench(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    use clairvoyant_dbp::serve::bench::{record, render_baseline};
-
-    let mode = flags.get("mode").map(String::as_str).unwrap_or("short");
-    let baseline = record(mode).map_err(|e| CliError::Runtime(e.to_string()))?;
-    println!(
-        "{:<24} {:>7} {:>14} {:>9} {:>9}",
-        "cell", "jobs", "items_per_sec", "p50_us", "p99_us"
-    );
-    for c in &baseline.cells {
-        println!(
-            "{:<24} {:>7} {:>14.0} {:>9.1} {:>9.1}",
-            c.label(),
-            c.jobs,
-            c.items_per_sec,
-            c.p50_us,
-            c.p99_us
-        );
-    }
-    if let Some(out) = flags.get("out") {
-        std::fs::write(out, render_baseline(&baseline))
-            .map_err(|e| io_err(format!("writing {out}: {e}")))?;
-        println!("baseline -> {out}");
-    }
-    Ok(())
 }

@@ -4,8 +4,9 @@
 //! request). Per-tenant job outcomes share one `dbp_serve_jobs_total`
 //! counter family with `tenant` and `outcome` labels; fleet totals,
 //! per-shard open-bin gauges, the checkpoint and decision cursors, the
-//! placement and WAL-append latency histograms, and the boot-recovery
-//! scalars ride along. Histogram buckets come from
+//! submit batch-size histogram, the placement, WAL-append and
+//! WAL-commit latency histograms, and the boot-recovery scalars ride
+//! along. Histogram buckets come from
 //! [`dbp_telemetry::prom::render_histogram`], so the serving layer's
 //! latency series has the exact same bucket layout as the bench
 //! harness's — dashboards can overlay them directly.
@@ -23,8 +24,10 @@ pub struct WalView<'a> {
     pub frames: u64,
     /// Bytes appended since boot (segment headers included).
     pub bytes: u64,
-    /// Append latency (encode + write + policy sync).
+    /// Per-frame append latency (encode + write, no sync).
     pub append_ns: &'a Histogram,
+    /// Per-batch commit latency (the policy sync).
+    pub commit_ns: &'a Histogram,
 }
 
 /// Everything [`render_metrics`] reads, borrowed from the coordinator.
@@ -47,6 +50,8 @@ pub struct MetricsView<'a> {
     pub decision_seq: u64,
     /// Placement latency.
     pub place_ns: &'a Histogram,
+    /// Submissions decided per lock acquisition.
+    pub submit_batch_size: &'a Histogram,
     /// WAL counters, when a WAL is configured.
     pub wal: Option<WalView<'a>>,
     /// Boot recovery stats, when a WAL is configured.
@@ -116,6 +121,13 @@ pub fn render_metrics(v: &MetricsView<'_>) -> String {
         &[("algo", v.algo)],
         v.place_ns,
     );
+    render_histogram(
+        &mut out,
+        "dbp_serve_submit_batch_size",
+        "Submissions decided per lock acquisition (one read batch)",
+        &[("algo", v.algo)],
+        v.submit_batch_size,
+    );
 
     if let Some(wal) = &v.wal {
         for (name, help, value) in [
@@ -135,9 +147,16 @@ pub fn render_metrics(v: &MetricsView<'_>) -> String {
         render_histogram(
             &mut out,
             "dbp_serve_wal_append_ns",
-            "Wall-clock nanoseconds per WAL append (write + policy sync)",
+            "Wall-clock nanoseconds per WAL frame append (encode + write, no sync)",
             &[("algo", v.algo)],
             wal.append_ns,
+        );
+        render_histogram(
+            &mut out,
+            "dbp_serve_wal_commit_ns",
+            "Wall-clock nanoseconds per WAL batch commit (the fsync policy's sync)",
+            &[("algo", v.algo)],
+            wal.commit_ns,
         );
     }
 
@@ -210,6 +229,7 @@ mod tests {
             checkpoint_seq: 4,
             decision_seq: 4,
             place_ns: &h,
+            submit_batch_size: &Histogram::new(),
             wal: None,
             recovery: None,
         });
@@ -239,6 +259,11 @@ mod tests {
     fn wal_and_recovery_series_render_when_present() {
         let mut append = Histogram::new();
         append.record(500);
+        append.record(700);
+        let mut commit = Histogram::new();
+        commit.record(90_000);
+        let mut batch = Histogram::new();
+        batch.record(2);
         let rec = RecoveryStats {
             duration_ns: 1_234,
             replayed_frames: 17,
@@ -256,16 +281,24 @@ mod tests {
             checkpoint_seq: 1,
             decision_seq: 17,
             place_ns: &Histogram::new(),
+            submit_batch_size: &batch,
             wal: Some(WalView {
                 frames: 17,
                 bytes: 2_048,
                 append_ns: &append,
+                commit_ns: &commit,
             }),
             recovery: Some(&rec),
         });
         assert!(text.contains("dbp_serve_wal_frames_total{algo=\"first-fit\"} 17"));
         assert!(text.contains("dbp_serve_wal_bytes_total{algo=\"first-fit\"} 2048"));
-        assert!(text.contains("dbp_serve_wal_append_ns_count{algo=\"first-fit\"} 1"));
+        assert!(text.contains("dbp_serve_wal_append_ns_count{algo=\"first-fit\"} 2"));
+        assert!(text.contains("# TYPE dbp_serve_wal_commit_ns histogram"));
+        assert!(text.contains("dbp_serve_wal_commit_ns_count{algo=\"first-fit\"} 1"));
+        assert!(text.contains("dbp_serve_wal_commit_ns_sum{algo=\"first-fit\"} 90000"));
+        assert!(text.contains("# TYPE dbp_serve_submit_batch_size histogram"));
+        assert!(text.contains("dbp_serve_submit_batch_size_count{algo=\"first-fit\"} 1"));
+        assert!(text.contains("dbp_serve_submit_batch_size_sum{algo=\"first-fit\"} 2"));
         assert!(text.contains("dbp_serve_recovery_replayed_frames{algo=\"first-fit\"} 17"));
         assert!(text.contains("dbp_serve_recovery_duration_ns{algo=\"first-fit\"} 1234"));
         assert!(text.contains("dbp_serve_recovery_truncated_files{algo=\"first-fit\"} 1"));

@@ -9,12 +9,18 @@
 //! one-shot HTTP exchange so `curl`/Prometheus can scrape
 //! `/metrics` without a custom client.
 //!
+//! Read batches: a `submit` line plus every further complete `submit`
+//! line already in the connection's read buffer is decided by one
+//! [`Service::handle_batch`] call — one lock, one WAL commit — and its
+//! acks leave in one write. The worker never waits for more bytes to
+//! fill a batch, so a lone request is answered at once.
+//!
 //! Shutdown: when any connection receives the `shutdown` ack, it pokes
 //! the listener with a throwaway connection so the accept loop (blocked
 //! in `accept`) observes the flag, stops accepting, and joins the
 //! workers. In-flight connections finish their current request first.
 
-use crate::protocol::{parse_request, render_response, Request, Response};
+use crate::protocol::{parse_request, render_response, Request, Response, Submit};
 use crate::service::Service;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{TcpListener, TcpStream};
@@ -143,6 +149,21 @@ fn read_capped_line(
     }
 }
 
+/// Takes the next buffered line when it is a complete, valid `submit`,
+/// without reading from the socket: the `BufReader`'s fixed buffer
+/// bounds a read batch. Any other line stays buffered for the ordinary
+/// one-request path, so responses keep request order.
+fn take_buffered_submit(reader: &mut BufReader<TcpStream>) -> Option<Submit> {
+    let buffered = reader.buffer();
+    let end = buffered.iter().position(|&b| b == b'\n')?;
+    let line = std::str::from_utf8(&buffered[..end]).ok()?;
+    let Ok(Request::Submit(s)) = parse_request(line.trim_end()) else {
+        return None;
+    };
+    reader.consume(end + 1);
+    Some(s)
+}
+
 /// Writes one protocol response line with a single `write_all`, so the
 /// ack and its terminator leave in one segment (the socket is
 /// `TCP_NODELAY` and unbuffered).
@@ -196,6 +217,22 @@ fn handle_conn(service: &Arc<Service>, conn: TcpStream) -> std::io::Result<()> {
                     return serve_http(service, &mut reader, &mut writer, line);
                 }
                 let resp = match parse_request(line) {
+                    Ok(Request::Submit(first)) => {
+                        // A read batch: this submit plus every complete
+                        // submit line already buffered, decided under one
+                        // lock and one WAL commit, acked in one write.
+                        let mut batch = vec![first];
+                        while let Some(s) = take_buffered_submit(&mut reader) {
+                            batch.push(s);
+                        }
+                        let mut acks = String::new();
+                        for resp in service.handle_batch(&batch) {
+                            acks.push_str(&render_response(&resp));
+                            acks.push('\n');
+                        }
+                        writer.write_all(acks.as_bytes())?;
+                        continue;
+                    }
                     Ok(req) => service.handle(&req),
                     Err(what) => Response::Error { what },
                 };

@@ -144,11 +144,16 @@ struct Core {
     /// Wall-clock placement latency; observability only — never
     /// checkpointed, so it cannot perturb deterministic restarts.
     place_ns: Histogram,
-    /// WAL append latency (encode + write + policy sync); observability
-    /// only.
+    /// WAL frame latency (encode + write, no sync); observability only.
     wal_append_ns: Histogram,
-    /// A shard's packer error (or a WAL append failure) poisons the
-    /// whole service.
+    /// WAL commit latency (the policy sync), one sample per batch that
+    /// wrote frames; observability only.
+    wal_commit_ns: Histogram,
+    /// Submissions per [`Service::handle_batch`] call; observability
+    /// only.
+    submit_batch_size: Histogram,
+    /// A shard's packer error (or a WAL write or commit failure)
+    /// poisons the whole service.
     failed: Option<DbpError>,
 }
 
@@ -303,6 +308,8 @@ impl Service {
             wal: None,
             place_ns: Histogram::new(),
             wal_append_ns: Histogram::new(),
+            wal_commit_ns: Histogram::new(),
+            submit_batch_size: Histogram::new(),
             failed: None,
         };
         let recovery = match &cfg.wal_dir {
@@ -424,7 +431,10 @@ impl Service {
     /// [`Response::Error`].
     pub fn handle(&self, req: &Request) -> Response {
         match req {
-            Request::Submit(s) => self.handle_submit(s),
+            Request::Submit(s) => self
+                .handle_batch(std::slice::from_ref(s))
+                .pop()
+                .expect("one response per submission"),
             Request::Status => {
                 let core = match self.lock_core() {
                     Ok(core) => core,
@@ -472,10 +482,12 @@ impl Service {
                         checkpoint_seq: core.ckpt_seq,
                         decision_seq: core.decision_seq,
                         place_ns: &core.place_ns,
+                        submit_batch_size: &core.submit_batch_size,
                         wal: core.wal.as_ref().map(|w| crate::metrics::WalView {
                             frames: w.frames_appended(),
                             bytes: w.bytes_appended(),
                             append_ns: &core.wal_append_ns,
+                            commit_ns: &core.wal_commit_ns,
                         }),
                         recovery: self.recovery.as_ref(),
                     }),
@@ -633,75 +645,114 @@ impl Service {
         }
     }
 
-    fn handle_submit(&self, s: &Submit) -> Response {
-        let start = Instant::now();
+    /// Decides a batch of submissions in order under one acquisition of
+    /// the coordinator lock, and returns one response per submission.
+    ///
+    /// Each decision's WAL frame is written as it is made; one
+    /// [`WalWriter::commit`] then applies the fsync policy to the whole
+    /// batch, still under the lock, so no connection observes a
+    /// decision (through its ack, `status` or a later decision) before
+    /// it is as durable as the policy promises. Auto-checkpoints fire
+    /// at the same decision counts as one-at-a-time handling, mid-batch
+    /// included. A failed write or commit fails the service and turns
+    /// every response whose frame it left uncovered into an error.
+    pub fn handle_batch(&self, batch: &[Submit]) -> Vec<Response> {
         let mut core = match self.lock_core() {
             Ok(core) => core,
-            Err(resp) => return resp,
+            Err(resp) => return vec![resp; batch.len()],
         };
-        if let Some(e) = &core.failed {
-            return Response::Error {
-                what: format!("service is failed: {e}"),
+        core.submit_batch_size.record(batch.len() as u64);
+        let mut out = Vec::with_capacity(batch.len());
+        // Index in `out` of the first response whose frame is written
+        // but not yet durable.
+        let mut uncovered: Option<usize> = None;
+        for s in batch {
+            let start = Instant::now();
+            if let Some(e) = &core.failed {
+                out.push(Response::Error {
+                    what: format!("service is failed: {e}"),
+                });
+                continue;
+            }
+            let (resp, routed) = Self::decide(&self.cfg, &mut core, s);
+            let Some(outcome) = Self::outcome_of(&resp, routed) else {
+                // A shard failure is not a decision: nothing to log.
+                out.push(resp);
+                continue;
             };
+            let seq = core.decision_seq + 1;
+            if core.wal.is_some() {
+                let frame = DecisionFrame {
+                    seq,
+                    stream: routed.unwrap_or(self.cfg.shards) as u32,
+                    tenant: s.tenant.clone(),
+                    job: s.job,
+                    size_is_raw: s.size_raw.is_some(),
+                    size_bits: match s.size_raw {
+                        Some(raw) => raw,
+                        None => f64::to_bits(s.size.unwrap_or(0.0)),
+                    },
+                    arrival: s.arrival,
+                    departure: s.departure,
+                    outcome,
+                };
+                let wal_start = Instant::now();
+                let written = core.wal.as_mut().expect("checked above").write(&frame);
+                core.wal_append_ns.record(nanos_since(wal_start));
+                if let Err(e) = written {
+                    out.push(resp);
+                    let from = *uncovered.get_or_insert(out.len() - 1);
+                    let what = format!("WAL write for decision {seq} (job {}) failed: {e}", s.job);
+                    Self::fail_uncovered(&mut core, &mut out[from..], what);
+                    uncovered = None;
+                    continue;
+                }
+                uncovered.get_or_insert(out.len());
+            }
+            core.decision_seq = seq;
+            if self.cfg.checkpoint_dir.is_some()
+                && core.decided_since_ckpt >= self.cfg.checkpoint_every
+            {
+                // Auto-checkpoint failures must not fail the placement
+                // that triggered them: the decision already happened.
+                // A durable checkpoint holds every decision so far, and
+                // its rotation syncs the frames it closes.
+                match self.checkpoint_locked(&mut core) {
+                    Ok(_) => uncovered = None,
+                    Err(e) => eprintln!("dbp-serve: auto-checkpoint failed: {e}"),
+                }
+            }
+            if routed.is_some() {
+                core.place_ns.record(nanos_since(start));
+            }
+            out.push(resp);
         }
-        let (resp, routed) = Self::decide(&self.cfg, &mut core, s);
-        let outcome = match Self::outcome_of(&resp, routed) {
-            Some(outcome) => outcome,
-            // A shard failure is not a decision: nothing to log.
-            None => return resp,
-        };
-        // Write-ahead discipline: the decision is durable (per the
-        // fsync policy) before the response is externalized. A crash
-        // in between loses only an unacknowledged decision, which the
-        // client resubmits and determinism re-derives identically.
-        let seq = core.decision_seq + 1;
-        if core.wal.is_some() {
-            let stream = routed.unwrap_or(self.cfg.shards) as u32;
-            let frame = DecisionFrame {
-                seq,
-                stream,
-                tenant: s.tenant.clone(),
-                job: s.job,
-                size_is_raw: s.size_raw.is_some(),
-                size_bits: match s.size_raw {
-                    Some(raw) => raw,
-                    None => f64::to_bits(s.size.unwrap_or(0.0)),
-                },
-                arrival: s.arrival,
-                departure: s.departure,
-                outcome,
-            };
-            let wal_start = Instant::now();
-            let appended = core.wal.as_mut().expect("checked above").append(&frame);
-            core.wal_append_ns
-                .record(u64::try_from(wal_start.elapsed().as_nanos()).unwrap_or(u64::MAX));
-            if let Err(e) = appended {
-                // The in-memory decision exists but cannot be made
-                // durable: fail the service rather than acknowledge a
-                // decision a restart could forget.
-                let err = DbpError::Internal {
-                    what: format!("WAL append for decision {seq} (job {}) failed: {e}", s.job),
-                };
-                core.failed = Some(err.clone());
-                return Response::Error {
-                    what: format!("durability: {err}"),
-                };
+        // Write-ahead discipline: the batch's decisions are durable (per
+        // the fsync policy) before any of its responses is externalized.
+        // A crash in between loses only unacknowledged decisions, which
+        // the client resubmits and determinism re-derives identically.
+        if let Some(from) = uncovered {
+            let commit_start = Instant::now();
+            let committed = core.wal.as_mut().expect("frames were written").commit();
+            core.wal_commit_ns.record(nanos_since(commit_start));
+            if let Err(e) = committed {
+                let what = format!("WAL commit of {} decision(s) failed: {e}", out.len() - from);
+                Self::fail_uncovered(&mut core, &mut out[from..], what);
             }
         }
-        core.decision_seq = seq;
-        if self.cfg.checkpoint_dir.is_some() && core.decided_since_ckpt >= self.cfg.checkpoint_every
-        {
-            // Auto-checkpoint failures must not fail the placement that
-            // triggered them: the decision already happened.
-            if let Err(e) = self.checkpoint_locked(&mut core) {
-                eprintln!("dbp-serve: auto-checkpoint failed: {e}");
-            }
-        }
-        if routed.is_some() {
-            core.place_ns
-                .record(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        }
-        resp
+        out
+    }
+
+    /// Fails the service after a WAL write or commit error: the
+    /// in-memory decisions exist but cannot be made durable, so none of
+    /// `uncovered` may be acknowledged — a restart could forget them.
+    fn fail_uncovered(core: &mut Core, uncovered: &mut [Response], what: String) {
+        let err = DbpError::Internal { what };
+        let resp = Response::Error {
+            what: format!("durability: {err}"),
+        };
+        uncovered.fill(resp);
+        core.failed = Some(err);
     }
 
     /// Snapshots every shard and writes checkpoint `ckpt_seq + 1`.
@@ -762,4 +813,9 @@ impl Service {
         }
         Ok(seq)
     }
+}
+
+/// Nanoseconds since `start`, saturated to `u64`.
+fn nanos_since(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }

@@ -7,13 +7,15 @@
 //! sweep:
 //!
 //! 1. **Reference run** — a fresh service over a deterministic job
-//!    stream, responses recorded, total IO ops `T` counted.
+//!    stream, fed in read batches of a fixed size cycle
+//!    ([`BATCH_CYCLE`]), responses recorded, total IO ops `T` counted.
 //! 2. **For every crash point `k <= T`** (at a configurable stride):
 //!    fresh directories, arm the thread so IO op `k` and everything
 //!    after it fails, drive the same stream until the service poisons
 //!    itself, then disarm and boot a recovery service from whatever the
 //!    "crashed" one left on disk. The recovered watermark must cover
-//!    every acknowledged decision (under `fsync=always`), resuming the
+//!    every acknowledged decision (under `fsync=always`) and exceed it
+//!    by at most the batch the crash surfaced in, resuming the
 //!    stream from the watermark must reproduce the reference responses
 //!    **bit for bit**, already-decided ids must come back as typed
 //!    `duplicate_job` rejects (exactly-once), and the completed run
@@ -147,19 +149,33 @@ fn watermark_of(service: &Service) -> Result<u32, String> {
     }
 }
 
-/// Runs `jobs` through `service`, recording rendered responses; stops
-/// at the first `Response::Error` (the injected crash) and reports how
-/// many decisions were acknowledged before it.
-fn drive(service: &Service, jobs: &[Submit]) -> (Vec<String>, bool) {
+/// Read-batch sizes [`drive`] cycles through, so the crash-point space
+/// includes a crash between two frame writes of one batch, between a
+/// batch's last write and its commit, and inside a checkpoint that
+/// fires mid-batch.
+pub const BATCH_CYCLE: [usize; 5] = [1, 2, 3, 5, 8];
+
+/// Runs `jobs` through [`Service::handle_batch`] in batches of
+/// [`BATCH_CYCLE`] sizes, recording rendered responses. Stops at the
+/// first `Response::Error` (the injected crash) and returns the size of
+/// the batch it surfaced in, or `None` when every job was answered.
+pub fn drive(service: &Service, jobs: &[Submit]) -> (Vec<String>, Option<usize>) {
     let mut acked = Vec::with_capacity(jobs.len());
-    for s in jobs {
-        let resp = service.handle(&Request::Submit(s.clone()));
-        if matches!(resp, Response::Error { .. }) {
-            return (acked, true);
+    let mut rest = jobs;
+    for size in BATCH_CYCLE.iter().cycle() {
+        if rest.is_empty() {
+            break;
         }
-        acked.push(render_response(&resp));
+        let (batch, tail) = rest.split_at((*size).min(rest.len()));
+        for resp in service.handle_batch(batch) {
+            if matches!(resp, Response::Error { .. }) {
+                return (acked, Some(batch.len()));
+            }
+            acked.push(render_response(&resp));
+        }
+        rest = tail;
     }
-    (acked, false)
+    (acked, None)
 }
 
 /// One full torture run: determinism check, crash-point sweep,
@@ -183,8 +199,8 @@ pub fn run(t: &TortureConfig) -> Result<TortureReport, DbpError> {
     let reference = {
         let dir = fresh_dir(&scratch, "reference")?;
         let service = Service::start(serve_cfg(t, &dir, t.checkpoint_every))?;
-        let (acked, errored) = drive(&service, &jobs);
-        if errored {
+        let (acked, failed_batch) = drive(&service, &jobs);
+        if failed_batch.is_some() {
             return Err(DbpError::Internal {
                 what: "reference torture run failed with no injection armed".into(),
             });
@@ -242,14 +258,14 @@ fn crash_point_case(
         fresh_dir(scratch, &format!("crash-{k:06}")).map_err(|e| format!("scratch setup: {e}"))?;
     let cfg = serve_cfg(t, &dir, t.checkpoint_every);
     let guard = failpoint::FailGuard::fail_from(k);
-    let (acked, errored) = match Service::start(cfg.clone()) {
+    let (acked, failed_batch) = match Service::start(cfg.clone()) {
         Ok(service) => {
             let out = drive(&service, jobs);
             drop(service);
             out
         }
-        // Crashed during boot: nothing was acknowledged.
-        Err(_) => (Vec::new(), true),
+        // Crashed during boot: nothing was decided.
+        Err(_) => (Vec::new(), Some(0)),
     };
     drop(guard);
 
@@ -262,20 +278,23 @@ fn crash_point_case(
     let watermark = watermark_of(&service)? as usize;
 
     // ...and must cover every acknowledged decision: under the
-    // write-ahead discipline a response is externalized only after its
-    // frame was appended. (It may cover at most one more — a frame
-    // whose append succeeded but whose fsync drew the injected error,
-    // so the client saw an error for a decision that survived.)
+    // write-ahead discipline a response is externalized only after the
+    // commit covering its frame. It may cover at most the rest of the
+    // failing batch — frames written before the injected error, whose
+    // clients saw an error for a decision that survived.
     if watermark < acked.len() {
         return Err(format!(
             "recovered watermark {watermark} forgot acknowledged decisions (client saw {})",
             acked.len()
         ));
     }
-    if !errored && watermark != acked.len() {
+    let most = acked.len() + failed_batch.unwrap_or(0);
+    if watermark > most {
         return Err(format!(
-            "no crash surfaced, yet watermark {watermark} != {} decisions",
-            acked.len()
+            "recovered watermark {watermark} exceeds the {} acknowledged decisions plus the \
+             failing batch of {}",
+            acked.len(),
+            failed_batch.unwrap_or(0)
         ));
     }
 
@@ -299,8 +318,8 @@ fn crash_point_case(
 
     // Resume from the watermark: the tail must be bit-identical to the
     // uncrashed reference.
-    let (tail, errored_again) = drive(&service, &jobs[watermark..]);
-    if errored_again {
+    let (tail, failed_again) = drive(&service, &jobs[watermark..]);
+    if failed_again.is_some() {
         return Err("recovered service failed while resuming".into());
     }
     if tail != reference[watermark..] {
@@ -347,8 +366,8 @@ fn build_victim(
     let cfg = serve_cfg(t, &dir, checkpoint_every);
     let service = Service::start(cfg.clone()).map_err(|e| format!("victim boot: {e}"))?;
     let upto = jobs.len() * 3 / 4;
-    let (acked, errored) = drive(&service, &jobs[..upto]);
-    if errored || acked.len() != upto {
+    let (acked, failed_batch) = drive(&service, &jobs[..upto]);
+    if failed_batch.is_some() || acked.len() != upto {
         return Err("victim run failed before the corruption step".into());
     }
     Ok((dir, cfg, upto))
@@ -396,8 +415,8 @@ fn verify_degraded_recovery(
             return Err("corruption was not detected (no truncation recorded)".into());
         }
     }
-    let (tail, errored) = drive(&service, &jobs[watermark..]);
-    if errored {
+    let (tail, failed_batch) = drive(&service, &jobs[watermark..]);
+    if failed_batch.is_some() {
         return Err("recovered service failed while resuming".into());
     }
     if tail != reference[watermark..] {
@@ -515,8 +534,8 @@ fn drill_torn_checkpoint(
             "WAL should subsume the torn checkpoint: watermark {watermark}, expected {upto}"
         ));
     }
-    let (tail, errored) = drive(&service, &jobs[watermark..]);
-    if errored || tail != reference[watermark..] {
+    let (tail, failed_batch) = drive(&service, &jobs[watermark..]);
+    if failed_batch.is_some() || tail != reference[watermark..] {
         return Err("resumed responses diverge from the reference".into());
     }
     Ok(())
@@ -534,8 +553,8 @@ fn drill_cold_boot(
     if watermark_of(&service)? != 0 {
         return Err("cold boot has a nonzero watermark".into());
     }
-    let (all, errored) = drive(&service, jobs);
-    if errored || all != reference {
+    let (all, failed_batch) = drive(&service, jobs);
+    if failed_batch.is_some() || all != reference {
         return Err("cold-boot run diverges from the reference".into());
     }
     Ok(())

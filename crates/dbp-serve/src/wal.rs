@@ -96,8 +96,9 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// When appended frames are flushed to stable storage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// `fdatasync` after every appended frame; an acknowledged decision
-    /// survives `kill -9` and power loss.
+    /// `fdatasync` every dirty segment at each commit, before any
+    /// decision the commit covers is acknowledged; an acknowledged
+    /// decision survives `kill -9` and power loss.
     Always,
     /// Sync all dirty segments at most every this-many milliseconds; a
     /// crash can lose at most the last window of acknowledged decisions
@@ -441,10 +442,17 @@ impl WalWriter {
         self.policy
     }
 
-    /// Appends one frame to its stream, honouring the fsync policy.
-    /// On success under [`FsyncPolicy::Always`] the frame is on stable
-    /// storage when this returns.
+    /// Appends one frame and commits it: [`WalWriter::write`] then
+    /// [`WalWriter::commit`]. On success under [`FsyncPolicy::Always`]
+    /// the frame is on stable storage when this returns.
     pub fn append(&mut self, frame: &DecisionFrame) -> std::io::Result<()> {
+        self.write(frame)?;
+        self.commit()
+    }
+
+    /// Writes one frame to its stream's segment without syncing it; the
+    /// next [`WalWriter::commit`] (or rotation) makes it durable.
+    pub fn write(&mut self, frame: &DecisionFrame) -> std::io::Result<()> {
         let idx = frame.stream as usize;
         let n_streams = self.streams.len();
         let st = self.streams.get_mut(idx).ok_or_else(|| {
@@ -475,21 +483,20 @@ impl WalWriter {
         st.dirty = true;
         self.frames += 1;
         self.bytes += buf.len() as u64;
-        match self.policy {
-            FsyncPolicy::Always => {
-                failpoint::io_op("wal_fsync")?;
-                let (file, _) = self.streams[idx].current.as_mut().expect("open");
-                file.sync_data()?;
-                self.streams[idx].dirty = false;
-            }
-            FsyncPolicy::Interval(ms) => {
-                if self.last_sync.elapsed().as_millis() >= u128::from(ms) {
-                    self.sync()?;
-                }
-            }
-            FsyncPolicy::Never => {}
-        }
         Ok(())
+    }
+
+    /// Applies the fsync policy to every frame written since the last
+    /// commit: under [`FsyncPolicy::Always`] one `fdatasync` per dirty
+    /// segment, so on success every written frame is on stable storage.
+    pub fn commit(&mut self) -> std::io::Result<()> {
+        match self.policy {
+            FsyncPolicy::Always => self.sync(),
+            FsyncPolicy::Interval(ms) if self.last_sync.elapsed().as_millis() >= u128::from(ms) => {
+                self.sync()
+            }
+            FsyncPolicy::Interval(_) | FsyncPolicy::Never => Ok(()),
+        }
     }
 
     /// Syncs every dirty segment now.

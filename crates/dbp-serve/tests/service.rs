@@ -4,18 +4,25 @@
 use dbp_bench::registry::{online_packer, AlgoParams};
 use dbp_core::stream::{Admission, StreamingSession};
 use dbp_core::{ClairvoyanceMode, Item, Size};
-use dbp_serve::protocol::{RejectReason, Request, Response, Submit};
-use dbp_serve::{ServeConfig, Service};
+use dbp_serve::protocol::{render_response, RejectReason, Request, Response, Submit};
+use dbp_serve::torture::{drive, torture_stream};
+use dbp_serve::{FsyncPolicy, ServeConfig, Service};
+use std::collections::BTreeMap;
+use std::path::Path;
 
-fn submit(tenant: &str, job: u32, size: f64, arrival: i64, departure: i64) -> Request {
-    Request::Submit(Submit {
+fn job(tenant: &str, id: u32, size: f64, arrival: i64, departure: i64) -> Submit {
+    Submit {
         tenant: tenant.into(),
-        job,
+        job: id,
         size: None,
         size_raw: Some(Size::from_f64(size).raw()),
         arrival,
         departure,
-    })
+    }
+}
+
+fn submit(tenant: &str, id: u32, size: f64, arrival: i64, departure: i64) -> Request {
+    Request::Submit(job(tenant, id, size, arrival, departure))
 }
 
 /// A deterministic pseudo-random job stream (no RNG dependency).
@@ -29,10 +36,11 @@ fn stream(n: u32) -> Vec<(u32, f64, i64, i64)> {
         .collect()
 }
 
-/// Feeds one stream to an uncapped `shards`-shard service and to
-/// `shards` plain streaming sessions routed by the same
-/// `ShardRouter::route`: every placement must agree on shard and bin.
-fn service_matches_plain_sessions(shards: usize) {
+/// Feeds one stream, in read batches of `batch` submissions, to an
+/// uncapped `shards`-shard service and to `shards` plain streaming
+/// sessions routed by the same `ShardRouter::route`: every placement
+/// must agree on shard and bin.
+fn service_matches_plain_sessions(shards: usize, batch: usize) {
     let cfg = ServeConfig::new(shards, "best-fit");
     let router = cfg.router;
     let service = Service::start(cfg).unwrap();
@@ -43,8 +51,17 @@ fn service_matches_plain_sessions(shards: usize) {
         .iter_mut()
         .map(|p| StreamingSession::new(ClairvoyanceMode::Clairvoyant, p.as_mut()))
         .collect();
-    for (id, size, arrival, departure) in stream(300) {
-        let resp = service.handle(&submit("t", id, size, arrival, departure));
+    let jobs = stream(300);
+    let submits: Vec<Submit> = jobs
+        .iter()
+        .map(|&(id, size, arrival, departure)| job("t", id, size, arrival, departure))
+        .collect();
+    let responses: Vec<Response> = submits
+        .chunks(batch)
+        .flat_map(|chunk| service.handle_batch(chunk))
+        .collect();
+    assert_eq!(responses.len(), jobs.len());
+    for ((id, size, arrival, departure), resp) in jobs.into_iter().zip(responses) {
         let item = Item::new(id, Size::from_f64(size), arrival, departure);
         let want_shard = router.route(&item, shards);
         let expect = match sessions[want_shard]
@@ -70,12 +87,71 @@ fn service_matches_plain_sessions(shards: usize) {
 
 #[test]
 fn single_shard_service_matches_a_plain_streaming_session() {
-    service_matches_plain_sessions(1);
+    for batch in [1, 7] {
+        service_matches_plain_sessions(1, batch);
+    }
 }
 
 #[test]
 fn multi_shard_service_matches_independent_sessions() {
-    service_matches_plain_sessions(3);
+    for batch in [1, 7] {
+        service_matches_plain_sessions(3, batch);
+    }
+}
+
+/// Every file under `dir`, by name, with its bytes.
+fn files_under(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    let mut files = BTreeMap::new();
+    for sub in ["ckpt", "wal"] {
+        for entry in std::fs::read_dir(dir.join(sub)).unwrap() {
+            let path = entry.unwrap().path();
+            let name = format!("{sub}/{}", path.file_name().unwrap().to_string_lossy());
+            files.insert(name, std::fs::read(&path).unwrap());
+        }
+    }
+    files
+}
+
+/// Batching changes only the number of syncs: a `fsync always` service
+/// with sheds and mid-batch checkpoints, fed one request at a time in
+/// one directory and in read batches in another, gives byte-identical
+/// responses, WAL segments and checkpoint files.
+#[test]
+fn read_batches_leave_responses_wal_and_checkpoints_byte_identical() {
+    let root = std::env::temp_dir().join(format!("dbp-serve-batch-diff-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let jobs = torture_stream(300);
+    let boot = |name: &str| {
+        let dir = root.join(name);
+        let mut cfg = ServeConfig::new(2, "first-fit");
+        cfg.fleet_cap = Some(5);
+        cfg.checkpoint_dir = Some(dir.join("ckpt"));
+        cfg.checkpoint_every = 20;
+        cfg.wal_dir = Some(dir.join("wal"));
+        cfg.fsync = FsyncPolicy::Always;
+        (Service::start(cfg).unwrap(), dir)
+    };
+    let (single, single_dir) = boot("single");
+    let one_at_a_time: Vec<String> = jobs
+        .iter()
+        .map(|s| render_response(&single.handle(&Request::Submit(s.clone()))))
+        .collect();
+    let (batched, batched_dir) = boot("batched");
+    let (in_batches, failed_batch) = drive(&batched, &jobs);
+    assert_eq!(failed_batch, None);
+    assert_eq!(in_batches, one_at_a_time);
+    assert!(
+        one_at_a_time.iter().any(|r| r.contains("fleet_capacity")),
+        "the stream must shed, or the fleet cap is untested"
+    );
+    drop((single, batched));
+    let (a, b) = (files_under(&single_dir), files_under(&batched_dir));
+    assert_eq!(a.keys().collect::<Vec<_>>(), b.keys().collect::<Vec<_>>());
+    for (name, bytes) in &a {
+        assert!(bytes == &b[name], "{name} differs between the two runs");
+    }
+    assert!(a.keys().any(|n| n.starts_with("ckpt/")) && a.keys().any(|n| n.starts_with("wal/")));
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]

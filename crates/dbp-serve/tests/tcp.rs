@@ -2,9 +2,11 @@
 //! shim, malformed-input handling, and graceful shutdown.
 
 use dbp_serve::protocol::{
-    parse_response, render_request, RejectReason, Request, Response, Submit,
+    parse_request, parse_response, render_request, render_response, RejectReason, Request,
+    Response, Submit,
 };
-use dbp_serve::{server, ServeConfig, Service};
+use dbp_serve::torture::torture_stream;
+use dbp_serve::{server, FsyncPolicy, ServeConfig, Service};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
@@ -234,4 +236,120 @@ fn overflowing_span_is_rejected_not_a_livelock() {
         other => panic!("{other:?}"),
     }
     still_serving_then_shutdown(addr, server_thread);
+}
+
+/// Pipelining: 40 submits with a `status` after the 20th and a malformed
+/// line after the 30th, sent in one write to a `--fsync always` service.
+/// The server decides them in read batches, yet every line gets exactly
+/// one response, in order, equal to what an in-process service fed the
+/// same lines one at a time answers.
+#[test]
+fn pipelined_submits_are_answered_in_order_like_one_at_a_time() {
+    let wal_dir = std::env::temp_dir().join(format!("dbp-serve-pipelined-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&wal_dir);
+    let mut cfg = ServeConfig::new(2, "first-fit");
+    cfg.fleet_cap = Some(5);
+    cfg.wal_dir = Some(wal_dir.clone());
+    cfg.fsync = FsyncPolicy::Always;
+    let service = Arc::new(Service::start(cfg.clone()).unwrap());
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server_thread = {
+        let service = Arc::clone(&service);
+        std::thread::spawn(move || server::run(service, listener, 2))
+    };
+
+    let mut lines = Vec::new();
+    for (i, s) in torture_stream(40).into_iter().enumerate() {
+        lines.push(render_request(&Request::Submit(s)));
+        match i {
+            19 => lines.push("{\"op\":\"status\"}".to_string()),
+            29 => lines.push("{\"op\":\"submit\",\"tenant\":".to_string()),
+            _ => {}
+        }
+    }
+    let conn = TcpStream::connect(addr).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut writer = conn.try_clone().unwrap();
+    let mut reader = BufReader::new(conn);
+    writer
+        .write_all(format!("{}\n", lines.join("\n")).as_bytes())
+        .unwrap();
+    let got: Vec<String> = lines
+        .iter()
+        .map(|_| {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            line.trim_end().to_string()
+        })
+        .collect();
+
+    match parse_response(&got[20]).unwrap() {
+        Response::Status(s) => {
+            assert_eq!(s.watermark, 20);
+            assert_eq!(s.decision_seq, 20);
+        }
+        other => panic!("line 20 should be the status: {other:?}"),
+    }
+    assert!(
+        matches!(parse_response(&got[31]).unwrap(), Response::Error { .. }),
+        "{}",
+        got[31]
+    );
+    let decided = got
+        .iter()
+        .filter(|r| {
+            matches!(
+                parse_response(r),
+                Ok(Response::Placed { .. } | Response::Rejected { .. })
+            )
+        })
+        .count();
+    assert_eq!(decided, 40, "every submit, after the malformed line too");
+    let metrics = match service.handle(&Request::Metrics) {
+        Response::Metrics { text } => text,
+        other => panic!("{other:?}"),
+    };
+    let series = |name: &str| -> u64 {
+        let prefix = format!("{name}{{algo=\"first-fit\"}} ");
+        metrics
+            .lines()
+            .find_map(|l| l.strip_prefix(&prefix))
+            .unwrap_or_else(|| panic!("no {name} in the exposition"))
+            .parse()
+            .unwrap()
+    };
+    assert_eq!(series("dbp_serve_submit_batch_size_sum"), 40);
+    assert!(
+        series("dbp_serve_submit_batch_size_count") < 40,
+        "pipelined submits were not batched"
+    );
+    assert_eq!(
+        series("dbp_serve_wal_commit_ns_count"),
+        series("dbp_serve_submit_batch_size_count"),
+        "one WAL commit per read batch"
+    );
+
+    let mut reference_cfg = cfg;
+    reference_cfg.wal_dir = None;
+    let reference = Service::start(reference_cfg).unwrap();
+    for (i, (line, resp)) in lines.iter().zip(&got).enumerate() {
+        let want = match parse_request(line) {
+            Ok(req) => reference.handle(&req),
+            Err(what) => Response::Error { what },
+        };
+        assert_eq!(resp, &render_response(&want), "line {i} diverged");
+    }
+
+    // Nothing beyond one response per line: the next one is the
+    // shutdown ack.
+    writer.write_all(b"{\"op\":\"shutdown\"}\n").unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert!(matches!(
+        parse_response(line.trim_end()).unwrap(),
+        Response::ShuttingDown
+    ));
+    server_thread.join().unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&wal_dir);
 }

@@ -56,6 +56,12 @@ pub enum DbpError {
         /// Parse failure description.
         what: String,
     },
+    /// A filesystem operation failed (create, write, sync, rename,
+    /// read, list or truncate), as opposed to its bytes failing to parse.
+    Io {
+        /// The operation, its path and the OS error.
+        what: String,
+    },
     /// An algorithm-specific internal invariant failed (a bug).
     Internal {
         /// The violated invariant.
@@ -88,6 +94,7 @@ impl fmt::Display for DbpError {
             }
             DbpError::BadDecision { what } => write!(f, "bad online decision: {what}"),
             DbpError::Trace { line, what } => write!(f, "trace parse error at line {line}: {what}"),
+            DbpError::Io { what } => write!(f, "I/O error: {what}"),
             DbpError::Internal { what } => write!(f, "internal invariant violated: {what}"),
             DbpError::InvalidParameter { what } => write!(f, "invalid parameter: {what}"),
         }

@@ -87,6 +87,17 @@ impl Json {
 /// Escapes `s` as the *contents* of a JSON string literal (no quotes).
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    escape_into(&mut out, s);
+    out
+}
+
+/// Appends `s`, escaped as the contents of a JSON string literal, to
+/// `out` — [`escape`] without the intermediate `String`.
+pub fn escape_into(out: &mut String, s: &str) {
+    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        out.push_str(s);
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -100,7 +111,6 @@ pub fn escape(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
 /// The deepest nesting of arrays and objects [`parse`] accepts. The

@@ -288,11 +288,14 @@ fn run(opts: &RunOpts) -> Result<(), Fail> {
         None => None,
     };
 
-    // The in-flight channel is both the pipelining window (bounded
-    // capacity blocks the sender at `window` outstanding) and the
+    // The in-flight channel is both the pipelining window and the
     // request→response pairing: the service answers one line per line,
-    // in order, so the reader matches front to front.
-    let (inflight_tx, inflight_rx) = mpsc::sync_channel::<(u32, Instant)>(opts.window.max(1));
+    // in order, so the reader matches front to front. The reader holds
+    // one request while it waits for that response, so `window - 1`
+    // queued entries make exactly `window` outstanding; at window 1 the
+    // zero-capacity channel is a rendezvous, one request at a time.
+    let (inflight_tx, inflight_rx) =
+        mpsc::sync_channel::<(u32, Instant)>(opts.window.saturating_sub(1));
     let reader_thread = std::thread::spawn(move || -> Result<ReaderStats, String> {
         let mut reader = reader;
         let mut stats = ReaderStats::default();

@@ -29,6 +29,8 @@
 //!   open-bin gauges, placement latency histogram).
 //! - [`server`] — the blocking TCP front end and its tiny HTTP shim
 //!   for `GET /metrics`.
+//! - [`wire`] — seeded request lines, canonical and hostile, for the
+//!   request decoder's differential test and hostile-input audits.
 //!
 //! Determinism is the contract throughout: restarting from a checkpoint
 //! and replaying the same submissions yields bit-identical responses,
@@ -44,6 +46,7 @@ pub mod service;
 pub mod state;
 pub mod torture;
 pub mod wal;
+pub mod wire;
 
 pub use protocol::{parse_request, render_response, RejectReason, Request, Response};
 pub use service::{RecoveryStats, ServeConfig, Service};

@@ -40,7 +40,8 @@
 //! and internal failures.
 
 use dbp_core::Time;
-use dbp_obs::json::{escape, parse, Json};
+use dbp_obs::json::{escape, escape_into, parse, Json, MAX_DEPTH};
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A parsed request line.
@@ -206,26 +207,29 @@ fn u64_field(v: &Json, key: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("missing or non-integer field {key:?}"))
 }
 
-fn time_field(v: &Json, key: &str) -> Result<Time, String> {
-    v.get(key)
-        .and_then(Json::as_i64)
-        .ok_or_else(|| format!("missing or non-integer field {key:?}"))
-}
-
 /// Parses one request line.
+///
+/// One pass over the borrowed line; the only allocation on a valid
+/// `submit` is the owned tenant. It accepts and refuses exactly the
+/// lines that parsing the line with [`dbp_obs::json::parse`] and reading
+/// the fields off the document does (the differential test holds the
+/// two equal): the whole line must be one JSON document under
+/// [`MAX_DEPTH`], the first occurrence of a key wins, unknown keys are
+/// ignored, and integer fields read the number's literal text.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let doc = parse(line)?;
-    let op = str_field(&doc, "op")?;
-    match op.as_str() {
+    let f = Scanner::request_fields(line)?;
+    let op = string_field(f.op, "op")?;
+    match &*op {
         "submit" => {
-            let tenant = str_field(&doc, "tenant")?;
+            let tenant = string_field(f.tenant, "tenant")?.into_owned();
             if tenant.is_empty() {
                 return Err("tenant must be non-empty".into());
             }
-            let job = u64_field(&doc, "job")?;
+            let job: u64 = integer_field(f.job, "job")?;
             let job = u32::try_from(job).map_err(|_| format!("job id {job} overflows u32"))?;
-            let size_raw = doc.get("size_raw").and_then(Json::as_u64);
-            let size = doc.get("size").and_then(Json::as_f64);
+            // A size that does not convert counts as absent.
+            let size_raw = f.size_raw.and_then(Token::number_as);
+            let size = f.size.and_then(Token::number_as);
             if size.is_none() && size_raw.is_none() {
                 return Err("submit needs \"size\" or \"size_raw\"".into());
             }
@@ -234,8 +238,8 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 job,
                 size,
                 size_raw,
-                arrival: time_field(&doc, "arrival")?,
-                departure: time_field(&doc, "departure")?,
+                arrival: integer_field(f.arrival, "arrival")?,
+                departure: integer_field(f.departure, "departure")?,
             }))
         }
         "status" => Ok(Request::Status),
@@ -244,6 +248,317 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         "shutdown" => Ok(Request::Shutdown),
         other => Err(format!("unknown op {other:?}")),
     }
+}
+
+/// A value of the request object, borrowed from the line.
+#[derive(Clone, Copy)]
+enum Token<'a> {
+    /// A string's contents between the quotes, escapes still in place;
+    /// `escaped` says whether it holds any.
+    Str { raw: &'a str, escaped: bool },
+    /// A number's literal text, already known to parse as `f64`.
+    Num(&'a str),
+    /// `null`, a boolean, an array or an object.
+    Other,
+}
+
+impl Token<'_> {
+    /// The number's literal text parsed as `T`; `None` for a non-number
+    /// or a literal `T` does not accept.
+    fn number_as<T: std::str::FromStr>(self) -> Option<T> {
+        match self {
+            Token::Num(text) => text.parse().ok(),
+            _ => None,
+        }
+    }
+}
+
+fn string_field<'a>(token: Option<Token<'a>>, key: &str) -> Result<Cow<'a, str>, String> {
+    match token {
+        Some(Token::Str {
+            raw,
+            escaped: false,
+        }) => Ok(Cow::Borrowed(raw)),
+        Some(Token::Str { raw, escaped: true }) => unescape(raw).map(Cow::Owned),
+        _ => Err(format!("missing or non-string field {key:?}")),
+    }
+}
+
+fn integer_field<T: std::str::FromStr>(token: Option<Token<'_>>, key: &str) -> Result<T, String> {
+    token
+        .and_then(Token::number_as)
+        .ok_or_else(|| format!("missing or non-integer field {key:?}"))
+}
+
+/// The first occurrence of each key [`parse_request`] reads.
+#[derive(Default)]
+struct RequestFields<'a> {
+    op: Option<Token<'a>>,
+    tenant: Option<Token<'a>>,
+    job: Option<Token<'a>>,
+    size_raw: Option<Token<'a>>,
+    size: Option<Token<'a>>,
+    arrival: Option<Token<'a>>,
+    departure: Option<Token<'a>>,
+}
+
+impl<'a> RequestFields<'a> {
+    fn slot(&mut self, key: &str) -> Option<&mut Option<Token<'a>>> {
+        Some(match key {
+            "op" => &mut self.op,
+            "tenant" => &mut self.tenant,
+            "job" => &mut self.job,
+            "size_raw" => &mut self.size_raw,
+            "size" => &mut self.size,
+            "arrival" => &mut self.arrival,
+            "departure" => &mut self.departure,
+            _ => return None,
+        })
+    }
+}
+
+/// A validating JSON scanner over one request line that allocates only
+/// to unescape a key or to report an error. Its grammar is
+/// [`dbp_obs::json::parse`]'s, rule for rule — whitespace, literals,
+/// the number run, escapes, the [`MAX_DEPTH`] cap — so both refuse the
+/// same lines.
+struct Scanner<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> Scanner<'a> {
+    /// Validates `line` as one JSON document and returns the fields a
+    /// request reads from its top-level object (none when the document
+    /// is not an object).
+    fn request_fields(line: &'a str) -> Result<RequestFields<'a>, String> {
+        let mut sc = Scanner { text: line, pos: 0 };
+        let mut fields = RequestFields::default();
+        sc.skip_ws();
+        if sc.peek() == Some(b'{') {
+            sc.object(0, Some(&mut fields))?;
+        } else {
+            sc.value(0)?;
+        }
+        sc.skip_ws();
+        if sc.pos != line.len() {
+            return Err(format!("trailing data at byte {}", sc.pos));
+        }
+        Ok(fields)
+    }
+
+    #[inline]
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    #[inline]
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    /// Scans the value at `pos`, which sits inside `depth` arrays and
+    /// objects.
+    fn value(&mut self, depth: usize) -> Result<Token<'a>, String> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b'[' | b'{') if depth >= MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )),
+            None => Err("unexpected end of input".into()),
+            Some(b'n') => self.literal("null"),
+            Some(b't') => self.literal("true"),
+            Some(b'f') => self.literal("false"),
+            Some(b'"') => {
+                let (raw, escaped) = self.string()?;
+                Ok(Token::Str { raw, escaped })
+            }
+            Some(b'[') => self.array(depth).map(|()| Token::Other),
+            Some(b'{') => self.object(depth, None).map(|()| Token::Other),
+            Some(c) if c.is_ascii_digit() || c == b'-' => self.number().map(Token::Num),
+            Some(c) => Err(format!("unexpected byte {:?} at {}", c as char, self.pos)),
+        }
+    }
+
+    fn literal(&mut self, lit: &str) -> Result<Token<'a>, String> {
+        if self.text.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
+            self.pos += lit.len();
+            Ok(Token::Other)
+        } else {
+            Err(format!("bad literal at byte {}", self.pos))
+        }
+    }
+
+    /// The run of `[0-9.eE+-]` after a leading digit or `-`; the run must
+    /// parse as `f64`, so `01`, `1.` and `1e400` pass and `-`, `1e` and
+    /// `1.2.3` do not.
+    #[inline]
+    fn number(&mut self) -> Result<&'a str, String> {
+        let bytes = self.text.as_bytes();
+        let start = self.pos;
+        let mut at = start + 1;
+        // An optional '-' and then only digits always parses as f64, so
+        // only other shapes pay for the float parse.
+        let mut plain = bytes[start] != b'-' || bytes.get(at).is_some_and(u8::is_ascii_digit);
+        while let Some(&b) = bytes.get(at) {
+            match b {
+                b'0'..=b'9' => {}
+                b'.' | b'e' | b'E' | b'+' | b'-' => plain = false,
+                _ => break,
+            }
+            at += 1;
+        }
+        self.pos = at;
+        let text = &self.text[start..at];
+        if !plain && text.parse::<f64>().is_err() {
+            return Err(format!("bad number {text:?} at byte {start}"));
+        }
+        Ok(text)
+    }
+
+    /// Scans the string at `pos`, checking every escape; returns its raw
+    /// contents and whether any escape occurs in them.
+    #[inline]
+    fn string(&mut self) -> Result<(&'a str, bool), String> {
+        if self.peek() != Some(b'"') {
+            return Err(format!("expected '\"' at byte {}", self.pos));
+        }
+        let bytes = self.text.as_bytes();
+        let start = self.pos + 1;
+        let mut at = start;
+        let mut escaped = false;
+        loop {
+            match bytes.get(at) {
+                None => return Err("unterminated string".into()),
+                Some(b'"') => break,
+                Some(b'\\') => {
+                    escaped = true;
+                    at += escape_at(bytes, at)?.1;
+                }
+                // Raw control characters are accepted, as the DOM does.
+                Some(_) => at += 1,
+            }
+        }
+        self.pos = at + 1;
+        // Escapes span ASCII only, so `at` sits on a char boundary.
+        let raw = self
+            .text
+            .get(start..at)
+            .ok_or("string splits a character")?;
+        Ok((raw, escaped))
+    }
+
+    fn array(&mut self, depth: usize) -> Result<(), String> {
+        self.pos += 1;
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(());
+        }
+        loop {
+            self.value(depth + 1)?;
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(());
+                }
+                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
+            }
+        }
+    }
+
+    /// Scans the object at `pos`; with `fields`, records the first value
+    /// of each key a request reads.
+    fn object(
+        &mut self,
+        depth: usize,
+        mut fields: Option<&mut RequestFields<'a>>,
+    ) -> Result<(), String> {
+        self.pos += 1;
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(());
+        }
+        loop {
+            self.skip_ws();
+            let (key, escaped) = self.string()?;
+            self.skip_ws();
+            if self.peek() != Some(b':') {
+                return Err(format!("expected ':' at byte {}", self.pos));
+            }
+            self.pos += 1;
+            let value = self.value(depth + 1)?;
+            if let Some(fields) = fields.as_deref_mut() {
+                let key = if escaped {
+                    Cow::Owned(unescape(key)?)
+                } else {
+                    Cow::Borrowed(key)
+                };
+                if let Some(slot) = fields.slot(&key) {
+                    slot.get_or_insert(value);
+                }
+            }
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(());
+                }
+                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
+            }
+        }
+    }
+}
+
+/// Decodes the escape whose backslash is `bytes[at]` the way
+/// [`dbp_obs::json::parse`] does: `\u` takes the next four bytes through
+/// `u32::from_str_radix` (so `\u+041` is `A`) and refuses surrogates.
+/// Returns the character and the escape's length in bytes.
+fn escape_at(bytes: &[u8], at: usize) -> Result<(char, usize), String> {
+    let c = match bytes.get(at + 1) {
+        Some(b'"') => '"',
+        Some(b'\\') => '\\',
+        Some(b'/') => '/',
+        Some(b'n') => '\n',
+        Some(b'r') => '\r',
+        Some(b't') => '\t',
+        Some(b'b') => '\u{8}',
+        Some(b'f') => '\u{c}',
+        Some(b'u') => {
+            let hex = bytes.get(at + 2..at + 6).ok_or("truncated \\u escape")?;
+            return std::str::from_utf8(hex)
+                .ok()
+                .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                .and_then(char::from_u32)
+                .map(|c| (c, 6))
+                .ok_or_else(|| format!("bad \\u escape at byte {at}"));
+        }
+        _ => return Err(format!("bad escape at byte {}", at + 1)),
+    };
+    Ok((c, 2))
+}
+
+/// The text of a string's raw contents with its escapes decoded.
+fn unescape(raw: &str) -> Result<String, String> {
+    let bytes = raw.as_bytes();
+    let mut out = String::with_capacity(raw.len());
+    let mut copied = 0;
+    while let Some(i) = bytes[copied..].iter().position(|&b| b == b'\\') {
+        let at = copied + i;
+        out.push_str(&raw[copied..at]);
+        let (c, len) = escape_at(bytes, at)?;
+        out.push(c);
+        copied = at + len;
+    }
+    out.push_str(&raw[copied..]);
+    Ok(out)
 }
 
 /// Renders one request as its wire line (without the newline).
@@ -276,53 +591,76 @@ pub fn render_request(req: &Request) -> String {
 
 /// Renders one response as its wire line (without the newline).
 pub fn render_response(resp: &Response) -> String {
+    let mut out = String::new();
+    render_response_into(&mut out, resp);
+    out
+}
+
+/// Appends one response's wire line (without the newline) to `out`, so
+/// a connection renders its acks into one reused buffer.
+pub fn render_response_into(out: &mut String, resp: &Response) {
     match resp {
         Response::Placed {
             tenant,
             job,
             shard,
             bin,
-        } => format!(
-            "{{\"ok\":true,\"op\":\"submit\",\"tenant\":\"{}\",\"job\":{job},\"placed\":true,\
-             \"shard\":{shard},\"bin\":{bin},\"bin_id\":{}}}",
-            escape(tenant),
-            Response::global_bin_id(*shard, *bin)
-        ),
+        } => {
+            out.push_str("{\"ok\":true,\"op\":\"submit\",\"tenant\":\"");
+            escape_into(out, tenant);
+            let _ = write!(
+                out,
+                "\",\"job\":{job},\"placed\":true,\"shard\":{shard},\"bin\":{bin},\"bin_id\":{}}}",
+                Response::global_bin_id(*shard, *bin)
+            );
+        }
         Response::Rejected {
             tenant,
             job,
             reason,
             detail,
-        } => format!(
-            "{{\"ok\":true,\"op\":\"submit\",\"tenant\":\"{}\",\"job\":{job},\"placed\":false,\
-             \"reject\":\"{}\",\"detail\":\"{}\"}}",
-            escape(tenant),
-            reason.code(),
-            escape(detail)
-        ),
-        Response::Status(s) => format!(
-            "{{\"ok\":true,\"op\":\"status\",\"algo\":\"{}\",\"shards\":{},\"watermark\":{},\
-             \"placed\":{},\"shed\":{},\"rejected\":{},\"open_bins\":{},\"checkpoint_seq\":{},\
-             \"decision_seq\":{}}}",
-            escape(&s.algo),
-            s.shards,
-            s.watermark,
-            s.placed,
-            s.shed,
-            s.rejected,
-            s.open_bins,
-            s.checkpoint_seq,
-            s.decision_seq
-        ),
-        Response::Checkpointed { seq } => {
-            format!("{{\"ok\":true,\"op\":\"checkpoint\",\"seq\":{seq}}}")
+        } => {
+            out.push_str("{\"ok\":true,\"op\":\"submit\",\"tenant\":\"");
+            escape_into(out, tenant);
+            let _ = write!(
+                out,
+                "\",\"job\":{job},\"placed\":false,\"reject\":\"{}\",\"detail\":\"",
+                reason.code()
+            );
+            escape_into(out, detail);
+            out.push_str("\"}");
         }
-        Response::Metrics { text } => format!(
-            "{{\"ok\":true,\"op\":\"metrics\",\"text\":\"{}\"}}",
-            escape(text)
-        ),
-        Response::ShuttingDown => "{\"ok\":true,\"op\":\"shutdown\"}".into(),
-        Response::Error { what } => format!("{{\"ok\":false,\"error\":\"{}\"}}", escape(what)),
+        Response::Status(s) => {
+            out.push_str("{\"ok\":true,\"op\":\"status\",\"algo\":\"");
+            escape_into(out, &s.algo);
+            let _ = write!(
+                out,
+                "\",\"shards\":{},\"watermark\":{},\"placed\":{},\"shed\":{},\"rejected\":{},\
+                 \"open_bins\":{},\"checkpoint_seq\":{},\"decision_seq\":{}}}",
+                s.shards,
+                s.watermark,
+                s.placed,
+                s.shed,
+                s.rejected,
+                s.open_bins,
+                s.checkpoint_seq,
+                s.decision_seq
+            );
+        }
+        Response::Checkpointed { seq } => {
+            let _ = write!(out, "{{\"ok\":true,\"op\":\"checkpoint\",\"seq\":{seq}}}");
+        }
+        Response::Metrics { text } => {
+            out.push_str("{\"ok\":true,\"op\":\"metrics\",\"text\":\"");
+            escape_into(out, text);
+            out.push_str("\"}");
+        }
+        Response::ShuttingDown => out.push_str("{\"ok\":true,\"op\":\"shutdown\"}"),
+        Response::Error { what } => {
+            out.push_str("{\"ok\":false,\"error\":\"");
+            escape_into(out, what);
+            out.push_str("\"}");
+        }
     }
 }
 
@@ -490,6 +828,127 @@ mod tests {
             r#"{"op":"submit","tenant":"a","job":4294967296,"size":0.5,"arrival":0,"departure":9}"#
         )
         .is_err());
+    }
+
+    fn submit_of(line: &str) -> Submit {
+        match parse_request(line) {
+            Ok(Request::Submit(s)) => s,
+            other => panic!("{line}: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn the_request_grammar_edge_cases() {
+        let with = |fields: &str| format!(r#"{{"op":"submit","tenant":"t",{fields}}}"#);
+        let times = r#""arrival":0,"departure":9"#;
+        // The first occurrence of a key wins, whatever its type.
+        let s = submit_of(&with(&format!(r#""job":1,"job":2,"size":0.5,{times}"#)));
+        assert_eq!(s.job, 1);
+        assert_eq!(
+            parse_request(r#"{"op":"status","op":"submit"}"#),
+            Ok(Request::Status)
+        );
+        assert!(parse_request(&with(&format!(r#""job":"1","job":1,"size":0.5,{times}"#))).is_err());
+        // Escaped keys and values decode; `\u` goes through
+        // `from_str_radix`, so `\u+041` is `A`.
+        assert_eq!(
+            parse_request(r#"{"\u006fp":"\u0073tatus"}"#),
+            Ok(Request::Status)
+        );
+        let s = submit_of(&format!(
+            r#"{{"op":"submit","tenant":"\u+041\/\t","job":1,"size":0.5,{times}}}"#
+        ));
+        assert_eq!(s.tenant, "A/\t");
+        assert!(parse_request(r#"{"op":"status","x":"\uD800"}"#).is_err());
+        assert!(parse_request(r#"{"op":"status","x":"\u-041"}"#).is_err());
+        assert!(parse_request(r#"{"op":"status","x":"\q"}"#).is_err());
+        // Raw control characters inside strings are accepted.
+        assert_eq!(
+            submit_of(&format!(
+                "{{\"op\":\"submit\",\"tenant\":\"a\u{1}b\",\"job\":1,\"size\":0.5,{times}}}"
+            ))
+            .tenant,
+            "a\u{1}b"
+        );
+        // Numbers: the run must parse as f64; integer fields then parse
+        // the same text.
+        assert_eq!(
+            submit_of(&with(&format!(r#""job":01,"size":1.,{times}"#))).size,
+            Some(1.0)
+        );
+        assert_eq!(
+            submit_of(&with(&format!(r#""job":1,"size":1e400,{times}"#))).size,
+            Some(f64::INFINITY)
+        );
+        for bad in ["-", "1e", "1.2.3", "1-2", "+1", ".5"] {
+            let line = with(&format!(r#""job":1,"size":0.5,"x":{bad},{times}"#));
+            assert!(parse_request(&line).is_err(), "{line}");
+        }
+        assert!(parse_request(&with(&format!(r#""job":1.0,"size":0.5,{times}"#))).is_err());
+        assert!(parse_request(&with(&format!(r#""job":-0,"size":0.5,{times}"#))).is_err());
+        // A size that does not convert counts as absent.
+        let s = submit_of(&with(&format!(
+            r#""job":1,"size_raw":1.5,"size":0.5,{times}"#
+        )));
+        assert_eq!((s.size_raw, s.size), (None, Some(0.5)));
+        assert!(parse_request(&with(&format!(r#""job":1,"size_raw":-1,{times}"#))).is_err());
+        let s = submit_of(&with(&format!(
+            r#""job":1,"size_raw":7,"size":"x",{times}"#
+        )));
+        assert_eq!((s.size_raw, s.size), (Some(7), None));
+        // Unknown keys and nested values are still validated, under the
+        // same depth cap.
+        let deep = |levels: usize| {
+            format!(
+                r#"{{"op":"status","x":{}{}}}"#,
+                "[".repeat(levels),
+                "]".repeat(levels)
+            )
+        };
+        assert_eq!(parse_request(&deep(MAX_DEPTH - 1)), Ok(Request::Status));
+        assert!(parse_request(&deep(MAX_DEPTH))
+            .unwrap_err()
+            .contains("nesting"));
+        assert!(parse_request(&"[".repeat(60_000))
+            .unwrap_err()
+            .contains("nesting"));
+        assert!(parse_request(r#"{"op":"status","x":[1,]}"#).is_err());
+        assert!(parse_request(r#"{"op":"status"} x"#).is_err());
+        assert!(parse_request(r#"[{"op":"status"}]"#).is_err());
+        assert_eq!(
+            parse_request(" \t{ \"op\" : \"status\" }\r\n"),
+            Ok(Request::Status)
+        );
+    }
+
+    #[test]
+    fn acks_render_byte_for_byte() {
+        let mut out = String::from("kept|");
+        render_response_into(
+            &mut out,
+            &Response::Placed {
+                tenant: "t\"1".into(),
+                job: 7,
+                shard: 1,
+                bin: 3,
+            },
+        );
+        render_response_into(
+            &mut out,
+            &Response::Rejected {
+                tenant: "t1".into(),
+                job: 8,
+                reason: RejectReason::FleetCapacity,
+                detail: "fleet cap 4 reached".into(),
+            },
+        );
+        assert_eq!(
+            out,
+            "kept|{\"ok\":true,\"op\":\"submit\",\"tenant\":\"t\\\"1\",\"job\":7,\"placed\":true,\
+             \"shard\":1,\"bin\":3,\"bin_id\":4294967299}\
+             {\"ok\":true,\"op\":\"submit\",\"tenant\":\"t1\",\"job\":8,\"placed\":false,\
+             \"reject\":\"fleet_capacity\",\"detail\":\"fleet cap 4 reached\"}"
+        );
     }
 
     #[test]

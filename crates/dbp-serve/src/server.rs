@@ -13,14 +13,18 @@
 //! line already in the connection's read buffer is decided by one
 //! [`Service::handle_batch`] call — one lock, one WAL commit — and its
 //! acks leave in one write. The worker never waits for more bytes to
-//! fill a batch, so a lone request is answered at once.
+//! fill a batch, so a lone request is answered at once. Each connection
+//! reuses one line buffer, one batch `Vec` and one ack `String` for its
+//! lifetime, so a submit allocates little beyond its owned tenant.
 //!
 //! Shutdown: when any connection receives the `shutdown` ack, it pokes
 //! the listener with a throwaway connection so the accept loop (blocked
 //! in `accept`) observes the flag, stops accepting, and joins the
 //! workers. In-flight connections finish their current request first.
 
-use crate::protocol::{parse_request, render_response, Request, Response, Submit};
+use crate::protocol::{
+    parse_request, render_response, render_response_into, Request, Response, Submit,
+};
 use crate::service::Service;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{TcpListener, TcpStream};
@@ -166,11 +170,17 @@ fn take_buffered_submit(reader: &mut BufReader<TcpStream>) -> Option<Submit> {
 
 /// Writes one protocol response line with a single `write_all`, so the
 /// ack and its terminator leave in one segment (the socket is
-/// `TCP_NODELAY` and unbuffered).
-fn write_response(writer: &mut TcpStream, resp: &Response) -> std::io::Result<()> {
-    let mut line = render_response(resp);
-    line.push('\n');
-    writer.write_all(line.as_bytes())
+/// `TCP_NODELAY` and unbuffered). `out` is the connection's reused ack
+/// buffer.
+fn write_response(
+    writer: &mut TcpStream,
+    out: &mut String,
+    resp: &Response,
+) -> std::io::Result<()> {
+    out.clear();
+    render_response_into(out, resp);
+    out.push('\n');
+    writer.write_all(out.as_bytes())
 }
 
 /// Serves one connection until EOF or shutdown.
@@ -181,7 +191,11 @@ fn handle_conn(service: &Arc<Service>, conn: TcpStream) -> std::io::Result<()> {
     conn.set_nodelay(true)?;
     let mut writer = conn.try_clone()?;
     let mut reader = BufReader::new(conn);
+    // Reused for the connection's lifetime: the request line, the read
+    // batch and the rendered acks.
     let mut buf: Vec<u8> = Vec::new();
+    let mut batch: Vec<Submit> = Vec::new();
+    let mut acks = String::new();
     loop {
         // A timeout mid-line leaves the partial line in `buf`; the next
         // read appends the rest, so lines survive slow writers.
@@ -190,53 +204,48 @@ fn handle_conn(service: &Arc<Service>, conn: TcpStream) -> std::io::Result<()> {
             Ok(LineRead::Overflow) => {
                 // A typed reject, then hang up: the rest of the
                 // oversized line is undelimited garbage.
-                write_response(
-                    &mut writer,
-                    &Response::Error {
-                        what: format!("request line exceeds {MAX_LINE} bytes"),
-                    },
-                )?;
+                let what = format!("request line exceeds {MAX_LINE} bytes");
+                write_response(&mut writer, &mut acks, &Response::Error { what })?;
                 return Ok(());
             }
             Ok(LineRead::Complete) => {
-                let bytes = std::mem::take(&mut buf);
-                let Ok(line) = std::str::from_utf8(&bytes) else {
-                    write_response(
-                        &mut writer,
-                        &Response::Error {
-                            what: "request line is not valid UTF-8".into(),
-                        },
-                    )?;
+                let Ok(line) = std::str::from_utf8(&buf) else {
+                    let what = "request line is not valid UTF-8".into();
+                    write_response(&mut writer, &mut acks, &Response::Error { what })?;
                     return Ok(());
                 };
                 let line = line.trim_end();
                 if line.is_empty() {
+                    buf.clear();
                     continue;
                 }
                 if line.starts_with("GET ") || line.starts_with("HEAD ") {
                     return serve_http(service, &mut reader, &mut writer, line);
                 }
-                let resp = match parse_request(line) {
+                let req = parse_request(line);
+                buf.clear();
+                let resp = match req {
                     Ok(Request::Submit(first)) => {
                         // A read batch: this submit plus every complete
                         // submit line already buffered, decided under one
                         // lock and one WAL commit, acked in one write.
-                        let mut batch = vec![first];
+                        batch.push(first);
                         while let Some(s) = take_buffered_submit(&mut reader) {
                             batch.push(s);
                         }
-                        let mut acks = String::new();
+                        acks.clear();
                         for resp in service.handle_batch(&batch) {
-                            acks.push_str(&render_response(&resp));
+                            render_response_into(&mut acks, &resp);
                             acks.push('\n');
                         }
+                        batch.clear();
                         writer.write_all(acks.as_bytes())?;
                         continue;
                     }
                     Ok(req) => service.handle(&req),
                     Err(what) => Response::Error { what },
                 };
-                write_response(&mut writer, &resp)?;
+                write_response(&mut writer, &mut acks, &resp)?;
                 if matches!(resp, Response::ShuttingDown) {
                     poke_acceptor(&writer);
                     return Ok(());

@@ -175,6 +175,15 @@ impl Core {
         }
     }
 
+    /// The tenant's counters, looked up by `&str`: only a tenant's
+    /// first submission allocates its key.
+    fn tenant(&mut self, name: &str) -> &mut Totals {
+        if !self.tenants.contains_key(name) {
+            self.tenants.insert(name.to_owned(), Totals::default());
+        }
+        self.tenants.get_mut(name).expect("inserted above")
+    }
+
     fn tenant_counters(&self) -> Vec<TenantCounters> {
         self.tenants
             .iter()
@@ -367,7 +376,7 @@ impl Service {
         }
         let writer =
             WalWriter::open(wal_dir, cfg.shards + 1, core.ckpt_seq, cfg.fsync).map_err(|e| {
-                DbpError::Internal {
+                DbpError::Io {
                     what: format!("cannot open WAL dir {}: {e}", wal_dir.display()),
                 }
             })?;
@@ -527,10 +536,10 @@ impl Service {
     /// construction. Returns the response plus the shard the submission
     /// was routed to (`None` for pre-routing rejects).
     fn decide(cfg: &ServeConfig, core: &mut Core, s: &Submit) -> (Response, Option<usize>) {
-        core.tenants.entry(s.tenant.clone()).or_default().submitted += 1;
+        core.tenant(&s.tenant).submitted += 1;
         let reject = |core: &mut Core, reason: RejectReason, detail: String| {
             core.rejected += 1;
-            core.tenants.entry(s.tenant.clone()).or_default().rejected += 1;
+            core.tenant(&s.tenant).rejected += 1;
             Response::Rejected {
                 tenant: s.tenant.clone(),
                 job: s.job,
@@ -601,7 +610,7 @@ impl Service {
         let out = match admission {
             Admission::Placed(bin) => {
                 core.placed += 1;
-                core.tenants.entry(s.tenant.clone()).or_default().placed += 1;
+                core.tenant(&s.tenant).placed += 1;
                 Response::Placed {
                     tenant: s.tenant.clone(),
                     job: s.job,
@@ -611,7 +620,7 @@ impl Service {
             }
             Admission::Shed => {
                 core.shed += 1;
-                core.tenants.entry(s.tenant.clone()).or_default().shed += 1;
+                core.tenant(&s.tenant).shed += 1;
                 Response::Rejected {
                     tenant: s.tenant.clone(),
                     job: s.job,

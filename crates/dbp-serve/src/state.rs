@@ -43,6 +43,10 @@ fn bad(what: impl Into<String>) -> DbpError {
     }
 }
 
+fn io(what: String) -> DbpError {
+    DbpError::Io { what }
+}
+
 /// Per-tenant accounting, checkpointed with the service state.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TenantCounters {
@@ -270,10 +274,10 @@ fn seq_of(name: &str) -> Option<u64> {
 pub fn write_serve_checkpoint(dir: &Path, ck: &ServeCheckpoint) -> Result<PathBuf, DbpError> {
     let mkdir =
         dbp_resilience::failpoint::io_op("ckpt_mkdir").and_then(|()| std::fs::create_dir_all(dir));
-    mkdir.map_err(|e| bad(format!("cannot create {}: {e}", dir.display())))?;
+    mkdir.map_err(|e| io(format!("cannot create {}: {e}", dir.display())))?;
     let path = dir.join(checkpoint_file_name(ck.seq));
     dbp_resilience::durable_write(&path, encode(ck).as_bytes())
-        .map_err(|e| bad(format!("committing {}: {e}", path.display())))?;
+        .map_err(|e| io(format!("committing {}: {e}", path.display())))?;
     // Prune: keep the newest KEPT_CHECKPOINTS by sequence.
     let mut all = list_checkpoints(dir)?;
     while all.len() > KEPT_CHECKPOINTS {
@@ -300,7 +304,7 @@ pub fn kept_checkpoint_floor(dir: &Path) -> Result<Option<u64>, DbpError> {
 /// errors, never panics.
 pub fn read_serve_checkpoint(path: &Path) -> Result<ServeCheckpoint, DbpError> {
     let text = std::fs::read_to_string(path)
-        .map_err(|e| bad(format!("cannot read checkpoint {}: {e}", path.display())))?;
+        .map_err(|e| io(format!("cannot read checkpoint {}: {e}", path.display())))?;
     decode(&text)
 }
 
@@ -310,10 +314,10 @@ fn list_checkpoints(dir: &Path) -> Result<Vec<(u64, PathBuf)>, DbpError> {
     let entries = match std::fs::read_dir(dir) {
         Ok(e) => e,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(found),
-        Err(e) => return Err(bad(format!("cannot list {}: {e}", dir.display()))),
+        Err(e) => return Err(io(format!("cannot list {}: {e}", dir.display()))),
     };
     for entry in entries {
-        let entry = entry.map_err(|e| bad(format!("cannot list {}: {e}", dir.display())))?;
+        let entry = entry.map_err(|e| io(format!("cannot list {}: {e}", dir.display())))?;
         if let Some(seq) = entry.file_name().to_str().and_then(seq_of) {
             found.push((seq, entry.path()));
         }

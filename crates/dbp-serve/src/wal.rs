@@ -64,6 +64,10 @@ fn bad(what: impl Into<String>) -> DbpError {
     }
 }
 
+fn io(what: String) -> DbpError {
+    DbpError::Io { what }
+}
+
 /// CRC-32 (IEEE 802.3, reflected, poly `0xEDB88320`) over `bytes` —
 /// the frame checksum. Table-driven, built at compile time.
 pub fn crc32(bytes: &[u8]) -> u32 {
@@ -605,7 +609,7 @@ fn scan_segment(path: &Path) -> Result<SegmentScan, DbpError> {
     let (stream, first_seq) =
         parse_segment_name(name).ok_or_else(|| bad(format!("not a segment name: {name:?}")))?;
     let bytes =
-        std::fs::read(path).map_err(|e| bad(format!("cannot read {}: {e}", path.display())))?;
+        std::fs::read(path).map_err(|e| io(format!("cannot read {}: {e}", path.display())))?;
     let len = bytes.len() as u64;
     let mut scan = SegmentScan {
         path: path.to_path_buf(),
@@ -697,7 +701,7 @@ pub struct WalRecovery {
 /// appends keep every in-file sequence monotonic.
 pub fn recover_wal(dir: &Path, n_streams: usize, floor: u64) -> Result<WalRecovery, DbpError> {
     let mut out = WalRecovery::default();
-    let segments = list_segments(dir).map_err(|e| bad(format!("cannot list WAL dir: {e}")))?;
+    let segments = list_segments(dir).map_err(|e| io(format!("cannot list WAL dir: {e}")))?;
     let mut scans = Vec::with_capacity(segments.len());
     for (stream, _, path) in &segments {
         if *stream as usize >= n_streams {
@@ -759,20 +763,20 @@ pub fn recover_wal(dir: &Path, n_streams: usize, floor: u64) -> Result<WalRecove
                 Some(t) if cut == scan.valid_len => t.clone(),
                 _ => format!("dropping frames past sequence {last_kept}"),
             };
-            failpoint::io_op("wal_truncate").map_err(|e| bad(e.to_string()))?;
+            failpoint::io_op("wal_truncate").map_err(|e| io(e.to_string()))?;
             let file = OpenOptions::new()
                 .write(true)
                 .open(&scan.path)
                 .map_err(|e| {
-                    bad(format!(
+                    io(format!(
                         "cannot open {} to truncate: {e}",
                         scan.path.display()
                     ))
                 })?;
             file.set_len(cut)
-                .map_err(|e| bad(format!("cannot truncate {}: {e}", scan.path.display())))?;
+                .map_err(|e| io(format!("cannot truncate {}: {e}", scan.path.display())))?;
             file.sync_all()
-                .map_err(|e| bad(format!("cannot sync {}: {e}", scan.path.display())))?;
+                .map_err(|e| io(format!("cannot sync {}: {e}", scan.path.display())))?;
             out.truncated.push((scan.path.clone(), cut, reason));
         }
     }

@@ -1,8 +1,10 @@
 //! Restart semantics: kill-and-resume bit-identity, torn-checkpoint
 //! fallback, and config-fingerprint validation.
 
-use dbp_core::Size;
+use dbp_core::{DbpError, Size};
+use dbp_resilience::failpoint::FailGuard;
 use dbp_serve::protocol::{render_response, Request, Response, Submit};
+use dbp_serve::state::{checkpoint_file_name, read_serve_checkpoint, write_serve_checkpoint};
 use dbp_serve::{ServeConfig, Service};
 use std::path::{Path, PathBuf};
 
@@ -364,4 +366,38 @@ fn boot_without_checkpoints_is_fresh_and_checkpoint_requests_fail_typed() {
         service.handle(&Request::Checkpoint),
         Response::Error { .. }
     ));
+}
+
+#[test]
+fn a_failed_checkpoint_rename_is_an_io_error_not_a_parse_error() {
+    let dir = fresh_dir("restart-ckpt-rename");
+    let service = Service::start(cfg_with_dir(&dir)).unwrap();
+    let seq = match service.handle(&Request::Checkpoint) {
+        Response::Checkpointed { seq } => seq,
+        other => panic!("{other:?}"),
+    };
+    let mut ck = read_serve_checkpoint(&dir.join(checkpoint_file_name(seq))).unwrap();
+    ck.seq += 1;
+    let err = {
+        // mkdir, temp-file write, sync, then the rename: the fourth IO
+        // op of a checkpoint write.
+        let _armed = FailGuard::fail_from(4);
+        write_serve_checkpoint(&dir, &ck).unwrap_err()
+    };
+    assert!(matches!(err, DbpError::Io { .. }), "{err:?}");
+    let msg = err.to_string();
+    assert!(
+        msg.starts_with("I/O error: committing") && msg.contains("ckpt_rename"),
+        "{msg}"
+    );
+    assert!(!msg.contains("trace parse error"), "{msg}");
+    // An explicit checkpoint request reports it the same way.
+    let _armed = FailGuard::fail_from(4);
+    match service.handle(&Request::Checkpoint) {
+        Response::Error { what } => {
+            assert!(what.contains("I/O error: committing"), "{what}");
+            assert!(!what.contains("trace parse error"), "{what}");
+        }
+        other => panic!("{other:?}"),
+    }
 }

@@ -850,6 +850,25 @@ mod tests {
         assert!(report.skipped().is_empty());
     }
 
+    /// The `/d3` default cells' `corr-vec` ids arrive shuffled; a session
+    /// that kept an id history grew with them (~460 KB at this size).
+    #[test]
+    fn d3_sessions_hold_no_id_history() {
+        let inst = vector_baseline_instance("short", "default").unwrap();
+        assert!(inst.items().windows(2).any(|w| w[0].id() > w[1].id()));
+        let params = AlgoParams::from_vec_instance(&inst);
+        for algo in crate::registry::VECTOR_ALGOS {
+            let mut packer = vector_packer(algo, params);
+            let mut session =
+                VecStreamingSession::new(VecClairvoyance::Clairvoyant, packer.as_mut());
+            for item in inst.items() {
+                session.arrive(item).unwrap();
+                let bytes = session.approx_live_bytes();
+                assert!(bytes <= 64 * 1024, "{algo}: {bytes} live bytes");
+            }
+        }
+    }
+
     #[test]
     fn tolerance_bounds_are_enforced() {
         let b = parse_baseline(TINY_SHARD).unwrap();

@@ -60,7 +60,7 @@ impl Instance {
     /// Checked dense-index → item-id conversion: index `i` becomes id
     /// `i`, and indexes past `u32::MAX` are a typed error rather than a
     /// truncating cast (which would collide with id `i mod 2³²` and be
-    /// dropped by the id-watermark dedupe downstream).
+    /// refused as a duplicate).
     pub fn id_for_index(i: usize) -> Result<u32, DbpError> {
         u32::try_from(i).map_err(|_| DbpError::InvalidParameter {
             what: format!("item index {i} exceeds the u32 id space"),

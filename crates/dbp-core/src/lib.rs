@@ -60,6 +60,7 @@ pub mod instance;
 pub mod interval;
 pub mod interval_set;
 pub mod item;
+pub mod ledger;
 pub mod observe;
 pub mod online;
 pub mod openbins;
@@ -76,6 +77,7 @@ pub use instance::Instance;
 pub use interval::{Interval, Time};
 pub use interval_set::IntervalSet;
 pub use item::{Item, ItemId};
+pub use ledger::IdLedger;
 pub use observe::{EventLog, FitDecision, NoopObserver, OpKind, PackEvent, PackObserver, Tee};
 pub use online::{
     ActiveItem, ClairvoyanceMode, Decision, OnlineEngine, OnlinePacker, OnlineRun, PackerState,

@@ -15,10 +15,10 @@
 //!
 //! The session is generic over the [`Demand`] type its packer handle
 //! places: scalar [`crate::Item`]s by default, [`crate::VecItem`]s for a
-//! packer over `SizeVec`. Every mechanism below — departures, the id
-//! watermark, snapshots, fleet caps, fault injection and observation —
-//! is one body for both. [`VecStreamingSession`] is the vector entry
-//! point for a borrowed [`VecOnlinePacker`].
+//! packer over `SizeVec`. Every mechanism below — departures,
+//! snapshots, fleet caps, fault injection and observation — is one body
+//! for both. [`VecStreamingSession`] is the vector entry point for a
+//! borrowed [`VecOnlinePacker`].
 //!
 //! ## Observability
 //!
@@ -51,16 +51,13 @@
 //! indexed [`crate::openbins::OpenBins`] slab, and `placement` entries are
 //! pruned when their item departs — see `docs/performance.md`.
 //!
-//! ## The id-watermark contract
+//! ## Where ids are checked
 //!
-//! Duplicate item-id rejection does not keep every id ever seen. The
-//! session maintains a *watermark* `w` such that every id `< w` has been
-//! seen, plus the exact set of seen ids `≥ w`. Feed ids in roughly
-//! increasing order (the natural choice for generated streams) and that
-//! overflow set stays tiny — O(1) memory for a monotone id stream — while
-//! duplicate detection stays exact for *any* id order. The current values
-//! are observable via [`StreamingSession::id_watermark`] and
-//! [`StreamingSession::dedupe_backlog`].
+//! The session keeps no id history: it refuses only an id that is live
+//! in it, which keeps `placement` one-to-one. Each id is checked once,
+//! where jobs enter the system — [`crate::Instance::from_items`] and
+//! [`VecInstance::from_items`] for batch runs, a [`crate::IdLedger`] in
+//! the `dbp-shard` and `dbp-serve` coordinators.
 
 use crate::demand::{Clairvoyance, Demand, Job, VecClairvoyance};
 use crate::error::DbpError;
@@ -75,7 +72,7 @@ use crate::openbins::OpenBins;
 use crate::packing::{BinId, Packing};
 use crate::sizevec::{SizeVec, VecInstance};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap};
 use std::marker::PhantomData;
 
 /// Snapshot format version written by [`StreamingSession::snapshot`] and
@@ -108,8 +105,8 @@ pub struct BinSnapshot<D = crate::size::Size> {
 /// arbitrary estimator closure) and the packer object itself — the caller
 /// reconstructs both and [`StreamingSession::restore`] verifies the
 /// packer's name matches before handing it its saved [`PackerState`].
-/// Hash-based collections are stored as sorted vectors and the departure
-/// heap as a sorted list, so equal sessions produce byte-equal encodings.
+/// The departure heap is stored as a sorted list, so equal sessions
+/// produce byte-equal encodings.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SessionSnapshot<D = crate::size::Size> {
     /// Format version ([`SNAPSHOT_VERSION`]).
@@ -122,16 +119,15 @@ pub struct SessionSnapshot<D = crate::size::Size> {
     pub open_bins: Vec<BinSnapshot<D>>,
     /// Full bin history (indexed by bin id).
     pub records: Vec<BinRecord>,
-    /// Pending departures as sorted `(time, item)` pairs, cancelled
-    /// entries already filtered out.
+    /// Pending departures as sorted `(time, item)` pairs.
     pub departures: Vec<(Time, ItemId)>,
     /// The next bin id to assign.
     pub next_bin: u32,
     /// The session clock (last arrival / advance time).
     pub last_arrival: Option<Time>,
-    /// Id-dedupe watermark (every id below it has been seen).
+    /// Kept for the v1 format: written as 0, ignored on restore.
     pub watermark: u32,
-    /// Seen ids at or above the watermark, sorted.
+    /// Kept for the v1 format: written empty, ignored on restore.
     pub above: Vec<u32>,
 }
 
@@ -224,13 +220,6 @@ pub struct StreamingSession<'p, O = NoopObserver, P: PackerHandle = &'p mut dyn 
     departures: BinaryHeap<Reverse<(Time, ItemId)>>,
     next_bin: u32,
     last_arrival: Option<Time>,
-    /// Every id `< watermark` has been seen.
-    watermark: u32,
-    /// The exact set of seen ids `≥ watermark`.
-    above: HashSet<u32>,
-    /// Raw ids displaced by [`StreamingSession::fail_bin`] whose stale
-    /// departure-heap entries must be skipped when they surface.
-    cancelled: HashSet<u32>,
 }
 
 impl<'p> StreamingSession<'p, NoopObserver> {
@@ -308,9 +297,6 @@ impl<'p, P: PackerHandle, O: PackObserver<DemandOf<P>>> StreamingSession<'p, O, 
             departures: BinaryHeap::new(),
             next_bin: 0,
             last_arrival: None,
-            watermark: 0,
-            above: HashSet::new(),
-            cancelled: HashSet::new(),
         }
     }
 
@@ -330,17 +316,9 @@ impl<'p, P: PackerHandle, O: PackObserver<DemandOf<P>>> StreamingSession<'p, O, 
                 items: b.items().to_vec(),
             })
             .collect();
-        // Stale heap entries for displaced items are filtered out here so
-        // the restored session starts with an empty cancelled set.
-        let mut departures: Vec<(Time, ItemId)> = self
-            .departures
-            .iter()
-            .filter(|Reverse((_, id))| !self.cancelled.contains(&id.0))
-            .map(|Reverse(p)| *p)
-            .collect();
+        let mut departures: Vec<(Time, ItemId)> =
+            self.departures.iter().map(|Reverse(p)| *p).collect();
         departures.sort_unstable();
-        let mut above: Vec<u32> = self.above.iter().copied().collect();
-        above.sort_unstable();
         SessionSnapshot {
             version: SNAPSHOT_VERSION,
             packer: self.packer.packer().name(),
@@ -350,8 +328,8 @@ impl<'p, P: PackerHandle, O: PackObserver<DemandOf<P>>> StreamingSession<'p, O, 
             departures,
             next_bin: self.next_bin,
             last_arrival: self.last_arrival,
-            watermark: self.watermark,
-            above,
+            watermark: 0,
+            above: Vec::new(),
         }
     }
 
@@ -453,9 +431,6 @@ impl<'p, P: PackerHandle, O: PackObserver<DemandOf<P>>> StreamingSession<'p, O, 
             departures,
             next_bin: snap.next_bin,
             last_arrival: snap.last_arrival,
-            watermark: snap.watermark,
-            above: snap.above.iter().copied().collect(),
-            cancelled: HashSet::new(),
         })
     }
 
@@ -468,12 +443,6 @@ impl<'p, P: PackerHandle, O: PackObserver<DemandOf<P>>> StreamingSession<'p, O, 
                 break;
             }
             self.departures.pop();
-            // Items displaced by a server failure never depart normally;
-            // their heap entries are stale and simply skipped. The set is
-            // empty unless a bin failed, so skip hashing in that case.
-            if !self.cancelled.is_empty() && self.cancelled.remove(&id.0) {
-                continue;
-            }
             let bin_id = self
                 .placement
                 .remove(&id)
@@ -533,31 +502,16 @@ impl<'p, P: PackerHandle, O: PackObserver<DemandOf<P>>> StreamingSession<'p, O, 
         self.placement.len()
     }
 
-    /// All item ids below this value have been seen (watermark dedupe
-    /// contract; see the module docs).
-    pub fn id_watermark(&self) -> u32 {
-        self.watermark
-    }
-
-    /// Number of seen ids at or above the watermark still held for exact
-    /// duplicate detection. Stays O(1) for monotone id streams.
-    pub fn dedupe_backlog(&self) -> usize {
-        self.above.len()
-    }
-
     /// A cheap estimate of the session's live working-state heap
-    /// footprint: the open-bin slab plus the live-placement map, the
-    /// pending-departure heap, and the dedupe overflow set. Excludes the
-    /// append-only bin history (`records`), which is run *output*, not
-    /// working state. O(open bins); the engine benchmark samples this as
-    /// its RSS proxy.
+    /// footprint: the open-bin slab plus the live-placement map and the
+    /// pending-departure heap. Excludes the append-only bin history
+    /// (`records`), which is run *output*, not working state. O(open
+    /// bins); the engine benchmark samples this as its RSS proxy.
     pub fn approx_live_bytes(&self) -> usize {
         use std::mem::size_of;
         self.open.approx_bytes()
             + self.placement.capacity() * (size_of::<ItemId>() + size_of::<BinId>())
             + self.departures.capacity() * size_of::<Reverse<(Time, ItemId)>>()
-            + self.above.capacity() * size_of::<u32>()
-            + self.cancelled.capacity() * size_of::<u32>()
     }
 
     /// Advances simulated time to `t` without an arrival: departures up
@@ -591,17 +545,10 @@ impl<'p, P: PackerHandle, O: PackObserver<DemandOf<P>>> StreamingSession<'p, O, 
         Ok(())
     }
 
-    /// Commits an id into the dedupe state, rejecting duplicates.
-    fn note_id(&mut self, raw_id: u32) -> Result<(), DbpError> {
-        if raw_id < self.watermark || !self.above.insert(raw_id) {
-            return Err(DbpError::DuplicateItemId { id: raw_id });
-        }
-        // Advance the watermark over contiguously-seen ids so monotone
-        // streams keep the overflow set empty. `u32::MAX` cannot be
-        // absorbed (the watermark would need to be MAX + 1), so it simply
-        // stays in the overflow set.
-        while self.watermark < u32::MAX && self.above.remove(&self.watermark) {
-            self.watermark += 1;
+    /// Refuses an id still live here, which keeps `placement` one-to-one.
+    fn check_not_live(&self, id: ItemId) -> Result<(), DbpError> {
+        if self.placement.contains_key(&id) {
+            return Err(DbpError::DuplicateItemId { id: id.0 });
         }
         Ok(())
     }
@@ -675,12 +622,16 @@ impl<'p, P: PackerHandle, O: PackObserver<DemandOf<P>>> StreamingSession<'p, O, 
         Ok((decision, decide_start.elapsed().as_nanos() as u64))
     }
 
-    /// Feeds one arrival. Arrival times must be non-decreasing and item
-    /// ids unique; the chosen bin id is returned.
+    /// Feeds one arrival; the chosen bin id is returned. Arrival times
+    /// must be non-decreasing. An id the session still holds is refused,
+    /// but one whose departure it has processed, or that
+    /// [`StreamingSession::fail_bin`] displaced, is not: a caller that
+    /// needs each id decided once across the whole stream checks it in an
+    /// [`crate::IdLedger`] first.
     pub fn arrive(&mut self, item: &ItemOf<P>) -> Result<BinId, DbpError> {
         let now = item.arrival();
         self.check_order(now)?;
-        self.note_id(item.id().0)?;
+        self.check_not_live(item.id())?;
         self.last_arrival = Some(now);
         let visible_dep = self.mode.visible_departure(item);
         let (decision, decide_ns) = self.sweep_and_decide(item, visible_dep, now)?;
@@ -711,12 +662,7 @@ impl<'p, P: PackerHandle, O: PackObserver<DemandOf<P>>> StreamingSession<'p, O, 
     ) -> Result<Admission, DbpError> {
         let now = item.arrival();
         self.check_order(now)?;
-        let raw_id = item.id().0;
-        // Duplicate check only — the id is committed after admission so a
-        // shed item's id stays usable.
-        if raw_id < self.watermark || self.above.contains(&raw_id) {
-            return Err(DbpError::DuplicateItemId { id: raw_id });
-        }
+        self.check_not_live(item.id())?;
         self.last_arrival = Some(now);
         let visible_dep = self.mode.visible_departure(item);
         let (decision, decide_ns) = self.sweep_and_decide(item, visible_dep, now)?;
@@ -730,7 +676,6 @@ impl<'p, P: PackerHandle, O: PackObserver<DemandOf<P>>> StreamingSession<'p, O, 
             }
             return Ok(Admission::Shed);
         }
-        self.note_id(raw_id)?;
         self.emit_arrival(item, visible_dep);
         self.commit_decision(item, visible_dep, decision, decide_ns)
             .map(Admission::Placed)
@@ -839,7 +784,8 @@ impl<'p, P: PackerHandle, O: PackObserver<DemandOf<P>>> StreamingSession<'p, O, 
     /// is force-closed: its record's `closed_at` becomes the failure time
     /// and its still-resident items are removed from the live state and
     /// returned so the caller's recovery policy can resubmit or drop
-    /// them. Their pending departure entries are cancelled. Emits
+    /// them. Their pending departures are dropped, so the session holds
+    /// nothing of them and a caller may present their ids again. Emits
     /// [`PackEvent::BinFailed`] (instead of [`PackEvent::BinClosed`]).
     ///
     /// `at` must be at least the last arrival time; subsequent arrivals
@@ -864,8 +810,9 @@ impl<'p, P: PackerHandle, O: PackObserver<DemandOf<P>>> StreamingSession<'p, O, 
         let displaced = state.items().to_vec();
         for a in &displaced {
             self.placement.remove(&a.id);
-            self.cancelled.insert(a.id.0);
         }
+        self.departures
+            .retain(|Reverse((_, id))| self.placement.contains_key(id));
         let rec = &mut self.records[bin.0 as usize];
         rec.closed_at = at;
         if O::ENABLED {
@@ -920,7 +867,6 @@ impl<'p, P: PackerHandle, O: PackObserver<DemandOf<P>>> StreamingSession<'p, O, 
         }
         debug_assert!(self.open.is_empty());
         debug_assert!(self.placement.is_empty(), "placement pruned on departure");
-        debug_assert!(self.cancelled.is_empty(), "stale entries all skipped");
         let usage: u128 = self.records.iter().map(|r| r.usage()).sum();
         let mut bins = vec![Vec::new(); self.next_bin as usize];
         for r in &self.records {
@@ -1208,9 +1154,8 @@ mod tests {
         // Regression for the pre-indexed engine, whose `seen` set and
         // unpruned `placement` map grew with stream *length*. Live state
         // must track the *concurrent* load: a 200k-item stream with at
-        // most 3 overlapping jobs keeps placement at ≤ 3 entries and the
-        // dedupe overflow set empty (monotone ids fold into the
-        // watermark), while records/usage still cover the full history.
+        // most 3 overlapping jobs keeps placement at ≤ 3 entries, while
+        // records/usage still cover the full history.
         const N: u32 = 200_000;
         let mut packer = FirstFit;
         let mut s = StreamingSession::new(ClairvoyanceMode::Clairvoyant, &mut packer);
@@ -1220,38 +1165,11 @@ mod tests {
                 .unwrap();
             assert!(s.live_items() <= 3, "placement must be pruned (k={k})");
             assert!(s.open_bins() <= 2, "fleet tracks concurrency (k={k})");
-            assert_eq!(s.dedupe_backlog(), 0, "monotone ids leave no backlog");
-            assert_eq!(s.id_watermark(), k + 1);
         }
         let run = s.finish().unwrap();
         let placed: usize = run.packing.iter_bins().map(|(_, v)| v.len()).sum();
         assert_eq!(placed, N as usize);
         assert!(run.bins_opened() > 10_000, "history is still complete");
-    }
-
-    #[test]
-    fn out_of_order_ids_drain_into_watermark() {
-        // Ids arrive pairwise swapped (1,0,3,2,…): the overflow set holds
-        // at most the one id ahead of the watermark and drains as soon as
-        // the gap fills. Duplicate detection stays exact throughout.
-        let mut packer = FirstFit;
-        let mut s = StreamingSession::new(ClairvoyanceMode::Clairvoyant, &mut packer);
-        for pair in 0..500u32 {
-            let (hi, lo) = (2 * pair + 1, 2 * pair);
-            let t = pair as Time;
-            s.arrive(&Item::new(hi, Size::from_f64(0.1), t, t + 2))
-                .unwrap();
-            assert_eq!(s.dedupe_backlog(), 1, "hi id waits above the watermark");
-            assert_eq!(s.id_watermark(), lo);
-            s.arrive(&Item::new(lo, Size::from_f64(0.1), t, t + 2))
-                .unwrap();
-            assert_eq!(s.dedupe_backlog(), 0, "gap filled, backlog drains");
-            assert_eq!(s.id_watermark(), hi + 1);
-        }
-        // An id far below the watermark is rejected without any set entry.
-        let err = s.arrive(&Item::new(7, Size::HALF, 600, 610)).unwrap_err();
-        assert!(matches!(err, DbpError::DuplicateItemId { id: 7 }));
-        s.finish().unwrap();
     }
 
     fn feed<'p, P: PackerHandle<Demand = Size>>(
@@ -1369,6 +1287,26 @@ mod tests {
         let run = s.finish().unwrap();
         assert_eq!(run.bins[0].closed_at, 5, "record closed at failure time");
         assert_eq!(run.usage, 5 + 28);
+    }
+
+    #[test]
+    fn departed_and_displaced_ids_may_arrive_again() {
+        let mut packer = FirstFit;
+        let mut s = StreamingSession::new(ClairvoyanceMode::Clairvoyant, &mut packer);
+        s.arrive(&Item::new(0, Size::from_f64(0.4), 0, 2)).unwrap();
+        s.arrive(&Item::new(1, Size::from_f64(0.4), 1, 20)).unwrap();
+        s.advance_to(3).unwrap();
+        s.arrive(&Item::new(0, Size::from_f64(0.4), 3, 9)).unwrap();
+        assert_eq!(s.fail_bin(BinId(0), 4).unwrap().len(), 2);
+        // Item 1 returns with an earlier departure than the one the
+        // failure dropped, and leaves at the new time.
+        assert_eq!(
+            s.arrive(&Item::new(1, Size::from_f64(0.4), 5, 7)).unwrap(),
+            BinId(1)
+        );
+        let run = s.finish().unwrap();
+        assert_eq!(run.bins[1].closed_at, 7);
+        assert_eq!(run.usage, 4 + 2);
     }
 
     #[test]

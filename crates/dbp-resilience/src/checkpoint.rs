@@ -13,7 +13,7 @@
 //! ```json
 //! {"format":"dbp-checkpoint","version":1,"packer":"ff",
 //!  "packer_state":{"epoch":5},
-//!  "next_bin":3,"last_arrival":7,"watermark":4,"above":[6,9],
+//!  "next_bin":3,"last_arrival":7,"watermark":0,"above":[],
 //!  "open_bins":[{"id":0,"opened_at":0,"tag":0,
 //!                "items":[{"id":1,"size_raw":8388608,"departure":9}]}],
 //!  "records":[{"id":0,"opened_at":0,"closed_at":7,"tag":0,"items":[1]}],
@@ -21,6 +21,7 @@
 //! ```
 //!
 //! `last_arrival` and per-item `departure` use `null` for "absent".
+//! Version 1 keeps `watermark` and `above`; sessions ignore them.
 
 use dbp_core::online::{BinRecord, PackerState};
 use dbp_core::stream::{BinSnapshot, SessionSnapshot};

@@ -7,10 +7,12 @@
 //! already serialises every decision. That keeps the global invariants
 //! trivial to state:
 //!
-//! - **Exactly-once ids.** A dense id watermark plus an overflow set
-//!   records every decided job — placed *or* shed, because a shed is a
-//!   final admission-control decision. Clients resume after a crash by
-//!   reading the watermark from `status` and resubmitting from there.
+//! - **Exactly-once ids.** One [`IdLedger`] (a dense watermark plus an
+//!   overflow set) records every decided job — placed *or* shed,
+//!   because a shed is a final admission-control decision. It is the
+//!   only duplicate check: shard sessions keep no id history. Clients
+//!   resume after a crash by reading the watermark from `status` and
+//!   resubmitting from there.
 //! - **Global fleet cap.** The cap a shard sees on each placement is its
 //!   own open-bin count plus whatever headroom the whole fleet has left,
 //!   so the *sum* of open bins never exceeds the configured cap while
@@ -35,10 +37,10 @@ use crate::state::{
 use crate::wal::{self, DecisionFrame, FrameOutcome, FsyncPolicy, WalWriter};
 use dbp_bench::registry::{online_packer, AlgoParams, ONLINE_ALGOS};
 use dbp_core::stream::{Admission, OwnedSession};
-use dbp_core::{ClairvoyanceMode, DbpError, Item, Size, Time};
+use dbp_core::{ClairvoyanceMode, DbpError, IdLedger, Item, Size, Time};
 use dbp_shard::ShardRouter;
 use dbp_telemetry::Histogram;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -125,10 +127,8 @@ struct Core {
     /// One session per shard, each owning its packer.
     shards: Vec<OwnedSession>,
     last_arrival: Option<Time>,
-    /// Every id below this was decided (placed or shed).
-    watermark: u32,
-    /// Decided ids at or above the watermark.
-    above: HashSet<u32>,
+    /// Every decided id (placed or shed).
+    ids: IdLedger,
     placed: u64,
     shed: u64,
     rejected: u64,
@@ -161,18 +161,6 @@ impl Core {
     /// Open bins across the whole fleet.
     fn fleet_open_bins(&self) -> usize {
         self.shards.iter().map(OwnedSession::open_bins).sum()
-    }
-
-    fn is_decided(&self, id: u32) -> bool {
-        id < self.watermark || self.above.contains(&id)
-    }
-
-    /// Records a decided id and advances the dense watermark.
-    fn note_id(&mut self, id: u32) {
-        self.above.insert(id);
-        while self.above.remove(&self.watermark) {
-            self.watermark += 1;
-        }
     }
 
     /// The tenant's counters, looked up by `&str`: only a tenant's
@@ -290,8 +278,9 @@ impl Service {
         let mut core = Core {
             shards,
             last_arrival: ck.and_then(|ck| ck.last_arrival),
-            watermark: ck.map_or(0, |ck| ck.watermark),
-            above: ck.map_or_else(HashSet::new, |ck| ck.above.iter().copied().collect()),
+            ids: ck.map_or_else(IdLedger::new, |ck| {
+                IdLedger::restore(ck.watermark, &ck.above)
+            }),
             placed: ck.map_or(0, |ck| ck.placed),
             shed: ck.map_or(0, |ck| ck.shed),
             rejected: ck.map_or(0, |ck| ck.rejected),
@@ -452,7 +441,7 @@ impl Service {
                 Response::Status(StatusBody {
                     algo: self.cfg.algo.clone(),
                     shards: self.cfg.shards,
-                    watermark: core.watermark,
+                    watermark: core.ids.watermark(),
                     placed: core.placed,
                     shed: core.shed,
                     rejected: core.rejected,
@@ -547,7 +536,7 @@ impl Service {
                 detail,
             }
         };
-        if core.is_decided(s.job) {
+        if core.ids.contains(s.job) {
             return (
                 reject(
                     core,
@@ -605,7 +594,7 @@ impl Service {
         core.last_arrival = Some(s.arrival);
         // Both outcomes are final decisions: record the id either way so
         // a resumed client never replays them.
-        core.note_id(s.job);
+        core.ids.insert(s.job);
         core.decided_since_ckpt += 1;
         let out = match admission {
             Admission::Placed(bin) => {
@@ -781,8 +770,6 @@ impl Service {
             });
         }
         let sessions = core.shards.iter().map(OwnedSession::snapshot).collect();
-        let mut above: Vec<u32> = core.above.iter().copied().collect();
-        above.sort_unstable();
         let seq = core.ckpt_seq + 1;
         let ck = ServeCheckpoint {
             seq,
@@ -790,8 +777,8 @@ impl Service {
             router: self.cfg.router.name(),
             fleet_cap: self.cfg.fleet_cap.map(|c| c as u64),
             last_arrival: core.last_arrival,
-            watermark: core.watermark,
-            above,
+            watermark: core.ids.watermark(),
+            above: core.ids.above(),
             placed: core.placed,
             shed: core.shed,
             rejected: core.rejected,

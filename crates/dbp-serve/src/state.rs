@@ -229,7 +229,8 @@ pub fn decode(text: &str) -> Result<ServeCheckpoint, DbpError> {
     } else {
         return Err(bad("manifest field \"tenants\" missing or not an array"));
     }
-    let mut sessions = Vec::with_capacity(shards);
+    // Grown per line read: the count is untrusted input.
+    let mut sessions = Vec::new();
     for i in 0..shards {
         let line = lines
             .next()

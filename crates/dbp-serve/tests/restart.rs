@@ -1,11 +1,12 @@
 //! Restart semantics: kill-and-resume bit-identity, torn-checkpoint
 //! fallback, and config-fingerprint validation.
 
-use dbp_core::{DbpError, Size};
+use dbp_core::{DbpError, IdLedger, Size};
 use dbp_resilience::failpoint::FailGuard;
 use dbp_serve::protocol::{render_response, Request, Response, Submit};
 use dbp_serve::state::{checkpoint_file_name, read_serve_checkpoint, write_serve_checkpoint};
-use dbp_serve::{ServeConfig, Service};
+use dbp_serve::torture::torture_stream;
+use dbp_serve::{RejectReason, ServeConfig, Service};
 use std::path::{Path, PathBuf};
 
 fn fresh_dir(name: &str) -> PathBuf {
@@ -98,6 +99,128 @@ fn kill_and_restore_replays_bit_identically() {
     }
 }
 
+fn checkpoint(service: &Service) -> u64 {
+    match service.handle(&Request::Checkpoint) {
+        Response::Checkpointed { seq } => seq,
+        other => panic!("{other:?}"),
+    }
+}
+
+/// Every session line of a checkpoint file carries no id history.
+fn assert_sessions_hold_no_ids(text: &str) {
+    for line in text.lines().skip(1) {
+        assert!(
+            line.contains("\"watermark\":0,\"above\":[],"),
+            "{line:.300}"
+        );
+    }
+}
+
+/// Checkpoints written while shard sessions kept their own id ledgers
+/// list ids in each session line; a restore ignores them, and the
+/// resumed service answers exactly as an uninterrupted one.
+#[test]
+fn session_id_lists_in_an_old_checkpoint_are_ignored() {
+    let jobs = stream();
+    let reference: Vec<String> = {
+        let service = Service::start(cfg_with_dir(&fresh_dir("restart-v1-full"))).unwrap();
+        jobs.iter()
+            .map(|req| render_response(&service.handle(req)))
+            .collect()
+    };
+    let dir = fresh_dir("restart-v1-ids");
+    let seq = {
+        let service = Service::start(cfg_with_dir(&dir)).unwrap();
+        for req in &jobs[..137] {
+            service.handle(req);
+        }
+        checkpoint(&service)
+    };
+    let mut ck = read_serve_checkpoint(&dir.join(checkpoint_file_name(seq))).unwrap();
+    for snap in &mut ck.sessions {
+        let mut ids = IdLedger::new();
+        for id in snap.records.iter().flat_map(|r| &r.items) {
+            ids.insert(id.0);
+        }
+        (snap.watermark, snap.above) = (ids.watermark(), ids.above());
+        assert!(!snap.above.is_empty(), "hash routing leaves ids above");
+    }
+    write_serve_checkpoint(&dir, &ck).unwrap();
+
+    let service = Service::start(cfg_with_dir(&dir)).unwrap();
+    assert_eq!(service.restored_seq(), Some(seq));
+    let resumed: Vec<String> = jobs[137..]
+        .iter()
+        .map(|req| render_response(&service.handle(req)))
+        .collect();
+    assert_eq!(&resumed[..], &reference[137..]);
+    let seq = checkpoint(&service);
+    assert_sessions_hold_no_ids(
+        &std::fs::read_to_string(dir.join(checkpoint_file_name(seq))).unwrap(),
+    );
+}
+
+/// Shard sessions keep no id history, so under hash routing a K=2
+/// checkpoint's session lines list no ids and cost what K=1's do.
+#[test]
+fn sharded_checkpoints_hold_no_per_shard_id_history() {
+    let jobs = torture_stream(20_000);
+    let bytes_per_job = |shards: usize| {
+        let dir = fresh_dir(&format!("restart-ids-k{shards}"));
+        let mut cfg = ServeConfig::new(shards, "first-fit");
+        cfg.checkpoint_dir = Some(dir.clone());
+        cfg.checkpoint_every = 1_000_000;
+        let service = Service::start(cfg).unwrap();
+        service.handle_batch(&jobs);
+        let path = dir.join(checkpoint_file_name(checkpoint(&service)));
+        let text = std::fs::read_to_string(path).unwrap();
+        assert_sessions_hold_no_ids(&text);
+        text.len() as f64 / jobs.len() as f64
+    };
+    let (k1, k2) = (bytes_per_job(1), bytes_per_job(2));
+    assert!(
+        (k2 - k1).abs() <= 0.05 * k1,
+        "K=2: {k2:.1} B/job, K=1: {k1:.1}"
+    );
+}
+
+/// The watermark cannot absorb `u32::MAX`: once every lower id is
+/// decided, deciding it keeps it above the watermark, and it stays a
+/// duplicate like every lower id.
+#[test]
+fn the_largest_job_id_is_decided_once() {
+    let dir = fresh_dir("restart-max-id");
+    let seq = checkpoint(&Service::start(cfg_with_dir(&dir)).unwrap());
+    let mut ck = read_serve_checkpoint(&dir.join(checkpoint_file_name(seq))).unwrap();
+    ck.watermark = u32::MAX - 1;
+    write_serve_checkpoint(&dir, &ck).unwrap();
+    let service = Service::start(cfg_with_dir(&dir)).unwrap();
+    let submit = |job: u32| {
+        Request::Submit(Submit {
+            tenant: "t".into(),
+            job,
+            size: None,
+            size_raw: Some(Size::from_f64(0.1).raw()),
+            arrival: 0,
+            departure: 10,
+        })
+    };
+    for job in [u32::MAX - 1, u32::MAX] {
+        let resp = service.handle(&submit(job));
+        assert!(matches!(resp, Response::Placed { .. }), "{resp:?}");
+    }
+    for job in [u32::MAX, 5] {
+        match service.handle(&submit(job)) {
+            Response::Rejected { reason, .. } => assert_eq!(reason, RejectReason::DuplicateJob),
+            other => panic!("job {job}: {other:?}"),
+        }
+    }
+    match service.handle(&Request::Status) {
+        Response::Status(s) => assert_eq!(s.watermark, u32::MAX),
+        other => panic!("{other:?}"),
+    }
+}
+
 #[test]
 fn torn_newest_checkpoint_falls_back_to_the_previous_good_one() {
     // Tear the newest checkpoint mid-file, as a crash mid-write would.
@@ -110,6 +233,17 @@ fn torn_newest_checkpoint_falls_back_to_the_previous_good_one() {
 fn deeply_nested_newest_checkpoint_falls_back_instead_of_aborting() {
     damaged_newest_checkpoint_falls_back("restart-nested", |_| {
         format!("{}\n", "[".repeat(100_000)).into_bytes()
+    });
+}
+
+/// Regression: the manifest's shard count sized an allocation before any
+/// session line was read, so a crafted count aborted the boot.
+#[test]
+fn a_crafted_shard_count_falls_back_instead_of_aborting() {
+    damaged_newest_checkpoint_falls_back("restart-shards", |bytes| {
+        let text = String::from_utf8(bytes.to_vec()).unwrap();
+        let crafted = format!("\"shards\":{}", u64::MAX / 2);
+        text.replacen("\"shards\":2", &crafted, 1).into_bytes()
     });
 }
 

@@ -18,8 +18,9 @@
 //!   (temp file + fsync + rename + directory fsync), restored
 //!   newest-good-first so torn files fall back instead of failing the
 //!   boot.
-//! - [`wal`] — the write-ahead decision log: CRC-checked frames,
-//!   per-stream segments rotated at checkpoints, torn-tail-tolerant
+//! - [`wal`] — the write-ahead decision log: CRC-checked frames of
+//!   every shard in one segment sequence rotated at checkpoints, one
+//!   `write` and one `fdatasync` per read batch, torn-tail-tolerant
 //!   recovery. With a WAL, restart = newest good checkpoint + replay,
 //!   and acknowledged decisions survive `kill -9`.
 //! - [`torture`] — the deterministic crash-point harness: injects an

@@ -4,9 +4,9 @@
 //! request). Per-tenant job outcomes share one `dbp_serve_jobs_total`
 //! counter family with `tenant` and `outcome` labels; fleet totals,
 //! per-shard open-bin gauges, the checkpoint and decision cursors, the
-//! submit batch-size histogram, the placement, WAL-append and
-//! WAL-commit latency histograms, and the boot-recovery scalars ride
-//! along. Histogram buckets come from
+//! submit batch-size histogram, the WAL's frame, byte and sync
+//! counters, the placement, WAL-append and WAL-commit latency
+//! histograms, and the boot-recovery scalars ride along. Histogram buckets come from
 //! [`dbp_telemetry::prom::render_histogram`], so the serving layer's
 //! latency series has the exact same bucket layout as the bench
 //! harness's — dashboards can overlay them directly.
@@ -20,13 +20,15 @@ use std::fmt::Write as _;
 
 /// The write-ahead-log slice of the exposition.
 pub struct WalView<'a> {
-    /// Frames appended since boot.
+    /// Frames written since boot.
     pub frames: u64,
-    /// Bytes appended since boot (segment headers included).
+    /// Bytes written since boot (segment headers included).
     pub bytes: u64,
-    /// Per-frame append latency (encode + write, no sync).
+    /// Data syncs and directory syncs issued since boot.
+    pub syncs: u64,
+    /// Per-frame latency of encoding into the commit buffer (no IO).
     pub append_ns: &'a Histogram,
-    /// Per-batch commit latency (the policy sync).
+    /// Per-batch commit latency (the write plus the policy sync).
     pub commit_ns: &'a Histogram,
 }
 
@@ -141,20 +143,25 @@ pub fn render_metrics(v: &MetricsView<'_>) -> String {
                 "WAL bytes appended since boot",
                 wal.bytes,
             ),
+            (
+                "dbp_serve_wal_syncs_total",
+                "WAL data syncs and directory syncs issued since boot",
+                wal.syncs,
+            ),
         ] {
             render_counter(&mut out, name, help, &algo_label, value);
         }
         render_histogram(
             &mut out,
             "dbp_serve_wal_append_ns",
-            "Wall-clock nanoseconds per WAL frame append (encode + write, no sync)",
+            "Wall-clock nanoseconds per WAL frame encoded into the commit buffer (no write, no sync)",
             &[("algo", v.algo)],
             wal.append_ns,
         );
         render_histogram(
             &mut out,
             "dbp_serve_wal_commit_ns",
-            "Wall-clock nanoseconds per WAL batch commit (the fsync policy's sync)",
+            "Wall-clock nanoseconds per WAL batch commit (the batch's one write plus the fsync policy's sync)",
             &[("algo", v.algo)],
             wal.commit_ns,
         );
@@ -285,6 +292,7 @@ mod tests {
             wal: Some(WalView {
                 frames: 17,
                 bytes: 2_048,
+                syncs: 3,
                 append_ns: &append,
                 commit_ns: &commit,
             }),
@@ -292,6 +300,8 @@ mod tests {
         });
         assert!(text.contains("dbp_serve_wal_frames_total{algo=\"first-fit\"} 17"));
         assert!(text.contains("dbp_serve_wal_bytes_total{algo=\"first-fit\"} 2048"));
+        assert!(text.contains("# TYPE dbp_serve_wal_syncs_total counter"));
+        assert!(text.contains("dbp_serve_wal_syncs_total{algo=\"first-fit\"} 3"));
         assert!(text.contains("dbp_serve_wal_append_ns_count{algo=\"first-fit\"} 2"));
         assert!(text.contains("# TYPE dbp_serve_wal_commit_ns histogram"));
         assert!(text.contains("dbp_serve_wal_commit_ns_count{algo=\"first-fit\"} 1"));

@@ -144,16 +144,17 @@ struct Core {
     /// Wall-clock placement latency; observability only — never
     /// checkpointed, so it cannot perturb deterministic restarts.
     place_ns: Histogram,
-    /// WAL frame latency (encode + write, no sync); observability only.
+    /// WAL frame latency (encoding into the commit buffer, no IO);
+    /// observability only.
     wal_append_ns: Histogram,
-    /// WAL commit latency (the policy sync), one sample per batch that
-    /// wrote frames; observability only.
+    /// WAL commit latency (the batch's write plus the policy sync), one
+    /// sample per batch that logged frames; observability only.
     wal_commit_ns: Histogram,
     /// Submissions per [`Service::handle_batch`] call; observability
     /// only.
     submit_batch_size: Histogram,
-    /// A shard's packer error (or a WAL write or commit failure)
-    /// poisons the whole service.
+    /// A shard's packer error (or a WAL commit failure) poisons the
+    /// whole service.
     failed: Option<DbpError>,
 }
 
@@ -484,6 +485,7 @@ impl Service {
                         wal: core.wal.as_ref().map(|w| crate::metrics::WalView {
                             frames: w.frames_appended(),
                             bytes: w.bytes_appended(),
+                            syncs: w.syncs(),
                             append_ns: &core.wal_append_ns,
                             commit_ns: &core.wal_commit_ns,
                         }),
@@ -646,14 +648,15 @@ impl Service {
     /// Decides a batch of submissions in order under one acquisition of
     /// the coordinator lock, and returns one response per submission.
     ///
-    /// Each decision's WAL frame is written as it is made; one
-    /// [`WalWriter::commit`] then applies the fsync policy to the whole
-    /// batch, still under the lock, so no connection observes a
-    /// decision (through its ack, `status` or a later decision) before
-    /// it is as durable as the policy promises. Auto-checkpoints fire
-    /// at the same decision counts as one-at-a-time handling, mid-batch
-    /// included. A failed write or commit fails the service and turns
-    /// every response whose frame it left uncovered into an error.
+    /// Each decision's WAL frame is encoded into the writer's commit
+    /// buffer as it is made; one [`WalWriter::commit`] then writes the
+    /// whole batch and applies the fsync policy to it, still under the
+    /// lock, so no connection observes a decision (through its ack,
+    /// `status` or a later decision) before it is as durable as the
+    /// policy promises. Auto-checkpoints fire at the same decision
+    /// counts as one-at-a-time handling, mid-batch included. A failed
+    /// commit fails the service and turns every response whose frame it
+    /// left uncovered into an error.
     pub fn handle_batch(&self, batch: &[Submit]) -> Vec<Response> {
         let mut core = match self.lock_core() {
             Ok(core) => core,
@@ -679,32 +682,11 @@ impl Service {
                 continue;
             };
             let seq = core.decision_seq + 1;
-            if core.wal.is_some() {
-                let frame = DecisionFrame {
-                    seq,
-                    stream: routed.unwrap_or(self.cfg.shards) as u32,
-                    tenant: s.tenant.clone(),
-                    job: s.job,
-                    size_is_raw: s.size_raw.is_some(),
-                    size_bits: match s.size_raw {
-                        Some(raw) => raw,
-                        None => f64::to_bits(s.size.unwrap_or(0.0)),
-                    },
-                    arrival: s.arrival,
-                    departure: s.departure,
-                    outcome,
-                };
+            if let Some(wal) = core.wal.as_mut() {
+                let stream = routed.unwrap_or(self.cfg.shards) as u32;
                 let wal_start = Instant::now();
-                let written = core.wal.as_mut().expect("checked above").write(&frame);
+                wal.push(&DecisionFrame::of_submit(seq, stream, s, outcome));
                 core.wal_append_ns.record(nanos_since(wal_start));
-                if let Err(e) = written {
-                    out.push(resp);
-                    let from = *uncovered.get_or_insert(out.len() - 1);
-                    let what = format!("WAL write for decision {seq} (job {}) failed: {e}", s.job);
-                    Self::fail_uncovered(&mut core, &mut out[from..], what);
-                    uncovered = None;
-                    continue;
-                }
                 uncovered.get_or_insert(out.len());
             }
             core.decision_seq = seq;
@@ -741,8 +723,8 @@ impl Service {
         out
     }
 
-    /// Fails the service after a WAL write or commit error: the
-    /// in-memory decisions exist but cannot be made durable, so none of
+    /// Fails the service after a WAL commit error: the in-memory
+    /// decisions exist but cannot be made durable, so none of
     /// `uncovered` may be acknowledged — a restart could forget them.
     fn fail_uncovered(core: &mut Core, uncovered: &mut [Response], what: String) {
         let err = DbpError::Internal { what };

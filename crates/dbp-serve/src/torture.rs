@@ -28,9 +28,13 @@
 //! Error injection models a dying disk, not lost page cache: an
 //! in-process "crash" keeps bytes that were written but not synced, so
 //! the sweep proves IO-failure handling plus recovery correctness for
-//! every prefix. The *kill-grade* claim — unsynced bytes actually
-//! vanish — is covered by the subprocess `DBP_CRASH_AT_IO` abort mode
-//! (a real `SIGABRT` mid-stream) driven from CI's torture-smoke job.
+//! every prefix. The subprocess `DBP_CRASH_AT_IO` abort mode (a real
+//! `SIGABRT` mid-stream, driven from CI's torture-smoke job) adds a
+//! whole-process death at a chosen IO op: no destructor, final sync or
+//! checkpoint runs, acks in flight die with the socket, and a fresh
+//! process must recover from the files alone. It does not model power
+//! loss: the kernel keeps every byte already written, synced or not,
+//! so neither mode can show that an unsynced byte vanishes.
 
 use crate::protocol::{render_response, RejectReason, Request, Response, Submit};
 use crate::service::{ServeConfig, Service};
@@ -150,9 +154,10 @@ fn watermark_of(service: &Service) -> Result<u32, String> {
 }
 
 /// Read-batch sizes [`drive`] cycles through, so the crash-point space
-/// includes a crash between two frame writes of one batch, between a
-/// batch's last write and its commit, and inside a checkpoint that
-/// fires mid-batch.
+/// includes a crash at a batch's one write, between that write and its
+/// sync, at a new segment's directory fsync, and inside a checkpoint
+/// that fires mid-batch (at the write and sync of the frames it
+/// closes).
 pub const BATCH_CYCLE: [usize; 5] = [1, 2, 3, 5, 8];
 
 /// Runs `jobs` through [`Service::handle_batch`] in batches of

@@ -1,9 +1,9 @@
-//! The write-ahead decision log: checksummed frames, segment files,
-//! torn-tail-tolerant recovery.
+//! The write-ahead decision log: checksummed frames in one segment
+//! sequence, torn-tail-tolerant recovery.
 //!
 //! Every admission decision the service makes — placed, shed, or a
-//! typed reject — is appended to a per-stream segment file *before* the
-//! response is externalized, as one length-prefixed frame:
+//! typed reject — is logged *before* the response is externalized, as
+//! one length-prefixed frame:
 //!
 //! ```text
 //! [u32 payload_len][u32 crc32(payload)][payload]
@@ -16,21 +16,32 @@
 //! verifies that and refuses to boot on a divergence rather than serve
 //! a state that disagrees with what clients were told.
 //!
-//! **Streams.** Engine-routed decisions log to stream *s* (the routed
-//! shard); submissions rejected before routing (duplicate, out-of-order,
-//! invalid) log to the coordinator stream (index = shard count). Frames
-//! are merged by sequence number at recovery, so the per-stream split is
-//! purely an IO-parallelism/rotation concern.
+//! **One log.** A frame records its stream: the routed shard, or the
+//! coordinator stream (index = shard count) for submissions rejected
+//! before routing (duplicate, out-of-order, invalid). Frames of every
+//! stream go into one segment sequence, in decision order. The writer
+//! encodes each decision into a reused commit buffer; a commit hands
+//! the whole read batch to the kernel in one `write` and, under
+//! [`FsyncPolicy::Always`], makes it durable with one `fdatasync`,
+//! whatever the shard count.
 //!
-//! **Segments.** Each stream appends to a segment file named
-//! `wal-<stream>-<first_seq>.wal` whose name records the first sequence
-//! number written to it. Rotation (triggered by every durable
-//! checkpoint) closes the current segments; the next append opens a
-//! fresh one. Because a segment's name equals its first frame's
-//! sequence and frames only ever disappear from the *end* (tail
-//! truncation), `successor.first_seq <= floor + 1` proves every frame
-//! in the predecessor is `<= floor` — which makes pruning old segments
-//! a pure file-name computation, no content reads.
+//! **Segments.** A segment is named `wal-<first_seq>.wal` after the
+//! first sequence written to it; its header records the stream count
+//! and the checkpoint floor. Rotation (triggered by every durable
+//! checkpoint) closes the current segment; the next write opens a fresh
+//! one, and the first sync that covers it fsyncs the directory too, so
+//! the new file's entry is as durable as its frames. Because a
+//! segment's name equals its first frame's sequence and frames only
+//! ever disappear from the *end* (tail truncation),
+//! `successor.first_seq <= floor + 1` proves every frame in the
+//! predecessor is `<= floor` — which makes pruning old segments a pure
+//! file-name computation, no content reads.
+//!
+//! **Older logs.** Builds before the one log kept one segment sequence
+//! per stream (`wal-<stream>-<first_seq>.wal`, magic [`WAL_MAGIC_V1`],
+//! the stream in the header). Recovery still reads them; the writer
+//! never appends to them, and pruning deletes them once the one log
+//! alone reaches the floor.
 //!
 //! **Recovery.** [`recover_wal`] scans every segment, stops each file at
 //! the first torn or checksum-failing frame, merges the survivors by
@@ -47,12 +58,16 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use crate::protocol::RejectReason;
+use crate::protocol::{RejectReason, Submit};
 use dbp_resilience::failpoint;
 
 /// Magic bytes opening every segment file.
-pub const WAL_MAGIC: &[u8; 8] = b"DBPWAL1\n";
-/// Segment header length: magic + stream + first_seq + ckpt_seq.
+pub const WAL_MAGIC: &[u8; 8] = b"DBPWAL2\n";
+/// Magic of the per-stream segments older builds wrote; recovery still
+/// reads them.
+pub const WAL_MAGIC_V1: &[u8; 8] = b"DBPWAL1\n";
+/// Segment header length: magic + stream count (in an older per-stream
+/// segment, its stream) + first_seq + ckpt_seq.
 pub const WAL_HEADER_LEN: u64 = 8 + 4 + 8 + 8;
 /// Upper bound on a frame payload; anything larger is torn garbage.
 pub const MAX_FRAME_LEN: u32 = 1 << 20;
@@ -100,13 +115,13 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// When appended frames are flushed to stable storage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// `fdatasync` every dirty segment at each commit, before any
-    /// decision the commit covers is acknowledged; an acknowledged
-    /// decision survives `kill -9` and power loss.
+    /// One `fdatasync` at each commit, before any decision the commit
+    /// covers is acknowledged; an acknowledged decision survives
+    /// `kill -9` and power loss.
     Always,
-    /// Sync all dirty segments at most every this-many milliseconds; a
-    /// crash can lose at most the last window of acknowledged decisions
-    /// (clients resubmit them from the watermark).
+    /// Sync the log at most every this-many milliseconds; a crash can
+    /// lose at most the last window of acknowledged decisions (clients
+    /// resubmit them from the watermark).
     Interval(u64),
     /// Never sync explicitly; durability is whatever the OS page cache
     /// got around to. Fastest, weakest.
@@ -186,15 +201,17 @@ fn reason_from_code(c: u8) -> Option<RejectReason> {
 }
 
 /// One logged decision: the submission that caused it plus the outcome.
+/// The tenant is owned in a decoded frame and borrowed from the
+/// submission in one the service logs ([`DecisionFrame::of_submit`]).
 #[derive(Clone, Debug, PartialEq)]
-pub struct DecisionFrame {
+pub struct DecisionFrame<T = String> {
     /// Global decision sequence number (1-based, dense).
     pub seq: u64,
-    /// The stream (routed shard, or shard-count for coordinator rejects)
-    /// this frame was appended to.
+    /// The stream: the routed shard, or shard-count for coordinator
+    /// rejects.
     pub stream: u32,
     /// Tenant label, echoed from the submission.
-    pub tenant: String,
+    pub tenant: T,
     /// Job id.
     pub job: u32,
     /// True when `size_bits` is the exact fixed-point raw size; false
@@ -210,10 +227,31 @@ pub struct DecisionFrame {
     pub outcome: FrameOutcome,
 }
 
+impl<'a> DecisionFrame<&'a str> {
+    /// The frame logging decision `seq` of `s` on `stream`, its tenant
+    /// borrowed from `s`.
+    pub fn of_submit(seq: u64, stream: u32, s: &'a Submit, outcome: FrameOutcome) -> Self {
+        DecisionFrame {
+            seq,
+            stream,
+            tenant: &s.tenant,
+            job: s.job,
+            size_is_raw: s.size_raw.is_some(),
+            size_bits: match s.size_raw {
+                Some(raw) => raw,
+                None => f64::to_bits(s.size.unwrap_or(0.0)),
+            },
+            arrival: s.arrival,
+            departure: s.departure,
+            outcome,
+        }
+    }
+}
+
 impl DecisionFrame {
     /// Reconstructs the submission this frame recorded, for replay.
-    pub fn to_submit(&self) -> crate::protocol::Submit {
-        crate::protocol::Submit {
+    pub fn to_submit(&self) -> Submit {
+        Submit {
             tenant: self.tenant.clone(),
             job: self.job,
             size: if self.size_is_raw {
@@ -236,8 +274,33 @@ impl DecisionFrame {
 const FRAME_VERSION: u8 = 1;
 
 /// Encodes a frame payload (without the length/CRC prefix).
-pub fn encode_payload(f: &DecisionFrame) -> Vec<u8> {
-    let mut p = Vec::with_capacity(64 + f.tenant.len());
+pub fn encode_payload<T: AsRef<str>>(f: &DecisionFrame<T>) -> Vec<u8> {
+    let mut p = Vec::new();
+    encode_payload_into(&mut p, f);
+    p
+}
+
+/// Encodes a full frame: `[len][crc][payload]`.
+pub fn encode_frame<T: AsRef<str>>(f: &DecisionFrame<T>) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_frame_into(&mut out, f);
+    out
+}
+
+/// Appends `f` as one full frame to `out`: the encoder of the writer's
+/// commit buffer, which [`encode_frame`] wraps.
+fn encode_frame_into<T: AsRef<str>>(out: &mut Vec<u8>, f: &DecisionFrame<T>) {
+    let start = out.len();
+    out.extend_from_slice(&[0; 8]);
+    encode_payload_into(out, f);
+    let payload = &out[start + 8..];
+    let (len, crc) = (payload.len() as u32, crc32(payload));
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Appends `f`'s payload to `p`.
+fn encode_payload_into<T: AsRef<str>>(p: &mut Vec<u8>, f: &DecisionFrame<T>) {
     p.push(FRAME_VERSION);
     p.extend_from_slice(&f.seq.to_le_bytes());
     p.extend_from_slice(&f.stream.to_le_bytes());
@@ -263,20 +326,9 @@ pub fn encode_payload(f: &DecisionFrame) -> Vec<u8> {
             p.extend_from_slice(&0u32.to_le_bytes());
         }
     }
-    let tenant = f.tenant.as_bytes();
+    let tenant = f.tenant.as_ref().as_bytes();
     p.extend_from_slice(&(tenant.len() as u32).to_le_bytes());
     p.extend_from_slice(tenant);
-    p
-}
-
-/// Encodes a full frame: `[len][crc][payload]`.
-pub fn encode_frame(f: &DecisionFrame) -> Vec<u8> {
-    let payload = encode_payload(f);
-    let mut out = Vec::with_capacity(8 + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
 }
 
 struct Cursor<'a> {
@@ -362,83 +414,109 @@ pub fn decode_payload(payload: &[u8]) -> Result<DecisionFrame, DbpError> {
     })
 }
 
-/// The canonical segment file name for `stream` starting at `first_seq`.
-pub fn segment_file_name(stream: u32, first_seq: u64) -> String {
-    format!("wal-{stream:03}-{first_seq:020}.wal")
+/// The canonical name of the segment whose first frame is `first_seq`.
+pub fn segment_file_name(first_seq: u64) -> String {
+    format!("wal-{first_seq:020}.wal")
 }
 
-/// Parses a segment file name back to `(stream, first_seq)`.
-pub fn parse_segment_name(name: &str) -> Option<(u32, u64)> {
+/// Parses a segment file name back to `(stream, first_seq)`: the
+/// stream is `None` for a one-log segment and `Some` for a per-stream
+/// segment an older build wrote (`wal-<stream>-<first_seq>.wal`).
+pub fn parse_segment_name(name: &str) -> Option<(Option<u32>, u64)> {
     let rest = name.strip_prefix("wal-")?.strip_suffix(".wal")?;
-    let (stream, first) = rest.split_once('-')?;
-    Some((stream.parse().ok()?, first.parse().ok()?))
+    match rest.split_once('-') {
+        None => Some((None, rest.parse().ok()?)),
+        Some((stream, first)) => Some((Some(stream.parse().ok()?), first.parse().ok()?)),
+    }
 }
 
-fn encode_header(stream: u32, first_seq: u64, ckpt_seq: u64) -> [u8; WAL_HEADER_LEN as usize] {
+fn encode_header(n_streams: u32, first_seq: u64, ckpt_seq: u64) -> [u8; WAL_HEADER_LEN as usize] {
     let mut h = [0u8; WAL_HEADER_LEN as usize];
     h[..8].copy_from_slice(WAL_MAGIC);
-    h[8..12].copy_from_slice(&stream.to_le_bytes());
+    h[8..12].copy_from_slice(&n_streams.to_le_bytes());
     h[12..20].copy_from_slice(&first_seq.to_le_bytes());
     h[20..28].copy_from_slice(&ckpt_seq.to_le_bytes());
     h
 }
 
-struct StreamState {
-    /// Open segment: the file handle plus its path (prune skips it).
-    current: Option<(File, PathBuf)>,
-    /// Checkpoint sequence stamped into the next segment's header.
-    pending_ckpt: u64,
-    /// Unsynced appends exist.
+/// The segment the writer appends to.
+struct OpenSegment {
+    file: File,
+    /// Its path, which prune skips.
+    path: PathBuf,
+    /// Written frames exist that no sync has covered yet.
     dirty: bool,
+    /// The directory has been fsynced since this file was opened, so
+    /// its entry survives power loss.
+    entry_durable: bool,
 }
 
-/// The append side of the WAL: one lazily created segment per stream.
+/// The append side of the WAL: one segment at a time, fed from a commit
+/// buffer.
 pub struct WalWriter {
     dir: PathBuf,
     policy: FsyncPolicy,
-    streams: Vec<StreamState>,
+    n_streams: u32,
+    /// `None` until the next write opens a segment.
+    segment: Option<OpenSegment>,
+    /// Checkpoint sequence stamped into the next segment's header.
+    pending_ckpt: u64,
+    /// Frames encoded since the last write, in sequence order.
+    buf: Vec<u8>,
+    /// Frames in `buf`, and the sequence of its first one (which names
+    /// the segment a write opens for it).
+    buf_frames: u64,
+    buf_first_seq: u64,
     last_sync: Instant,
     frames: u64,
     bytes: u64,
+    syncs: u64,
 }
 
 impl WalWriter {
-    /// Opens a writer over `dir` with `n_streams` streams. Existing
+    /// Opens a writer over `dir` for `n_streams` streams. Existing
     /// segments are left untouched (recovery already truncated them);
-    /// every stream starts a fresh segment on its first append, stamped
-    /// with `ckpt_anchor`.
+    /// the first write starts a fresh segment stamped with
+    /// `ckpt_anchor`.
     pub fn open(
         dir: &Path,
         n_streams: usize,
         ckpt_anchor: u64,
         policy: FsyncPolicy,
     ) -> std::io::Result<WalWriter> {
+        let n_streams = u32::try_from(n_streams)
+            .map_err(|_| std::io::Error::other(format!("{n_streams} WAL streams overflow u32")))?;
         failpoint::io_op("wal_mkdir")?;
         std::fs::create_dir_all(dir)?;
         Ok(WalWriter {
             dir: dir.to_path_buf(),
             policy,
-            streams: (0..n_streams)
-                .map(|_| StreamState {
-                    current: None,
-                    pending_ckpt: ckpt_anchor,
-                    dirty: false,
-                })
-                .collect(),
+            n_streams,
+            segment: None,
+            pending_ckpt: ckpt_anchor,
+            buf: Vec::new(),
+            buf_frames: 0,
+            buf_first_seq: 0,
             last_sync: Instant::now(),
             frames: 0,
             bytes: 0,
+            syncs: 0,
         })
     }
 
-    /// Frames appended through this writer.
+    /// Frames written through this writer.
     pub fn frames_appended(&self) -> u64 {
         self.frames
     }
 
-    /// Bytes appended through this writer (headers included).
+    /// Bytes written through this writer (headers included).
     pub fn bytes_appended(&self) -> u64 {
         self.bytes
+    }
+
+    /// Data syncs and directory syncs this writer issued.
+    pub fn syncs(&self) -> u64 {
+        self.syncs
     }
 
     /// The configured fsync policy.
@@ -446,27 +524,81 @@ impl WalWriter {
         self.policy
     }
 
-    /// Appends one frame and commits it: [`WalWriter::write`] then
+    /// Appends one frame and commits it: [`WalWriter::push`] then
     /// [`WalWriter::commit`]. On success under [`FsyncPolicy::Always`]
     /// the frame is on stable storage when this returns.
-    pub fn append(&mut self, frame: &DecisionFrame) -> std::io::Result<()> {
-        self.write(frame)?;
+    pub fn append<T: AsRef<str>>(&mut self, frame: &DecisionFrame<T>) -> std::io::Result<()> {
+        self.push(frame);
         self.commit()
     }
 
-    /// Writes one frame to its stream's segment without syncing it; the
-    /// next [`WalWriter::commit`] (or rotation) makes it durable.
-    pub fn write(&mut self, frame: &DecisionFrame) -> std::io::Result<()> {
-        let idx = frame.stream as usize;
-        let n_streams = self.streams.len();
-        let st = self.streams.get_mut(idx).ok_or_else(|| {
-            std::io::Error::other(format!(
-                "frame stream {} out of range (writer has {n_streams} streams)",
-                frame.stream
-            ))
-        })?;
-        if st.current.is_none() {
-            let path = self.dir.join(segment_file_name(frame.stream, frame.seq));
+    /// Encodes one frame into the commit buffer. No IO: the next
+    /// [`WalWriter::commit`] (or sync, or rotation) writes it.
+    pub fn push<T: AsRef<str>>(&mut self, frame: &DecisionFrame<T>) {
+        debug_assert!(frame.stream < self.n_streams, "frame stream out of range");
+        if self.buf.is_empty() {
+            self.buf_first_seq = frame.seq;
+        }
+        encode_frame_into(&mut self.buf, frame);
+        self.buf_frames += 1;
+    }
+
+    /// Writes the buffered frames and applies the fsync policy: under
+    /// [`FsyncPolicy::Always`] one `fdatasync`, so on success every
+    /// pushed frame is on stable storage. Every policy hands the frames
+    /// to the kernel, so they survive the process's death.
+    pub fn commit(&mut self) -> std::io::Result<()> {
+        match self.policy {
+            FsyncPolicy::Always => self.sync(),
+            FsyncPolicy::Interval(ms) if self.last_sync.elapsed().as_millis() >= u128::from(ms) => {
+                self.sync()
+            }
+            FsyncPolicy::Interval(_) | FsyncPolicy::Never => self.write(),
+        }
+    }
+
+    /// Writes the buffered frames and syncs the open segment now.
+    pub fn sync(&mut self) -> std::io::Result<()> {
+        self.write()?;
+        self.sync_segment("wal_fsync")?;
+        self.last_sync = Instant::now();
+        Ok(())
+    }
+
+    /// Rotates after checkpoint `ckpt_seq` became durable: writes and
+    /// syncs the buffered frames, then closes the segment; the next
+    /// write starts a fresh one. The segment closes even when this
+    /// fails, since the checkpoint already covers every frame in it.
+    pub fn rotate(&mut self, ckpt_seq: u64) -> std::io::Result<()> {
+        self.pending_ckpt = ckpt_seq;
+        let synced = self
+            .write()
+            .and_then(|()| self.sync_segment("wal_rotate_sync"));
+        self.segment = None;
+        synced
+    }
+
+    /// Hands the commit buffer to the kernel in one `write`, opening a
+    /// segment named after its first frame when none is open. A failed
+    /// write may leave a torn prefix of the buffer in the file, so it
+    /// closes the segment (recovery cuts the torn tail, and nothing may
+    /// follow it) and drops the buffer.
+    fn write(&mut self) -> std::io::Result<()> {
+        if self.buf.is_empty() {
+            return Ok(());
+        }
+        let written = self.write_buffer();
+        if written.is_err() {
+            self.segment = None;
+        }
+        self.buf.clear();
+        self.buf_frames = 0;
+        written
+    }
+
+    fn write_buffer(&mut self) -> std::io::Result<()> {
+        if self.segment.is_none() {
+            let path = self.dir.join(segment_file_name(self.buf_first_seq));
             failpoint::io_op("wal_open")?;
             let file = OpenOptions::new().create(true).append(true).open(&path)?;
             // A crash can leave a header-only segment whose first seq is
@@ -474,98 +606,80 @@ impl WalWriter {
             // so only write the header into an empty file.
             if file.metadata()?.len() == 0 {
                 failpoint::io_op("wal_header")?;
-                let header = encode_header(frame.stream, frame.seq, st.pending_ckpt);
+                let header = encode_header(self.n_streams, self.buf_first_seq, self.pending_ckpt);
                 (&file).write_all(&header)?;
-                self.bytes += header.len() as u64;
+                self.bytes += WAL_HEADER_LEN;
             }
-            st.current = Some((file, path));
+            self.segment = Some(OpenSegment {
+                file,
+                path,
+                dirty: false,
+                entry_durable: false,
+            });
         }
-        let buf = encode_frame(frame);
+        let seg = self.segment.as_mut().expect("segment opened above");
         failpoint::io_op("wal_append")?;
-        let (file, _) = st.current.as_mut().expect("segment opened above");
-        file.write_all(&buf)?;
-        st.dirty = true;
-        self.frames += 1;
-        self.bytes += buf.len() as u64;
+        seg.file.write_all(&self.buf)?;
+        seg.dirty = true;
+        self.frames += self.buf_frames;
+        self.bytes += self.buf.len() as u64;
         Ok(())
     }
 
-    /// Applies the fsync policy to every frame written since the last
-    /// commit: under [`FsyncPolicy::Always`] one `fdatasync` per dirty
-    /// segment, so on success every written frame is on stable storage.
-    pub fn commit(&mut self) -> std::io::Result<()> {
-        match self.policy {
-            FsyncPolicy::Always => self.sync(),
-            FsyncPolicy::Interval(ms) if self.last_sync.elapsed().as_millis() >= u128::from(ms) => {
-                self.sync()
-            }
-            FsyncPolicy::Interval(_) | FsyncPolicy::Never => Ok(()),
+    /// Makes the open segment's written frames durable. The first sync
+    /// of a segment fsyncs the directory first, so the file's entry is
+    /// as durable as its frames — except under [`FsyncPolicy::Never`],
+    /// which promises nothing past a process crash.
+    fn sync_segment(&mut self, point: &'static str) -> std::io::Result<()> {
+        let Some(seg) = self.segment.as_mut().filter(|s| s.dirty) else {
+            return Ok(());
+        };
+        if !seg.entry_durable && self.policy != FsyncPolicy::Never {
+            failpoint::io_op("wal_dir_fsync")?;
+            File::open(&self.dir)?.sync_all()?;
+            self.syncs += 1;
+            seg.entry_durable = true;
         }
-    }
-
-    /// Syncs every dirty segment now.
-    pub fn sync(&mut self) -> std::io::Result<()> {
-        for st in &mut self.streams {
-            if st.dirty {
-                if let Some((file, _)) = st.current.as_mut() {
-                    failpoint::io_op("wal_fsync")?;
-                    file.sync_data()?;
-                }
-                st.dirty = false;
-            }
-        }
-        self.last_sync = Instant::now();
-        Ok(())
-    }
-
-    /// Rotates after checkpoint `ckpt_seq` became durable: syncs and
-    /// closes every open segment; the next append per stream starts a
-    /// fresh one.
-    pub fn rotate(&mut self, ckpt_seq: u64) -> std::io::Result<()> {
-        for st in &mut self.streams {
-            if let Some((file, _)) = st.current.as_mut() {
-                if st.dirty {
-                    failpoint::io_op("wal_rotate_sync")?;
-                    file.sync_data()?;
-                }
-            }
-            st.current = None;
-            st.dirty = false;
-            st.pending_ckpt = ckpt_seq;
-        }
+        failpoint::io_op(point)?;
+        seg.file.sync_data()?;
+        self.syncs += 1;
+        seg.dirty = false;
         Ok(())
     }
 
     /// Deletes segments fully covered by the oldest kept checkpoint:
-    /// a segment whose *successor* (same stream, by first-seq order)
-    /// starts at or below `floor + 1` holds only frames `<= floor`.
-    /// Currently open segments are never deleted.
+    /// a segment whose successor starts at or below `floor + 1` holds
+    /// only frames `<= floor`. Recovery cut every older per-stream
+    /// segment back to its last replayed frame, so all of them precede
+    /// the first one-log frame: they go once any one-log segment starts
+    /// at or below `floor + 1`. The open segment is never deleted.
     pub fn prune(&mut self, floor: u64) -> std::io::Result<()> {
+        let bound = floor.saturating_add(1);
         let segments = list_segments(&self.dir)?;
-        for (stream_idx, st) in self.streams.iter().enumerate() {
-            let mine: Vec<&(u32, u64, PathBuf)> = segments
-                .iter()
-                .filter(|(s, _, _)| *s as usize == stream_idx)
-                .collect();
-            for pair in mine.windows(2) {
-                let (_, _, path) = pair[0];
-                let (_, succ_first, _) = pair[1];
-                let open_here = st
-                    .current
-                    .as_ref()
-                    .is_some_and(|(_, open_path)| open_path == path);
-                if *succ_first <= floor.saturating_add(1) && !open_here {
-                    failpoint::io_op("wal_prune")?;
-                    std::fs::remove_file(path)?;
-                }
+        let (log, older): (Vec<_>, Vec<_>) =
+            segments.iter().partition(|(stream, _, _)| stream.is_none());
+        let mut doomed: Vec<&PathBuf> = log
+            .windows(2)
+            .filter(|pair| pair[1].1 <= bound)
+            .map(|pair| &pair[0].2)
+            .collect();
+        if log.first().is_some_and(|(_, first, _)| *first <= bound) {
+            doomed.extend(older.iter().map(|(_, _, path)| path));
+        }
+        for path in doomed {
+            if self.segment.as_ref().is_some_and(|s| &s.path == path) {
+                continue;
             }
+            failpoint::io_op("wal_prune")?;
+            std::fs::remove_file(path)?;
         }
         Ok(())
     }
 }
 
-/// Segment files in `dir`, sorted by `(stream, first_seq)`.
-fn list_segments(dir: &Path) -> std::io::Result<Vec<(u32, u64, PathBuf)>> {
+/// Segment files in `dir` as `(stream, first_seq, path)`, sorted: the
+/// one log by first sequence, then any older per-stream segments.
+fn list_segments(dir: &Path) -> std::io::Result<Vec<(Option<u32>, u64, PathBuf)>> {
     let mut found = Vec::new();
     let entries = match std::fs::read_dir(dir) {
         Ok(e) => e,
@@ -596,18 +710,29 @@ struct SegmentScan {
     frames: Vec<(u64, DecisionFrame)>,
 }
 
-/// Scans one segment file. Torn tails and checksum failures end the
-/// scan (they become truncation work), but a CRC-valid frame that
-/// violates the format's invariants — wrong stream, non-monotonic
-/// sequence, undecodable payload — is a typed error: that is not a
-/// crashed write, it is a log that cannot be trusted.
-fn scan_segment(path: &Path) -> Result<SegmentScan, DbpError> {
-    let name = path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .unwrap_or_default();
-    let (stream, first_seq) =
-        parse_segment_name(name).ok_or_else(|| bad(format!("not a segment name: {name:?}")))?;
+/// Scans one segment file — a one-log segment when `stream` is `None`,
+/// else an older per-stream one. Torn tails and checksum failures end
+/// the scan (they become truncation work), but a CRC-valid frame that
+/// violates the format's invariants — a stream the segment cannot hold,
+/// non-monotonic sequence, undecodable payload — is a typed error: that
+/// is not a crashed write, it is a log that cannot be trusted. So is a
+/// segment written for another stream count.
+fn scan_segment(
+    path: &Path,
+    stream: Option<u32>,
+    first_seq: u64,
+    n_streams: usize,
+) -> Result<SegmentScan, DbpError> {
+    let topology = |what: String| {
+        bad(format!(
+            "{}: {what}, but the service runs {n_streams} streams — refusing a WAL written \
+             by a different topology",
+            path.display()
+        ))
+    };
+    if let Some(s) = stream.filter(|s| *s as usize >= n_streams) {
+        return Err(topology(format!("segment belongs to stream {s}")));
+    }
     let bytes =
         std::fs::read(path).map_err(|e| io(format!("cannot read {}: {e}", path.display())))?;
     let len = bytes.len() as u64;
@@ -619,15 +744,24 @@ fn scan_segment(path: &Path) -> Result<SegmentScan, DbpError> {
         frames: Vec::new(),
     };
     let hdr = WAL_HEADER_LEN as usize;
-    if bytes.len() < hdr
-        || &bytes[..8] != WAL_MAGIC
-        || bytes[8..12] != stream.to_le_bytes()
-        || bytes[12..20] != first_seq.to_le_bytes()
-    {
+    let magic = if stream.is_some() {
+        WAL_MAGIC_V1
+    } else {
+        WAL_MAGIC
+    };
+    let header_ok = bytes.len() >= hdr
+        && &bytes[..8] == magic
+        && bytes[12..20] == first_seq.to_le_bytes()
+        && stream.is_none_or(|s| bytes[8..12] == s.to_le_bytes());
+    if !header_ok {
         if !bytes.is_empty() {
             scan.torn = Some("segment header torn or corrupt".into());
         }
         return Ok(scan);
+    }
+    let count = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
+    if stream.is_none() && count as usize != n_streams {
+        return Err(topology(format!("segment was written for {count} streams")));
     }
     let mut at = hdr;
     let mut last_seq: Option<u64> = None;
@@ -658,9 +792,13 @@ fn scan_segment(path: &Path) -> Result<SegmentScan, DbpError> {
         }
         let frame = decode_payload(payload)
             .map_err(|e| bad(format!("{}: offset {at}: {e}", path.display())))?;
-        if frame.stream != stream {
+        let holds = match stream {
+            Some(s) => frame.stream == s,
+            None => (frame.stream as usize) < n_streams,
+        };
+        if !holds {
             return Err(bad(format!(
-                "{}: frame at offset {at} claims stream {} in a stream-{stream} segment",
+                "{}: frame at offset {at} claims stream {}, which this segment cannot hold",
                 path.display(),
                 frame.stream
             )));
@@ -703,15 +841,8 @@ pub fn recover_wal(dir: &Path, n_streams: usize, floor: u64) -> Result<WalRecove
     let mut out = WalRecovery::default();
     let segments = list_segments(dir).map_err(|e| io(format!("cannot list WAL dir: {e}")))?;
     let mut scans = Vec::with_capacity(segments.len());
-    for (stream, _, path) in &segments {
-        if *stream as usize >= n_streams {
-            return Err(bad(format!(
-                "segment {} belongs to stream {stream}, but the service runs {n_streams} \
-                 streams — refusing a WAL written by a different topology",
-                path.display()
-            )));
-        }
-        let scan = scan_segment(path)?;
+    for (stream, first_seq, path) in &segments {
+        let scan = scan_segment(path, *stream, *first_seq, n_streams)?;
         out.bytes_scanned += scan.len;
         scans.push(scan);
     }
@@ -858,9 +989,15 @@ mod tests {
             w.append(&frame(seq, (seq % 3) as u32, seq as u32)).unwrap();
         }
         drop(w);
+        assert_eq!(
+            list_segments(&dir).unwrap().len(),
+            1,
+            "every stream logs into one segment"
+        );
         let rec = recover_wal(&dir, 3, 0).unwrap();
         assert_eq!(rec.frames.len(), 20);
         assert_eq!(rec.frames[0].seq, 1);
+        assert_eq!(rec.frames[4].stream, 2);
         assert_eq!(rec.frames[19].seq, 20);
         assert!(rec.truncated.is_empty());
         // A floor skips the covered prefix.
@@ -915,13 +1052,13 @@ mod tests {
     #[test]
     fn seq_gap_drops_and_truncates_the_far_side() {
         let dir = fresh_dir("gap");
-        // Stream 0 gets seqs 1..=4 and 8..=9; stream 1 gets 5 only —
-        // pretend 6 and 7 were lost in an unsynced cache.
+        // Seqs 1..=5 in one segment, 8..=9 in the next — pretend 6 and
+        // 7 were lost in an unsynced cache.
         let mut w = WalWriter::open(&dir, 2, 0, FsyncPolicy::Never).unwrap();
-        for seq in 1..=4u64 {
-            w.append(&frame(seq, 0, seq as u32)).unwrap();
+        for seq in 1..=5u64 {
+            w.append(&frame(seq, (seq % 2) as u32, seq as u32)).unwrap();
         }
-        w.append(&frame(5, 1, 5)).unwrap();
+        w.rotate(0).unwrap();
         for seq in 8..=9u64 {
             w.append(&frame(seq, 0, seq as u32)).unwrap();
         }
@@ -929,7 +1066,7 @@ mod tests {
         let rec = recover_wal(&dir, 2, 0).unwrap();
         assert_eq!(rec.frames.len(), 5, "1..=5 replay; 8..9 are post-gap");
         assert_eq!(rec.dropped_after_gap, 2);
-        assert_eq!(rec.truncated.len(), 1, "stream 0's file is cut at seq 8");
+        assert_eq!(rec.truncated.len(), 1, "the second segment is cut at seq 8");
         // After truncation a re-scan finds exactly the replayable run.
         let rec2 = recover_wal(&dir, 2, 0).unwrap();
         assert_eq!(rec2.frames.len(), 5);
@@ -971,6 +1108,72 @@ mod tests {
         drop(w);
         let err = recover_wal(&dir, 2, 0).unwrap_err();
         assert!(err.to_string().contains("different topology"));
+    }
+
+    #[test]
+    fn a_frame_of_a_stream_the_log_does_not_hold_is_refused() {
+        let dir = fresh_dir("stream-range");
+        let mut w = WalWriter::open(&dir, 2, 0, FsyncPolicy::Never).unwrap();
+        w.append(&frame(1, 1, 1)).unwrap();
+        drop(w);
+        // A CRC-valid frame claiming stream 2 in a two-stream log.
+        let seg = list_segments(&dir).unwrap().remove(0).2;
+        let mut bytes = std::fs::read(&seg).unwrap();
+        bytes.extend_from_slice(&encode_frame(&frame(2, 2, 2)));
+        std::fs::write(&seg, &bytes).unwrap();
+        let err = recover_wal(&dir, 2, 0).unwrap_err();
+        assert!(err.to_string().contains("claims stream 2"), "{err}");
+    }
+
+    #[test]
+    fn a_new_segment_syncs_its_directory_once_unless_the_policy_is_never() {
+        for (policy, first, later) in [
+            (FsyncPolicy::Always, 2, 1),
+            (FsyncPolicy::Interval(1), 2, 1),
+            (FsyncPolicy::Never, 1, 1),
+        ] {
+            let dir = fresh_dir(&format!("dir-sync-{}", policy.name()));
+            let mut w = WalWriter::open(&dir, 1, 0, policy).unwrap();
+            w.push(&frame(1, 0, 1));
+            w.sync().unwrap();
+            assert_eq!(w.syncs(), first, "{policy:?}: the segment's first sync");
+            w.push(&frame(2, 0, 2));
+            w.sync().unwrap();
+            assert_eq!(w.syncs(), first + later, "{policy:?}: a later sync");
+            // A rotation's sync covers the same segment: no directory
+            // fsync; the next segment's first sync has one again.
+            w.push(&frame(3, 0, 3));
+            w.rotate(1).unwrap();
+            assert_eq!(w.syncs(), first + 2 * later, "{policy:?}: rotation");
+            w.push(&frame(4, 0, 4));
+            w.sync().unwrap();
+            assert_eq!(w.syncs(), 2 * first + 2 * later, "{policy:?}: next segment");
+            assert_eq!(w.frames_appended(), 4);
+        }
+    }
+
+    #[test]
+    fn a_commit_writes_only_what_was_pushed_since_the_last() {
+        let dir = fresh_dir("commit-buffer");
+        let mut w = WalWriter::open(&dir, 2, 0, FsyncPolicy::Never).unwrap();
+        for seq in 1..=3u64 {
+            w.push(&frame(seq, (seq % 2) as u32, seq as u32));
+        }
+        assert_eq!(w.frames_appended(), 0, "pushing does no IO");
+        w.commit().unwrap();
+        let after_first = w.bytes_appended();
+        assert_eq!(w.frames_appended(), 3);
+        w.commit().unwrap();
+        assert_eq!(
+            w.bytes_appended(),
+            after_first,
+            "an empty commit writes nothing"
+        );
+        w.append(&frame(4, 0, 4)).unwrap();
+        drop(w);
+        let rec = recover_wal(&dir, 2, 0).unwrap();
+        let seqs: Vec<u64> = rec.frames.iter().map(|f| f.seq).collect();
+        assert_eq!(seqs, [1, 2, 3, 4]);
     }
 
     #[test]

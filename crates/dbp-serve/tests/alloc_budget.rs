@@ -5,14 +5,16 @@
 //! `Service::handle_batch`, then `render_response_into` into one reused
 //! `String`, in read batches of 16 — the connection worker's loop
 //! without the socket. The service runs inline on the calling thread,
-//! so nothing it allocates escapes the count. Keep this the binary's
-//! only test: the counter is thread-local, but one test per binary also
-//! keeps the harness's own threads out of the way.
+//! so nothing it allocates escapes the count. The stream runs twice:
+//! through a service without a WAL, then through one that logs every
+//! decision, which must cost no extra allocation. Keep this the
+//! binary's only test: the counter is thread-local, but one test per
+//! binary also keeps the harness's own threads out of the way.
 
 use dbp_serve::protocol::{
     parse_request, render_request, render_response_into, RejectReason, Request, Response, Submit,
 };
-use dbp_serve::{ServeConfig, Service};
+use dbp_serve::{FsyncPolicy, ServeConfig, Service};
 use dbp_workloads::random::PoissonWorkload;
 use dbp_workloads::scenarios::SpikeWorkload;
 use dbp_workloads::Workload;
@@ -117,17 +119,57 @@ fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
     })
 }
 
-#[test]
-fn a_submit_costs_at_most_six_allocations_from_line_to_ack() {
-    let lines = request_lines(WARM_UP + COUNTED);
+/// What one pass of the stream cost, in allocations over the counted
+/// submits, plus a digest of every ack.
+struct Pass {
+    parse: u64,
+    decide: u64,
+    render: u64,
+    digest: u64,
+}
+
+impl Pass {
+    fn per_submit(&self) -> f64 {
+        self.total() as f64 / COUNTED as f64
+    }
+
+    fn total(&self) -> u64 {
+        self.parse + self.decide + self.render
+    }
+
+    fn summary(&self) -> String {
+        let per = |n: u64| n as f64 / COUNTED as f64;
+        format!(
+            "{:.2} ({} in all) = parse {:.2} + decide {:.2} + render {:.2}; ack digest {:016x}",
+            self.per_submit(),
+            self.total(),
+            per(self.parse),
+            per(self.decide),
+            per(self.render),
+            self.digest
+        )
+    }
+}
+
+/// Drives `lines` through a fresh two-shard first-fit service with a
+/// fleet cap of 40 and, when `wal_dir` is set, a WAL there.
+fn pass(lines: &[String], wal_dir: Option<&std::path::Path>) -> Pass {
     let mut cfg = ServeConfig::new(2, "first-fit");
     cfg.fleet_cap = Some(40);
+    if let Some(dir) = wal_dir {
+        cfg.wal_dir = Some(dir.to_path_buf());
+        cfg.fsync = FsyncPolicy::Never;
+    }
     let service = Service::start(cfg).unwrap();
     let mut batch: Vec<Submit> = Vec::new();
     let mut acks = String::new();
-    let (mut parse, mut decide, mut render) = (0u64, 0u64, 0u64);
+    let mut p = Pass {
+        parse: 0,
+        decide: 0,
+        render: 0,
+        digest: 0xcbf2_9ce4_8422_2325,
+    };
     let (mut placed, mut shed) = (0usize, 0usize);
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
     for (i, chunk) in lines.chunks(BATCH).enumerate() {
         let counted = i * BATCH >= WARM_UP;
         COUNTING.with(|c| c.set(counted));
@@ -148,11 +190,11 @@ fn a_submit_costs_at_most_six_allocations_from_line_to_ack() {
         }
         let rendered = allocations();
         COUNTING.with(|c| c.set(false));
-        digest = fnv1a(digest, acks.as_bytes());
+        p.digest = fnv1a(p.digest, acks.as_bytes());
         if counted {
-            parse += parsed - start;
-            decide += decided - parsed;
-            render += rendered - decided;
+            p.parse += parsed - start;
+            p.decide += decided - parsed;
+            p.render += rendered - decided;
             for resp in &responses {
                 match resp {
                     Response::Placed { .. } => placed += 1,
@@ -166,22 +208,38 @@ fn a_submit_costs_at_most_six_allocations_from_line_to_ack() {
         }
         batch.clear();
     }
-    let per = |n: u64| n as f64 / COUNTED as f64;
-    let total = per(parse + decide + render);
-    eprintln!(
-        "allocations per submit over {COUNTED} submits ({placed} placed, {shed} shed): \
-         {total:.2} = parse {:.2} + decide {:.2} + render {:.2}; ack digest {digest:016x}",
-        per(parse),
-        per(decide),
-        per(render)
-    );
     assert!(shed > 0 && placed > 0, "both ack shapes must be rendered");
+    eprintln!(
+        "allocations per submit over {COUNTED} submits ({placed} placed, {shed} shed, {}): {}",
+        if wal_dir.is_some() { "WAL" } else { "no WAL" },
+        p.summary()
+    );
+    p
+}
+
+#[test]
+fn a_submit_costs_at_most_six_allocations_from_line_to_ack() {
+    let lines = request_lines(WARM_UP + COUNTED);
+    let plain = pass(&lines, None);
     assert!(
-        total <= BUDGET_PER_SUBMIT,
-        "{total:.2} allocations per submit (parse {:.2}, decide {:.2}, render {:.2}) \
-         exceed the budget of {BUDGET_PER_SUBMIT}",
-        per(parse),
-        per(decide),
-        per(render)
+        plain.per_submit() <= BUDGET_PER_SUBMIT,
+        "{} allocations per submit exceed the budget of {BUDGET_PER_SUBMIT}",
+        plain.summary()
+    );
+    let dir = std::env::temp_dir().join(format!("dbp-serve-alloc-wal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let logged = pass(&lines, Some(&dir));
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(logged.digest, plain.digest, "the WAL changed an ack");
+    // The sessions' `HashMap`s are seeded at random, and the seed decides
+    // whether an insert rehashes in place or grows the table, so two
+    // passes over one stream differ by a couple of allocations either
+    // way. One allocation per logged frame would add 16,000, one per
+    // commit 1,000; allow one per 1,000 submits.
+    assert!(
+        logged.total() <= plain.total() + COUNTED as u64 / 1_000,
+        "logging a decision allocates: {} with the WAL against {} without",
+        logged.summary(),
+        plain.summary()
     );
 }

@@ -4,9 +4,13 @@
 use dbp_core::{DbpError, IdLedger, Size};
 use dbp_resilience::failpoint::FailGuard;
 use dbp_serve::protocol::{render_response, Request, Response, Submit};
-use dbp_serve::state::{checkpoint_file_name, read_serve_checkpoint, write_serve_checkpoint};
+use dbp_serve::state::{
+    checkpoint_file_name, read_serve_checkpoint, write_serve_checkpoint, KEPT_CHECKPOINTS,
+};
 use dbp_serve::torture::torture_stream;
+use dbp_serve::wal::{self, DecisionFrame};
 use dbp_serve::{RejectReason, ServeConfig, Service};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 fn fresh_dir(name: &str) -> PathBuf {
@@ -475,10 +479,12 @@ fn checkpoints_prune_replayed_wal_segments() {
             service.handle(req);
         }
         // 8 auto-checkpoints happened; rotation + pruning must have
-        // dropped segments fully covered by the kept checkpoints.
+        // dropped segments fully covered by the kept checkpoints. One
+        // log keeps at most one segment per kept checkpoint: the one
+        // each opened.
         let segments = std::fs::read_dir(dir.join("wal")).unwrap().count();
         assert!(
-            segments <= 3 * 2 + 1,
+            segments <= KEPT_CHECKPOINTS,
             "pruning must bound the segment count, found {segments}"
         );
     }
@@ -488,6 +494,165 @@ fn checkpoints_prune_replayed_wal_segments() {
         Response::Status(s) => assert_eq!(s.watermark, 200),
         other => panic!("{other:?}"),
     }
+}
+
+/// WAL segment names under `wal_dir`, sorted and split into one-log
+/// segments and the per-stream segments of older builds.
+fn wal_segments(wal_dir: &Path) -> (Vec<String>, Vec<String>) {
+    let mut names: Vec<String> = std::fs::read_dir(wal_dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|n| wal::parse_segment_name(n).is_some())
+        .collect();
+    names.sort();
+    names
+        .into_iter()
+        .partition(|n| wal::parse_segment_name(n).is_some_and(|(stream, _)| stream.is_none()))
+}
+
+/// Writes `frames` (all of `stream`) as one segment in the per-stream
+/// layout older builds wrote: `wal-<stream>-<first_seq>.wal`, a
+/// `DBPWAL1` header holding the stream, then the frames.
+fn write_v1_segment(
+    wal_dir: &Path,
+    stream: u32,
+    ckpt_seq: u64,
+    frames: &[DecisionFrame],
+) -> PathBuf {
+    let first_seq = frames[0].seq;
+    let path = wal_dir.join(format!("wal-{stream:03}-{first_seq:020}.wal"));
+    let mut bytes = Vec::new();
+    bytes.extend_from_slice(wal::WAL_MAGIC_V1);
+    bytes.extend_from_slice(&stream.to_le_bytes());
+    bytes.extend_from_slice(&first_seq.to_le_bytes());
+    bytes.extend_from_slice(&ckpt_seq.to_le_bytes());
+    for frame in frames {
+        bytes.extend_from_slice(&wal::encode_frame(frame));
+    }
+    std::fs::write(&path, bytes).unwrap();
+    path
+}
+
+/// Rewrites every one-log segment under `wal_dir` as an older build
+/// would have laid out the same frames — one file per stream — and
+/// returns the file holding the newest frame.
+fn rewrite_as_per_stream_segments(wal_dir: &Path) -> PathBuf {
+    let (log, older) = wal_segments(wal_dir);
+    assert!(!log.is_empty() && older.is_empty());
+    let mut newest = (0, PathBuf::new());
+    for name in log {
+        let path = wal_dir.join(&name);
+        let bytes = std::fs::read(&path).unwrap();
+        let ckpt_seq = u64::from_le_bytes(bytes[20..28].try_into().unwrap());
+        let mut by_stream: BTreeMap<u32, Vec<DecisionFrame>> = BTreeMap::new();
+        let mut at = wal::WAL_HEADER_LEN as usize;
+        while at < bytes.len() {
+            let plen = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+            let frame = wal::decode_payload(&bytes[at + 8..at + 8 + plen]).unwrap();
+            by_stream.entry(frame.stream).or_default().push(frame);
+            at += 8 + plen;
+        }
+        std::fs::remove_file(&path).unwrap();
+        for (stream, frames) in by_stream {
+            let written = write_v1_segment(wal_dir, stream, ckpt_seq, &frames);
+            let last = frames.last().unwrap().seq;
+            if last > newest.0 {
+                newest = (last, written);
+            }
+        }
+    }
+    newest.1
+}
+
+/// Copies a service directory's checkpoints and WAL.
+fn copy_service_dir(from: &Path, to: &Path) {
+    for sub in ["ckpt", "wal"] {
+        std::fs::create_dir_all(to.join(sub)).unwrap();
+        for entry in std::fs::read_dir(from.join(sub)).unwrap() {
+            let entry = entry.unwrap();
+            std::fs::copy(entry.path(), to.join(sub).join(entry.file_name())).unwrap();
+        }
+    }
+}
+
+fn status(service: &Service) -> (u32, u64) {
+    match service.handle(&Request::Status) {
+        Response::Status(s) => (s.watermark, s.decision_seq),
+        other => panic!("{other:?}"),
+    }
+}
+
+/// A service boots on the per-stream WAL an older build left: the
+/// watermark and every resumed response match an uninterrupted run byte
+/// for byte, new frames land in the one log, and pruning deletes the
+/// old files exactly once the one log alone reaches the kept floor. A
+/// torn per-stream tail is still cut.
+#[test]
+fn a_per_stream_wal_from_an_older_build_boots_and_migrates_to_the_one_log() {
+    let jobs = stream();
+    let decide = |service: &Service, reqs: &[Request]| -> Vec<String> {
+        reqs.iter()
+            .map(|req| render_response(&service.handle(req)))
+            .collect()
+    };
+    let reference = {
+        let dir = fresh_dir("restart-wal-v1-reference");
+        decide(&Service::start(cfg_with_wal(&dir)).unwrap(), &jobs)
+    };
+
+    // Die at 137 decisions: checkpoint 5 holds 125, the WAL the other
+    // 12. Then lay the WAL out per stream, as an older build wrote it.
+    let dir = fresh_dir("restart-wal-v1");
+    assert_eq!(
+        decide(&Service::start(cfg_with_wal(&dir)).unwrap(), &jobs[..137]),
+        reference[..137]
+    );
+    let newest = rewrite_as_per_stream_segments(&dir.join("wal"));
+    let (_, older) = wal_segments(&dir.join("wal"));
+    assert!(
+        older.len() >= 2,
+        "both shard streams hold frames: {older:?}"
+    );
+    let torn_dir = fresh_dir("restart-wal-v1-torn");
+    copy_service_dir(&dir, &torn_dir);
+
+    let service = Service::start(cfg_with_wal(&dir)).unwrap();
+    assert_eq!(service.restored_seq(), Some(5));
+    assert_eq!(service.recovery().unwrap().replayed_frames, 12);
+    assert_eq!(status(&service), (137, 137));
+    // New frames go to one new one-log segment; the old files stay.
+    let mut resumed = decide(&service, &jobs[137..140]);
+    assert_eq!(
+        wal_segments(&dir.join("wal")),
+        (vec![wal::segment_file_name(138)], older.clone())
+    );
+    // Checkpoints at 150 and 175 keep floors 100 and 125, which the one
+    // log (from 138) does not reach; the one at 200 keeps floor 150.
+    resumed.extend(decide(&service, &jobs[140..176]));
+    assert_eq!(wal_segments(&dir.join("wal")).1, older);
+    resumed.extend(decide(&service, &jobs[176..]));
+    assert_eq!(resumed, reference[137..]);
+    let (log, left) = wal_segments(&dir.join("wal"));
+    assert!(
+        left.is_empty(),
+        "per-stream segments survived the prune: {left:?}"
+    );
+    assert!(log.len() <= KEPT_CHECKPOINTS);
+    drop(service);
+    let service = Service::start(cfg_with_wal(&dir)).unwrap();
+    assert_eq!(status(&service), (200, 200));
+
+    // A torn tail in the per-stream file holding decision 137 is cut,
+    // and the stream resumes from the decision before it.
+    let torn = torn_dir.join("wal").join(newest.file_name().unwrap());
+    let len = std::fs::metadata(&torn).unwrap().len();
+    let f = std::fs::OpenOptions::new().write(true).open(&torn).unwrap();
+    f.set_len(len - 3).unwrap();
+    drop(f);
+    let service = Service::start(cfg_with_wal(&torn_dir)).unwrap();
+    assert_eq!(service.recovery().unwrap().truncated_files, 1);
+    assert_eq!(status(&service), (136, 136));
+    assert_eq!(decide(&service, &jobs[136..]), reference[136..]);
 }
 
 #[test]

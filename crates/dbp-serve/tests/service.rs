@@ -4,10 +4,11 @@
 use dbp_bench::registry::{online_packer, AlgoParams};
 use dbp_core::stream::{Admission, StreamingSession};
 use dbp_core::{ClairvoyanceMode, Item, Size};
+use dbp_resilience::failpoint;
 use dbp_serve::protocol::{render_response, RejectReason, Request, Response, Submit};
 use dbp_serve::torture::{drive, torture_stream};
 use dbp_serve::{FsyncPolicy, ServeConfig, Service};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 fn job(tenant: &str, id: u32, size: f64, arrival: i64, departure: i64) -> Submit {
@@ -152,6 +153,62 @@ fn read_batches_leave_responses_wal_and_checkpoints_byte_identical() {
     }
     assert!(a.keys().any(|n| n.starts_with("ckpt/")) && a.keys().any(|n| n.starts_with("wal/")));
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A first-fit service's counter `name` from its `/metrics` text.
+fn counter(service: &Service, name: &str) -> u64 {
+    let text = match service.handle(&Request::Metrics) {
+        Response::Metrics { text } => text,
+        other => panic!("{other:?}"),
+    };
+    text.lines()
+        .find_map(|l| {
+            l.strip_prefix(name)?
+                .strip_prefix("{algo=\"first-fit\"} ")?
+                .parse()
+                .ok()
+        })
+        .unwrap_or_else(|| panic!("no {name} in the exposition"))
+}
+
+/// One log for every shard: under `fsync always`, a read batch that
+/// routes to both shards reaches the disk in one write and one
+/// `fdatasync` — two failpoint IO ops, whatever the shard count.
+#[test]
+fn a_two_shard_read_batch_costs_one_write_and_one_sync() {
+    let dir = std::env::temp_dir().join(format!("dbp-serve-one-log-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut cfg = ServeConfig::new(2, "first-fit");
+    cfg.wal_dir = Some(dir.clone());
+    cfg.fsync = FsyncPolicy::Always;
+    let service = Service::start(cfg).unwrap();
+    let jobs = torture_stream(16);
+    let shards_of = |responses: Vec<Response>| -> BTreeSet<usize> {
+        responses
+            .into_iter()
+            .map(|r| match r {
+                Response::Placed { shard, .. } => shard,
+                other => panic!("{other:?}"),
+            })
+            .collect()
+    };
+    // The first batch opens the segment and fsyncs its directory.
+    assert_eq!(shards_of(service.handle_batch(&jobs[..8])).len(), 2);
+    let syncs = counter(&service, "dbp_serve_wal_syncs_total");
+    let frames = counter(&service, "dbp_serve_wal_frames_total");
+    failpoint::reset_thread();
+    let responses = service.handle_batch(&jobs[8..]);
+    let ops = failpoint::thread_ops();
+    assert_eq!(
+        shards_of(responses).len(),
+        2,
+        "the batch must route to both shards"
+    );
+    assert_eq!(ops, 2, "one wal_append and one wal_fsync per read batch");
+    assert_eq!(counter(&service, "dbp_serve_wal_syncs_total") - syncs, 1);
+    assert_eq!(counter(&service, "dbp_serve_wal_frames_total") - frames, 8);
+    drop(service);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -61,11 +61,22 @@ fn arb_frame(seq: u64, stream: u32, state: &mut u64) -> DecisionFrame {
     }
 }
 
-/// Writes `frames` into a fresh WAL dir and returns (dir, segment path).
-fn write_segment(name: &str, frames: &[DecisionFrame]) -> (PathBuf, PathBuf) {
+/// `n` frames with sequences `1..=n`, spread over `streams` streams.
+fn arb_frames(n: usize, streams: u32, state: &mut u64) -> Vec<DecisionFrame> {
+    (1..=n as u64)
+        .map(|s| {
+            let stream = (mix(state) % u64::from(streams)) as u32;
+            arb_frame(s, stream, state)
+        })
+        .collect()
+}
+
+/// Writes `frames` into a fresh WAL dir for `streams` streams and
+/// returns (dir, segment path): every stream shares the one segment.
+fn write_segment(name: &str, streams: u32, frames: &[DecisionFrame]) -> (PathBuf, PathBuf) {
     let dir = std::env::temp_dir().join(format!("dbp-wal-props-{name}"));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut w = WalWriter::open(&dir, 1, 0, FsyncPolicy::Never).unwrap();
+    let mut w = WalWriter::open(&dir, streams as usize, 0, FsyncPolicy::Never).unwrap();
     for f in frames {
         w.append(f).unwrap();
     }
@@ -86,8 +97,8 @@ fn write_segment(name: &str, frames: &[DecisionFrame]) -> (PathBuf, PathBuf) {
 
 /// Recovery after damage must yield a bit-exact prefix of what was
 /// written — or a typed refusal. Never a decision that wasn't logged.
-fn assert_prefix_or_typed_error(dir: &PathBuf, originals: &[DecisionFrame]) {
-    match wal::recover_wal(dir, 1, 0) {
+fn assert_prefix_or_typed_error(dir: &PathBuf, streams: u32, originals: &[DecisionFrame]) {
+    match wal::recover_wal(dir, streams as usize, 0) {
         Ok(rec) => {
             assert!(rec.frames.len() <= originals.len());
             for (got, want) in rec.frames.iter().zip(originals) {
@@ -95,7 +106,7 @@ fn assert_prefix_or_typed_error(dir: &PathBuf, originals: &[DecisionFrame]) {
             }
             // Recovery truncated the damage away: a second scan is clean
             // and agrees.
-            let again = wal::recover_wal(dir, 1, 0).unwrap();
+            let again = wal::recover_wal(dir, streams as usize, 0).unwrap();
             assert_eq!(again.frames, rec.frames);
             assert!(again.truncated.is_empty(), "recovery must be idempotent");
         }
@@ -127,17 +138,17 @@ proptest! {
         prop_assert_eq!(&framed[8..], &payload[..]);
     }
 
-    /// Any truncation of a segment file recovers a clean prefix: the
-    /// surviving frames are bit-identical to what was written, in
-    /// order, with nothing invented past the cut.
+    /// Any truncation of a segment file — holding frames of up to
+    /// three streams — recovers a clean prefix: the surviving frames are
+    /// bit-identical to what was written, in order, with nothing
+    /// invented past the cut.
     #[test]
     fn arbitrary_truncation_recovers_a_clean_prefix(
-        n in 1usize..24, cut_frac in 0.0f64..1.0, seed: u64,
+        n in 1usize..24, streams in 1u32..4, cut_frac in 0.0f64..1.0, seed: u64,
     ) {
         let mut state = seed;
-        let frames: Vec<DecisionFrame> =
-            (1..=n as u64).map(|s| arb_frame(s, 0, &mut state)).collect();
-        let (dir, seg) = write_segment(&format!("trunc-{seed}-{n}"), &frames);
+        let frames = arb_frames(n, streams, &mut state);
+        let (dir, seg) = write_segment(&format!("trunc-{seed}-{n}-{streams}"), streams, &frames);
         let len = std::fs::metadata(&seg).unwrap().len();
         let cut = (len as f64 * cut_frac) as u64;
         let f = std::fs::OpenOptions::new().write(true).open(&seg).unwrap();
@@ -145,7 +156,7 @@ proptest! {
         drop(f);
         // Truncation is what a real crash does; it can never look like
         // anything worse than a torn tail, so recovery must succeed.
-        let rec = wal::recover_wal(&dir, 1, 0).unwrap();
+        let rec = wal::recover_wal(&dir, streams as usize, 0).unwrap();
         prop_assert!(rec.frames.len() <= frames.len());
         for (got, want) in rec.frames.iter().zip(&frames) {
             prop_assert_eq!(got, want);
@@ -153,29 +164,30 @@ proptest! {
         if cut >= len {
             prop_assert_eq!(rec.frames.len(), frames.len(), "no cut, no loss");
         }
-        let again = wal::recover_wal(&dir, 1, 0).unwrap();
+        let again = wal::recover_wal(&dir, streams as usize, 0).unwrap();
         prop_assert_eq!(again.frames.len(), rec.frames.len());
         prop_assert!(again.truncated.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A single flipped bit anywhere in a segment — header, framing, or
-    /// payload — is either truncated away (clean prefix) or refused
-    /// with a typed error. It never changes a recovered decision.
+    /// payload, with frames of up to three streams — is either
+    /// truncated away (clean prefix) or refused with a typed error. It
+    /// never changes a recovered decision.
     #[test]
     fn single_bit_corruption_never_rewrites_a_decision(
-        n in 1usize..24, pos_frac in 0.0f64..1.0, bit in 0u32..8, seed: u64,
+        n in 1usize..24, streams in 1u32..4, pos_frac in 0.0f64..1.0, bit in 0u32..8, seed: u64,
     ) {
         let mut state = seed;
-        let frames: Vec<DecisionFrame> =
-            (1..=n as u64).map(|s| arb_frame(s, 0, &mut state)).collect();
-        let (dir, seg) = write_segment(&format!("flip-{seed}-{n}-{bit}"), &frames);
+        let frames = arb_frames(n, streams, &mut state);
+        let (dir, seg) =
+            write_segment(&format!("flip-{seed}-{n}-{streams}-{bit}"), streams, &frames);
         let mut bytes = std::fs::read(&seg).unwrap();
         let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
         bytes[pos] ^= 1 << bit;
         std::fs::write(&seg, &bytes).unwrap();
         // The flipped frame's CRC (or the header/framing checks) must
         // catch the damage; everything recovered is a written frame.
-        assert_prefix_or_typed_error(&dir, &frames);
+        assert_prefix_or_typed_error(&dir, streams, &frames);
     }
 }

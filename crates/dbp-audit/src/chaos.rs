@@ -21,7 +21,7 @@ use crate::invariants::{CheckId, Violation};
 use crate::shrink::{shrink_instance, ShrinkBudget};
 use crate::AuditSummary;
 use dbp_bench::registry::{online_packer, AlgoParams, ONLINE_ALGOS};
-use dbp_core::{DbpError, Instance, StreamingSession};
+use dbp_core::{DbpError, Instance, RunRecorder, StreamingSession};
 use dbp_resilience::chaos::{run_chaos, ChaosConfig, ChaosReport};
 use dbp_resilience::checkpoint::{snapshot_from_json, snapshot_to_json};
 use dbp_resilience::fault::{AdmissionPolicy, FaultPlan, RecoveryPolicy};
@@ -136,18 +136,21 @@ fn check_ledger_sums(algo: &str, report: &ChaosReport) -> Vec<Violation> {
 }
 
 /// The resume invariant: checkpoint after half the arrivals (through the
-/// JSON encoding) and finish in a fresh session — bit-identical run.
+/// JSON encoding) and finish in a fresh session — bit-identical run. The
+/// snapshot carries no history, so one recorder observes both sessions.
 fn check_resume(inst: &Instance, algo: &str, params: AlgoParams) -> Vec<Violation> {
     let mut items = inst.items().to_vec();
     items.sort_by_key(|i| (i.arrival(), i.id()));
 
     let run_full = (|| {
         let mut p = online_packer(algo, params);
-        let mut s = StreamingSession::new(clairvoyance_for(algo), &mut *p);
+        let mut history = RunRecorder::new();
+        let mut s = StreamingSession::with_observer(clairvoyance_for(algo), &mut *p, &mut history);
         for item in &items {
             s.arrive(item)?;
         }
-        s.finish()
+        s.finish()?;
+        Ok::<_, DbpError>(history.into_run())
     })();
     let full = match run_full {
         Ok(r) => r,
@@ -161,19 +164,26 @@ fn check_resume(inst: &Instance, algo: &str, params: AlgoParams) -> Vec<Violatio
 
     let cut = items.len() / 2;
     let resumed = (|| {
+        let mut history = RunRecorder::new();
         let mut p = online_packer(algo, params);
-        let mut s = StreamingSession::new(clairvoyance_for(algo), &mut *p);
+        let mut s = StreamingSession::with_observer(clairvoyance_for(algo), &mut *p, &mut history);
         for item in &items[..cut] {
             s.arrive(item)?;
         }
         let snap = snapshot_from_json(&snapshot_to_json(&s.snapshot()))?;
         drop(s);
         let mut p2 = online_packer(algo, params);
-        let mut s2 = StreamingSession::restore(clairvoyance_for(algo), &mut *p2, &snap)?;
+        let mut s2 = StreamingSession::restore_with_observer(
+            clairvoyance_for(algo),
+            &mut *p2,
+            &snap,
+            &mut history,
+        )?;
         for item in &items[cut..] {
             s2.arrive(item)?;
         }
-        s2.finish()
+        s2.finish()?;
+        Ok::<_, DbpError>(history.into_run())
     })();
     match resumed {
         Ok(r) if r == full => Vec::new(),

@@ -4,7 +4,8 @@
 //! 1. **batch** — [`OnlineEngine::run`] (the production path);
 //! 2. **stream** — a hand-driven [`StreamingSession`] that calls
 //!    [`StreamingSession::advance_to`] before each arrival, exercising the
-//!    explicit clock-advance path the batch wrapper never takes;
+//!    explicit clock-advance path the batch wrapper never takes; its
+//!    running totals must match too;
 //! 3. **replay** — [`OnlineEngine::run_observed`] into an
 //!    [`EventLog`], reconstructed by `dbp-obs` replay and re-verified —
 //!    an oracle that recomputes the packing and usage from the event
@@ -28,7 +29,9 @@ use dbp_bench::registry::{
 };
 use dbp_core::observe::EventLog;
 use dbp_core::stream::StreamingSession;
-use dbp_core::{ClairvoyanceMode, Instance, OnlineEngine, OnlinePacker, OnlineRun};
+use dbp_core::{
+    ClairvoyanceMode, Instance, OnlineEngine, OnlinePacker, OnlineRun, RunRecorder, RunTotals,
+};
 use dbp_obs::replay::replay_events;
 
 /// The clairvoyance mode each roster algorithm is audited under — the
@@ -109,10 +112,13 @@ where
     out.extend(check_run(inst, &batch, exact));
     check_theorem_ceiling(algo, inst, batch.usage, exact, &mut out);
 
-    // Path 2: hand-driven streaming with explicit clock advances.
+    // Path 2: hand-driven streaming with explicit clock advances. The
+    // session's own running totals are checked against the batch run
+    // too, apart from the recorder that rebuilds its history.
     let mut packer = fresh();
-    let mut session = StreamingSession::new(mode.clone(), packer.as_mut());
-    let streamed = (|| -> Result<OnlineRun, dbp_core::DbpError> {
+    let mut history = RunRecorder::new();
+    let mut session = StreamingSession::with_observer(mode.clone(), packer.as_mut(), &mut history);
+    let streamed = (|| -> Result<RunTotals, dbp_core::DbpError> {
         for item in inst.items() {
             session.advance_to(item.arrival())?;
             session.arrive(item)?;
@@ -120,8 +126,20 @@ where
         session.finish()
     })();
     match streamed {
-        Ok(run) => {
-            if let Err(why) = runs_equal(&batch, &run) {
+        Ok(totals) => {
+            if (totals.usage, totals.bins_opened) != (batch.usage, batch.bins_opened()) {
+                out.push(Violation::new(
+                    CheckId::Differential,
+                    format!(
+                        "{algo}: stream totals {} / {} bins vs batch {} / {}",
+                        totals.usage,
+                        totals.bins_opened,
+                        batch.usage,
+                        batch.bins_opened()
+                    ),
+                ));
+            }
+            if let Err(why) = runs_equal(&batch, &history.into_run()) {
                 out.push(Violation::new(
                     CheckId::Differential,
                     format!("{algo}: stream vs batch: {why}"),

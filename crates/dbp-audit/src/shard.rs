@@ -23,7 +23,7 @@ use crate::invariants::{CheckId, Violation};
 use crate::shrink::{shrink_instance, ShrinkBudget};
 use crate::AuditSummary;
 use dbp_bench::registry::{online_packer, AlgoParams, ONLINE_ALGOS};
-use dbp_core::{DbpError, Instance, Item, OnlineRun, StreamingSession};
+use dbp_core::{DbpError, Instance, Item, OnlineRun, RunRecorder, StreamingSession};
 use dbp_shard::{ShardConfig, ShardRouter, ShardedSession};
 
 /// Shard-sweep configuration.
@@ -81,13 +81,16 @@ fn run_reference_shard(
     shard: usize,
 ) -> Result<OnlineRun, DbpError> {
     let mut packer = online_packer(algo, params);
-    let mut session = StreamingSession::new(clairvoyance_for(algo), packer.as_mut());
+    let mut history = RunRecorder::new();
+    let mut session =
+        StreamingSession::with_observer(clairvoyance_for(algo), packer.as_mut(), &mut history);
     for item in items {
         if router.route(item, k) == shard {
             session.arrive(item)?;
         }
     }
-    session.finish()
+    session.finish()?;
+    Ok(history.into_run())
 }
 
 /// Runs one algorithm's shard audit on one instance for one `(router, K)`:

@@ -101,15 +101,15 @@ fn main() {
         for round in 0..=ROUNDS {
             for telemetry in ["off", "sampled"] {
                 let mut packer = online_packer(algo, params);
-                let (elapsed_s, run) = if telemetry == "off" {
+                let (elapsed_s, totals) = if telemetry == "off" {
                     let mut session =
                         StreamingSession::new(ClairvoyanceMode::Clairvoyant, packer.as_mut());
                     let started = Instant::now();
                     for item in inst.items() {
                         session.arrive(item).expect("benchmark stream is valid");
                     }
-                    let run = session.finish().expect("stream drains cleanly");
-                    (started.elapsed().as_secs_f64(), run)
+                    let totals = session.finish().expect("stream drains cleanly");
+                    (started.elapsed().as_secs_f64(), totals)
                 } else {
                     let mut session = StreamingSession::with_observer(
                         ClairvoyanceMode::Clairvoyant,
@@ -120,10 +120,8 @@ fn main() {
                     for item in inst.items() {
                         session.arrive(item).expect("benchmark stream is valid");
                     }
-                    let (run, _) = session
-                        .finish_with_observer()
-                        .expect("stream drains cleanly");
-                    (started.elapsed().as_secs_f64(), run)
+                    let totals = session.finish().expect("stream drains cleanly");
+                    (started.elapsed().as_secs_f64(), totals)
                 };
                 let cell = CellReport {
                     algo: (*algo).to_string(),
@@ -131,8 +129,8 @@ fn main() {
                     items: inst.len(),
                     elapsed_s,
                     items_per_sec: inst.len() as f64 / elapsed_s,
-                    bins_opened: run.bins_opened(),
-                    usage: run.usage,
+                    bins_opened: totals.bins_opened,
+                    usage: totals.usage,
                 };
                 if round == 0 {
                     continue; // warmup round: run, but don't score

@@ -392,13 +392,13 @@ pub fn stream_cell<P: PackerHandle, O: PackObserver<P::Demand>>(
             peak_live_bytes = peak_live_bytes.max(session.approx_live_bytes());
         }
     }
-    let run = session.finish()?;
+    let totals = session.finish()?;
     Ok(CellRun {
         elapsed_s: started.elapsed().as_secs_f64(),
         peak_open_bins,
         peak_live_bytes,
-        bins_opened: run.bins_opened(),
-        usage: run.usage,
+        bins_opened: totals.bins_opened,
+        usage: totals.usage,
     })
 }
 

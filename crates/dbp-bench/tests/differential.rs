@@ -21,7 +21,7 @@ use dbp_bench::reference::{reference_next_fit, wide_fleet_instance};
 use dbp_bench::registry::{online_packer, AlgoParams, ONLINE_ALGOS};
 use dbp_core::online::BinRecord;
 use dbp_core::stream::StreamingSession;
-use dbp_core::{ClairvoyanceMode, EventLog, Instance, OnlineEngine, OnlineRun};
+use dbp_core::{ClairvoyanceMode, EventLog, Instance, OnlineEngine, OnlineRun, RunRecorder};
 use dbp_obs::replay::replay_events;
 use proptest::prelude::*;
 
@@ -76,13 +76,18 @@ proptest! {
             prop_assert_eq!(batch.usage, batch.packing.total_usage(&inst));
 
             let mut packer = online_packer(algo, params);
-            let mut session =
-                StreamingSession::new(ClairvoyanceMode::Clairvoyant, packer.as_mut());
+            let mut history = RunRecorder::new();
+            let mut session = StreamingSession::with_observer(
+                ClairvoyanceMode::Clairvoyant,
+                packer.as_mut(),
+                &mut history,
+            );
             for item in inst.items() {
                 session.arrive(item).unwrap();
             }
-            let streamed = session.finish().unwrap();
-            assert_runs_eq(algo, "stream vs batch", &streamed, &batch);
+            let totals = session.finish().unwrap();
+            prop_assert_eq!((totals.usage, totals.bins_opened), (batch.usage, batch.bins_opened()));
+            assert_runs_eq(algo, "stream vs batch", &history.into_run(), &batch);
 
             let mut log = EventLog::new();
             let observed = engine

@@ -6,7 +6,7 @@
 
 use dbp_bench::registry::{online_packer, AlgoParams, ONLINE_ALGOS};
 use dbp_core::stream::StreamingSession;
-use dbp_core::{ClairvoyanceMode, Instance, OnlineRun};
+use dbp_core::{ClairvoyanceMode, Instance, OnlineRun, RunRecorder};
 use dbp_shard::{ShardConfig, ShardRouter, ShardedSession};
 use dbp_workloads::random::PoissonWorkload;
 use dbp_workloads::Workload;
@@ -25,13 +25,19 @@ fn reference_runs(
     (0..k)
         .map(|shard| {
             let mut packer = online_packer(algo, params);
-            let mut session = StreamingSession::new(ClairvoyanceMode::Clairvoyant, packer.as_mut());
+            let mut history = RunRecorder::new();
+            let mut session = StreamingSession::with_observer(
+                ClairvoyanceMode::Clairvoyant,
+                packer.as_mut(),
+                &mut history,
+            );
             for item in inst.items() {
                 if router.route(item, k) == shard {
                     session.arrive(item).expect("reference arrive");
                 }
             }
-            session.finish().expect("reference finish")
+            session.finish().expect("reference finish");
+            history.into_run()
         })
         .collect()
 }

@@ -81,14 +81,14 @@ pub use ledger::IdLedger;
 pub use observe::{EventLog, FitDecision, NoopObserver, OpKind, PackEvent, PackObserver, Tee};
 pub use online::{
     ActiveItem, ClairvoyanceMode, Decision, OnlineEngine, OnlinePacker, OnlineRun, PackerState,
-    VecItemView, VecOnlinePacker, VecOpenBins,
+    RunRecorder, VecItemView, VecOnlinePacker, VecOpenBins,
 };
 pub use openbins::OpenBins;
 pub use packing::{BinId, OfflinePacker, Packing};
 pub use size::Size;
 pub use sizevec::{Scalarization, SizeVec, VecInstance, VecItem, MAX_DIMS};
 pub use stream::{
-    Admission, BinSnapshot, SessionSnapshot, StreamingSession, VecStreamingSession,
+    Admission, BinSnapshot, RunTotals, SessionSnapshot, StreamingSession, VecStreamingSession,
     SNAPSHOT_VERSION,
 };
 

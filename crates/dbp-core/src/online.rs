@@ -99,6 +99,8 @@ pub struct OpenBin<D = Size> {
     tag: u64,
     level: D,
     items: Vec<ActiveItem<D>>,
+    /// Items ever placed here, departed ones included.
+    placed: u64,
 }
 
 impl<D: Demand> OpenBin<D> {
@@ -111,6 +113,7 @@ impl<D: Demand> OpenBin<D> {
             tag,
             level: first.size,
             items: vec![first],
+            placed: 1,
         }
     }
 
@@ -126,7 +129,13 @@ impl<D: Demand> OpenBin<D> {
         }
         self.level = self.level.add(size);
         self.items.push(active);
+        self.placed += 1;
         Ok(())
+    }
+
+    /// Sets the placed count of a bin rebuilt from a snapshot.
+    pub(crate) fn set_placed(&mut self, placed: u64) {
+        self.placed = placed;
     }
 
     /// Removes an item; returns whether the bin became empty.
@@ -181,6 +190,12 @@ impl<D: Demand> OpenBin<D> {
     /// The active items in the bin.
     pub fn items(&self) -> &[ActiveItem<D>] {
         &self.items
+    }
+
+    /// How many items were ever placed in the bin, departed ones
+    /// included.
+    pub(crate) fn placed(&self) -> u64 {
+        self.placed
     }
 }
 
@@ -404,13 +419,21 @@ impl BinRecord {
     /// one item at all times between open and close, so this equals the
     /// span of the bin's items.
     pub fn usage(&self) -> u128 {
-        (self.closed_at - self.opened_at) as u128
+        lifetime(self.opened_at, self.closed_at)
     }
 }
 
-/// The outcome of an online run. Two runs compare equal only when the
-/// full bin history matches bit-for-bit (the checkpoint/restore
-/// differential tests rely on this).
+/// The usage a bin accrues between `opened_at` and `closed_at`, in
+/// ticks. Computed in `i128`, so no pair of `i64` times can overflow it;
+/// a bin never closes before it opened, and a negative span would count
+/// as zero.
+pub(crate) fn lifetime(opened_at: Time, closed_at: Time) -> u128 {
+    (i128::from(closed_at) - i128::from(opened_at)).max(0) as u128
+}
+
+/// The outcome of an online run, as a [`RunRecorder`] rebuilds it. Two
+/// runs compare equal only when the full bin history matches
+/// bit-for-bit (the checkpoint/restore differential tests rely on this).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OnlineRun {
     /// Item→bin assignment, convertible to a [`Packing`].
@@ -437,6 +460,84 @@ impl OnlineRun {
             deltas.push((b.closed_at, -1));
         }
         crate::stats::StepSeries::from_deltas(deltas)
+    }
+}
+
+/// Rebuilds a run's full bin history from a session's events.
+///
+/// A [`crate::StreamingSession`] keeps only live state and two running
+/// totals; the history of every bin ever opened is run *output*, so it
+/// lives here, in an observer, and only callers that want it pay for it.
+/// Tee one into a session (the batch engines do) and
+/// [`RunRecorder::into_run`] returns the [`OnlineRun`] the session's
+/// decisions add up to: records in opening order, each listing every
+/// item ever placed in the bin in placement order, a failed bin closed at
+/// its failure time with its displaced ids kept.
+///
+/// To record a stream that is checkpointed and resumed, hand the same
+/// recorder to the first session and to the restored one
+/// ([`crate::StreamingSession::restore_with_observer`]): the snapshot
+/// carries no history, the recorder does. A recorder attached mid-stream
+/// ignores events about bins it never saw open.
+#[derive(Clone, Debug, Default)]
+pub struct RunRecorder {
+    bins: Vec<BinRecord>,
+}
+
+impl RunRecorder {
+    /// An empty recorder.
+    pub fn new() -> RunRecorder {
+        RunRecorder::default()
+    }
+
+    /// The recorded run: the packing, the usage summed over the records,
+    /// and the records themselves, indexed by bin id. A bin still open
+    /// when the recording stopped has `closed_at` equal to its
+    /// `opened_at`.
+    pub fn into_run(self) -> OnlineRun {
+        let usage = self.bins.iter().map(BinRecord::usage).sum();
+        let packing = Packing::from_bins(self.bins.iter().map(|r| r.items.clone()).collect());
+        OnlineRun {
+            packing,
+            usage,
+            bins: self.bins,
+        }
+    }
+
+    fn record(&mut self, bin: BinId) -> Option<&mut BinRecord> {
+        self.bins.get_mut(bin.0 as usize)
+    }
+}
+
+impl<D> crate::observe::PackObserver<D> for RunRecorder {
+    fn on_event(&mut self, event: &crate::observe::PackEvent<D>) {
+        use crate::observe::PackEvent;
+        match *event {
+            PackEvent::BinOpened { bin, at, tag } if bin.0 as usize == self.bins.len() => {
+                self.bins.push(BinRecord {
+                    id: bin,
+                    opened_at: at,
+                    closed_at: at,
+                    tag,
+                    items: Vec::new(),
+                });
+            }
+            PackEvent::PlacementDecided { id, bin, .. } => {
+                if let Some(r) = self.record(bin) {
+                    r.items.push(id);
+                }
+            }
+            PackEvent::BinClosed { bin, at, .. } | PackEvent::BinFailed { bin, at, .. } => {
+                if let Some(r) = self.record(bin) {
+                    r.closed_at = at;
+                }
+            }
+            _ => {}
+        }
+    }
+
+    fn wants_timing(&mut self) -> bool {
+        false
     }
 }
 
@@ -469,7 +570,7 @@ impl OnlineEngine {
     /// open set — the moment its last item departs. This is a convenience
     /// wrapper over [`crate::stream::StreamingSession`], which is the
     /// incremental API for real online integrations; both paths share one
-    /// implementation.
+    /// implementation, and a [`RunRecorder`] rebuilds the full run.
     pub fn run(
         &self,
         inst: &Instance,
@@ -488,12 +589,17 @@ impl OnlineEngine {
         packer: &mut dyn OnlinePacker,
         obs: &mut O,
     ) -> Result<OnlineRun, DbpError> {
-        let mut session =
-            crate::stream::StreamingSession::with_observer(self.mode.clone(), packer, obs);
+        let mut recorder = RunRecorder::new();
+        let mut session = crate::stream::StreamingSession::with_observer(
+            self.mode.clone(),
+            packer,
+            crate::observe::Tee(obs, &mut recorder),
+        );
         for item in inst.items() {
             session.arrive(item)?;
         }
-        session.finish()
+        session.finish()?;
+        Ok(recorder.into_run())
     }
 }
 

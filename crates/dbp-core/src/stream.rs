@@ -6,10 +6,21 @@
 //! engine: call [`StreamingSession::arrive`] per job (non-decreasing
 //! arrival times), and the session returns the bin id the packer chose;
 //! call [`StreamingSession::finish`] to flush remaining departures and
-//! obtain the same [`OnlineRun`] the batch engine produces.
+//! obtain the run's [`RunTotals`].
 //!
 //! The batch engine is a thin loop over this session, so both enforce the
 //! same rules: capacity, bin closure on last departure, no migration.
+//!
+//! ## Live state only
+//!
+//! A job is placed from the open bins alone and never migrates, so the
+//! session keeps exactly what the next decision needs: the open bins with
+//! their live items, the pending departures, the clock, and two running
+//! totals (the usage of every bin already closed and the bins opened).
+//! It keeps no record of closed bins or departed items. The full
+//! [`OnlineRun`] is rebuilt, by whoever wants it, from the session's
+//! events: [`crate::online::RunRecorder`] is that observer, and
+//! [`crate::OnlineEngine::run`] tees one in.
 //!
 //! ## Any demand type
 //!
@@ -46,10 +57,13 @@
 //!
 //! The session is built for unbounded streams: every per-arrival and
 //! per-departure operation is O(1) expected (hash lookups) in the live
-//! state, never in the stream's history. Bin records are indexed directly
-//! by [`BinId`] (bins are numbered in opening order), the open set is the
-//! indexed [`crate::openbins::OpenBins`] slab, and `placement` entries are
-//! pruned when their item departs — see `docs/performance.md`.
+//! state, never in the stream's history. The open set is the indexed
+//! [`crate::openbins::OpenBins`] slab, each open bin counts the items
+//! ever placed in it (for [`PackEvent::BinClosed`]'s `items`), a closing
+//! bin adds its lifetime to one running usage total, and `placement`
+//! entries are pruned when their item departs. Memory, snapshot size and
+//! restore time therefore follow the open bins and live items, not the
+//! stream's length — see `docs/performance.md`.
 //!
 //! ## Where ids are checked
 //!
@@ -65,19 +79,31 @@ use crate::interval::Time;
 use crate::item::ItemId;
 use crate::observe::{FitDecision, NoopObserver, OpKind, PackEvent, PackObserver};
 use crate::online::{
-    ActiveItem, BinRecord, ClairvoyanceMode, Decision, ItemView, OnlinePacker, OnlineRun, OpenBin,
-    PackerState, VecOnlinePacker, VecPackerRef,
+    lifetime, ActiveItem, ClairvoyanceMode, Decision, ItemView, OnlinePacker, OnlineRun, OpenBin,
+    PackerState, RunRecorder, VecOnlinePacker, VecPackerRef,
 };
 use crate::openbins::OpenBins;
-use crate::packing::{BinId, Packing};
+use crate::packing::BinId;
 use crate::sizevec::{SizeVec, VecInstance};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::marker::PhantomData;
 
 /// Snapshot format version written by [`StreamingSession::snapshot`] and
-/// accepted by [`StreamingSession::restore`].
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// accepted by [`StreamingSession::restore`]. Version 2 carries live
+/// state only; version 1 documents (which also listed every bin ever
+/// opened) are converted to it when decoded.
+pub const SNAPSHOT_VERSION: u32 = 2;
+
+/// What a finished session returns: the running totals it kept. The
+/// full bin history is a [`RunRecorder`]'s to rebuild.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RunTotals {
+    /// Total usage time in ticks: every bin's lifetime, summed.
+    pub usage: u128,
+    /// Bins opened over the whole stream.
+    pub bins_opened: usize,
+}
 
 /// One open bin's state inside a [`SessionSnapshot`].
 ///
@@ -94,19 +120,25 @@ pub struct BinSnapshot<D = crate::size::Size> {
     pub opened_at: Time,
     /// The packer-supplied category tag.
     pub tag: u64,
+    /// Items ever placed in the bin, departed ones included (at least
+    /// `items.len()`); [`PackEvent::BinClosed`] reports it.
+    pub placed: u64,
     /// The resident items, in the bin's exact internal order.
     pub items: Vec<ActiveItem<D>>,
 }
 
 /// A versioned, self-contained snapshot of a [`StreamingSession`]'s
-/// state, sufficient to resume the stream bit-identically.
+/// state, sufficient to resume the stream bit-identically. It holds live
+/// state only, so its size follows the open bins and live items, not the
+/// stream's length.
 ///
 /// What is *not* captured: the [`ClairvoyanceMode`] (it may hold an
-/// arbitrary estimator closure) and the packer object itself — the caller
+/// arbitrary estimator closure), the packer object itself — the caller
 /// reconstructs both and [`StreamingSession::restore`] verifies the
-/// packer's name matches before handing it its saved [`PackerState`].
-/// The departure heap is stored as a sorted list, so equal sessions
-/// produce byte-equal encodings.
+/// packer's name matches before handing it its saved [`PackerState`] —
+/// and the run's bin history, which a [`RunRecorder`] carried across the
+/// restore keeps. The departure heap is stored as a sorted list, so
+/// equal sessions produce byte-equal encodings.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SessionSnapshot<D = crate::size::Size> {
     /// Format version ([`SNAPSHOT_VERSION`]).
@@ -117,17 +149,19 @@ pub struct SessionSnapshot<D = crate::size::Size> {
     pub packer_state: PackerState,
     /// Open bins in opening order.
     pub open_bins: Vec<BinSnapshot<D>>,
-    /// Full bin history (indexed by bin id).
-    pub records: Vec<BinRecord>,
     /// Pending departures as sorted `(time, item)` pairs.
     pub departures: Vec<(Time, ItemId)>,
-    /// The next bin id to assign.
+    /// The next bin id to assign: the number of bins opened so far.
     pub next_bin: u32,
     /// The session clock (last arrival / advance time).
     pub last_arrival: Option<Time>,
-    /// Kept for the v1 format: written as 0, ignored on restore.
+    /// Usage of every bin closed (or failed) so far, in ticks.
+    pub closed_usage: u128,
+    /// Always 0: sessions keep no id history (a v1 field, not written
+    /// by version 2).
     pub watermark: u32,
-    /// Kept for the v1 format: written empty, ignored on restore.
+    /// Always empty: sessions keep no id history (a v1 field, not
+    /// written by version 2).
     pub above: Vec<u32>,
 }
 
@@ -212,14 +246,15 @@ pub struct StreamingSession<'p, O = NoopObserver, P: PackerHandle = &'p mut dyn 
     _borrow: PhantomData<&'p mut ()>,
     obs: O,
     open: OpenBins<DemandOf<P>>,
-    /// Indexed by `BinId` — bins are numbered in opening order, so the
-    /// record for bin `b` is `records[b.0 as usize]`.
-    records: Vec<BinRecord>,
     /// Bin of each *live* item; entries are pruned at departure.
     placement: HashMap<ItemId, BinId>,
     departures: BinaryHeap<Reverse<(Time, ItemId)>>,
+    /// Bins are numbered in opening order, so this is also the number
+    /// of bins opened so far.
     next_bin: u32,
     last_arrival: Option<Time>,
+    /// Usage of every bin closed or failed so far.
+    closed_usage: u128,
 }
 
 impl<'p> StreamingSession<'p, NoopObserver> {
@@ -265,10 +300,15 @@ impl<'p, O: PackObserver> StreamingSession<'p, O> {
     }
 
     /// Reconstructs a session from a [`SessionSnapshot`], validating the
-    /// snapshot as it goes: version and packer name must match, records
-    /// must be indexed by bin id, every open bin must respect capacity,
-    /// and live items / pending departures must correspond one-to-one.
-    /// The packer is `reset()` and then handed its saved state.
+    /// snapshot as it goes: version and packer name must match, every
+    /// open bin must respect capacity, hold items, have opened no later
+    /// than the session clock and have placed at least as many items as
+    /// it holds, and live items / pending departures must correspond
+    /// one-to-one, every departure after the clock. The packer is
+    /// `reset()` and then handed its saved state.
+    ///
+    /// Hand `obs` the observer the snapshotted session reported to (a
+    /// [`RunRecorder`], say) to keep one event stream across the restore.
     pub fn restore_with_observer(
         mode: ClairvoyanceMode,
         packer: &'p mut dyn OnlinePacker,
@@ -292,19 +332,22 @@ impl<'p, P: PackerHandle, O: PackObserver<DemandOf<P>>> StreamingSession<'p, O, 
             _borrow: PhantomData,
             obs,
             open: OpenBins::new(),
-            records: Vec::new(),
             placement: HashMap::new(),
             departures: BinaryHeap::new(),
             next_bin: 0,
             last_arrival: None,
+            closed_usage: 0,
         }
     }
 
-    /// Captures the session's full state as a [`SessionSnapshot`]. Can be
-    /// taken between any two calls; resuming via
+    /// Captures the session's state as a [`SessionSnapshot`], in time and
+    /// size linear in the open bins and live items. Can be taken between
+    /// any two calls; resuming via
     /// [`StreamingSession::restore`] and feeding the remaining stream
-    /// produces a final [`OnlineRun`] bit-identical to an uninterrupted
-    /// run (verified across the whole roster in `dbp-resilience`).
+    /// makes the decisions, events and totals of an uninterrupted run, so
+    /// a [`RunRecorder`] carried across the restore ends with the same
+    /// [`OnlineRun`] (verified across the whole roster in
+    /// `dbp-resilience`).
     pub fn snapshot(&self) -> SessionSnapshot<DemandOf<P>> {
         let open_bins = self
             .open
@@ -313,6 +356,7 @@ impl<'p, P: PackerHandle, O: PackObserver<DemandOf<P>>> StreamingSession<'p, O, 
                 id: b.id(),
                 opened_at: b.opened_at(),
                 tag: b.tag(),
+                placed: b.placed(),
                 items: b.items().to_vec(),
             })
             .collect();
@@ -324,10 +368,10 @@ impl<'p, P: PackerHandle, O: PackObserver<DemandOf<P>>> StreamingSession<'p, O, 
             packer: self.packer.packer().name(),
             packer_state: self.packer.packer().save_state(),
             open_bins,
-            records: self.records.clone(),
             departures,
             next_bin: self.next_bin,
             last_arrival: self.last_arrival,
+            closed_usage: self.closed_usage,
             watermark: 0,
             above: Vec::new(),
         }
@@ -339,38 +383,27 @@ impl<'p, P: PackerHandle, O: PackObserver<DemandOf<P>>> StreamingSession<'p, O, 
         snap: &SessionSnapshot<DemandOf<P>>,
         obs: O,
     ) -> Result<Self, DbpError> {
+        let refuse = |what: String| DbpError::InvalidParameter { what };
         if snap.version != SNAPSHOT_VERSION {
-            return Err(DbpError::InvalidParameter {
-                what: format!(
-                    "unsupported snapshot version {} (this build reads version {SNAPSHOT_VERSION})",
-                    snap.version
-                ),
-            });
+            return Err(refuse(format!(
+                "unsupported snapshot version {} (this build reads version {SNAPSHOT_VERSION})",
+                snap.version
+            )));
         }
         let name = packer.packer().name();
         if name != snap.packer {
-            return Err(DbpError::InvalidParameter {
-                what: format!(
-                    "snapshot was taken with packer '{}' but '{name}' was supplied",
-                    snap.packer
-                ),
-            });
+            return Err(refuse(format!(
+                "snapshot was taken with packer '{}' but '{name}' was supplied",
+                snap.packer
+            )));
         }
-        if snap.records.len() != snap.next_bin as usize {
-            return Err(DbpError::InvalidParameter {
-                what: format!(
-                    "snapshot has {} bin records but next_bin is {}",
-                    snap.records.len(),
-                    snap.next_bin
-                ),
-            });
-        }
-        for (i, r) in snap.records.iter().enumerate() {
-            if r.id.0 as usize != i {
-                return Err(DbpError::InvalidParameter {
-                    what: format!("bin record {i} carries id {:?}", r.id),
-                });
-            }
+        // Each of `next_bin` bins spans at most 2^64 ticks, which also
+        // keeps every later addition to the total far from overflowing.
+        if snap.closed_usage > u128::from(snap.next_bin) * u128::from(u64::MAX) {
+            return Err(refuse(format!(
+                "snapshot closed_usage {} exceeds what {} bins can span",
+                snap.closed_usage, snap.next_bin
+            )));
         }
         packer.packer_mut().reset();
         packer.packer_mut().restore_state(&snap.packer_state)?;
@@ -382,14 +415,29 @@ impl<'p, P: PackerHandle, O: PackObserver<DemandOf<P>>> StreamingSession<'p, O, 
         // the original session's but are not observable.
         for b in &snap.open_bins {
             if b.id.0 >= snap.next_bin || open.get(b.id).is_some() {
-                return Err(DbpError::InvalidParameter {
-                    what: format!("snapshot open bin {:?} is out of range or repeated", b.id),
-                });
+                return Err(refuse(format!(
+                    "snapshot open bin {:?} is out of range or repeated",
+                    b.id
+                )));
+            }
+            if snap.last_arrival.is_none_or(|now| b.opened_at > now) {
+                return Err(refuse(format!(
+                    "snapshot open bin {:?} opened at {} after the session clock {:?}",
+                    b.id, b.opened_at, snap.last_arrival
+                )));
+            }
+            if b.placed == 0 || b.placed < b.items.len() as u64 {
+                return Err(refuse(format!(
+                    "snapshot open bin {:?} placed {} items but holds {}",
+                    b.id,
+                    b.placed,
+                    b.items.len()
+                )));
             }
             let mut items = b.items.iter().copied();
-            let first = items.next().ok_or_else(|| DbpError::InvalidParameter {
-                what: format!("snapshot open bin {:?} holds no items", b.id),
-            })?;
+            let first = items
+                .next()
+                .ok_or_else(|| refuse(format!("snapshot open bin {:?} holds no items", b.id)))?;
             let mut bin = OpenBin::new(b.id, b.opened_at, b.tag, first);
             if placement.insert(first.id, b.id).is_some() {
                 return Err(DbpError::DuplicateItemId { id: first.id.0 });
@@ -400,25 +448,34 @@ impl<'p, P: PackerHandle, O: PackObserver<DemandOf<P>>> StreamingSession<'p, O, 
                     return Err(DbpError::DuplicateItemId { id: a.id.0 });
                 }
             }
+            bin.set_placed(b.placed);
             open.insert(bin);
         }
+        if snap.departures.len() != placement.len() {
+            return Err(refuse(format!(
+                "snapshot has {} pending departures for {} live items",
+                snap.departures.len(),
+                placement.len()
+            )));
+        }
+        let mut departing = HashSet::with_capacity(snap.departures.len());
         let mut departures = BinaryHeap::with_capacity(snap.departures.len());
         for &(t, id) in &snap.departures {
-            if !placement.contains_key(&id) {
-                return Err(DbpError::InvalidParameter {
-                    what: format!("snapshot pending departure for non-live item {id}"),
-                });
+            if !placement.contains_key(&id) || !departing.insert(id) {
+                return Err(refuse(format!(
+                    "snapshot pending departure for item {id} is not one per live item"
+                )));
+            }
+            // Every departure at or before the clock was processed when
+            // the clock got there, so none may still be pending.
+            if snap.last_arrival.is_some_and(|now| t <= now) {
+                return Err(refuse(format!(
+                    "snapshot pending departure of item {id} at {t} is not after the session \
+                     clock {:?}",
+                    snap.last_arrival
+                )));
             }
             departures.push(Reverse((t, id)));
-        }
-        if snap.departures.len() != placement.len() {
-            return Err(DbpError::InvalidParameter {
-                what: format!(
-                    "snapshot has {} pending departures for {} live items",
-                    snap.departures.len(),
-                    placement.len()
-                ),
-            });
         }
         Ok(StreamingSession {
             mode,
@@ -426,11 +483,11 @@ impl<'p, P: PackerHandle, O: PackObserver<DemandOf<P>>> StreamingSession<'p, O, 
             _borrow: PhantomData,
             obs,
             open,
-            records: snap.records.clone(),
             placement,
             departures,
             next_bin: snap.next_bin,
             last_arrival: snap.last_arrival,
+            closed_usage: snap.closed_usage,
         })
     }
 
@@ -459,11 +516,10 @@ impl<'p, P: PackerHandle, O: PackObserver<DemandOf<P>>> StreamingSession<'p, O, 
                         what: format!("departing item {id} maps to a closed bin"),
                     })??;
             if became_empty {
-                self.open.remove(bin_id).expect("bin was open");
-                let rec = &mut self.records[bin_id.0 as usize];
-                rec.closed_at = dt;
+                let bin = self.open.remove(bin_id).expect("bin was open");
+                self.closed_usage += lifetime(bin.opened_at(), dt);
                 if O::ENABLED {
-                    let (opened_at, items) = (rec.opened_at, rec.items.len());
+                    let (opened_at, items) = (bin.opened_at(), bin.placed() as usize);
                     self.obs.on_event(&PackEvent::LevelChanged {
                         bin: bin_id,
                         at: dt,
@@ -502,11 +558,12 @@ impl<'p, P: PackerHandle, O: PackObserver<DemandOf<P>>> StreamingSession<'p, O, 
         self.placement.len()
     }
 
-    /// A cheap estimate of the session's live working-state heap
-    /// footprint: the open-bin slab plus the live-placement map and the
-    /// pending-departure heap. Excludes the append-only bin history
-    /// (`records`), which is run *output*, not working state. O(open
-    /// bins); the engine benchmark samples this as its RSS proxy.
+    /// A cheap estimate of the session's heap footprint: the open-bin
+    /// slab plus the live-placement map and the pending-departure heap.
+    /// That is all the session holds — it keeps no bin history — so the
+    /// estimate follows the open bins and live items, not the stream's
+    /// length. O(open bins); the engine benchmark samples this as its
+    /// RSS proxy.
     pub fn approx_live_bytes(&self) -> usize {
         use std::mem::size_of;
         self.open.approx_bytes()
@@ -740,13 +797,6 @@ impl<'p, P: PackerHandle, O: PackObserver<DemandOf<P>>> StreamingSession<'p, O, 
                 self.next_bin += 1;
                 let pool = self.open.len();
                 self.open.insert(OpenBin::new(bid, now, tag, active));
-                self.records.push(BinRecord {
-                    id: bid,
-                    opened_at: now,
-                    closed_at: now,
-                    tag,
-                    items: Vec::new(),
-                });
                 if O::ENABLED {
                     let rejected = self.packer.packer().last_scanned().unwrap_or(pool);
                     self.obs.on_event(&PackEvent::BinOpened {
@@ -772,7 +822,6 @@ impl<'p, P: PackerHandle, O: PackObserver<DemandOf<P>>> StreamingSession<'p, O, 
             }
         };
         self.placement.insert(item.id(), bin_id);
-        self.records[bin_id.0 as usize].items.push(item.id());
         self.departures.push(Reverse((item.departure(), item.id())));
         Ok(bin_id)
     }
@@ -781,7 +830,7 @@ impl<'p, P: PackerHandle, O: PackObserver<DemandOf<P>>> StreamingSession<'p, O, 
     ///
     /// Departures up to and including `at` are processed first (so a
     /// failure cannot displace items that had already left), then the bin
-    /// is force-closed: its record's `closed_at` becomes the failure time
+    /// is force-closed: its usage ends at the failure time
     /// and its still-resident items are removed from the live state and
     /// returned so the caller's recovery policy can resubmit or drop
     /// them. Their pending departures are dropped, so the session holds
@@ -813,13 +862,12 @@ impl<'p, P: PackerHandle, O: PackObserver<DemandOf<P>>> StreamingSession<'p, O, 
         }
         self.departures
             .retain(|Reverse((_, id))| self.placement.contains_key(id));
-        let rec = &mut self.records[bin.0 as usize];
-        rec.closed_at = at;
+        self.closed_usage += lifetime(state.opened_at(), at);
         if O::ENABLED {
             self.obs.on_event(&PackEvent::BinFailed {
                 bin,
                 at,
-                opened_at: rec.opened_at,
+                opened_at: state.opened_at(),
                 displaced: displaced.len(),
                 open_bins: self.open.len(),
             });
@@ -847,16 +895,18 @@ impl<'p, P: PackerHandle, O: PackObserver<DemandOf<P>>> StreamingSession<'p, O, 
         self.last_arrival
     }
 
-    /// Flushes all remaining departures and returns the finished run.
-    pub fn finish(self) -> Result<OnlineRun, DbpError> {
-        self.finish_with_observer().map(|(run, _)| run)
+    /// Flushes all remaining departures and returns the run's totals.
+    /// The full [`OnlineRun`] is what a [`RunRecorder`] observing the
+    /// session rebuilt.
+    pub fn finish(self) -> Result<RunTotals, DbpError> {
+        self.finish_with_observer().map(|(totals, _)| totals)
     }
 
     /// Like [`StreamingSession::finish`], but also hands back the owned
     /// observer so callers that moved one in (rather than borrowing via
     /// `&mut obs`) can read its accumulated state — e.g. a per-shard
     /// counters/metrics bundle in `dbp-shard`.
-    pub fn finish_with_observer(mut self) -> Result<(OnlineRun, O), DbpError> {
+    pub fn finish_with_observer(mut self) -> Result<(RunTotals, O), DbpError> {
         if O::ENABLED && self.obs.wants_timing() {
             let started = std::time::Instant::now();
             self.close_until(Time::MAX)?;
@@ -867,16 +917,10 @@ impl<'p, P: PackerHandle, O: PackObserver<DemandOf<P>>> StreamingSession<'p, O, 
         }
         debug_assert!(self.open.is_empty());
         debug_assert!(self.placement.is_empty(), "placement pruned on departure");
-        let usage: u128 = self.records.iter().map(|r| r.usage()).sum();
-        let mut bins = vec![Vec::new(); self.next_bin as usize];
-        for r in &self.records {
-            bins[r.id.0 as usize] = r.items.clone();
-        }
         Ok((
-            OnlineRun {
-                packing: Packing::from_bins(bins),
-                usage,
-                bins: self.records,
+            RunTotals {
+                usage: self.closed_usage,
+                bins_opened: self.next_bin as usize,
             },
             self.obs,
         ))
@@ -897,7 +941,7 @@ impl<'p> VecStreamingSession<'p> {
     }
 
     /// Streams a whole instance through a fresh session and returns the
-    /// finished run.
+    /// finished run, rebuilt by a [`RunRecorder`].
     pub fn run(
         mode: VecClairvoyance,
         inst: &VecInstance,
@@ -921,18 +965,24 @@ impl<'p, O: PackObserver<SizeVec>> VecStreamingSession<'p, O> {
     pub fn run_observed(
         mode: VecClairvoyance,
         inst: &VecInstance,
-        packer: &'p mut dyn VecOnlinePacker,
+        packer: &mut dyn VecOnlinePacker,
         obs: O,
     ) -> Result<OnlineRun, DbpError> {
-        let mut session = Self::with_observer(mode, packer, obs);
+        let mut recorder = RunRecorder::new();
+        let mut session = VecStreamingSession::with_observer(
+            mode,
+            packer,
+            crate::observe::Tee(obs, &mut recorder),
+        );
         for item in inst.items() {
             session.arrive(item)?;
         }
-        session.finish()
+        session.finish()?;
+        Ok(recorder.into_run())
     }
 
-    /// Flushes all remaining departures and returns the finished run.
-    pub fn finish(self) -> Result<OnlineRun, DbpError> {
+    /// Flushes all remaining departures and returns the run's totals.
+    pub fn finish(self) -> Result<RunTotals, DbpError> {
         self.0.finish()
     }
 
@@ -995,14 +1045,16 @@ mod tests {
             .run(&inst, &mut FirstFit)
             .unwrap();
         let mut packer = FirstFit;
-        let mut session = StreamingSession::new(ClairvoyanceMode::Clairvoyant, &mut packer);
+        let mut rec = RunRecorder::new();
+        let mut session =
+            StreamingSession::with_observer(ClairvoyanceMode::Clairvoyant, &mut packer, &mut rec);
         for r in inst.items() {
             session.arrive(r).unwrap();
         }
-        let streamed = session.finish().unwrap();
-        assert_eq!(streamed.usage, batch.usage);
-        assert_eq!(streamed.packing, batch.packing);
-        assert_eq!(streamed.bins.len(), batch.bins.len());
+        let totals = session.finish().unwrap();
+        assert_eq!(totals.usage, batch.usage);
+        assert_eq!(totals.bins_opened, batch.bins_opened());
+        assert_eq!(rec.into_run(), batch);
     }
 
     #[test]
@@ -1034,8 +1086,7 @@ mod tests {
         // Arriving at t=6 first closes the bin whose item left at 5.
         s.arrive(&Item::new(2, Size::from_f64(0.05), 6, 8)).unwrap();
         assert_eq!(s.open_bins(), 1);
-        let run = s.finish().unwrap();
-        assert_eq!(run.bins_opened(), 2);
+        assert_eq!(s.finish().unwrap().bins_opened, 2);
     }
 
     #[test]
@@ -1053,20 +1104,22 @@ mod tests {
         assert!(s.advance_to(5).is_err());
         assert!(s.arrive(&Item::new(2, Size::HALF, 20, 30)).is_err());
         s.arrive(&Item::new(3, Size::HALF, 30, 40)).unwrap();
-        let run = s.finish().unwrap();
-        assert_eq!(run.bins_opened(), 3);
+        assert_eq!(s.finish().unwrap().bins_opened, 3);
     }
 
     #[test]
     fn returned_bin_ids_match_records() {
         let inst = sample();
         let mut packer = FirstFit;
-        let mut s = StreamingSession::new(ClairvoyanceMode::Clairvoyant, &mut packer);
+        let mut rec = RunRecorder::new();
+        let mut s =
+            StreamingSession::with_observer(ClairvoyanceMode::Clairvoyant, &mut packer, &mut rec);
         let mut assigned = Vec::new();
         for r in inst.items() {
             assigned.push((r.id(), s.arrive(r).unwrap()));
         }
-        let run = s.finish().unwrap();
+        s.finish().unwrap();
+        let run = rec.into_run();
         for (item, bin) in assigned {
             assert!(run.packing.bin(bin).contains(&item));
         }
@@ -1106,8 +1159,8 @@ mod tests {
         }
         assert_eq!(arrived, inst.len());
         assert_eq!(placed, inst.len());
-        assert_eq!(opened, run.bins_opened());
-        assert_eq!(closed, run.bins_opened(), "every opened bin closes");
+        assert_eq!(opened, run.bins_opened);
+        assert_eq!(closed, run.bins_opened, "every opened bin closes");
         assert_eq!(closed_usage, run.usage, "closures reconstruct usage");
     }
 
@@ -1151,31 +1204,36 @@ mod tests {
 
     #[test]
     fn long_stream_memory_stays_bounded() {
-        // Regression for the pre-indexed engine, whose `seen` set and
-        // unpruned `placement` map grew with stream *length*. Live state
-        // must track the *concurrent* load: a 200k-item stream with at
-        // most 3 overlapping jobs keeps placement at ≤ 3 entries, while
-        // records/usage still cover the full history.
+        // Live state must track the *concurrent* load, never the stream's
+        // length: a 200k-item stream with at most 3 overlapping jobs
+        // keeps placement at ≤ 3 entries and its snapshot at ≤ 2 bins,
+        // while the totals still cover the whole stream.
         const N: u32 = 200_000;
         let mut packer = FirstFit;
         let mut s = StreamingSession::new(ClairvoyanceMode::Clairvoyant, &mut packer);
+        let mut live_bytes = 0;
         for k in 0..N {
             let t = k as Time;
             s.arrive(&Item::new(k, Size::from_f64(0.4), t, t + 3))
                 .unwrap();
             assert!(s.live_items() <= 3, "placement must be pruned (k={k})");
             assert!(s.open_bins() <= 2, "fleet tracks concurrency (k={k})");
+            if k == 1_000 {
+                live_bytes = s.approx_live_bytes();
+            }
         }
+        assert_eq!(s.approx_live_bytes(), live_bytes, "no state grows");
+        let snap = s.snapshot();
+        assert!(snap.open_bins.len() <= 2 && snap.departures.len() <= 3);
         let run = s.finish().unwrap();
-        let placed: usize = run.packing.iter_bins().map(|(_, v)| v.len()).sum();
-        assert_eq!(placed, N as usize);
-        assert!(run.bins_opened() > 10_000, "history is still complete");
+        assert!(run.bins_opened > 10_000, "totals cover the whole stream");
+        assert_eq!(u128::from(snap.next_bin), run.bins_opened as u128);
     }
 
-    fn feed<'p, P: PackerHandle<Demand = Size>>(
-        mut s: StreamingSession<'p, NoopObserver, P>,
+    fn feed<'p, O: PackObserver, P: PackerHandle<Demand = Size>>(
+        mut s: StreamingSession<'p, O, P>,
         items: &[Item],
-    ) -> StreamingSession<'p, NoopObserver, P> {
+    ) -> StreamingSession<'p, O, P> {
         for r in items {
             s.arrive(r).unwrap();
         }
@@ -1191,36 +1249,95 @@ mod tests {
     #[test]
     fn snapshot_restore_resumes_bit_identical() {
         // Cut the stream after every prefix length k, resume from the
-        // snapshot, and require the finished run to equal the
-        // uninterrupted one bit-for-bit — for the borrowed session and
-        // for the one that owns its packer.
+        // snapshot, and require the finished run — rebuilt by one
+        // recorder carried across the restore — to equal the
+        // uninterrupted one bit-for-bit. The session that owns its
+        // packer must end in the same state and totals.
         let mode = || ClairvoyanceMode::Clairvoyant;
         let inst = sample();
+        let (head, last) = inst.items().split_at(inst.len() - 1);
         let mut packer = FirstFit;
-        let full = feed(StreamingSession::new(mode(), &mut packer), inst.items())
-            .finish()
-            .unwrap();
-        let owned = feed(
-            OwnedSession::owned(mode(), Box::new(FirstFit)),
-            inst.items(),
-        )
-        .finish()
-        .unwrap();
-        assert_eq!(owned, full, "owning the packer changed the run");
+        let mut rec = RunRecorder::new();
+        let s = feed(
+            StreamingSession::with_observer(mode(), &mut packer, &mut rec),
+            head,
+        );
+        let before_last = s.snapshot();
+        let totals = feed(s, last).finish().unwrap();
+        let full = rec.into_run();
+        let owned = feed(OwnedSession::owned(mode(), Box::new(FirstFit)), head);
+        assert_eq!(
+            owned.snapshot(),
+            before_last,
+            "owning the packer changed it"
+        );
+        assert_eq!(feed(owned, last).finish().unwrap(), totals);
         for k in 0..=inst.len() {
             let (head, tail) = inst.items().split_at(k);
+            let mut rec = RunRecorder::new();
             let mut p1 = FirstFit;
-            let snap = feed(StreamingSession::new(mode(), &mut p1), head).snapshot();
+            let snap = feed(
+                StreamingSession::with_observer(mode(), &mut p1, &mut rec),
+                head,
+            )
+            .snapshot();
             let mut p2 = FirstFit;
-            let s2 = StreamingSession::restore(mode(), &mut p2, &snap).unwrap();
-            let resumed = feed(s2, tail).finish().unwrap();
-            assert_eq!(resumed, full, "resume after {k} events diverged");
+            let s2 =
+                StreamingSession::restore_with_observer(mode(), &mut p2, &snap, &mut rec).unwrap();
+            assert_eq!(feed(s2, tail).finish().unwrap(), totals, "cut {k}");
+            assert_eq!(rec.into_run(), full, "resume after {k} events diverged");
 
             let snap = feed(OwnedSession::owned(mode(), Box::new(FirstFit)), head).snapshot();
             let s2 = OwnedSession::restore_owned(mode(), Box::new(FirstFit), &snap).unwrap();
             let resumed = feed(s2, tail).finish().unwrap();
-            assert_eq!(resumed, full, "owned resume after {k} events diverged");
+            assert_eq!(resumed, totals, "owned resume after {k} events diverged");
         }
+    }
+
+    #[test]
+    fn closed_bins_count_every_placement_across_a_restore() {
+        // Bin 0 takes items 0..3; items 0 and 1 leave before the cut, so
+        // the snapshot holds one live item but three placements.
+        let items = [
+            Item::new(0, Size::from_f64(0.3), 0, 2),
+            Item::new(1, Size::from_f64(0.3), 1, 3),
+            Item::new(2, Size::from_f64(0.3), 1, 9),
+            Item::new(3, Size::from_f64(0.3), 5, 7),
+        ];
+        let mut packer = FirstFit;
+        let mut s = feed(
+            StreamingSession::new(ClairvoyanceMode::Clairvoyant, &mut packer),
+            &items[..3],
+        );
+        s.advance_to(4).unwrap();
+        let snap = s.snapshot();
+        assert_eq!(
+            (snap.open_bins[0].placed, snap.open_bins[0].items.len()),
+            (3, 1)
+        );
+        let mut p2 = FirstFit;
+        let mut log = EventLog::new();
+        let s2 = StreamingSession::restore_with_observer(
+            ClairvoyanceMode::Clairvoyant,
+            &mut p2,
+            &snap,
+            &mut log,
+        )
+        .unwrap();
+        let totals = feed(s2, &items[3..]).finish().unwrap();
+        assert!(log.events.contains(&PackEvent::BinClosed {
+            bin: BinId(0),
+            at: 9,
+            opened_at: 0,
+            items: 4,
+        }));
+        assert_eq!(
+            totals,
+            RunTotals {
+                usage: 9,
+                bins_opened: 1
+            }
+        );
     }
 
     #[test]
@@ -1271,7 +1388,9 @@ mod tests {
     #[test]
     fn fail_bin_displaces_live_items() {
         let mut packer = FirstFit;
-        let mut s = StreamingSession::new(ClairvoyanceMode::Clairvoyant, &mut packer);
+        let mut rec = RunRecorder::new();
+        let mut s =
+            StreamingSession::with_observer(ClairvoyanceMode::Clairvoyant, &mut packer, &mut rec);
         s.arrive(&Item::new(0, Size::from_f64(0.4), 0, 10)).unwrap();
         s.arrive(&Item::new(1, Size::from_f64(0.4), 1, 20)).unwrap();
         s.arrive(&Item::new(2, Size::from_f64(0.9), 2, 30)).unwrap();
@@ -1284,15 +1403,23 @@ mod tests {
         assert_eq!(s.live_items(), 1);
         // Failing a closed bin is an error.
         assert!(s.fail_bin(BinId(0), 6).is_err());
-        let run = s.finish().unwrap();
+        assert_eq!(s.finish().unwrap().usage, 5 + 28);
+        let run = rec.into_run();
         assert_eq!(run.bins[0].closed_at, 5, "record closed at failure time");
+        assert_eq!(
+            run.bins[0].items,
+            vec![ItemId(0), ItemId(1)],
+            "displaced ids kept"
+        );
         assert_eq!(run.usage, 5 + 28);
     }
 
     #[test]
     fn departed_and_displaced_ids_may_arrive_again() {
         let mut packer = FirstFit;
-        let mut s = StreamingSession::new(ClairvoyanceMode::Clairvoyant, &mut packer);
+        let mut rec = RunRecorder::new();
+        let mut s =
+            StreamingSession::with_observer(ClairvoyanceMode::Clairvoyant, &mut packer, &mut rec);
         s.arrive(&Item::new(0, Size::from_f64(0.4), 0, 2)).unwrap();
         s.arrive(&Item::new(1, Size::from_f64(0.4), 1, 20)).unwrap();
         s.advance_to(3).unwrap();
@@ -1304,23 +1431,24 @@ mod tests {
             s.arrive(&Item::new(1, Size::from_f64(0.4), 5, 7)).unwrap(),
             BinId(1)
         );
-        let run = s.finish().unwrap();
-        assert_eq!(run.bins[1].closed_at, 7);
-        assert_eq!(run.usage, 4 + 2);
+        assert_eq!(s.finish().unwrap().usage, 4 + 2);
+        assert_eq!(rec.into_run().bins[1].closed_at, 7);
     }
 
     #[test]
     fn fail_bin_does_not_displace_already_departed_items() {
         let mut packer = FirstFit;
-        let mut s = StreamingSession::new(ClairvoyanceMode::Clairvoyant, &mut packer);
+        let mut rec = RunRecorder::new();
+        let mut s =
+            StreamingSession::with_observer(ClairvoyanceMode::Clairvoyant, &mut packer, &mut rec);
         s.arrive(&Item::new(0, Size::from_f64(0.4), 0, 5)).unwrap();
         s.arrive(&Item::new(1, Size::from_f64(0.4), 1, 20)).unwrap();
         // Failure at t=7: item 0 departed at 5, only item 1 is displaced.
         let displaced = s.fail_bin(BinId(0), 7).unwrap();
         assert_eq!(displaced.len(), 1);
         assert_eq!(displaced[0].id, ItemId(1));
-        let run = s.finish().unwrap();
-        assert_eq!(run.bins[0].closed_at, 7);
+        s.finish().unwrap();
+        assert_eq!(rec.into_run().bins[0].closed_at, 7);
     }
 
     #[test]
@@ -1349,8 +1477,7 @@ mod tests {
             .arrive_capped(&Item::new(1, Size::from_f64(0.9), 11, 20), 1)
             .unwrap();
         assert_eq!(a, Admission::Placed(BinId(1)));
-        let run = s.finish().unwrap();
-        assert_eq!(run.bins_opened(), 2);
+        assert_eq!(s.finish().unwrap().bins_opened, 2);
         let shed: Vec<_> = log
             .events
             .iter()
@@ -1371,18 +1498,27 @@ mod tests {
     #[test]
     fn snapshot_after_failure_filters_cancelled_departures() {
         let mut packer = FirstFit;
-        let mut s = StreamingSession::new(ClairvoyanceMode::Clairvoyant, &mut packer);
+        let mut rec = RunRecorder::new();
+        let mut s =
+            StreamingSession::with_observer(ClairvoyanceMode::Clairvoyant, &mut packer, &mut rec);
         s.arrive(&Item::new(0, Size::from_f64(0.4), 0, 10)).unwrap();
         s.arrive(&Item::new(1, Size::from_f64(0.9), 1, 30)).unwrap();
         s.fail_bin(BinId(0), 2).unwrap();
         let snap = s.snapshot();
         assert_eq!(snap.departures, vec![(30, ItemId(1))]);
+        assert_eq!(snap.closed_usage, 2, "the failed bin's usage is kept");
         drop(s);
         let mut p2 = FirstFit;
-        let s2 = StreamingSession::restore(ClairvoyanceMode::Clairvoyant, &mut p2, &snap).unwrap();
-        let run = s2.finish().unwrap();
-        assert_eq!(run.bins[0].closed_at, 2);
-        assert_eq!(run.bins[1].closed_at, 30);
+        let s2 = StreamingSession::restore_with_observer(
+            ClairvoyanceMode::Clairvoyant,
+            &mut p2,
+            &snap,
+            &mut rec,
+        )
+        .unwrap();
+        assert_eq!(s2.finish().unwrap().usage, 2 + 29);
+        let run = rec.into_run();
+        assert_eq!((run.bins[0].closed_at, run.bins[1].closed_at), (2, 30));
     }
 
     fn placement_scans(log: &EventLog) -> Vec<(FitDecision, usize)> {

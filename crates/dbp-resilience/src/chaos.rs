@@ -28,10 +28,10 @@
 
 use crate::fault::{mix, AdmissionPolicy, FaultKind, FaultPlan, RecoveryPolicy};
 use dbp_core::accounting::lower_bounds;
-use dbp_core::observe::{NoopObserver, PackObserver};
+use dbp_core::observe::{NoopObserver, PackObserver, Tee};
 use dbp_core::{
     Admission, BinId, ClairvoyanceMode, DbpError, Instance, Item, ItemId, OnlinePacker, OnlineRun,
-    Size, StreamingSession, Time,
+    RunRecorder, Size, StreamingSession, Time,
 };
 use dbp_obs::counters::Counters;
 use dbp_sim::{Billing, RetryCounters, SimReport};
@@ -330,7 +330,8 @@ pub fn run_chaos_observed<O: PackObserver>(
         }
     }
     let scheduler = packer.name();
-    let mut session = StreamingSession::with_observer(mode, packer, obs);
+    let mut history = RunRecorder::new();
+    let mut session = StreamingSession::with_observer(mode, packer, Tee(obs, &mut history));
 
     let mut subs: BinaryHeap<PendingSub> = BinaryHeap::new();
     let mut seq: u64 = 0;
@@ -472,7 +473,8 @@ pub fn run_chaos_observed<O: PackObserver>(
         }
     }
 
-    let run = session.finish()?;
+    session.finish()?;
+    let run = history.into_run();
     for (&raw_id, &idx) in &live {
         debug_assert_eq!(submissions[idx].id.0, raw_id);
         let (job, attempt) = (submissions[idx].job, submissions[idx].attempt);

@@ -2,31 +2,46 @@
 //!
 //! [`snapshot_to_json`] encodes a [`SessionSnapshot`] as a single JSON
 //! document; [`snapshot_from_json`] decodes it, validating structure and
-//! refusing unknown format names or versions up front (the snapshot's
-//! own version is checked again, against the running build, by
+//! refusing unknown format names up front (the snapshot's own version is
+//! checked again, against the running build, by
 //! [`dbp_core::StreamingSession::restore`]). All integers are written as
 //! their exact decimal text — raw [`Size`] values are `u64` and must not
 //! pass through `f64` — so encode → decode → encode is byte-identical.
 //!
-//! The document layout (one object, field order fixed):
+//! The version 2 layout (one object, field order fixed) holds live state
+//! only, so its size follows the open bins and live items:
 //!
 //! ```json
-//! {"format":"dbp-checkpoint","version":1,"packer":"ff",
+//! {"format":"dbp-checkpoint","version":2,"packer":"ff",
 //!  "packer_state":{"epoch":5},
-//!  "next_bin":3,"last_arrival":7,"watermark":0,"above":[],
-//!  "open_bins":[{"id":0,"opened_at":0,"tag":0,
+//!  "next_bin":3,"last_arrival":7,"closed_usage":12,
+//!  "open_bins":[{"id":2,"opened_at":5,"tag":0,"placed":3,
 //!                "items":[{"id":1,"size_raw":8388608,"departure":9}]}],
-//!  "records":[{"id":0,"opened_at":0,"closed_at":7,"tag":0,"items":[1]}],
 //!  "departures":[[9,1]]}
 //! ```
 //!
 //! `last_arrival` and per-item `departure` use `null` for "absent".
-//! Version 1 keeps `watermark` and `above`; sessions ignore them.
+//! `closed_usage` (a `u128`) is the usage of every bin already closed;
+//! `placed` counts the items ever placed in an open bin, departed ones
+//! included.
+//!
+//! ## Reading version 1
+//!
+//! Version 1 documents also carried `watermark`, `above` and `records`,
+//! the history of every bin ever opened with every item ever placed in
+//! it. [`snapshot_from_json`] converts them to the version 2 snapshot the
+//! same session writes today: `closed_usage` is the summed usage of the
+//! records whose bin is not open, an open bin's `placed` is the length of
+//! its record's item list, and the id fields are dropped (sessions never
+//! used them). A history that version 1's restore refused — a record
+//! count other than `next_bin`, records not indexed by position — is
+//! refused here.
 
-use dbp_core::online::{BinRecord, PackerState};
-use dbp_core::stream::{BinSnapshot, SessionSnapshot};
+use dbp_core::online::PackerState;
+use dbp_core::stream::{BinSnapshot, SessionSnapshot, SNAPSHOT_VERSION};
 use dbp_core::{ActiveItem, BinId, DbpError, ItemId, Size, Time};
 use dbp_obs::json::{escape, parse, Json};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -64,23 +79,16 @@ pub fn snapshot_to_json(snap: &SessionSnapshot) -> String {
         }
         None => out.push_str(",\"last_arrival\":null"),
     }
-    let _ = write!(out, ",\"watermark\":{}", snap.watermark);
-    out.push_str(",\"above\":[");
-    for (i, id) in snap.above.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{id}");
-    }
-    out.push_str("],\"open_bins\":[");
+    let _ = write!(out, ",\"closed_usage\":{}", snap.closed_usage);
+    out.push_str(",\"open_bins\":[");
     for (i, b) in snap.open_bins.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         let _ = write!(
             out,
-            "{{\"id\":{},\"opened_at\":{},\"tag\":{},\"items\":[",
-            b.id.0, b.opened_at, b.tag
+            "{{\"id\":{},\"opened_at\":{},\"tag\":{},\"placed\":{},\"items\":[",
+            b.id.0, b.opened_at, b.tag, b.placed
         );
         for (j, a) in b.items.iter().enumerate() {
             if j > 0 {
@@ -93,24 +101,6 @@ pub fn snapshot_to_json(snap: &SessionSnapshot) -> String {
                 }
                 None => out.push_str(",\"departure\":null}"),
             }
-        }
-        out.push_str("]}");
-    }
-    out.push_str("],\"records\":[");
-    for (i, r) in snap.records.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"id\":{},\"opened_at\":{},\"closed_at\":{},\"tag\":{},\"items\":[",
-            r.id.0, r.opened_at, r.closed_at, r.tag
-        );
-        for (j, id) in r.items.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}", id.0);
         }
         out.push_str("]}");
     }
@@ -136,6 +126,14 @@ fn u64_field(v: &Json, key: &str) -> Result<u64, DbpError> {
         .ok_or_else(|| bad(format!("field {key:?} is not an unsigned integer")))
 }
 
+fn u128_field(v: &Json, key: &str) -> Result<u128, DbpError> {
+    match field(v, key)? {
+        Json::Num(text) => text.parse().ok(),
+        _ => None,
+    }
+    .ok_or_else(|| bad(format!("field {key:?} is not an unsigned integer")))
+}
+
 fn u32_field(v: &Json, key: &str) -> Result<u32, DbpError> {
     u64_field(v, key)?
         .try_into()
@@ -155,7 +153,8 @@ fn arr<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], DbpError> {
     }
 }
 
-/// Decodes a checkpoint document produced by [`snapshot_to_json`].
+/// Decodes a checkpoint document produced by [`snapshot_to_json`], or a
+/// version 1 document converted to version 2 (see the module docs).
 pub fn snapshot_from_json(text: &str) -> Result<SessionSnapshot, DbpError> {
     let doc = parse(text).map_err(bad)?;
     let format = field(&doc, "format")?
@@ -167,6 +166,7 @@ pub fn snapshot_from_json(text: &str) -> Result<SessionSnapshot, DbpError> {
         )));
     }
     let version = u32_field(&doc, "version")?;
+    let v1 = version == 1;
     let packer = field(&doc, "packer")?
         .as_str()
         .ok_or_else(|| bad("field \"packer\" is not a string"))?
@@ -192,15 +192,6 @@ pub fn snapshot_from_json(text: &str) -> Result<SessionSnapshot, DbpError> {
                 .ok_or_else(|| bad("field \"last_arrival\" is not an integer time"))?,
         ),
     };
-    let watermark = u32_field(&doc, "watermark")?;
-    let mut above = Vec::new();
-    for v in arr(&doc, "above")? {
-        let id = v
-            .as_u64()
-            .and_then(|x| u32::try_from(x).ok())
-            .ok_or_else(|| bad("entry in \"above\" is not a u32"))?;
-        above.push(id);
-    }
     let mut open_bins = Vec::new();
     for b in arr(&doc, "open_bins")? {
         let mut items = Vec::new();
@@ -222,27 +213,15 @@ pub fn snapshot_from_json(text: &str) -> Result<SessionSnapshot, DbpError> {
             id: BinId(u32_field(b, "id")?),
             opened_at: time_field(b, "opened_at")?,
             tag: u64_field(b, "tag")?,
+            placed: if v1 { 0 } else { u64_field(b, "placed")? },
             items,
         });
     }
-    let mut records = Vec::new();
-    for r in arr(&doc, "records")? {
-        let mut items = Vec::new();
-        for v in arr(r, "items")? {
-            let id = v
-                .as_u64()
-                .and_then(|x| u32::try_from(x).ok())
-                .ok_or_else(|| bad("record item id is not a u32"))?;
-            items.push(ItemId(id));
-        }
-        records.push(BinRecord {
-            id: BinId(u32_field(r, "id")?),
-            opened_at: time_field(r, "opened_at")?,
-            closed_at: time_field(r, "closed_at")?,
-            tag: u64_field(r, "tag")?,
-            items,
-        });
-    }
+    let closed_usage = if v1 {
+        v1_history(&doc, next_bin, &mut open_bins)?
+    } else {
+        u128_field(&doc, "closed_usage")?
+    };
     let mut departures = Vec::new();
     for pair in arr(&doc, "departures")? {
         match pair {
@@ -260,17 +239,64 @@ pub fn snapshot_from_json(text: &str) -> Result<SessionSnapshot, DbpError> {
         }
     }
     Ok(SessionSnapshot {
-        version,
+        version: if v1 { SNAPSHOT_VERSION } else { version },
         packer,
         packer_state,
         open_bins,
-        records,
         departures,
         next_bin,
         last_arrival,
-        watermark,
-        above,
+        closed_usage,
+        watermark: 0,
+        above: Vec::new(),
     })
+}
+
+/// Reduces a version 1 document's bin history to what version 2 keeps:
+/// returns the usage of the records whose bin is not open, and sets each
+/// open bin's `placed` to its record's item count.
+fn v1_history(doc: &Json, next_bin: u32, open_bins: &mut [BinSnapshot]) -> Result<u128, DbpError> {
+    let records = arr(doc, "records")?;
+    if records.len() != next_bin as usize {
+        return Err(bad(format!(
+            "snapshot has {} bin records but next_bin is {next_bin}",
+            records.len()
+        )));
+    }
+    let open: HashMap<BinId, usize> = open_bins
+        .iter()
+        .enumerate()
+        .map(|(k, b)| (b.id, k))
+        .collect();
+    let mut closed_usage = 0u128;
+    for (i, r) in records.iter().enumerate() {
+        let id = u32_field(r, "id")?;
+        if id as usize != i {
+            return Err(bad(format!("bin record {i} carries id {id}")));
+        }
+        let items = arr(r, "items")?;
+        if items
+            .iter()
+            .any(|v| v.as_u64().and_then(|x| u32::try_from(x).ok()).is_none())
+        {
+            return Err(bad("record item id is not a u32"));
+        }
+        let (opened_at, closed_at) = (time_field(r, "opened_at")?, time_field(r, "closed_at")?);
+        u64_field(r, "tag")?;
+        match open.get(&BinId(id)) {
+            Some(&k) => open_bins[k].placed = items.len() as u64,
+            None => {
+                let span = i128::from(closed_at) - i128::from(opened_at);
+                if span < 0 {
+                    return Err(bad(format!(
+                        "bin record {i} closes at {closed_at}, before it opened at {opened_at}"
+                    )));
+                }
+                closed_usage += span as u128;
+            }
+        }
+    }
+    Ok(closed_usage)
 }
 
 /// Fsyncs a directory, making previously renamed entries durable. Every
@@ -381,7 +407,7 @@ mod tests {
         assert!(snapshot_from_json("{}").is_err());
         // Structurally valid JSON with a broken field type.
         let snap = sample_snapshot();
-        let text = snapshot_to_json(&snap).replace("\"watermark\":", "\"watermark\":\"x\",\"w\":");
+        let text = snapshot_to_json(&snap).replace("\"next_bin\":", "\"next_bin\":\"x\",\"n\":");
         assert!(snapshot_from_json(&text).is_err());
     }
 
@@ -425,7 +451,7 @@ mod tests {
         // unknown versions, so forward-compatible tooling can still
         // inspect newer checkpoints.
         let snap = sample_snapshot();
-        let text = snapshot_to_json(&snap).replace("\"version\":1", "\"version\":999");
+        let text = snapshot_to_json(&snap).replace("\"version\":2", "\"version\":999");
         let decoded = snapshot_from_json(&text).unwrap();
         assert_eq!(decoded.version, 999);
         let mut packer = dbp_algos::online::ClassifyByDepartureTime::new(8);

@@ -6,10 +6,12 @@
 //! gap in three pieces:
 //!
 //! * [`checkpoint`] — a versioned JSON encoding of
-//!   [`dbp_core::SessionSnapshot`], proven bit-identical on resume: a
-//!   run checkpointed after any prefix of arrivals and restored into a
-//!   fresh session finishes with exactly the [`dbp_core::OnlineRun`] an
-//!   uninterrupted run produces.
+//!   [`dbp_core::SessionSnapshot`] (live state only, with a reader for
+//!   the older format that also listed every bin ever opened), proven
+//!   bit-identical on resume: a run checkpointed after any prefix of
+//!   arrivals and restored into a fresh session makes the uninterrupted
+//!   run's decisions, and a [`dbp_core::RunRecorder`] observing both
+//!   sessions ends with exactly its [`dbp_core::OnlineRun`].
 //! * [`fault`] — deterministic, seeded [`fault::FaultPlan`]s (spot
 //!   revocations, whole-fleet crashes, correlated rack failures) plus
 //!   the [`fault::RecoveryPolicy`] and [`fault::AdmissionPolicy`] knobs

@@ -3,7 +3,7 @@
 //! configuration reproduces a fault-free run.
 
 use dbp_bench::registry::{online_packer, AlgoParams, ONLINE_ALGOS};
-use dbp_core::{ClairvoyanceMode, Instance, StreamingSession};
+use dbp_core::{ClairvoyanceMode, Instance, RunRecorder, StreamingSession};
 use dbp_resilience::chaos::{run_chaos, simulate_chaos, ChaosConfig, JobOutcome};
 use dbp_resilience::fault::{AdmissionPolicy, FaultEvent, FaultKind, FaultPlan, RecoveryPolicy};
 use dbp_sim::unit_billing;
@@ -85,11 +85,17 @@ fn no_faults_no_cap_reproduces_the_plain_run() {
         let mut items = inst.items().to_vec();
         items.sort_by_key(|i| (i.arrival(), i.id()));
         let mut plain = online_packer(algo, params);
-        let mut s = StreamingSession::new(mode_for(algo), &mut *plain);
+        let mut history = RunRecorder::new();
+        let mut s = StreamingSession::with_observer(mode_for(algo), &mut *plain, &mut history);
         for item in &items {
             s.arrive(item).unwrap();
         }
-        assert_eq!(rep.run, s.finish().unwrap(), "{algo}");
+        let totals = s.finish().unwrap();
+        assert_eq!(
+            (rep.run.usage, rep.run.bins_opened()),
+            (totals.usage, totals.bins_opened)
+        );
+        assert_eq!(rep.run, history.into_run(), "{algo}");
     }
 }
 

@@ -2,10 +2,13 @@
 //! in the bench roster, a session checkpointed after *each* prefix of
 //! arrivals — round-tripped through the JSON encoding — and resumed in a
 //! fresh session must finish with an [`OnlineRun`] identical to the
-//! uninterrupted run's.
+//! uninterrupted run's. The snapshot holds live state only, so one
+//! [`RunRecorder`] observes the first session and the restored one and
+//! rebuilds the whole run; the restored session's own totals must match
+//! too.
 
 use dbp_bench::registry::{online_packer, AlgoParams, ONLINE_ALGOS};
-use dbp_core::{ClairvoyanceMode, Instance, Item, OnlineRun, StreamingSession};
+use dbp_core::{ClairvoyanceMode, Instance, Item, OnlineRun, RunRecorder, StreamingSession};
 use dbp_resilience::{snapshot_from_json, snapshot_to_json};
 use dbp_sim::NoisyEstimator;
 
@@ -46,11 +49,18 @@ fn arrivals(inst: &Instance) -> Vec<Item> {
 fn uninterrupted(algo: &str, inst: &Instance) -> OnlineRun {
     let params = AlgoParams::from_instance(inst);
     let mut packer = online_packer(algo, params);
-    let mut s = StreamingSession::new(mode_for(algo), &mut *packer);
+    let mut history = RunRecorder::new();
+    let mut s = StreamingSession::with_observer(mode_for(algo), &mut *packer, &mut history);
     for item in arrivals(inst) {
         s.arrive(&item).unwrap();
     }
-    s.finish().unwrap()
+    let totals = s.finish().unwrap();
+    let run = history.into_run();
+    assert_eq!(
+        (totals.usage, totals.bins_opened),
+        (run.usage, run.bins_opened())
+    );
+    run
 }
 
 #[test]
@@ -61,8 +71,9 @@ fn every_roster_packer_resumes_bit_identical_from_every_prefix() {
         let params = AlgoParams::from_instance(&inst);
         let full = uninterrupted(algo, &inst);
         for cut in 0..=items.len() {
+            let mut history = RunRecorder::new();
             let mut first = online_packer(algo, params);
-            let mut s = StreamingSession::new(mode_for(algo), &mut *first);
+            let mut s = StreamingSession::with_observer(mode_for(algo), &mut *first, &mut history);
             for item in &items[..cut] {
                 s.arrive(item).unwrap();
             }
@@ -74,13 +85,27 @@ fn every_roster_packer_resumes_bit_identical_from_every_prefix() {
             drop(s);
 
             let mut second = online_packer(algo, params);
-            let mut resumed =
-                StreamingSession::restore(mode_for(algo), &mut *second, &decoded).unwrap();
+            let mut resumed = StreamingSession::restore_with_observer(
+                mode_for(algo),
+                &mut *second,
+                &decoded,
+                &mut history,
+            )
+            .unwrap();
             for item in &items[cut..] {
                 resumed.arrive(item).unwrap();
             }
-            let run = resumed.finish().unwrap();
-            assert_eq!(run, full, "{algo}: resume from cut {cut} diverged");
+            let totals = resumed.finish().unwrap();
+            assert_eq!(
+                (totals.usage, totals.bins_opened),
+                (full.usage, full.bins_opened()),
+                "{algo}: resumed totals from cut {cut} diverged"
+            );
+            assert_eq!(
+                history.into_run(),
+                full,
+                "{algo}: resume from cut {cut} diverged"
+            );
         }
     }
 }
@@ -96,26 +121,34 @@ fn noisy_mode_resumes_bit_identical_when_estimator_is_reconstructed() {
     let params = AlgoParams::from_instance(&inst);
 
     let mut base = online_packer("cbdt", params);
-    let mut s = StreamingSession::new(est.mode(), &mut *base);
+    let mut history = RunRecorder::new();
+    let mut s = StreamingSession::with_observer(est.mode(), &mut *base, &mut history);
     for item in &items {
         s.arrive(item).unwrap();
     }
-    let full = s.finish().unwrap();
+    let full_totals = s.finish().unwrap();
+    let full = history.into_run();
 
     let cut = items.len() / 2;
+    let mut history = RunRecorder::new();
     let mut first = online_packer("cbdt", params);
-    let mut s = StreamingSession::new(est.mode(), &mut *first);
+    let mut s = StreamingSession::with_observer(est.mode(), &mut *first, &mut history);
     for item in &items[..cut] {
         s.arrive(item).unwrap();
     }
     let snap = s.snapshot();
     drop(s);
     let mut second = online_packer("cbdt", params);
-    let mut resumed =
-        StreamingSession::restore(NoisyEstimator::new(11, 0.3).mode(), &mut *second, &snap)
-            .unwrap();
+    let mut resumed = StreamingSession::restore_with_observer(
+        NoisyEstimator::new(11, 0.3).mode(),
+        &mut *second,
+        &snap,
+        &mut history,
+    )
+    .unwrap();
     for item in &items[cut..] {
         resumed.arrive(item).unwrap();
     }
-    assert_eq!(resumed.finish().unwrap(), full);
+    assert_eq!(resumed.finish().unwrap(), full_totals);
+    assert_eq!(history.into_run(), full);
 }

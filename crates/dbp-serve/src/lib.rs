@@ -51,5 +51,5 @@ pub mod wire;
 
 pub use protocol::{parse_request, render_response, RejectReason, Request, Response};
 pub use service::{RecoveryStats, ServeConfig, Service};
-pub use state::{latest_good_checkpoint, ServeCheckpoint};
+pub use state::ServeCheckpoint;
 pub use wal::FsyncPolicy;

@@ -4,6 +4,7 @@
 //! request). Per-tenant job outcomes share one `dbp_serve_jobs_total`
 //! counter family with `tenant` and `outcome` labels; fleet totals,
 //! per-shard open-bin gauges, the checkpoint and decision cursors, the
+//! newest checkpoint's size and the checkpoint-cost histogram, the
 //! submit batch-size histogram, the WAL's frame, byte and sync
 //! counters, the placement, WAL-append and WAL-commit latency
 //! histograms, and the boot-recovery scalars ride along. Histogram buckets come from
@@ -54,6 +55,11 @@ pub struct MetricsView<'a> {
     pub place_ns: &'a Histogram,
     /// Submissions decided per lock acquisition.
     pub submit_batch_size: &'a Histogram,
+    /// Encoded size of the newest checkpoint written since boot (0
+    /// before the first).
+    pub checkpoint_bytes: u64,
+    /// Wall-clock cost per checkpoint.
+    pub checkpoint_ns: &'a Histogram,
     /// WAL counters, when a WAL is configured.
     pub wal: Option<WalView<'a>>,
     /// Boot recovery stats, when a WAL is configured.
@@ -115,6 +121,24 @@ pub fn render_metrics(v: &MetricsView<'_>) -> String {
     for (shard, n) in v.open_bins.iter().enumerate() {
         let _ = writeln!(out, "dbp_serve_open_bins{{shard=\"{shard}\"}} {n}");
     }
+
+    let _ = writeln!(
+        out,
+        "# HELP dbp_serve_checkpoint_bytes Encoded size of the newest checkpoint written since boot"
+    );
+    let _ = writeln!(out, "# TYPE dbp_serve_checkpoint_bytes gauge");
+    let _ = writeln!(
+        out,
+        "dbp_serve_checkpoint_bytes{algo_label} {}",
+        v.checkpoint_bytes
+    );
+    render_histogram(
+        &mut out,
+        "dbp_serve_checkpoint_ns",
+        "Wall-clock nanoseconds per checkpoint (snapshot, encode, durable write, WAL rotate and prune)",
+        &[("algo", v.algo)],
+        v.checkpoint_ns,
+    );
 
     render_histogram(
         &mut out,
@@ -237,6 +261,8 @@ mod tests {
             decision_seq: 4,
             place_ns: &h,
             submit_batch_size: &Histogram::new(),
+            checkpoint_bytes: 0,
+            checkpoint_ns: &Histogram::new(),
             wal: None,
             recovery: None,
         });
@@ -250,6 +276,9 @@ mod tests {
         assert!(text.contains("dbp_serve_decision_seq{algo=\"first-fit\"} 4"));
         assert!(text.contains("dbp_serve_place_ns_count{algo=\"first-fit\"} 2"));
         assert!(text.contains("le=\"+Inf\""));
+        assert!(text.contains("# TYPE dbp_serve_checkpoint_bytes gauge"));
+        assert!(text.contains("dbp_serve_checkpoint_bytes{algo=\"first-fit\"} 0"));
+        assert!(text.contains("dbp_serve_checkpoint_ns_count{algo=\"first-fit\"} 0"));
         assert!(
             !text.contains("dbp_serve_wal_"),
             "no WAL series without a WAL"
@@ -271,6 +300,9 @@ mod tests {
         commit.record(90_000);
         let mut batch = Histogram::new();
         batch.record(2);
+        let mut ckpt = Histogram::new();
+        ckpt.record(2_500_000);
+        ckpt.record(1_500_000);
         let rec = RecoveryStats {
             duration_ns: 1_234,
             replayed_frames: 17,
@@ -289,6 +321,8 @@ mod tests {
             decision_seq: 17,
             place_ns: &Histogram::new(),
             submit_batch_size: &batch,
+            checkpoint_bytes: 31_337,
+            checkpoint_ns: &ckpt,
             wal: Some(WalView {
                 frames: 17,
                 bytes: 2_048,
@@ -313,5 +347,9 @@ mod tests {
         assert!(text.contains("dbp_serve_recovery_duration_ns{algo=\"first-fit\"} 1234"));
         assert!(text.contains("dbp_serve_recovery_truncated_files{algo=\"first-fit\"} 1"));
         assert!(text.contains("dbp_serve_recovery_dropped_frames{algo=\"first-fit\"} 2"));
+        assert!(text.contains("dbp_serve_checkpoint_bytes{algo=\"first-fit\"} 31337"));
+        assert!(text.contains("# TYPE dbp_serve_checkpoint_ns histogram"));
+        assert!(text.contains("dbp_serve_checkpoint_ns_count{algo=\"first-fit\"} 2"));
+        assert!(text.contains("dbp_serve_checkpoint_ns_sum{algo=\"first-fit\"} 4000000"));
     }
 }

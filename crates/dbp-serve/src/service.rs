@@ -31,13 +31,13 @@
 
 use crate::protocol::{RejectReason, Request, Response, StatusBody, Submit};
 use crate::state::{
-    kept_checkpoint_floor, latest_good_checkpoint, write_serve_checkpoint, ServeCheckpoint,
-    TenantCounters,
+    kept_checkpoint_floor, list_checkpoints, read_serve_checkpoint, write_serve_checkpoint,
+    ServeCheckpoint, TenantCounters,
 };
 use crate::wal::{self, DecisionFrame, FrameOutcome, FsyncPolicy, WalWriter};
 use dbp_bench::registry::{online_packer, AlgoParams, ONLINE_ALGOS};
 use dbp_core::stream::{Admission, OwnedSession};
-use dbp_core::{ClairvoyanceMode, DbpError, IdLedger, Item, Size, Time};
+use dbp_core::{ClairvoyanceMode, DbpError, IdLedger, Item, OnlinePacker, Size, Time};
 use dbp_shard::ShardRouter;
 use dbp_telemetry::Histogram;
 use std::collections::BTreeMap;
@@ -153,6 +153,11 @@ struct Core {
     /// Submissions per [`Service::handle_batch`] call; observability
     /// only.
     submit_batch_size: Histogram,
+    /// Encoded size of the newest checkpoint written since boot.
+    checkpoint_bytes: u64,
+    /// Wall-clock cost of each checkpoint: snapshot, encode, durable
+    /// write, WAL rotation and prune; observability only.
+    checkpoint_ns: Histogram,
     /// A shard's packer error (or a WAL commit failure) poisons the
     /// whole service.
     failed: Option<DbpError>,
@@ -218,62 +223,23 @@ pub struct Service {
 impl Service {
     /// Boots the service: validates `cfg`, restores the newest good
     /// checkpoint when a checkpoint directory is configured (walking
-    /// past torn files), and builds one session per shard.
+    /// past torn or unrestorable files), and builds one session per
+    /// shard.
     pub fn start(cfg: ServeConfig) -> Result<Service, DbpError> {
         let boot = Instant::now();
         cfg.validate()?;
         let (restored, skipped) = match &cfg.checkpoint_dir {
-            Some(dir) => match latest_good_checkpoint(dir)? {
-                Some((ck, skipped)) => (Some(ck), skipped),
-                None => (None, Vec::new()),
-            },
+            Some(dir) => Self::restore_newest(&cfg, dir)?,
             None => (None, Vec::new()),
         };
-        if let Some(ck) = &restored {
-            let bad = |what: String| DbpError::InvalidParameter { what };
-            if ck.algo != cfg.algo {
-                return Err(bad(format!(
-                    "checkpoint was written by algo {:?}, service runs {:?}",
-                    ck.algo, cfg.algo
-                )));
+        let (restored, shards) = match restored {
+            Some((ck, shards)) => (Some(ck), shards),
+            None => {
+                let fresh = (0..cfg.shards)
+                    .map(|_| OwnedSession::owned(ClairvoyanceMode::Clairvoyant, packer_for(&cfg)))
+                    .collect();
+                (None, fresh)
             }
-            if ck.router != cfg.router.name() {
-                return Err(bad(format!(
-                    "checkpoint was written with router {:?}, service runs {:?}",
-                    ck.router,
-                    cfg.router.name()
-                )));
-            }
-            if ck.sessions.len() != cfg.shards {
-                return Err(bad(format!(
-                    "checkpoint has {} shards, service runs {}",
-                    ck.sessions.len(),
-                    cfg.shards
-                )));
-            }
-            if ck.fleet_cap != cfg.fleet_cap.map(|c| c as u64) {
-                return Err(bad(format!(
-                    "checkpoint was written with fleet cap {:?}, service runs {:?}",
-                    ck.fleet_cap, cfg.fleet_cap
-                )));
-            }
-        }
-        let params = AlgoParams {
-            delta: cfg.delta,
-            mu: cfg.mu,
-        };
-        let packer = || online_packer(&cfg.algo, params);
-        let shards = match &restored {
-            Some(ck) => ck
-                .sessions
-                .iter()
-                .map(|snap| {
-                    OwnedSession::restore_owned(ClairvoyanceMode::Clairvoyant, packer(), snap)
-                })
-                .collect::<Result<_, _>>()?,
-            None => (0..cfg.shards)
-                .map(|_| OwnedSession::owned(ClairvoyanceMode::Clairvoyant, packer()))
-                .collect(),
         };
         let ck = restored.as_ref();
         let mut core = Core {
@@ -309,6 +275,8 @@ impl Service {
             wal_append_ns: Histogram::new(),
             wal_commit_ns: Histogram::new(),
             submit_batch_size: Histogram::new(),
+            checkpoint_bytes: 0,
+            checkpoint_ns: Histogram::new(),
             failed: None,
         };
         let recovery = match &cfg.wal_dir {
@@ -323,6 +291,40 @@ impl Service {
             skipped_checkpoints: skipped,
             recovery,
         })
+    }
+
+    /// Restores the newest checkpoint in `dir` that decodes and whose
+    /// session snapshots restore, walking past newer files that do not —
+    /// a torn write, or a crafted session line the restore refuses.
+    /// Returns it with its shard sessions, plus the files skipped, newest
+    /// first. A checkpoint written under another configuration refuses
+    /// the boot instead.
+    fn restore_newest(cfg: &ServeConfig, dir: &Path) -> Result<(Restored, Vec<PathBuf>), DbpError> {
+        let mut all = list_checkpoints(dir)?;
+        let mut skipped = Vec::new();
+        while let Some((_, path)) = all.pop() {
+            let Ok(ck) = read_serve_checkpoint(&path) else {
+                skipped.push(path);
+                continue;
+            };
+            check_fingerprint(cfg, &ck)?;
+            let shards = ck
+                .sessions
+                .iter()
+                .map(|snap| {
+                    OwnedSession::restore_owned(
+                        ClairvoyanceMode::Clairvoyant,
+                        packer_for(cfg),
+                        snap,
+                    )
+                })
+                .collect::<Result<Vec<_>, _>>();
+            match shards {
+                Ok(shards) => return Ok((Some((ck, shards)), skipped)),
+                Err(_) => skipped.push(path),
+            }
+        }
+        Ok((None, skipped))
     }
 
     /// Replays the WAL tail on top of the restored checkpoint and opens
@@ -482,6 +484,8 @@ impl Service {
                         decision_seq: core.decision_seq,
                         place_ns: &core.place_ns,
                         submit_batch_size: &core.submit_batch_size,
+                        checkpoint_bytes: core.checkpoint_bytes,
+                        checkpoint_ns: &core.checkpoint_ns,
                         wal: core.wal.as_ref().map(|w| crate::metrics::WalView {
                             frames: w.frames_appended(),
                             bytes: w.bytes_appended(),
@@ -751,6 +755,7 @@ impl Service {
                 what: format!("service is failed: {e}"),
             });
         }
+        let start = Instant::now();
         let sessions = core.shards.iter().map(OwnedSession::snapshot).collect();
         let seq = core.ckpt_seq + 1;
         let ck = ServeCheckpoint {
@@ -768,7 +773,7 @@ impl Service {
             tenants: core.tenant_counters(),
             sessions,
         };
-        write_serve_checkpoint(dir, &ck)?;
+        core.checkpoint_bytes = write_serve_checkpoint(dir, &ck)?;
         core.ckpt_seq = seq;
         core.decided_since_ckpt = 0;
         // The checkpoint is durable: rotate the WAL so frames it covers
@@ -789,8 +794,55 @@ impl Service {
                 Err(e) => eprintln!("dbp-serve: WAL rotation failed: {e}"),
             }
         }
+        core.checkpoint_ns.record(nanos_since(start));
         Ok(seq)
     }
+}
+
+/// A restored checkpoint with its shard sessions, when one restored.
+type Restored = Option<(ServeCheckpoint, Vec<OwnedSession>)>;
+
+/// A fresh packer of the configured algorithm.
+fn packer_for(cfg: &ServeConfig) -> Box<dyn OnlinePacker + Send> {
+    let params = AlgoParams {
+        delta: cfg.delta,
+        mu: cfg.mu,
+    };
+    online_packer(&cfg.algo, params)
+}
+
+/// Refuses a checkpoint written under another algorithm, router, shard
+/// count or fleet cap: resuming it would serve decisions this
+/// configuration never made.
+fn check_fingerprint(cfg: &ServeConfig, ck: &ServeCheckpoint) -> Result<(), DbpError> {
+    let bad = |what: String| Err(DbpError::InvalidParameter { what });
+    if ck.algo != cfg.algo {
+        return bad(format!(
+            "checkpoint was written by algo {:?}, service runs {:?}",
+            ck.algo, cfg.algo
+        ));
+    }
+    if ck.router != cfg.router.name() {
+        return bad(format!(
+            "checkpoint was written with router {:?}, service runs {:?}",
+            ck.router,
+            cfg.router.name()
+        ));
+    }
+    if ck.sessions.len() != cfg.shards {
+        return bad(format!(
+            "checkpoint has {} shards, service runs {}",
+            ck.sessions.len(),
+            cfg.shards
+        ));
+    }
+    if ck.fleet_cap != cfg.fleet_cap.map(|c| c as u64) {
+        return bad(format!(
+            "checkpoint was written with fleet cap {:?}, service runs {:?}",
+            ck.fleet_cap, cfg.fleet_cap
+        ));
+    }
+    Ok(())
 }
 
 /// Nanoseconds since `start`, saturated to `u64`.

@@ -14,13 +14,17 @@
 //! reuse [`dbp_resilience::snapshot_to_json`] verbatim, so every
 //! bit-identity guarantee the resilience layer proves carries over.
 //!
+//! The session lines hold live state only (snapshot version 2), so a
+//! checkpoint's size follows the open bins and live items, not the
+//! stream's length; lines an older build wrote (version 1) still decode.
+//!
 //! Files are written to `serve-<seq>.ckpt` via a temp file + rename, so
 //! a crash mid-write leaves a torn *temp* file, never a torn checkpoint
 //! under the canonical name. A kill between `write` and `rename`, or a
 //! filesystem that reorders the rename, can still surface a torn file —
-//! which is why [`latest_good_checkpoint`] walks candidates newest-first
-//! and falls back to the previous good snapshot on any decode error
-//! (the torn-checkpoint regression tests drive this path).
+//! which is why the service's restore walks the checkpoints newest-first
+//! and falls back to the previous good snapshot on any decode or restore
+//! error (the torn-checkpoint regression tests drive this path).
 
 use dbp_core::stream::SessionSnapshot;
 use dbp_core::{DbpError, Time};
@@ -171,6 +175,21 @@ fn str_field(v: &Json, key: &str) -> Result<String, DbpError> {
 pub fn decode(text: &str) -> Result<ServeCheckpoint, DbpError> {
     let mut lines = text.lines();
     let manifest = lines.next().ok_or_else(|| bad("empty checkpoint file"))?;
+    let (mut ck, shards) = decode_manifest(manifest)?;
+    // Grown per line read: the count is untrusted input.
+    for i in 0..shards {
+        let line = lines
+            .next()
+            .ok_or_else(|| bad(format!("truncated checkpoint: shard {i} snapshot missing")))?;
+        ck.sessions
+            .push(snapshot_from_json(line.trim_end()).map_err(|e| bad(format!("shard {i}: {e}")))?);
+    }
+    Ok(ck)
+}
+
+/// Decodes the manifest line: the checkpoint without its sessions, and
+/// the number of session lines that follow it.
+fn decode_manifest(manifest: &str) -> Result<(ServeCheckpoint, usize), DbpError> {
     let doc = parse(manifest).map_err(|e| bad(format!("manifest: {e}")))?;
     let format = str_field(&doc, "format")?;
     if format != SERVE_CHECKPOINT_FORMAT {
@@ -229,16 +248,7 @@ pub fn decode(text: &str) -> Result<ServeCheckpoint, DbpError> {
     } else {
         return Err(bad("manifest field \"tenants\" missing or not an array"));
     }
-    // Grown per line read: the count is untrusted input.
-    let mut sessions = Vec::new();
-    for i in 0..shards {
-        let line = lines
-            .next()
-            .ok_or_else(|| bad(format!("truncated checkpoint: shard {i} snapshot missing")))?;
-        sessions
-            .push(snapshot_from_json(line.trim_end()).map_err(|e| bad(format!("shard {i}: {e}")))?);
-    }
-    Ok(ServeCheckpoint {
+    let ck = ServeCheckpoint {
         seq: u64_field(&doc, "seq")?,
         algo: str_field(&doc, "algo")?,
         router: str_field(&doc, "router")?,
@@ -251,8 +261,9 @@ pub fn decode(text: &str) -> Result<ServeCheckpoint, DbpError> {
         rejected: u64_field(&doc, "rejected")?,
         decision_seq: doc.get("decision_seq").and_then(Json::as_u64).unwrap_or(0),
         tenants,
-        sessions,
-    })
+        sessions: Vec::new(),
+    };
+    Ok((ck, shards))
 }
 
 /// The canonical file name of checkpoint `seq`.
@@ -271,13 +282,14 @@ fn seq_of(name: &str) -> Option<u64> {
 /// Writes checkpoint `ck` into `dir` durably — temp file, `sync_all`,
 /// rename, parent-directory fsync (via
 /// [`dbp_resilience::durable_write`]) — and prunes all but the newest
-/// [`KEPT_CHECKPOINTS`] files. Returns the final path.
-pub fn write_serve_checkpoint(dir: &Path, ck: &ServeCheckpoint) -> Result<PathBuf, DbpError> {
+/// [`KEPT_CHECKPOINTS`] files. Returns the encoded size in bytes.
+pub fn write_serve_checkpoint(dir: &Path, ck: &ServeCheckpoint) -> Result<u64, DbpError> {
     let mkdir =
         dbp_resilience::failpoint::io_op("ckpt_mkdir").and_then(|()| std::fs::create_dir_all(dir));
     mkdir.map_err(|e| io(format!("cannot create {}: {e}", dir.display())))?;
     let path = dir.join(checkpoint_file_name(ck.seq));
-    dbp_resilience::durable_write(&path, encode(ck).as_bytes())
+    let text = encode(ck);
+    dbp_resilience::durable_write(&path, text.as_bytes())
         .map_err(|e| io(format!("committing {}: {e}", path.display())))?;
     // Prune: keep the newest KEPT_CHECKPOINTS by sequence.
     let mut all = list_checkpoints(dir)?;
@@ -287,18 +299,26 @@ pub fn write_serve_checkpoint(dir: &Path, ck: &ServeCheckpoint) -> Result<PathBu
             let _ = std::fs::remove_file(oldest);
         }
     }
-    Ok(path)
+    Ok(text.len() as u64)
 }
 
 /// The WAL replay floor of the *oldest* checkpoint still on disk: every
 /// decision at or below it is covered by every restorable checkpoint,
-/// so WAL segments that only hold such decisions are prunable.
+/// so WAL segments that only hold such decisions are prunable. Reads
+/// only that file's manifest line: the floor is a manifest field, and
+/// every kept checkpoint's floor is at least the oldest's, so a torn
+/// session line further down cannot make the prune unsafe.
 pub fn kept_checkpoint_floor(dir: &Path) -> Result<Option<u64>, DbpError> {
+    use std::io::BufRead as _;
     let all = list_checkpoints(dir)?;
-    match all.first() {
-        Some((_, path)) => Ok(Some(read_serve_checkpoint(path)?.decision_seq)),
-        None => Ok(None),
-    }
+    let Some((_, path)) = all.first() else {
+        return Ok(None);
+    };
+    let mut manifest = String::new();
+    std::fs::File::open(path)
+        .and_then(|f| std::io::BufReader::new(f).read_line(&mut manifest))
+        .map_err(|e| io(format!("cannot read checkpoint {}: {e}", path.display())))?;
+    Ok(Some(decode_manifest(manifest.trim_end())?.0.decision_seq))
 }
 
 /// Reads a checkpoint file; torn or corrupt files surface as typed
@@ -310,7 +330,7 @@ pub fn read_serve_checkpoint(path: &Path) -> Result<ServeCheckpoint, DbpError> {
 }
 
 /// Checkpoint files in `dir`, sorted by ascending sequence number.
-fn list_checkpoints(dir: &Path) -> Result<Vec<(u64, PathBuf)>, DbpError> {
+pub(crate) fn list_checkpoints(dir: &Path) -> Result<Vec<(u64, PathBuf)>, DbpError> {
     let mut found = Vec::new();
     let entries = match std::fs::read_dir(dir) {
         Ok(e) => e,
@@ -325,22 +345,4 @@ fn list_checkpoints(dir: &Path) -> Result<Vec<(u64, PathBuf)>, DbpError> {
     }
     found.sort();
     Ok(found)
-}
-
-/// Walks the checkpoints in `dir` newest-first and loads the first one
-/// that decodes — the restart path's torn-file fallback. Returns the
-/// loaded checkpoint plus the (newer) corrupt files that were skipped,
-/// or `None` when the directory holds no loadable checkpoint.
-pub fn latest_good_checkpoint(
-    dir: &Path,
-) -> Result<Option<(ServeCheckpoint, Vec<PathBuf>)>, DbpError> {
-    let mut all = list_checkpoints(dir)?;
-    let mut skipped = Vec::new();
-    while let Some((_, path)) = all.pop() {
-        match read_serve_checkpoint(&path) {
-            Ok(ck) => return Ok(Some((ck, skipped))),
-            Err(_) => skipped.push(path),
-        }
-    }
-    Ok(None)
 }

@@ -1,11 +1,15 @@
 //! Restart semantics: kill-and-resume bit-identity, torn-checkpoint
 //! fallback, and config-fingerprint validation.
 
-use dbp_core::{DbpError, IdLedger, Size};
+use dbp_bench::registry::{online_packer, AlgoParams};
+use dbp_core::stream::OwnedSession;
+use dbp_core::{ClairvoyanceMode, DbpError, Size};
 use dbp_resilience::failpoint::FailGuard;
+use dbp_resilience::snapshot_to_json;
 use dbp_serve::protocol::{render_response, Request, Response, Submit};
 use dbp_serve::state::{
-    checkpoint_file_name, read_serve_checkpoint, write_serve_checkpoint, KEPT_CHECKPOINTS,
+    checkpoint_file_name, kept_checkpoint_floor, read_serve_checkpoint, write_serve_checkpoint,
+    KEPT_CHECKPOINTS,
 };
 use dbp_serve::torture::torture_stream;
 use dbp_serve::wal::{self, DecisionFrame};
@@ -110,21 +114,32 @@ fn checkpoint(service: &Service) -> u64 {
     }
 }
 
-/// Every session line of a checkpoint file carries no id history.
-fn assert_sessions_hold_no_ids(text: &str) {
+/// Every session line of a checkpoint file is a version 2 snapshot:
+/// live state only, no bin history and no id history.
+fn assert_sessions_hold_live_state_only(text: &str) {
     for line in text.lines().skip(1) {
-        assert!(
-            line.contains("\"watermark\":0,\"above\":[],"),
-            "{line:.300}"
-        );
+        assert!(line.contains("\"version\":2,"), "{line:.300}");
+        for key in ["\"records\"", "\"watermark\"", "\"above\""] {
+            assert!(!line.contains(key), "{key} in {line:.300}");
+        }
     }
 }
 
-/// Checkpoints written while shard sessions kept their own id ledgers
-/// list ids in each session line; a restore ignores them, and the
-/// resumed service answers exactly as an uninterrupted one.
+/// The checkpoint the previous build wrote after `stream()[..137]`
+/// under `cfg_with_dir`: version 1 session lines, each listing every
+/// bin its shard ever opened with every item ever placed in it.
+fn version_1_checkpoint() -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/v1-k2-first-fit-137.ckpt");
+    std::fs::read_to_string(path).unwrap()
+}
+
+/// A checkpoint an older build wrote boots, and the resumed service
+/// answers exactly as an uninterrupted one. Its session lines carry the
+/// version 1 bin history, which restore reduces to live state; id lists
+/// in them, which builds before the coordinator ledger wrote, are
+/// ignored. The next checkpoint is version 2.
 #[test]
-fn session_id_lists_in_an_old_checkpoint_are_ignored() {
+fn a_version_1_checkpoint_boots_and_resumes_bit_identically() {
     let jobs = stream();
     let reference: Vec<String> = {
         let service = Service::start(cfg_with_dir(&fresh_dir("restart-v1-full"))).unwrap();
@@ -132,44 +147,41 @@ fn session_id_lists_in_an_old_checkpoint_are_ignored() {
             .map(|req| render_response(&service.handle(req)))
             .collect()
     };
-    let dir = fresh_dir("restart-v1-ids");
-    let seq = {
-        let service = Service::start(cfg_with_dir(&dir)).unwrap();
-        for req in &jobs[..137] {
-            service.handle(req);
-        }
-        checkpoint(&service)
-    };
-    let mut ck = read_serve_checkpoint(&dir.join(checkpoint_file_name(seq))).unwrap();
-    for snap in &mut ck.sessions {
-        let mut ids = IdLedger::new();
-        for id in snap.records.iter().flat_map(|r| &r.items) {
-            ids.insert(id.0);
-        }
-        (snap.watermark, snap.above) = (ids.watermark(), ids.above());
-        assert!(!snap.above.is_empty(), "hash routing leaves ids above");
-    }
-    write_serve_checkpoint(&dir, &ck).unwrap();
-
-    let service = Service::start(cfg_with_dir(&dir)).unwrap();
-    assert_eq!(service.restored_seq(), Some(seq));
-    let resumed: Vec<String> = jobs[137..]
+    let v1 = version_1_checkpoint();
+    let sessions: Vec<&str> = v1.lines().skip(1).collect();
+    assert_eq!(sessions.len(), 2);
+    assert!(sessions
         .iter()
-        .map(|req| render_response(&service.handle(req)))
-        .collect();
-    assert_eq!(&resumed[..], &reference[137..]);
-    let seq = checkpoint(&service);
-    assert_sessions_hold_no_ids(
-        &std::fs::read_to_string(dir.join(checkpoint_file_name(seq))).unwrap(),
+        .all(|l| l.contains("\"version\":1,") && l.contains("\"records\":[{")));
+    let with_ids = v1.replace(
+        "\"watermark\":0,\"above\":[]",
+        "\"watermark\":3,\"above\":[5,8]",
     );
+    assert_ne!(with_ids, v1);
+    for (name, text) in [("restart-v1", &v1), ("restart-v1-ids", &with_ids)] {
+        let dir = fresh_dir(name);
+        std::fs::write(dir.join(checkpoint_file_name(6)), text).unwrap();
+        let service = Service::start(cfg_with_dir(&dir)).unwrap();
+        assert_eq!(service.restored_seq(), Some(6), "{name}");
+        let resumed: Vec<String> = jobs[137..]
+            .iter()
+            .map(|req| render_response(&service.handle(req)))
+            .collect();
+        assert_eq!(&resumed[..], &reference[137..], "{name}");
+        let seq = checkpoint(&service);
+        assert_sessions_hold_live_state_only(
+            &std::fs::read_to_string(dir.join(checkpoint_file_name(seq))).unwrap(),
+        );
+    }
 }
 
 /// Shard sessions keep no id history, so under hash routing a K=2
-/// checkpoint's session lines list no ids and cost what K=1's do.
+/// checkpoint's session lines list no ids and cost what K=1's do, apart
+/// from the second line's own header.
 #[test]
 fn sharded_checkpoints_hold_no_per_shard_id_history() {
     let jobs = torture_stream(20_000);
-    let bytes_per_job = |shards: usize| {
+    let checkpoint_bytes = |shards: usize| {
         let dir = fresh_dir(&format!("restart-ids-k{shards}"));
         let mut cfg = ServeConfig::new(shards, "first-fit");
         cfg.checkpoint_dir = Some(dir.clone());
@@ -178,13 +190,16 @@ fn sharded_checkpoints_hold_no_per_shard_id_history() {
         service.handle_batch(&jobs);
         let path = dir.join(checkpoint_file_name(checkpoint(&service)));
         let text = std::fs::read_to_string(path).unwrap();
-        assert_sessions_hold_no_ids(&text);
-        text.len() as f64 / jobs.len() as f64
+        assert_sessions_hold_live_state_only(&text);
+        text.len() as f64
     };
-    let (k1, k2) = (bytes_per_job(1), bytes_per_job(2));
+    let packer = online_packer("first-fit", AlgoParams { delta: 1, mu: 1.0 });
+    let empty = OwnedSession::owned(ClairvoyanceMode::Clairvoyant, packer).snapshot();
+    let header = (snapshot_to_json(&empty).len() + 1) as f64;
+    let (k1, k2) = (checkpoint_bytes(1), checkpoint_bytes(2));
     assert!(
-        (k2 - k1).abs() <= 0.05 * k1,
-        "K=2: {k2:.1} B/job, K=1: {k1:.1}"
+        (k2 - header - k1).abs() <= 0.05 * k1,
+        "K=2: {k2} B, K=1: {k1} B, one session header {header} B"
     );
 }
 
@@ -251,6 +266,21 @@ fn a_crafted_shard_count_falls_back_instead_of_aborting() {
     });
 }
 
+/// A session line that decodes but that a restore refuses — here an open
+/// bin claiming it never had an item placed in it — sends the boot to the
+/// previous checkpoint, as a torn file does.
+#[test]
+fn a_crafted_session_line_falls_back_instead_of_aborting() {
+    damaged_newest_checkpoint_falls_back("restart-placed", |bytes| {
+        let text = String::from_utf8(bytes.to_vec()).unwrap();
+        let sessions = text.find('\n').unwrap();
+        let (manifest, lines) = text.split_at(sessions);
+        assert!(lines.contains("\"placed\":"));
+        let crafted = lines.replacen("\"placed\":", "\"placed\":0,\"was\":", 1);
+        format!("{manifest}{crafted}").into_bytes()
+    });
+}
+
 /// Writes two checkpoints, rewrites the newest with `damage`, and checks
 /// that the restart skips it and resumes from the older one.
 fn damaged_newest_checkpoint_falls_back(name: &str, damage: impl Fn(&[u8]) -> Vec<u8>) {
@@ -303,6 +333,55 @@ fn damaged_newest_checkpoint_falls_back(name: &str, damage: impl Fn(&[u8]) -> Ve
         assert!(
             !matches!(service.handle(req), Response::Error { .. }),
             "restored service must keep serving"
+        );
+    }
+}
+
+/// The WAL prune floor is a manifest field, so the oldest kept file
+/// yields it even when its session lines are torn.
+#[test]
+fn the_prune_floor_reads_only_the_oldest_manifest() {
+    let dir = fresh_dir("restart-floor");
+    let service = Service::start(cfg_with_dir(&dir)).unwrap();
+    for req in &stream()[..60] {
+        service.handle(req);
+    }
+    drop(service);
+    // Auto-checkpoints at 25 and 50: the oldest holds floor 25.
+    let oldest = dir.join(checkpoint_file_name(1));
+    let text = std::fs::read_to_string(&oldest).unwrap();
+    let manifest_end = text.find('\n').unwrap() + 1;
+    let torn = &text[..manifest_end + (text.len() - manifest_end) / 2];
+    std::fs::write(&oldest, torn).unwrap();
+    assert!(read_serve_checkpoint(&oldest).is_err());
+    assert_eq!(kept_checkpoint_floor(&dir).unwrap(), Some(25));
+}
+
+/// Checkpoint size follows the open bins, not the stream: the newest
+/// checkpoint after a 10x longer stream is about as big, at K=1 and K=2.
+#[test]
+fn checkpoint_bytes_stay_flat_over_a_ten_times_longer_stream() {
+    let newest_bytes = |shards: usize, jobs: u32| -> u64 {
+        let mut cfg = ServeConfig::new(shards, "first-fit");
+        cfg.checkpoint_dir = Some(fresh_dir(&format!("restart-flat-k{shards}-{jobs}")));
+        cfg.checkpoint_every = 500;
+        let service = Service::start(cfg).unwrap();
+        service.handle_batch(&torture_stream(jobs));
+        let text = match service.handle(&Request::Metrics) {
+            Response::Metrics { text } => text,
+            other => panic!("{other:?}"),
+        };
+        let gauge = "dbp_serve_checkpoint_bytes{algo=\"first-fit\"} ";
+        text.lines()
+            .find_map(|l| l.strip_prefix(gauge))
+            .and_then(|v| v.parse().ok())
+            .expect("checkpoint bytes gauge")
+    };
+    for shards in [1, 2] {
+        let (short, long) = (newest_bytes(shards, 2_000), newest_bytes(shards, 20_000));
+        assert!(
+            long as f64 <= 1.25 * short as f64,
+            "K={shards}: {short} B after 2,000 jobs, {long} B after 20,000"
         );
     }
 }

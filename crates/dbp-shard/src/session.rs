@@ -30,7 +30,7 @@ use crate::router::ShardRouter;
 use dbp_core::observe::{EventLog, OpKind, PackEvent, PackObserver};
 use dbp_core::online::ClairvoyanceMode;
 use dbp_core::stream::StreamingSession;
-use dbp_core::{DbpError, IdLedger, Item, OnlinePacker, Time};
+use dbp_core::{DbpError, IdLedger, Item, OnlinePacker, RunRecorder, Time};
 use dbp_obs::{Counters, CountersSnapshot, MetricsAggregator};
 use dbp_telemetry::{
     reparent_by_seq, stitch, RunMetrics, SpanCollector, SpanRecord, TelemetryRecorder, WorkMetrics,
@@ -113,10 +113,11 @@ impl ShardConfig {
     }
 }
 
-/// The per-shard observer bundle: counters always, metrics and event
-/// capture by configuration.
+/// The per-shard observer bundle: counters and the run's history
+/// always, metrics and event capture by configuration.
 struct ShardObs {
     counters: Counters,
+    history: RunRecorder,
     metrics: Option<MetricsAggregator>,
     events: Option<EventLog>,
     telemetry: Option<TelemetryRecorder>,
@@ -126,6 +127,7 @@ impl ShardObs {
     fn new(collect_metrics: bool, collect_events: bool, collect_telemetry: bool) -> ShardObs {
         ShardObs {
             counters: Counters::new(),
+            history: RunRecorder::new(),
             metrics: collect_metrics.then(MetricsAggregator::new),
             events: collect_events.then(EventLog::new),
             telemetry: collect_telemetry.then(TelemetryRecorder::new),
@@ -138,6 +140,7 @@ impl PackObserver for ShardObs {
 
     fn on_event(&mut self, event: &PackEvent) {
         self.counters.on_event(event);
+        self.history.on_event(event);
         if let Some(m) = &mut self.metrics {
             m.on_event(event);
         }
@@ -620,7 +623,7 @@ fn worker_main(
     }
     let mut slices = Vec::with_capacity(sessions.len());
     for (shard, session, peak, items) in sessions {
-        let (run, obs) = session.finish_with_observer().map_err(|e| (shard, e))?;
+        let (_, obs) = session.finish_with_observer().map_err(|e| (shard, e))?;
         slices.push(ShardSlice {
             shard,
             items,
@@ -629,7 +632,7 @@ fn worker_main(
             metrics: obs.metrics.map(|m| m.report()),
             events: obs.events.map(|l| l.events),
             telemetry: obs.telemetry.map(|t| t.into_snapshot()),
-            run,
+            run: obs.history.into_run(),
         });
     }
     let prof = spans.map(|c| WorkerProf {

@@ -5,7 +5,7 @@
 use dbp_algos::online::{AnyFit, ClassifyByDepartureTime};
 use dbp_core::observe::Tee;
 use dbp_core::online::ClairvoyanceMode;
-use dbp_core::{DbpError, Instance, Item, OnlinePacker, Size, StreamingSession};
+use dbp_core::{DbpError, Instance, Item, OnlinePacker, RunRecorder, Size, StreamingSession};
 use dbp_obs::{Counters, MetricsAggregator, MetricsReport};
 use dbp_shard::{ShardConfig, ShardReport, ShardRouter, ShardedSession};
 use dbp_workloads::random::PoissonWorkload;
@@ -143,19 +143,24 @@ fn single_shard_matches_plain_streaming_session() {
     for algo in ["ff", "bf", "cbdt"] {
         let report = run_sharded(&inst, algo, 1, Some(1), 64);
         let mut packer = make_packers(algo, &inst, 1).pop().unwrap();
-        let obs = Tee(Counters::new(), MetricsAggregator::new());
+        let obs = Tee(
+            Tee(Counters::new(), MetricsAggregator::new()),
+            RunRecorder::new(),
+        );
         let mut session =
             StreamingSession::with_observer(ClairvoyanceMode::Clairvoyant, packer.as_mut(), obs);
         for item in inst.items() {
             session.arrive(item).expect("plain arrive");
         }
-        let (plain_run, obs) = session.finish_with_observer().expect("plain finish");
+        let (totals, Tee(obs, history)) = session.finish_with_observer().expect("plain finish");
+        let plain_run = history.into_run();
         let slice = &report.slices[0];
         assert_eq!(
             slice.run, plain_run,
             "{algo}: run differs from plain session"
         );
         assert_eq!(report.usage, plain_run.usage, "{algo}: usage");
+        assert_eq!(report.usage, totals.usage, "{algo}: session usage");
         let mut plain_counters = obs.0.snapshot();
         let mut shard_counters = slice.counters;
         plain_counters.decide_ns_total = 0;

@@ -5,7 +5,7 @@
 
 use dbp_algos::online::{AnyFit, ClassifyByDuration};
 use dbp_core::online::ClairvoyanceMode;
-use dbp_core::{Instance, OnlinePacker, StreamingSession};
+use dbp_core::{Instance, OnlinePacker, RunRecorder, StreamingSession};
 use dbp_shard::{ShardConfig, ShardRouter, ShardedSession};
 use dbp_workloads::random::UniformWorkload;
 use dbp_workloads::Workload;
@@ -41,13 +41,19 @@ fn reference_runs(
     (0..k)
         .map(|shard| {
             let mut packer = packer_for(algo, inst);
-            let mut session = StreamingSession::new(ClairvoyanceMode::Clairvoyant, packer.as_mut());
+            let mut history = RunRecorder::new();
+            let mut session = StreamingSession::with_observer(
+                ClairvoyanceMode::Clairvoyant,
+                packer.as_mut(),
+                &mut history,
+            );
             for item in inst.items() {
                 if router.route(item, k) == shard {
                     session.arrive(item).expect("reference arrive");
                 }
             }
-            session.finish().expect("reference finish")
+            session.finish().expect("reference finish");
+            history.into_run()
         })
         .collect()
 }

@@ -3,7 +3,7 @@
 //!
 //! [`profile_stream`] is what `dbp prof` calls: it drives a
 //! [`StreamingSession`] over the items with a
-//! [`Counters`] + [`TelemetryRecorder`] tee attached, recording one span
+//! [`Counters`] + [`TelemetryRecorder`] + [`RunRecorder`] tee attached, recording one span
 //! per arrival batch under a root `stream` span plus a final `finish`
 //! span. Because the packer and the item order are deterministic, the
 //! [`Profile::telemetry`] *work* histograms are bit-identical across
@@ -14,7 +14,7 @@ use crate::recorder::{TelemetryRecorder, TelemetrySnapshot};
 use crate::span::{SpanCollector, SpanRecord, NO_SEQ};
 use dbp_core::online::{ClairvoyanceMode, OnlinePacker, OnlineRun};
 use dbp_core::stream::StreamingSession;
-use dbp_core::{DbpError, Item, Tee};
+use dbp_core::{DbpError, Item, RunRecorder, Tee};
 use dbp_obs::{Counters, CountersSnapshot};
 
 /// Default items per arrival-batch span in [`profile_stream`].
@@ -59,9 +59,13 @@ pub fn profile_stream(
     };
     let mut spans = SpanCollector::new();
     let root = spans.begin("stream", 0, None, NO_SEQ);
-    let run = {
-        let mut session =
-            StreamingSession::with_observer(mode, packer, Tee(&mut counters, &mut recorder));
+    let mut history = RunRecorder::new();
+    {
+        let mut session = StreamingSession::with_observer(
+            mode,
+            packer,
+            Tee(&mut counters, Tee(&mut recorder, &mut history)),
+        );
         for (seq, chunk) in items.chunks(batch).enumerate() {
             let started = spans.now_ns();
             for item in chunk {
@@ -70,16 +74,15 @@ pub fn profile_stream(
             spans.record_since("batch", 0, Some(root), seq as u64, started);
         }
         let started = spans.now_ns();
-        let (run, _) = session.finish_with_observer()?;
+        session.finish()?;
         spans.record_since("finish", 0, Some(root), NO_SEQ, started);
-        run
-    };
+    }
     spans.end(root);
     Ok(Profile {
         counters: counters.snapshot(),
         telemetry: recorder.snapshot(),
         spans: spans.into_spans(),
-        run,
+        run: history.into_run(),
     })
 }
 

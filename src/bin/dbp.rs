@@ -1367,7 +1367,7 @@ fn chaos(flags: &HashMap<String, String>) -> Result<(), CliError> {
 /// exactly-once accounting, and graceful degradation at a fleet cap.
 fn chaos_self_test(flags: &HashMap<String, String>) -> Result<(), CliError> {
     use clairvoyant_dbp::audit::fuzz::case_instance;
-    use clairvoyant_dbp::core::StreamingSession;
+    use clairvoyant_dbp::core::{RunRecorder, StreamingSession};
     use clairvoyant_dbp::resilience::chaos::run_chaos;
     use clairvoyant_dbp::resilience::{
         snapshot_from_json, snapshot_to_json, AdmissionPolicy, ChaosConfig, FaultEvent, FaultKind,
@@ -1389,29 +1389,48 @@ fn chaos_self_test(flags: &HashMap<String, String>) -> Result<(), CliError> {
     items.sort_by_key(|i| (i.arrival(), i.id()));
     let cut = items.len() / 2;
     let params = AlgoParams::from_instance(&inst);
+    // The snapshot holds live state only: one recorder observes the
+    // session up to the cut and the restored one after it, and must end
+    // with the uninterrupted run's full history.
     let mut packer = online_packer("cbdt", params);
-    let mut s = StreamingSession::new(ClairvoyanceMode::Clairvoyant, &mut *packer);
+    let mut full_history = RunRecorder::new();
+    let mut s = StreamingSession::with_observer(
+        ClairvoyanceMode::Clairvoyant,
+        &mut *packer,
+        &mut full_history,
+    );
+    for item in &items {
+        s.arrive(item).map_err(runtime_err)?;
+    }
+    s.finish().map_err(runtime_err)?;
+    let full = full_history.into_run();
+    let mut packer = online_packer("cbdt", params);
+    let mut history = RunRecorder::new();
+    let mut s =
+        StreamingSession::with_observer(ClairvoyanceMode::Clairvoyant, &mut *packer, &mut history);
     for item in &items[..cut] {
         s.arrive(item).map_err(runtime_err)?;
     }
     let snap = s.snapshot();
-    for item in &items[cut..] {
-        s.arrive(item).map_err(runtime_err)?;
-    }
-    let full = s.finish().map_err(runtime_err)?;
+    drop(s);
     let json = snapshot_to_json(&snap);
     let decoded = snapshot_from_json(&json).map_err(runtime_err)?;
     if decoded != snap {
         return Err(fail("checkpoint JSON round-trip was lossy"));
     }
     let mut packer = online_packer("cbdt", params);
-    let mut resumed =
-        StreamingSession::restore(ClairvoyanceMode::Clairvoyant, &mut *packer, &decoded)
-            .map_err(runtime_err)?;
+    let mut resumed = StreamingSession::restore_with_observer(
+        ClairvoyanceMode::Clairvoyant,
+        &mut *packer,
+        &decoded,
+        &mut history,
+    )
+    .map_err(runtime_err)?;
     for item in &items[cut..] {
         resumed.arrive(item).map_err(runtime_err)?;
     }
-    if resumed.finish().map_err(runtime_err)? != full {
+    resumed.finish().map_err(runtime_err)?;
+    if history.into_run() != full {
         return Err(fail("resumed run diverged from uninterrupted run"));
     }
     println!(
@@ -1821,7 +1840,8 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
     })?;
     for torn in service.skipped_checkpoints() {
         eprintln!(
-            "warning: skipped torn checkpoint {} (fell back to an older one)",
+            "warning: skipped checkpoint {} that is torn or does not restore (fell back to an \
+             older one)",
             torn.display()
         );
     }

@@ -173,6 +173,7 @@ proptest! {
     #[test]
     fn streaming_equals_batch(inst in arb_instance(30)) {
         use clairvoyant_dbp::core::stream::StreamingSession;
+        use clairvoyant_dbp::core::RunRecorder;
         let delta = inst.min_duration().unwrap();
         let mu = inst.mu().unwrap();
         let mut packers: Vec<Box<dyn OnlinePacker>> = vec![
@@ -181,14 +182,19 @@ proptest! {
         ];
         for p in packers.iter_mut() {
             let batch = OnlineEngine::clairvoyant().run(&inst, p.as_mut()).unwrap();
-            let mut session =
-                StreamingSession::new(ClairvoyanceMode::Clairvoyant, p.as_mut());
+            let mut history = RunRecorder::new();
+            let mut session = StreamingSession::with_observer(
+                ClairvoyanceMode::Clairvoyant,
+                p.as_mut(),
+                &mut history,
+            );
             for r in inst.items() {
                 session.arrive(r).unwrap();
             }
-            let streamed = session.finish().unwrap();
-            prop_assert_eq!(&streamed.packing, &batch.packing);
-            prop_assert_eq!(streamed.usage, batch.usage);
+            let totals = session.finish().unwrap();
+            prop_assert_eq!(totals.usage, batch.usage);
+            prop_assert_eq!(totals.bins_opened, batch.bins_opened());
+            prop_assert_eq!(&history.into_run(), &batch);
         }
     }
 

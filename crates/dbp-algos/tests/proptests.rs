@@ -31,6 +31,77 @@ fn arb_instance(max_items: usize) -> impl Strategy<Value = Instance> {
     })
 }
 
+/// A stream whose sizes come from the catalog 1/16, 1/8, 1/4, 1/2, with
+/// enough overlap that tens of bins stay open at once and share levels.
+fn arb_catalog_instance(max_items: usize) -> impl Strategy<Value = Instance> {
+    let item = (0usize..4, 0i64..60, 1i64..80).prop_map(|(k, a, d)| (k, a, a + d));
+    proptest::collection::vec(item, 1..=max_items).prop_map(|triples| {
+        let items = triples
+            .into_iter()
+            .enumerate()
+            .map(|(i, (k, a, dep))| {
+                Item::new(i as u32, Size::from_ratio(1, 16 >> k).unwrap(), a, dep)
+            })
+            .collect();
+        Instance::from_items(items).unwrap()
+    })
+}
+
+type PackerPair = (Box<dyn OnlinePacker>, Box<dyn OnlinePacker>);
+
+/// Each Any Fit rule with its linear-scan foil.
+fn any_fit_pairs() -> Vec<PackerPair> {
+    [
+        AnyFit::first_fit(),
+        AnyFit::best_fit(),
+        AnyFit::worst_fit(),
+        AnyFit::next_fit(),
+    ]
+    .into_iter()
+    .map(|p| -> PackerPair { (Box::new(p), Box::new(p.with_linear_scan())) })
+    .collect()
+}
+
+/// Each classification strategy (and Hybrid First Fit) with its
+/// linear-scan foil.
+fn classifier_pairs(rho: i64, alpha: f64) -> Vec<PackerPair> {
+    vec![
+        (
+            Box::new(ClassifyByDepartureTime::new(rho)),
+            Box::new(ClassifyByDepartureTime::new(rho).with_linear_scan()),
+        ),
+        (
+            Box::new(ClassifyByDuration::new(1, alpha)),
+            Box::new(ClassifyByDuration::new(1, alpha).with_linear_scan()),
+        ),
+        (
+            Box::new(CombinedClassify::new(1, alpha)),
+            Box::new(CombinedClassify::new(1, alpha).with_linear_scan()),
+        ),
+        (
+            Box::new(HybridFirstFit::default()),
+            Box::new(HybridFirstFit::default().with_linear_scan()),
+        ),
+    ]
+}
+
+/// Runs each pair on `inst` and requires bit-identical runs.
+fn indexed_matches_linear(
+    eng: &OnlineEngine,
+    inst: &Instance,
+    pairs: Vec<PackerPair>,
+) -> Result<(), String> {
+    for (mut indexed, mut linear) in pairs {
+        let name = indexed.name();
+        let a = eng.run(inst, indexed.as_mut()).unwrap();
+        let b = eng.run(inst, linear.as_mut()).unwrap();
+        if let Err(why) = same_run(&a, &b) {
+            prop_assert!(false, "{}: {}", name, why);
+        }
+    }
+    Ok(())
+}
+
 /// Brute-force exact bin packing by enumerating assignments.
 fn brute_min_bins(sizes: &[Size]) -> usize {
     if sizes.is_empty() {
@@ -180,21 +251,7 @@ proptest! {
     /// records — to the seed's linear open-bin walk.
     #[test]
     fn any_fit_indexed_matches_linear_scan(inst in arb_instance(40)) {
-        let eng = OnlineEngine::non_clairvoyant();
-        let pairs: Vec<(AnyFit, AnyFit)> = vec![
-            (AnyFit::first_fit(), AnyFit::first_fit().with_linear_scan()),
-            (AnyFit::best_fit(), AnyFit::best_fit().with_linear_scan()),
-            (AnyFit::worst_fit(), AnyFit::worst_fit().with_linear_scan()),
-            (AnyFit::next_fit(), AnyFit::next_fit().with_linear_scan()),
-        ];
-        for (mut indexed, mut linear) in pairs {
-            let name = indexed.name();
-            let a = eng.run(&inst, &mut indexed).unwrap();
-            let b = eng.run(&inst, &mut linear).unwrap();
-            if let Err(why) = same_run(&a, &b) {
-                prop_assert!(false, "{}: {}", name, why);
-            }
-        }
+        indexed_matches_linear(&OnlineEngine::non_clairvoyant(), &inst, any_fit_pairs())?;
     }
 
     /// Indexed-vs-linear differential, classification strategies: the
@@ -202,33 +259,23 @@ proptest! {
     /// CBD, the combined classifier, and Hybrid First Fit.
     #[test]
     fn classifiers_indexed_match_linear_scan(inst in arb_instance(40), rho in 1i64..24, alpha in 1.2f64..4.0) {
-        let eng = OnlineEngine::clairvoyant();
-        let pairs: Vec<(Box<dyn OnlinePacker>, Box<dyn OnlinePacker>)> = vec![
-            (
-                Box::new(ClassifyByDepartureTime::new(rho)),
-                Box::new(ClassifyByDepartureTime::new(rho).with_linear_scan()),
-            ),
-            (
-                Box::new(ClassifyByDuration::new(1, alpha)),
-                Box::new(ClassifyByDuration::new(1, alpha).with_linear_scan()),
-            ),
-            (
-                Box::new(CombinedClassify::new(1, alpha)),
-                Box::new(CombinedClassify::new(1, alpha).with_linear_scan()),
-            ),
-            (
-                Box::new(HybridFirstFit::default()),
-                Box::new(HybridFirstFit::default().with_linear_scan()),
-            ),
-        ];
-        for (mut indexed, mut linear) in pairs {
-            let name = indexed.name();
-            let a = eng.run(&inst, indexed.as_mut()).unwrap();
-            let b = eng.run(&inst, linear.as_mut()).unwrap();
-            if let Err(why) = same_run(&a, &b) {
-                prop_assert!(false, "{}: {}", name, why);
-            }
-        }
+        indexed_matches_linear(&OnlineEngine::clairvoyant(), &inst, classifier_pairs(rho, alpha))?;
+    }
+
+    /// The whole roster's indexed-vs-linear differential on tie-heavy
+    /// streams: sizes drawn from the catalog 1/16, 1/8, 1/4, 1/2, so
+    /// most bins share an exact level with others and Best/Worst Fit
+    /// answer from tie groups (the latest- and earliest-opened bin of a
+    /// level) rather than from distinct levels.
+    #[test]
+    fn roster_indexed_matches_linear_scan_on_tie_heavy_catalogs(
+        inst in arb_catalog_instance(80),
+        rho in 1i64..24,
+        alpha in 1.2f64..4.0,
+    ) {
+        indexed_matches_linear(&OnlineEngine::non_clairvoyant(), &inst, any_fit_pairs())?;
+        indexed_matches_linear(&OnlineEngine::clairvoyant(), &inst, any_fit_pairs())?;
+        indexed_matches_linear(&OnlineEngine::clairvoyant(), &inst, classifier_pairs(rho, alpha))?;
     }
 
     /// CBD: items sharing a bin have duration ratio at most α.

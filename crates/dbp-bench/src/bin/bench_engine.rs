@@ -13,7 +13,10 @@
 //!
 //! The scalar roster streams Poisson arrivals; the vector roster streams
 //! the 3-axis correlated `corr-vec` workload. Each cell records its
-//! `dims` (1 for scalar cells).
+//! `dims` (1 for scalar cells). Best Fit also streams two scalar
+//! variants of the deep fleet: `@ties` (catalog sizes 1/16, 1/8, 1/4,
+//! 1/2, so bins share exact levels; with its linear foil) and `@wide`
+//! (rate 40, ~12k open bins).
 //!
 //! Usage: `cargo run --release -p dbp-bench --bin bench_engine [-- flags]`
 //!
@@ -68,6 +71,10 @@ fn main() {
     // second `generate_seeded`.
     let inst = BenchInstance::Scalar(Workload::generate_seeded(&workload, SEED));
     let deep_inst = BenchInstance::Scalar(Workload::generate_seeded(&deep_workload, SEED));
+    let ties_workload = scalar_workload(ENGINE_SCHEMA, mode, "ties").expect("ties workload");
+    let ties_inst = BenchInstance::Scalar(Workload::generate_seeded(&ties_workload, SEED));
+    let wide_workload = scalar_workload(ENGINE_SCHEMA, mode, "wide").expect("wide workload");
+    let wide_inst = BenchInstance::Scalar(Workload::generate_seeded(&wide_workload, SEED));
     // The vector deep fleet runs one arrival per tick, so hundreds of
     // bins stay open and a linear walk pays for every one of them.
     let vec_inst = BenchInstance::Vector(
@@ -78,11 +85,15 @@ fn main() {
     );
     println!(
         "engine benchmark ({mode}): {} items from {} seed {SEED}\n  deep-fleet cells: {} items from {}\n  \
+         tie-heavy cells: {} items; wide-fleet cells: {} items from {}\n  \
          vector cells: {} items, {} axes; deep-fleet vector cells: {} items\n",
         inst.item_count(),
         workload.name(),
         deep_inst.item_count(),
         deep_workload.name(),
+        ties_inst.item_count(),
+        wide_inst.item_count(),
+        wide_workload.name(),
         vec_inst.item_count(),
         vec_inst.dims(),
         vec_deep_inst.item_count(),
@@ -98,19 +109,27 @@ fn main() {
     // the scalar roster and the vector headline rules, and the foil cells
     // re-run the two headline rules on each deep fleet with the O(fleet)
     // open-bin walk, so the indexed speedup is measured inside the
-    // artifact rather than against a stale baseline.
+    // artifact rather than against a stale baseline. Best Fit's level
+    // index also meets exact-level ties (with its foil) and a 12k-bin
+    // fleet (too wide for a linear walk to finish in reasonable time).
     let headline: &[&str] = &["first-fit", "best-fit"];
+    let best: &[&str] = &["best-fit"];
+    let best_fleets: &[(&[&str], &str, &str)] = &[
+        (best, "ties", "indexed"),
+        (best, "ties", "linear"),
+        (best, "wide", "indexed"),
+    ];
     let mut cells = Vec::new();
-    for (dims, roster, deep_roster) in [
-        (1, ONLINE_ALGOS, ONLINE_ALGOS),
-        (vec_inst.dims(), VECTOR_ALGOS, headline),
+    for (dims, roster, deep_roster, extra) in [
+        (1, ONLINE_ALGOS, ONLINE_ALGOS, best_fleets),
+        (vec_inst.dims(), VECTOR_ALGOS, headline, &[]),
     ] {
         let variants = [
             (roster, "default", "indexed"),
             (deep_roster, "deep", "indexed"),
             (headline, "deep", "linear"),
         ];
-        for (algos, workload, scan) in variants {
+        for &(algos, workload, scan) in variants.iter().chain(extra) {
             cells.extend(algos.iter().map(|algo| {
                 let cell = BaselineCell {
                     algo: algo.to_string(),
@@ -142,6 +161,8 @@ fn main() {
         let inst = match (cell.workload_key(), cell.dims) {
             ("default", 1) => &inst,
             ("deep", 1) => &deep_inst,
+            ("ties", 1) => &ties_inst,
+            ("wide", 1) => &wide_inst,
             ("default", _) => &vec_inst,
             _ => &vec_deep_inst,
         };
@@ -149,8 +170,14 @@ fn main() {
             .run_cell(&cell.algo, cell.linear_scan())
             .expect("benchmark stream is valid");
         // The whole point of a deep cell: the fleet really is deep.
-        let floor = if cell.dims == 1 { 1000 } else { 300 };
-        if cell.workload_key() == "deep" && !short {
+        // (The tie-heavy catalog's items are smaller: ~1,000 bins.)
+        let floor = match (cell.workload_key(), cell.dims) {
+            ("wide", _) => 10_000,
+            ("ties", _) => 900,
+            (_, 1) => 1000,
+            _ => 300,
+        };
+        if cell.workload_key() != "default" && !short {
             assert!(
                 run.peak_open_bins >= floor,
                 "{} peaked at only {} open bins",
@@ -197,6 +224,16 @@ fn main() {
         "  \"deep_workload\": {{ \"generator\": \"{}\", \"seed\": {SEED}, \"items\": {} }},\n",
         deep_workload.name(),
         deep_inst.item_count()
+    ));
+    json.push_str(&format!(
+        "  \"ties_workload\": {{ \"generator\": \"{}\", \"sizes\": \"1/16,1/8,1/4,1/2\", \"seed\": {SEED}, \"items\": {} }},\n",
+        ties_workload.name(),
+        ties_inst.item_count()
+    ));
+    json.push_str(&format!(
+        "  \"wide_workload\": {{ \"generator\": \"{}\", \"seed\": {SEED}, \"items\": {} }},\n",
+        wide_workload.name(),
+        wide_inst.item_count()
     ));
     json.push_str(&format!(
         "  \"vector_workload\": {{ \"generator\": \"corr-vec\", \"dims\": {}, \"seed\": {SEED}, \"items\": {} }},\n",

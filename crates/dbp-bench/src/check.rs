@@ -43,7 +43,7 @@ use dbp_core::{
 use dbp_obs::json::{self, Json};
 use dbp_shard::{ShardConfig, ShardRouter, ShardedSession};
 use dbp_telemetry::TelemetryRecorder;
-use dbp_workloads::random::{DurationDist, PoissonWorkload};
+use dbp_workloads::random::{DurationDist, PoissonWorkload, SizeDist};
 use dbp_workloads::vector::{CorrelatedVectorWorkload, VectorWorkload};
 use dbp_workloads::Workload;
 use std::collections::hash_map::{Entry, HashMap};
@@ -73,7 +73,9 @@ pub struct BaselineCell {
     pub telemetry: Option<String>,
     /// Workload variant the cell streamed (`None`/`"default"` for the
     /// schema's standard recipe, `"deep"` for the open-bin-heavy
-    /// deep-fleet cells the engine benchmark records).
+    /// deep-fleet cells the engine benchmark records, `"ties"` and
+    /// `"wide"` for its tie-heavy and 12k-bin variants; see
+    /// [`scalar_workload`]).
     pub workload: Option<String>,
     /// Scan machinery the cell used (`None`/`"indexed"` for the fit
     /// index, `"linear"` for the open-bin-walk foil cells).
@@ -225,7 +227,10 @@ fn horizon_for(mode: &str) -> Result<i64, String> {
 /// Poisson(rate = 4) at seed 1; the shard benchmark's default recipe
 /// deepens the fleet with long exponential durations, and `"deep"` cells
 /// (the engine benchmark's 1000+-open-bin rows) use the even longer
-/// mean-1000 exponential durations.
+/// mean-1000 exponential durations. Two more engine recipes keep those
+/// durations: `"ties"` draws sizes from the catalog 1/16, 1/8, 1/4, 1/2,
+/// so whole groups of bins share an exact level, and `"wide"` arrives
+/// ten times faster over a tenth of the horizon, holding ~12k bins open.
 pub fn scalar_workload(
     schema: &str,
     mode: &str,
@@ -233,6 +238,11 @@ pub fn scalar_workload(
 ) -> Result<PoissonWorkload, String> {
     let horizon = horizon_for(mode)?;
     let base = PoissonWorkload::new(4.0, horizon);
+    let deep = DurationDist::Exponential {
+        mean: 1000.0,
+        min: 1,
+        max: 10_000,
+    };
     Ok(match (schema, workload) {
         ("dbp-bench/shard-v1", "default") => base.with_durations(DurationDist::Exponential {
             mean: 500.0,
@@ -240,11 +250,11 @@ pub fn scalar_workload(
             max: 5_000,
         }),
         (_, "default") => base,
-        (_, "deep") => base.with_durations(DurationDist::Exponential {
-            mean: 1000.0,
-            min: 1,
-            max: 10_000,
-        }),
+        (_, "deep") => base.with_durations(deep),
+        (_, "ties") => base
+            .with_durations(deep)
+            .with_sizes(SizeDist::catalog(&[0.0625, 0.125, 0.25, 0.5]).map_err(|e| e.to_string())?),
+        (_, "wide") => PoissonWorkload::new(40.0, horizon / 10).with_durations(deep),
         (_, other) => return Err(format!("unknown cell workload {other:?}")),
     })
 }
@@ -689,6 +699,34 @@ mod tests {
         // the label.
         assert_eq!(b.cells[2].dims, 1);
         assert_eq!(b.cells[3].label(), "best-fit/d3@deep/linear");
+    }
+
+    #[test]
+    fn tie_heavy_and_wide_recipes_match_their_labels() {
+        let ties = scalar_workload(ENGINE_SCHEMA, "short", "ties").unwrap();
+        let inst = Workload::generate_seeded(&ties, SEED);
+        let catalog = [0.0625, 0.125, 0.25, 0.5].map(dbp_core::Size::from_f64);
+        assert!(inst.items().iter().all(|r| catalog.contains(&r.size())));
+        let deep = scalar_workload(ENGINE_SCHEMA, "short", "deep").unwrap();
+        assert_eq!(
+            inst.len(),
+            Workload::generate_seeded(&deep, SEED).len(),
+            "the tie-heavy cell keeps the deep arrivals"
+        );
+        // Ten times the rate over a tenth of the horizon.
+        let wide = scalar_workload(ENGINE_SCHEMA, "short", "wide").unwrap();
+        assert_eq!((wide.rate, wide.horizon), (40.0, 2_600));
+        let b = parse_baseline(
+            r#"{ "schema": "dbp-bench/engine-v1", "mode": "short", "results": [
+              { "algo": "best-fit", "workload": "ties", "scan": "linear", "items_per_sec": 1 },
+              { "algo": "best-fit", "workload": "wide", "items_per_sec": 1 } ] }"#,
+        )
+        .unwrap();
+        assert_eq!(b.cells[0].label(), "best-fit@ties/linear");
+        assert_eq!(b.cells[1].label(), "best-fit@wide");
+        for cell in &b.cells {
+            assert!(baseline_instance(ENGINE_SCHEMA, "short", cell.workload_key(), 1).is_ok());
+        }
     }
 
     #[test]

@@ -17,12 +17,30 @@
 //!   ([`Demand::EXACT_NODES`]), so the descent follows a single path;
 //!   for vectors the per-axis maxima may come from different bins, so
 //!   the descent is a pruned depth-first search;
-//! * the Best/Worst Fit ordered set: a level key under a
-//!   [`Scalarization`] ([`Demand::key`]) plus the two queries
-//!   ([`Demand::best_in`], [`Demand::worst_in`]). For one axis the key
-//!   *is* the level, so feasibility is a key range and both queries are
-//!   O(log) range lookups; for vectors they walk the set from the
-//!   fullest or emptiest end until an entry fits on every axis.
+//! * the Best/Worst Fit level index ([`Demand::LevelIndex`]) and the
+//!   level key it orders bins by under a [`Scalarization`]
+//!   ([`Demand::key`]). The two demand types need different structures:
+//!   - For one axis the key *is* the level, an integer in `0..=2²⁴`,
+//!     and feasibility is a key range (`level ≤ CAPACITY − size`). So
+//!     [`LevelBits`] keeps a paged 64-ary bitset over the present
+//!     levels: 4,097 pages of 4,096 levels, each 64 words plus a summary
+//!     word (520 bytes, allocated on first use), found through a
+//!     4,097-slot directory and a two-level bitmap over the pages, plus
+//!     one tie group per present level that spills to an ordered set
+//!     only when bins share an exact level. Best Fit is a
+//!     `leading_zeros` predecessor lookup, Worst Fit a `trailing_zeros`
+//!     minimum, and a re-key a few word writes plus one tie-group probe,
+//!     at any fleet size.
+//!   - For vectors the key is a scalarization that cannot express
+//!     all-axes feasibility, so both queries walk a `BTreeSet` of
+//!     [`LevelKey`]s from the fullest or emptiest end until an entry fits
+//!     on every axis. The walk visits entries in key order, one by one,
+//!     which is what an ordered set is for; running it on the bitset
+//!     would pay a tie-group probe per entry walked (a prototype slowed
+//!     `best-fit/d3@deep` 3.5×).
+//!
+//!   See [`crate::levels`] for the layout, the cost of each operation,
+//!   and why the index does not use coarse level buckets.
 //!
 //! `Size` monomorphizes to the scalar algorithms and probe counts; the
 //! dim-1 embedding `SizeVec::scalar` takes the vector paths, which the
@@ -30,17 +48,12 @@
 
 use crate::interval::{Interval, Time};
 use crate::item::{Item, ItemId};
+use crate::levels::{LevelBits, LevelIndex, LevelKey};
 use crate::online::ClairvoyanceMode;
 use crate::size::Size;
 use crate::sizevec::{Scalarization, SizeVec, VecItem, MAX_DIMS};
 use std::collections::BTreeSet;
 use std::fmt;
-
-/// A Best/Worst Fit set entry: `(level key, per-tag opening seq, slot)`.
-/// Ascending order puts the emptiest bin first and, among equal keys,
-/// the earliest opened; `seq` is unique within a tag, so the key is
-/// total and the slot rides along for O(1) resolution.
-pub(crate) type LevelKey = (u64, u64, u32);
 
 /// An item demand: [`Size`] (one axis) or [`SizeVec`] (up to
 /// [`MAX_DIMS`] axes). See the module docs for what each method is for.
@@ -75,42 +88,11 @@ pub trait Demand: Copy + Eq + fmt::Debug + fmt::Display + Send + Sync + 'static 
     /// valid demand is covered by.
     fn covers(node: Self::Node, want: Self::Node) -> bool;
 
+    /// The Best/Worst Fit index of one tag.
+    type LevelIndex: LevelIndex<Self>;
+
     /// The ordering key of level `self` under `scal`.
     fn key(self, scal: Scalarization) -> u64;
-    /// The Best Fit entry of `set` for `size`: the highest key feasible
-    /// per `fits`, ties to the latest opened. Returns the slot and the
-    /// number of entries probed.
-    fn best_in(
-        set: &BTreeSet<LevelKey>,
-        _size: Self,
-        fits: impl Fn(u32) -> bool,
-    ) -> (Option<u32>, usize) {
-        walk(set.iter().rev(), fits)
-    }
-    /// The Worst Fit entry of `set` for `size`: the lowest key feasible
-    /// per `fits`, ties to the earliest opened.
-    fn worst_in(
-        set: &BTreeSet<LevelKey>,
-        _size: Self,
-        fits: impl Fn(u32) -> bool,
-    ) -> (Option<u32>, usize) {
-        walk(set.iter(), fits)
-    }
-}
-
-/// The first entry of `entries` whose slot fits, with the entries probed.
-fn walk<'a>(
-    entries: impl Iterator<Item = &'a LevelKey>,
-    fits: impl Fn(u32) -> bool,
-) -> (Option<u32>, usize) {
-    let mut probes = 0;
-    for &(_, _, slot) in entries {
-        probes += 1;
-        if fits(slot) {
-            return (Some(slot), probes);
-        }
-    }
-    (None, probes)
 }
 
 /// A job the streaming session can admit: an id, a demand and an active
@@ -212,6 +194,7 @@ impl Demand for Size {
     type Mode = ClairvoyanceMode;
     type Node = u64;
     const EXACT_NODES: bool = true;
+    type LevelIndex = LevelBits;
 
     #[inline]
     fn add(self, rhs: Size) -> Size {
@@ -250,32 +233,6 @@ impl Demand for Size {
     fn key(self, _scal: Scalarization) -> u64 {
         self.raw()
     }
-    /// Feasible levels are exactly the keys `≤ CAPACITY − size`, so the
-    /// answer is the last entry of that range: one ordered probe.
-    fn best_in(
-        set: &BTreeSet<LevelKey>,
-        size: Size,
-        _fits: impl Fn(u32) -> bool,
-    ) -> (Option<u32>, usize) {
-        let probes = usize::from(!set.is_empty());
-        let hit = Size::CAPACITY
-            .raw()
-            .checked_sub(size.raw())
-            .and_then(|max_level| set.range(..=(max_level, u64::MAX, u32::MAX)).next_back());
-        (hit.map(|&(_, _, slot)| slot), probes)
-    }
-    /// The emptiest bin fits if any does: one ordered probe.
-    fn worst_in(
-        set: &BTreeSet<LevelKey>,
-        size: Size,
-        _fits: impl Fn(u32) -> bool,
-    ) -> (Option<u32>, usize) {
-        let probes = usize::from(!set.is_empty());
-        match set.first() {
-            Some(&(level, _, slot)) if Size::from_raw(level).fits(size) => (Some(slot), probes),
-            _ => (None, probes),
-        }
-    }
 }
 
 impl Demand for SizeVec {
@@ -283,6 +240,7 @@ impl Demand for SizeVec {
     type Mode = VecClairvoyance;
     type Node = [u64; MAX_DIMS];
     const EXACT_NODES: bool = false;
+    type LevelIndex = BTreeSet<LevelKey>;
 
     #[inline]
     fn add(self, rhs: SizeVec) -> SizeVec {

@@ -13,7 +13,9 @@ pub enum DbpError {
         /// The offending end time.
         end: Time,
     },
-    /// An interval whose length `end − start` overflows `i64`.
+    /// An interval whose length `end − start` overflows `i64`, or whose
+    /// endpoints a shift or a hull would push out of the `i64` range (a
+    /// shift reports its endpoints saturated at that range).
     IntervalOverflow {
         /// The offending start time.
         start: Time,
@@ -84,7 +86,7 @@ impl fmt::Display for DbpError {
                 write!(f, "empty interval [{start}, {end}): start must precede end")
             }
             DbpError::IntervalOverflow { start, end } => {
-                write!(f, "interval [{start}, {end}) is longer than i64::MAX ticks")
+                write!(f, "interval [{start}, {end}) overflows the i64 tick range")
             }
             DbpError::InvalidSize { what } => write!(f, "invalid size: {what}"),
             DbpError::DuplicateItemId { id } => write!(f, "duplicate item id {id}"),

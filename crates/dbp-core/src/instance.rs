@@ -10,10 +10,23 @@ use std::collections::HashSet;
 ///
 /// Construction validates the items (unique ids, sizes in `(0,1]`,
 /// non-empty intervals). Items are stored sorted by `(arrival, id)` — the
-/// order in which an online algorithm sees them.
+/// order in which an online algorithm sees them. The shortest and
+/// longest durations (`Δ`, `μΔ`) are found once, when the instance is
+/// built, so reading them (and `μ`) costs nothing.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Instance {
     items: Vec<Item>,
+    /// `(Δ, μΔ)`; `None` when there are no items.
+    durations: Option<(i64, i64)>,
+}
+
+/// The shortest and longest of `durations`, in one pass; `None` when
+/// there are none.
+pub(crate) fn duration_range(durations: impl Iterator<Item = i64>) -> Option<(i64, i64)> {
+    durations.fold(None, |range, d| match range {
+        None => Some((d, d)),
+        Some((lo, hi)) => Some((lo.min(d), hi.max(d))),
+    })
 }
 
 impl Instance {
@@ -29,7 +42,8 @@ impl Instance {
         }
         let mut items = items;
         items.sort_by_key(|r| (r.arrival(), r.id()));
-        Ok(Instance { items })
+        let durations = duration_range(items.iter().map(Item::duration));
+        Ok(Instance { items, durations })
     }
 
     /// Convenience builder from `(size_fraction, arrival, departure)`
@@ -104,12 +118,12 @@ impl Instance {
 
     /// Minimum item duration `Δ`; `None` for an empty instance.
     pub fn min_duration(&self) -> Option<i64> {
-        self.items.iter().map(|r| r.duration()).min()
+        self.durations.map(|(min, _)| min)
     }
 
     /// Maximum item duration `μΔ`; `None` for an empty instance.
     pub fn max_duration(&self) -> Option<i64> {
-        self.items.iter().map(|r| r.duration()).max()
+        self.durations.map(|(_, max)| max)
     }
 
     /// The max/min duration ratio `μ ≥ 1`; `None` for an empty instance.
@@ -139,20 +153,21 @@ impl Instance {
     }
 
     /// A new instance with every interval shifted by `delta` ticks.
-    pub fn shifted(&self, delta: i64) -> Instance {
+    /// A shift that pushes an endpoint out of the `i64` range is refused
+    /// with [`DbpError::IntervalOverflow`].
+    pub fn shifted(&self, delta: i64) -> Result<Instance, DbpError> {
         let items = self
             .items
             .iter()
             .map(|r| {
-                Item::new(
-                    r.id().0,
-                    r.size(),
-                    r.arrival() + delta,
-                    r.departure() + delta,
-                )
+                let iv = r.interval().shifted(delta)?;
+                Item::try_new(r.id().0, r.size(), iv.start(), iv.end())
             })
-            .collect();
-        Instance { items }
+            .collect::<Result<_, _>>()?;
+        Ok(Instance {
+            items,
+            durations: self.durations,
+        })
     }
 
     /// Merges instances, reassigning ids to keep them unique. Panics if
@@ -255,12 +270,37 @@ mod tests {
     #[test]
     fn shift_and_concat() {
         let a = sample();
-        let b = a.shifted(100);
+        let b = a.shifted(100).unwrap();
         assert_eq!(b.first_arrival(), Some(100));
         let c = Instance::concat(&[a.clone(), b]);
         assert_eq!(c.len(), 6);
         // ids reassigned uniquely
         let ids: HashSet<_> = c.items().iter().map(|r| r.id()).collect();
         assert_eq!(ids.len(), 6);
+        assert_eq!(
+            (c.min_duration(), c.max_duration()),
+            (a.min_duration(), a.max_duration())
+        );
+    }
+
+    #[test]
+    fn shifts_that_leave_the_tick_range_are_refused() {
+        let inst = Instance::from_triples(&[(0.5, -10, -5), (0.5, 0, 10)]);
+        let edge = inst.shifted(i64::MAX - 10).unwrap();
+        assert_eq!(edge.last_departure(), Some(i64::MAX));
+        assert_eq!(edge.min_duration(), Some(5));
+        assert!(matches!(
+            inst.shifted(i64::MAX - 9),
+            Err(DbpError::IntervalOverflow { end: i64::MAX, .. })
+        ));
+        let low = inst.shifted(i64::MIN + 10).unwrap();
+        assert_eq!(low.first_arrival(), Some(i64::MIN));
+        assert!(matches!(
+            inst.shifted(i64::MIN + 9),
+            Err(DbpError::IntervalOverflow {
+                start: i64::MIN,
+                ..
+            })
+        ));
     }
 }

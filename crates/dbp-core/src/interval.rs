@@ -94,19 +94,23 @@ impl Interval {
         (start < end).then_some(Interval { start, end })
     }
 
-    /// The smallest interval covering both (their convex hull).
-    pub fn hull(&self, other: &Interval) -> Interval {
-        Interval {
-            start: self.start.min(other.start),
-            end: self.end.max(other.end),
-        }
+    /// The smallest interval covering both (their convex hull). Two
+    /// valid intervals far apart can have a hull longer than `i64::MAX`
+    /// ticks, which is refused with [`DbpError::IntervalOverflow`].
+    pub fn hull(&self, other: &Interval) -> Result<Interval, DbpError> {
+        Interval::new(self.start.min(other.start), self.end.max(other.end))
     }
 
-    /// Shifts both endpoints by `delta` ticks.
-    pub fn shifted(&self, delta: i64) -> Interval {
-        Interval {
-            start: self.start + delta,
-            end: self.end + delta,
+    /// Shifts both endpoints by `delta` ticks. An endpoint pushed past
+    /// the `i64` range is refused with [`DbpError::IntervalOverflow`],
+    /// which reports the endpoints saturated at that range.
+    pub fn shifted(&self, delta: i64) -> Result<Interval, DbpError> {
+        match (self.start.checked_add(delta), self.end.checked_add(delta)) {
+            (Some(start), Some(end)) => Ok(Interval { start, end }),
+            _ => Err(DbpError::IntervalOverflow {
+                start: self.start.saturating_add(delta),
+                end: self.end.saturating_add(delta),
+            }),
         }
     }
 }
@@ -231,8 +235,46 @@ mod tests {
     fn hull_and_shift() {
         let a = Interval::of(0, 2);
         let b = Interval::of(8, 9);
-        assert_eq!(a.hull(&b), Interval::of(0, 9));
-        assert_eq!(a.shifted(5), Interval::of(5, 7));
+        assert_eq!(a.hull(&b), Ok(Interval::of(0, 9)));
+        assert_eq!(a.shifted(5), Ok(Interval::of(5, 7)));
+    }
+
+    #[test]
+    fn hull_and_shift_refuse_overflow_at_the_i64_edges() {
+        let low = Interval::of(Time::MIN, Time::MIN + 1);
+        let high = Interval::of(Time::MAX - 1, Time::MAX);
+        // Each is valid; their hull is [MIN, MAX), longer than i64::MAX.
+        assert_eq!(
+            low.hull(&high),
+            Err(DbpError::IntervalOverflow {
+                start: Time::MIN,
+                end: Time::MAX
+            })
+        );
+        assert_eq!(low.hull(&Interval::of(-2, -1)).unwrap().len(), Time::MAX);
+        // Shifts reach the edges exactly, and refuse one tick more with
+        // the endpoints saturated.
+        assert_eq!(high.shifted(0), Ok(high));
+        assert_eq!(Interval::of(0, 1).shifted(Time::MAX - 1), Ok(high));
+        assert_eq!(
+            high.shifted(1),
+            Err(DbpError::IntervalOverflow {
+                start: Time::MAX,
+                end: Time::MAX
+            })
+        );
+        assert_eq!(
+            Interval::of(1, 2).shifted(Time::MIN),
+            Ok(Interval::of(Time::MIN + 1, Time::MIN + 2))
+        );
+        assert_eq!(
+            low.shifted(-1),
+            Err(DbpError::IntervalOverflow {
+                start: Time::MIN,
+                end: Time::MIN
+            })
+        );
+        assert_eq!(low.shifted(i64::MAX).unwrap().len(), 1);
     }
 
     #[test]

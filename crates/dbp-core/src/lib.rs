@@ -24,6 +24,9 @@
 //! * [`demand`] — the [`Demand`] trait the engine is generic over:
 //!   [`Size`] for the paper's one-dimensional packing, [`SizeVec`] for
 //!   dynamic vector bin packing (its `d = 1` case is the scalar problem).
+//! * [`levels`] — the Best/Worst Fit level indexes each demand type
+//!   selects: a paged level bitset for [`Size`], an ordered set for
+//!   [`SizeVec`].
 //!
 //! ## Exactness
 //!
@@ -56,11 +59,13 @@ pub mod accounting;
 pub mod demand;
 pub mod error;
 pub mod events;
+mod hash;
 pub mod instance;
 pub mod interval;
 pub mod interval_set;
 pub mod item;
 pub mod ledger;
+pub mod levels;
 pub mod observe;
 pub mod online;
 pub mod openbins;

@@ -39,16 +39,30 @@
 //!   per-axis maximum, a *necessary* condition only (the maxima may come
 //!   from different bins), so the query is a pruned left-first DFS: still
 //!   O(log B) when one axis dominates, never more than the tree.
-//! * [`OpenBins::best_fit`] — the fullest feasible bin, via a level-ordered
-//!   set keyed `(level, opening-order)`.
-//! * [`OpenBins::worst_fit`] — the emptiest feasible bin, same set.
+//! * [`OpenBins::best_fit`] — the fullest feasible bin, via the tag's
+//!   level index ([`Demand::LevelIndex`]).
+//! * [`OpenBins::worst_fit`] — the emptiest feasible bin, same index.
 //!
-//! For one axis feasibility is a key range, so Best and Worst Fit are one
-//! O(log B) range lookup each. Vector levels are ranked by a
-//! [`Scalarization`] ([`OpenBins::best_fit_by`]) that cannot express
-//! all-axes feasibility, so the vector queries walk the set from the
+//! For one axis feasibility is a level range, and the index is
+//! [`crate::levels::LevelBits`]: a paged 64-ary bitset over the present
+//! levels `0..=2²⁴` (a 4,097-slot page directory, 4,096 levels per
+//! 520-byte page allocated on first use, a two-level bitmap over the
+//! pages) plus one tie group per present level, which holds its bin
+//! inline and spills to an ordered set only when bins share an exact
+//! level. Best Fit is a `leading_zeros` predecessor lookup of
+//! `CAPACITY − size`, Worst Fit a `trailing_zeros` minimum, each a few
+//! word reads plus one tie-group probe; a re-key on a level change is a
+//! few word writes plus one probe per side, at any fleet size. Coarse
+//! level buckets would not do: Best Fit piles bins just under full, so
+//! the top buckets hold most of the fleet (see [`crate::levels`]).
+//!
+//! Vector levels are ranked by a [`Scalarization`]
+//! ([`OpenBins::best_fit_by`]) that cannot express all-axes feasibility,
+//! so the vector index is an ordered set that the queries walk from the
 //! fullest (best) or emptiest (worst) end until an entry fits, and the
-//! probe count reports exactly how many entries they inspected.
+//! probe count reports exactly how many entries they inspected. The
+//! walk needs the set's order entry by entry, which the bitset would
+//! answer only at a tie-group probe per entry.
 //!
 //! The keys are chosen so ties break *identically* to a linear
 //! `iter_tag` scan through `Iterator::max_by_key`/`min_by_key`:
@@ -67,14 +81,18 @@
 //! lazily per `(tag, query kind)` on first use and maintained
 //! incrementally afterwards; a session that never issues a query (or
 //! only uses Next Fit, which reads the tag list tail in O(1)) pays
-//! nothing beyond one hash probe per level change. Each per-tag index is
+//! nothing beyond one hash probe per level change. The slab's maps
+//! (bin id → slot, tag → list, tag → fit index) hash with the keyed
+//! multiply-fold of `crate::hash`, not SipHash. Each per-tag index is
 //! dropped when its tag's last bin closes. Decisions are proven
 //! bit-identical to the linear scan by the dbp-audit differential
 //! harness and the indexed-vs-linear proptest family.
 
-use crate::demand::{Demand, LevelKey};
+use crate::demand::Demand;
 use crate::error::DbpError;
+use crate::hash::FoldMap;
 use crate::item::ItemId;
+use crate::levels::{LevelIndex, LevelKey};
 use crate::online::{ActiveItem, OpenBin};
 use crate::packing::BinId;
 use crate::size::Size;
@@ -112,9 +130,9 @@ struct TagList {
 struct FitIndex<D: Demand> {
     /// Max-gap tournament tree over the tag's opening order (First Fit).
     seg: Option<GapTree<D>>,
-    /// Level-ordered set under one scalarization (Best/Worst Fit);
-    /// rebuilt if a query asks for a different scalarization.
-    ordered: Option<(Scalarization, BTreeSet<LevelKey>)>,
+    /// Level index under one scalarization (Best/Worst Fit); rebuilt
+    /// if a query asks for a different scalarization.
+    ordered: Option<(Scalarization, D::LevelIndex)>,
 }
 
 impl<D: Demand> Default for FitIndex<D> {
@@ -131,7 +149,7 @@ impl<D: Demand> Default for FitIndex<D> {
 /// first use.
 #[derive(Clone, Debug)]
 struct FitState<D: Demand> {
-    by_tag: HashMap<u64, FitIndex<D>>,
+    by_tag: FoldMap<u64, FitIndex<D>>,
     /// slot → leaf position in its tag's [`GapTree`] (meaningful only
     /// while that tree exists).
     pos: Vec<u32>,
@@ -140,7 +158,7 @@ struct FitState<D: Demand> {
 impl<D: Demand> Default for FitState<D> {
     fn default() -> Self {
         FitState {
-            by_tag: HashMap::new(),
+            by_tag: FoldMap::default(),
             pos: Vec::new(),
         }
     }
@@ -316,13 +334,13 @@ pub struct OpenBins<D: Demand = Size> {
     /// for free slots are stale and rewritten on insert.
     links: Vec<Links>,
     free: Vec<u32>,
-    index: HashMap<BinId, u32>,
+    index: FoldMap<BinId, u32>,
     /// Head/tail of the global opening-order list.
     head: u32,
     tail: u32,
     /// Tag → that tag's opening-order list. Entries are removed when a
     /// tag's last bin closes, so the map tracks *live* tags only.
-    tags: HashMap<u64, TagList>,
+    tags: FoldMap<u64, TagList>,
     /// Lazily-built fit-query structures (see module docs).
     fit: RefCell<FitState<D>>,
 }
@@ -340,10 +358,10 @@ impl<D: Demand> OpenBins<D> {
             bins: Vec::new(),
             links: Vec::new(),
             free: Vec::new(),
-            index: HashMap::new(),
+            index: FoldMap::default(),
             head: NIL,
             tail: NIL,
-            tags: HashMap::new(),
+            tags: FoldMap::default(),
             fit: RefCell::new(FitState::default()),
         }
     }
@@ -496,8 +514,8 @@ impl<D: Demand> OpenBins<D> {
             "fit queries require a valid demand"
         );
         let mut st = self.fit.borrow_mut();
-        let set = self.ordered_set(&mut st, tag, scal);
-        let (slot, probes) = D::best_in(set, size, |s| self.bin_at(s).fits(size));
+        let index = self.level_index(&mut st, tag, scal);
+        let (slot, probes) = index.best(size, |s| self.bin_at(s).fits(size));
         (slot.map(|s| self.bin_at(s).id()), probes)
     }
 
@@ -508,26 +526,26 @@ impl<D: Demand> OpenBins<D> {
             "fit queries require a valid demand"
         );
         let mut st = self.fit.borrow_mut();
-        let set = self.ordered_set(&mut st, tag, scal);
-        let (slot, probes) = D::worst_in(set, size, |s| self.bin_at(s).fits(size));
+        let index = self.level_index(&mut st, tag, scal);
+        let (slot, probes) = index.worst(size, |s| self.bin_at(s).fits(size));
         (slot.map(|s| self.bin_at(s).id()), probes)
     }
 
-    /// The level-ordered set of `tag` under `scal`, (re)built on first
-    /// use or on a scalarization switch.
-    fn ordered_set<'a>(
+    /// The level index of `tag` under `scal`, (re)built on first use or
+    /// on a scalarization switch.
+    fn level_index<'a>(
         &self,
         st: &'a mut FitState<D>,
         tag: u64,
         scal: Scalarization,
-    ) -> &'a BTreeSet<LevelKey> {
+    ) -> &'a D::LevelIndex {
         let entry = st.by_tag.entry(tag).or_default();
         if entry.ordered.as_ref().map(|(s, _)| *s) != Some(scal) {
-            let set = self
-                .tag_slots(tag)
-                .map(|s| self.level_key(s, scal))
-                .collect();
-            entry.ordered = Some((scal, set));
+            let mut index = D::LevelIndex::default();
+            for s in self.tag_slots(tag) {
+                index.insert(self.level_key(s, scal));
+            }
+            entry.ordered = Some((scal, index));
         }
         &entry.ordered.as_ref().expect("just built").1
     }
@@ -589,10 +607,10 @@ impl<D: Demand> OpenBins<D> {
         if let Some(tree) = entry.seg.as_mut() {
             tree.set(pos[slot as usize], new_level.gap().node());
         }
-        if let Some((scal, set)) = entry.ordered.as_mut() {
+        if let Some((scal, index)) = entry.ordered.as_mut() {
             let seq = self.links[slot as usize].seq;
-            set.remove(&(old_level.key(*scal), seq, slot));
-            set.insert((new_level.key(*scal), seq, slot));
+            index.remove((old_level.key(*scal), seq, slot));
+            index.insert((new_level.key(*scal), seq, slot));
         }
     }
 
@@ -676,8 +694,8 @@ impl<D: Demand> OpenBins<D> {
             let p = tree.append(slot, level.gap().node(), |sl, pp| pos[sl as usize] = pp);
             pos[slot as usize] = p;
         }
-        if let Some((scal, set)) = entry.ordered.as_mut() {
-            set.insert((level.key(*scal), seq, slot));
+        if let Some((scal, index)) = entry.ordered.as_mut() {
+            index.insert((level.key(*scal), seq, slot));
         }
     }
 
@@ -745,8 +763,8 @@ impl<D: Demand> OpenBins<D> {
                 tree.rebuild(0, |sl, pp| pos[sl as usize] = pp);
             }
         }
-        if let Some((scal, set)) = entry.ordered.as_mut() {
-            set.remove(&(level.key(*scal), seq, slot));
+        if let Some((scal, index)) = entry.ordered.as_mut() {
+            index.remove((level.key(*scal), seq, slot));
         }
     }
 
@@ -763,7 +781,7 @@ impl<D: Demand> OpenBins<D> {
                     e.seg.as_ref().map(GapTree::approx_bytes).unwrap_or(0)
                         + e.ordered
                             .as_ref()
-                            .map(|(_, s)| s.len() * size_of::<LevelKey>())
+                            .map(|(_, index)| index.approx_bytes())
                             .unwrap_or(0)
                 })
                 .sum::<usize>();
@@ -942,11 +960,14 @@ impl<D: Demand> OpenBins<D> {
                     }
                 }
             }
-            if let Some((scal, set)) = entry.ordered.as_ref() {
+            if let Some((scal, index)) = entry.ordered.as_ref() {
                 let expect: BTreeSet<LevelKey> =
                     slots.iter().map(|&s| self.level_key(s, *scal)).collect();
-                if *set != expect {
-                    return err(format!("tag {tag} level-ordered set is stale"));
+                let held = index
+                    .entries()
+                    .map_err(|why| format!("tag {tag} level index: {why}"))?;
+                if held != expect {
+                    return err(format!("tag {tag} level index is stale"));
                 }
             }
         }

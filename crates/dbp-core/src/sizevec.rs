@@ -21,7 +21,7 @@
 //! on lifted instances.
 
 use crate::error::DbpError;
-use crate::instance::Instance;
+use crate::instance::{duration_range, Instance};
 use crate::interval::{Interval, Time};
 use crate::item::{Item, ItemId};
 use crate::packing::Packing;
@@ -374,11 +374,14 @@ impl fmt::Debug for VecItem {
 
 /// A whole vector-packing instance: consistent dimensionality, unique
 /// ids, items sorted by `(arrival, id)` — the same canonical order as
-/// [`Instance`].
+/// [`Instance`]. Like [`Instance`], it finds `Δ` and `μΔ` once, when it
+/// is built.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VecInstance {
     dims: u8,
     items: Vec<VecItem>,
+    /// `(Δ, μΔ)`; `None` when there are no items.
+    durations: Option<(i64, i64)>,
 }
 
 impl VecInstance {
@@ -413,6 +416,7 @@ impl VecInstance {
         }
         Ok(VecInstance {
             dims: dims as u8,
+            durations: duration_range(items.iter().map(VecItem::duration)),
             items,
         })
     }
@@ -428,6 +432,7 @@ impl VecInstance {
                 .iter()
                 .map(|r| VecItem::lift(r, dims))
                 .collect(),
+            durations: inst.min_duration().zip(inst.max_duration()),
         }
     }
 
@@ -453,14 +458,18 @@ impl VecInstance {
 
     /// Max/min duration ratio `μ`, if non-empty.
     pub fn mu(&self) -> Option<f64> {
-        let min = self.items.iter().map(|r| r.duration()).min()?;
-        let max = self.items.iter().map(|r| r.duration()).max()?;
+        let (min, max) = self.durations?;
         Some(max as f64 / min as f64)
     }
 
     /// Minimum item duration `Δ`, if non-empty.
     pub fn min_duration(&self) -> Option<i64> {
-        self.items.iter().map(|r| r.duration()).min()
+        self.durations.map(|(min, _)| min)
+    }
+
+    /// Maximum item duration `μΔ`, if non-empty.
+    pub fn max_duration(&self) -> Option<i64> {
+        self.durations.map(|(_, max)| max)
     }
 
     /// The max-axis Proposition 3 bound: `max_d ∫ ⌈S_d(t)⌉ dt`, where

@@ -61,8 +61,8 @@ pub fn instance_stats(inst: &Instance) -> Option<InstanceStats> {
         .iter()
         .map(|s| s.total_size.as_f64() * s.interval.len() as f64)
         .sum();
-    let min_duration = *durations.iter().min().expect("nonempty");
-    let max_duration = *durations.iter().max().expect("nonempty");
+    let min_duration = inst.min_duration().expect("nonempty");
+    let max_duration = inst.max_duration().expect("nonempty");
     Some(InstanceStats {
         items: n,
         min_duration,
@@ -164,8 +164,13 @@ pub struct BinReport {
 
 /// Computes per-bin diagnostics for a packing. Bins with no items are
 /// skipped. Useful for spotting fragmentation: many low-utilization bins
-/// mean the packer is stranding capacity.
-pub fn packing_report(inst: &Instance, packing: &crate::packing::Packing) -> Vec<BinReport> {
+/// mean the packer is stranding capacity. A bin whose items' hull is
+/// longer than `i64::MAX` ticks is refused with
+/// [`crate::DbpError::IntervalOverflow`].
+pub fn packing_report(
+    inst: &Instance,
+    packing: &crate::packing::Packing,
+) -> Result<Vec<BinReport>, crate::DbpError> {
     let mut out = Vec::new();
     for (bin, ids) in packing.iter_bins() {
         if ids.is_empty() {
@@ -176,11 +181,10 @@ pub fn packing_report(inst: &Instance, packing: &crate::packing::Packing) -> Vec
             .map(|id| inst.item(*id).expect("packed item exists"))
             .collect();
         let span = crate::interval::span_of(items.iter().map(|r| r.interval()));
-        let hull = items
+        let first = items[0].interval();
+        let hull = items[1..]
             .iter()
-            .map(|r| r.interval())
-            .reduce(|a, b| a.hull(&b))
-            .expect("nonempty");
+            .try_fold(first, |hull, r| hull.hull(&r.interval()))?;
         let demand: u128 = items.iter().map(|r| r.demand()).sum();
         let capacity_time = span as u128 * Size::SCALE as u128;
         out.push(BinReport {
@@ -195,7 +199,7 @@ pub fn packing_report(inst: &Instance, packing: &crate::packing::Packing) -> Vec
             gap_ticks: hull.len() - span,
         });
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -253,7 +257,7 @@ mod tests {
         ]);
         let p = Packing::from_bins(vec![vec![ItemId(0), ItemId(1), ItemId(2)]]);
         p.validate(&inst).unwrap();
-        let rep = packing_report(&inst, &p);
+        let rep = packing_report(&inst, &p).unwrap();
         assert_eq!(rep.len(), 1);
         let b = &rep[0];
         assert_eq!(b.items, 3);
@@ -270,10 +274,33 @@ mod tests {
         use crate::ItemId;
         let inst = Instance::from_triples(&[(0.5, 0, 10)]);
         let p = Packing::from_bins(vec![vec![], vec![ItemId(0)]]);
-        let rep = packing_report(&inst, &p);
+        let rep = packing_report(&inst, &p).unwrap();
         assert_eq!(rep.len(), 1);
         assert_eq!(rep[0].bin.0, 1);
         assert!((rep[0].utilization - 0.5).abs() < 1e-6);
         assert_eq!(rep[0].gap_ticks, 0);
+    }
+
+    #[test]
+    fn packing_report_refuses_a_hull_past_the_tick_range() {
+        use crate::packing::Packing;
+        use crate::{DbpError, ItemId};
+        // Each item is a valid interval; together they span more than
+        // i64::MAX ticks.
+        let inst = Instance::from_triples(&[
+            (0.25, i64::MIN, i64::MIN + 1),
+            (0.25, i64::MAX - 1, i64::MAX),
+        ]);
+        let together = Packing::from_bins(vec![vec![ItemId(0), ItemId(1)]]);
+        assert!(matches!(
+            packing_report(&inst, &together),
+            Err(DbpError::IntervalOverflow {
+                start: i64::MIN,
+                end: i64::MAX
+            })
+        ));
+        let apart = Packing::from_bins(vec![vec![ItemId(0)], vec![ItemId(1)]]);
+        let rep = packing_report(&inst, &apart).unwrap();
+        assert_eq!(rep.iter().map(|b| b.span).collect::<Vec<_>>(), [1, 1]);
     }
 }

@@ -75,6 +75,7 @@
 
 use crate::demand::{Clairvoyance, Demand, Job, VecClairvoyance};
 use crate::error::DbpError;
+use crate::hash::FoldMap;
 use crate::interval::Time;
 use crate::item::ItemId;
 use crate::observe::{FitDecision, NoopObserver, OpKind, PackEvent, PackObserver};
@@ -86,7 +87,7 @@ use crate::openbins::OpenBins;
 use crate::packing::BinId;
 use crate::sizevec::{SizeVec, VecInstance};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashSet};
 use std::marker::PhantomData;
 
 /// Snapshot format version written by [`StreamingSession::snapshot`] and
@@ -247,7 +248,8 @@ pub struct StreamingSession<'p, O = NoopObserver, P: PackerHandle = &'p mut dyn 
     obs: O,
     open: OpenBins<DemandOf<P>>,
     /// Bin of each *live* item; entries are pruned at departure.
-    placement: HashMap<ItemId, BinId>,
+    /// `dbp-serve` puts client job ids here, hence the keyed hash.
+    placement: FoldMap<ItemId, BinId>,
     departures: BinaryHeap<Reverse<(Time, ItemId)>>,
     /// Bins are numbered in opening order, so this is also the number
     /// of bins opened so far.
@@ -332,7 +334,7 @@ impl<'p, P: PackerHandle, O: PackObserver<DemandOf<P>>> StreamingSession<'p, O, 
             _borrow: PhantomData,
             obs,
             open: OpenBins::new(),
-            placement: HashMap::new(),
+            placement: FoldMap::default(),
             departures: BinaryHeap::new(),
             next_bin: 0,
             last_arrival: None,
@@ -408,7 +410,7 @@ impl<'p, P: PackerHandle, O: PackObserver<DemandOf<P>>> StreamingSession<'p, O, 
         packer.packer_mut().reset();
         packer.packer_mut().restore_state(&snap.packer_state)?;
         let mut open = OpenBins::new();
-        let mut placement = HashMap::new();
+        let mut placement = FoldMap::default();
         // Re-inserting bins in opening order rebuilds both the global and
         // the per-tag intrusive order lists exactly (per-tag order is a
         // subsequence of global order); slab slot indices may differ from

@@ -3,15 +3,18 @@
 
 use dbp_core::events::load_segments;
 use dbp_core::interval::{span_of, union_components, Interval};
+use dbp_core::levels::{LevelBits, LevelIndex, LevelKey};
 use dbp_core::observe::NoopObserver;
 use dbp_core::online::{ClairvoyanceMode, Decision, ItemView, OnlinePacker, OpenBin, OpenBins};
 use dbp_core::profile::{BTreeProfile, LevelProfile, SegTreeProfile};
 use dbp_core::stats::StepSeries;
 use dbp_core::stream::StreamingSession;
 use dbp_core::{
-    Demand, Instance, Item, Packing, Scalarization, Size, SizeVec, VecClairvoyance, VecItem,
+    Demand, Instance, Item, Packing, Scalarization, Size, SizeVec, VecClairvoyance, VecInstance,
+    VecItem,
 };
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// Naive per-tick reference model of a level profile over [0, N).
 const N: i64 = 64;
@@ -344,5 +347,291 @@ proptest! {
             |k| vec_demand(dims, k),
             VecItem::new,
         )?;
+    }
+}
+
+/// Levels the scalar index must get right at its edges: empty and full
+/// bins, the first level, both sides of the first two page boundaries,
+/// the last page, and one level below full.
+const EDGE_LEVELS: [u64; 12] = [
+    0,
+    1,
+    2,
+    4095,
+    4096,
+    4097,
+    8191,
+    8192,
+    1 << 23,
+    (1 << 24) - 4096,
+    (1 << 24) - 1,
+    1 << 24,
+];
+
+/// One step against the level index: a new bin, a closed bin, a level
+/// change (same seq and slot, new level), or a Best/Worst Fit query.
+#[derive(Clone, Debug)]
+enum LevelOp {
+    Insert { level: u64 },
+    Remove { pick: usize },
+    Move { pick: usize, level: u64 },
+    Query { size: u64 },
+}
+
+/// A level drawn to hit the edges and to collide: an edge level, a
+/// uniform one, one of eight levels around the first page boundary
+/// (dense exact-level ties, pages that empty and refill), or one of
+/// four levels just under full.
+fn arb_level() -> impl Strategy<Value = u64> {
+    (0u8..4, 0usize..EDGE_LEVELS.len(), 0u64..=1 << 24).prop_map(|(kind, edge, any)| match kind {
+        0 => EDGE_LEVELS[edge],
+        1 => any,
+        2 => 4092 + any % 8,
+        _ => (1 << 24) - any % 4,
+    })
+}
+
+fn arb_level_ops() -> impl Strategy<Value = Vec<LevelOp>> {
+    proptest::collection::vec(
+        (0u8..8, arb_level(), 0usize..64, 0usize..EDGE_LEVELS.len()).prop_map(
+            |(kind, level, pick, edge)| match kind {
+                0..=2 => LevelOp::Insert { level },
+                3 => LevelOp::Remove { pick },
+                4 | 5 => LevelOp::Move { pick, level },
+                // Item sizes are 1..=2^24: reuse the level draw, with the
+                // edges mapped into range.
+                _ => LevelOp::Query {
+                    size: if level == 0 {
+                        EDGE_LEVELS[edge].max(1)
+                    } else {
+                        level
+                    },
+                },
+            },
+        ),
+        0..120,
+    )
+}
+
+/// The Best and Worst Fit answers of the ordered set the bitset
+/// replaced: the last entry at a level `≤ CAPACITY − size`, and the
+/// first entry if its level fits.
+fn reference_answers(set: &BTreeSet<LevelKey>, size: u64) -> (Option<u32>, Option<u32>) {
+    let best = set
+        .range(..=((1 << 24) - size, u64::MAX, u32::MAX))
+        .next_back()
+        .map(|e| e.2);
+    let worst = set.first().filter(|e| e.0 + size <= 1 << 24).map(|e| e.2);
+    (best, worst)
+}
+
+/// Asserts that `bits` holds exactly `set` and answers every query size
+/// in `sizes` as the ordered set does, with the same probe counts.
+fn check_level_bits(
+    bits: &LevelBits,
+    set: &BTreeSet<LevelKey>,
+    sizes: &[u64],
+) -> Result<(), String> {
+    let held = bits.entries()?;
+    prop_assert_eq!(&held, set, "the bitset's entries");
+    let probes = usize::from(!set.is_empty());
+    for &size in sizes {
+        let (best, worst) = reference_answers(set, size);
+        let s = Size::from_raw(size);
+        prop_assert_eq!(bits.best(s, |_| true), (best, probes), "best-fit {}", size);
+        prop_assert_eq!(
+            bits.worst(s, |_| true),
+            (worst, probes),
+            "worst-fit {}",
+            size
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The scalar Best/Worst Fit index against the `BTreeSet<LevelKey>`
+    /// it replaced: inserts, removals and level changes drawn to pile
+    /// bins onto exact levels, page edges (4095/4096), level 1 and full
+    /// bins (2^24), with every Best and Worst Fit answer and probe count
+    /// compared after every step.
+    #[test]
+    fn open_bins_index_level_bits_match_the_ordered_set(ops in arb_level_ops()) {
+        let mut bits = LevelBits::default();
+        let mut set = BTreeSet::new();
+        let mut next_seq = 0u64;
+        let edge_sizes: Vec<u64> = EDGE_LEVELS.iter().map(|&l| l.max(1)).collect();
+        for op in &ops {
+            let mut sizes = edge_sizes.clone();
+            match *op {
+                LevelOp::Insert { level } => {
+                    // Slots are reused out of order, as the slab's free list does.
+                    let key = (level, next_seq, (next_seq * 7 % 61) as u32);
+                    next_seq += 1;
+                    bits.insert(key);
+                    set.insert(key);
+                }
+                LevelOp::Remove { pick } => {
+                    if let Some(&key) = set.iter().nth(pick % set.len().max(1)) {
+                        bits.remove(key);
+                        set.remove(&key);
+                    }
+                }
+                LevelOp::Move { pick, level } => {
+                    if let Some(&(old, seq, slot)) = set.iter().nth(pick % set.len().max(1)) {
+                        bits.remove((old, seq, slot));
+                        set.remove(&(old, seq, slot));
+                        bits.insert((level, seq, slot));
+                        set.insert((level, seq, slot));
+                    }
+                }
+                LevelOp::Query { size } => sizes.push(size),
+            }
+            // Sizes that land exactly on every present level and one past it.
+            sizes.extend(set.iter().take(8).flat_map(|e| {
+                let fit = (1u64 << 24) - e.0;
+                [fit.max(1), (fit + 1).min(1 << 24)]
+            }));
+            check_level_bits(&bits, &set, &sizes)?;
+        }
+        // Empty it again: every page empties and the index answers None.
+        for key in std::mem::take(&mut set) {
+            bits.remove(key);
+        }
+        check_level_bits(&bits, &set, &[1, 4096, 1 << 24])?;
+    }
+}
+
+/// The same contract at the named edges, step by step.
+#[test]
+fn open_bins_index_level_bits_edges() {
+    let mut bits = LevelBits::default();
+    let mut set = BTreeSet::new();
+    let put = |bits: &mut LevelBits, set: &mut BTreeSet<LevelKey>, key: LevelKey, on: bool| {
+        if on {
+            bits.insert(key);
+            set.insert(key);
+        } else {
+            bits.remove(key);
+            set.remove(&key);
+        }
+    };
+    let sizes = [
+        1,
+        2,
+        4095,
+        4096,
+        4097,
+        (1 << 24) - 4096,
+        (1 << 24) - 1,
+        1 << 24,
+    ];
+    let full = 1u64 << 24;
+    // Full bins fit nothing; level 1 fits everything but a full-size item.
+    put(&mut bits, &mut set, (full, 0, 0), true);
+    check_level_bits(&bits, &set, &sizes).unwrap();
+    assert_eq!(bits.best(Size::EPSILON, |_| true), (None, 1));
+    put(&mut bits, &mut set, (1, 1, 1), true);
+    assert_eq!(bits.best(Size::EPSILON, |_| true).0, Some(1));
+    assert_eq!(bits.worst(Size::from_raw(full - 1), |_| true).0, Some(1));
+    assert_eq!(bits.worst(Size::CAPACITY, |_| true).0, None);
+    // Both sides of the first page boundary.
+    put(&mut bits, &mut set, (4095, 2, 2), true);
+    put(&mut bits, &mut set, (4096, 3, 3), true);
+    check_level_bits(&bits, &set, &sizes).unwrap();
+    assert_eq!(bits.best(Size::from_raw(full - 4095), |_| true).0, Some(2));
+    assert_eq!(bits.best(Size::from_raw(full - 4096), |_| true).0, Some(3));
+    // A tie group grows past one: best takes the latest, worst the
+    // earliest opened.
+    put(&mut bits, &mut set, (4096, 9, 4), true);
+    put(&mut bits, &mut set, (4096, 5, 5), true);
+    check_level_bits(&bits, &set, &sizes).unwrap();
+    assert_eq!(bits.best(Size::from_raw(full - 4096), |_| true).0, Some(4));
+    put(&mut bits, &mut set, (1, 1, 1), false);
+    put(&mut bits, &mut set, (4095, 2, 2), false);
+    assert_eq!(bits.worst(Size::EPSILON, |_| true).0, Some(3));
+    // ... and collapses back to one, then empties its page.
+    put(&mut bits, &mut set, (4096, 3, 3), false);
+    put(&mut bits, &mut set, (4096, 9, 4), false);
+    check_level_bits(&bits, &set, &sizes).unwrap();
+    assert_eq!(bits.worst(Size::EPSILON, |_| true).0, Some(5));
+    put(&mut bits, &mut set, (4096, 5, 5), false);
+    check_level_bits(&bits, &set, &sizes).unwrap();
+    assert_eq!(bits.best(Size::EPSILON, |_| true), (None, 1));
+    // The emptied pages are reused.
+    put(&mut bits, &mut set, (4097, 10, 6), true);
+    put(&mut bits, &mut set, (0, 11, 7), true);
+    check_level_bits(&bits, &set, &sizes).unwrap();
+    assert_eq!(bits.best(Size::from_raw(full - 4100), |_| true).0, Some(6));
+    assert_eq!(bits.worst(Size::CAPACITY, |_| true).0, Some(7));
+    for key in std::mem::take(&mut set) {
+        bits.remove(key);
+    }
+    assert_eq!(bits.entries().unwrap(), BTreeSet::new());
+    assert_eq!(bits.worst(Size::EPSILON, |_| true), (None, 0));
+}
+
+/// `(Δ, μΔ)` by scanning durations, as the accessors did before the
+/// instances cached them.
+fn scanned_durations(durations: impl Iterator<Item = i64> + Clone) -> (Option<i64>, Option<i64>) {
+    (durations.clone().min(), durations.max())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `Δ`, `μΔ` and `μ` are found once, when an instance is built; they
+    /// equal a scan of its items through every constructor: scalar
+    /// `from_items`, `shifted` and `concat`, and the vector `from_items`
+    /// and `lift`.
+    #[test]
+    fn cached_durations_equal_a_scan(
+        triples in proptest::collection::vec((1u64..=64, -50i64..50, 1i64..400), 1..40),
+        delta in -1000i64..1000,
+        dims in 1usize..=4,
+    ) {
+        let items: Vec<Item> = triples
+            .iter()
+            .enumerate()
+            .map(|(i, &(s, a, d))| Item::new(i as u32, Size::from_ratio(s, 64).unwrap(), a, a + d))
+            .collect();
+        let inst = Instance::from_items(items).unwrap();
+        let shifted = inst.shifted(delta).unwrap();
+        let both = Instance::concat(&[inst.clone(), shifted.clone()]);
+        for i in [&inst, &shifted, &both] {
+            let (min, max) = scanned_durations(i.items().iter().map(Item::duration));
+            prop_assert_eq!((i.min_duration(), i.max_duration()), (min, max));
+            prop_assert_eq!(i.mu(), Some(max.unwrap() as f64 / min.unwrap() as f64));
+        }
+        let lifted = VecInstance::lift(&inst, dims);
+        let rebuilt = VecInstance::from_items(lifted.items().to_vec()).unwrap();
+        for v in [&lifted, &rebuilt] {
+            let (min, max) = scanned_durations(v.items().iter().map(VecItem::duration));
+            prop_assert_eq!((v.min_duration(), v.max_duration()), (min, max));
+            prop_assert_eq!(v.mu(), inst.mu());
+        }
+    }
+}
+
+#[test]
+fn cached_durations_of_empty_instances_are_none() {
+    let inst = Instance::from_items(Vec::new()).unwrap();
+    assert_eq!(
+        (inst.min_duration(), inst.max_duration(), inst.mu()),
+        (None, None, None)
+    );
+    let shifted = inst.shifted(i64::MAX).unwrap();
+    assert_eq!((shifted.min_duration(), shifted.mu()), (None, None));
+    assert_eq!(Instance::concat(&[]).max_duration(), None);
+    for v in [
+        VecInstance::from_items(Vec::new()).unwrap(),
+        VecInstance::lift(&inst, 3),
+    ] {
+        assert_eq!(
+            (v.min_duration(), v.max_duration(), v.mu()),
+            (None, None, None)
+        );
     }
 }

@@ -125,20 +125,34 @@ pub fn scale_time(inst: &Instance, num: i64, den: i64) -> Instance {
 
 /// Interleaves several traces into one, offsetting each by `gap` ticks
 /// after the previous trace's last departure (sequential composition) and
-/// reassigning ids.
-pub fn concat_with_gap(parts: &[Instance], gap: i64) -> Instance {
+/// reassigning ids. An offset or a shifted interval outside the `i64`
+/// tick range is refused with [`DbpError::IntervalOverflow`].
+pub fn concat_with_gap(parts: &[Instance], gap: i64) -> Result<Instance, DbpError> {
     assert!(gap >= 0);
     let mut shifted = Vec::new();
-    let mut offset = 0i64;
+    // Where the previous part ended: its last departure, or its offset
+    // if it was empty.
+    let mut end: Option<i64> = None;
     for p in parts {
-        shifted.push(p.shifted(offset - p.first_arrival().unwrap_or(0)));
-        offset = shifted
-            .last()
-            .and_then(|s| s.last_departure())
-            .unwrap_or(offset)
-            + gap;
+        let offset = match end {
+            None => 0,
+            Some(last) => last.checked_add(gap).ok_or(DbpError::IntervalOverflow {
+                start: last,
+                end: last.saturating_add(gap),
+            })?,
+        };
+        let first = p.first_arrival().unwrap_or(0);
+        let delta = offset
+            .checked_sub(first)
+            .ok_or(DbpError::IntervalOverflow {
+                start: first,
+                end: offset,
+            })?;
+        let part = p.shifted(delta)?;
+        end = Some(part.last_departure().unwrap_or(offset));
+        shifted.push(part);
     }
-    Instance::concat(&shifted)
+    Ok(Instance::concat(&shifted))
 }
 
 #[cfg(test)]
@@ -204,13 +218,42 @@ mod tests {
     fn concat_with_gap_sequences_traces() {
         let a = Instance::from_triples(&[(0.5, 5, 15)]);
         let b = Instance::from_triples(&[(0.5, 100, 120)]);
-        let c = concat_with_gap(&[a, b], 50);
+        let c = concat_with_gap(&[a, b], 50).unwrap();
         assert_eq!(c.len(), 2);
         assert_eq!(c.items()[0].arrival(), 0); // re-anchored
         assert_eq!(c.items()[1].arrival(), 10 + 50); // 0+10 dep, +50 gap
                                                      // Ids unique after concat.
         let ids: std::collections::HashSet<_> = c.items().iter().map(|r| r.id()).collect();
         assert_eq!(ids.len(), 2);
+    }
+
+    #[test]
+    fn concat_with_gap_refuses_offsets_past_the_tick_range() {
+        let a = Instance::from_triples(&[(0.5, 0, i64::MAX - 10)]);
+        let b = Instance::from_triples(&[(0.5, 0, 20)]);
+        // b would start at i64::MAX - 5 and end past i64::MAX.
+        assert!(matches!(
+            concat_with_gap(&[a.clone(), b.clone()], 5),
+            Err(DbpError::IntervalOverflow { end: i64::MAX, .. })
+        ));
+        // The gap itself pushes the next offset past i64::MAX.
+        assert!(matches!(
+            concat_with_gap(&[a.clone(), b], i64::MAX),
+            Err(DbpError::IntervalOverflow { .. })
+        ));
+        // Ending exactly at i64::MAX is fine.
+        let edge = concat_with_gap(&[a, Instance::from_triples(&[(0.5, 0, 5)])], 5).unwrap();
+        assert_eq!(edge.last_departure(), Some(i64::MAX));
+        // Re-anchoring a part that starts at i64::MIN to offset 0 would
+        // shift it by more than i64::MAX.
+        let low = Instance::from_triples(&[(0.5, i64::MIN, i64::MIN + 1)]);
+        assert_eq!(
+            concat_with_gap(&[low], 0),
+            Err(DbpError::IntervalOverflow {
+                start: i64::MIN,
+                end: 0
+            })
+        );
     }
 
     #[test]

@@ -718,7 +718,8 @@ fn report(flags: &HashMap<String, String>) -> Result<(), CliError> {
             .packing
     };
     packing.validate(&inst).map_err(runtime_err)?;
-    let rows = clairvoyant_dbp::core::stats::packing_report(&inst, &packing);
+    let rows =
+        clairvoyant_dbp::core::stats::packing_report(&inst, &packing).map_err(runtime_err)?;
     println!(
         "{:<6} {:>6} {:>10} {:>12} {:>10}",
         "bin", "items", "span", "utilization", "gap_ticks"

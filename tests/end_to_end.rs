@@ -153,7 +153,7 @@ fn offline_beats_or_matches_online_on_drain_shapes() {
 #[test]
 fn concat_and_shift_compose_with_engines() {
     let a = UniformWorkload::new(50).generate_seeded(31);
-    let b = a.shifted(10_000);
+    let b = a.shifted(10_000).unwrap();
     let merged = Instance::concat(&[a.clone(), b]);
     assert_eq!(merged.len(), 100);
     let mut ff = AnyFit::first_fit();

@@ -44,6 +44,9 @@
 //! **Lookahead ([`lookahead`]):** a bounded-arrival-window model
 //! interpolating between the online and offline problems, complementing
 //! the paper's departure clairvoyance axis.
+//!
+//! **Roster ([`registry`]):** every packer above built by name, so the
+//! CLI, the service, the experiments and the audits share one roster.
 
 #![warn(missing_docs)]
 
@@ -53,3 +56,4 @@ pub mod instrument;
 pub mod lookahead;
 pub mod offline;
 pub mod online;
+pub mod registry;

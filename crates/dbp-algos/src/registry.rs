@@ -1,11 +1,11 @@
 //! Algorithm registry: build packers by name so experiments share one
 //! roster and CLI flags stay stable.
 
-use dbp_algos::offline::{
+use crate::offline::{
     ArrivalFirstFit, DemandDescendingFirstFit, DualColoring, DurationAscendingFirstFit,
     DurationDescendingFirstFit, LargeItemRule,
 };
-use dbp_algos::online::{
+use crate::online::{
     AnyFit, ClassifyByDepartureTime, ClassifyByDuration, CombinedClassify, DotProductFit,
     HybridFirstFit, MaxNormFit,
 };

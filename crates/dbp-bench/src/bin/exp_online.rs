@@ -90,36 +90,21 @@ fn main() {
     println!("\nchecks: every measured mean ratio below its theorem bound ... OK");
 
     // Observability cross-section: aggregate run counters per algorithm
-    // over the whole grid — scan depth and decision latency are the cost
-    // side of the ratios above.
-    let mut ctable = Table::new(&[
-        "algo",
-        "items",
-        "reuse_frac",
-        "mean_scan",
-        "ns_per_decision",
-    ]);
+    // over the whole grid — scan depth is the cost side of the ratios
+    // above (`dbp prof` samples decision latency).
+    let mut ctable = Table::new(&["algo", "items", "reuse_frac", "mean_scan"]);
     for algo in ONLINE_ALGOS {
-        let mut total = dbp_obs::CountersSnapshot::default();
-        for r in results
+        let parts: Vec<dbp_obs::CountersSnapshot> = results
             .iter()
             .filter(|r| r.label.starts_with(&format!("{algo}/")))
-        {
-            let c = r.output.1;
-            total.items_packed += c.items_packed;
-            total.placements_reused += c.placements_reused;
-            total.bins_opened += c.bins_opened;
-            total.bins_closed += c.bins_closed;
-            total.candidates_scanned += c.candidates_scanned;
-            total.decide_ns_total += c.decide_ns_total;
-            total.decide_ns_max = total.decide_ns_max.max(c.decide_ns_max);
-        }
+            .map(|r| r.output.1)
+            .collect();
+        let total = dbp_obs::CountersSnapshot::merged(&parts);
         ctable.row(&[
             algo.to_string(),
             total.items_packed.to_string(),
             f3(total.reuse_fraction()),
             f3(total.mean_candidates()),
-            f3(total.mean_decide_ns()),
         ]);
         assert_eq!(
             total.bins_opened, total.bins_closed,

@@ -534,8 +534,10 @@ fn run_cell_once(schema: &str, inst: &BenchInstance, cell: &BaselineCell) -> Res
     let mode = ClairvoyanceMode::Clairvoyant;
     match (schema, cell.telemetry.as_deref(), inst) {
         ("dbp-bench/shard-v1", _, BenchInstance::Scalar(inst)) => {
+            // The fleet `bench_shard` records: no metrics timelines.
             let cfg = ShardConfig {
                 threads: Some(cell.workers.max(1)),
+                collect_metrics: false,
                 ..ShardConfig::new(cell.shards.max(1), ShardRouter::hash())
             };
             let packers = (0..cell.shards.max(1)).map(|_| make(inst)).collect();

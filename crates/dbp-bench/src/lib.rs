@@ -4,7 +4,8 @@
 //! DESIGN.md §4) and the Criterion benchmarks:
 //!
 //! * [`registry`] — construct any online/offline packer by name, so every
-//!   experiment sweeps the same algorithm roster.
+//!   experiment sweeps the same algorithm roster (`dbp_algos::registry`,
+//!   re-exported).
 //! * [`measure`] — run a packer on an instance and compute usage and
 //!   ratios against LB3 / exact `OPT_total`.
 //! * [`grid`] — a lock-free scoped-thread parallel grid runner: evaluate an
@@ -23,8 +24,9 @@ pub mod grid;
 pub mod measure;
 pub mod plot;
 pub mod reference;
-pub mod registry;
 pub mod report;
+
+pub use dbp_algos::registry;
 
 pub use check::{parse_baseline, run_check, Baseline, CheckReport};
 pub use grid::{run_grid, GridCell, GridResult};

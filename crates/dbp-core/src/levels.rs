@@ -24,13 +24,16 @@
 //! The level range `0..=2²⁴` is cut into 4,097 pages of 4,096 levels.
 //! A page is 64 words of level bits plus one summary word whose bit `w`
 //! says word `w` is non-zero: 520 bytes, allocated the first time a
-//! level in it is set and kept (empty) for reuse after its last level
-//! clears. A 4,097-slot directory maps a page number to its storage,
-//! and a two-level bitmap over the pages (65 words, bit `p` = page `p`
-//! holds a level, plus one 65-bit summary over those words) finds the
-//! nearest non-empty page. Each present level owns one tie group in a
-//! hash map: one inline `(seq, slot)`, spilled into an ordered set only
-//! while two or more bins share the exact level.
+//! level in it is set. When its last level clears, the page (all zero
+//! again) goes on a free list for the next page to fill, so the index
+//! holds as many pages as were ever non-empty at once, not every page
+//! its levels ever touched. A 4,097-slot directory maps a non-empty
+//! page number to its storage, and a two-level bitmap over the pages
+//! (65 words, bit `p` = page `p` holds a level, plus one 65-bit summary
+//! over those words) finds the nearest non-empty page. Each present
+//! level owns one tie group in a hash map: one inline `(seq, slot)`,
+//! spilled into an ordered set only while two or more bins share the
+//! exact level.
 //!
 //! | operation | cost |
 //! |---|---|
@@ -127,7 +130,7 @@ const PAGE_BITS: u64 = 4096;
 const PAGES: usize = (Size::SCALE / PAGE_BITS) as usize + 1;
 /// Words of the page-presence bitmap.
 const PAGE_WORDS: usize = PAGES.div_ceil(64);
-/// Directory value of a page not yet allocated.
+/// Directory value of a page that holds no level.
 const NO_PAGE: u16 = u16::MAX;
 
 /// 4,096 level bits and the summary of which of its words are non-zero.
@@ -236,10 +239,12 @@ impl Tie {
 /// `0..=2²⁴` plus one tie group per present level (see the module docs).
 #[derive(Clone)]
 pub struct LevelBits {
-    /// Page number → index into `pages`, or [`NO_PAGE`].
+    /// Non-empty page number → index into `pages`, or [`NO_PAGE`].
     dir: Box<[u16]>,
-    /// Allocated pages, in first-use order.
+    /// Allocated pages: those the directory references and the free ones.
     pages: Vec<Page>,
+    /// Indexes into `pages` of emptied (all-zero) pages, for reuse.
+    free: Vec<u16>,
     /// Bit `p` set iff page `p` holds a level.
     page_bits: [u64; PAGE_WORDS],
     /// Bit `w` set iff `page_bits[w]` is non-zero.
@@ -253,6 +258,7 @@ impl Default for LevelBits {
         LevelBits {
             dir: vec![NO_PAGE; PAGES].into_boxed_slice(),
             pages: Vec::new(),
+            free: Vec::new(),
             page_bits: [0; PAGE_WORDS],
             page_words: 0,
             ties: FoldMap::default(),
@@ -282,13 +288,15 @@ impl LevelBits {
         debug_assert!(level <= Size::SCALE, "level {level} above capacity");
         let p = level / PAGE_BITS;
         if self.dir[p as usize] == NO_PAGE {
-            if self.pages.len() == self.pages.capacity() {
-                // Double, but never past the page count.
-                let more = self.pages.len().max(4).min(PAGES - self.pages.len());
-                self.pages.reserve_exact(more);
-            }
-            self.dir[p as usize] = self.pages.len() as u16;
-            self.pages.push(Page::EMPTY);
+            self.dir[p as usize] = self.free.pop().unwrap_or_else(|| {
+                if self.pages.len() == self.pages.capacity() {
+                    // Double, but never past the page count.
+                    let more = self.pages.len().max(4).min(PAGES - self.pages.len());
+                    self.pages.reserve_exact(more);
+                }
+                self.pages.push(Page::EMPTY);
+                (self.pages.len() - 1) as u16
+            });
         }
         let (w, b) = ((level % PAGE_BITS) / 64, level % 64);
         let page = &mut self.pages[usize::from(self.dir[p as usize])];
@@ -310,6 +318,9 @@ impl LevelBits {
         if page.summary != 0 {
             return;
         }
+        // The page is all zero again: free it for the next page to fill.
+        self.free.push(self.dir[p as usize]);
+        self.dir[p as usize] = NO_PAGE;
         let pw = (p / 64) as usize;
         self.page_bits[pw] &= !(1 << (p % 64));
         if self.page_bits[pw] == 0 {
@@ -423,28 +434,44 @@ impl LevelIndex<Size> for LevelBits {
                 Tie::Many(set) => out.extend(set.iter().map(|&(seq, slot)| (level, seq, slot))),
             }
         }
-        // Every set bit is a present level, and every summary bit
-        // matches the words below it.
+        // Every set bit is a present level, every summary bit matches the
+        // words below it, the directory references exactly the non-empty
+        // pages, and every allocated page is referenced or free, once.
+        let mut uses = vec![0usize; self.pages.len()];
+        for &i in &self.free {
+            match self.pages.get(usize::from(i)) {
+                Some(page) if page.summary == 0 && page.words == [0; 64] => {
+                    uses[usize::from(i)] += 1;
+                }
+                _ => return Err(format!("free page {i} is missing or not zero")),
+            }
+        }
         let mut bits = 0usize;
         for p in 0..PAGES as u64 {
             let present = self.page_present(p);
             if self.page_words & (1 << (p / 64)) == 0 && present {
                 return Err(format!("page {p} present under a clear summary bit"));
             }
-            if self.dir[p as usize] == NO_PAGE {
-                if present {
-                    return Err(format!("page {p} present but never allocated"));
-                }
+            let i = self.dir[p as usize];
+            if present != (i != NO_PAGE) {
+                return Err(format!(
+                    "page {p} presence bit disagrees with the directory"
+                ));
+            }
+            if i == NO_PAGE {
                 continue;
             }
-            let page = self.page(p);
+            let Some(page) = self.pages.get(usize::from(i)) else {
+                return Err(format!("page {p} maps to missing page {i}"));
+            };
+            uses[usize::from(i)] += 1;
             for (w, &word) in page.words.iter().enumerate() {
                 if (page.summary >> w) & 1 != u64::from(word != 0) {
                     return Err(format!("page {p} summary bit {w} is stale"));
                 }
             }
-            if present != (page.summary != 0) {
-                return Err(format!("page {p} presence bit is stale"));
+            if page.summary == 0 {
+                return Err(format!("page {p} is empty but still in the directory"));
             }
             bits += page
                 .words
@@ -463,6 +490,9 @@ impl LevelIndex<Size> for LevelBits {
                 self.ties.len()
             ));
         }
+        if let Some(i) = uses.iter().position(|&n| n != 1) {
+            return Err(format!("page {i} is referenced or free {} times", uses[i]));
+        }
         Ok(out)
     }
 
@@ -470,6 +500,7 @@ impl LevelIndex<Size> for LevelBits {
         use std::mem::size_of;
         self.dir.len() * size_of::<u16>()
             + self.pages.capacity() * size_of::<Page>()
+            + self.free.capacity() * size_of::<u16>()
             + self.ties.capacity() * size_of::<(u64, Tie)>()
             + self
                 .ties
@@ -479,5 +510,37 @@ impl LevelIndex<Size> for LevelBits {
                     Tie::Many(set) => set.len() * size_of::<(u64, u32)>(),
                 })
                 .sum::<usize>()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// One bin's level walks through every page and back to page 0: each
+    /// emptied page is reused, so the index ends about as big as it
+    /// started instead of holding all 4,097 pages.
+    #[test]
+    fn emptied_pages_are_recycled() {
+        let mut bits = LevelBits::default();
+        bits.insert((0, 0, 0));
+        let start = LevelIndex::<Size>::approx_bytes(&bits);
+        let mut level = 0;
+        for next in (1..PAGES as u64).map(|p| p * PAGE_BITS).chain([0]) {
+            // Insert before remove, so two pages are live at each step.
+            bits.insert((next, 0, 0));
+            bits.remove((level, 0, 0));
+            level = next;
+            if next % (512 * PAGE_BITS) == 0 {
+                let entries = LevelIndex::<Size>::entries(&bits).unwrap();
+                assert_eq!(entries.into_iter().collect::<Vec<_>>(), [(level, 0, 0)]);
+            }
+        }
+        assert_eq!(bits.pages.len(), 2, "two pages were ever live at once");
+        let end = LevelIndex::<Size>::approx_bytes(&bits);
+        assert!(
+            end <= start + 2 * std::mem::size_of::<Page>(),
+            "{start} -> {end} bytes"
+        );
     }
 }

@@ -20,6 +20,12 @@
 //! and the compiled packing loop is identical to an unobserved one — no
 //! timestamps are taken, no events are constructed.
 //!
+//! ## Events are deterministic; time is sampled
+//!
+//! Every [`PackEvent`] is a pure function of the arrival sequence. Time
+//! reaches an observer only through [`PackObserver::on_op`], on arrivals
+//! its [`PackObserver::wants_timing`] asked for; the default declines.
+//!
 //! Rich consumers (JSONL trace writing, time-series metrics, replay
 //! validation) live in the `dbp-obs` crate; this module holds only what
 //! the engines need to emit.
@@ -88,9 +94,6 @@ pub enum PackEvent<D = Size> {
         /// decision was made. Deterministic for a given stream either
         /// way, and always O(1) for the engine to produce.
         candidates_scanned: usize,
-        /// Wall-clock nanoseconds the packer spent deciding (0 when the
-        /// observer was attached without timing).
-        decide_ns: u64,
     },
     /// A new bin was opened.
     BinOpened {
@@ -162,6 +165,9 @@ pub enum PackEvent<D = Size> {
 /// determinism boundary and must never feed merged or golden state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum OpKind {
+    /// The packer's `place` call for one arrival, shed arrivals
+    /// included.
+    Decide,
     /// Draining departures up to an arrival (the `close_until` sweep).
     Departures,
     /// A sharded session worker flushing one arrival batch.
@@ -189,16 +195,17 @@ pub trait PackObserver<D = Size> {
     fn on_event(&mut self, event: &PackEvent<D>);
 
     /// Asked once per arrival (before any clock is read) whether this
-    /// observer wants wall-clock timing for it. Returning `false` skips
-    /// the `Instant` reads entirely — the arrival's
-    /// [`PackEvent::PlacementDecided::decide_ns`] is 0 and no
-    /// [`PackObserver::on_op`] durations are reported for it. Stateful
-    /// implementations use this as a sampling hook (e.g. time 1 in 16
-    /// arrivals) to keep observation overhead off the hot path; the
-    /// default keeps the historical behavior of timing every arrival.
+    /// observer wants wall-clock timing for it. Returning `true` makes
+    /// the session time the arrival's `place` call
+    /// ([`OpKind::Decide`]) and its departure sweep
+    /// ([`OpKind::Departures`]) and report both through
+    /// [`PackObserver::on_op`]; `false` skips the `Instant` reads
+    /// entirely. Stateful implementations use this as a sampling hook
+    /// (e.g. time 1 in 64 arrivals) to keep observation overhead off the
+    /// hot path. The default declines.
     #[inline(always)]
     fn wants_timing(&mut self) -> bool {
-        true
+        false
     }
 
     /// Receives the wall-clock duration of one coarse session operation.
@@ -216,10 +223,6 @@ impl<D> PackObserver<D> for NoopObserver {
     const ENABLED: bool = false;
     #[inline(always)]
     fn on_event(&mut self, _event: &PackEvent<D>) {}
-    #[inline(always)]
-    fn wants_timing(&mut self) -> bool {
-        false
-    }
 }
 
 impl<D, O: PackObserver<D>> PackObserver<D> for &mut O {
@@ -265,7 +268,9 @@ impl<D, O: PackObserver<D>> PackObserver<D> for Option<O> {
 }
 
 /// Fans events out to two observers in order. Nest for more:
-/// `Tee(a, Tee(b, c))`.
+/// `Tee(a, Tee(b, c))`. An arrival either side asks to time is timed,
+/// and both sides' [`PackObserver::on_op`] see it, so tee at most one
+/// sampler with observers that keep the default (which ignore ops).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Tee<A, B>(pub A, pub B);
 
@@ -357,8 +362,8 @@ mod tests {
 
         assert!(!PackObserver::<Size>::wants_timing(&mut NoopObserver));
         assert!(
-            EventLog::<Size>::new().wants_timing(),
-            "default times every arrival"
+            !EventLog::<Size>::new().wants_timing(),
+            "the default declines timing"
         );
         let mut none: Option<Sampler> = None;
         assert!(!none.wants_timing(), "absent observer declines timing");

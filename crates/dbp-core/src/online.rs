@@ -535,10 +535,6 @@ impl<D> crate::observe::PackObserver<D> for RunRecorder {
             _ => {}
         }
     }
-
-    fn wants_timing(&mut self) -> bool {
-        false
-    }
 }
 
 /// Drives an [`OnlinePacker`] over an instance.

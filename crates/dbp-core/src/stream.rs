@@ -634,7 +634,8 @@ impl<'p, P: PackerHandle, O: PackObserver<DemandOf<P>>> StreamingSession<'p, O, 
 
     /// Drains departures due at `now`, then asks the packer for a
     /// decision — the timed core shared by [`StreamingSession::arrive`]
-    /// and [`StreamingSession::arrive_capped`].
+    /// and [`StreamingSession::arrive_capped`]. A timed arrival's
+    /// `place` call is reported as [`OpKind::Decide`], placed or shed.
     ///
     /// Clock reads are the dominant observer cost (tens of nanoseconds
     /// each), so the timed path is shaped to minimise them: the
@@ -650,7 +651,7 @@ impl<'p, P: PackerHandle, O: PackObserver<DemandOf<P>>> StreamingSession<'p, O, 
         item: &ItemOf<P>,
         visible_dep: Option<Time>,
         now: Time,
-    ) -> Result<(Decision, u64), DbpError> {
+    ) -> Result<Decision, DbpError> {
         let view = ItemView {
             id: item.id(),
             size: item.size(),
@@ -659,7 +660,7 @@ impl<'p, P: PackerHandle, O: PackObserver<DemandOf<P>>> StreamingSession<'p, O, 
         };
         if !(O::ENABLED && self.obs.wants_timing()) {
             self.close_until(now)?;
-            return Ok((self.packer.packer_mut().place(&view, &self.open), 0));
+            return Ok(self.packer.packer_mut().place(&view, &self.open));
         }
         let sweep_due = self
             .departures
@@ -678,7 +679,9 @@ impl<'p, P: PackerHandle, O: PackObserver<DemandOf<P>>> StreamingSession<'p, O, 
             std::time::Instant::now()
         };
         let decision = self.packer.packer_mut().place(&view, &self.open);
-        Ok((decision, decide_start.elapsed().as_nanos() as u64))
+        self.obs
+            .on_op(OpKind::Decide, decide_start.elapsed().as_nanos() as u64);
+        Ok(decision)
     }
 
     /// Feeds one arrival; the chosen bin id is returned. Arrival times
@@ -693,9 +696,9 @@ impl<'p, P: PackerHandle, O: PackObserver<DemandOf<P>>> StreamingSession<'p, O, 
         self.check_not_live(item.id())?;
         self.last_arrival = Some(now);
         let visible_dep = self.mode.visible_departure(item);
-        let (decision, decide_ns) = self.sweep_and_decide(item, visible_dep, now)?;
+        let decision = self.sweep_and_decide(item, visible_dep, now)?;
         self.emit_arrival(item, visible_dep);
-        self.commit_decision(item, visible_dep, decision, decide_ns)
+        self.commit_decision(item, visible_dep, decision)
     }
 
     /// Feeds one arrival under a fleet-size cap (graceful degradation).
@@ -724,7 +727,7 @@ impl<'p, P: PackerHandle, O: PackObserver<DemandOf<P>>> StreamingSession<'p, O, 
         self.check_not_live(item.id())?;
         self.last_arrival = Some(now);
         let visible_dep = self.mode.visible_departure(item);
-        let (decision, decide_ns) = self.sweep_and_decide(item, visible_dep, now)?;
+        let decision = self.sweep_and_decide(item, visible_dep, now)?;
         if matches!(decision, Decision::New { .. }) && self.open.len() >= max_open_bins {
             if O::ENABLED {
                 self.obs.on_event(&PackEvent::ArrivalShed {
@@ -736,7 +739,7 @@ impl<'p, P: PackerHandle, O: PackObserver<DemandOf<P>>> StreamingSession<'p, O, 
             return Ok(Admission::Shed);
         }
         self.emit_arrival(item, visible_dep);
-        self.commit_decision(item, visible_dep, decision, decide_ns)
+        self.commit_decision(item, visible_dep, decision)
             .map(Admission::Placed)
     }
 
@@ -748,7 +751,6 @@ impl<'p, P: PackerHandle, O: PackObserver<DemandOf<P>>> StreamingSession<'p, O, 
         item: &ItemOf<P>,
         visible_dep: Option<Time>,
         decision: Decision,
-        decide_ns: u64,
     ) -> Result<BinId, DbpError> {
         let now = item.arrival();
         let active = ActiveItem {
@@ -783,7 +785,6 @@ impl<'p, P: PackerHandle, O: PackObserver<DemandOf<P>>> StreamingSession<'p, O, 
                         bin: bid,
                         fit_rule: FitDecision::Reused,
                         candidates_scanned: scanned,
-                        decide_ns,
                     });
                     self.obs.on_event(&PackEvent::LevelChanged {
                         bin: bid,
@@ -811,7 +812,6 @@ impl<'p, P: PackerHandle, O: PackObserver<DemandOf<P>>> StreamingSession<'p, O, 
                         bin: bid,
                         fit_rule: FitDecision::OpenedNew,
                         candidates_scanned: rejected,
-                        decide_ns,
                     });
                     self.obs.on_event(&PackEvent::LevelChanged {
                         bin: bid,
@@ -1451,6 +1451,51 @@ mod tests {
         assert_eq!(displaced[0].id, ItemId(1));
         s.finish().unwrap();
         assert_eq!(rec.into_run().bins[0].closed_at, 7);
+    }
+
+    /// Only an observer that asks gets timed: with the default
+    /// `wants_timing` no op reaches it, and one that asks every time
+    /// gets one `Decide` per arrival, shed arrivals included.
+    #[test]
+    fn decide_time_reaches_only_observers_that_ask() {
+        /// Records ops; keeps the default `wants_timing`.
+        struct Untimed(Vec<OpKind>);
+        impl PackObserver for Untimed {
+            fn on_event(&mut self, _: &PackEvent) {}
+            fn on_op(&mut self, op: OpKind, _ns: u64) {
+                self.0.push(op);
+            }
+        }
+        /// Records ops; asks to time every arrival.
+        struct Timed(Vec<OpKind>);
+        impl PackObserver for Timed {
+            fn on_event(&mut self, _: &PackEvent) {}
+            fn wants_timing(&mut self) -> bool {
+                true
+            }
+            fn on_op(&mut self, op: OpKind, _ns: u64) {
+                self.0.push(op);
+            }
+        }
+        fn drive<O: PackObserver>(obs: &mut O) -> usize {
+            let mut packer = FirstFit;
+            let mut s =
+                StreamingSession::with_observer(ClairvoyanceMode::Clairvoyant, &mut packer, obs);
+            let mut shed = 0;
+            for k in 0..6 {
+                let item = Item::new(k, Size::from_f64(0.9), i64::from(k), i64::from(k) + 3);
+                shed += usize::from(s.arrive_capped(&item, 2).unwrap() == Admission::Shed);
+            }
+            s.finish().unwrap();
+            shed
+        }
+        let mut untimed = Untimed(Vec::new());
+        assert!(drive(&mut untimed) > 0, "the stream sheds");
+        assert_eq!(untimed.0, [], "the default declines every clock read");
+        let mut timed = Timed(Vec::new());
+        drive(&mut timed);
+        let decides = timed.0.iter().filter(|&&op| op == OpKind::Decide).count();
+        assert_eq!(decides, 6, "one decide sample per arrival, shed or placed");
     }
 
     #[test]

@@ -1,9 +1,14 @@
-//! Scalar counters and timing totals over a packing run.
+//! Event counts over a packing run.
 //!
 //! [`Counters`] is the cheapest real observer: a handful of integer adds
-//! per event. It is what `dbp-bench` attaches to every measurement so
-//! that [`CountersSnapshot`] can ride along in `Measurement` and
-//! `SimReport` without meaningfully perturbing timings.
+//! per event, and no clock reads (it keeps the default
+//! [`PackObserver::wants_timing`], which declines). It is what
+//! `dbp-bench` attaches to every measurement so that
+//! [`CountersSnapshot`] can ride along in `Measurement` and `SimReport`
+//! without meaningfully perturbing timings. Every field is a pure
+//! function of the event stream, so two runs of one stream count the
+//! same and shards merge by a plain sum. Decision latency is sampled by
+//! `dbp-telemetry`'s recorder, not counted here.
 
 use dbp_core::observe::{FitDecision, PackEvent, PackObserver};
 
@@ -35,15 +40,12 @@ impl PackObserver for Counters {
             PackEvent::PlacementDecided {
                 fit_rule,
                 candidates_scanned,
-                decide_ns,
                 ..
             } => {
                 if *fit_rule == FitDecision::Reused {
                     s.placements_reused += 1;
                 }
                 s.candidates_scanned += *candidates_scanned as u64;
-                s.decide_ns_total += decide_ns;
-                s.decide_ns_max = s.decide_ns_max.max(*decide_ns);
             }
             PackEvent::BinOpened { .. } => s.bins_opened += 1,
             PackEvent::BinClosed { .. } => s.bins_closed += 1,
@@ -68,10 +70,6 @@ pub struct CountersSnapshot {
     /// Total open bins inspected across all placement decisions (scan
     /// depth for reuses, rejections for opens).
     pub candidates_scanned: u64,
-    /// Total wall-clock nanoseconds spent inside `place` calls.
-    pub decide_ns_total: u64,
-    /// The slowest single `place` call, in nanoseconds.
-    pub decide_ns_max: u64,
     /// Departure estimates substituted under noisy clairvoyance.
     pub estimates_used: u64,
     /// Bins killed by fault injection.
@@ -90,15 +88,6 @@ impl CountersSnapshot {
         }
     }
 
-    /// Mean nanoseconds per placement decision (0 with no placements).
-    pub fn mean_decide_ns(&self) -> f64 {
-        if self.items_packed == 0 {
-            0.0
-        } else {
-            self.decide_ns_total as f64 / self.items_packed as f64
-        }
-    }
-
     /// Fraction of placements that reused an open bin.
     pub fn reuse_fraction(&self) -> f64 {
         if self.items_packed == 0 {
@@ -109,14 +98,7 @@ impl CountersSnapshot {
     }
 
     /// Sums event counts across independent sessions (e.g. the shards of a
-    /// `dbp-shard` fleet) into fleet-wide totals.
-    ///
-    /// The wall-clock timing fields (`decide_ns_total`, `decide_ns_max`)
-    /// are **zeroed** in the merged snapshot: they are measured per run
-    /// and vary with scheduling, so summing them would both mislead (the
-    /// shards overlap in time) and break the bit-identical determinism
-    /// contract of the merge. Read per-shard timings from the individual
-    /// snapshots instead.
+    /// `dbp-shard` fleet) into fleet-wide totals, field by field.
     pub fn merged(parts: &[CountersSnapshot]) -> CountersSnapshot {
         let mut out = CountersSnapshot::default();
         for p in parts {
@@ -158,7 +140,6 @@ mod tests {
             bin: BinId(0),
             fit_rule: FitDecision::OpenedNew,
             candidates_scanned: 3,
-            decide_ns: 100,
         });
         c.on_event(&PackEvent::ItemArrived {
             id: ItemId(1),
@@ -172,7 +153,6 @@ mod tests {
             bin: BinId(0),
             fit_rule: FitDecision::Reused,
             candidates_scanned: 1,
-            decide_ns: 300,
         });
         c.on_event(&PackEvent::BinClosed {
             bin: BinId(0),
@@ -186,10 +166,7 @@ mod tests {
         assert_eq!(s.bins_closed, 1);
         assert_eq!(s.placements_reused, 1);
         assert_eq!(s.candidates_scanned, 4);
-        assert_eq!(s.decide_ns_total, 400);
-        assert_eq!(s.decide_ns_max, 300);
         assert!((s.mean_candidates() - 2.0).abs() < 1e-9);
-        assert!((s.mean_decide_ns() - 200.0).abs() < 1e-9);
         assert!((s.reuse_fraction() - 0.5).abs() < 1e-9);
     }
 
@@ -200,7 +177,6 @@ mod tests {
         for s in [CountersSnapshot::default(), CountersSnapshot::merged(&[])] {
             assert_eq!(s.items_packed, 0);
             assert_eq!(s.mean_candidates(), 0.0);
-            assert_eq!(s.mean_decide_ns(), 0.0);
             assert_eq!(s.reuse_fraction(), 0.0);
         }
         // Non-placement activity alone must not poison the means either.
@@ -210,23 +186,19 @@ mod tests {
             ..CountersSnapshot::default()
         };
         assert_eq!(shed_only.mean_candidates(), 0.0);
-        assert_eq!(shed_only.mean_decide_ns(), 0.0);
         assert_eq!(shed_only.reuse_fraction(), 0.0);
     }
 
-    /// `merged` sums event counts but zeroes wall-clock fields: shard
-    /// timings overlap in time, and summing them would break the
-    /// deterministic-merge contract.
+    /// `merged` is a plain field-by-field sum: a one-part merge is the
+    /// part, and the sum does not depend on the order of the parts.
     #[test]
-    fn merged_sums_counts_and_zeroes_timings() {
+    fn merged_is_a_plain_sum() {
         let a = CountersSnapshot {
             items_packed: 10,
             placements_reused: 4,
             bins_opened: 6,
             bins_closed: 5,
             candidates_scanned: 30,
-            decide_ns_total: 1_000,
-            decide_ns_max: 400,
             estimates_used: 1,
             bins_failed: 1,
             arrivals_shed: 2,
@@ -234,32 +206,19 @@ mod tests {
         let b = CountersSnapshot {
             items_packed: 2,
             candidates_scanned: 6,
-            decide_ns_total: 999,
-            decide_ns_max: 999,
             ..CountersSnapshot::default()
         };
         let m = CountersSnapshot::merged(&[a, b]);
-        assert_eq!(m.items_packed, 12);
-        assert_eq!(m.placements_reused, 4);
-        assert_eq!(m.bins_opened, 6);
-        assert_eq!(m.bins_closed, 5);
-        assert_eq!(m.candidates_scanned, 36);
-        assert_eq!(m.estimates_used, 1);
-        assert_eq!(m.bins_failed, 1);
-        assert_eq!(m.arrivals_shed, 2);
-        assert_eq!(m.decide_ns_total, 0, "wall-clock totals are per-run");
-        assert_eq!(m.decide_ns_max, 0, "wall-clock maxima are per-run");
-        assert!((m.mean_candidates() - 3.0).abs() < 1e-9);
-        assert_eq!(m.mean_decide_ns(), 0.0, "merged timing means read as 0");
-        // A single-part merge is the part, minus its timing fields.
-        let one = CountersSnapshot::merged(&[a]);
         assert_eq!(
-            one,
+            m,
             CountersSnapshot {
-                decide_ns_total: 0,
-                decide_ns_max: 0,
+                items_packed: 12,
+                candidates_scanned: 36,
                 ..a
             }
         );
+        assert_eq!(m, CountersSnapshot::merged(&[b, a]));
+        assert!((m.mean_candidates() - 3.0).abs() < 1e-9);
+        assert_eq!(CountersSnapshot::merged(&[a]), a);
     }
 }

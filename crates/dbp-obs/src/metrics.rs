@@ -431,7 +431,6 @@ mod tests {
             bin: BinId(bin),
             fit_rule: FitDecision::OpenedNew,
             candidates_scanned: 0,
-            decide_ns: 0,
         }
     }
 

@@ -14,9 +14,9 @@
 //! is the span of its union of intervals — exactly what
 //! [`Packing::total_usage`] charges.
 //!
-//! Synthesized `PlacementDecided` events carry `candidates_scanned = 0`
-//! and `decide_ns = 0`: the offline packer's decision procedure already
-//! ran, and its cost is not attributable to individual placements.
+//! Synthesized `PlacementDecided` events carry `candidates_scanned = 0`:
+//! the offline packer's decision procedure already ran, and its cost is
+//! not attributable to individual placements.
 
 use dbp_core::observe::{FitDecision, PackEvent, PackObserver};
 use dbp_core::{BinId, DbpError, Instance, ItemId, Packing, Size, Time};
@@ -133,7 +133,6 @@ pub fn emit_packing<O: PackObserver>(
                 FitDecision::Reused
             },
             candidates_scanned: 0,
-            decide_ns: 0,
         });
         obs.on_event(&PackEvent::LevelChanged {
             bin,

@@ -32,7 +32,6 @@ pub fn event_to_json(ev: &PackEvent) -> String {
             bin,
             fit_rule,
             candidates_scanned,
-            decide_ns,
         } => {
             let rule = match fit_rule {
                 FitDecision::Reused => "reused",
@@ -40,7 +39,7 @@ pub fn event_to_json(ev: &PackEvent) -> String {
             };
             format!(
                 "{{\"type\":\"placement_decided\",\"id\":{},\"bin\":{},\"fit_rule\":\"{rule}\",\
-                 \"candidates_scanned\":{candidates_scanned},\"decide_ns\":{decide_ns}}}",
+                 \"candidates_scanned\":{candidates_scanned}}}",
                 id.0, bin.0
             )
         }
@@ -232,7 +231,6 @@ pub fn event_from_json(v: &Json) -> Result<PackEvent, String> {
                 bin: BinId(field_u32(v, "bin")?),
                 fit_rule: rule,
                 candidates_scanned: field_usize(v, "candidates_scanned")?,
-                decide_ns: field_u64(v, "decide_ns")?,
             })
         }
         "level_changed" => Ok(PackEvent::LevelChanged {
@@ -420,14 +418,12 @@ mod tests {
                 bin: BinId(2),
                 fit_rule: FitDecision::OpenedNew,
                 candidates_scanned: 2,
-                decide_ns: 1234,
             },
             PackEvent::PlacementDecided {
                 id: ItemId(8),
                 bin: BinId(2),
                 fit_rule: FitDecision::Reused,
                 candidates_scanned: 1,
-                decide_ns: 0,
             },
             PackEvent::LevelChanged {
                 bin: BinId(2),
@@ -463,6 +459,17 @@ mod tests {
             let back = event_from_json(&parse(&line).unwrap()).unwrap();
             assert_eq!(back, ev, "round-trip failed for {line}");
         }
+    }
+
+    /// Older traces wrote each placement's wall-clock `decide_ns`; the
+    /// reader ignores the key, so those lines still decode.
+    #[test]
+    fn placement_lines_with_decide_ns_still_parse() {
+        let line = "{\"type\":\"placement_decided\",\"id\":7,\"bin\":2,\
+                    \"fit_rule\":\"opened_new\",\"candidates_scanned\":2,\"decide_ns\":1234}";
+        let ev = event_from_json(&parse(line).unwrap()).unwrap();
+        assert_eq!(ev, samples()[4]);
+        assert!(!event_to_json(&ev).contains("decide_ns"));
     }
 
     #[test]

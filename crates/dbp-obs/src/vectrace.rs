@@ -128,7 +128,6 @@ pub fn event_from_json(v: &Json) -> Result<PackEvent<SizeVec>, String> {
                 bin: BinId(field_u32(v, "bin")?),
                 fit_rule,
                 candidates_scanned: field_usize(v, "scanned")?,
-                decide_ns: 0,
             })
         }
         "level_changed" => Ok(PackEvent::LevelChanged {
@@ -192,7 +191,6 @@ mod tests {
                 bin: BinId(2),
                 fit_rule: FitDecision::OpenedNew,
                 candidates_scanned: 2,
-                decide_ns: 0,
             },
             PackEvent::LevelChanged {
                 bin: BinId(2),
@@ -293,18 +291,7 @@ mod tests {
         assert_eq!(run_logged, run_traced);
         assert_eq!(writer.lines_written(), log.events.len() as u64);
 
-        // The vector lines do not carry the sampled decide time.
-        let untimed: Vec<_> = log
-            .events
-            .into_iter()
-            .map(|mut ev| {
-                if let PackEvent::PlacementDecided { decide_ns, .. } = &mut ev {
-                    *decide_ns = 0;
-                }
-                ev
-            })
-            .collect();
         let text = String::from_utf8(writer.finish().unwrap()).unwrap();
-        assert_eq!(parse_jsonl(&text).unwrap(), untimed);
+        assert_eq!(parse_jsonl(&text).unwrap(), log.events);
     }
 }

@@ -9,7 +9,7 @@ use dbp_core::observe::{EventLog, Tee};
 use dbp_core::{ClairvoyanceMode, Instance, Item, OfflinePacker, OnlineEngine, OnlinePacker, Size};
 use dbp_obs::counters::Counters;
 use dbp_obs::metrics::MetricsAggregator;
-use dbp_obs::trace::events_to_jsonl;
+use dbp_obs::trace::{events_to_jsonl, parse_jsonl};
 use dbp_obs::{emit_packing, replay_jsonl};
 
 /// Deterministic xorshift64* PRNG — the workspace test convention for
@@ -86,6 +86,30 @@ fn online_traces_replay_bit_for_bit() {
             }
         }
     }
+}
+
+/// A trace written while `placement_decided` lines still carried the
+/// wall-clock `decide_ns` (best fit on 23 Poisson items, written by that
+/// build's `dbp pack --trace-out`) still replays and verifies, and
+/// re-encoding it drops exactly that key.
+#[test]
+fn traces_with_decide_ns_still_replay() {
+    let text = include_str!("../fixtures/decide-ns-trace.jsonl");
+    let replay = replay_jsonl(text).unwrap();
+    replay.verify().unwrap();
+    assert_eq!((replay.run.usage, replay.run.bins_opened()), (652, 6));
+    let without_decide_ns: String = text
+        .lines()
+        .map(|line| match line.find(",\"decide_ns\":") {
+            Some(at) => format!("{}}}\n", &line[..at]),
+            None => format!("{line}\n"),
+        })
+        .collect();
+    assert_ne!(without_decide_ns, text, "the fixture carries decide_ns");
+    assert_eq!(
+        events_to_jsonl(&parse_jsonl(text).unwrap()),
+        without_decide_ns
+    );
 }
 
 #[test]

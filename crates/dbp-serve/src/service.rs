@@ -35,7 +35,7 @@ use crate::state::{
     ServeCheckpoint, TenantCounters,
 };
 use crate::wal::{self, DecisionFrame, FrameOutcome, FsyncPolicy, WalWriter};
-use dbp_bench::registry::{online_packer, AlgoParams, ONLINE_ALGOS};
+use dbp_algos::registry::{online_packer, AlgoParams, ONLINE_ALGOS};
 use dbp_core::stream::{Admission, OwnedSession};
 use dbp_core::{ClairvoyanceMode, DbpError, IdLedger, Item, OnlinePacker, Size, Time};
 use dbp_shard::ShardRouter;

@@ -1,7 +1,7 @@
 //! Restart semantics: kill-and-resume bit-identity, torn-checkpoint
 //! fallback, and config-fingerprint validation.
 
-use dbp_bench::registry::{online_packer, AlgoParams};
+use dbp_algos::registry::{online_packer, AlgoParams};
 use dbp_core::stream::OwnedSession;
 use dbp_core::{ClairvoyanceMode, DbpError, Size};
 use dbp_resilience::failpoint::FailGuard;

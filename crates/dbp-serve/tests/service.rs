@@ -1,7 +1,7 @@
 //! Service-level behaviour: differential equivalence with plain
 //! streaming sessions, typed rejects, and multi-tenant accounting.
 
-use dbp_bench::registry::{online_packer, AlgoParams};
+use dbp_algos::registry::{online_packer, AlgoParams};
 use dbp_core::stream::{Admission, StreamingSession};
 use dbp_core::{ClairvoyanceMode, Item, Size};
 use dbp_resilience::failpoint;

@@ -23,8 +23,7 @@ pub struct ShardSlice {
     pub items: u64,
     /// Peak concurrently-open bins inside this shard.
     pub peak_open_bins: usize,
-    /// Event counters of this shard alone (timings are this shard's
-    /// wall-clock and are *not* folded into the merged report).
+    /// Event counters of this shard alone.
     pub counters: CountersSnapshot,
     /// Metrics timelines, when `collect_metrics` was on.
     pub metrics: Option<MetricsReport>,
@@ -70,8 +69,8 @@ pub struct ShardReport {
     /// Peak *fleet-wide* concurrently-open bins (max of the merged
     /// open-server timeline, not the sum of per-shard peaks).
     pub peak_open_bins: usize,
-    /// Fleet-wide counters ([`CountersSnapshot::merged`]; timing fields
-    /// zeroed — read them per shard from [`ShardReport::slices`]).
+    /// Fleet-wide counters ([`CountersSnapshot::merged`]: the sum of the
+    /// shards').
     pub counters: CountersSnapshot,
     /// Merged metrics timelines, when every shard collected them.
     pub metrics: Option<MetricsReport>,

@@ -153,19 +153,13 @@ impl PackObserver for ShardObs {
     }
 
     fn wants_timing(&mut self) -> bool {
-        // With telemetry attached, the recorder's 1-in-N sampler decides
-        // (its histograms are the timing consumer); without it, keep the
-        // historical always-timed behavior that feeds the counters.
-        match &mut self.telemetry {
-            Some(t) => t.wants_timing(),
-            None => true,
-        }
+        // The telemetry recorder is the only timing consumer: its 1-in-N
+        // sampler decides, and without it no arrival is timed.
+        self.telemetry.wants_timing()
     }
 
     fn on_op(&mut self, op: OpKind, ns: u64) {
-        if let Some(t) = &mut self.telemetry {
-            t.on_op(op, ns);
-        }
+        self.telemetry.on_op(op, ns);
     }
 }
 

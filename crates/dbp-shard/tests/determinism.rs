@@ -48,6 +48,7 @@ fn run_sharded(
     let cfg = ShardConfig {
         threads,
         batch,
+        collect_events: true,
         ..ShardConfig::new(k, ShardRouter::hash())
     };
     let mut fleet = ShardedSession::new(
@@ -102,14 +103,7 @@ fn assert_reports_identical(a: &ShardReport, b: &ShardReport, ctx: &str) {
         assert_eq!(sa.shard, sb.shard, "{sctx}: index");
         assert_eq!(sa.items, sb.items, "{sctx}: items");
         assert_eq!(sa.peak_open_bins, sb.peak_open_bins, "{sctx}: peak");
-        // Per-shard counters carry real wall-clock timings; compare the
-        // deterministic fields only.
-        let (mut ca, mut cb) = (sa.counters, sb.counters);
-        ca.decide_ns_total = 0;
-        ca.decide_ns_max = 0;
-        cb.decide_ns_total = 0;
-        cb.decide_ns_max = 0;
-        assert_eq!(ca, cb, "{sctx}: counters");
+        assert_eq!(sa.counters, sb.counters, "{sctx}: counters");
         assert_eq!(sa.run, sb.run, "{sctx}: run");
         match (&sa.metrics, &sb.metrics) {
             (Some(x), Some(y)) => assert_metrics_identical(x, y, &sctx),
@@ -131,6 +125,13 @@ fn merged_results_identical_across_threads_and_batches() {
                     let other = run_sharded(&inst, algo, k, threads, batch);
                     let ctx = format!("{algo} k={k} threads={threads:?} batch={batch}");
                     assert_reports_identical(&baseline, &other, &ctx);
+                    // The shard-tagged trace is byte-identical too: no
+                    // event carries a clock reading.
+                    assert_eq!(
+                        other.tagged_jsonl().expect("events collected"),
+                        baseline.tagged_jsonl().expect("events collected"),
+                        "{ctx}: tagged trace"
+                    );
                 }
             }
         }
@@ -161,13 +162,7 @@ fn single_shard_matches_plain_streaming_session() {
         );
         assert_eq!(report.usage, plain_run.usage, "{algo}: usage");
         assert_eq!(report.usage, totals.usage, "{algo}: session usage");
-        let mut plain_counters = obs.0.snapshot();
-        let mut shard_counters = slice.counters;
-        plain_counters.decide_ns_total = 0;
-        plain_counters.decide_ns_max = 0;
-        shard_counters.decide_ns_total = 0;
-        shard_counters.decide_ns_max = 0;
-        assert_eq!(shard_counters, plain_counters, "{algo}: counters");
+        assert_eq!(slice.counters, obs.0.snapshot(), "{algo}: counters");
         let plain_metrics = obs.1.report();
         assert_metrics_identical(
             report.metrics.as_ref().expect("metrics on"),

@@ -590,7 +590,6 @@ mod tests {
         assert_eq!(rep.counters.items_packed as usize, inst().len());
         assert_eq!(rep.counters.bins_opened as usize, rep.servers_acquired);
         assert_eq!(rep.counters.bins_opened, rep.counters.bins_closed);
-        assert!(rep.counters.decide_ns_total > 0, "decisions were timed");
     }
 
     #[test]

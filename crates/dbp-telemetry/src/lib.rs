@@ -14,10 +14,12 @@
 //! - [`recorder::TelemetryRecorder`] — the [`dbp_core::PackObserver`]
 //!   that fills histograms, split across a hard determinism boundary:
 //!   [`recorder::WorkMetrics`] (replay-exact, merged by summing) vs
-//!   [`recorder::RunMetrics`] (wall-clock, zeroed on merge — the same
-//!   contract as `CountersSnapshot::merged`). Wall-clock reads are
-//!   sampled 1-in-64 by default via [`dbp_core::PackObserver::wants_timing`],
-//!   and per-placement work histograms strided 1-in-16 placements
+//!   [`recorder::RunMetrics`] (wall-clock, zeroed on merge). It is the
+//!   workspace's one source of decision latency: wall-clock reads are
+//!   sampled 1-in-64 by default via [`dbp_core::PackObserver::wants_timing`]
+//!   and arrive as [`dbp_core::OpKind::Decide`] durations (packing
+//!   events carry no time), and per-placement work histograms strided
+//!   1-in-16 placements
 //!   (deterministically — the stride counts placements, so bit-identity
 //!   survives), keeping telemetry under 5% throughput overhead
 //!   (measured in `BENCH_telemetry.json`).

@@ -14,14 +14,15 @@
 //!   went — decide/departure/flush/merge/finish latency, plus batch sizes
 //!   (whose composition depends on how many workers drained the stream).
 //!   These vary run to run and are **zeroed** by
-//!   [`TelemetrySnapshot::merged`], exactly like
-//!   `CountersSnapshot::merged` zeroes its timing fields; read them per
-//!   shard instead.
+//!   [`TelemetrySnapshot::merged`]; read them per shard instead.
 //!
 //! Wall-clock sampling: reading `Instant::now()` twice per arrival costs
 //! tens of nanoseconds — more than some packers spend deciding — so the
 //! recorder implements [`PackObserver::wants_timing`] as a 1-in-N sampler
-//! (default N = [`DEFAULT_TIMING_INTERVAL`]). Per-placement work
+//! (default N = [`DEFAULT_TIMING_INTERVAL`]). It is the one source of
+//! decision latency: the session hands each sampled arrival's `place`
+//! time to [`PackObserver::on_op`] as [`OpKind::Decide`], and no event
+//! carries a clock reading. Per-placement work
 //! histograms stride deterministically — every
 //! [`WORK_SAMPLE_INTERVAL`]-th placement, counted in placements, never
 //! wall-clock — so they stay replay- and merge-bit-identical while the
@@ -103,7 +104,8 @@ impl WorkMetrics {
 /// [`TelemetrySnapshot::merged`] replaces them with zeros.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RunMetrics {
-    /// Nanoseconds per sampled `place` call.
+    /// Nanoseconds per sampled `place` call ([`OpKind::Decide`]), shed
+    /// arrivals included.
     pub decide_ns: Histogram,
     /// Nanoseconds per sampled departure sweep ([`OpKind::Departures`]).
     pub depart_ns: Histogram,
@@ -252,6 +254,7 @@ impl TelemetryRecorder {
     /// [`PackObserver::on_op`], callable outside a session).
     pub fn record_op(&mut self, op: OpKind, ns: u64) {
         match op {
+            OpKind::Decide => self.snap.run.decide_ns.record(ns),
             OpKind::Departures => self.snap.run.depart_ns.record(ns),
             OpKind::BatchFlush => self.snap.run.batch_flush_ns.record(ns),
             OpKind::Merge => self.snap.run.merge_ns.record(ns),
@@ -265,9 +268,7 @@ impl PackObserver for TelemetryRecorder {
     fn on_event(&mut self, event: &PackEvent) {
         match event {
             PackEvent::PlacementDecided {
-                candidates_scanned,
-                decide_ns,
-                ..
+                candidates_scanned, ..
             } => {
                 // Deterministic work stride: every
                 // WORK_SAMPLE_INTERVAL-th placement records its scan
@@ -283,11 +284,6 @@ impl PackObserver for TelemetryRecorder {
                 self.gauge_tick += 1;
                 if self.gauge_tick >= WORK_SAMPLE_INTERVAL {
                     self.gauge_tick = 0;
-                }
-                // 0 means "this arrival was not timed", never a real
-                // sub-nanosecond decision; keep it out of the histogram.
-                if *decide_ns > 0 {
-                    self.snap.run.decide_ns.record(*decide_ns);
                 }
             }
             // Consumes the gauge flag set by a sampled placement;
@@ -347,13 +343,12 @@ mod tests {
     use super::*;
     use dbp_core::{BinId, FitDecision, ItemId};
 
-    fn placement(candidates: usize, decide_ns: u64) -> PackEvent {
+    fn placement(candidates: usize) -> PackEvent {
         PackEvent::PlacementDecided {
             id: ItemId(0),
             bin: BinId(0),
             fit_rule: FitDecision::Reused,
             candidates_scanned: candidates,
-            decide_ns,
         }
     }
 
@@ -363,7 +358,7 @@ mod tests {
         // Placement 1 is on-stride (the stride starts at the first
         // placement): its scan depth is recorded and the LevelChanged
         // that follows lands in the fleet gauge.
-        r.on_event(&placement(3, 150));
+        r.on_event(&placement(3));
         r.on_event(&PackEvent::LevelChanged {
             bin: BinId(0),
             at: 1,
@@ -371,8 +366,8 @@ mod tests {
             open_bins: 7,
         });
         // Placement 2 is off-stride: no candidates sample, no gauge
-        // flag — and its decide_ns of 0 means "not timed".
-        r.on_event(&placement(1, 0));
+        // flag.
+        r.on_event(&placement(1));
         r.on_event(&PackEvent::LevelChanged {
             bin: BinId(0),
             at: 1,
@@ -403,7 +398,7 @@ mod tests {
         let s = r.snapshot();
         assert_eq!(s.work.candidates.count(), 1, "1-in-16 placement stride");
         assert_eq!(s.work.candidates.sum(), 3);
-        assert_eq!(s.run.decide_ns.count(), 1, "untimed decision skipped");
+        assert_eq!(s.run.decide_ns.count(), 0, "events carry no time");
         assert_eq!(s.work.open_bins.count(), 1, "sampled placements only");
         assert_eq!(s.work.open_bins.max(), 7);
         assert_eq!(s.work.bin_items.sum(), 4);
@@ -415,7 +410,7 @@ mod tests {
     fn work_stride_samples_every_sixteenth_placement() {
         let mut r = TelemetryRecorder::new();
         for i in 0..33u64 {
-            r.on_event(&placement(i as usize, 0));
+            r.on_event(&placement(i as usize));
         }
         let s = r.snapshot();
         // Placements 0, 16 and 32 (0-indexed) are on-stride.
@@ -441,15 +436,47 @@ mod tests {
         assert!((0..5).all(|_| full.wants_timing()));
     }
 
+    /// The session hands the recorder one `Decide` sample per sampled
+    /// arrival, shed arrivals included: `ceil(n / interval)` in all.
+    #[test]
+    fn sampled_decides_count_shed_arrivals() {
+        use dbp_algos::online::AnyFit;
+        use dbp_core::{Admission, ClairvoyanceMode, Item, Size, StreamingSession, Tee};
+        use dbp_obs::Counters;
+        let n = 50u32;
+        let mut recorder = TelemetryRecorder::with_timing_interval(4);
+        let mut counters = Counters::new();
+        let mut packer = AnyFit::first_fit();
+        let mut session = StreamingSession::with_observer(
+            ClairvoyanceMode::Clairvoyant,
+            &mut packer,
+            Tee(&mut counters, &mut recorder),
+        );
+        let mut shed = 0;
+        for k in 0..n {
+            let at = i64::from(k);
+            let item = Item::new(k, Size::from_f64(0.6), at, at + 3);
+            shed += u64::from(session.arrive_capped(&item, 2).unwrap() == Admission::Shed);
+        }
+        session.finish().unwrap();
+        let c = counters.snapshot();
+        assert!(shed > 0 && c.items_packed > 0, "{shed} shed, {c:?}");
+        assert_eq!(c.arrivals_shed, shed);
+        let decides = recorder.snapshot().run.decide_ns.count();
+        assert_eq!(decides, u64::from(n.div_ceil(4)));
+    }
+
     #[test]
     fn ops_route_by_kind() {
         let mut r = TelemetryRecorder::new();
+        r.on_op(OpKind::Decide, 5);
         r.on_op(OpKind::Departures, 10);
         r.on_op(OpKind::Finish, 20);
         r.on_op(OpKind::Merge, 30);
         r.on_op(OpKind::BatchFlush, 40);
         r.record_batch(256, 50);
         let s = r.snapshot();
+        assert_eq!(s.run.decide_ns.sum(), 5);
         assert_eq!(s.run.depart_ns.sum(), 10);
         assert_eq!(s.run.finish_ns.sum(), 20);
         assert_eq!(s.run.merge_ns.sum(), 30);
@@ -460,10 +487,12 @@ mod tests {
     #[test]
     fn merged_sums_work_and_zeroes_run() {
         let mut a = TelemetryRecorder::new();
-        a.on_event(&placement(2, 100));
+        a.on_event(&placement(2));
+        a.on_op(OpKind::Decide, 100);
         a.on_op(OpKind::Finish, 99);
         let mut b = TelemetryRecorder::new();
-        b.on_event(&placement(5, 200));
+        b.on_event(&placement(5));
+        b.on_op(OpKind::Decide, 200);
         let m = TelemetrySnapshot::merged(&[a.snapshot(), b.snapshot()]);
         assert_eq!(m.work.candidates.count(), 2);
         assert_eq!(m.work.candidates.sum(), 7);

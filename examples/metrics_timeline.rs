@@ -96,11 +96,10 @@ fn main() {
             report.mean_utilization * 100.0
         );
         println!(
-            "  {} placements: {:.0}% reused, mean scan {:.2} bins, {:.0} ns/decision",
+            "  {} placements: {:.0}% reused, mean scan {:.2} bins",
             c.items_packed,
             c.reuse_fraction() * 100.0,
-            c.mean_candidates(),
-            c.mean_decide_ns()
+            c.mean_candidates()
         );
         let csv_path = out_dir.join(format!(
             "{}.csv",

@@ -296,3 +296,43 @@ fn shard_audit_smoke_is_clean() {
     assert!(ok, "shard-audit failed: {err}");
     assert!(out.contains("shard-audit: no violations"), "got:\n{out}");
 }
+
+/// No packing event carries a clock reading, so two `pack --trace-out`
+/// runs of one input write byte-identical traces, unsharded and with
+/// `--shards 2` (whose threads may interleave differently each run).
+#[test]
+fn trace_out_is_byte_deterministic() {
+    let path = temp_trace("deterministic.csv");
+    let (ok, _, err) = dbp(&[
+        "generate",
+        "--workload",
+        "poisson",
+        "--n",
+        "300",
+        "--seed",
+        "11",
+        "--out",
+        &path,
+    ]);
+    assert!(ok, "generate failed: {err}");
+    for shards in [None, Some("2")] {
+        let traces: Vec<Vec<u8>> = (0..2)
+            .map(|run| {
+                let out = temp_trace(&format!("deterministic-{shards:?}-{run}.jsonl"));
+                let mut args = vec!["pack", "--trace", &path, "--algo", "best-fit"];
+                args.extend(["--trace-out", &out]);
+                if let Some(k) = shards {
+                    args.extend(["--shards", k]);
+                }
+                let (ok, _, err) = dbp(&args);
+                assert!(ok, "pack {args:?} failed: {err}");
+                std::fs::read(&out).expect("read trace")
+            })
+            .collect();
+        assert!(!traces[0].is_empty());
+        assert!(
+            traces[0] == traces[1],
+            "two runs wrote different traces (shards {shards:?})"
+        );
+    }
+}

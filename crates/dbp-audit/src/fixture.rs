@@ -27,7 +27,7 @@
 
 use crate::shrink::Shrinkable;
 use dbp_core::{DbpError, Job, Size};
-use dbp_obs::json::{self, Json};
+use dbp_obs::json::{self, FieldValue, Json};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -164,10 +164,7 @@ impl Fixture {
     /// Parses the on-disk JSON form.
     pub fn parse(text: &str) -> Result<Fixture, String> {
         let v = json::parse(text)?;
-        let version = v
-            .get("version")
-            .and_then(Json::as_u64)
-            .ok_or("missing version")?;
+        let version: u64 = v.field("version")?;
         if version != 1 {
             return Err(format!("unsupported fixture version {version}"));
         }
@@ -176,60 +173,33 @@ impl Fixture {
             Some(kind) if kind.as_str() == Some("vector") => true,
             Some(kind) => return Err(format!("unknown fixture kind {kind:?}")),
         };
-        let field = |key: &str| -> Result<String, String> {
-            v.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing string field {key:?}"))
-        };
-        let num = |key: &str| -> Result<u64, String> {
-            v.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("missing numeric field {key:?}"))
-        };
-        let Some(Json::Arr(raw_items)) = v.get("items") else {
-            return Err("missing items array".into());
-        };
-        let mut items = Vec::with_capacity(raw_items.len());
-        for (i, it) in raw_items.iter().enumerate() {
-            let geti = |key: &str| -> Result<i64, String> {
-                it.get(key)
-                    .and_then(Json::as_i64)
-                    .ok_or_else(|| format!("item {i}: missing field {key:?}"))
-            };
-            let raw = if vector {
-                let Some(Json::Arr(axes)) = it.get("axes_raw") else {
-                    return Err(format!("item {i}: missing axes_raw array"));
+        let mut items = Vec::new();
+        for (i, it) in v.field::<&[Json]>("items")?.iter().enumerate() {
+            let read = || -> Result<FixtureItem, String> {
+                let raw = if vector {
+                    it.field::<&[Json]>("axes_raw")?
+                        .iter()
+                        .map(|a| u64::read(a).map_err(|what| format!("axis {what}")))
+                        .collect::<Result<_, _>>()?
+                } else {
+                    vec![it.field("size_raw")?]
                 };
-                axes.iter()
-                    .map(|a| {
-                        a.as_u64()
-                            .ok_or_else(|| format!("item {i}: non-numeric axis"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?
-            } else {
-                vec![it
-                    .get("size_raw")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("item {i}: missing size_raw"))?]
+                Ok(FixtureItem {
+                    id: it.field("id")?,
+                    raw,
+                    arrival: it.field("arrival")?,
+                    departure: it.field("departure")?,
+                })
             };
-            items.push(FixtureItem {
-                id: it
-                    .get("id")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("item {i}: missing id"))? as u32,
-                raw,
-                arrival: geti("arrival")?,
-                departure: geti("departure")?,
-            });
+            items.push(read().map_err(|what| format!("item {i}: {what}"))?);
         }
         Ok(Fixture {
-            name: field("name")?,
-            algo: field("algo")?,
-            check: field("check")?,
-            seed: num("seed")?,
-            case: num("case")?,
-            note: field("note").unwrap_or_default(),
+            name: v.field("name")?,
+            algo: v.field("algo")?,
+            check: v.field("check")?,
+            seed: v.field("seed")?,
+            case: v.field("case")?,
+            note: v.field("note").unwrap_or_default(),
             vector,
             items,
         })
@@ -308,6 +278,22 @@ mod tests {
         assert_eq!(inst.items()[1].size().raw(), 11_744_051);
         // A fixture replays only as its own kind.
         assert!(parsed.instance::<VecInstance>().is_err());
+    }
+
+    /// An id past `u32::MAX` is refused, as the trace reader refuses it,
+    /// rather than replayed as a truncated id (4294967296 as item 0).
+    #[test]
+    fn an_item_id_past_u32_is_refused() {
+        let text = sample().to_json();
+        let at = "{\"id\": 1,";
+        assert!(text.contains(at));
+        let err = Fixture::parse(&text.replacen(at, "{\"id\": 4294967296,", 1)).unwrap_err();
+        assert!(
+            err.contains("item 1") && err.contains("exceeds u32"),
+            "{err}"
+        );
+        let max = text.replacen(at, &format!("{{\"id\": {},", u32::MAX), 1);
+        assert_eq!(Fixture::parse(&max).unwrap().items[1].id, u32::MAX);
     }
 
     #[test]

@@ -147,58 +147,27 @@ impl Baseline {
     }
 }
 
-fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, String> {
-    v.get(key).ok_or_else(|| format!("missing field {key:?}"))
-}
-
 /// Parses a benchmark baseline, accepting any of the three schemas.
 pub fn parse_baseline(text: &str) -> Result<Baseline, String> {
     let root = json::parse(text)?;
-    let schema = field(&root, "schema")?
-        .as_str()
-        .ok_or("schema is not a string")?
-        .to_string();
+    let schema: String = root.field("schema")?;
     if !matches!(
         schema.as_str(),
         ENGINE_SCHEMA | "dbp-bench/shard-v1" | "dbp-bench/telemetry-v1"
     ) {
         return Err(format!("unsupported baseline schema {schema:?}"));
     }
-    let mode = field(&root, "mode")?
-        .as_str()
-        .ok_or("mode is not a string")?
-        .to_string();
-    let host_parallelism = root
-        .get("host_parallelism")
-        .or_else(|| root.get("parallel_workers"))
-        .and_then(Json::as_u64)
-        .unwrap_or(1) as usize;
-    let degraded_parallelism = matches!(root.get("degraded_parallelism"), Some(Json::Bool(true)));
     let mut cells = Vec::new();
-    for cell in field(&root, "results")?
-        .as_array()
-        .ok_or("results is not an array")?
-    {
+    for cell in root.field::<&[Json]>("results")? {
         cells.push(BaselineCell {
-            algo: field(cell, "algo")?
-                .as_str()
-                .ok_or("algo is not a string")?
-                .to_string(),
-            shards: cell.get("shards").and_then(Json::as_u64).unwrap_or(1) as usize,
-            workers: cell.get("workers").and_then(Json::as_u64).unwrap_or(1) as usize,
-            telemetry: cell
-                .get("telemetry")
-                .and_then(Json::as_str)
-                .map(str::to_string),
-            workload: cell
-                .get("workload")
-                .and_then(Json::as_str)
-                .map(str::to_string),
-            scan: cell.get("scan").and_then(Json::as_str).map(str::to_string),
-            dims: cell.get("dims").and_then(Json::as_u64).unwrap_or(1) as usize,
-            items_per_sec: field(cell, "items_per_sec")?
-                .as_f64()
-                .ok_or("items_per_sec is not a number")?,
+            algo: cell.field("algo")?,
+            shards: cell.field("shards").unwrap_or(1),
+            workers: cell.field("workers").unwrap_or(1),
+            telemetry: cell.field("telemetry").ok(),
+            workload: cell.field("workload").ok(),
+            scan: cell.field("scan").ok(),
+            dims: cell.field("dims").unwrap_or(1),
+            items_per_sec: cell.field("items_per_sec")?,
         });
     }
     if cells.is_empty() {
@@ -206,9 +175,12 @@ pub fn parse_baseline(text: &str) -> Result<Baseline, String> {
     }
     Ok(Baseline {
         schema,
-        mode,
-        host_parallelism,
-        degraded_parallelism,
+        mode: root.field("mode")?,
+        host_parallelism: root
+            .field("host_parallelism")
+            .or_else(|_| root.field("parallel_workers"))
+            .unwrap_or(1),
+        degraded_parallelism: root.field("degraded_parallelism").unwrap_or(false),
         cells,
     })
 }

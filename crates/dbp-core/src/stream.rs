@@ -303,6 +303,7 @@ impl<'p, O: PackObserver> StreamingSession<'p, O> {
 
     /// Reconstructs a session from a [`SessionSnapshot`], validating the
     /// snapshot as it goes: version and packer name must match, every
+    /// item must have a valid size (in `(0, 1]` on every axis), every
     /// open bin must respect capacity, hold items, have opened no later
     /// than the session clock and have placed at least as many items as
     /// it holds, and live items / pending departures must correspond
@@ -434,6 +435,14 @@ impl<'p, P: PackerHandle, O: PackObserver<DemandOf<P>>> StreamingSession<'p, O, 
                     b.id,
                     b.placed,
                     b.items.len()
+                )));
+            }
+            // An item outside (0, 1] would break the level arithmetic
+            // (a sum past `u64`, a gap below zero) on restore or later.
+            if let Some(a) = b.items.iter().find(|a| !a.size.is_valid_item_size()) {
+                return Err(refuse(format!(
+                    "snapshot item {} in open bin {:?} has size {}, not a valid item size",
+                    a.id, b.id, a.size
                 )));
             }
             let mut items = b.items.iter().copied();

@@ -1,11 +1,33 @@
-//! A deliberately minimal JSON value and parser.
+//! The workspace's one JSON grammar: a borrowed scanner, the owned DOM
+//! built on it, and typed field readers.
 //!
-//! The trace format (one object per line, flat, integer-valued) does not
-//! need a general-purpose JSON stack, and the workspace carries no
-//! `serde_json` dependency. Numbers are kept as their source text so
-//! integer fields round-trip exactly — raw [`dbp_core::Size`] values are
-//! `u64` and must not pass through `f64`.
+//! The workspace carries no `serde_json`. Every JSON document it reads
+//! — serve requests and responses, checkpoints, traces, benchmark files
+//! — goes through [`scan`], one validating pass over the borrowed text
+//! that hands each value to a [`Sink`]. [`parse`] is the sink that
+//! builds the owned [`Json`] DOM; the serve protocol's request reader is
+//! one that records a few top-level fields and builds nothing else. The
+//! grammar, written once:
+//!
+//! - whitespace is space, tab, CR and LF, and only whitespace may follow
+//!   the document;
+//! - a number is the run of `[0-9.eE+-]` after a leading digit or `-`,
+//!   and the run must parse as an `f64`: `01`, `1.` and `1e400` are
+//!   numbers, `-`, `1e` and `1.2.3` are errors. Only runs other than
+//!   `-?[0-9]+` pay for the float parse. Numbers keep their literal
+//!   text, so integer fields round-trip exactly — raw
+//!   [`dbp_core::Size`] values are `u64` and must not pass through `f64`;
+//! - strings may use the JSON escapes; a `\u` escape takes the next four
+//!   bytes as a hexadecimal `u32` (so `\u+041` is `A`) and a surrogate
+//!   is refused. Raw control characters are accepted. A string stays
+//!   borrowed until it is read, and is unescaped only if it holds a `\`;
+//! - arrays and objects nest at most [`MAX_DEPTH`] deep. Object keys may
+//!   repeat; the DOM keeps every pair and [`Json::get`] finds the first.
+//!
+//! Decoders read an object's fields with [`Json::field`], typed by the
+//! [`FieldValue`] they ask for; its errors name the key.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A parsed JSON value. Numbers keep their literal text (see module doc).
@@ -82,6 +104,117 @@ impl Json {
     pub fn is_null(&self) -> bool {
         matches!(self, Json::Null)
     }
+
+    /// Reads field `key` of an object as a `T`; the error names the key.
+    /// A missing key is an error whatever `T` is.
+    pub fn field<'a, T: FieldValue<'a>>(&'a self, key: &str) -> Result<T, String> {
+        let value = self
+            .get(key)
+            .ok_or_else(|| format!("missing field {key:?}"))?;
+        T::read(value).map_err(|what| format!("field {key:?} {what}"))
+    }
+}
+
+/// A type [`Json::field`] reads a value as.
+pub trait FieldValue<'a>: Sized {
+    /// The value as `Self`, or what is wrong with it, worded to follow
+    /// the field's name (`is not a string`).
+    fn read(value: &'a Json) -> Result<Self, String>;
+}
+
+impl<'a> FieldValue<'a> for &'a Json {
+    fn read(value: &'a Json) -> Result<Self, String> {
+        Ok(value)
+    }
+}
+
+impl<'a> FieldValue<'a> for &'a str {
+    fn read(value: &'a Json) -> Result<Self, String> {
+        value.as_str().ok_or_else(|| "is not a string".into())
+    }
+}
+
+impl FieldValue<'_> for String {
+    fn read(value: &Json) -> Result<Self, String> {
+        <&str>::read(value).map(str::to_string)
+    }
+}
+
+impl FieldValue<'_> for bool {
+    fn read(value: &Json) -> Result<Self, String> {
+        match value {
+            Json::Bool(b) => Ok(*b),
+            _ => Err("is not a boolean".into()),
+        }
+    }
+}
+
+impl<'a> FieldValue<'a> for &'a [Json] {
+    fn read(value: &'a Json) -> Result<Self, String> {
+        value.as_array().ok_or_else(|| "is not an array".into())
+    }
+}
+
+/// The number's literal text parsed as `T`.
+fn number<T: std::str::FromStr>(value: &Json, what: &str) -> Result<T, String> {
+    match value {
+        Json::Num(text) => text.parse().ok(),
+        _ => None,
+    }
+    .ok_or_else(|| format!("is not {what}"))
+}
+
+impl FieldValue<'_> for i64 {
+    fn read(value: &Json) -> Result<Self, String> {
+        number(value, "an integer")
+    }
+}
+
+impl FieldValue<'_> for u64 {
+    fn read(value: &Json) -> Result<Self, String> {
+        number(value, "an unsigned integer")
+    }
+}
+
+impl FieldValue<'_> for u128 {
+    fn read(value: &Json) -> Result<Self, String> {
+        number(value, "an unsigned integer")
+    }
+}
+
+/// Only for genuinely real-valued fields (see [`Json::as_f64`]).
+impl FieldValue<'_> for f64 {
+    fn read(value: &Json) -> Result<Self, String> {
+        number(value, "a number")
+    }
+}
+
+/// Ids: a value past `u32::MAX` is refused, not truncated, so
+/// `"id":4294967296` is an error rather than item 0.
+impl FieldValue<'_> for u32 {
+    fn read(value: &Json) -> Result<Self, String> {
+        let n = u64::read(value)?;
+        u32::try_from(n).map_err(|_| format!("= {n} exceeds u32"))
+    }
+}
+
+/// Counts, refusing values that do not fit.
+impl FieldValue<'_> for usize {
+    fn read(value: &Json) -> Result<Self, String> {
+        let n = u64::read(value)?;
+        usize::try_from(n).map_err(|_| format!("= {n} exceeds usize"))
+    }
+}
+
+/// A present `null` reads as `None`.
+impl<'a, T: FieldValue<'a>> FieldValue<'a> for Option<T> {
+    fn read(value: &'a Json) -> Result<Self, String> {
+        if value.is_null() {
+            Ok(None)
+        } else {
+            T::read(value).map(Some)
+        }
+    }
 }
 
 /// Escapes `s` as the *contents* of a JSON string literal (no quotes).
@@ -113,174 +246,335 @@ pub fn escape_into(out: &mut String, s: &str) {
     }
 }
 
-/// The deepest nesting of arrays and objects [`parse`] accepts. The
-/// parser recurses once per level, so without a cap one hostile line of
+/// The deepest nesting of arrays and objects [`scan`] accepts. The
+/// scanner recurses once per level, so without a cap one hostile line of
 /// `[`s exhausts the thread's stack and aborts the process. The repo's
 /// own documents nest far less (a serve checkpoint about 7 levels).
 pub const MAX_DEPTH: usize = 128;
 
-/// Parses one JSON document from `text`, requiring nothing but whitespace
-/// to follow it. Nesting deeper than [`MAX_DEPTH`] is an error.
-pub fn parse(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
+/// A scalar value, borrowed from the scanned text.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Scalar<'a> {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// A number's literal text.
+    Num(&'a str),
+    /// A string.
+    Str(RawStr<'a>),
+}
+
+/// A string's contents between its quotes, borrowed from the scanned
+/// text with its escapes still in place; the scanner checked each one.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct RawStr<'a> {
+    raw: &'a str,
+    escaped: bool,
+}
+
+impl<'a> RawStr<'a> {
+    /// The string's text: borrowed, unless it holds escapes to decode.
+    #[inline]
+    pub fn text(self) -> Cow<'a, str> {
+        if self.escaped {
+            Cow::Owned(unescape(self.raw))
+        } else {
+            Cow::Borrowed(self.raw)
+        }
+    }
+}
+
+/// What one [`scan`] of a document hands its values to. The scanner
+/// validates everything before a sink sees it, so a sink only builds.
+pub trait Sink<'a> {
+    /// What a value becomes.
+    type Value;
+    /// An array under construction.
+    type Array: Default;
+    /// An object under construction.
+    type Object: Default;
+    /// A scalar value.
+    fn scalar(&mut self, scalar: Scalar<'a>) -> Self::Value;
+    /// Appends an element to `array`.
+    fn push(&mut self, array: &mut Self::Array, value: Self::Value);
+    /// Adds a member to `object`, which sits inside `depth` arrays and
+    /// objects (0 for the document itself). Keys may repeat.
+    fn member(
+        &mut self,
+        object: &mut Self::Object,
+        depth: usize,
+        key: RawStr<'a>,
+        value: Self::Value,
+    );
+    /// A finished array.
+    fn array(&mut self, array: Self::Array) -> Self::Value;
+    /// A finished object.
+    fn object(&mut self, object: Self::Object) -> Self::Value;
+}
+
+/// Scans `text` as one JSON document, requiring nothing but whitespace
+/// to follow it, and returns what `sink` made of it. Nesting deeper than
+/// [`MAX_DEPTH`] is an error.
+pub fn scan<'a, S: Sink<'a>>(text: &'a str, sink: &mut S) -> Result<S::Value, String> {
+    let mut sc = Scanner { text, pos: 0 };
+    let value = sc.value(0, sink)?;
+    sc.skip_ws();
+    if sc.pos != text.len() {
+        return Err(format!("trailing data at byte {}", sc.pos));
     }
     Ok(value)
 }
 
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
+/// Parses one JSON document from `text` into the owned DOM (see
+/// [`scan`]).
+pub fn parse(text: &str) -> Result<Json, String> {
+    scan(text, &mut Dom)
+}
+
+/// The sink that builds [`Json`].
+struct Dom;
+
+impl<'a> Sink<'a> for Dom {
+    type Value = Json;
+    type Array = Vec<Json>;
+    type Object = Vec<(String, Json)>;
+
+    fn scalar(&mut self, scalar: Scalar<'a>) -> Json {
+        match scalar {
+            Scalar::Null => Json::Null,
+            Scalar::Bool(b) => Json::Bool(b),
+            Scalar::Num(text) => Json::Num(text.to_string()),
+            Scalar::Str(s) => Json::Str(s.text().into_owned()),
+        }
+    }
+
+    fn push(&mut self, array: &mut Vec<Json>, value: Json) {
+        array.push(value);
+    }
+
+    fn member(&mut self, object: &mut Vec<(String, Json)>, _: usize, key: RawStr<'a>, value: Json) {
+        object.push((key.text().into_owned(), value));
+    }
+
+    fn array(&mut self, array: Vec<Json>) -> Json {
+        Json::Arr(array)
+    }
+
+    fn object(&mut self, object: Vec<(String, Json)>) -> Json {
+        Json::Obj(object)
     }
 }
 
-/// Parses the value at `pos`, which sits inside `depth` arrays/objects.
-fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    if matches!(b.get(*pos), Some(b'[' | b'{')) && depth >= MAX_DEPTH {
-        return Err(format!(
-            "nesting deeper than {MAX_DEPTH} levels at byte {pos}"
-        ));
+/// A one-pass validating scanner over borrowed text; it allocates only
+/// to report an error.
+struct Scanner<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> Scanner<'a> {
+    #[inline]
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
     }
-    match b.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'n') => parse_lit(b, pos, "null", Json::Null),
-        Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
-        Some(b'"') => parse_string(b, pos).map(Json::Str),
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
+
+    #[inline]
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    /// Scans the value at `pos`, which sits inside `depth` arrays and
+    /// objects.
+    fn value<S: Sink<'a>>(&mut self, depth: usize, sink: &mut S) -> Result<S::Value, String> {
+        self.skip_ws();
+        let scalar = match self.peek() {
+            Some(b'[' | b'{') if depth >= MAX_DEPTH => {
+                return Err(format!(
+                    "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                    self.pos
+                ))
             }
-            loop {
-                items.push(parse_value(b, pos, depth + 1)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}")),
+            None => return Err("unexpected end of input".into()),
+            Some(b'[') => return self.array(depth, sink),
+            Some(b'{') => return self.object(depth, sink),
+            Some(b'n') => self.literal("null", Scalar::Null)?,
+            Some(b't') => self.literal("true", Scalar::Bool(true))?,
+            Some(b'f') => self.literal("false", Scalar::Bool(false))?,
+            Some(b'"') => Scalar::Str(self.string()?),
+            Some(c) if c.is_ascii_digit() || c == b'-' => Scalar::Num(self.number()?),
+            Some(c) => return Err(format!("unexpected byte {:?} at {}", c as char, self.pos)),
+        };
+        Ok(sink.scalar(scalar))
+    }
+
+    fn literal(&mut self, lit: &str, scalar: Scalar<'a>) -> Result<Scalar<'a>, String> {
+        if self.text.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
+            self.pos += lit.len();
+            Ok(scalar)
+        } else {
+            Err(format!("bad literal at byte {}", self.pos))
+        }
+    }
+
+    /// The run of `[0-9.eE+-]` after a leading digit or `-`; the run must
+    /// parse as `f64`, so `01`, `1.` and `1e400` pass and `-`, `1e` and
+    /// `1.2.3` do not. `always`, as for [`Scanner::string`].
+    #[inline(always)]
+    fn number(&mut self) -> Result<&'a str, String> {
+        let bytes = self.text.as_bytes();
+        let start = self.pos;
+        let mut at = start + 1;
+        // An optional '-' and then only digits always parses as f64, so
+        // only other shapes pay for the float parse.
+        let mut plain = bytes[start] != b'-' || bytes.get(at).is_some_and(u8::is_ascii_digit);
+        while let Some(&b) = bytes.get(at) {
+            match b {
+                b'0'..=b'9' => {}
+                b'.' | b'e' | b'E' | b'+' | b'-' => plain = false,
+                _ => break,
+            }
+            at += 1;
+        }
+        self.pos = at;
+        let text = &self.text[start..at];
+        if !plain && text.parse::<f64>().is_err() {
+            return Err(format!("bad number {text:?} at byte {start}"));
+        }
+        Ok(text)
+    }
+
+    /// Scans the string at `pos`, checking every escape. `always`: the
+    /// walk is generic, so it is compiled in the caller's crate, where a
+    /// plain `#[inline]` left this a call and `parse_request` ~25% slower.
+    #[inline(always)]
+    fn string(&mut self) -> Result<RawStr<'a>, String> {
+        if self.peek() != Some(b'"') {
+            return Err(format!("expected '\"' at byte {}", self.pos));
+        }
+        let bytes = self.text.as_bytes();
+        let start = self.pos + 1;
+        let mut at = start;
+        let mut escaped = false;
+        loop {
+            match bytes.get(at) {
+                None => return Err("unterminated string".into()),
+                Some(b'"') => break,
+                Some(b'\\') => {
+                    escaped = true;
+                    at += escape_at(bytes, at)?.1;
                 }
+                // Raw control characters are accepted.
+                Some(_) => at += 1,
             }
         }
-        Some(b'{') => {
-            *pos += 1;
-            let mut pairs = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(pairs));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
-                skip_ws(b, pos);
-                if b.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' at byte {pos}"));
+        self.pos = at + 1;
+        // Escapes span ASCII only, so `at` sits on a char boundary.
+        let raw = self
+            .text
+            .get(start..at)
+            .ok_or("string splits a character")?;
+        Ok(RawStr { raw, escaped })
+    }
+
+    fn array<S: Sink<'a>>(&mut self, depth: usize, sink: &mut S) -> Result<S::Value, String> {
+        self.pos += 1;
+        let mut array = S::Array::default();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(sink.array(array));
+        }
+        loop {
+            let value = self.value(depth + 1, sink)?;
+            sink.push(&mut array, value);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(sink.array(array));
                 }
-                *pos += 1;
-                let value = parse_value(b, pos, depth + 1)?;
-                pairs.push((key, value));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(pairs));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                }
+                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
             }
         }
-        Some(c) if c.is_ascii_digit() || *c == b'-' => {
-            let start = *pos;
-            *pos += 1;
-            while *pos < b.len()
-                && matches!(b[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-            {
-                *pos += 1;
-            }
-            let s = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-            // Validate it is at least a well-formed float.
-            s.parse::<f64>()
-                .map_err(|_| format!("bad number {s:?} at byte {start}"))?;
-            Ok(Json::Num(s.to_string()))
+    }
+
+    fn object<S: Sink<'a>>(&mut self, depth: usize, sink: &mut S) -> Result<S::Value, String> {
+        self.pos += 1;
+        let mut object = S::Object::default();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(sink.object(object));
         }
-        Some(c) => Err(format!("unexpected byte {:?} at {pos}", *c as char)),
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            if self.peek() != Some(b':') {
+                return Err(format!("expected ':' at byte {}", self.pos));
+            }
+            self.pos += 1;
+            let value = self.value(depth + 1, sink)?;
+            sink.member(&mut object, depth, key, value);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(sink.object(object));
+                }
+                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
+            }
+        }
     }
 }
 
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("bad literal at byte {pos}"))
-    }
+/// Decodes the escape whose backslash is `bytes[at]`: `\u` takes the
+/// next four bytes through `u32::from_str_radix` (so `\u+041` is `A`)
+/// and refuses surrogates. Returns the character and the escape's
+/// length in bytes.
+fn escape_at(bytes: &[u8], at: usize) -> Result<(char, usize), String> {
+    let c = match bytes.get(at + 1) {
+        Some(b'"') => '"',
+        Some(b'\\') => '\\',
+        Some(b'/') => '/',
+        Some(b'n') => '\n',
+        Some(b'r') => '\r',
+        Some(b't') => '\t',
+        Some(b'b') => '\u{8}',
+        Some(b'f') => '\u{c}',
+        Some(b'u') => {
+            let hex = bytes.get(at + 2..at + 6).ok_or("truncated \\u escape")?;
+            return std::str::from_utf8(hex)
+                .ok()
+                .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                .and_then(char::from_u32)
+                .map(|c| (c, 6))
+                .ok_or_else(|| format!("bad \\u escape at byte {at}"));
+        }
+        _ => return Err(format!("bad escape at byte {}", at + 1)),
+    };
+    Ok((c, 2))
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(format!("expected '\"' at byte {pos}"));
+/// A scanned string's contents with their escapes decoded.
+fn unescape(raw: &str) -> String {
+    let bytes = raw.as_bytes();
+    let mut out = String::with_capacity(raw.len());
+    let mut copied = 0;
+    while let Some(i) = bytes[copied..].iter().position(|&b| b == b'\\') {
+        let at = copied + i;
+        out.push_str(&raw[copied..at]);
+        let (c, len) = escape_at(bytes, at).expect("the scanner checked every escape");
+        out.push(c);
+        copied = at + len;
     }
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match b.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                            16,
-                        )
-                        .map_err(|e| e.to_string())?;
-                        out.push(char::from_u32(code).ok_or("bad \\u escape")?);
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}")),
-                }
-                *pos += 1;
-            }
-            Some(&c) => {
-                // Consume one UTF-8 scalar starting at c.
-                let len = match c {
-                    0x00..=0x7f => 1,
-                    0xc0..=0xdf => 2,
-                    0xe0..=0xef => 3,
-                    _ => 4,
-                };
-                let chunk = b.get(*pos..*pos + len).ok_or("truncated UTF-8 sequence")?;
-                out.push_str(std::str::from_utf8(chunk).map_err(|e| e.to_string())?);
-                *pos += len;
-            }
-        }
-    }
+    out.push_str(&raw[copied..]);
+    out
 }
 
 #[cfg(test)]
@@ -316,6 +610,30 @@ mod tests {
             }
             other => panic!("expected array, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn field_readers_name_the_key() {
+        let v = parse(
+            r#"{"id":4294967296,"n":null,"big":340282366920938463463374607431768211455,"s":"x"}"#,
+        )
+        .unwrap();
+        assert_eq!(v.field::<u64>("id"), Ok(1 << 32));
+        assert_eq!(
+            v.field::<u32>("id").unwrap_err(),
+            "field \"id\" = 4294967296 exceeds u32"
+        );
+        assert_eq!(v.field::<u128>("big"), Ok(u128::MAX));
+        assert_eq!(v.field::<Option<i64>>("n"), Ok(None));
+        assert_eq!(v.field::<Option<&str>>("s"), Ok(Some("x")));
+        assert_eq!(
+            v.field::<i64>("s").unwrap_err(),
+            "field \"s\" is not an integer"
+        );
+        assert_eq!(
+            v.field::<Option<i64>>("gone").unwrap_err(),
+            "missing field \"gone\""
+        );
     }
 
     #[test]

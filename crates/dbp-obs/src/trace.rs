@@ -118,80 +118,38 @@ pub(crate) fn demand_free_json<D>(prefix: &str, ev: &PackEvent<D>) -> String {
     }
 }
 
-pub(crate) fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, String> {
-    v.get(key).ok_or_else(|| format!("missing field {key:?}"))
-}
-
-pub(crate) fn field_i64(v: &Json, key: &str) -> Result<i64, String> {
-    field(v, key)?
-        .as_i64()
-        .ok_or_else(|| format!("field {key:?} is not an integer"))
-}
-
-pub(crate) fn field_u64(v: &Json, key: &str) -> Result<u64, String> {
-    field(v, key)?
-        .as_u64()
-        .ok_or_else(|| format!("field {key:?} is not an unsigned integer"))
-}
-
-/// An unsigned field narrowed to `u32` (item and bin ids), refusing
-/// values that do not fit instead of truncating them: a line with
-/// `"id":4294967296` is an error, not item 0.
-pub(crate) fn field_u32(v: &Json, key: &str) -> Result<u32, String> {
-    let n = field_u64(v, key)?;
-    u32::try_from(n).map_err(|_| format!("field {key:?} = {n} exceeds u32"))
-}
-
-/// An unsigned count field, refusing values that do not fit `usize`.
-pub(crate) fn field_usize(v: &Json, key: &str) -> Result<usize, String> {
-    let n = field_u64(v, key)?;
-    usize::try_from(n).map_err(|_| format!("field {key:?} = {n} exceeds usize"))
-}
-
-/// An integer field that may be `null`.
-pub(crate) fn field_opt_i64(v: &Json, key: &str) -> Result<Option<i64>, String> {
-    let f = field(v, key)?;
-    if f.is_null() {
-        Ok(None)
-    } else {
-        f.as_i64()
-            .map(Some)
-            .ok_or_else(|| format!("field {key:?} is not an integer"))
-    }
-}
-
 /// Decodes a line type `ty` (prefix already stripped) that carries no
 /// demand; `None` if `ty` is not one of them.
 pub(crate) fn demand_free_from_json<D>(ty: &str, v: &Json) -> Option<Result<PackEvent<D>, String>> {
     let decode = || -> Result<PackEvent<D>, String> {
         Ok(match ty {
             "estimate_used" => PackEvent::EstimateUsed {
-                id: ItemId(field_u32(v, "id")?),
-                estimate: field_i64(v, "estimate")?,
-                actual: field_i64(v, "actual")?,
+                id: ItemId(v.field("id")?),
+                estimate: v.field("estimate")?,
+                actual: v.field("actual")?,
             },
             "bin_opened" => PackEvent::BinOpened {
-                bin: BinId(field_u32(v, "bin")?),
-                at: field_i64(v, "at")?,
-                tag: field_u64(v, "tag")?,
+                bin: BinId(v.field("bin")?),
+                at: v.field("at")?,
+                tag: v.field("tag")?,
             },
             "bin_closed" => PackEvent::BinClosed {
-                bin: BinId(field_u32(v, "bin")?),
-                at: field_i64(v, "at")?,
-                opened_at: field_i64(v, "opened_at")?,
-                items: field_usize(v, "items")?,
+                bin: BinId(v.field("bin")?),
+                at: v.field("at")?,
+                opened_at: v.field("opened_at")?,
+                items: v.field("items")?,
             },
             "bin_failed" => PackEvent::BinFailed {
-                bin: BinId(field_u32(v, "bin")?),
-                at: field_i64(v, "at")?,
-                opened_at: field_i64(v, "opened_at")?,
-                displaced: field_usize(v, "displaced")?,
-                open_bins: field_usize(v, "open_bins")?,
+                bin: BinId(v.field("bin")?),
+                at: v.field("at")?,
+                opened_at: v.field("opened_at")?,
+                displaced: v.field("displaced")?,
+                open_bins: v.field("open_bins")?,
             },
             _ => PackEvent::ArrivalShed {
-                id: ItemId(field_u32(v, "id")?),
-                at: field_i64(v, "at")?,
-                open_bins: field_usize(v, "open_bins")?,
+                id: ItemId(v.field("id")?),
+                at: v.field("at")?,
+                open_bins: v.field("open_bins")?,
             },
         })
     };
@@ -202,42 +160,34 @@ pub(crate) fn demand_free_from_json<D>(ty: &str, v: &Json) -> Option<Result<Pack
     .then(decode)
 }
 
-/// The line's `"type"` field.
-pub(crate) fn line_type(v: &Json) -> Result<&str, String> {
-    field(v, "type")?
-        .as_str()
-        .ok_or_else(|| "field \"type\" is not a string".to_string())
-}
-
 /// Decodes one event from a parsed JSON object.
 pub fn event_from_json(v: &Json) -> Result<PackEvent, String> {
-    let ty = line_type(v)?;
-    match ty {
+    match v.field("type")? {
         "item_arrived" => Ok(PackEvent::ItemArrived {
-            id: ItemId(field_u32(v, "id")?),
-            size: Size::from_raw(field_u64(v, "size_raw")?),
-            at: field_i64(v, "at")?,
-            departure: field_i64(v, "departure")?,
-            visible_departure: field_opt_i64(v, "visible_departure")?,
+            id: ItemId(v.field("id")?),
+            size: Size::from_raw(v.field("size_raw")?),
+            at: v.field("at")?,
+            departure: v.field("departure")?,
+            visible_departure: v.field("visible_departure")?,
         }),
         "placement_decided" => {
-            let rule = match field(v, "fit_rule")?.as_str() {
-                Some("reused") => FitDecision::Reused,
-                Some("opened_new") => FitDecision::OpenedNew,
+            let rule = match v.field("fit_rule")? {
+                "reused" => FitDecision::Reused,
+                "opened_new" => FitDecision::OpenedNew,
                 other => return Err(format!("bad fit_rule {other:?}")),
             };
             Ok(PackEvent::PlacementDecided {
-                id: ItemId(field_u32(v, "id")?),
-                bin: BinId(field_u32(v, "bin")?),
+                id: ItemId(v.field("id")?),
+                bin: BinId(v.field("bin")?),
                 fit_rule: rule,
-                candidates_scanned: field_usize(v, "candidates_scanned")?,
+                candidates_scanned: v.field("candidates_scanned")?,
             })
         }
         "level_changed" => Ok(PackEvent::LevelChanged {
-            bin: BinId(field_u32(v, "bin")?),
-            at: field_i64(v, "at")?,
-            level: Size::from_raw(field_u64(v, "level_raw")?),
-            open_bins: field_usize(v, "open_bins")?,
+            bin: BinId(v.field("bin")?),
+            at: v.field("at")?,
+            level: Size::from_raw(v.field("level_raw")?),
+            open_bins: v.field("open_bins")?,
         }),
         other => demand_free_from_json(other, v)
             .unwrap_or_else(|| Err(format!("unknown event type {}", escape(other)))),
@@ -304,10 +254,7 @@ pub fn events_to_jsonl_tagged(shard: usize, events: &[PackEvent]) -> String {
 /// line number.
 pub fn parse_jsonl_tagged(text: &str) -> Result<Vec<(Option<usize>, PackEvent)>, DbpError> {
     parse_lines(text, |value| {
-        let shard = value
-            .get("shard")
-            .and_then(Json::as_u64)
-            .map(|s| s as usize);
+        let shard = value.field("shard").ok();
         Ok((shard, event_from_json(value)?))
     })
 }

@@ -16,11 +16,8 @@
 //! departure (the arrival time when hidden), so clairvoyant traces
 //! round-trip exactly.
 
-use crate::json::{escape, Json};
-use crate::trace::{
-    demand_free_from_json, demand_free_json, field, field_i64, field_opt_i64, field_u32,
-    field_usize, line_type, opt_json, parse_lines, LineSchema,
-};
+use crate::json::{escape, FieldValue, Json};
+use crate::trace::{demand_free_from_json, demand_free_json, opt_json, parse_lines, LineSchema};
 use dbp_core::observe::{FitDecision, PackEvent};
 use dbp_core::{BinId, DbpError, ItemId, Size, SizeVec};
 
@@ -85,15 +82,13 @@ impl LineSchema for SizeVec {
 }
 
 fn field_vec(v: &Json, key: &str) -> Result<SizeVec, String> {
-    let Json::Arr(axes) = field(v, key)? else {
-        return Err(format!("field {key:?} is not an array"));
-    };
-    let axes = axes
+    let axes = v
+        .field::<&[Json]>(key)?
         .iter()
         .map(|a| {
-            a.as_u64()
+            u64::read(a)
                 .map(Size::from_raw)
-                .ok_or_else(|| format!("field {key:?} holds a non-integer axis"))
+                .map_err(|what| format!("field {key:?} holds an axis that {what}"))
         })
         .collect::<Result<Vec<_>, _>>()?;
     SizeVec::try_new(&axes).map_err(|e| format!("field {key:?}: {e}"))
@@ -101,16 +96,16 @@ fn field_vec(v: &Json, key: &str) -> Result<SizeVec, String> {
 
 /// Decodes one vector event from a parsed JSON object.
 pub fn event_from_json(v: &Json) -> Result<PackEvent<SizeVec>, String> {
-    let ty = line_type(v)?;
+    let ty: &str = v.field("type")?;
     let Some(ty) = ty.strip_prefix("vec_") else {
         return Err(format!("unknown event type {}", escape(ty)));
     };
     match ty {
         "item_arrived" => {
-            let at = field_i64(v, "at")?;
-            let visible_departure = field_opt_i64(v, "departure")?;
+            let at = v.field("at")?;
+            let visible_departure: Option<i64> = v.field("departure")?;
             Ok(PackEvent::ItemArrived {
-                id: ItemId(field_u32(v, "id")?),
+                id: ItemId(v.field("id")?),
                 size: field_vec(v, "axes_raw")?,
                 at,
                 departure: visible_departure.unwrap_or(at),
@@ -118,23 +113,23 @@ pub fn event_from_json(v: &Json) -> Result<PackEvent<SizeVec>, String> {
             })
         }
         "placement_decided" => {
-            let fit_rule = match field(v, "opened")? {
-                Json::Bool(true) => FitDecision::OpenedNew,
-                Json::Bool(false) => FitDecision::Reused,
-                _ => return Err("field \"opened\" is not a bool".into()),
+            let fit_rule = if v.field("opened")? {
+                FitDecision::OpenedNew
+            } else {
+                FitDecision::Reused
             };
             Ok(PackEvent::PlacementDecided {
-                id: ItemId(field_u32(v, "id")?),
-                bin: BinId(field_u32(v, "bin")?),
+                id: ItemId(v.field("id")?),
+                bin: BinId(v.field("bin")?),
                 fit_rule,
-                candidates_scanned: field_usize(v, "scanned")?,
+                candidates_scanned: v.field("scanned")?,
             })
         }
         "level_changed" => Ok(PackEvent::LevelChanged {
-            bin: BinId(field_u32(v, "bin")?),
-            at: field_i64(v, "at")?,
+            bin: BinId(v.field("bin")?),
+            at: v.field("at")?,
             level: field_vec(v, "level_raw")?,
-            open_bins: field_usize(v, "open_bins")?,
+            open_bins: v.field("open_bins")?,
         }),
         other => demand_free_from_json(other, v)
             .unwrap_or_else(|| Err(format!("unknown event type vec_{}", escape(other)))),

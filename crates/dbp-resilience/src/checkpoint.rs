@@ -40,7 +40,7 @@
 use dbp_core::online::PackerState;
 use dbp_core::stream::{BinSnapshot, SessionSnapshot, SNAPSHOT_VERSION};
 use dbp_core::{ActiveItem, BinId, DbpError, ItemId, Size, Time};
-use dbp_obs::json::{escape, parse, Json};
+use dbp_obs::json::{escape, parse, FieldValue, Json};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -115,127 +115,68 @@ pub fn snapshot_to_json(snap: &SessionSnapshot) -> String {
     out
 }
 
-fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, DbpError> {
-    v.get(key)
-        .ok_or_else(|| bad(format!("missing field {key:?}")))
-}
-
-fn u64_field(v: &Json, key: &str) -> Result<u64, DbpError> {
-    field(v, key)?
-        .as_u64()
-        .ok_or_else(|| bad(format!("field {key:?} is not an unsigned integer")))
-}
-
-fn u128_field(v: &Json, key: &str) -> Result<u128, DbpError> {
-    match field(v, key)? {
-        Json::Num(text) => text.parse().ok(),
-        _ => None,
-    }
-    .ok_or_else(|| bad(format!("field {key:?} is not an unsigned integer")))
-}
-
-fn u32_field(v: &Json, key: &str) -> Result<u32, DbpError> {
-    u64_field(v, key)?
-        .try_into()
-        .map_err(|_| bad(format!("field {key:?} overflows u32")))
-}
-
-fn time_field(v: &Json, key: &str) -> Result<Time, DbpError> {
-    field(v, key)?
-        .as_i64()
-        .ok_or_else(|| bad(format!("field {key:?} is not an integer time")))
-}
-
-fn arr<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], DbpError> {
-    match field(v, key)? {
-        Json::Arr(items) => Ok(items),
-        _ => Err(bad(format!("field {key:?} is not an array"))),
-    }
-}
-
 /// Decodes a checkpoint document produced by [`snapshot_to_json`], or a
 /// version 1 document converted to version 2 (see the module docs).
 pub fn snapshot_from_json(text: &str) -> Result<SessionSnapshot, DbpError> {
-    let doc = parse(text).map_err(bad)?;
-    let format = field(&doc, "format")?
-        .as_str()
-        .ok_or_else(|| bad("field \"format\" is not a string"))?;
+    decode(text).map_err(bad)
+}
+
+fn decode(text: &str) -> Result<SessionSnapshot, String> {
+    let doc = parse(text)?;
+    let format: &str = doc.field("format")?;
     if format != CHECKPOINT_FORMAT {
-        return Err(bad(format!(
+        return Err(format!(
             "not a checkpoint: format {format:?} (expected {CHECKPOINT_FORMAT:?})"
-        )));
+        ));
     }
-    let version = u32_field(&doc, "version")?;
+    let version: u32 = doc.field("version")?;
     let v1 = version == 1;
-    let packer = field(&doc, "packer")?
-        .as_str()
-        .ok_or_else(|| bad("field \"packer\" is not a string"))?
-        .to_string();
-    let packer_state = match field(&doc, "packer_state")? {
+    let packer = doc.field("packer")?;
+    let packer_state = match doc.field::<&Json>("packer_state")? {
         Json::Obj(pairs) => {
             let mut fields = Vec::with_capacity(pairs.len());
             for (k, v) in pairs {
-                let value = v
-                    .as_i64()
-                    .ok_or_else(|| bad(format!("packer_state field {k:?} is not an integer")))?;
+                let value =
+                    i64::read(v).map_err(|what| format!("packer_state field {k:?} {what}"))?;
                 fields.push((k.clone(), value));
             }
             PackerState::from_fields(fields)
         }
-        _ => return Err(bad("field \"packer_state\" is not an object")),
+        _ => return Err("field \"packer_state\" is not an object".into()),
     };
-    let next_bin = u32_field(&doc, "next_bin")?;
-    let last_arrival = match field(&doc, "last_arrival")? {
-        Json::Null => None,
-        v => Some(
-            v.as_i64()
-                .ok_or_else(|| bad("field \"last_arrival\" is not an integer time"))?,
-        ),
-    };
+    let next_bin = doc.field("next_bin")?;
     let mut open_bins = Vec::new();
-    for b in arr(&doc, "open_bins")? {
+    for b in doc.field::<&[Json]>("open_bins")? {
         let mut items = Vec::new();
-        for a in arr(b, "items")? {
-            let departure = match field(a, "departure")? {
-                Json::Null => None,
-                v => Some(
-                    v.as_i64()
-                        .ok_or_else(|| bad("item departure is not an integer time"))?,
-                ),
-            };
+        for a in b.field::<&[Json]>("items")? {
             items.push(ActiveItem {
-                id: ItemId(u32_field(a, "id")?),
-                size: Size::from_raw(u64_field(a, "size_raw")?),
-                departure,
+                id: ItemId(a.field("id")?),
+                size: Size::from_raw(a.field("size_raw")?),
+                departure: a.field("departure")?,
             });
         }
         open_bins.push(BinSnapshot {
-            id: BinId(u32_field(b, "id")?),
-            opened_at: time_field(b, "opened_at")?,
-            tag: u64_field(b, "tag")?,
-            placed: if v1 { 0 } else { u64_field(b, "placed")? },
+            id: BinId(b.field("id")?),
+            opened_at: b.field("opened_at")?,
+            tag: b.field("tag")?,
+            placed: if v1 { 0 } else { b.field("placed")? },
             items,
         });
     }
     let closed_usage = if v1 {
         v1_history(&doc, next_bin, &mut open_bins)?
     } else {
-        u128_field(&doc, "closed_usage")?
+        doc.field("closed_usage")?
     };
     let mut departures = Vec::new();
-    for pair in arr(&doc, "departures")? {
+    for pair in doc.field::<&[Json]>("departures")? {
         match pair {
             Json::Arr(tv) if tv.len() == 2 => {
-                let t = tv[0]
-                    .as_i64()
-                    .ok_or_else(|| bad("departure time is not an integer"))?;
-                let id = tv[1]
-                    .as_u64()
-                    .and_then(|x| u32::try_from(x).ok())
-                    .ok_or_else(|| bad("departure id is not a u32"))?;
+                let t = i64::read(&tv[0]).map_err(|what| format!("departure time {what}"))?;
+                let id = u32::read(&tv[1]).map_err(|what| format!("departure id {what}"))?;
                 departures.push((t, ItemId(id)));
             }
-            _ => return Err(bad("entry in \"departures\" is not a [time, id] pair")),
+            _ => return Err("entry in \"departures\" is not a [time, id] pair".into()),
         }
     }
     Ok(SessionSnapshot {
@@ -245,7 +186,7 @@ pub fn snapshot_from_json(text: &str) -> Result<SessionSnapshot, DbpError> {
         open_bins,
         departures,
         next_bin,
-        last_arrival,
+        last_arrival: doc.field("last_arrival")?,
         closed_usage,
         watermark: 0,
         above: Vec::new(),
@@ -255,13 +196,13 @@ pub fn snapshot_from_json(text: &str) -> Result<SessionSnapshot, DbpError> {
 /// Reduces a version 1 document's bin history to what version 2 keeps:
 /// returns the usage of the records whose bin is not open, and sets each
 /// open bin's `placed` to its record's item count.
-fn v1_history(doc: &Json, next_bin: u32, open_bins: &mut [BinSnapshot]) -> Result<u128, DbpError> {
-    let records = arr(doc, "records")?;
+fn v1_history(doc: &Json, next_bin: u32, open_bins: &mut [BinSnapshot]) -> Result<u128, String> {
+    let records: &[Json] = doc.field("records")?;
     if records.len() != next_bin as usize {
-        return Err(bad(format!(
+        return Err(format!(
             "snapshot has {} bin records but next_bin is {next_bin}",
             records.len()
-        )));
+        ));
     }
     let open: HashMap<BinId, usize> = open_bins
         .iter()
@@ -270,27 +211,24 @@ fn v1_history(doc: &Json, next_bin: u32, open_bins: &mut [BinSnapshot]) -> Resul
         .collect();
     let mut closed_usage = 0u128;
     for (i, r) in records.iter().enumerate() {
-        let id = u32_field(r, "id")?;
+        let id: u32 = r.field("id")?;
         if id as usize != i {
-            return Err(bad(format!("bin record {i} carries id {id}")));
+            return Err(format!("bin record {i} carries id {id}"));
         }
-        let items = arr(r, "items")?;
-        if items
-            .iter()
-            .any(|v| v.as_u64().and_then(|x| u32::try_from(x).ok()).is_none())
-        {
-            return Err(bad("record item id is not a u32"));
+        let items: &[Json] = r.field("items")?;
+        if items.iter().any(|v| u32::read(v).is_err()) {
+            return Err("record item id is not a u32".into());
         }
-        let (opened_at, closed_at) = (time_field(r, "opened_at")?, time_field(r, "closed_at")?);
-        u64_field(r, "tag")?;
+        let (opened_at, closed_at): (Time, Time) = (r.field("opened_at")?, r.field("closed_at")?);
+        r.field::<u64>("tag")?;
         match open.get(&BinId(id)) {
             Some(&k) => open_bins[k].placed = items.len() as u64,
             None => {
                 let span = i128::from(closed_at) - i128::from(opened_at);
                 if span < 0 {
-                    return Err(bad(format!(
+                    return Err(format!(
                         "bin record {i} closes at {closed_at}, before it opened at {opened_at}"
-                    )));
+                    ));
                 }
                 closed_usage += span as u128;
             }

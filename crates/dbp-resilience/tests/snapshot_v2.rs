@@ -17,7 +17,8 @@ use dbp_bench::check::BenchInstance;
 use dbp_bench::registry::{online_packer, AlgoParams, ONLINE_ALGOS};
 use dbp_core::online::{BinRecord, PackerState};
 use dbp_core::{
-    ClairvoyanceMode, DbpError, Instance, Item, RunRecorder, SessionSnapshot, StreamingSession,
+    ClairvoyanceMode, DbpError, Instance, Item, RunRecorder, SessionSnapshot, Size,
+    StreamingSession,
 };
 use dbp_resilience::{snapshot_from_json, snapshot_to_json};
 use std::collections::HashMap;
@@ -217,9 +218,12 @@ fn malformed_version_1_histories_are_refused() {
     }
 }
 
+/// Restores `snap`, packs one more item (half a bin, arriving at 5) and
+/// finishes: what restore accepts must keep packing without a panic.
 fn restore(snap: &SessionSnapshot) -> Result<(), DbpError> {
     let mut packer = online_packer("first-fit", AlgoParams { delta: 1, mu: 1.0 });
-    let s = StreamingSession::restore(ClairvoyanceMode::Clairvoyant, &mut *packer, snap)?;
+    let mut s = StreamingSession::restore(ClairvoyanceMode::Clairvoyant, &mut *packer, snap)?;
+    s.arrive(&Item::new(3, Size::HALF, 5, 40))?;
     s.finish().map(|_| ())
 }
 
@@ -267,6 +271,22 @@ fn crafted_version_2_documents_get_typed_refusals() {
         ("an empty open bin", |s| s.open_bins[0].items.clear()),
         ("foreign packer state", |s| {
             s.packer_state = PackerState::from_fields(vec![("x".into(), 1)])
+        }),
+        // Item sizes outside (0, 1]: once a panic at the next arrival
+        // (a gap below zero), once a panic in restore itself (a level
+        // past u64), once accepted.
+        ("a lone item larger than a bin", |s| {
+            let bin = &mut s.open_bins[0];
+            bin.items.truncate(1);
+            bin.items[0].size = Size::from_raw(Size::SCALE + 1);
+            let kept = bin.items[0].id;
+            s.departures.retain(|&(_, id)| id == kept);
+        }),
+        ("an item of size 2^64 - 1 before another", |s| {
+            s.open_bins[0].items[0].size = Size::from_raw(u64::MAX)
+        }),
+        ("an item of size zero", |s| {
+            s.open_bins[0].items[0].size = Size::ZERO
         }),
     ];
     for (what, edit) in edits {

@@ -19,7 +19,7 @@
 //! 4 runtime/protocol, 5 differential mismatch.
 
 use dbp_core::Time;
-use dbp_obs::json::{parse, Json};
+use dbp_obs::json::parse;
 use dbp_serve::protocol::{
     parse_response, render_request, RejectReason, Request, Response, Submit,
 };
@@ -206,26 +206,14 @@ impl DecisionRecord {
 
     fn from_line(line: &str) -> Result<(u32, DecisionRecord), String> {
         let doc = parse(line)?;
-        let job = doc
-            .get("job")
-            .and_then(Json::as_u64)
-            .and_then(|j| u32::try_from(j).ok())
-            .ok_or("missing job id")?;
-        let field = |key: &str| {
-            doc.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .unwrap_or_default()
-        };
-        let num = |key: &str| doc.get(key).and_then(Json::as_u64).unwrap_or(0);
         Ok((
-            job,
+            doc.field("job")?,
             DecisionRecord {
-                tenant: field("tenant"),
-                outcome: field("outcome"),
-                shard: num("shard"),
-                bin: num("bin"),
-                reason: field("reason"),
+                tenant: doc.field("tenant").unwrap_or_default(),
+                outcome: doc.field("outcome").unwrap_or_default(),
+                shard: doc.field("shard").unwrap_or(0),
+                bin: doc.field("bin").unwrap_or(0),
+                reason: doc.field("reason").unwrap_or_default(),
             },
         ))
     }

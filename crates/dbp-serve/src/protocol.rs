@@ -40,7 +40,7 @@
 //! and internal failures.
 
 use dbp_core::Time;
-use dbp_obs::json::{escape, escape_into, parse, Json, MAX_DEPTH};
+use dbp_obs::json::{escape, escape_into, parse, scan, RawStr, Scalar, Sink};
 use std::borrow::Cow;
 use std::fmt::Write as _;
 
@@ -194,30 +194,16 @@ impl Response {
     }
 }
 
-fn str_field(v: &Json, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing or non-string field {key:?}"))
-}
-
-fn u64_field(v: &Json, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field {key:?}"))
-}
-
 /// Parses one request line.
 ///
-/// One pass over the borrowed line; the only allocation on a valid
-/// `submit` is the owned tenant. It accepts and refuses exactly the
-/// lines that parsing the line with [`dbp_obs::json::parse`] and reading
-/// the fields off the document does (the differential test holds the
-/// two equal): the whole line must be one JSON document under
-/// [`MAX_DEPTH`], the first occurrence of a key wins, unknown keys are
-/// ignored, and integer fields read the number's literal text.
+/// One pass of [`dbp_obs::json::scan`] over the borrowed line; the only
+/// allocation on a valid `submit` is the owned tenant. The whole line
+/// must be one JSON document, the first occurrence of a key wins,
+/// unknown keys are ignored (but validated, as nested values are), and
+/// integer fields read the number's literal text.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let f = Scanner::request_fields(line)?;
+    let mut f = RequestFields::default();
+    scan(line, &mut f)?;
     let op = string_field(f.op, "op")?;
     match &*op {
         "submit" => {
@@ -253,12 +239,11 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 /// A value of the request object, borrowed from the line.
 #[derive(Clone, Copy)]
 enum Token<'a> {
-    /// A string's contents between the quotes, escapes still in place;
-    /// `escaped` says whether it holds any.
-    Str { raw: &'a str, escaped: bool },
-    /// A number's literal text, already known to parse as `f64`.
+    /// A string, escapes still in place.
+    Str(RawStr<'a>),
+    /// A number's literal text.
     Num(&'a str),
-    /// `null`, a boolean, an array or an object.
+    /// `null`, a boolean, an array or an object: no field takes one.
     Other,
 }
 
@@ -275,11 +260,7 @@ impl Token<'_> {
 
 fn string_field<'a>(token: Option<Token<'a>>, key: &str) -> Result<Cow<'a, str>, String> {
     match token {
-        Some(Token::Str {
-            raw,
-            escaped: false,
-        }) => Ok(Cow::Borrowed(raw)),
-        Some(Token::Str { raw, escaped: true }) => unescape(raw).map(Cow::Owned),
+        Some(Token::Str(s)) => Ok(s.text()),
         _ => Err(format!("missing or non-string field {key:?}")),
     }
 }
@@ -290,7 +271,9 @@ fn integer_field<T: std::str::FromStr>(token: Option<Token<'_>>, key: &str) -> R
         .ok_or_else(|| format!("missing or non-integer field {key:?}"))
 }
 
-/// The first occurrence of each key [`parse_request`] reads.
+/// The first occurrence of each key [`parse_request`] reads. As the
+/// scanner's sink it builds nothing: it keeps the top-level members it
+/// has a slot for and drops every other value once it is validated.
 #[derive(Default)]
 struct RequestFields<'a> {
     op: Option<Token<'a>>,
@@ -317,248 +300,36 @@ impl<'a> RequestFields<'a> {
     }
 }
 
-/// A validating JSON scanner over one request line that allocates only
-/// to unescape a key or to report an error. Its grammar is
-/// [`dbp_obs::json::parse`]'s, rule for rule — whitespace, literals,
-/// the number run, escapes, the [`MAX_DEPTH`] cap — so both refuse the
-/// same lines.
-struct Scanner<'a> {
-    text: &'a str,
-    pos: usize,
-}
+impl<'a> Sink<'a> for RequestFields<'a> {
+    type Value = Token<'a>;
+    type Array = ();
+    type Object = ();
 
-impl<'a> Scanner<'a> {
-    /// Validates `line` as one JSON document and returns the fields a
-    /// request reads from its top-level object (none when the document
-    /// is not an object).
-    fn request_fields(line: &'a str) -> Result<RequestFields<'a>, String> {
-        let mut sc = Scanner { text: line, pos: 0 };
-        let mut fields = RequestFields::default();
-        sc.skip_ws();
-        if sc.peek() == Some(b'{') {
-            sc.object(0, Some(&mut fields))?;
-        } else {
-            sc.value(0)?;
-        }
-        sc.skip_ws();
-        if sc.pos != line.len() {
-            return Err(format!("trailing data at byte {}", sc.pos));
-        }
-        Ok(fields)
-    }
-
-    #[inline]
-    fn peek(&self) -> Option<u8> {
-        self.text.as_bytes().get(self.pos).copied()
-    }
-
-    #[inline]
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
+    fn scalar(&mut self, scalar: Scalar<'a>) -> Token<'a> {
+        match scalar {
+            Scalar::Str(s) => Token::Str(s),
+            Scalar::Num(text) => Token::Num(text),
+            Scalar::Null | Scalar::Bool(_) => Token::Other,
         }
     }
 
-    /// Scans the value at `pos`, which sits inside `depth` arrays and
-    /// objects.
-    fn value(&mut self, depth: usize) -> Result<Token<'a>, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'[' | b'{') if depth >= MAX_DEPTH => Err(format!(
-                "nesting deeper than {MAX_DEPTH} levels at byte {}",
-                self.pos
-            )),
-            None => Err("unexpected end of input".into()),
-            Some(b'n') => self.literal("null"),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'"') => {
-                let (raw, escaped) = self.string()?;
-                Ok(Token::Str { raw, escaped })
-            }
-            Some(b'[') => self.array(depth).map(|()| Token::Other),
-            Some(b'{') => self.object(depth, None).map(|()| Token::Other),
-            Some(c) if c.is_ascii_digit() || c == b'-' => self.number().map(Token::Num),
-            Some(c) => Err(format!("unexpected byte {:?} at {}", c as char, self.pos)),
-        }
-    }
+    fn push(&mut self, (): &mut (), _: Token<'a>) {}
 
-    fn literal(&mut self, lit: &str) -> Result<Token<'a>, String> {
-        if self.text.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(Token::Other)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    /// The run of `[0-9.eE+-]` after a leading digit or `-`; the run must
-    /// parse as `f64`, so `01`, `1.` and `1e400` pass and `-`, `1e` and
-    /// `1.2.3` do not.
-    #[inline]
-    fn number(&mut self) -> Result<&'a str, String> {
-        let bytes = self.text.as_bytes();
-        let start = self.pos;
-        let mut at = start + 1;
-        // An optional '-' and then only digits always parses as f64, so
-        // only other shapes pay for the float parse.
-        let mut plain = bytes[start] != b'-' || bytes.get(at).is_some_and(u8::is_ascii_digit);
-        while let Some(&b) = bytes.get(at) {
-            match b {
-                b'0'..=b'9' => {}
-                b'.' | b'e' | b'E' | b'+' | b'-' => plain = false,
-                _ => break,
-            }
-            at += 1;
-        }
-        self.pos = at;
-        let text = &self.text[start..at];
-        if !plain && text.parse::<f64>().is_err() {
-            return Err(format!("bad number {text:?} at byte {start}"));
-        }
-        Ok(text)
-    }
-
-    /// Scans the string at `pos`, checking every escape; returns its raw
-    /// contents and whether any escape occurs in them.
-    #[inline]
-    fn string(&mut self) -> Result<(&'a str, bool), String> {
-        if self.peek() != Some(b'"') {
-            return Err(format!("expected '\"' at byte {}", self.pos));
-        }
-        let bytes = self.text.as_bytes();
-        let start = self.pos + 1;
-        let mut at = start;
-        let mut escaped = false;
-        loop {
-            match bytes.get(at) {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => break,
-                Some(b'\\') => {
-                    escaped = true;
-                    at += escape_at(bytes, at)?.1;
-                }
-                // Raw control characters are accepted, as the DOM does.
-                Some(_) => at += 1,
-            }
-        }
-        self.pos = at + 1;
-        // Escapes span ASCII only, so `at` sits on a char boundary.
-        let raw = self
-            .text
-            .get(start..at)
-            .ok_or("string splits a character")?;
-        Ok((raw, escaped))
-    }
-
-    fn array(&mut self, depth: usize) -> Result<(), String> {
-        self.pos += 1;
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.value(depth + 1)?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
+    fn member(&mut self, (): &mut (), depth: usize, key: RawStr<'a>, value: Token<'a>) {
+        if depth == 0 {
+            if let Some(slot) = self.slot(&key.text()) {
+                slot.get_or_insert(value);
             }
         }
     }
 
-    /// Scans the object at `pos`; with `fields`, records the first value
-    /// of each key a request reads.
-    fn object(
-        &mut self,
-        depth: usize,
-        mut fields: Option<&mut RequestFields<'a>>,
-    ) -> Result<(), String> {
-        self.pos += 1;
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            let (key, escaped) = self.string()?;
-            self.skip_ws();
-            if self.peek() != Some(b':') {
-                return Err(format!("expected ':' at byte {}", self.pos));
-            }
-            self.pos += 1;
-            let value = self.value(depth + 1)?;
-            if let Some(fields) = fields.as_deref_mut() {
-                let key = if escaped {
-                    Cow::Owned(unescape(key)?)
-                } else {
-                    Cow::Borrowed(key)
-                };
-                if let Some(slot) = fields.slot(&key) {
-                    slot.get_or_insert(value);
-                }
-            }
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
+    fn array(&mut self, (): ()) -> Token<'a> {
+        Token::Other
     }
-}
 
-/// Decodes the escape whose backslash is `bytes[at]` the way
-/// [`dbp_obs::json::parse`] does: `\u` takes the next four bytes through
-/// `u32::from_str_radix` (so `\u+041` is `A`) and refuses surrogates.
-/// Returns the character and the escape's length in bytes.
-fn escape_at(bytes: &[u8], at: usize) -> Result<(char, usize), String> {
-    let c = match bytes.get(at + 1) {
-        Some(b'"') => '"',
-        Some(b'\\') => '\\',
-        Some(b'/') => '/',
-        Some(b'n') => '\n',
-        Some(b'r') => '\r',
-        Some(b't') => '\t',
-        Some(b'b') => '\u{8}',
-        Some(b'f') => '\u{c}',
-        Some(b'u') => {
-            let hex = bytes.get(at + 2..at + 6).ok_or("truncated \\u escape")?;
-            return std::str::from_utf8(hex)
-                .ok()
-                .and_then(|hex| u32::from_str_radix(hex, 16).ok())
-                .and_then(char::from_u32)
-                .map(|c| (c, 6))
-                .ok_or_else(|| format!("bad \\u escape at byte {at}"));
-        }
-        _ => return Err(format!("bad escape at byte {}", at + 1)),
-    };
-    Ok((c, 2))
-}
-
-/// The text of a string's raw contents with its escapes decoded.
-fn unescape(raw: &str) -> Result<String, String> {
-    let bytes = raw.as_bytes();
-    let mut out = String::with_capacity(raw.len());
-    let mut copied = 0;
-    while let Some(i) = bytes[copied..].iter().position(|&b| b == b'\\') {
-        let at = copied + i;
-        out.push_str(&raw[copied..at]);
-        let (c, len) = escape_at(bytes, at)?;
-        out.push(c);
-        copied = at + len;
+    fn object(&mut self, (): ()) -> Token<'a> {
+        Token::Other
     }
-    out.push_str(&raw[copied..]);
-    Ok(out)
 }
 
 /// Renders one request as its wire line (without the newline).
@@ -668,61 +439,50 @@ pub fn render_response_into(out: &mut String, resp: &Response) {
 /// generator and the differential tests live on this).
 pub fn parse_response(line: &str) -> Result<Response, String> {
     let doc = parse(line)?;
-    let ok = match doc.get("ok") {
-        Some(Json::Bool(b)) => *b,
-        _ => return Err("missing boolean field \"ok\"".into()),
-    };
-    if !ok {
+    if !doc.field::<bool>("ok")? {
         return Ok(Response::Error {
-            what: str_field(&doc, "error")?,
+            what: doc.field("error")?,
         });
     }
-    let op = str_field(&doc, "op")?;
-    match op.as_str() {
+    match doc.field("op")? {
         "submit" => {
-            let tenant = str_field(&doc, "tenant")?;
-            let job = u64_field(&doc, "job")?;
-            let job = u32::try_from(job).map_err(|_| "job id overflows u32".to_string())?;
-            let placed = matches!(doc.get("placed"), Some(Json::Bool(true)));
-            if placed {
+            let tenant = doc.field("tenant")?;
+            let job = doc.field("job")?;
+            if doc.field("placed").unwrap_or(false) {
                 Ok(Response::Placed {
                     tenant,
                     job,
-                    shard: u64_field(&doc, "shard")? as usize,
-                    bin: u64_field(&doc, "bin")?
-                        .try_into()
-                        .map_err(|_| "bin overflows u32".to_string())?,
+                    shard: doc.field("shard")?,
+                    bin: doc.field("bin")?,
                 })
             } else {
-                let code = str_field(&doc, "reject")?;
+                let code = doc.field("reject")?;
                 Ok(Response::Rejected {
                     tenant,
                     job,
-                    reason: RejectReason::from_code(&code)
+                    reason: RejectReason::from_code(code)
                         .ok_or_else(|| format!("unknown reject code {code:?}"))?,
-                    detail: str_field(&doc, "detail").unwrap_or_default(),
+                    detail: doc.field("detail").unwrap_or_default(),
                 })
             }
         }
         "status" => Ok(Response::Status(StatusBody {
-            algo: str_field(&doc, "algo")?,
-            shards: u64_field(&doc, "shards")? as usize,
-            watermark: u64_field(&doc, "watermark")?
-                .try_into()
-                .map_err(|_| "watermark overflows u32".to_string())?,
-            placed: u64_field(&doc, "placed")?,
-            shed: u64_field(&doc, "shed")?,
-            rejected: u64_field(&doc, "rejected")?,
-            open_bins: u64_field(&doc, "open_bins")? as usize,
-            checkpoint_seq: u64_field(&doc, "checkpoint_seq")?,
+            algo: doc.field("algo")?,
+            shards: doc.field("shards")?,
+            watermark: doc.field("watermark")?,
+            placed: doc.field("placed")?,
+            shed: doc.field("shed")?,
+            rejected: doc.field("rejected")?,
+            open_bins: doc.field("open_bins")?,
+            checkpoint_seq: doc.field("checkpoint_seq")?,
             // Absent when talking to a pre-WAL server.
-            decision_seq: doc.get("decision_seq").and_then(Json::as_u64).unwrap_or(0),
+            decision_seq: doc.field("decision_seq").unwrap_or(0),
         })),
         "checkpoint" => Ok(Response::Checkpointed {
-            seq: u64_field(&doc, "seq")?,
+            seq: doc.field("seq")?,
         }),
         "metrics" => Ok(Response::Metrics {
-            text: str_field(&doc, "text")?,
+            text: doc.field("text")?,
         }),
         "shutdown" => Ok(Response::ShuttingDown),
         other => Err(format!("unknown response op {other:?}")),
@@ -732,6 +492,7 @@ pub fn parse_response(line: &str) -> Result<Response, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dbp_obs::json::MAX_DEPTH;
 
     #[test]
     fn request_lines_round_trip() {

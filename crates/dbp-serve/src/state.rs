@@ -28,7 +28,7 @@
 
 use dbp_core::stream::SessionSnapshot;
 use dbp_core::{DbpError, Time};
-use dbp_obs::json::{escape, parse, Json};
+use dbp_obs::json::{escape, parse, FieldValue, Json};
 use dbp_resilience::{snapshot_from_json, snapshot_to_json};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -158,19 +158,6 @@ pub fn encode(ck: &ServeCheckpoint) -> String {
     out
 }
 
-fn u64_field(v: &Json, key: &str) -> Result<u64, DbpError> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| bad(format!("manifest field {key:?} missing or not an integer")))
-}
-
-fn str_field(v: &Json, key: &str) -> Result<String, DbpError> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| bad(format!("manifest field {key:?} missing or not a string")))
-}
-
 /// Decodes a checkpoint document.
 pub fn decode(text: &str) -> Result<ServeCheckpoint, DbpError> {
     let mut lines = text.lines();
@@ -190,80 +177,56 @@ pub fn decode(text: &str) -> Result<ServeCheckpoint, DbpError> {
 /// Decodes the manifest line: the checkpoint without its sessions, and
 /// the number of session lines that follow it.
 fn decode_manifest(manifest: &str) -> Result<(ServeCheckpoint, usize), DbpError> {
-    let doc = parse(manifest).map_err(|e| bad(format!("manifest: {e}")))?;
-    let format = str_field(&doc, "format")?;
-    if format != SERVE_CHECKPOINT_FORMAT {
-        return Err(bad(format!(
-            "not a serve checkpoint: format {format:?} (expected {SERVE_CHECKPOINT_FORMAT:?})"
-        )));
-    }
-    let version = u64_field(&doc, "version")?;
-    if version != u64::from(SERVE_CHECKPOINT_VERSION) {
-        return Err(bad(format!(
-            "unsupported serve checkpoint version {version} (this build reads \
-             {SERVE_CHECKPOINT_VERSION})"
-        )));
-    }
-    let shards = u64_field(&doc, "shards")? as usize;
-    let fleet_cap = match doc.get("fleet_cap") {
-        None | Some(Json::Null) => None,
-        Some(v) => Some(
-            v.as_u64()
-                .ok_or_else(|| bad("manifest field \"fleet_cap\" is not an unsigned integer"))?,
-        ),
-    };
-    let last_arrival = match doc.get("last_arrival") {
-        None | Some(Json::Null) => None,
-        Some(v) => Some(
-            v.as_i64()
-                .ok_or_else(|| bad("manifest field \"last_arrival\" is not an integer"))?,
-        ),
-    };
-    let watermark = u64_field(&doc, "watermark")?
-        .try_into()
-        .map_err(|_| bad("manifest field \"watermark\" overflows u32"))?;
-    let mut above = Vec::new();
-    if let Some(Json::Arr(ids)) = doc.get("above") {
-        for v in ids {
-            above.push(
-                v.as_u64()
-                    .and_then(|x| u32::try_from(x).ok())
-                    .ok_or_else(|| bad("entry in \"above\" is not a u32"))?,
-            );
+    let read = || -> Result<(ServeCheckpoint, usize), String> {
+        let doc = parse(manifest)?;
+        let format: &str = doc.field("format")?;
+        if format != SERVE_CHECKPOINT_FORMAT {
+            return Err(format!(
+                "not a serve checkpoint: format {format:?} (expected {SERVE_CHECKPOINT_FORMAT:?})"
+            ));
         }
-    } else {
-        return Err(bad("manifest field \"above\" missing or not an array"));
-    }
-    let mut tenants = Vec::new();
-    if let Some(Json::Arr(ts)) = doc.get("tenants") {
-        for t in ts {
+        let version: u32 = doc.field("version")?;
+        if version != SERVE_CHECKPOINT_VERSION {
+            return Err(format!(
+                "unsupported serve checkpoint version {version} (this build reads \
+                 {SERVE_CHECKPOINT_VERSION})"
+            ));
+        }
+        let above = doc
+            .field::<&[Json]>("above")?
+            .iter()
+            .map(u32::read)
+            .collect::<Result<_, _>>()
+            .map_err(|what| format!("entry in \"above\" {what}"))?;
+        let mut tenants = Vec::new();
+        for t in doc.field::<&[Json]>("tenants")? {
             tenants.push(TenantCounters {
-                tenant: str_field(t, "tenant")?,
-                submitted: u64_field(t, "submitted")?,
-                placed: u64_field(t, "placed")?,
-                shed: u64_field(t, "shed")?,
-                rejected: u64_field(t, "rejected")?,
+                tenant: t.field("tenant")?,
+                submitted: t.field("submitted")?,
+                placed: t.field("placed")?,
+                shed: t.field("shed")?,
+                rejected: t.field("rejected")?,
             });
         }
-    } else {
-        return Err(bad("manifest field \"tenants\" missing or not an array"));
-    }
-    let ck = ServeCheckpoint {
-        seq: u64_field(&doc, "seq")?,
-        algo: str_field(&doc, "algo")?,
-        router: str_field(&doc, "router")?,
-        fleet_cap,
-        last_arrival,
-        watermark,
-        above,
-        placed: u64_field(&doc, "placed")?,
-        shed: u64_field(&doc, "shed")?,
-        rejected: u64_field(&doc, "rejected")?,
-        decision_seq: doc.get("decision_seq").and_then(Json::as_u64).unwrap_or(0),
-        tenants,
-        sessions: Vec::new(),
+        let ck = ServeCheckpoint {
+            seq: doc.field("seq")?,
+            algo: doc.field("algo")?,
+            router: doc.field("router")?,
+            fleet_cap: doc.field("fleet_cap")?,
+            last_arrival: doc.field("last_arrival")?,
+            watermark: doc.field("watermark")?,
+            above,
+            placed: doc.field("placed")?,
+            shed: doc.field("shed")?,
+            rejected: doc.field("rejected")?,
+            // Absent in pre-WAL checkpoints.
+            decision_seq: doc.field("decision_seq").unwrap_or(0),
+            tenants,
+            sessions: Vec::new(),
+        };
+        Ok((ck, doc.field("shards")?))
     };
-    Ok((ck, shards))
+    read().map_err(|what| bad(format!("manifest: {what}")))
 }
 
 /// The canonical file name of checkpoint `seq`.

@@ -15,10 +15,13 @@
 //! - truncated lines, single-character flips, and random strings over a
 //!   JSON-ish alphabet.
 //!
-//! The request decoder's differential test feeds these lines to
-//! [`crate::protocol::parse_request`] and to the DOM reader side by
-//! side; a hostile-input audit of the serve path can draw its lines
-//! from the same source.
+//! `parse_request` and `dbp_obs::json::parse` run on one scanner, and
+//! three tests in `crates/dbp-serve/tests` draw their lines from here:
+//! `grammar_digest.rs` pins both entry points' verdicts on the first
+//! 200,000 lines to digests recorded before the two shared a grammar,
+//! `wire_differential.rs` checks that [`crate::protocol::parse_request`]
+//! selects the same fields as reading them off the DOM, and
+//! `hostile_files.rs` feeds the lines to every file decoder.
 
 use crate::protocol::{render_request, Request, Submit};
 use dbp_obs::json::MAX_DEPTH;

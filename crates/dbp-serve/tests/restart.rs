@@ -281,6 +281,25 @@ fn a_crafted_session_line_falls_back_instead_of_aborting() {
     });
 }
 
+/// Regression: a live item whose size is not a valid item size (here
+/// 2^64 - 1) decoded, and restoring it panicked on the level arithmetic;
+/// the restore now refuses it and the boot falls back.
+#[test]
+fn an_invalid_item_size_falls_back_instead_of_aborting() {
+    damaged_newest_checkpoint_falls_back("restart-size", |bytes| {
+        let text = String::from_utf8(bytes.to_vec()).unwrap();
+        let sessions = text.find('\n').unwrap();
+        let (manifest, lines) = text.split_at(sessions);
+        let crafted = lines.replacen(
+            "\"size_raw\":",
+            &format!("\"size_raw\":{},\"was\":", u64::MAX),
+            1,
+        );
+        assert_ne!(crafted, lines);
+        format!("{manifest}{crafted}").into_bytes()
+    });
+}
+
 /// Writes two checkpoints, rewrites the newest with `damage`, and checks
 /// that the restart skips it and resumes from the older one.
 fn damaged_newest_checkpoint_falls_back(name: &str, damage: impl Fn(&[u8]) -> Vec<u8>) {

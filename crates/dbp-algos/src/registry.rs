@@ -9,7 +9,9 @@ use crate::online::{
     AnyFit, ClassifyByDepartureTime, ClassifyByDuration, CombinedClassify, DotProductFit,
     HybridFirstFit, MaxNormFit,
 };
-use dbp_core::{OfflinePacker, OnlinePacker, VecOnlinePacker};
+use dbp_core::{
+    ClairvoyanceMode, Demand, Instance, OfflinePacker, OnlinePacker, VecInstance, VecOnlinePacker,
+};
 
 /// Instance-derived parameters a packer constructor may need.
 #[derive(Clone, Copy, Debug)]
@@ -21,22 +23,31 @@ pub struct AlgoParams {
 }
 
 impl AlgoParams {
-    /// Extracts `Δ` and `μ` from an instance (defaults for empty ones).
-    pub fn from_instance(inst: &dbp_core::Instance) -> Self {
+    /// Extracts `Δ` and `μ` from a scalar or vector instance (defaults
+    /// for empty ones). The classification strategies depend only on
+    /// time structure, so the derivation is dimension-blind.
+    pub fn from_instance<D: Demand>(inst: &Instance<D>) -> Self {
         AlgoParams {
             delta: inst.min_duration().unwrap_or(1),
             mu: inst.mu().unwrap_or(1.0),
         }
     }
 
-    /// Extracts `Δ` and `μ` from a vector instance — the classification
-    /// strategies depend only on time structure, so the derivation is
-    /// dimension-blind.
-    pub fn from_vec_instance(inst: &dbp_core::VecInstance) -> Self {
-        AlgoParams {
-            delta: inst.min_duration().unwrap_or(1),
-            mu: inst.mu().unwrap_or(1.0),
-        }
+    /// [`AlgoParams::from_instance`] on a vector instance.
+    pub fn from_vec_instance(inst: &VecInstance) -> Self {
+        AlgoParams::from_instance(inst)
+    }
+}
+
+/// The clairvoyance mode a roster algorithm runs under when the caller
+/// does not choose one: classification strategies need departure
+/// times, the Any-Fit family and the vector-native heuristics run
+/// honestly without them.
+pub fn clairvoyance_for<D: Demand>(algo: &str) -> ClairvoyanceMode<D> {
+    if needs_departures(algo) {
+        ClairvoyanceMode::Clairvoyant
+    } else {
+        ClairvoyanceMode::NonClairvoyant
     }
 }
 

@@ -15,12 +15,12 @@
 //! the fault plan, recovery policy, fleet cap, and admission policy are
 //! all derived from the same two numbers.
 
-use crate::diff::clairvoyance_for;
 use crate::fuzz::{case_instance, isolated, mix, run_sweep};
 use crate::invariants::{CheckId, Violation};
 use crate::shrink::{shrink_instance, ShrinkBudget};
 use crate::AuditSummary;
-use dbp_bench::registry::{online_packer, AlgoParams, ONLINE_ALGOS};
+use dbp_algos::registry::clairvoyance_for;
+use dbp_algos::registry::{online_packer, AlgoParams, ONLINE_ALGOS};
 use dbp_core::{DbpError, Instance, RunRecorder, StreamingSession};
 use dbp_resilience::chaos::{run_chaos, ChaosConfig, ChaosReport};
 use dbp_resilience::checkpoint::{snapshot_from_json, snapshot_to_json};

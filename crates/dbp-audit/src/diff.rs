@@ -1,18 +1,21 @@
 //! The differential harness: one algorithm, one instance, four
-//! independently-implemented execution paths that must agree bit-for-bit.
+//! execution paths that must agree bit-for-bit. They share different
+//! amounts of code, so each proves a different claim (the table in
+//! `docs/auditing.md` lists them):
 //!
 //! 1. **batch** — [`OnlineEngine::run`] (the production path);
 //! 2. **stream** — a hand-driven [`StreamingSession`] that calls
-//!    [`StreamingSession::advance_to`] before each arrival, exercising the
-//!    explicit clock-advance path the batch wrapper never takes; its
-//!    running totals must match too;
+//!    [`StreamingSession::advance_to`] before each arrival; its running
+//!    totals must match too. The batch engine wraps the same session,
+//!    so this pair checks only the explicit clock-advance path and the
+//!    totals, not the session itself;
 //! 3. **replay** — [`OnlineEngine::run_observed`] into an
 //!    [`EventLog`], reconstructed by `dbp-obs` replay and re-verified —
 //!    an oracle that recomputes the packing and usage from the event
 //!    stream alone;
 //! 4. **reference** — for `next-fit` only, the seed-style linear
-//!    engine in [`dbp_bench::reference`], a fully independent
-//!    implementation of the same semantics.
+//!    engine in [`dbp_bench::reference`], which shares only the item
+//!    types: its own open-bin list, departure heap and bin records.
 //!
 //! Disagreement anywhere is a [`CheckId::Differential`] violation; an
 //! engine error (the packer made an illegal decision) is
@@ -23,10 +26,10 @@
 use crate::invariants::{
     check_packing, check_run, check_theorem_ceiling, CheckId, ExactBaselines, Violation,
 };
-use dbp_bench::reference::reference_next_fit;
-use dbp_bench::registry::{
-    needs_departures, offline_packer, online_packer, online_packer_linear, AlgoParams,
+use dbp_algos::registry::{
+    clairvoyance_for, offline_packer, online_packer, online_packer_linear, AlgoParams,
 };
+use dbp_bench::reference::reference_next_fit;
 use dbp_core::observe::EventLog;
 use dbp_core::stream::StreamingSession;
 use dbp_core::{
@@ -34,19 +37,9 @@ use dbp_core::{
 };
 use dbp_obs::replay::replay_events;
 
-/// The clairvoyance mode each roster algorithm is audited under — the
-/// same mapping the CLI's `compare` uses: classification strategies need
-/// departure times, Any Fit variants are run honestly without them.
-pub fn clairvoyance_for(algo: &str) -> ClairvoyanceMode {
-    if needs_departures(algo) {
-        ClairvoyanceMode::Clairvoyant
-    } else {
-        ClairvoyanceMode::NonClairvoyant
-    }
-}
-
-/// Field-by-field run equality ([`OnlineRun`] carries no `PartialEq`):
-/// placements, total usage, and every bin-lifetime record.
+/// Run equality that says what differs: placements, total usage, or the
+/// first differing bin-lifetime record. ([`OnlineRun`]'s derived
+/// `PartialEq` would only say that something does.)
 pub fn runs_equal(a: &OnlineRun, b: &OnlineRun) -> Result<(), String> {
     if a.packing != b.packing {
         return Err("placements differ".into());
@@ -275,7 +268,7 @@ pub fn audit_offline_algo(inst: &Instance, algo: &str, exact: &ExactBaselines) -
 mod tests {
     use super::*;
     use crate::invariants::{exact_baselines, ExactLimits};
-    use dbp_bench::registry::{OFFLINE_ALGOS, ONLINE_ALGOS};
+    use dbp_algos::registry::{OFFLINE_ALGOS, ONLINE_ALGOS};
 
     #[test]
     fn full_roster_passes_on_a_structured_instance() {

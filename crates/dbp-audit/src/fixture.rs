@@ -25,8 +25,7 @@
 //! parsed with `dbp-obs`'s literal-text JSON numbers, so they round-trip
 //! exactly — a fixture replays the bit-identical instance that failed.
 
-use crate::shrink::Shrinkable;
-use dbp_core::{DbpError, Job, Size};
+use dbp_core::{DbpError, Demand, Instance, Item, Size};
 use dbp_obs::json::{self, FieldValue, Json};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -70,14 +69,14 @@ pub struct Fixture {
 
 impl Fixture {
     /// Builds a fixture from a scalar or vector instance plus metadata.
-    pub fn from_instance<I: Shrinkable>(
+    pub fn from_instance<D: Demand>(
         name: impl Into<String>,
         algo: impl Into<String>,
         check: impl Into<String>,
         seed: u64,
         case: u64,
         note: impl Into<String>,
-        inst: &I,
+        inst: &Instance<D>,
     ) -> Fixture {
         Fixture {
             name: name.into(),
@@ -86,13 +85,13 @@ impl Fixture {
             seed,
             case,
             note: note.into(),
-            vector: I::VECTOR,
+            vector: D::VECTOR,
             items: inst
                 .items()
                 .iter()
                 .map(|r| FixtureItem {
                     id: r.id().0,
-                    raw: I::axes(r).iter().map(|s| s.raw()).collect(),
+                    raw: r.size().axes().iter().map(|s| s.raw()).collect(),
                     arrival: r.arrival(),
                     departure: r.departure(),
                 })
@@ -100,9 +99,9 @@ impl Fixture {
         }
     }
 
-    /// Reconstructs the instance; `I` must match the fixture's kind.
-    pub fn instance<I: Shrinkable>(&self) -> Result<I, DbpError> {
-        if self.vector != I::VECTOR {
+    /// Reconstructs the instance; `D` must match the fixture's kind.
+    pub fn instance<D: Demand>(&self) -> Result<Instance<D>, DbpError> {
+        if self.vector != D::VECTOR {
             return Err(DbpError::InvalidParameter {
                 what: format!(
                     "fixture {} holds {} demands",
@@ -116,10 +115,10 @@ impl Fixture {
             .iter()
             .map(|fi| {
                 let axes: Vec<Size> = fi.raw.iter().map(|&r| Size::from_raw(r)).collect();
-                I::new_item(fi.id, &axes, fi.arrival, fi.departure)
+                Item::try_new(fi.id, D::from_axes(&axes)?, fi.arrival, fi.departure)
             })
             .collect::<Result<Vec<_>, _>>()?;
-        I::from_items(items)
+        Instance::from_items(items)
     }
 
     /// Serializes to the on-disk JSON form.
@@ -241,7 +240,7 @@ pub fn load_dir(dir: &Path) -> Result<Vec<(String, Fixture)>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbp_core::{Instance, VecInstance};
+    use dbp_core::{Instance, SizeVec};
 
     fn sample() -> Fixture {
         Fixture {
@@ -277,7 +276,7 @@ mod tests {
         let inst: Instance = parsed.instance().unwrap();
         assert_eq!(inst.items()[1].size().raw(), 11_744_051);
         // A fixture replays only as its own kind.
-        assert!(parsed.instance::<VecInstance>().is_err());
+        assert!(parsed.instance::<SizeVec>().is_err());
     }
 
     /// An id past `u32::MAX` is refused, as the trace reader refuses it,

@@ -14,8 +14,8 @@
 use crate::diff::{audit_offline_algo, audit_online_algo};
 use crate::invariants::{exact_baselines, CheckId, ExactLimits, Violation};
 use crate::shrink::{shrink_instance, ShrinkBudget};
+use dbp_algos::registry::{OFFLINE_ALGOS, ONLINE_ALGOS};
 use dbp_bench::grid::{run_grid_checked, GridCell};
-use dbp_bench::registry::{OFFLINE_ALGOS, ONLINE_ALGOS};
 use dbp_core::Instance;
 use dbp_workloads::adversarial::{
     any_fit_staircase, best_fit_cascade, ff_tail_trap, short_long_pairs,

@@ -23,7 +23,7 @@
 //!    `usage ≤ bound(μ, Δ) · OPT_total` (Theorems 4 and 5), checked when
 //!    `OPT_total` is exactly computable.
 
-use dbp_bench::registry::AlgoParams;
+use dbp_algos::registry::AlgoParams;
 use dbp_core::accounting::lower_bounds;
 use dbp_core::interval::span_of;
 use dbp_core::online::OnlineRun;

@@ -17,12 +17,12 @@
 //! reproduces from `(seed, case)` exactly like a plain audit failure;
 //! the router rotates with the case.
 
-use crate::diff::clairvoyance_for;
 use crate::fuzz::{case_instance, isolated, mix, run_sweep};
 use crate::invariants::{CheckId, Violation};
 use crate::shrink::{shrink_instance, ShrinkBudget};
 use crate::AuditSummary;
-use dbp_bench::registry::{online_packer, AlgoParams, ONLINE_ALGOS};
+use dbp_algos::registry::clairvoyance_for;
+use dbp_algos::registry::{online_packer, AlgoParams, ONLINE_ALGOS};
 use dbp_core::{DbpError, Instance, Item, OnlineRun, RunRecorder, StreamingSession};
 use dbp_shard::{ShardConfig, ShardRouter, ShardedSession};
 

@@ -17,81 +17,11 @@
 //! caller's job (wrap the audit in `catch_unwind`; see
 //! [`crate::fuzz`]).
 
-use dbp_core::{DbpError, Instance, Item, Job, Size, SizeVec, Time, VecInstance, VecItem};
+use dbp_core::{Demand, Instance, Item, Size, Time};
 
-/// An instance type the shrinker can rebuild: scalar [`Instance`]s and
-/// [`VecInstance`]s share one shrinker and one fixture format
-/// ([`crate::fixture::Fixture`]) through it.
-pub trait Shrinkable: Sized {
-    /// The item type.
-    type Item: Job + Copy;
-    /// Whether demands are vectors (a `"kind": "vector"` fixture).
-    const VECTOR: bool;
-    /// The items in arrival order.
-    fn items(&self) -> &[Self::Item];
-    /// Rebuilds an instance, validating like the real constructor.
-    fn from_items(items: Vec<Self::Item>) -> Result<Self, DbpError>;
-    /// A validated item with demand `axes` (exactly one axis for a
-    /// scalar item).
-    fn new_item(
-        id: u32,
-        axes: &[Size],
-        arrival: Time,
-        departure: Time,
-    ) -> Result<Self::Item, DbpError>;
-    /// The item's demand, one [`Size`] per axis.
-    fn axes(item: &Self::Item) -> Vec<Size>;
-    /// `item` with a new id and interval, if that interval is valid.
-    fn retimed(item: &Self::Item, id: u32, arrival: Time, departure: Time) -> Option<Self::Item> {
-        Self::new_item(id, &Self::axes(item), arrival, departure).ok()
-    }
-}
-
-impl Shrinkable for Instance {
-    type Item = Item;
-    const VECTOR: bool = false;
-    fn items(&self) -> &[Item] {
-        Instance::items(self)
-    }
-    fn from_items(items: Vec<Item>) -> Result<Self, DbpError> {
-        Instance::from_items(items)
-    }
-    fn new_item(id: u32, axes: &[Size], arrival: Time, departure: Time) -> Result<Item, DbpError> {
-        match axes {
-            [size] => Item::try_new(id, *size, arrival, departure),
-            _ => Err(DbpError::InvalidParameter {
-                what: format!(
-                    "item {id}: a scalar demand has one axis, got {}",
-                    axes.len()
-                ),
-            }),
-        }
-    }
-    fn axes(item: &Item) -> Vec<Size> {
-        vec![item.size()]
-    }
-}
-
-impl Shrinkable for VecInstance {
-    type Item = VecItem;
-    const VECTOR: bool = true;
-    fn items(&self) -> &[VecItem] {
-        VecInstance::items(self)
-    }
-    fn from_items(items: Vec<VecItem>) -> Result<Self, DbpError> {
-        VecInstance::from_items(items)
-    }
-    fn new_item(
-        id: u32,
-        axes: &[Size],
-        arrival: Time,
-        departure: Time,
-    ) -> Result<VecItem, DbpError> {
-        VecItem::try_new(id, SizeVec::try_new(axes)?, arrival, departure)
-    }
-    fn axes(item: &VecItem) -> Vec<Size> {
-        item.size().axes().to_vec()
-    }
+/// `item` over a new interval, if that interval is valid.
+fn retimed<D: Demand>(item: &Item<D>, arrival: Time, departure: Time) -> Option<Item<D>> {
+    Item::try_new(item.id().0, item.size(), arrival, departure).ok()
 }
 
 /// Caps on the shrink search.
@@ -114,35 +44,35 @@ struct Shrinker<'a, F> {
 
 impl<F> Shrinker<'_, F> {
     /// Evaluates a candidate item set; `Some(inst)` if it still fails.
-    fn still_fails<I: Shrinkable>(&mut self, items: &[I::Item]) -> Option<I>
+    fn still_fails<D: Demand>(&mut self, items: &[Item<D>]) -> Option<Instance<D>>
     where
-        F: FnMut(&I) -> bool,
+        F: FnMut(&Instance<D>) -> bool,
     {
         if self.evals_left == 0 {
             return None;
         }
         self.evals_left -= 1;
-        let inst = I::from_items(items.to_vec()).ok()?;
+        let inst = Instance::from_items(items.to_vec()).ok()?;
         (self.pred)(&inst).then_some(inst)
     }
 
     /// Replaces one item (if `replacement` is valid) and reports whether
     /// the failure survives; restores the item otherwise.
-    fn try_replace<I: Shrinkable>(
+    fn try_replace<D: Demand>(
         &mut self,
-        items: &mut [I::Item],
+        items: &mut [Item<D>],
         idx: usize,
-        replacement: Option<I::Item>,
+        replacement: Option<Item<D>>,
     ) -> bool
     where
-        F: FnMut(&I) -> bool,
+        F: FnMut(&Instance<D>) -> bool,
     {
         let Some(replacement) = replacement else {
             return false;
         };
         let prev = items[idx];
         items[idx] = replacement;
-        if self.still_fails::<I>(items).is_some() {
+        if self.still_fails(items).is_some() {
             true
         } else {
             items[idx] = prev;
@@ -154,47 +84,45 @@ impl<F> Shrinker<'_, F> {
 /// Greedily shrinks `inst` while `pred` keeps returning `true` (= still
 /// failing). Returns the smallest instance reached; `inst` itself if
 /// nothing smaller fails. `pred` is never called on the original.
-pub fn shrink_instance<I, F>(inst: &I, mut pred: F, budget: ShrinkBudget) -> I
+pub fn shrink_instance<D, F>(inst: &Instance<D>, mut pred: F, budget: ShrinkBudget) -> Instance<D>
 where
-    I: Shrinkable,
-    F: FnMut(&I) -> bool,
+    D: Demand,
+    F: FnMut(&Instance<D>) -> bool,
 {
     let mut s = Shrinker {
         pred: &mut pred,
         evals_left: budget.max_evals,
     };
-    let mut items: Vec<I::Item> = inst.items().to_vec();
+    let mut items: Vec<Item<D>> = inst.items().to_vec();
 
     loop {
         let mut changed = false;
-        changed |= drop_chunks::<I, F>(&mut s, &mut items);
-        changed |= shorten_durations::<I, F>(&mut s, &mut items);
-        changed |= shift_arrivals::<I, F>(&mut s, &mut items);
-        changed |= round_sizes::<I, F>(&mut s, &mut items);
+        changed |= drop_chunks(&mut s, &mut items);
+        changed |= shorten_durations(&mut s, &mut items);
+        changed |= shift_arrivals(&mut s, &mut items);
+        changed |= round_sizes(&mut s, &mut items);
         if !changed || s.evals_left == 0 {
             break;
         }
     }
 
     // Final cosmetic pass: renumber ids 0..n if the failure survives it.
-    let renumbered: Vec<I::Item> = items
+    let renumbered: Vec<Item<D>> = items
         .iter()
         .enumerate()
-        .map(|(i, it)| {
-            I::retimed(it, i as u32, it.arrival(), it.departure()).expect("same interval")
-        })
+        .map(|(i, it)| it.with_id(i as u32))
         .collect();
     if let Some(inst) = s.still_fails(&renumbered) {
         return inst;
     }
-    I::from_items(items).expect("shrunk items stay valid")
+    Instance::from_items(items).expect("shrunk items stay valid")
 }
 
 /// Removes windows of decreasing size; restarts at the largest window
 /// after any success (standard delta-debugging descent).
-fn drop_chunks<I: Shrinkable, F: FnMut(&I) -> bool>(
+fn drop_chunks<D: Demand, F: FnMut(&Instance<D>) -> bool>(
     s: &mut Shrinker<'_, F>,
-    items: &mut Vec<I::Item>,
+    items: &mut Vec<Item<D>>,
 ) -> bool {
     let mut changed = false;
     let mut chunk = (items.len() / 2).max(1);
@@ -205,7 +133,7 @@ fn drop_chunks<I: Shrinkable, F: FnMut(&I) -> bool>(
             let end = (start + chunk).min(items.len());
             let mut candidate = items.clone();
             candidate.drain(start..end);
-            if s.still_fails::<I>(&candidate).is_some() {
+            if s.still_fails(&candidate).is_some() {
                 *items = candidate;
                 changed = true;
                 removed_any = true;
@@ -227,25 +155,25 @@ fn drop_chunks<I: Shrinkable, F: FnMut(&I) -> bool>(
     }
 }
 
-fn shorten_durations<I: Shrinkable, F: FnMut(&I) -> bool>(
+fn shorten_durations<D: Demand, F: FnMut(&Instance<D>) -> bool>(
     s: &mut Shrinker<'_, F>,
-    items: &mut [I::Item],
+    items: &mut [Item<D>],
 ) -> bool {
     let mut changed = false;
     for idx in 0..items.len() {
         // Try 1 tick first (the biggest jump), then successive halvings.
         loop {
             let it = items[idx];
-            let (id, a) = (it.id().0, it.arrival());
+            let a = it.arrival();
             let dur = it.departure() - a;
             if dur <= 1 || s.evals_left == 0 {
                 break;
             }
-            if s.try_replace(items, idx, I::retimed(&it, id, a, a + 1)) {
+            if s.try_replace(items, idx, retimed(&it, a, a + 1)) {
                 changed = true;
                 break;
             }
-            if s.try_replace(items, idx, I::retimed(&it, id, a, a + (dur / 2).max(1))) {
+            if s.try_replace(items, idx, retimed(&it, a, a + (dur / 2).max(1))) {
                 changed = true;
             } else {
                 break;
@@ -255,24 +183,24 @@ fn shorten_durations<I: Shrinkable, F: FnMut(&I) -> bool>(
     changed
 }
 
-fn shift_arrivals<I: Shrinkable, F: FnMut(&I) -> bool>(
+fn shift_arrivals<D: Demand, F: FnMut(&Instance<D>) -> bool>(
     s: &mut Shrinker<'_, F>,
-    items: &mut [I::Item],
+    items: &mut [Item<D>],
 ) -> bool {
     let mut changed = false;
     for idx in 0..items.len() {
         loop {
             let it = items[idx];
-            let (id, a) = (it.id().0, it.arrival());
+            let a = it.arrival();
             if a == 0 || s.evals_left == 0 {
                 break;
             }
             let dur = it.departure() - a;
             let target = if a > 1 { a / 2 } else { 0 };
-            if s.try_replace(items, idx, I::retimed(&it, id, target, target + dur)) {
+            if s.try_replace(items, idx, retimed(&it, target, target + dur)) {
                 changed = true;
             } else {
-                if target != 0 && s.try_replace(items, idx, I::retimed(&it, id, 0, dur)) {
+                if target != 0 && s.try_replace(items, idx, retimed(&it, 0, dur)) {
                     changed = true;
                 }
                 break;
@@ -282,14 +210,15 @@ fn shift_arrivals<I: Shrinkable, F: FnMut(&I) -> bool>(
     changed
 }
 
-fn round_sizes<I: Shrinkable, F: FnMut(&I) -> bool>(
+fn round_sizes<D: Demand, F: FnMut(&Instance<D>) -> bool>(
     s: &mut Shrinker<'_, F>,
-    items: &mut [I::Item],
+    items: &mut [Item<D>],
 ) -> bool {
     let eighth = Size::SCALE / 8;
     let mut changed = false;
     for idx in 0..items.len() {
-        for (d, ax) in I::axes(&items[idx]).into_iter().enumerate() {
+        for d in 0..items[idx].size().dims() {
+            let ax = items[idx].size().axes()[d];
             if ax.raw().is_multiple_of(eighth) {
                 continue;
             }
@@ -302,9 +231,10 @@ fn round_sizes<I: Shrinkable, F: FnMut(&I) -> bool>(
                     continue;
                 }
                 let it = items[idx];
-                let mut axes = I::axes(&it);
+                let mut axes = it.size().axes().to_vec();
                 axes[d] = Size::from_raw(raw);
-                let cand = I::new_item(it.id().0, &axes, it.arrival(), it.departure());
+                let cand = D::from_axes(&axes)
+                    .and_then(|size| Item::try_new(it.id().0, size, it.arrival(), it.departure()));
                 if s.try_replace(items, idx, cand.ok()) {
                     changed = true;
                     break;

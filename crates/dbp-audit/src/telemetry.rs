@@ -18,12 +18,12 @@
 //! router rotation, so a telemetry failure reproduces from
 //! `(seed, case)` like every other audit failure.
 
-use crate::diff::clairvoyance_for;
 use crate::fuzz::{case_instance, isolated, run_sweep};
 use crate::invariants::{CheckId, Violation};
 use crate::shard::{case_router, stream_order};
 use crate::AuditSummary;
-use dbp_bench::registry::{online_packer, AlgoParams, ONLINE_ALGOS};
+use dbp_algos::registry::clairvoyance_for;
+use dbp_algos::registry::{online_packer, AlgoParams, ONLINE_ALGOS};
 use dbp_core::{DbpError, Instance, Item};
 use dbp_shard::{ShardConfig, ShardReport, ShardRouter, ShardedSession};
 use dbp_telemetry::{profile_stream, Profile, TelemetrySnapshot};

@@ -32,14 +32,13 @@
 //! [`crate::fixture::Fixture`]s with per-axis raw sizes, so
 //! counterexamples replay bit-identically.
 
-use crate::diff::clairvoyance_for;
 use crate::fuzz::{case_instance, isolated, mix, run_sweep};
 use crate::invariants::{CheckId, Violation};
 use crate::shrink::{shrink_instance, ShrinkBudget};
 use crate::AuditSummary;
 use dbp_algos::online::{AnyFit, ClassifyByDepartureTime, ClassifyByDuration};
-use dbp_bench::registry::{
-    needs_departures, online_packer, vector_packer, vector_packer_linear, AlgoParams, ONLINE_ALGOS,
+use dbp_algos::registry::{
+    clairvoyance_for, online_packer, vector_packer, vector_packer_linear, AlgoParams, ONLINE_ALGOS,
     VECTOR_ALGOS,
 };
 use dbp_core::{
@@ -131,16 +130,6 @@ pub fn case_vec_instance(
     }
 }
 
-/// Classification strategies need the departure; the Any-Fit family and
-/// the vector-native heuristics run blind.
-fn mode_for(algo: &str) -> VecClairvoyance {
-    if needs_departures(algo) {
-        VecClairvoyance::Clairvoyant
-    } else {
-        VecClairvoyance::NonClairvoyant
-    }
-}
-
 /// Shared invariants on one finished run: per-axis validity, the
 /// max-axis lower bound, and usage accounting.
 fn check_vec_run(inst: &VecInstance, algo: &str, run: &OnlineRun, out: &mut Vec<Violation>) {
@@ -178,11 +167,11 @@ fn check_vec_run(inst: &VecInstance, algo: &str, run: &OnlineRun, out: &mut Vec<
 /// per-axis validity, the lower bound, accounting, and (at one
 /// dimension) the dim-1-vs-scalar differential.
 pub fn audit_vector_algo(inst: &VecInstance, algo: &str) -> Vec<Violation> {
-    let params = AlgoParams::from_vec_instance(inst);
+    let params = AlgoParams::from_instance(inst);
     let mut out = Vec::new();
 
     let mut indexed = vector_packer(algo, params);
-    let run = match VecStreamingSession::run(mode_for(algo), inst, indexed.as_mut()) {
+    let run = match VecStreamingSession::run(clairvoyance_for(algo), inst, indexed.as_mut()) {
         Ok(r) => r,
         Err(e) => {
             return vec![Violation::new(
@@ -193,7 +182,7 @@ pub fn audit_vector_algo(inst: &VecInstance, algo: &str) -> Vec<Violation> {
     };
 
     let mut linear = vector_packer_linear(algo, params);
-    match VecStreamingSession::run(mode_for(algo), inst, linear.as_mut()) {
+    match VecStreamingSession::run(clairvoyance_for(algo), inst, linear.as_mut()) {
         Ok(foil) => {
             if foil != run {
                 out.push(Violation::new(

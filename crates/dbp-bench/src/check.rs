@@ -38,7 +38,7 @@ use crate::registry::{
 use dbp_core::observe::PackObserver;
 use dbp_core::stream::{PackerHandle, StreamingSession};
 use dbp_core::{
-    ClairvoyanceMode, DbpError, Demand, Instance, VecClairvoyance, VecInstance, VecStreamingSession,
+    ClairvoyanceMode, DbpError, Instance, Item, VecClairvoyance, VecInstance, VecStreamingSession,
 };
 use dbp_obs::json::{self, Json};
 use dbp_shard::{ShardConfig, ShardRouter, ShardedSession};
@@ -306,7 +306,7 @@ impl BenchInstance {
     /// Resource axes per demand.
     pub fn dims(&self) -> usize {
         match self {
-            BenchInstance::Scalar(_) => 1,
+            BenchInstance::Scalar(inst) => inst.dims(),
             BenchInstance::Vector(inst) => inst.dims(),
         }
     }
@@ -326,7 +326,7 @@ impl BenchInstance {
                 stream_cell(session, inst.items())
             }
             BenchInstance::Vector(inst) => {
-                let params = AlgoParams::from_vec_instance(inst);
+                let params = AlgoParams::from_instance(inst);
                 let mut packer = if linear {
                     vector_packer_linear(algo, params)
                 } else {
@@ -362,7 +362,7 @@ pub struct CellRun {
 /// demand type.
 pub fn stream_cell<P: PackerHandle, O: PackObserver<P::Demand>>(
     mut session: StreamingSession<'_, O, P>,
-    items: &[<P::Demand as Demand>::Item],
+    items: &[Item<P::Demand>],
 ) -> Result<CellRun, DbpError> {
     let mut peak_open_bins = 0;
     let mut peak_live_bytes = 0;
@@ -868,7 +868,7 @@ mod tests {
     fn d3_sessions_hold_no_id_history() {
         let inst = vector_baseline_instance("short", "default").unwrap();
         assert!(inst.items().windows(2).any(|w| w[0].id() > w[1].id()));
-        let params = AlgoParams::from_vec_instance(&inst);
+        let params = AlgoParams::from_instance(&inst);
         for algo in crate::registry::VECTOR_ALGOS {
             let mut packer = vector_packer(algo, params);
             let mut session =

@@ -26,6 +26,9 @@ pub mod plot;
 pub mod reference;
 pub mod report;
 
+/// The roster, re-exported from its home, `dbp_algos::registry`,
+/// because the standalone `benchmark/` crate reads it here; the other
+/// workspace crates import it from `dbp_algos`.
 pub use dbp_algos::registry;
 
 pub use check::{parse_baseline, run_check, Baseline, CheckReport};

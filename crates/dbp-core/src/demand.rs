@@ -8,6 +8,11 @@
 //! streaming session ([`crate::StreamingSession`]) and one body per
 //! packing algorithm serve both [`Size`] and [`SizeVec`]:
 //!
+//! * the job model: one [`crate::Item<D>`], [`crate::Instance<D>`] and
+//!   [`crate::ClairvoyanceMode<D>`] for both types, which read a demand
+//!   axis by axis ([`Demand::axes`], [`Demand::dims`]), rebuild one from
+//!   its axes ([`Demand::from_axes`], for the audit shrinker and its
+//!   fixtures) and tell the persisted kinds apart ([`Demand::VECTOR`]);
 //! * exact arithmetic: [`Demand::add`], [`Demand::sub`], the capacity
 //!   test [`Demand::fits`] and the residual [`Demand::gap`];
 //! * the First Fit gap tree: a node value ([`Demand::node`]), the
@@ -46,22 +51,16 @@
 //! dim-1 embedding `SizeVec::scalar` takes the vector paths, which the
 //! dim-1 differential suite proves decision-identical.
 
-use crate::interval::{Interval, Time};
-use crate::item::{Item, ItemId};
+use crate::error::DbpError;
 use crate::levels::{LevelBits, LevelIndex, LevelKey};
-use crate::online::ClairvoyanceMode;
 use crate::size::Size;
-use crate::sizevec::{Scalarization, SizeVec, VecItem, MAX_DIMS};
+use crate::sizevec::{Scalarization, SizeVec, MAX_DIMS};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// An item demand: [`Size`] (one axis) or [`SizeVec`] (up to
 /// [`MAX_DIMS`] axes). See the module docs for what each method is for.
 pub trait Demand: Copy + Eq + fmt::Debug + fmt::Display + Send + Sync + 'static {
-    /// The job type carrying this demand.
-    type Item: Job<Demand = Self>;
-    /// What departure information a session shows its packer.
-    type Mode: Clairvoyance<Self::Item>;
     /// A gap-tree node: the envelope of the gaps below it.
     type Node: Copy + Eq + Default + fmt::Debug;
     /// Whether [`Demand::covers`] on an internal node is exact (a
@@ -79,6 +78,19 @@ pub trait Demand: Copy + Eq + fmt::Debug + fmt::Display + Send + Sync + 'static 
     /// Whether this is a valid item demand (every axis in `(0, 1]`).
     fn is_valid_item_size(self) -> bool;
 
+    /// Whether this is the vector type: a one-axis [`SizeVec`] is still
+    /// a vector, and persists under the vector schemas.
+    const VECTOR: bool;
+    /// The demand on each axis.
+    fn axes(&self) -> &[Size];
+    /// The number of axes.
+    fn dims(self) -> usize {
+        self.axes().len()
+    }
+    /// The demand with these axes; refuses an axis count the type
+    /// cannot hold (a [`Size`] has exactly one).
+    fn from_axes(axes: &[Size]) -> Result<Self, DbpError>;
+
     /// The gap-tree leaf value of gap `self`.
     fn node(self) -> Self::Node;
     /// The envelope of two children.
@@ -95,106 +107,11 @@ pub trait Demand: Copy + Eq + fmt::Debug + fmt::Display + Send + Sync + 'static 
     fn key(self, scal: Scalarization) -> u64;
 }
 
-/// A job the streaming session can admit: an id, a demand and an active
-/// interval.
-pub trait Job {
-    /// The job's demand type.
-    type Demand;
-    /// The job id.
-    fn id(&self) -> ItemId;
-    /// The job's demand.
-    fn size(&self) -> Self::Demand;
-    /// The active interval `[arrival, departure)`.
-    fn interval(&self) -> Interval;
-    /// Arrival time.
-    fn arrival(&self) -> Time {
-        self.interval().start()
-    }
-    /// Departure time.
-    fn departure(&self) -> Time {
-        self.interval().end()
-    }
-}
-
-/// What departure information a session shows its packer.
-pub trait Clairvoyance<I>: Clone + fmt::Debug + Send + Sync {
-    /// The departure the packer sees for `item` (`None` when hidden).
-    fn visible_departure(&self, item: &I) -> Option<Time>;
-    /// Whether visible departures are estimates rather than the truth.
-    fn is_noisy(&self) -> bool {
-        false
-    }
-}
-
-impl Job for Item {
-    type Demand = Size;
-    fn id(&self) -> ItemId {
-        Item::id(self)
-    }
-    fn size(&self) -> Size {
-        Item::size(self)
-    }
-    fn interval(&self) -> Interval {
-        Item::interval(self)
-    }
-}
-
-impl Job for VecItem {
-    type Demand = SizeVec;
-    fn id(&self) -> ItemId {
-        VecItem::id(self)
-    }
-    fn size(&self) -> SizeVec {
-        VecItem::size(self)
-    }
-    fn interval(&self) -> Interval {
-        VecItem::interval(self)
-    }
-}
-
-impl Clairvoyance<Item> for ClairvoyanceMode {
-    fn visible_departure(&self, item: &Item) -> Option<Time> {
-        match self {
-            ClairvoyanceMode::Clairvoyant => Some(item.departure()),
-            ClairvoyanceMode::NonClairvoyant => None,
-            ClairvoyanceMode::Noisy(f) => Some(f(item).max(item.arrival() + 1)),
-        }
-    }
-    fn is_noisy(&self) -> bool {
-        matches!(self, ClairvoyanceMode::Noisy(_))
-    }
-}
-
-/// Whether departure times are visible to a vector packer.
-///
-/// Vector sessions support the paper's clairvoyant setting and the blind
-/// baseline; the noisy-estimator middle ground
-/// ([`ClairvoyanceMode::Noisy`]) takes a scalar [`Item`] and stays
-/// scalar-only.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum VecClairvoyance {
-    /// Departures are visible on arrival (the paper's setting).
-    #[default]
-    Clairvoyant,
-    /// Departures are hidden; classification packers cannot run.
-    NonClairvoyant,
-}
-
-impl Clairvoyance<VecItem> for VecClairvoyance {
-    fn visible_departure(&self, item: &VecItem) -> Option<Time> {
-        match self {
-            VecClairvoyance::Clairvoyant => Some(item.departure()),
-            VecClairvoyance::NonClairvoyant => None,
-        }
-    }
-}
-
 impl Demand for Size {
-    type Item = Item;
-    type Mode = ClairvoyanceMode;
     type Node = u64;
     const EXACT_NODES: bool = true;
     type LevelIndex = LevelBits;
+    const VECTOR: bool = false;
 
     #[inline]
     fn add(self, rhs: Size) -> Size {
@@ -216,6 +133,17 @@ impl Demand for Size {
     fn is_valid_item_size(self) -> bool {
         Size::is_valid_item_size(self)
     }
+    fn axes(&self) -> &[Size] {
+        std::slice::from_ref(self)
+    }
+    fn from_axes(axes: &[Size]) -> Result<Size, DbpError> {
+        match axes {
+            [size] => Ok(*size),
+            _ => Err(DbpError::InvalidParameter {
+                what: format!("a scalar size has one axis, got {}", axes.len()),
+            }),
+        }
+    }
     #[inline]
     fn node(self) -> u64 {
         self.raw()
@@ -236,11 +164,10 @@ impl Demand for Size {
 }
 
 impl Demand for SizeVec {
-    type Item = VecItem;
-    type Mode = VecClairvoyance;
     type Node = [u64; MAX_DIMS];
     const EXACT_NODES: bool = false;
     type LevelIndex = BTreeSet<LevelKey>;
+    const VECTOR: bool = true;
 
     #[inline]
     fn add(self, rhs: SizeVec) -> SizeVec {
@@ -261,6 +188,12 @@ impl Demand for SizeVec {
     #[inline]
     fn is_valid_item_size(self) -> bool {
         SizeVec::is_valid_item_size(&self)
+    }
+    fn axes(&self) -> &[Size] {
+        SizeVec::axes(self)
+    }
+    fn from_axes(axes: &[Size]) -> Result<SizeVec, DbpError> {
+        SizeVec::try_new(axes)
     }
     #[inline]
     fn node(self) -> [u64; MAX_DIMS] {

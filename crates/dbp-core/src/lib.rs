@@ -76,7 +76,7 @@ pub mod sizevec;
 pub mod stats;
 pub mod stream;
 
-pub use demand::{Clairvoyance, Demand, Job, VecClairvoyance};
+pub use demand::Demand;
 pub use error::DbpError;
 pub use instance::Instance;
 pub use interval::{Interval, Time};
@@ -91,7 +91,7 @@ pub use online::{
 pub use openbins::OpenBins;
 pub use packing::{BinId, OfflinePacker, Packing};
 pub use size::Size;
-pub use sizevec::{Scalarization, SizeVec, VecInstance, VecItem, MAX_DIMS};
+pub use sizevec::{Scalarization, SizeVec, VecClairvoyance, VecInstance, VecItem, MAX_DIMS};
 pub use stream::{
     Admission, BinSnapshot, RunTotals, SessionSnapshot, StreamingSession, VecStreamingSession,
     SNAPSHOT_VERSION,

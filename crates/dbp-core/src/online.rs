@@ -18,6 +18,9 @@
 //!   by a user function; actual departures still drive the simulation.
 //!   This implements the §6 "inaccurate estimates" sensitivity study.
 //!
+//! The mode is generic over the demand type, like the items it reads, so
+//! scalar and vector sessions take the same three.
+//!
 //! The engine never leaks future arrivals: a packer only observes the
 //! current item and the currently open bins.
 
@@ -34,19 +37,41 @@ pub use crate::openbins::OpenBins;
 
 use std::sync::Arc;
 
-/// Controls what departure information packers observe.
+/// Controls what departure information packers observe, for items of
+/// demand type `D` ([`Size`] unless stated).
 #[derive(Clone)]
-pub enum ClairvoyanceMode {
+pub enum ClairvoyanceMode<D = Size> {
     /// True departures visible at arrival (the paper's setting).
     Clairvoyant,
     /// No departure information (`departure == None` in all views).
     NonClairvoyant,
     /// Departure *estimates* computed by the given function from the true
     /// item; actual dynamics still use the true departure.
-    Noisy(Arc<dyn Fn(&Item) -> Time + Send + Sync>),
+    Noisy(Estimator<D>),
 }
 
-impl std::fmt::Debug for ClairvoyanceMode {
+/// A departure estimator: the true item in, the estimate out.
+type Estimator<D> = Arc<dyn Fn(&Item<D>) -> Time + Send + Sync>;
+
+impl<D: Demand> ClairvoyanceMode<D> {
+    /// The departure a packer sees for `item`: the truth, nothing, or
+    /// the estimate (at least one tick after the arrival).
+    #[inline]
+    pub fn visible_departure(&self, item: &Item<D>) -> Option<Time> {
+        match self {
+            ClairvoyanceMode::Clairvoyant => Some(item.departure()),
+            ClairvoyanceMode::NonClairvoyant => None,
+            ClairvoyanceMode::Noisy(f) => Some(f(item).max(item.arrival() + 1)),
+        }
+    }
+
+    /// Whether visible departures are estimates rather than the truth.
+    pub fn is_noisy(&self) -> bool {
+        matches!(self, ClairvoyanceMode::Noisy(_))
+    }
+}
+
+impl<D> std::fmt::Debug for ClairvoyanceMode<D> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ClairvoyanceMode::Clairvoyant => write!(f, "Clairvoyant"),

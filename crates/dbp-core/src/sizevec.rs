@@ -21,10 +21,9 @@
 //! on lifted instances.
 
 use crate::error::DbpError;
-use crate::instance::{duration_range, Instance};
-use crate::interval::{Interval, Time};
-use crate::item::{Item, ItemId};
-use crate::packing::Packing;
+use crate::instance::Instance;
+use crate::item::Item;
+use crate::online::ClairvoyanceMode;
 use crate::size::Size;
 use std::fmt;
 
@@ -273,296 +272,14 @@ impl Scalarization {
     }
 }
 
-/// A multi-resource job: a demand vector active over `[arrival,
-/// departure)`. The vector form of [`Item`].
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-pub struct VecItem {
-    id: ItemId,
-    size: SizeVec,
-    interval: Interval,
-}
+/// A multi-resource job: an [`Item`] whose demand is a [`SizeVec`].
+pub type VecItem = Item<SizeVec>;
 
-impl VecItem {
-    /// Constructs an item, panicking on an invalid demand vector or
-    /// interval. Use [`VecItem::try_new`] for untrusted input.
-    #[track_caller]
-    pub fn new(id: u32, size: SizeVec, arrival: Time, departure: Time) -> VecItem {
-        VecItem::try_new(id, size, arrival, departure).expect("invalid vector item")
-    }
+/// A vector-packing instance: an [`Instance`] over [`SizeVec`] demands.
+pub type VecInstance = Instance<SizeVec>;
 
-    /// Fallible construction: every axis must lie in `(0, 1]` and
-    /// `arrival < departure`.
-    pub fn try_new(
-        id: u32,
-        size: SizeVec,
-        arrival: Time,
-        departure: Time,
-    ) -> Result<VecItem, DbpError> {
-        if !size.is_valid_item_size() {
-            return Err(DbpError::InvalidSize {
-                what: format!("item {id} has demand {size:?} with an axis outside (0, 1]"),
-            });
-        }
-        Ok(VecItem {
-            id: ItemId(id),
-            size,
-            interval: Interval::new(arrival, departure)?,
-        })
-    }
-
-    /// Lifts a scalar [`Item`] to `dims` axes by replicating its size —
-    /// the embedding used by the dim-1 equivalence proofs and the CLI's
-    /// `--dims` plumbing.
-    #[track_caller]
-    pub fn lift(item: &Item, dims: usize) -> VecItem {
-        VecItem {
-            id: item.id(),
-            size: SizeVec::splat(dims, item.size()),
-            interval: item.interval(),
-        }
-    }
-
-    /// The item id.
-    #[inline]
-    pub fn id(&self) -> ItemId {
-        self.id
-    }
-
-    /// The demand vector.
-    #[inline]
-    pub fn size(&self) -> SizeVec {
-        self.size
-    }
-
-    /// The active interval.
-    #[inline]
-    pub fn interval(&self) -> Interval {
-        self.interval
-    }
-
-    /// Arrival time.
-    #[inline]
-    pub fn arrival(&self) -> Time {
-        self.interval.start()
-    }
-
-    /// Departure time.
-    #[inline]
-    pub fn departure(&self) -> Time {
-        self.interval.end()
-    }
-
-    /// Duration in ticks.
-    #[inline]
-    pub fn duration(&self) -> i64 {
-        self.interval.len()
-    }
-}
-
-impl fmt::Debug for VecItem {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "VecItem({} {:?} @[{}, {}))",
-            self.id,
-            self.size,
-            self.arrival(),
-            self.departure()
-        )
-    }
-}
-
-/// A whole vector-packing instance: consistent dimensionality, unique
-/// ids, items sorted by `(arrival, id)` — the same canonical order as
-/// [`Instance`]. Like [`Instance`], it finds `Δ` and `μΔ` once, when it
-/// is built.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct VecInstance {
-    dims: u8,
-    items: Vec<VecItem>,
-    /// `(Δ, μΔ)`; `None` when there are no items.
-    durations: Option<(i64, i64)>,
-}
-
-impl VecInstance {
-    /// Builds an instance, validating dimension consistency and id
-    /// uniqueness, and sorting into arrival order.
-    pub fn from_items(items: Vec<VecItem>) -> Result<VecInstance, DbpError> {
-        let dims = items.first().map(|r| r.size.dims()).unwrap_or(1);
-        let mut items = items;
-        for r in &items {
-            if r.size.dims() != dims {
-                return Err(DbpError::InvalidParameter {
-                    what: format!(
-                        "item {} has {} axes in a {dims}-dimensional instance",
-                        r.id(),
-                        r.size.dims()
-                    ),
-                });
-            }
-        }
-        items.sort_by_key(|r| (r.arrival(), r.id()));
-        for w in items.windows(2) {
-            if w[0].id() == w[1].id() {
-                return Err(DbpError::DuplicateItemId { id: w[0].id().0 });
-            }
-        }
-        let mut by_id: Vec<u32> = items.iter().map(|r| r.id().0).collect();
-        by_id.sort_unstable();
-        for w in by_id.windows(2) {
-            if w[0] == w[1] {
-                return Err(DbpError::DuplicateItemId { id: w[0] });
-            }
-        }
-        Ok(VecInstance {
-            dims: dims as u8,
-            durations: duration_range(items.iter().map(VecItem::duration)),
-            items,
-        })
-    }
-
-    /// Lifts a scalar [`Instance`] to `dims` axes by replicating every
-    /// item's size on each axis. A dim-1 lift is the identity embedding.
-    #[track_caller]
-    pub fn lift(inst: &Instance, dims: usize) -> VecInstance {
-        VecInstance {
-            dims: dims as u8,
-            items: inst
-                .items()
-                .iter()
-                .map(|r| VecItem::lift(r, dims))
-                .collect(),
-            durations: inst.min_duration().zip(inst.max_duration()),
-        }
-    }
-
-    /// Number of resource axes.
-    pub fn dims(&self) -> usize {
-        self.dims as usize
-    }
-
-    /// Items in arrival order.
-    pub fn items(&self) -> &[VecItem] {
-        &self.items
-    }
-
-    /// Number of items.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether the instance holds no items.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Max/min duration ratio `μ`, if non-empty.
-    pub fn mu(&self) -> Option<f64> {
-        let (min, max) = self.durations?;
-        Some(max as f64 / min as f64)
-    }
-
-    /// Minimum item duration `Δ`, if non-empty.
-    pub fn min_duration(&self) -> Option<i64> {
-        self.durations.map(|(min, _)| min)
-    }
-
-    /// Maximum item duration `μΔ`, if non-empty.
-    pub fn max_duration(&self) -> Option<i64> {
-        self.durations.map(|(_, max)| max)
-    }
-
-    /// The max-axis Proposition 3 bound: `max_d ∫ ⌈S_d(t)⌉ dt`, where
-    /// `S_d(t)` is the total axis-`d` demand active at `t`. Any valid
-    /// vector packing needs at least `⌈S_d(t)⌉` bins at time `t` for
-    /// every axis `d`, so its usage is at least this. At `dims == 1`
-    /// this is exactly the scalar `lower_bounds(..).lb3`.
-    pub fn vector_lower_bound(&self) -> u128 {
-        let mut best: u128 = 0;
-        for d in 0..self.dims() {
-            let mut events: Vec<(Time, i128)> = Vec::with_capacity(self.items.len() * 2);
-            for r in &self.items {
-                events.push((r.arrival(), r.size.axis(d).raw() as i128));
-                events.push((r.departure(), -(r.size.axis(d).raw() as i128)));
-            }
-            events.sort_unstable_by_key(|e| e.0);
-            let mut lb: u128 = 0;
-            let mut level: i128 = 0;
-            let mut i = 0;
-            while i < events.len() {
-                let t = events[i].0;
-                while i < events.len() && events[i].0 == t {
-                    level += events[i].1;
-                    i += 1;
-                }
-                if i < events.len() && level > 0 {
-                    let len = (events[i].0 - t) as u128;
-                    lb += (level as u128).div_ceil(Size::SCALE as u128) * len;
-                }
-            }
-            best = best.max(lb);
-        }
-        best
-    }
-
-    /// Validates a [`Packing`] of this instance: every item placed
-    /// exactly once, and every bin within capacity **on every axis** at
-    /// every instant (sweep over member arrival times, which is where
-    /// per-bin levels peak). The per-axis generalization of
-    /// [`Packing::validate`].
-    pub fn validate_packing(&self, packing: &Packing) -> Result<(), DbpError> {
-        let mut seen = std::collections::HashSet::new();
-        let by_id: std::collections::HashMap<ItemId, &VecItem> =
-            self.items.iter().map(|r| (r.id(), r)).collect();
-        let mut placed = 0usize;
-        for (bin, members) in packing.iter_bins() {
-            let items: Vec<&VecItem> = members
-                .iter()
-                .map(|id| {
-                    by_id
-                        .get(id)
-                        .copied()
-                        .ok_or_else(|| DbpError::PackingCoverage {
-                            what: format!("bin {bin:?} holds unknown item {id}"),
-                        })
-                })
-                .collect::<Result<_, _>>()?;
-            for id in members {
-                if !seen.insert(*id) {
-                    return Err(DbpError::PackingCoverage {
-                        what: format!("item {id} placed more than once"),
-                    });
-                }
-                placed += 1;
-            }
-            let mut times: Vec<Time> = items.iter().map(|r| r.arrival()).collect();
-            times.sort_unstable();
-            times.dedup();
-            for t in times {
-                for d in 0..self.dims() {
-                    let level: u64 = items
-                        .iter()
-                        .filter(|r| r.interval().contains(t))
-                        .map(|r| r.size.axis(d).raw())
-                        .sum();
-                    if level > Size::SCALE {
-                        return Err(DbpError::CapacityExceeded {
-                            bin: bin.0 as usize,
-                            at: t,
-                            level: level as f64 / Size::SCALE as f64,
-                        });
-                    }
-                }
-            }
-        }
-        if placed != self.items.len() {
-            return Err(DbpError::PackingCoverage {
-                what: format!("{placed} of {} items placed", self.items.len()),
-            });
-        }
-        Ok(())
-    }
-}
+/// What departure information a vector packer observes.
+pub type VecClairvoyance = ClairvoyanceMode<SizeVec>;
 
 #[cfg(test)]
 mod tests {
@@ -623,104 +340,5 @@ mod tests {
         let expect = a.axis(0).raw() as u128 * b.axis(0).raw() as u128
             + a.axis(1).raw() as u128 * b.axis(1).raw() as u128;
         assert_eq!(a.dot_raw(&b), expect);
-    }
-
-    #[test]
-    fn vec_item_validation() {
-        assert!(VecItem::try_new(0, sv(&[0.5, 0.5]), 0, 10).is_ok());
-        let zero_axis = SizeVec::new(&[Size::HALF, Size::ZERO]);
-        assert!(matches!(
-            VecItem::try_new(1, zero_axis, 0, 10),
-            Err(DbpError::InvalidSize { .. })
-        ));
-        assert!(matches!(
-            VecItem::try_new(2, sv(&[0.5]), 10, 10),
-            Err(DbpError::EmptyInterval { .. })
-        ));
-        assert!(matches!(
-            VecItem::try_new(3, sv(&[0.5]), i64::MIN, i64::MAX),
-            Err(DbpError::IntervalOverflow { .. })
-        ));
-    }
-
-    #[test]
-    fn instance_rejects_mixed_dims_and_duplicate_ids() {
-        let a = VecItem::new(0, sv(&[0.5, 0.5]), 0, 10);
-        let b = VecItem::new(1, sv(&[0.5]), 0, 10);
-        assert!(matches!(
-            VecInstance::from_items(vec![a, b]),
-            Err(DbpError::InvalidParameter { .. })
-        ));
-        let c = VecItem::new(0, sv(&[0.5, 0.5]), 5, 15);
-        assert!(matches!(
-            VecInstance::from_items(vec![a, c]),
-            Err(DbpError::DuplicateItemId { id: 0 })
-        ));
-    }
-
-    #[test]
-    fn instance_sorts_by_arrival_then_id() {
-        let inst = VecInstance::from_items(vec![
-            VecItem::new(2, sv(&[0.1]), 5, 10),
-            VecItem::new(1, sv(&[0.1]), 5, 12),
-            VecItem::new(0, sv(&[0.1]), 3, 10),
-        ])
-        .unwrap();
-        let ids: Vec<u32> = inst.items().iter().map(|r| r.id().0).collect();
-        assert_eq!(ids, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn lift_replicates_scalar_sizes() {
-        let inst = Instance::from_triples(&[(0.5, 0, 10), (0.25, 2, 8)]);
-        let lifted = VecInstance::lift(&inst, 3);
-        assert_eq!(lifted.dims(), 3);
-        for (v, s) in lifted.items().iter().zip(inst.items()) {
-            assert_eq!(v.id(), s.id());
-            assert_eq!(v.size(), SizeVec::splat(3, s.size()));
-            assert_eq!(v.interval(), s.interval());
-        }
-    }
-
-    #[test]
-    fn vector_lower_bound_takes_max_axis() {
-        // Axis 0 needs 1 bin over [0,10); axis 1 needs 2 bins over [0,10).
-        let inst = VecInstance::from_items(vec![
-            VecItem::new(0, sv(&[0.3, 0.9]), 0, 10),
-            VecItem::new(1, sv(&[0.3, 0.9]), 0, 10),
-        ])
-        .unwrap();
-        assert_eq!(inst.vector_lower_bound(), 20);
-    }
-
-    #[test]
-    fn dim1_lower_bound_matches_scalar_lb3() {
-        let inst = Instance::from_triples(&[(0.6, 0, 10), (0.6, 2, 12), (0.1, 5, 20), (0.9, 7, 9)]);
-        let lifted = VecInstance::lift(&inst, 1);
-        let lb = crate::accounting::lower_bounds(&inst);
-        assert_eq!(lifted.vector_lower_bound(), lb.lb3);
-    }
-
-    #[test]
-    fn validate_packing_catches_axis_overflow() {
-        let inst = VecInstance::from_items(vec![
-            VecItem::new(0, sv(&[0.2, 0.8]), 0, 10),
-            VecItem::new(1, sv(&[0.2, 0.8]), 0, 10),
-        ])
-        .unwrap();
-        // Sharing one bin overflows axis 1.
-        let shared = Packing::from_bins(vec![vec![ItemId(0), ItemId(1)]]);
-        assert!(matches!(
-            inst.validate_packing(&shared),
-            Err(DbpError::CapacityExceeded { .. })
-        ));
-        let split = Packing::from_bins(vec![vec![ItemId(0)], vec![ItemId(1)]]);
-        inst.validate_packing(&split).unwrap();
-        // Missing an item is a coverage error.
-        let partial = Packing::from_bins(vec![vec![ItemId(0)]]);
-        assert!(matches!(
-            inst.validate_packing(&partial),
-            Err(DbpError::PackingCoverage { .. })
-        ));
     }
 }

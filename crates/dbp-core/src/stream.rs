@@ -24,12 +24,13 @@
 //!
 //! ## Any demand type
 //!
-//! The session is generic over the [`Demand`] type its packer handle
-//! places: scalar [`crate::Item`]s by default, [`crate::VecItem`]s for a
-//! packer over `SizeVec`. Every mechanism below — departures,
-//! snapshots, fleet caps, fault injection and observation — is one body
-//! for both. [`VecStreamingSession`] is the vector entry point for a
-//! borrowed [`VecOnlinePacker`].
+//! The session is generic over the [`Demand`] type `D` its packer
+//! handle places, [`crate::Size`] by default: it admits [`Item<D>`]s
+//! and shows their departures as one [`ClairvoyanceMode<D>`] says, so
+//! the noisy estimator serves vector sessions too. Every mechanism
+//! below — departures, snapshots, fleet caps, fault injection and
+//! observation — is one body for both. [`VecStreamingSession`] is the
+//! vector entry point for a borrowed [`VecOnlinePacker`].
 //!
 //! ## Observability
 //!
@@ -69,15 +70,15 @@
 //!
 //! The session keeps no id history: it refuses only an id that is live
 //! in it, which keeps `placement` one-to-one. Each id is checked once,
-//! where jobs enter the system — [`crate::Instance::from_items`] and
-//! [`VecInstance::from_items`] for batch runs, a [`crate::IdLedger`] in
-//! the `dbp-shard` and `dbp-serve` coordinators.
+//! where jobs enter the system — [`crate::Instance::from_items`] for
+//! batch runs of either demand type, a [`crate::IdLedger`] in the
+//! `dbp-shard` and `dbp-serve` coordinators.
 
-use crate::demand::{Clairvoyance, Demand, Job, VecClairvoyance};
+use crate::demand::Demand;
 use crate::error::DbpError;
 use crate::hash::FoldMap;
 use crate::interval::Time;
-use crate::item::ItemId;
+use crate::item::{Item, ItemId};
 use crate::observe::{FitDecision, NoopObserver, OpKind, PackEvent, PackObserver};
 use crate::online::{
     lifetime, ActiveItem, ClairvoyanceMode, Decision, ItemView, OnlinePacker, OnlineRun, OpenBin,
@@ -85,7 +86,7 @@ use crate::online::{
 };
 use crate::openbins::OpenBins;
 use crate::packing::BinId;
-use crate::sizevec::{SizeVec, VecInstance};
+use crate::sizevec::{SizeVec, VecClairvoyance, VecInstance};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 use std::marker::PhantomData;
@@ -231,7 +232,7 @@ impl PackerHandle for VecPackerRef<'_> {
 /// The demand type of handle `P`.
 type DemandOf<P> = <P as PackerHandle>::Demand;
 /// The item type of handle `P`'s sessions.
-type ItemOf<P> = <DemandOf<P> as Demand>::Item;
+type ItemOf<P> = Item<DemandOf<P>>;
 
 /// A session that owns its packer: `Send + 'static`, so it can live in a
 /// shared struct. Build one with [`StreamingSession::owned`] or
@@ -241,7 +242,7 @@ pub type OwnedSession = StreamingSession<'static, NoopObserver, Box<dyn OnlinePa
 /// An in-progress online packing over a stream of arrivals, for any
 /// demand type (fixed by the packer handle `P`).
 pub struct StreamingSession<'p, O = NoopObserver, P: PackerHandle = &'p mut dyn OnlinePacker> {
-    mode: <DemandOf<P> as Demand>::Mode,
+    mode: ClairvoyanceMode<DemandOf<P>>,
     packer: P,
     /// Ties `'p` to the session when the handle does not borrow.
     _borrow: PhantomData<&'p mut ()>,
@@ -327,7 +328,7 @@ impl<'p, P: PackerHandle, O: PackObserver<DemandOf<P>>> StreamingSession<'p, O, 
     /// reporting to `obs`; the packer's [`OnlinePacker::reset`] is
     /// invoked. [`StreamingSession::new`] and friends are the scalar
     /// shorthands.
-    pub fn start(mode: <DemandOf<P> as Demand>::Mode, mut packer: P, obs: O) -> Self {
+    pub fn start(mode: ClairvoyanceMode<DemandOf<P>>, mut packer: P, obs: O) -> Self {
         packer.packer_mut().reset();
         StreamingSession {
             mode,
@@ -381,7 +382,7 @@ impl<'p, P: PackerHandle, O: PackObserver<DemandOf<P>>> StreamingSession<'p, O, 
     }
 
     fn resume(
-        mode: <DemandOf<P> as Demand>::Mode,
+        mode: ClairvoyanceMode<DemandOf<P>>,
         mut packer: P,
         snap: &SessionSnapshot<DemandOf<P>>,
         obs: O,
@@ -1754,5 +1755,36 @@ mod tests {
                 _ => {}
             }
         }
+    }
+
+    /// A vector session takes the noisy estimator too: its packer sees
+    /// the estimate, the session reports it, and true departures still
+    /// close the bins.
+    #[test]
+    fn vector_session_takes_noisy_estimates() {
+        use std::sync::Arc;
+        let mode = ClairvoyanceMode::Noisy(Arc::new(|r: &Item<SizeVec>| r.departure() + 5));
+        let mut log = EventLog::new();
+        let run =
+            VecStreamingSession::run_observed(mode, &vec_sample(), &mut AnyFirstFit, &mut log)
+                .unwrap();
+        let truth = VecStreamingSession::run(
+            ClairvoyanceMode::Clairvoyant,
+            &vec_sample(),
+            &mut AnyFirstFit,
+        )
+        .unwrap();
+        assert_eq!(run, truth, "First Fit never reads a departure");
+        let estimates: Vec<_> = log
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                PackEvent::EstimateUsed {
+                    estimate, actual, ..
+                } => Some(estimate - actual),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(estimates, vec![5; vec_sample().len()]);
     }
 }

@@ -10,8 +10,7 @@ use dbp_core::profile::{BTreeProfile, LevelProfile, SegTreeProfile};
 use dbp_core::stats::StepSeries;
 use dbp_core::stream::StreamingSession;
 use dbp_core::{
-    Demand, Instance, Item, Packing, Scalarization, Size, SizeVec, VecClairvoyance, VecInstance,
-    VecItem,
+    DbpError, Demand, Instance, Item, Packing, Scalarization, Size, SizeVec, VecInstance,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -227,12 +226,11 @@ impl<D: Demand> OnlinePacker<D> for MixedFit {
 /// index, gap trees, free list, intrusive tag lists — all via
 /// `validate()`) and every indexed query against the linear scan over
 /// the intrusive lists. `demand(k)` is the demand of an item sized `k`
-/// sixty-fourths; `job` builds the item.
+/// sixty-fourths.
 fn check_fleet_model<D: Demand>(
     ops: &[FleetOp],
-    mode: D::Mode,
+    mode: ClairvoyanceMode<D>,
     demand: impl Fn(u64) -> D,
-    job: impl Fn(u32, D, i64, i64) -> D::Item,
 ) -> Result<(), String> {
     let mut packer = MixedFit { n: 0 };
     let mut session =
@@ -244,7 +242,7 @@ fn check_fleet_model<D: Demand>(
             FleetOp::Arrive { size_64ths, dur } => {
                 session.advance_to(now).unwrap();
                 session
-                    .arrive(&job(next_id, demand(*size_64ths), now, now + dur))
+                    .arrive(&Item::new(next_id, demand(*size_64ths), now, now + dur))
                     .unwrap();
                 next_id += 1;
             }
@@ -339,14 +337,8 @@ proptest! {
             &ops,
             ClairvoyanceMode::NonClairvoyant,
             |k| Size::from_ratio(k, 64).unwrap(),
-            Item::new,
         )?;
-        check_fleet_model(
-            &ops,
-            VecClairvoyance::NonClairvoyant,
-            |k| vec_demand(dims, k),
-            VecItem::new,
-        )?;
+        check_fleet_model(&ops, ClairvoyanceMode::NonClairvoyant, |k| vec_demand(dims, k))?;
     }
 }
 
@@ -608,7 +600,7 @@ proptest! {
         let lifted = VecInstance::lift(&inst, dims);
         let rebuilt = VecInstance::from_items(lifted.items().to_vec()).unwrap();
         for v in [&lifted, &rebuilt] {
-            let (min, max) = scanned_durations(v.items().iter().map(VecItem::duration));
+            let (min, max) = scanned_durations(v.items().iter().map(Item::duration));
             prop_assert_eq!((v.min_duration(), v.max_duration()), (min, max));
             prop_assert_eq!(v.mu(), inst.mu());
         }
@@ -633,5 +625,53 @@ fn cached_durations_of_empty_instances_are_none() {
             (v.min_duration(), v.max_duration(), v.mu()),
             (None, None, None)
         );
+    }
+}
+
+/// The smallest id `items` repeats, by counting: the id rule's oracle.
+fn smallest_repeated_id(items: &[Item]) -> Option<u32> {
+    let mut seen = std::collections::BTreeMap::new();
+    for r in items {
+        *seen.entry(r.id().0).or_insert(0u32) += 1;
+    }
+    seen.into_iter().find(|&(_, n)| n > 1).map(|(id, _)| id)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// One id rule for both demand types: `from_items` at `Size` and at
+    /// `SizeVec` (on the dim-1 lift of the same list) accept and refuse
+    /// the same lists, name the same repeated id — the smallest — and
+    /// build the same order and `(Δ, μΔ)`. Ids come from spaces of 1 to
+    /// 119 values, so short spaces repeat ids and long ones mostly do
+    /// not, and they are drawn in any order, so they rarely ascend in
+    /// arrival order.
+    #[test]
+    fn scalar_and_vector_from_items_share_one_id_rule(
+        raw in proptest::collection::vec((0u32..10_000, 1u64..=64, -20i64..20, 1i64..50), 0..40),
+        id_space in 1u32..120,
+    ) {
+        let items: Vec<Item> = raw
+            .iter()
+            .map(|&(id, s, a, d)| Item::new(id % id_space, Size::from_ratio(s, 64).unwrap(), a, a + d))
+            .collect();
+        let lifted: Vec<Item<SizeVec>> = items.iter().map(|r| Item::lift(r, 1)).collect();
+        let scalar = Instance::from_items(items.clone());
+        let vector = Instance::from_items(lifted);
+        match smallest_repeated_id(&items) {
+            Some(id) => {
+                prop_assert_eq!(scalar, Err(DbpError::DuplicateItemId { id }));
+                prop_assert_eq!(vector, Err(DbpError::DuplicateItemId { id }));
+            }
+            None => {
+                let (scalar, vector) = (scalar.unwrap(), vector.unwrap());
+                let keys: Vec<_> = scalar.items().iter().map(|r| (r.arrival(), r.id())).collect();
+                prop_assert!(keys.windows(2).all(|w| w[0] < w[1]), "not in (arrival, id) order");
+                let (min, max) = scanned_durations(items.iter().map(Item::duration));
+                prop_assert_eq!((scalar.min_duration(), scalar.max_duration()), (min, max));
+                prop_assert_eq!(vector, VecInstance::lift(&scalar, 1));
+            }
+        }
     }
 }

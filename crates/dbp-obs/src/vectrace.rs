@@ -275,9 +275,13 @@ mod tests {
         let mode = VecClairvoyance::Clairvoyant;
 
         let mut log = EventLog::new();
-        let run_logged =
-            VecStreamingSession::run_observed(mode, &inst, &mut AnyFit::first_fit(), &mut log)
-                .unwrap();
+        let run_logged = VecStreamingSession::run_observed(
+            mode.clone(),
+            &inst,
+            &mut AnyFit::first_fit(),
+            &mut log,
+        )
+        .unwrap();
 
         let mut writer = TraceWriter::new(Vec::new());
         let run_traced =

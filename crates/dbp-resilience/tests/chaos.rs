@@ -2,19 +2,11 @@
 //! capacity is never exceeded post-recovery, and the degenerate
 //! configuration reproduces a fault-free run.
 
-use dbp_bench::registry::{online_packer, AlgoParams, ONLINE_ALGOS};
+use dbp_algos::registry::{clairvoyance_for, online_packer, AlgoParams, ONLINE_ALGOS};
 use dbp_core::{ClairvoyanceMode, Instance, RunRecorder, StreamingSession};
 use dbp_resilience::chaos::{run_chaos, simulate_chaos, ChaosConfig, JobOutcome};
 use dbp_resilience::fault::{AdmissionPolicy, FaultEvent, FaultKind, FaultPlan, RecoveryPolicy};
 use dbp_sim::unit_billing;
-
-fn mode_for(algo: &str) -> ClairvoyanceMode {
-    if matches!(algo, "cbdt" | "cbd" | "combined") {
-        ClairvoyanceMode::Clairvoyant
-    } else {
-        ClairvoyanceMode::NonClairvoyant
-    }
-}
 
 fn workload() -> Instance {
     let mut triples = Vec::new();
@@ -56,7 +48,7 @@ fn every_roster_packer_survives_seeded_faults() {
             admission: AdmissionPolicy::Reject,
         };
         let mut packer = online_packer(algo, params);
-        let rep = run_chaos(&inst, &mut *packer, mode_for(algo), &cfg).unwrap();
+        let rep = run_chaos(&inst, &mut *packer, clairvoyance_for(algo), &cfg).unwrap();
         rep.verify(&inst)
             .unwrap_or_else(|e| panic!("{algo}: oracle rejected the run: {e}"));
         assert_eq!(rep.outcomes.len(), inst.len(), "{algo}");
@@ -77,7 +69,7 @@ fn no_faults_no_cap_reproduces_the_plain_run() {
     for algo in ONLINE_ALGOS {
         let cfg = ChaosConfig::default();
         let mut packer = online_packer(algo, params);
-        let rep = run_chaos(&inst, &mut *packer, mode_for(algo), &cfg).unwrap();
+        let rep = run_chaos(&inst, &mut *packer, clairvoyance_for(algo), &cfg).unwrap();
         rep.verify(&inst).unwrap();
         assert!(rep.outcomes.iter().all(|o| *o == JobOutcome::Completed));
         assert_eq!(rep.servers_killed, 0);
@@ -86,7 +78,8 @@ fn no_faults_no_cap_reproduces_the_plain_run() {
         items.sort_by_key(|i| (i.arrival(), i.id()));
         let mut plain = online_packer(algo, params);
         let mut history = RunRecorder::new();
-        let mut s = StreamingSession::with_observer(mode_for(algo), &mut *plain, &mut history);
+        let mut s =
+            StreamingSession::with_observer(clairvoyance_for(algo), &mut *plain, &mut history);
         for item in &items {
             s.arrive(item).unwrap();
         }

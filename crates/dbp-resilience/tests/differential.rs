@@ -7,18 +7,10 @@
 //! rebuilds the whole run; the restored session's own totals must match
 //! too.
 
-use dbp_bench::registry::{online_packer, AlgoParams, ONLINE_ALGOS};
-use dbp_core::{ClairvoyanceMode, Instance, Item, OnlineRun, RunRecorder, StreamingSession};
+use dbp_algos::registry::{clairvoyance_for, online_packer, AlgoParams, ONLINE_ALGOS};
+use dbp_core::{Instance, Item, OnlineRun, RunRecorder, StreamingSession};
 use dbp_resilience::{snapshot_from_json, snapshot_to_json};
 use dbp_sim::NoisyEstimator;
-
-fn mode_for(algo: &str) -> ClairvoyanceMode {
-    if matches!(algo, "cbdt" | "cbd" | "combined") {
-        ClairvoyanceMode::Clairvoyant
-    } else {
-        ClairvoyanceMode::NonClairvoyant
-    }
-}
 
 /// A deterministic instance with bursts, shared departure ticks, and a
 /// size mix that forces several bins for every roster algorithm.
@@ -50,7 +42,7 @@ fn uninterrupted(algo: &str, inst: &Instance) -> OnlineRun {
     let params = AlgoParams::from_instance(inst);
     let mut packer = online_packer(algo, params);
     let mut history = RunRecorder::new();
-    let mut s = StreamingSession::with_observer(mode_for(algo), &mut *packer, &mut history);
+    let mut s = StreamingSession::with_observer(clairvoyance_for(algo), &mut *packer, &mut history);
     for item in arrivals(inst) {
         s.arrive(&item).unwrap();
     }
@@ -73,7 +65,8 @@ fn every_roster_packer_resumes_bit_identical_from_every_prefix() {
         for cut in 0..=items.len() {
             let mut history = RunRecorder::new();
             let mut first = online_packer(algo, params);
-            let mut s = StreamingSession::with_observer(mode_for(algo), &mut *first, &mut history);
+            let mut s =
+                StreamingSession::with_observer(clairvoyance_for(algo), &mut *first, &mut history);
             for item in &items[..cut] {
                 s.arrive(item).unwrap();
             }
@@ -86,7 +79,7 @@ fn every_roster_packer_resumes_bit_identical_from_every_prefix() {
 
             let mut second = online_packer(algo, params);
             let mut resumed = StreamingSession::restore_with_observer(
-                mode_for(algo),
+                clairvoyance_for(algo),
                 &mut *second,
                 &decoded,
                 &mut history,

@@ -12,9 +12,9 @@
 //! - Snapshot size follows the open bins: on a deep instance the
 //!   full-stream snapshot is about as big as the quarter-stream one.
 
+use dbp_algos::registry::{clairvoyance_for, online_packer, AlgoParams, ONLINE_ALGOS};
 use dbp_bench::check::baseline_instance;
 use dbp_bench::check::BenchInstance;
-use dbp_bench::registry::{online_packer, AlgoParams, ONLINE_ALGOS};
 use dbp_core::online::{BinRecord, PackerState};
 use dbp_core::{
     ClairvoyanceMode, DbpError, Instance, Item, RunRecorder, SessionSnapshot, Size,
@@ -24,14 +24,6 @@ use dbp_resilience::{snapshot_from_json, snapshot_to_json};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::Path;
-
-fn mode_for(algo: &str) -> ClairvoyanceMode {
-    if matches!(algo, "cbdt" | "cbd" | "combined") {
-        ClairvoyanceMode::Clairvoyant
-    } else {
-        ClairvoyanceMode::NonClairvoyant
-    }
-}
 
 /// The workload of `differential.rs`, which the fixture was cut from.
 fn workload() -> Instance {
@@ -147,7 +139,8 @@ fn version_1_documents_decode_to_the_snapshot_the_session_writes() {
         for cut in 0..=items.len() {
             let mut history = RunRecorder::new();
             let mut packer = online_packer(algo, params);
-            let mut s = StreamingSession::with_observer(mode_for(algo), &mut *packer, &mut history);
+            let mut s =
+                StreamingSession::with_observer(clairvoyance_for(algo), &mut *packer, &mut history);
             for item in &items[..cut] {
                 s.arrive(item).unwrap();
             }

@@ -61,8 +61,8 @@ pub struct ShardConfig {
     /// Attach a [`TelemetryRecorder`] per shard and record coordinator /
     /// worker spans, assembled into a
     /// [`crate::report::FleetTelemetry`] at finish. Adds a sampled-timing
-    /// overhead (<5%, measured in `BENCH_telemetry.json`); off by
-    /// default.
+    /// overhead (4.5–7.5% of a session's throughput, by algorithm, in
+    /// `BENCH_telemetry.json`'s 2-vCPU recording); off by default.
     pub collect_telemetry: bool,
 }
 

@@ -21,8 +21,9 @@
 //!   events carry no time), and per-placement work histograms strided
 //!   1-in-16 placements
 //!   (deterministically — the stride counts placements, so bit-identity
-//!   survives), keeping telemetry under 5% throughput overhead
-//!   (measured in `BENCH_telemetry.json`).
+//!   survives). Telemetry costs 4.5–7.5% throughput by algorithm
+//!   (two full `bench_telemetry` runs on a 2-vCPU host, cells run
+//!   serially; recorded in `BENCH_telemetry.json`).
 //! - [`span`] — cross-thread span profiling with folded-stack
 //!   (flamegraph) and chrome://tracing exports.
 //! - [`prom`] — Prometheus text-format exposition of counters and

@@ -22,19 +22,19 @@
 //! | 4 | runtime error (engine failure, packing validation) |
 //! | 5 | audit / chaos / shard-audit / telemetry violations found |
 
-use clairvoyant_dbp::audit::diff::clairvoyance_for;
 use clairvoyant_dbp::audit::fixture::Fixture;
-use clairvoyant_dbp::audit::shrink::Shrinkable;
 use clairvoyant_dbp::core::accounting::lower_bounds;
 use clairvoyant_dbp::core::stats::instance_stats;
+use clairvoyant_dbp::core::Demand;
 use clairvoyant_dbp::prelude::*;
 use clairvoyant_dbp::workloads::random::{PoissonWorkload, UniformWorkload};
 use clairvoyant_dbp::workloads::scenarios::{
     AnalyticsWorkload, CloudGamingWorkload, DiurnalWorkload, SpikeWorkload,
 };
 use clairvoyant_dbp::workloads::trace;
-use dbp_bench::registry::{
-    needs_departures, offline_packer, online_packer, AlgoParams, OFFLINE_ALGOS, ONLINE_ALGOS,
+use dbp_algos::registry::{
+    clairvoyance_for, needs_departures, offline_packer, online_packer, AlgoParams, OFFLINE_ALGOS,
+    ONLINE_ALGOS,
 };
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -227,14 +227,32 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
-    let flags = match parse_flags(rest) {
-        Ok(f) => f,
+    match run(cmd, rest) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::from(2);
+            eprintln!("error: {}", e.message());
+            if matches!(e, CliError::Usage(_)) {
+                eprintln!("\n{USAGE}");
+            }
+            ExitCode::from(e.code())
         }
+    }
+}
+
+/// Runs subcommand `cmd` on its flags, which must be ones its USAGE
+/// block lists; `--help` or `-h` among them prints the usage instead.
+fn run(cmd: &str, args: &[String]) -> Result<(), CliError> {
+    let unknown = || CliError::Usage(format!("unknown subcommand {cmd:?}"));
+    if matches!(cmd, "help" | "--help" | "-h") {
+        println!("{USAGE}");
+        return Ok(());
+    }
+    let allowed = usage_flags(cmd).ok_or_else(unknown)?;
+    let Some(flags) = parse_flags(cmd, args, &allowed)? else {
+        println!("{USAGE}");
+        return Ok(());
     };
-    let result = match cmd.as_str() {
+    match cmd {
         "generate" => generate(&flags),
         "bounds" => bounds(&flags),
         "pack" => pack(&flags),
@@ -254,42 +272,66 @@ fn main() -> ExitCode {
             println!("offline: {}", OFFLINE_ALGOS.join(", "));
             Ok(())
         }
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(CliError::Usage(format!("unknown subcommand {other:?}"))),
-    };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {}", e.message());
-            if matches!(e, CliError::Usage(_)) {
-                eprintln!("\n{USAGE}");
-            }
-            ExitCode::from(e.code())
-        }
+        _ => Err(unknown()),
     }
 }
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
-    let mut flags = HashMap::new();
-    let mut it = args.iter();
-    while let Some(key) = it.next() {
-        let Some(key) = key.strip_prefix("--") else {
-            return Err(format!("expected --flag, got {key:?}"));
-        };
-        // Boolean flags: next token is another flag or absent.
-        let value = match it.clone().next() {
-            Some(v) if !v.starts_with("--") => {
-                it.next();
-                v.clone()
+/// The flags `cmd`'s USAGE block lists, or `None` when USAGE has no
+/// block for it: the usage text is each subcommand's one flag list.
+fn usage_flags(cmd: &str) -> Option<Vec<&'static str>> {
+    let mut found: Option<Vec<&'static str>> = None;
+    let blocks = USAGE.lines().skip_while(|l| *l != "USAGE:").skip(1);
+    for line in blocks.take_while(|l| !l.is_empty()) {
+        if let Some(head) = line.strip_prefix("  dbp ") {
+            if found.is_some() {
+                break;
             }
-            _ => "true".to_string(),
-        };
-        flags.insert(key.to_string(), value);
+            if head.split_whitespace().next() == Some(cmd) {
+                found = Some(Vec::new());
+            }
+        }
+        if let Some(flags) = found.as_mut() {
+            flags.extend(line.split("--").skip(1).map(|flag| {
+                let end = flag
+                    .find(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+                    .unwrap_or(flag.len());
+                &flag[..end]
+            }));
+        }
     }
-    Ok(flags)
+    found
+}
+
+/// Parses `--key value` pairs; a key followed by another flag, or by
+/// nothing, is boolean (`"true"`). A key `allowed` does not list, or one
+/// given twice, is a usage error. `Ok(None)` asks for the usage:
+/// `--help` or `-h` stood where a flag goes.
+fn parse_flags(
+    cmd: &str,
+    args: &[String],
+    allowed: &[&str],
+) -> Result<Option<HashMap<String, String>>, CliError> {
+    let is_help = |arg: &str| arg == "--help" || arg == "-h";
+    let mut flags = HashMap::new();
+    let mut it = args.iter().peekable();
+    while let Some(arg) = it.next() {
+        if is_help(arg) {
+            return Ok(None);
+        }
+        let Some(key) = arg.strip_prefix("--") else {
+            return Err(CliError::Usage(format!("expected --flag, got {arg:?}")));
+        };
+        if !allowed.contains(&key) {
+            return Err(CliError::Usage(format!("dbp {cmd} takes no flag --{key}")));
+        }
+        let value = it
+            .next_if(|v| !v.starts_with("--") && !is_help(v))
+            .map_or_else(|| "true".to_string(), String::clone);
+        if flags.insert(key.to_string(), value).is_some() {
+            return Err(CliError::Usage(format!("--{key} given twice")));
+        }
+    }
+    Ok(Some(flags))
 }
 
 fn get<'a>(flags: &'a HashMap<String, String>, key: &str) -> Result<&'a str, CliError> {
@@ -361,6 +403,15 @@ fn known_algo(algo: &str, roster: &[&str], what: &str) -> Result<(), CliError> {
             "unknown {what} algorithm {algo:?}; available: {}",
             roster.join(", ")
         )))
+    }
+}
+
+/// The mode `pack` runs under: `--non-clairvoyant` hides departures.
+fn flag_clairvoyance<D: Demand>(flags: &HashMap<String, String>) -> ClairvoyanceMode<D> {
+    if flags.contains_key("non-clairvoyant") {
+        ClairvoyanceMode::NonClairvoyant
+    } else {
+        ClairvoyanceMode::Clairvoyant
     }
 }
 
@@ -487,12 +538,7 @@ fn pack(flags: &HashMap<String, String>) -> Result<(), CliError> {
     } else {
         let params = AlgoParams::from_instance(&inst);
         let mut packer = online_packer(algo, params);
-        let mode = if flags.contains_key("non-clairvoyant") {
-            ClairvoyanceMode::NonClairvoyant
-        } else {
-            ClairvoyanceMode::Clairvoyant
-        };
-        let run = OnlineEngine::new(mode)
+        let run = OnlineEngine::new(flag_clairvoyance(flags))
             .run_observed(&inst, packer.as_mut(), &mut obs)
             .map_err(runtime_err)?;
         run.packing.validate(&inst).map_err(runtime_err)?;
@@ -529,8 +575,8 @@ fn pack_vector(
     inst: &Instance,
     algo: &str,
 ) -> Result<(), CliError> {
-    use clairvoyant_dbp::core::{VecClairvoyance, VecInstance, VecStreamingSession};
-    use dbp_bench::registry::{vector_packer, VECTOR_ALGOS};
+    use clairvoyant_dbp::core::{VecInstance, VecStreamingSession};
+    use dbp_algos::registry::{vector_packer, VECTOR_ALGOS};
 
     let dims = parse_dims(flags)?;
     known_algo(algo, VECTOR_ALGOS, "vector")?;
@@ -545,13 +591,9 @@ fn pack_vector(
     }
 
     let vinst = VecInstance::lift(inst, dims);
-    let params = AlgoParams::from_vec_instance(&vinst);
+    let params = AlgoParams::from_instance(&vinst);
     let mut packer = vector_packer(algo, params);
-    let mode = if flags.contains_key("non-clairvoyant") {
-        VecClairvoyance::NonClairvoyant
-    } else {
-        VecClairvoyance::Clairvoyant
-    };
+    let mode = flag_clairvoyance(flags);
     let run = match flags.get("trace-out") {
         Some(path) => {
             let file = std::fs::File::create(path)
@@ -598,11 +640,7 @@ fn pack_sharded(
         Some(spec) => ShardRouter::parse(spec).map_err(|e| CliError::Usage(e.to_string()))?,
         None => ShardRouter::hash(),
     };
-    let mode = if flags.contains_key("non-clairvoyant") {
-        ClairvoyanceMode::NonClairvoyant
-    } else {
-        ClairvoyanceMode::Clairvoyant
-    };
+    let mode = flag_clairvoyance(flags);
     let cfg = ShardConfig {
         threads: get_threads(flags)?,
         collect_metrics: flags.contains_key("metrics"),
@@ -806,11 +844,11 @@ fn bench(flags: &HashMap<String, String>) -> Result<(), CliError> {
 /// The `bench --dims D` path: the vector roster over seeded correlated
 /// `D`-axis workload replicas, on the same panic-isolated grid.
 fn bench_vector_grid(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    use clairvoyant_dbp::core::{VecClairvoyance, VecStreamingSession};
+    use clairvoyant_dbp::core::VecStreamingSession;
     use clairvoyant_dbp::workloads::random::DurationDist;
     use clairvoyant_dbp::workloads::vector::{CorrelatedVectorWorkload, VectorWorkload};
+    use dbp_algos::registry::{vector_packer, VECTOR_ALGOS};
     use dbp_bench::grid::{run_grid_checked, GridCell};
-    use dbp_bench::registry::{vector_packer, VECTOR_ALGOS};
 
     let dims = parse_dims(flags)?;
     let n: usize = get_num(flags, "n", 400)?;
@@ -842,14 +880,10 @@ fn bench_vector_grid(flags: &HashMap<String, String>) -> Result<(), CliError> {
             .with_arrival_span((n as i64).max(10))
             .generate_seeded(seed);
         let lb = inst.vector_lower_bound().max(1);
-        let params = AlgoParams::from_vec_instance(&inst);
+        let params = AlgoParams::from_instance(&inst);
         let mut packer = vector_packer(algo, params);
-        let mode = if needs_departures(algo) {
-            VecClairvoyance::Clairvoyant
-        } else {
-            VecClairvoyance::NonClairvoyant
-        };
-        let run = VecStreamingSession::run(mode, &inst, packer.as_mut()).expect("roster run");
+        let run = VecStreamingSession::run(clairvoyance_for(algo), &inst, packer.as_mut())
+            .expect("roster run");
         inst.validate_packing(&run.packing).expect("roster packing");
         (run.usage, run.bins_opened(), run.usage as f64 / lb as f64)
     });
@@ -1035,14 +1069,14 @@ fn report_sweep(
 
 /// The fixture for sweep failure `f` shrunk from `inst` to `small`, named
 /// `{prefix}seed{S}-case{C}-{algo}{suffix}`.
-fn shrunk_fixture<I: Shrinkable>(
+fn shrunk_fixture<D: Demand>(
     prefix: &str,
     suffix: &str,
     algo: &str,
     seed: u64,
     f: &clairvoyant_dbp::audit::fuzz::Failure,
-    inst: &I,
-    small: &I,
+    inst: &Instance<D>,
+    small: &Instance<D>,
 ) -> Fixture {
     Fixture::from_instance(
         format!("{prefix}seed{seed}-case{}-{algo}{suffix}", f.case),
@@ -1050,11 +1084,7 @@ fn shrunk_fixture<I: Shrinkable>(
         f.violations[0].check.as_str(),
         seed,
         f.case,
-        format!(
-            "shrunk from {} to {} items",
-            inst.items().len(),
-            small.items().len()
-        ),
+        format!("shrunk from {} to {} items", inst.len(), small.len()),
         small,
     )
 }
@@ -1307,8 +1337,7 @@ fn audit_self_test_vector(seed: u64) -> Result<(), CliError> {
     );
     let round_trip = Fixture::parse(&fixture.to_json())
         .map_err(|e| runtime_err(format!("vector fixture round-trip: {e}")))?;
-    if round_trip != fixture || round_trip.instance::<VecInstance>().map_err(runtime_err)? != small
-    {
+    if round_trip != fixture || round_trip.instance().map_err(runtime_err)? != small {
         return Err(CliError::Violations(
             "self-test: vector fixture did not round-trip".into(),
         ));

@@ -1,6 +1,7 @@
 //! End-to-end tests of the `dbp` command-line tool.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 fn dbp(args: &[&str]) -> (bool, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_dbp"))
@@ -21,6 +22,32 @@ fn dbp_code(args: &[&str]) -> (Option<i32>, String, String) {
         .args(args)
         .output()
         .expect("run dbp");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// Like [`dbp_code`] but killed after 60 s, so a flag check that
+/// regressed into booting `dbp serve` fails the test instead of hanging
+/// it.
+fn dbp_bounded(args: &[&str]) -> (Option<i32>, String, String) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dbp"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("run dbp");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while child.try_wait().expect("wait for dbp").is_none() {
+        if Instant::now() > deadline {
+            child.kill().ok();
+            panic!("dbp {args:?} still running after 60 s");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().expect("collect dbp output");
     (
         out.status.code(),
         String::from_utf8_lossy(&out.stdout).into_owned(),
@@ -335,4 +362,68 @@ fn trace_out_is_byte_deterministic() {
             "two runs wrote different traces (shards {shards:?})"
         );
     }
+}
+
+/// Every subcommand takes exactly the flags its USAGE block lists: an
+/// unknown or repeated flag is a usage error (exit 2) before anything
+/// runs, and `--help` or `-h` prints the usage (exit 0) instead of
+/// running — `serve --help` once booted a server.
+#[test]
+fn every_subcommand_refuses_unknown_and_repeated_flags() {
+    // Each subcommand with one flag it does take.
+    let cases = [
+        ("generate", Some("--n")),
+        ("bounds", Some("--trace")),
+        ("pack", Some("--algo")),
+        ("replay", Some("--trace")),
+        ("report", Some("--algo")),
+        ("compare", Some("--trace")),
+        ("bench", Some("--n")),
+        ("audit", Some("--cases")),
+        ("chaos", Some("--cases")),
+        ("shard-audit", Some("--cases")),
+        ("telemetry-audit", Some("--cases")),
+        ("prof", Some("--n")),
+        ("serve", Some("--shards")),
+        ("serve-torture", Some("--jobs")),
+        ("algos", None),
+    ];
+    for (cmd, flag) in cases {
+        let (code, _, err) = dbp_bounded(&[cmd, "--bogus-flag", "1"]);
+        assert_eq!(code, Some(2), "{cmd} --bogus-flag: {err}");
+        assert!(
+            err.contains(&format!("dbp {cmd} takes no flag --bogus-flag")),
+            "{cmd}: {err}"
+        );
+        for help in ["--help", "-h"] {
+            let (code, out, err) = dbp_bounded(&[cmd, help]);
+            assert_eq!(code, Some(0), "{cmd} {help}: {err}");
+            assert!(out.contains("USAGE:"), "{cmd} {help}: {out}");
+        }
+        if let Some(flag) = flag {
+            let (code, _, err) = dbp_bounded(&[cmd, flag, "1", flag, "2"]);
+            assert_eq!(code, Some(2), "{cmd} {flag} twice: {err}");
+            assert!(err.contains(&format!("{flag} given twice")), "{cmd}: {err}");
+        }
+    }
+}
+
+/// A mistyped `--wal-dir` must not serve without a WAL: the server
+/// refuses it before binding, so no port file appears.
+#[test]
+fn serve_refuses_a_mistyped_wal_flag_before_binding() {
+    let port_file = temp_trace("mistyped-wal-port.txt");
+    let _ = std::fs::remove_file(&port_file);
+    let (code, _, err) = dbp_bounded(&[
+        "serve",
+        "--addr",
+        "127.0.0.1:0",
+        "--port-file",
+        &port_file,
+        "--wal_dir",
+        "x",
+    ]);
+    assert_eq!(code, Some(2), "{err}");
+    assert!(err.contains("takes no flag --wal_dir"), "{err}");
+    assert!(!std::path::Path::new(&port_file).exists());
 }

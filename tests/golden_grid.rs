@@ -15,7 +15,7 @@
 use clairvoyant_dbp::obs::json::{self, Json};
 use clairvoyant_dbp::prelude::*;
 use clairvoyant_dbp::workloads::random::UniformWorkload;
-use dbp_bench::registry::{offline_packer, online_packer, AlgoParams, OFFLINE_ALGOS, ONLINE_ALGOS};
+use dbp_algos::registry::{offline_packer, online_packer, AlgoParams, OFFLINE_ALGOS, ONLINE_ALGOS};
 use std::path::PathBuf;
 
 const N: usize = 80;

@@ -17,7 +17,7 @@ use clairvoyant_dbp::core::{VecClairvoyance, VecStreamingSession};
 use clairvoyant_dbp::obs::json::{self, Json};
 use clairvoyant_dbp::workloads::random::DurationDist;
 use clairvoyant_dbp::workloads::vector::{CorrelatedVectorWorkload, VectorWorkload};
-use dbp_bench::registry::{vector_packer, AlgoParams, VECTOR_ALGOS};
+use dbp_algos::registry::{vector_packer, AlgoParams, VECTOR_ALGOS};
 use std::path::PathBuf;
 
 const N: usize = 80;
@@ -50,7 +50,7 @@ fn evaluate_grid() -> Vec<Cell> {
                 .with_durations(DurationDist::uniform(1, 40).expect("valid uniform"))
                 .with_arrival_span(N as i64)
                 .generate_seeded(seed);
-            let params = AlgoParams::from_vec_instance(&inst);
+            let params = AlgoParams::from_instance(&inst);
             for algo in VECTOR_ALGOS {
                 let mode = if matches!(*algo, "cbdt" | "cbd") {
                     VecClairvoyance::Clairvoyant

@@ -1,16 +1,22 @@
 //! Property tests for the algorithm crate: exact solvers against brute
 //! force, classification boundary behaviour, Dual Coloring stripe
-//! capacity, and the indexed-vs-linear scan differential for the whole
-//! online roster.
+//! capacity, the indexed-vs-linear scan differential for the whole
+//! online roster, and the roster's runs with and without explicit
+//! `advance_to` calls.
 
 use dbp_algos::exact::{min_bins, min_usage_packing, opt_total};
 use dbp_algos::offline::{phase1, phase2, DualColoring, DurationDescendingFirstFit};
 use dbp_algos::online::{
     AnyFit, ClassifyByDepartureTime, ClassifyByDuration, CombinedClassify, HybridFirstFit,
 };
+use dbp_algos::registry::{clairvoyance_for, online_packer, AlgoParams, ONLINE_ALGOS};
 use dbp_core::accounting::lower_bounds;
-use dbp_core::{Instance, Item, OfflinePacker, OnlineEngine, OnlinePacker, OnlineRun, Size};
+use dbp_core::stream::StreamingSession;
+use dbp_core::{
+    Instance, Item, OfflinePacker, OnlineEngine, OnlinePacker, OnlineRun, RunRecorder, Size,
+};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 fn arb_sizes(max: usize) -> impl Strategy<Value = Vec<Size>> {
     proptest::collection::vec(
@@ -276,6 +282,46 @@ proptest! {
         indexed_matches_linear(&OnlineEngine::non_clairvoyant(), &inst, any_fit_pairs())?;
         indexed_matches_linear(&OnlineEngine::clairvoyant(), &inst, any_fit_pairs())?;
         indexed_matches_linear(&OnlineEngine::clairvoyant(), &inst, classifier_pairs(rho, alpha))?;
+    }
+
+    /// `advance_to` before every arrival changes nothing but when bins
+    /// close: for each roster packer, a session that advances its clock
+    /// to each arrival first keeps exactly the bins the arrivals-only
+    /// run keeps open past that time, ends in an identical run, and its
+    /// running totals equal that run's usage and bins opened.
+    /// (`OnlineEngine::run` wraps the same session, so this checks only
+    /// the explicit clock advance and the totals.)
+    #[test]
+    fn roster_runs_match_with_and_without_advance_to(inst in arb_instance(40)) {
+        let params = AlgoParams::from_instance(&inst);
+        let position: HashMap<_, _> =
+            inst.items().iter().enumerate().map(|(i, item)| (item.id(), i)).collect();
+        for algo in ONLINE_ALGOS {
+            let mode = clairvoyance_for(algo);
+            let run = OnlineEngine::new(mode.clone())
+                .run(&inst, online_packer(algo, params).as_mut())
+                .unwrap();
+            let mut packer = online_packer(algo, params);
+            let mut history = RunRecorder::new();
+            let mut session = StreamingSession::with_observer(mode, packer.as_mut(), &mut history);
+            for (i, item) in inst.items().iter().enumerate() {
+                let t = item.arrival();
+                session.advance_to(t).unwrap();
+                // Open now: bins an earlier arrival opened that outlive t.
+                let open = run
+                    .bins
+                    .iter()
+                    .filter(|b| position[&b.items[0]] < i && b.closed_at > t)
+                    .count();
+                prop_assert_eq!(session.open_bins(), open, "{} after advance_to({})", algo, t);
+                session.arrive(item).unwrap();
+            }
+            let totals = session.finish().unwrap();
+            prop_assert_eq!((totals.usage, totals.bins_opened), (run.usage, run.bins_opened()));
+            if let Err(why) = same_run(&run, &history.into_run()) {
+                prop_assert!(false, "{}: {}", algo, why);
+            }
+        }
     }
 
     /// CBD: items sharing a bin have duration ratio at most α.

@@ -1,21 +1,27 @@
-//! The differential harness: one algorithm, one instance, four
+//! The differential harness: one algorithm, one instance, up to four
 //! execution paths that must agree bit-for-bit. They share different
 //! amounts of code, so each proves a different claim (the table in
 //! `docs/auditing.md` lists them):
 //!
 //! 1. **batch** — [`OnlineEngine::run`] (the production path);
-//! 2. **stream** — a hand-driven [`StreamingSession`] that calls
-//!    [`StreamingSession::advance_to`] before each arrival; its running
-//!    totals must match too. The batch engine wraps the same session,
-//!    so this pair checks only the explicit clock-advance path and the
-//!    totals, not the session itself;
 //! 3. **replay** — [`OnlineEngine::run_observed`] into an
 //!    [`EventLog`], reconstructed by `dbp-obs` replay and re-verified —
 //!    an oracle that recomputes the packing and usage from the event
 //!    stream alone;
 //! 4. **reference** — for `next-fit` only, the seed-style linear
 //!    engine in [`dbp_bench::reference`], which shares only the item
-//!    types: its own open-bin list, departure heap and bin records.
+//!    types: its own open-bin list, departure heap and bin records;
+//! 5. **linear scan** — the roster packer's linear-scan foil
+//!    ([`audit_online_algo`] only).
+//!
+//! Path 2 (a hand-driven
+//! [`StreamingSession`](dbp_core::stream::StreamingSession) calling
+//! `advance_to` before each arrival) is gone: the batch engine wraps
+//! that same session, so the pair checked only the clock advance and
+//! the running totals, and the roster proptest
+//! `roster_runs_match_with_and_without_advance_to` in
+//! `dbp-algos/tests/proptests.rs` now proves exactly that. The other
+//! paths keep their numbers.
 //!
 //! Disagreement anywhere is a [`CheckId::Differential`] violation; an
 //! engine error (the packer made an illegal decision) is
@@ -31,10 +37,7 @@ use dbp_algos::registry::{
 };
 use dbp_bench::reference::reference_next_fit;
 use dbp_core::observe::EventLog;
-use dbp_core::stream::StreamingSession;
-use dbp_core::{
-    ClairvoyanceMode, Instance, OnlineEngine, OnlinePacker, OnlineRun, RunRecorder, RunTotals,
-};
+use dbp_core::{ClairvoyanceMode, Instance, OnlineEngine, OnlinePacker, OnlineRun};
 use dbp_obs::replay::replay_events;
 
 /// Run equality that says what differs: placements, total usage, or the
@@ -104,46 +107,6 @@ where
 
     out.extend(check_run(inst, &batch, exact));
     check_theorem_ceiling(algo, inst, batch.usage, exact, &mut out);
-
-    // Path 2: hand-driven streaming with explicit clock advances. The
-    // session's own running totals are checked against the batch run
-    // too, apart from the recorder that rebuilds its history.
-    let mut packer = fresh();
-    let mut history = RunRecorder::new();
-    let mut session = StreamingSession::with_observer(mode.clone(), packer.as_mut(), &mut history);
-    let streamed = (|| -> Result<RunTotals, dbp_core::DbpError> {
-        for item in inst.items() {
-            session.advance_to(item.arrival())?;
-            session.arrive(item)?;
-        }
-        session.finish()
-    })();
-    match streamed {
-        Ok(totals) => {
-            if (totals.usage, totals.bins_opened) != (batch.usage, batch.bins_opened()) {
-                out.push(Violation::new(
-                    CheckId::Differential,
-                    format!(
-                        "{algo}: stream totals {} / {} bins vs batch {} / {}",
-                        totals.usage,
-                        totals.bins_opened,
-                        batch.usage,
-                        batch.bins_opened()
-                    ),
-                ));
-            }
-            if let Err(why) = runs_equal(&batch, &history.into_run()) {
-                out.push(Violation::new(
-                    CheckId::Differential,
-                    format!("{algo}: stream vs batch: {why}"),
-                ));
-            }
-        }
-        Err(e) => out.push(Violation::new(
-            CheckId::Differential,
-            format!("{algo}: streaming path failed where batch succeeded: {e}"),
-        )),
-    }
 
     // Path 3: observe, replay from events, re-verify.
     let mut log = EventLog::new();

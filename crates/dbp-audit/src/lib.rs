@@ -9,9 +9,9 @@
 //!   load segment, per-bin usage = span of members, total-usage accounting,
 //!   the Proposition/exact-oracle bound chain, and the Theorem 4/5
 //!   competitive-ratio ceilings.
-//! * [`diff`] — the differential harness: batch engine vs. hand-driven
-//!   streaming session vs. obs-trace replay vs. the independent reference
-//!   engine, bit-for-bit.
+//! * [`diff`] — the differential harness: batch engine vs. obs-trace
+//!   replay vs. the independent reference engine vs. the linear-scan
+//!   foil, bit-for-bit.
 //! * [`fuzz`] — the seeded sweep over random + adversarial instance
 //!   families, panic-isolated per cell via
 //!   [`dbp_bench::grid::run_grid_checked`] so one poisoned case reports

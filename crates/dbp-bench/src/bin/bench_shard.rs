@@ -1,14 +1,16 @@
 //! Sharded-streaming throughput benchmark: stream a million-item deep
-//! Poisson workload through [`ShardedSession`] fleets of 1, 2, 4, and 8
+//! Poisson workload through `ShardedSession` fleets of 1, 2, 4, and 8
 //! shards and record the trajectory in `BENCH_shard.json`.
 //!
-//! The workload is chosen so placement cost is dominated by open-bin
-//! scans (long exponential durations keep a deep fleet — hundreds of
-//! open bins — and best-fit scans all of them per arrival). Sharding
-//! then wins even on one core: each shard's scan covers only its own
-//! K-times-smaller fleet. `host_parallelism` is recorded, and when a
-//! fleet asks for more worker threads than the host has cores the run
-//! warns on stderr and tags the JSON `"degraded_parallelism": true`, so
+//! The workload (the shard recipe of [`dbp_bench::check::scalar_workload`])
+//! is chosen so placement cost is dominated by open-bin scans: long
+//! exponential durations keep a deep fleet of hundreds of open bins.
+//! Sharding then wins even on one core: each shard's scan covers only
+//! its own K-times-smaller fleet. Every cell is one timed pass of
+//! [`dbp_bench::check::run_cell`], the runner `dbp bench --check`
+//! re-times it with. `host_parallelism` is recorded, and when a fleet
+//! asks for more worker threads than the host has cores the run warns on
+//! stderr and tags the JSON `"degraded_parallelism": true`, so
 //! single-core results are never mistaken for parallel speedup.
 //!
 //! Usage: `cargo run --release -p dbp-bench --bin bench_shard [-- flags]`
@@ -22,234 +24,75 @@
 //! build from the repo root after engine or shard changes (see
 //! `docs/performance.md`).
 
-use dbp_bench::registry::{online_packer, AlgoParams};
-use dbp_bench::report::Table;
-use dbp_core::ClairvoyanceMode;
-use dbp_shard::{ShardConfig, ShardRouter, ShardedSession};
-use dbp_workloads::random::{DurationDist, PoissonWorkload};
-use dbp_workloads::Workload;
-use std::time::Instant;
+use dbp_bench::check::{
+    host_parallelism, per_algo, run_cells, BaselineCell, RecordArgs, Recording, Workloads,
+    SHARD_SCHEMA,
+};
 
-const SEED: u64 = 1;
 /// Scan-heavy subset of the roster: best-fit is the pure O(fleet) scan,
 /// first-fit the early-exit scan, cbdt the per-class scan.
 const ALGOS: &[&str] = &["best-fit", "first-fit", "cbdt"];
 const SHARD_COUNTS: &[usize] = &[1, 2, 4, 8];
 
-struct ConfigReport {
-    algo: String,
-    shards: usize,
-    workers: usize,
-    items: u64,
-    elapsed_s: f64,
-    items_per_sec: f64,
-    peak_open_bins: usize,
-    max_shard_peak: usize,
-    bins_opened: u64,
-    usage: u128,
-    imbalance: f64,
-}
-
-fn usage_exit() -> ! {
-    eprintln!("usage: bench_shard [--short] [--serial] [--out PATH]");
-    std::process::exit(2);
-}
-
 fn main() {
-    let mut short = false;
-    let mut serial = false;
-    let mut out_path = String::from("BENCH_shard.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--short" => short = true,
-            "--serial" => serial = true,
-            "--out" => out_path = args.next().unwrap_or_else(|| usage_exit()),
-            _ => usage_exit(),
-        }
-    }
+    let args = RecordArgs::from_env(SHARD_SCHEMA, true);
+    let cells: Vec<BaselineCell> = ALGOS
+        .iter()
+        .flat_map(|algo| {
+            SHARD_COUNTS.iter().map(|&shards| BaselineCell {
+                shards,
+                workers: if args.serial { 1 } else { shards },
+                ..BaselineCell::new(algo)
+            })
+        })
+        .collect();
+    let workloads = Workloads::build(SHARD_SCHEMA, args.mode, &cells).expect("shard recipe");
+    workloads.announce("shard benchmark", args.mode);
 
-    // Poisson arrivals at 4 items/tick, exponential durations with mean
-    // 500: expected level ≈ rate · mean duration · mean size ≈ 550, so a
-    // best-fit fleet holds several hundred open bins and every placement
-    // scans them all. That is the scan depth sharding divides by K.
-    let horizon = if short { 26_000 } else { 260_000 };
-    let workload = PoissonWorkload::new(4.0, horizon).with_durations(DurationDist::Exponential {
-        mean: 500.0,
-        min: 1,
-        max: 5_000,
-    });
-    let inst = workload.generate_seeded(SEED);
-    let params = AlgoParams::from_instance(&inst);
-    let mode = if short { "short" } else { "full" };
-    let host_parallelism = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    println!(
-        "shard benchmark ({mode}): {} items from {} seed {SEED}, host parallelism {host_parallelism}\n",
-        inst.len(),
-        workload.name(),
-    );
-    // Provenance guard: if any fleet below asks for more workers than the
-    // host has cores, the threads time-slice one core and the speedup
-    // column measures scan-depth division, not parallelism. Say so loudly
-    // and tag the JSON so downstream readers can't mistake the numbers.
-    let max_workers = if serial {
-        1
-    } else {
-        *SHARD_COUNTS.iter().max().unwrap_or(&1)
-    };
-    let degraded_parallelism = max_workers > host_parallelism;
+    // Provenance guard: if any fleet asks for more workers than the host
+    // has cores, the threads time-slice one core and the speedup column
+    // measures scan-depth division, not parallelism. Say so loudly and
+    // tag the JSON so downstream readers can't mistake the numbers.
+    let max_workers = cells.iter().map(|c| c.workers).max().unwrap_or(1);
+    let host = host_parallelism();
+    let degraded_parallelism = max_workers > host;
     if degraded_parallelism {
         eprintln!(
             "WARNING: up to {max_workers} worker threads on a \
-             {host_parallelism}-core host — worker threads exceed cores, so \
+             {host}-core host — worker threads exceed cores, so \
              multi-shard rows measure scan-depth division, NOT parallel \
              speedup. The JSON report is tagged \"degraded_parallelism\": true.\n"
         );
     }
-    if !short {
-        assert!(
-            inst.len() >= 1_000_000,
-            "full mode must stream at least one million items"
-        );
-    }
 
-    let mut results: Vec<ConfigReport> = Vec::new();
-    for algo in ALGOS {
-        for &shards in SHARD_COUNTS {
-            let workers = if serial { 1 } else { shards };
-            let cfg = ShardConfig {
-                threads: Some(workers),
-                collect_metrics: false,
-                ..ShardConfig::new(shards, ShardRouter::hash())
-            };
-            let packers = (0..shards).map(|_| online_packer(algo, params)).collect();
-            let mut fleet = ShardedSession::new(ClairvoyanceMode::Clairvoyant, packers, cfg)
-                .expect("benchmark config is valid");
-            let started = Instant::now();
-            for item in inst.items() {
-                fleet.arrive(item).expect("benchmark stream is valid");
-            }
-            let report = fleet.finish().expect("stream drains cleanly");
-            let elapsed_s = started.elapsed().as_secs_f64();
-            let (_, imbalance) = report.balance();
-            results.push(ConfigReport {
-                algo: (*algo).to_string(),
-                shards,
-                workers,
-                items: report.items,
-                elapsed_s,
-                items_per_sec: report.items as f64 / elapsed_s,
-                peak_open_bins: report.peak_open_bins,
-                max_shard_peak: report
-                    .slices
-                    .iter()
-                    .map(|s| s.peak_open_bins)
-                    .max()
-                    .unwrap_or(0),
-                bins_opened: report.bins_opened,
-                usage: report.usage,
-                imbalance,
-            });
-        }
-    }
-
-    let mut table = Table::new(&[
-        "algo",
-        "K",
-        "workers",
-        "items/s",
-        "elapsed_s",
-        "fleet_peak",
-        "shard_peak",
-        "bins",
-        "usage",
-    ]);
-    for r in &results {
-        table.row(&[
-            r.algo.clone(),
-            r.shards.to_string(),
-            r.workers.to_string(),
-            format!("{:.0}", r.items_per_sec),
-            format!("{:.3}", r.elapsed_s),
-            r.peak_open_bins.to_string(),
-            r.max_shard_peak.to_string(),
-            r.bins_opened.to_string(),
-            r.usage.to_string(),
-        ]);
-    }
-    table.print();
-
+    // One fleet at a time: each spawns its own workers.
+    let mut recording = Recording {
+        schema: SHARD_SCHEMA,
+        mode: args.mode,
+        workloads: &workloads,
+        facts: Vec::new(),
+        rows: run_cells(SHARD_SCHEMA, &workloads, cells, 1),
+    };
     // Throughput of the 8-shard fleet relative to the 1-shard baseline,
     // per algorithm (the trajectory's acceptance metric).
-    let speedup_8v1 = |algo: &str| -> f64 {
+    let speedup_8v1 = |algo: &str| {
         let at = |k: usize| {
-            results
-                .iter()
-                .find(|r| r.algo == algo && r.shards == k)
-                .map(|r| r.items_per_sec)
-                .unwrap_or(f64::NAN)
+            recording
+                .find(|c| c.algo == algo && c.shards == k)
+                .map_or(f64::NAN, |r| r.items_per_sec())
         };
         at(8) / at(1)
     };
-    println!();
     for algo in ALGOS {
         println!(
             "{algo}: 8-shard speedup over 1-shard = {:.2}x",
             speedup_8v1(algo)
         );
     }
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"schema\": \"dbp-bench/shard-v1\",\n");
-    json.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    json.push_str(&format!(
-        "  \"workload\": {{ \"generator\": \"{}\", \"seed\": {SEED}, \"items\": {} }},\n",
-        workload.name(),
-        inst.len()
-    ));
-    json.push_str(&format!(
-        "  \"router\": \"{}\",\n",
-        ShardRouter::hash().name()
-    ));
-    json.push_str(&format!("  \"host_parallelism\": {host_parallelism},\n"));
-    json.push_str(&format!(
-        "  \"degraded_parallelism\": {degraded_parallelism},\n"
-    ));
-    json.push_str("  \"speedup_8v1\": {");
-    for (i, algo) in ALGOS.iter().enumerate() {
-        json.push_str(&format!(
-            " \"{algo}\": {:.3}{}",
-            speedup_8v1(algo),
-            if i + 1 < ALGOS.len() { "," } else { " " }
-        ));
-    }
-    json.push_str("},\n");
-    json.push_str("  \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{ \"algo\": \"{}\", \"shards\": {}, \"workers\": {}, \"items\": {}, \
-             \"elapsed_s\": {:.6}, \"items_per_sec\": {:.0}, \"peak_open_bins\": {}, \
-             \"max_shard_peak\": {}, \"bins_opened\": {}, \"usage\": {}, \
-             \"imbalance\": {:.4} }}{}\n",
-            r.algo,
-            r.shards,
-            r.workers,
-            r.items,
-            r.elapsed_s,
-            r.items_per_sec,
-            r.peak_open_bins,
-            r.max_shard_peak,
-            r.bins_opened,
-            r.usage,
-            r.imbalance,
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&out_path, &json).expect("write benchmark report");
-    println!("\nwrote {out_path}");
-    println!("OK");
+    println!();
+    recording.facts = vec![
+        ("degraded_parallelism", degraded_parallelism.to_string()),
+        ("speedup_8v1", per_algo(ALGOS, 3, speedup_8v1)),
+    ];
+    recording.write(&args.out);
 }

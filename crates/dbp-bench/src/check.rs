@@ -1,21 +1,32 @@
-//! The perf-regression gate: compare a fresh benchmark run against a
-//! checked-in `BENCH_*.json` baseline, cell by cell.
+//! The one place that says how a `BENCH_*.json` cell is built, timed
+//! and written, and the perf-regression gate that re-times it.
 //!
-//! `dbp bench --check BENCH_shard.json --tolerance 20` re-runs every
-//! `(algo, shards)` cell the baseline recorded — with the same workload
-//! recipe, derived from the baseline's `mode` — and flags any cell whose
-//! fresh throughput fell more than the tolerance below the recorded
-//! `items_per_sec`. Three baseline schemas are understood:
+//! The three recorders (`bench_engine`, `bench_shard`,
+//! `bench_telemetry`) and the gate (`dbp bench --check`) share:
 //!
-//! | schema | cell key | fresh run |
+//! * the recipes: [`baseline_instance`] regenerates the instance a cell
+//!   streams from the file's schema and mode and the cell's `workload`
+//!   and `dims`, and [`Workloads`] builds each distinct one once;
+//! * the runner: [`run_cell`] times one pass of one cell and returns
+//!   every field its row records ([`CellRun`]);
+//! * the writer: [`Recording::to_json`] writes every schema, with one
+//!   provenance entry per workload (generator, recipe, seed, items);
+//! * the flags: [`RecordArgs`] reads `--short`, `--serial` and `--out`.
+//!
+//! A recorder keeps only what is its own: its cell list, its repetition
+//! (one timed pass per cell, or the telemetry recorder's warm-up plus 15
+//! alternating rounds) and its summaries.
+//!
+//! | schema | cell key | timed run |
 //! |---|---|---|
 //! | `dbp-bench/engine-v1` | `algo`, `algo/d{D}` | plain [`StreamingSession`] over the scalar or the `D`-axis vector recipe |
 //! | `dbp-bench/shard-v1` | `algo/k{K}` | [`ShardedSession`] with the recorded worker count |
 //! | `dbp-bench/telemetry-v1` | `algo/{off,sampled}` | session without / with a [`TelemetryRecorder`] |
 //!
-//! An engine cell's `dims` field (absent means 1) picks its demand
-//! type; engine cells are recorded and re-timed by one loop,
-//! [`stream_cell`], generic over it.
+//! `dbp bench --check BENCH_shard.json --tolerance 20` re-runs every cell
+//! a baseline recorded, with the same recipe, and flags any cell whose
+//! fresh throughput fell more than the tolerance below the recorded
+//! `items_per_sec`.
 //!
 //! Wall-clock throughput is inherently noisy and machine-dependent, so
 //! the gate records both hosts' parallelism, compares *ratios* rather
@@ -27,14 +38,15 @@
 //! fewer cores than workers) are not trustworthy for their multi-worker
 //! cells at all — those cells are skipped with a warning instead of
 //! gated, while their single-worker cells still gate normally.
-//! `--inject <pct>` synthetically
-//! slows the fresh measurements to prove the gate trips (the CI smoke
-//! job runs the gate twice: once expecting exit 0, once with an injected
-//! regression expecting exit 5).
+//! `--inject <pct>` synthetically slows the fresh measurements to prove
+//! the gate trips (CI runs the gate twice per baseline it checks: once
+//! expecting exit 0, once with an injected regression expecting exit 5).
 
 use crate::registry::{
     online_packer, online_packer_linear, vector_packer, vector_packer_linear, AlgoParams,
 };
+use crate::report::Table;
+use crate::{run_grid, GridCell};
 use dbp_core::observe::PackObserver;
 use dbp_core::stream::{PackerHandle, StreamingSession};
 use dbp_core::{
@@ -46,7 +58,6 @@ use dbp_telemetry::TelemetryRecorder;
 use dbp_workloads::random::{DurationDist, PoissonWorkload, SizeDist};
 use dbp_workloads::vector::{CorrelatedVectorWorkload, VectorWorkload};
 use dbp_workloads::Workload;
-use std::collections::hash_map::{Entry, HashMap};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -55,10 +66,21 @@ pub const SEED: u64 = 1;
 
 /// The schema tag of `BENCH_engine.json`.
 pub const ENGINE_SCHEMA: &str = "dbp-bench/engine-v1";
+/// The schema tag of `BENCH_shard.json`.
+pub const SHARD_SCHEMA: &str = "dbp-bench/shard-v1";
+/// The schema tag of `BENCH_telemetry.json`.
+pub const TELEMETRY_SCHEMA: &str = "dbp-bench/telemetry-v1";
 
 /// Per-axis mean demands of the vector recipe; its length is the only
 /// vector `dims` a baseline cell can name.
 const VECTOR_MEANS: [f64; 3] = [0.3, 0.2, 0.45];
+
+/// The parallelism of the machine this process runs on.
+pub fn host_parallelism() -> usize {
+    std::thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(1)
+}
 
 /// One baseline measurement to reproduce.
 #[derive(Clone, Debug)]
@@ -81,13 +103,28 @@ pub struct BaselineCell {
     /// index, `"linear"` for the open-bin-walk foil cells).
     pub scan: Option<String>,
     /// Resource axes per demand: 1 for the scalar recipes, more for the
-    /// vector recipe ([`vector_baseline_instance`]).
+    /// vector recipe ([`vector_workload`]).
     pub dims: usize,
     /// Recorded throughput.
     pub items_per_sec: f64,
 }
 
 impl BaselineCell {
+    /// A single-worker, unsharded cell of `algo` on the schema's default
+    /// scalar recipe, with no recorded throughput.
+    pub fn new(algo: &str) -> BaselineCell {
+        BaselineCell {
+            algo: algo.into(),
+            shards: 1,
+            workers: 1,
+            telemetry: None,
+            workload: None,
+            scan: None,
+            dims: 1,
+            items_per_sec: 0.0,
+        }
+    }
+
     /// The display key the gate reports the cell under.
     pub fn label(&self) -> String {
         let base = match (&self.telemetry, self.shards) {
@@ -127,7 +164,8 @@ pub struct Baseline {
     pub schema: String,
     /// `"full"` (~1M items) or `"short"` (~100k, the CI smoke size).
     pub mode: String,
-    /// `host_parallelism` / `parallel_workers` the baseline recorded.
+    /// `host_parallelism` (or, in older engine files,
+    /// `parallel_workers`) the baseline recorded.
     pub host_parallelism: usize,
     /// Whether the recording host had fewer cores than the widest cell's
     /// worker count (the bench binaries tag such runs): multi-worker
@@ -153,7 +191,7 @@ pub fn parse_baseline(text: &str) -> Result<Baseline, String> {
     let schema: String = root.field("schema")?;
     if !matches!(
         schema.as_str(),
-        ENGINE_SCHEMA | "dbp-bench/shard-v1" | "dbp-bench/telemetry-v1"
+        ENGINE_SCHEMA | SHARD_SCHEMA | TELEMETRY_SCHEMA
     ) {
         return Err(format!("unsupported baseline schema {schema:?}"));
     }
@@ -185,42 +223,41 @@ pub fn parse_baseline(text: &str) -> Result<Baseline, String> {
     })
 }
 
-/// The benchmark horizon for a baseline mode (the same constants the
-/// bench binaries bake in).
-fn horizon_for(mode: &str) -> Result<i64, String> {
+/// How many times the short mode's items a baseline mode streams: full
+/// mode's ~1M against short mode's ~100k.
+fn scale(mode: &str) -> Result<i64, String> {
     match mode {
-        "full" => Ok(260_000),
-        "short" => Ok(26_000),
+        "full" => Ok(10),
+        "short" => Ok(1),
         other => Err(format!("unknown baseline mode {other:?}")),
     }
 }
 
+/// Exponential durations of mean `mean`, clamped to `[1, max]`.
+fn exponential(mean: f64, max: i64) -> DurationDist {
+    DurationDist::Exponential { mean, min: 1, max }
+}
+
 /// The scalar workload a baseline cell streams: every schema uses
 /// Poisson(rate = 4) at seed 1; the shard benchmark's default recipe
-/// deepens the fleet with long exponential durations, and `"deep"` cells
-/// (the engine benchmark's 1000+-open-bin rows) use the even longer
-/// mean-1000 exponential durations. Two more engine recipes keep those
-/// durations: `"ties"` draws sizes from the catalog 1/16, 1/8, 1/4, 1/2,
-/// so whole groups of bins share an exact level, and `"wide"` arrives
-/// ten times faster over a tenth of the horizon, holding ~12k bins open.
+/// deepens the fleet with mean-500 exponential durations (several
+/// hundred open bins, the scan depth sharding divides), and `"deep"`
+/// cells (the engine benchmark's 1000+-open-bin rows) use the even
+/// longer mean-1000 exponential durations. Two more engine recipes keep
+/// those durations: `"ties"` draws sizes from the catalog 1/16, 1/8,
+/// 1/4, 1/2, so whole groups of bins share an exact level, and `"wide"`
+/// arrives ten times faster over a tenth of the horizon, holding ~12k
+/// bins open.
 pub fn scalar_workload(
     schema: &str,
     mode: &str,
     workload: &str,
 ) -> Result<PoissonWorkload, String> {
-    let horizon = horizon_for(mode)?;
+    let horizon = 26_000 * scale(mode)?;
     let base = PoissonWorkload::new(4.0, horizon);
-    let deep = DurationDist::Exponential {
-        mean: 1000.0,
-        min: 1,
-        max: 10_000,
-    };
+    let deep = exponential(1000.0, 10_000);
     Ok(match (schema, workload) {
-        ("dbp-bench/shard-v1", "default") => base.with_durations(DurationDist::Exponential {
-            mean: 500.0,
-            min: 1,
-            max: 5_000,
-        }),
+        (SHARD_SCHEMA, "default") => base.with_durations(exponential(500.0, 5_000)),
         (_, "default") => base,
         (_, "deep") => base.with_durations(deep),
         (_, "ties") => base
@@ -231,62 +268,95 @@ pub fn scalar_workload(
     })
 }
 
-/// Regenerates the instance a baseline cell streamed: the scalar
-/// [`scalar_workload`] at one axis, the [`vector_baseline_instance`] at
-/// its axis count (engine cells only).
+/// The vector workload a `dims: 3` baseline cell streams: 3-axis
+/// correlated demands (`ρ = 0.6`), exactly 1,050,000 items in full mode
+/// and 105,000 in short mode. The `"deep"` variant stretches arrivals to
+/// one per tick and holds items with mean-1000 exponential durations,
+/// sustaining a fleet of hundreds of open bins — the cell that catches
+/// vector scan-depth cliffs.
+pub fn vector_workload(mode: &str, workload: &str) -> Result<CorrelatedVectorWorkload, String> {
+    let n = 105_000 * scale(mode)? as usize;
+    let base = CorrelatedVectorWorkload::new(n, &VECTOR_MEANS, 0.5, 0.6)
+        .map_err(|e| format!("vector baseline workload: {e}"))?;
+    match workload {
+        "default" => Ok(base),
+        "deep" => Ok(base
+            .with_durations(exponential(1000.0, 10_000))
+            .with_arrival_span(n as i64)),
+        other => Err(format!("unknown cell workload {other:?}")),
+    }
+}
+
+/// A workload recipe: the generator a cell's instance comes from.
+enum Recipe {
+    Scalar(PoissonWorkload),
+    Vector(CorrelatedVectorWorkload),
+}
+
+impl Recipe {
+    /// The recipe of a cell: the scalar [`scalar_workload`] at one axis,
+    /// the vector [`vector_workload`] at its axis count (engine cells
+    /// only).
+    fn of(schema: &str, mode: &str, workload: &str, dims: usize) -> Result<Recipe, String> {
+        if dims == 1 {
+            return scalar_workload(schema, mode, workload).map(Recipe::Scalar);
+        }
+        if schema != ENGINE_SCHEMA || dims != VECTOR_MEANS.len() {
+            return Err(format!("no {schema} recipe for {dims}-axis cells"));
+        }
+        vector_workload(mode, workload).map(Recipe::Vector)
+    }
+
+    fn generate(&self) -> BenchInstance {
+        match self {
+            // Disambiguated: the blanket `VectorWorkload` impl gives every
+            // scalar workload a second `generate_seeded`.
+            Recipe::Scalar(w) => BenchInstance::Scalar(Workload::generate_seeded(w, SEED)),
+            Recipe::Vector(w) => BenchInstance::Vector(VectorWorkload::generate_seeded(w, SEED)),
+        }
+    }
+
+    /// The provenance fields of the recipe's workload entry: the
+    /// generator's name, its axis count or size catalog where the file
+    /// has always said so, and the recipe — the generator's every
+    /// parameter — which tells apart recipes that share a name.
+    fn provenance(&self) -> String {
+        let (name, extra, recipe) = match self {
+            Recipe::Scalar(w) => {
+                let extra = match w.sizes {
+                    SizeDist::Catalog { sizes, len } => {
+                        let sizes: Vec<String> = sizes[..len].iter().map(f64::to_string).collect();
+                        format!(", \"sizes\": \"{}\"", sizes.join(","))
+                    }
+                    _ => String::new(),
+                };
+                (Workload::name(w), extra, format!("{w:?}"))
+            }
+            Recipe::Vector(w) => (
+                VectorWorkload::name(w),
+                format!(", \"dims\": {}", w.dims()),
+                format!("{w:?}"),
+            ),
+        };
+        format!(
+            "\"generator\": \"{}\"{extra}, \"recipe\": \"{}\", \"seed\": {SEED}",
+            json::escape(&name),
+            json::escape(&recipe)
+        )
+    }
+}
+
+/// Regenerates the instance a baseline cell streamed from its recipe.
 pub fn baseline_instance(
     schema: &str,
     mode: &str,
     workload: &str,
     dims: usize,
 ) -> Result<BenchInstance, String> {
-    if dims == 1 {
-        // Disambiguated: the blanket `VectorWorkload` impl gives every
-        // scalar workload a second `generate_seeded`.
-        let w = scalar_workload(schema, mode, workload)?;
-        return Ok(BenchInstance::Scalar(Workload::generate_seeded(&w, SEED)));
-    }
-    if schema != ENGINE_SCHEMA || dims != VECTOR_MEANS.len() {
-        return Err(format!("no {schema} recipe for {dims}-axis cells"));
-    }
-    vector_baseline_instance(mode, workload).map(BenchInstance::Vector)
+    Recipe::of(schema, mode, workload, dims).map(|r| r.generate())
 }
 
-/// Item count for a vector baseline mode. Unlike the Poisson recipes
-/// (which target an expected count through a horizon), the correlated
-/// vector workload draws an exact item count.
-fn vector_items_for(mode: &str) -> Result<usize, String> {
-    match mode {
-        "full" => Ok(1_050_000),
-        "short" => Ok(105_000),
-        other => Err(format!("unknown baseline mode {other:?}")),
-    }
-}
-
-/// Regenerates the vector instance a `dims: 3` baseline cell streamed:
-/// 3-axis correlated demands (`ρ = 0.6`) at seed 1. The `"deep"`
-/// variant stretches arrivals to one per tick and holds items with
-/// mean-1000 exponential durations, sustaining a fleet of hundreds of
-/// open bins — the cell that catches vector scan-depth cliffs.
-pub fn vector_baseline_instance(mode: &str, workload: &str) -> Result<VecInstance, String> {
-    let n = vector_items_for(mode)?;
-    let base = CorrelatedVectorWorkload::new(n, &VECTOR_MEANS, 0.5, 0.6)
-        .map_err(|e| format!("vector baseline workload: {e}"))?;
-    let w = match workload {
-        "default" => base,
-        "deep" => base
-            .with_durations(DurationDist::Exponential {
-                mean: 1000.0,
-                min: 1,
-                max: 10_000,
-            })
-            .with_arrival_span(n as i64),
-        other => return Err(format!("unknown cell workload {other:?}")),
-    };
-    Ok(VectorWorkload::generate_seeded(&w, SEED))
-}
-
-/// The instance an engine cell streams: scalar or vector demands.
+/// The instance a cell streams: scalar or vector demands.
 pub enum BenchInstance {
     /// One axis: the Poisson recipes.
     Scalar(Instance),
@@ -302,65 +372,123 @@ impl BenchInstance {
             BenchInstance::Vector(inst) => inst.len(),
         }
     }
+}
 
-    /// Resource axes per demand.
-    pub fn dims(&self) -> usize {
-        match self {
-            BenchInstance::Scalar(inst) => inst.dims(),
-            BenchInstance::Vector(inst) => inst.dims(),
-        }
-    }
+/// One generated workload of a file: its entry key, provenance and
+/// instance.
+struct WorkloadEntry {
+    workload: String,
+    dims: usize,
+    provenance: String,
+    instance: BenchInstance,
+}
 
-    /// Streams the instance through roster packer `algo` (its
-    /// linear-scan foil when `linear`) on a fresh clairvoyant session.
-    pub fn run_cell(&self, algo: &str, linear: bool) -> Result<CellRun, DbpError> {
-        match self {
-            BenchInstance::Scalar(inst) => {
-                let params = AlgoParams::from_instance(inst);
-                let mut packer = if linear {
-                    online_packer_linear(algo, params)
-                } else {
-                    online_packer(algo, params)
-                };
-                let session = StreamingSession::new(ClairvoyanceMode::Clairvoyant, packer.as_mut());
-                stream_cell(session, inst.items())
-            }
-            BenchInstance::Vector(inst) => {
-                let params = AlgoParams::from_instance(inst);
-                let mut packer = if linear {
-                    vector_packer_linear(algo, params)
-                } else {
-                    vector_packer(algo, params)
-                };
-                let session =
-                    VecStreamingSession::new(VecClairvoyance::Clairvoyant, packer.as_mut());
-                stream_cell(session.into_inner(), inst.items())
-            }
+impl WorkloadEntry {
+    /// The entry's top-level key: `workload` for the default scalar
+    /// recipe, `deep_workload`, `vector_workload`, `vector_deep_workload`…
+    fn key(&self) -> String {
+        let vector = if self.dims > 1 { "vector_" } else { "" };
+        match self.workload.as_str() {
+            "default" => format!("{vector}workload"),
+            w => format!("{vector}{w}_workload"),
         }
     }
 }
 
-/// One streamed cell: its wall time and what the engine benchmark
-/// records about the run.
+/// The instances a file's cells stream, each generated once from its
+/// recipe, in the order the cells first name them.
+pub struct Workloads {
+    entries: Vec<WorkloadEntry>,
+}
+
+impl Workloads {
+    /// Generates every instance `cells` name under `schema` and `mode`.
+    pub fn build(schema: &str, mode: &str, cells: &[BaselineCell]) -> Result<Workloads, String> {
+        let mut entries: Vec<WorkloadEntry> = Vec::new();
+        for cell in cells {
+            let (workload, dims) = (cell.workload_key(), cell.dims);
+            if entries
+                .iter()
+                .any(|e| e.workload == workload && e.dims == dims)
+            {
+                continue;
+            }
+            let recipe = Recipe::of(schema, mode, workload, dims)?;
+            entries.push(WorkloadEntry {
+                workload: workload.into(),
+                dims,
+                provenance: recipe.provenance(),
+                instance: recipe.generate(),
+            });
+        }
+        Ok(Workloads { entries })
+    }
+
+    /// The instance `cell` streams.
+    ///
+    /// # Panics
+    /// If the set was not built for `cell`.
+    pub fn instance(&self, cell: &BaselineCell) -> &BenchInstance {
+        let entry = self
+            .entries
+            .iter()
+            .find(|e| e.workload == cell.workload_key() && e.dims == cell.dims);
+        &entry.expect("workloads built for every cell").instance
+    }
+
+    /// Prints each workload's size and recipe under a recorder's title;
+    /// in full mode, every workload must stream at least one million
+    /// items.
+    pub fn announce(&self, title: &str, mode: &str) {
+        println!(
+            "{title} ({mode}), seed {SEED}, host parallelism {}:",
+            host_parallelism()
+        );
+        for e in &self.entries {
+            let items = e.instance.item_count();
+            println!("  {}: {items} items; {}", e.key(), e.provenance);
+            assert!(
+                mode != "full" || items >= 1_000_000,
+                "full mode must stream at least one million items"
+            );
+        }
+        println!();
+    }
+}
+
+/// One timed cell: every field a `BENCH_*.json` row records.
 #[derive(Clone, Copy, Debug)]
 pub struct CellRun {
+    /// Items streamed.
+    pub items: usize,
     /// Wall time of the whole stream, departures and `finish` included.
     pub elapsed_s: f64,
-    /// Most bins open at once.
+    /// Most bins open at once (over the fleet, for sharded cells).
     pub peak_open_bins: usize,
     /// Peak of the session's live-memory proxy, sampled every 1024
-    /// arrivals.
+    /// arrivals (0 for sharded cells).
     pub peak_live_bytes: usize,
     /// Bins opened over the run.
     pub bins_opened: usize,
     /// Total usage (bin-ticks, raw).
     pub usage: u128,
+    /// The largest single shard's open-bin peak (`peak_open_bins` for an
+    /// unsharded session).
+    pub max_shard_peak: usize,
+    /// The most-loaded shard's items over the mean (1 unsharded).
+    pub imbalance: f64,
 }
 
-/// Streams `items` through `session` to the end: the one loop that both
-/// records engine cells and re-times them under the gate, for any
-/// demand type.
-pub fn stream_cell<P: PackerHandle, O: PackObserver<P::Demand>>(
+impl CellRun {
+    /// Throughput of the timed pass.
+    pub fn items_per_sec(&self) -> f64 {
+        self.items as f64 / self.elapsed_s.max(f64::MIN_POSITIVE)
+    }
+}
+
+/// Streams `items` through `session` to the end: the loop behind every
+/// unsharded cell, for any demand type and observer.
+fn stream_cell<P: PackerHandle, O: PackObserver<P::Demand>>(
     mut session: StreamingSession<'_, O, P>,
     items: &[Item<P::Demand>],
 ) -> Result<CellRun, DbpError> {
@@ -376,12 +504,315 @@ pub fn stream_cell<P: PackerHandle, O: PackObserver<P::Demand>>(
     }
     let totals = session.finish()?;
     Ok(CellRun {
+        items: items.len(),
         elapsed_s: started.elapsed().as_secs_f64(),
         peak_open_bins,
         peak_live_bytes,
         bins_opened: totals.bins_opened,
         usage: totals.usage,
+        max_shard_peak: peak_open_bins,
+        imbalance: 1.0,
     })
+}
+
+/// Times one pass of a cell over its instance: the runner every
+/// recorder and the gate call. Foil cells run the linear-scan packer
+/// variant they name; `shard-v1` cells run a hash-routed
+/// [`ShardedSession`] of `shards` packers on `workers` threads, with no
+/// metrics timelines; `sampled` telemetry cells attach a default
+/// [`TelemetryRecorder`]; every other cell is a bare clairvoyant session.
+pub fn run_cell(
+    schema: &str,
+    inst: &BenchInstance,
+    cell: &BaselineCell,
+) -> Result<CellRun, String> {
+    let err = |e: DbpError| format!("{}: {e}", cell.label());
+    let inst = match inst {
+        BenchInstance::Vector(inst) => {
+            let params = AlgoParams::from_instance(inst);
+            let mut packer = if cell.linear_scan() {
+                vector_packer_linear(&cell.algo, params)
+            } else {
+                vector_packer(&cell.algo, params)
+            };
+            let session = VecStreamingSession::new(VecClairvoyance::Clairvoyant, packer.as_mut());
+            return stream_cell(session.into_inner(), inst.items()).map_err(err);
+        }
+        BenchInstance::Scalar(inst) => inst,
+    };
+    let make = || {
+        let params = AlgoParams::from_instance(inst);
+        if cell.linear_scan() {
+            online_packer_linear(&cell.algo, params)
+        } else {
+            online_packer(&cell.algo, params)
+        }
+    };
+    let mode = ClairvoyanceMode::Clairvoyant;
+    match (schema, cell.telemetry.as_deref()) {
+        (SHARD_SCHEMA, _) => {
+            let shards = cell.shards.max(1);
+            let cfg = ShardConfig {
+                threads: Some(cell.workers.max(1)),
+                collect_metrics: false,
+                ..ShardConfig::new(shards, ShardRouter::hash())
+            };
+            let packers = (0..shards).map(|_| make()).collect();
+            let mut fleet = ShardedSession::new(mode, packers, cfg).map_err(err)?;
+            let started = Instant::now();
+            for item in inst.items() {
+                fleet.arrive(item).map_err(err)?;
+            }
+            let report = fleet.finish().map_err(err)?;
+            let elapsed_s = started.elapsed().as_secs_f64();
+            Ok(CellRun {
+                items: report.items as usize,
+                elapsed_s,
+                peak_open_bins: report.peak_open_bins,
+                peak_live_bytes: 0,
+                bins_opened: report.bins_opened as usize,
+                usage: report.usage,
+                max_shard_peak: report
+                    .slices
+                    .iter()
+                    .map(|s| s.peak_open_bins)
+                    .max()
+                    .unwrap_or(0),
+                imbalance: report.balance().1,
+            })
+        }
+        (_, Some("sampled")) => {
+            let mut packer = make();
+            let session =
+                StreamingSession::with_observer(mode, packer.as_mut(), TelemetryRecorder::new());
+            stream_cell(session, inst.items()).map_err(err)
+        }
+        _ => {
+            let mut packer = make();
+            stream_cell(StreamingSession::new(mode, packer.as_mut()), inst.items()).map_err(err)
+        }
+    }
+}
+
+/// Times one pass of every cell, on `workers` grid threads, and returns
+/// the rows in cell order.
+///
+/// # Panics
+/// If a cell fails to stream: every recipe is a valid stream.
+pub fn run_cells(
+    schema: &str,
+    workloads: &Workloads,
+    cells: Vec<BaselineCell>,
+    workers: usize,
+) -> Vec<(BaselineCell, CellRun)> {
+    let cells = cells
+        .into_iter()
+        .map(|cell| GridCell {
+            label: cell.label(),
+            input: cell,
+        })
+        .collect();
+    run_grid(cells, Some(workers), |cell: &BaselineCell| {
+        let run =
+            run_cell(schema, workloads.instance(cell), cell).expect("benchmark stream is valid");
+        (cell.clone(), run)
+    })
+    .into_iter()
+    .map(|r| r.output)
+    .collect()
+}
+
+/// A recorder's command line: `[--short] [--serial] [--out PATH]`.
+#[derive(Clone, Debug, PartialEq)]
+pub struct RecordArgs {
+    /// `"short"` under `--short` (~100k items per workload, the CI
+    /// smoke size), else `"full"` (~1M).
+    pub mode: &'static str,
+    /// `--serial`: the recorder's minimum-noise setting.
+    pub serial: bool,
+    /// Where to write the file (default `BENCH_<name>.json` in the
+    /// working directory, i.e. the repo root).
+    pub out: String,
+}
+
+impl RecordArgs {
+    /// Reads a recorder's flags for `schema`'s file; `--serial` only
+    /// where `serial_ok`. An unknown flag or `--out` without a value
+    /// returns the usage line.
+    pub fn parse(
+        schema: &str,
+        serial_ok: bool,
+        args: impl IntoIterator<Item = String>,
+    ) -> Result<RecordArgs, String> {
+        let name = schema
+            .trim_start_matches("dbp-bench/")
+            .trim_end_matches("-v1");
+        let serial = if serial_ok { " [--serial]" } else { "" };
+        let usage = format!("usage: bench_{name} [--short]{serial} [--out PATH]");
+        let mut parsed = RecordArgs {
+            mode: "full",
+            serial: false,
+            out: format!("BENCH_{name}.json"),
+        };
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--short" => parsed.mode = "short",
+                "--serial" if serial_ok => parsed.serial = true,
+                "--out" => parsed.out = args.next().ok_or_else(|| usage.clone())?,
+                _ => return Err(usage),
+            }
+        }
+        Ok(parsed)
+    }
+
+    /// [`RecordArgs::parse`] over the process's arguments; prints the
+    /// usage line and exits 2 on a bad one.
+    pub fn from_env(schema: &str, serial_ok: bool) -> RecordArgs {
+        Self::parse(schema, serial_ok, std::env::args().skip(1)).unwrap_or_else(|usage| {
+            eprintln!("{usage}");
+            std::process::exit(2);
+        })
+    }
+}
+
+/// Renders `{ "algo": value, … }` over `algos`, each value at
+/// `decimals` places: the per-algorithm summaries a file carries.
+pub fn per_algo(algos: &[&str], decimals: usize, value: impl Fn(&str) -> f64) -> String {
+    let pairs: Vec<String> = algos
+        .iter()
+        .map(|a| format!("\"{a}\": {:.decimals$}", value(a)))
+        .collect();
+    format!("{{ {} }}", pairs.join(", "))
+}
+
+/// One recorded `BENCH_*.json` file.
+pub struct Recording<'a> {
+    /// Schema tag; picks the row keys.
+    pub schema: &'a str,
+    /// `"full"` or `"short"`.
+    pub mode: &'a str,
+    /// The instances the rows streamed: one provenance entry each.
+    pub workloads: &'a Workloads,
+    /// The recorder's own top-level keys (values already JSON), written
+    /// after `host_parallelism`.
+    pub facts: Vec<(&'static str, String)>,
+    /// One row per cell, in file order.
+    pub rows: Vec<(BaselineCell, CellRun)>,
+}
+
+impl Recording<'_> {
+    /// The run of the row whose cell `matches`.
+    pub fn find(&self, matches: impl Fn(&BaselineCell) -> bool) -> Option<&CellRun> {
+        self.rows.iter().find(|(c, _)| matches(c)).map(|(_, r)| r)
+    }
+
+    /// The file: `schema`, `mode`, one entry per workload,
+    /// `host_parallelism`, the recorder's facts (plus `router` in a
+    /// shard file), then one row per cell with its schema's keys.
+    pub fn to_json(&self) -> String {
+        let mut out = String::from("{\n");
+        let _ = writeln!(out, "  \"schema\": \"{}\",", self.schema);
+        let _ = writeln!(out, "  \"mode\": \"{}\",", self.mode);
+        for e in &self.workloads.entries {
+            let items = e.instance.item_count();
+            let _ = writeln!(
+                out,
+                "  \"{}\": {{ {}, \"items\": {items} }},",
+                e.key(),
+                e.provenance
+            );
+        }
+        let _ = writeln!(out, "  \"host_parallelism\": {},", host_parallelism());
+        if self.schema == SHARD_SCHEMA {
+            let _ = writeln!(out, "  \"router\": \"{}\",", ShardRouter::hash().name());
+        }
+        for (key, value) in &self.facts {
+            let _ = writeln!(out, "  \"{key}\": {value},");
+        }
+        out.push_str("  \"results\": [\n");
+        for (i, (cell, run)) in self.rows.iter().enumerate() {
+            let comma = if i + 1 < self.rows.len() { "," } else { "" };
+            let _ = writeln!(out, "    {}{comma}", self.row(cell, run));
+        }
+        out.push_str("  ]\n}\n");
+        out
+    }
+
+    fn row(&self, cell: &BaselineCell, run: &CellRun) -> String {
+        let mut row = format!("{{ \"algo\": \"{}\"", json::escape(&cell.algo));
+        let _ = match self.schema {
+            ENGINE_SCHEMA => write!(
+                row,
+                ", \"workload\": \"{}\", \"scan\": \"{}\", \"dims\": {}",
+                json::escape(cell.workload_key()),
+                if cell.linear_scan() {
+                    "linear"
+                } else {
+                    "indexed"
+                },
+                cell.dims
+            ),
+            SHARD_SCHEMA => write!(
+                row,
+                ", \"shards\": {}, \"workers\": {}",
+                cell.shards, cell.workers
+            ),
+            _ => write!(
+                row,
+                ", \"telemetry\": \"{}\"",
+                json::escape(cell.telemetry.as_deref().unwrap_or("off"))
+            ),
+        };
+        let _ = write!(
+            row,
+            ", \"items\": {}, \"elapsed_s\": {:.6}, \"items_per_sec\": {:.0}, \
+             \"bins_opened\": {}, \"usage\": {}",
+            run.items,
+            run.elapsed_s,
+            run.items_per_sec(),
+            run.bins_opened,
+            run.usage
+        );
+        let _ = match self.schema {
+            ENGINE_SCHEMA => write!(
+                row,
+                ", \"peak_open_bins\": {}, \"peak_live_bytes\": {}",
+                run.peak_open_bins, run.peak_live_bytes
+            ),
+            SHARD_SCHEMA => write!(
+                row,
+                ", \"peak_open_bins\": {}, \"max_shard_peak\": {}, \"imbalance\": {:.4}",
+                run.peak_open_bins, run.max_shard_peak, run.imbalance
+            ),
+            _ => Ok(()),
+        };
+        row.push_str(" }");
+        row
+    }
+
+    /// Prints the rows as a table, writes the file to `out`, and ends
+    /// with `OK`.
+    ///
+    /// # Panics
+    /// If the file cannot be written.
+    pub fn write(&self, out: &str) {
+        let mut table = Table::new(&["cell", "items/s", "elapsed_s", "peak_open", "bins", "usage"]);
+        for (cell, run) in &self.rows {
+            table.row(&[
+                cell.label(),
+                format!("{:.0}", run.items_per_sec()),
+                format!("{:.3}", run.elapsed_s),
+                run.peak_open_bins.to_string(),
+                run.bins_opened.to_string(),
+                run.usage.to_string(),
+            ]);
+        }
+        table.print();
+        std::fs::write(out, self.to_json()).expect("write benchmark report");
+        println!("\nwrote {out}");
+        println!("OK");
+    }
 }
 
 /// One gate comparison.
@@ -489,52 +920,6 @@ fn best_of_3(items: usize, mut once: impl FnMut() -> Result<f64, String>) -> Res
     Ok(items as f64 / best.max(f64::MIN_POSITIVE))
 }
 
-/// One timed run of a baseline cell; returns elapsed seconds.
-fn run_cell_once(schema: &str, inst: &BenchInstance, cell: &BaselineCell) -> Result<f64, String> {
-    let err = |e: DbpError| format!("{}: {e}", cell.label());
-    // Foil cells are re-measured with the same linear-scan packer
-    // variant they recorded, so their (deliberately slow) baselines are
-    // compared like-for-like.
-    let make = |inst: &Instance| {
-        let params = AlgoParams::from_instance(inst);
-        if cell.linear_scan() {
-            online_packer_linear(&cell.algo, params)
-        } else {
-            online_packer(&cell.algo, params)
-        }
-    };
-    let mode = ClairvoyanceMode::Clairvoyant;
-    match (schema, cell.telemetry.as_deref(), inst) {
-        ("dbp-bench/shard-v1", _, BenchInstance::Scalar(inst)) => {
-            // The fleet `bench_shard` records: no metrics timelines.
-            let cfg = ShardConfig {
-                threads: Some(cell.workers.max(1)),
-                collect_metrics: false,
-                ..ShardConfig::new(cell.shards.max(1), ShardRouter::hash())
-            };
-            let packers = (0..cell.shards.max(1)).map(|_| make(inst)).collect();
-            let mut fleet = ShardedSession::new(mode, packers, cfg).map_err(err)?;
-            let started = Instant::now();
-            for item in inst.items() {
-                fleet.arrive(item).map_err(err)?;
-            }
-            fleet.finish().map_err(err)?;
-            Ok(started.elapsed().as_secs_f64())
-        }
-        (_, Some("sampled"), BenchInstance::Scalar(inst)) => {
-            let mut packer = make(inst);
-            let session =
-                StreamingSession::with_observer(mode, packer.as_mut(), TelemetryRecorder::new());
-            Ok(stream_cell(session, inst.items()).map_err(err)?.elapsed_s)
-        }
-        // Engine cells and telemetry-off cells: a bare session.
-        _ => Ok(inst
-            .run_cell(&cell.algo, cell.linear_scan())
-            .map_err(err)?
-            .elapsed_s),
-    }
-}
-
 /// Runs the gate: every baseline cell re-measured serially (one cell at
 /// a time, for minimum timing noise) and compared at `tolerance_pct`.
 /// `inject_pct > 0` synthetically slows every fresh measurement by that
@@ -550,10 +935,7 @@ pub fn run_check(
     if !(0.0..100.0).contains(&inject_pct) {
         return Err(format!("inject {inject_pct}% out of range [0, 100)"));
     }
-    // Cells may stream different workload recipes (`default` vs `deep`,
-    // scalar vs vector); build each instance once and share it across
-    // its cells.
-    let mut instances: HashMap<(&str, usize), BenchInstance> = HashMap::new();
+    let workloads = Workloads::build(&baseline.schema, &baseline.mode, &baseline.cells)?;
     let mut rows = Vec::new();
     for cell in &baseline.cells {
         if cell.items_per_sec <= 0.0 {
@@ -576,19 +958,9 @@ pub fn run_check(
             });
             continue;
         }
-        let key = (cell.workload_key(), cell.dims);
-        let inst = match instances.entry(key) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => e.insert(baseline_instance(
-                &baseline.schema,
-                &baseline.mode,
-                key.0,
-                key.1,
-            )?),
-        };
-        let inst = &*inst;
+        let inst = workloads.instance(cell);
         let fresh = best_of_3(inst.item_count(), || {
-            run_cell_once(&baseline.schema, inst, cell)
+            run_cell(&baseline.schema, inst, cell).map(|run| run.elapsed_s)
         })?;
         let fresh_ips = fresh * (1.0 - inject_pct / 100.0);
         let delta_pct = (fresh_ips - cell.items_per_sec) / cell.items_per_sec * 100.0;
@@ -607,9 +979,7 @@ pub fn run_check(
         tolerance_pct,
         injected_pct: inject_pct,
         baseline_host_parallelism: baseline.host_parallelism,
-        host_parallelism: std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1),
+        host_parallelism: host_parallelism(),
         rows,
     })
 }
@@ -709,7 +1079,7 @@ mod tests {
             baseline_instance(ENGINE_SCHEMA, "short", "shallow", 1).is_err(),
             "unknown workload recipes must not silently fall back"
         );
-        assert!(vector_baseline_instance("short", "shallow").is_err());
+        assert!(vector_workload("short", "shallow").is_err());
         // Vector cells exist only in the engine schema, at the vector
         // recipe's axis count.
         assert!(baseline_instance(ENGINE_SCHEMA, "short", "default", 2).is_err());
@@ -731,7 +1101,7 @@ mod tests {
         )
         .unwrap();
         let inst = baseline_instance(ENGINE_SCHEMA, "short", "default", 3).unwrap();
-        assert!(matches!(inst, BenchInstance::Vector(_)) && inst.dims() == 3);
+        assert!(matches!(inst, BenchInstance::Vector(ref v) if v.dims() == 3));
         let report = run_check(&b, 20.0, 0.0).unwrap();
         assert_eq!(report.rows[0].label, "first-fit/d3");
         assert!(report.rows[0].regressed, "impossible baseline must regress");
@@ -785,18 +1155,9 @@ mod tests {
         // re-check with a 50% injected slowdown at 20% tolerance: the
         // gate must trip even though the machine did not change.
         let inst = baseline_instance(ENGINE_SCHEMA, "short", "default", 1).unwrap();
-        let cell = BaselineCell {
-            algo: "first-fit".into(),
-            shards: 1,
-            workers: 1,
-            telemetry: None,
-            workload: None,
-            scan: None,
-            dims: 1,
-            items_per_sec: 0.0,
-        };
+        let cell = BaselineCell::new("first-fit");
         let measured = best_of_3(inst.item_count(), || {
-            run_cell_once(ENGINE_SCHEMA, &inst, &cell)
+            run_cell(ENGINE_SCHEMA, &inst, &cell).map(|run| run.elapsed_s)
         })
         .unwrap();
         let baseline = Baseline {
@@ -866,7 +1227,11 @@ mod tests {
     /// that kept an id history grew with them (~460 KB at this size).
     #[test]
     fn d3_sessions_hold_no_id_history() {
-        let inst = vector_baseline_instance("short", "default").unwrap();
+        let Ok(BenchInstance::Vector(inst)) =
+            baseline_instance(ENGINE_SCHEMA, "short", "default", 3)
+        else {
+            panic!("the 3-axis recipe is a vector instance");
+        };
         assert!(inst.items().windows(2).any(|w| w[0].id() > w[1].id()));
         let params = AlgoParams::from_instance(&inst);
         for algo in crate::registry::VECTOR_ALGOS {
@@ -879,6 +1244,183 @@ mod tests {
                 assert!(bytes <= 64 * 1024, "{algo}: {bytes} live bytes");
             }
         }
+    }
+
+    /// The writer keeps every key the committed files carry: each
+    /// committed file's cells, written back through [`Recording`] (with
+    /// placeholder runs and no recorder summaries), carry a superset of
+    /// its row keys and of its other top-level keys, and parse back to
+    /// the same cells. Its workload entries each name
+    /// their recipe, so the three Poisson recipes that share the name
+    /// `poisson(rate=4,horizon=…)` read apart.
+    #[test]
+    fn every_schema_round_trips_through_the_one_writer() {
+        fn keys(j: &Json) -> std::collections::BTreeSet<String> {
+            match j {
+                Json::Obj(fields) => fields.iter().map(|(k, _)| k.clone()).collect(),
+                _ => Default::default(),
+            }
+        }
+        let run = CellRun {
+            items: 10,
+            elapsed_s: 0.5,
+            peak_open_bins: 3,
+            peak_live_bytes: 64,
+            bins_opened: 7,
+            usage: 99,
+            max_shard_peak: 2,
+            imbalance: 1.25,
+        };
+        let mut recipes = std::collections::HashMap::new();
+        for committed in [
+            include_str!("../../../BENCH_engine.json"),
+            include_str!("../../../BENCH_shard.json"),
+            include_str!("../../../BENCH_telemetry.json"),
+        ] {
+            let before = parse_baseline(committed).unwrap();
+            let workloads = Workloads::build(&before.schema, "short", &before.cells).unwrap();
+            let recording = Recording {
+                schema: &before.schema,
+                mode: "short",
+                workloads: &workloads,
+                facts: Vec::new(),
+                rows: before.cells.iter().map(|c| (c.clone(), run)).collect(),
+            };
+            let text = recording.to_json();
+            let after = parse_baseline(&text).unwrap();
+            let labels = |b: &Baseline| b.cells.iter().map(BaselineCell::label).collect::<Vec<_>>();
+            assert_eq!(labels(&after), labels(&before), "{}", before.schema);
+            assert!(after.cells.iter().all(|c| c.items_per_sec == 20.0));
+            assert_eq!(after.host_parallelism, host_parallelism());
+
+            let (old, new) = (json::parse(committed).unwrap(), json::parse(&text).unwrap());
+            // The recorders' own summaries are theirs to write.
+            let summaries = [
+                "parallel_workers",
+                "degraded_parallelism",
+                "speedup_8v1",
+                "overhead_pct",
+            ];
+            let missing: Vec<String> = keys(&old)
+                .difference(&keys(&new))
+                .filter(|k| !summaries.contains(&k.as_str()))
+                .cloned()
+                .collect();
+            assert!(missing.is_empty(), "{}: lost {missing:?}", before.schema);
+            let row_keys = |j: &Json| {
+                let rows = j.field::<&[Json]>("results").unwrap();
+                rows.iter()
+                    .flat_map(keys)
+                    .collect::<std::collections::BTreeSet<_>>()
+            };
+            let missing: Vec<_> = row_keys(&old)
+                .difference(&row_keys(&new))
+                .cloned()
+                .collect();
+            assert!(
+                missing.is_empty(),
+                "{} rows: lost {missing:?}",
+                before.schema
+            );
+            for e in &workloads.entries {
+                let entry = new.get(&e.key()).unwrap();
+                let recipe: String = entry.field("recipe").unwrap();
+                recipes.insert((before.schema.clone(), e.key()), recipe);
+                assert_eq!(
+                    entry.field::<usize>("items").unwrap(),
+                    e.instance.item_count()
+                );
+            }
+        }
+        let recipe = |schema: &str, key: &str| &recipes[&(schema.to_string(), key.to_string())];
+        let default = recipe(ENGINE_SCHEMA, "workload");
+        assert_eq!(
+            default,
+            recipe(TELEMETRY_SCHEMA, "workload"),
+            "one default recipe"
+        );
+        assert_ne!(default, recipe(SHARD_SCHEMA, "workload"));
+        assert_ne!(default, recipe(ENGINE_SCHEMA, "deep_workload"));
+        assert_ne!(
+            recipe(SHARD_SCHEMA, "workload"),
+            recipe(ENGINE_SCHEMA, "deep_workload")
+        );
+        assert_ne!(
+            recipe(ENGINE_SCHEMA, "vector_workload"),
+            recipe(ENGINE_SCHEMA, "vector_deep_workload")
+        );
+    }
+
+    /// One timed pass of a cell of each schema: a shard cell reports its
+    /// fleet, and the packing is the same with telemetry on or off.
+    #[test]
+    fn the_one_runner_times_every_schema() {
+        let cells = [
+            (ENGINE_SCHEMA, BaselineCell::new("first-fit")),
+            (
+                SHARD_SCHEMA,
+                BaselineCell {
+                    shards: 2,
+                    workers: 2,
+                    ..BaselineCell::new("first-fit")
+                },
+            ),
+            (
+                TELEMETRY_SCHEMA,
+                BaselineCell {
+                    telemetry: Some("sampled".into()),
+                    ..BaselineCell::new("first-fit")
+                },
+            ),
+        ];
+        let mut runs = Vec::new();
+        for (schema, cell) in cells {
+            let workloads = Workloads::build(schema, "short", std::slice::from_ref(&cell)).unwrap();
+            let inst = workloads.instance(&cell);
+            let run = run_cell(schema, inst, &cell).unwrap();
+            assert_eq!(run.items, inst.item_count());
+            assert!(run.elapsed_s > 0.0 && run.bins_opened > 0);
+            runs.push(run);
+        }
+        assert!(
+            runs[1].max_shard_peak < runs[1].peak_open_bins,
+            "two shards split the fleet"
+        );
+        assert!(runs[1].imbalance >= 1.0);
+        assert_eq!(
+            (runs[0].bins_opened, runs[0].usage),
+            (runs[2].bins_opened, runs[2].usage),
+            "telemetry must not change the packing"
+        );
+    }
+
+    #[test]
+    fn recorders_read_one_flag_set() {
+        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let parsed = RecordArgs::parse(SHARD_SCHEMA, true, args(&[])).unwrap();
+        assert_eq!(parsed.mode, "full");
+        assert!(!parsed.serial);
+        assert_eq!(parsed.out, "BENCH_shard.json");
+        let parsed = RecordArgs::parse(
+            ENGINE_SCHEMA,
+            true,
+            args(&["--short", "--serial", "--out", "x.json"]),
+        )
+        .unwrap();
+        assert_eq!(
+            (parsed.mode, parsed.serial, parsed.out.as_str()),
+            ("short", true, "x.json")
+        );
+        assert_eq!(
+            RecordArgs::parse(TELEMETRY_SCHEMA, false, args(&["--serial"])),
+            Err("usage: bench_telemetry [--short] [--out PATH]".into()),
+            "the telemetry recorder takes no --serial"
+        );
+        assert_eq!(
+            RecordArgs::parse(ENGINE_SCHEMA, true, args(&["--out"])),
+            Err("usage: bench_engine [--short] [--serial] [--out PATH]".into())
+        );
+        assert!(RecordArgs::parse(SHARD_SCHEMA, true, args(&["--bogus"])).is_err());
     }
 
     #[test]

@@ -16,6 +16,13 @@
 //!   machine-readable CSV.
 //! * [`reference`] — a deliberately naive seed-style engine used as the
 //!   correctness foil and performance baseline for the indexed engine.
+//! * [`check`] — the one place that says how a `BENCH_*.json` cell is
+//!   built, timed and written: the workload recipes, the cell runner and
+//!   the file writer the `bench_engine`, `bench_shard` and
+//!   `bench_telemetry` recorders share, and the `dbp bench --check` gate
+//!   that re-times a checked-in file's cells with them.
+//! * [`plot`] — dependency-free terminal line charts (log-x included)
+//!   for the `exp_*` binaries' figures.
 
 #![warn(missing_docs)]
 

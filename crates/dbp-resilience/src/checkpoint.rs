@@ -278,22 +278,6 @@ pub fn durable_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Writes a checkpoint document to `path` (trailing newline included),
-/// durably: temp file + `sync_all` + rename + parent-directory fsync.
-pub fn write_checkpoint(path: &Path, snap: &SessionSnapshot) -> std::io::Result<()> {
-    let mut text = snapshot_to_json(snap);
-    text.push('\n');
-    durable_write(path, text.as_bytes())
-}
-
-/// Reads a checkpoint document from `path`. I/O failures surface as
-/// [`DbpError::Trace`] with the path in the message.
-pub fn read_checkpoint(path: &Path) -> Result<SessionSnapshot, DbpError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| bad(format!("cannot read checkpoint {}: {e}", path.display())))?;
-    snapshot_from_json(text.trim_end())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,18 +311,6 @@ mod tests {
     }
 
     #[test]
-    fn file_round_trip() {
-        let snap = sample_snapshot();
-        let dir = std::env::temp_dir().join("dbp-resilience-ckpt-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("s.ckpt.json");
-        write_checkpoint(&path, &snap).unwrap();
-        let back = read_checkpoint(&path).unwrap();
-        assert_eq!(back, snap);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn rejects_wrong_format_and_garbage() {
         assert!(snapshot_from_json("{\"format\":\"other\"}").is_err());
         assert!(snapshot_from_json("not json").is_err());
@@ -350,37 +322,25 @@ mod tests {
     }
 
     /// A torn write (process killed mid-checkpoint) leaves a prefix of
-    /// the document on disk. Reading it back at any cut point must be a
+    /// the document on disk. Decoding it at any cut point must be a
     /// typed error — never a panic — so a restart can fall back to the
     /// previous good snapshot (the serve layer's restore path does
     /// exactly that).
     #[test]
-    fn torn_checkpoint_files_are_typed_errors() {
+    fn torn_checkpoints_are_typed_errors() {
         let snap = sample_snapshot();
-        let dir = std::env::temp_dir().join("dbp-resilience-torn-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("torn.ckpt.json");
-        write_checkpoint(&path, &snap).unwrap();
-        let full = std::fs::read(&path).unwrap();
+        let full = snapshot_to_json(&snap);
         let n = full.len();
-        // Cut at the empty file, inside the header, at several interior
-        // offsets, and just short of completion (losing the closing
-        // brace and/or newline).
-        for cut in [0, 1, 8, n / 8, n / 4, n / 2, 3 * n / 4, n - 2] {
-            std::fs::write(&path, &full[..cut]).unwrap();
-            match read_checkpoint(&path) {
+        // Cut at the empty document, inside the header, at several
+        // interior offsets, and just short of the closing brace.
+        for cut in [0, 1, 8, n / 8, n / 4, n / 2, 3 * n / 4, n - 1] {
+            match snapshot_from_json(&full[..cut]) {
                 Err(DbpError::Trace { .. }) => {}
                 Err(e) => panic!("cut at {cut}/{n}: expected Trace error, got {e}"),
                 Ok(_) => panic!("cut at {cut}/{n}: truncated checkpoint decoded successfully"),
             }
         }
-        // Losing only the trailing newline keeps the document complete.
-        std::fs::write(&path, &full[..n - 1]).unwrap();
-        assert_eq!(read_checkpoint(&path).unwrap(), snap);
-        // The untruncated file still reads back bit-identically.
-        std::fs::write(&path, &full).unwrap();
-        assert_eq!(read_checkpoint(&path).unwrap(), snap);
-        std::fs::remove_file(&path).ok();
+        assert_eq!(snapshot_from_json(&full).unwrap(), snap);
     }
 
     #[test]

@@ -7,15 +7,17 @@
 //! newest checkpoint's size and the checkpoint-cost histogram, the
 //! submit batch-size histogram, the WAL's frame, byte and sync
 //! counters, the placement, WAL-append and WAL-commit latency
-//! histograms, and the boot-recovery scalars ride along. Histogram buckets come from
-//! [`dbp_telemetry::prom::render_histogram`], so the serving layer's
-//! latency series has the exact same bucket layout as the bench
-//! harness's — dashboards can overlay them directly.
+//! histograms, and the boot-recovery gauges ride along
+//! (`docs/observability.md` lists every family; the golden test in
+//! `tests/service.rs` pins them). Series come from
+//! [`dbp_telemetry::prom`], so the serving layer's latency histograms
+//! have the exact same bucket layout as the bench harness's —
+//! dashboards can overlay them directly.
 
 use crate::service::RecoveryStats;
 use crate::state::TenantCounters;
 use dbp_obs::json::escape;
-use dbp_telemetry::prom::{render_counter, render_histogram};
+use dbp_telemetry::prom::{render_counter, render_gauge, render_histogram};
 use dbp_telemetry::Histogram;
 use std::fmt::Write as _;
 
@@ -113,24 +115,20 @@ pub fn render_metrics(v: &MetricsView<'_>) -> String {
         render_counter(&mut out, name, help, &algo_label, value);
     }
 
-    let _ = writeln!(
-        out,
-        "# HELP dbp_serve_open_bins Open bins per shard, as of its last placement"
+    render_gauge(
+        &mut out,
+        "dbp_serve_open_bins",
+        "Open bins per shard, as of its last placement",
+        v.open_bins
+            .iter()
+            .enumerate()
+            .map(|(shard, &n)| (format!("{{shard=\"{shard}\"}}"), n as u64)),
     );
-    let _ = writeln!(out, "# TYPE dbp_serve_open_bins gauge");
-    for (shard, n) in v.open_bins.iter().enumerate() {
-        let _ = writeln!(out, "dbp_serve_open_bins{{shard=\"{shard}\"}} {n}");
-    }
-
-    let _ = writeln!(
-        out,
-        "# HELP dbp_serve_checkpoint_bytes Encoded size of the newest checkpoint written since boot"
-    );
-    let _ = writeln!(out, "# TYPE dbp_serve_checkpoint_bytes gauge");
-    let _ = writeln!(
-        out,
-        "dbp_serve_checkpoint_bytes{algo_label} {}",
-        v.checkpoint_bytes
+    render_gauge(
+        &mut out,
+        "dbp_serve_checkpoint_bytes",
+        "Encoded size of the newest checkpoint written since boot",
+        [(&algo_label, v.checkpoint_bytes)],
     );
     render_histogram(
         &mut out,
@@ -219,7 +217,7 @@ pub fn render_metrics(v: &MetricsView<'_>) -> String {
                 rec.dropped_after_gap,
             ),
         ] {
-            render_counter(&mut out, name, help, &algo_label, value);
+            render_gauge(&mut out, name, help, [(&algo_label, value)]);
         }
     }
     out

@@ -17,18 +17,25 @@
 //! reuses one line buffer, one batch `Vec` and one ack `String` for its
 //! lifetime, so a submit allocates little beyond its owned tenant.
 //!
+//! Under `--fsync interval:<ms>` one more thread, the interval timer,
+//! wakes every `ms` and syncs what the last commits of a burst left
+//! unsynced ([`Service::sync_wal_if_due`]), so the policy's window holds
+//! when traffic stops.
+//!
 //! Shutdown: when any connection receives the `shutdown` ack, it pokes
 //! the listener with a throwaway connection so the accept loop (blocked
 //! in `accept`) observes the flag, stops accepting, and joins the
-//! workers. In-flight connections finish their current request first.
+//! workers and the timer. In-flight connections finish their current
+//! request first.
 
 use crate::protocol::{
     parse_request, render_response, render_response_into, Request, Response, Submit,
 };
 use crate::service::Service;
+use crate::wal::FsyncPolicy;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::mpsc;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -79,6 +86,23 @@ pub fn run(
                 })?,
         );
     }
+    let (stop_timer, stopped) = mpsc::channel::<()>();
+    let timer = match service.config().fsync {
+        FsyncPolicy::Interval(ms) if service.config().wal_dir.is_some() => {
+            let service = Arc::clone(&service);
+            let period = Duration::from_millis(ms.max(1));
+            Some(
+                std::thread::Builder::new()
+                    .name("dbp-serve-wal-sync".into())
+                    .spawn(move || {
+                        while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(period) {
+                            service.sync_wal_if_due();
+                        }
+                    })?,
+            )
+        }
+        _ => None,
+    };
     loop {
         match listener.accept() {
             Ok((conn, _)) => {
@@ -100,7 +124,8 @@ pub fn run(
         }
     }
     drop(tx);
-    for h in handles {
+    drop(stop_timer);
+    for h in handles.into_iter().chain(timer) {
         let _ = h.join();
     }
     Ok(())

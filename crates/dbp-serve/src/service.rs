@@ -428,6 +428,29 @@ impl Service {
         self.shutdown.load(Ordering::SeqCst)
     }
 
+    /// Syncs WAL frames that a commit left unsynced once the
+    /// `interval:<ms>` fsync window has passed ([`WalWriter::sync_if_due`]);
+    /// the server's interval timer calls it, so the window holds when
+    /// traffic stops. A no-op without a WAL or under another policy. A
+    /// failed sync fails the service, as a failed commit does: decisions
+    /// already acknowledged may not be durable.
+    pub fn sync_wal_if_due(&self) {
+        // A poisoned lock already turns every request into a typed
+        // error; the timer has no one to report it to.
+        let Ok(mut core) = self.core.lock() else {
+            return;
+        };
+        if core.failed.is_some() {
+            return;
+        }
+        if let Some(Err(e)) = core.wal.as_mut().map(WalWriter::sync_if_due) {
+            eprintln!("dbp-serve: interval WAL sync failed: {e}");
+            core.failed = Some(DbpError::Internal {
+                what: format!("interval WAL sync failed: {e}"),
+            });
+        }
+    }
+
     /// Handles one request. Never panics; internal failures surface as
     /// [`Response::Error`].
     pub fn handle(&self, req: &Request) -> Response {

@@ -119,9 +119,14 @@ pub enum FsyncPolicy {
     /// covers is acknowledged; an acknowledged decision survives
     /// `kill -9` and power loss.
     Always,
-    /// Sync the log at most every this-many milliseconds; a crash can
-    /// lose at most the last window of acknowledged decisions (clients
-    /// resubmit them from the watermark).
+    /// Sync the log at most every this-many milliseconds: a commit
+    /// syncs when it finds the interval elapsed since the last sync, and
+    /// the server's interval timer syncs what the last commits of a
+    /// burst left behind once the interval has passed, so an
+    /// acknowledged decision reaches stable storage within about two
+    /// intervals even when traffic stops. A power loss can lose at most
+    /// that window of acknowledged decisions (clients resubmit them from
+    /// the watermark).
     Interval(u64),
     /// Never sync explicitly; durability is whatever the OS page cache
     /// got around to. Fastest, weakest.
@@ -550,10 +555,28 @@ impl WalWriter {
     pub fn commit(&mut self) -> std::io::Result<()> {
         match self.policy {
             FsyncPolicy::Always => self.sync(),
-            FsyncPolicy::Interval(ms) if self.last_sync.elapsed().as_millis() >= u128::from(ms) => {
+            FsyncPolicy::Interval(_) => {
+                self.write()?;
+                self.sync_if_due()
+            }
+            FsyncPolicy::Never => self.write(),
+        }
+    }
+
+    /// Under [`FsyncPolicy::Interval`], syncs written but unsynced frames
+    /// once the interval has passed since the last sync; does nothing
+    /// before that, and under the other policies. [`WalWriter::commit`]
+    /// calls it after each write, and the server's interval timer calls
+    /// it when no commit comes.
+    pub fn sync_if_due(&mut self) -> std::io::Result<()> {
+        match self.policy {
+            FsyncPolicy::Interval(ms)
+                if self.segment.as_ref().is_some_and(|s| s.dirty)
+                    && self.last_sync.elapsed().as_millis() >= u128::from(ms) =>
+            {
                 self.sync()
             }
-            FsyncPolicy::Interval(_) | FsyncPolicy::Never => self.write(),
+            _ => Ok(()),
         }
     }
 

@@ -211,6 +211,81 @@ fn a_two_shard_read_batch_costs_one_write_and_one_sync() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Every `dbp_serve_*` family a service with a WAL and a checkpoint
+/// directory exports, with its `# TYPE`, in exposition order. Adding,
+/// renaming or retyping a family is a change to this list and to
+/// `docs/observability.md`.
+const SERVE_FAMILIES: &[(&str, &str)] = &[
+    ("dbp_serve_jobs_total", "counter"),
+    ("dbp_serve_placed_total", "counter"),
+    ("dbp_serve_shed_total", "counter"),
+    ("dbp_serve_rejected_total", "counter"),
+    ("dbp_serve_checkpoint_seq", "counter"),
+    ("dbp_serve_decision_seq", "counter"),
+    ("dbp_serve_open_bins", "gauge"),
+    ("dbp_serve_checkpoint_bytes", "gauge"),
+    ("dbp_serve_checkpoint_ns", "histogram"),
+    ("dbp_serve_place_ns", "histogram"),
+    ("dbp_serve_submit_batch_size", "histogram"),
+    ("dbp_serve_wal_frames_total", "counter"),
+    ("dbp_serve_wal_bytes_total", "counter"),
+    ("dbp_serve_wal_syncs_total", "counter"),
+    ("dbp_serve_wal_append_ns", "histogram"),
+    ("dbp_serve_wal_commit_ns", "histogram"),
+    ("dbp_serve_recovery_duration_ns", "gauge"),
+    ("dbp_serve_recovery_replayed_frames", "gauge"),
+    ("dbp_serve_recovery_wal_bytes", "gauge"),
+    ("dbp_serve_recovery_truncated_files", "gauge"),
+    ("dbp_serve_recovery_dropped_frames", "gauge"),
+];
+
+/// The golden `/metrics` scrape: a service booted with a WAL and a
+/// checkpoint directory exports exactly [`SERVE_FAMILIES`], each with
+/// one `# HELP` and one `# TYPE`, and every sample belongs to a declared
+/// family.
+#[test]
+fn the_serve_exposition_exports_exactly_its_documented_families() {
+    let root = std::env::temp_dir().join(format!("dbp-serve-golden-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let mut cfg = ServeConfig::new(2, "first-fit");
+    cfg.wal_dir = Some(root.join("wal"));
+    cfg.checkpoint_dir = Some(root.join("ckpt"));
+    cfg.checkpoint_every = 4;
+    let service = Service::start(cfg).unwrap();
+    let (acked, failed) = drive(&service, &torture_stream(10));
+    assert_eq!((acked.len(), failed), (10, None));
+    let text = match service.handle(&Request::Metrics) {
+        Response::Metrics { text } => text,
+        other => panic!("{other:?}"),
+    };
+    let typed: Vec<(&str, &str)> = text
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE ")?.split_once(' '))
+        .collect();
+    assert_eq!(typed, SERVE_FAMILIES, "the exported families moved");
+    for (family, _) in SERVE_FAMILIES {
+        let help = format!("# HELP {family} ");
+        assert_eq!(
+            text.lines().filter(|l| l.starts_with(&help)).count(),
+            1,
+            "{family}"
+        );
+    }
+    for sample in text.lines().filter(|l| !l.starts_with('#')) {
+        let name = sample.split(['{', ' ']).next().unwrap();
+        let declared = SERVE_FAMILIES.iter().any(|(family, kind)| {
+            name == *family
+                || (*kind == "histogram"
+                    && ["_bucket", "_sum", "_count"]
+                        .iter()
+                        .any(|suffix| name.strip_suffix(suffix) == Some(family)))
+        });
+        assert!(declared, "sample of an undeclared family: {sample}");
+    }
+    drop(service);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 #[test]
 fn fleet_cap_sheds_with_typed_rejects_then_recovers() {
     let mut cfg = ServeConfig::new(1, "first-fit");

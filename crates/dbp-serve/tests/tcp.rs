@@ -353,3 +353,62 @@ fn pipelined_submits_are_answered_in_order_like_one_at_a_time() {
     server_thread.join().unwrap().unwrap();
     let _ = std::fs::remove_dir_all(&wal_dir);
 }
+
+/// Under `interval:<ms>` a commit syncs only when it finds the interval
+/// elapsed since the last sync, so the last commit of a burst leaves its
+/// frame unsynced. The server's interval timer must sync it within a
+/// bounded time, with no further request: no commit ever comes to do it.
+#[test]
+fn interval_fsync_syncs_a_quiet_log_within_its_bound() {
+    let wal_dir = std::env::temp_dir().join(format!("dbp-serve-interval-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&wal_dir);
+    let mut cfg = ServeConfig::new(1, "first-fit");
+    cfg.wal_dir = Some(wal_dir.clone());
+    cfg.fsync = FsyncPolicy::Interval(20);
+    let service = Arc::new(Service::start(cfg).unwrap());
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server_thread = {
+        let service = Arc::clone(&service);
+        std::thread::spawn(move || server::run(service, listener, 1))
+    };
+    let syncs = || -> u64 {
+        let text = match service.handle(&Request::Metrics) {
+            Response::Metrics { text } => text,
+            other => panic!("{other:?}"),
+        };
+        text.lines()
+            .find_map(|l| l.strip_prefix("dbp_serve_wal_syncs_total{algo=\"first-fit\"} "))
+            .expect("a WAL exports its sync count")
+            .parse()
+            .unwrap()
+    };
+    // Submit until a commit leaves its frame unsynced: one that came
+    // within the interval of the previous sync.
+    let mut job = 0;
+    let (synced, acked) = loop {
+        assert!(job < 200, "every commit synced its own frame");
+        let before = syncs();
+        let resp = service.handle(&parse_request(&submit_line(job, i64::from(job))).unwrap());
+        assert!(matches!(resp, Response::Placed { .. }), "{resp:?}");
+        let acked = std::time::Instant::now();
+        job += 1;
+        if syncs() == before {
+            break (before, acked);
+        }
+    };
+    while syncs() == synced {
+        assert!(
+            acked.elapsed() < Duration::from_secs(5),
+            "an acknowledged interval:20 frame stayed unsynced with no traffic"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let waited = acked.elapsed();
+    assert!(
+        waited < Duration::from_secs(1),
+        "the quiet log synced only after {waited:?}"
+    );
+    still_serving_then_shutdown(addr, server_thread);
+    let _ = std::fs::remove_dir_all(&wal_dir);
+}

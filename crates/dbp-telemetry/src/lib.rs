@@ -21,13 +21,13 @@
 //!   events carry no time), and per-placement work histograms strided
 //!   1-in-16 placements
 //!   (deterministically — the stride counts placements, so bit-identity
-//!   survives). Telemetry costs 4.5–7.5% throughput by algorithm
-//!   (two full `bench_telemetry` runs on a 2-vCPU host, cells run
+//!   survives). Telemetry costs 3.8–5.4% throughput by algorithm
+//!   (three full `bench_telemetry` runs on a 2-vCPU host, cells run
 //!   serially; recorded in `BENCH_telemetry.json`).
 //! - [`span`] — cross-thread span profiling with folded-stack
 //!   (flamegraph) and chrome://tracing exports.
-//! - [`prom`] — Prometheus text-format exposition of counters and
-//!   histograms.
+//! - [`prom`] — Prometheus text-format exposition of counters, gauges
+//!   and histograms.
 //!
 //! [`profile::profile_stream`] ties them together for `dbp prof`.
 

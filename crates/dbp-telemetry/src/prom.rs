@@ -1,4 +1,4 @@
-//! Prometheus text-format exposition of counters and histograms.
+//! Prometheus text-format exposition of counters, gauges and histograms.
 //!
 //! [`render_prometheus`] turns a [`CountersSnapshot`] plus a
 //! [`TelemetrySnapshot`] into the plain-text format every Prometheus
@@ -45,6 +45,24 @@ pub fn render_counter(out: &mut String, name: &str, help: &str, labels: &str, va
     let _ = writeln!(out, "# HELP {name} {help}");
     let _ = writeln!(out, "# TYPE {name} counter");
     let _ = writeln!(out, "{name}{labels} {value}");
+}
+
+/// Appends one `gauge`-typed family: `# HELP`/`# TYPE` headers, then one
+/// sample per `(labels, value)`, each `labels` a pre-rendered
+/// `{k="v",…}` block or `""`. For values that may fall or that are set
+/// once (sizes, levels, boot facts), where [`render_counter`] is for
+/// running totals.
+pub fn render_gauge<L: AsRef<str>>(
+    out: &mut String,
+    name: &str,
+    help: &str,
+    samples: impl IntoIterator<Item = (L, u64)>,
+) {
+    let _ = writeln!(out, "# HELP {name} {help}");
+    let _ = writeln!(out, "# TYPE {name} gauge");
+    for (labels, value) in samples {
+        let _ = writeln!(out, "{name}{} {value}", labels.as_ref());
+    }
 }
 
 /// Appends one `histogram`-typed series for a [`Histogram`]: cumulative

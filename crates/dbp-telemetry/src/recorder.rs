@@ -209,7 +209,9 @@ impl Default for TelemetryRecorder {
 }
 
 impl TelemetryRecorder {
-    /// A recorder with the default 1-in-16 timing sample rate.
+    /// A recorder that times one arrival in [`DEFAULT_TIMING_INTERVAL`]
+    /// (64); its work histograms sample one placement or close in
+    /// [`WORK_SAMPLE_INTERVAL`] (16).
     pub fn new() -> Self {
         Self::with_timing_interval(DEFAULT_TIMING_INTERVAL)
     }

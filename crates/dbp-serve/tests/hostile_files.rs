@@ -1,15 +1,24 @@
-//! Hostile files reach a value or a typed error, never a panic.
+//! Hostile files reach a value or a typed error, never a panic, and the
+//! checkpoint decoders' verdicts on them are pinned.
 //!
 //! The inputs are the seeded request lines of [`RequestLines`], plus
 //! every truncation, single-byte flips and insertions at every position
-//! and over-deep nestings of four real lines: a session snapshot, a serve-checkpoint
-//! manifest, a scalar trace line and a vector trace line. Every input
-//! goes to every file decoder: `snapshot_from_json` (a snapshot that
-//! decodes is restored, then packs two more items and finishes),
-//! `state::decode`, `trace::parse_jsonl`, `vectrace::parse_jsonl` and
-//! `parse_response`. Mutated manifests and snapshot lines also go to
-//! `state::decode` inside an otherwise real checkpoint. A panic anywhere
-//! fails the test; what each decoder returns is not checked.
+//! and over-deep nestings of five real lines: a session snapshot, a
+//! version 1 session snapshot from the resilience fixture, a
+//! serve-checkpoint manifest, a scalar trace line and a vector trace
+//! line. Every input goes to every file decoder: `snapshot_from_json` (a
+//! snapshot that decodes is restored, then packs two more items and
+//! finishes), `state::decode`, `trace::parse_jsonl`,
+//! `vectrace::parse_jsonl` and `parse_response`. Mutated manifests and
+//! snapshot lines also go to `state::decode` inside an otherwise real
+//! checkpoint. A panic anywhere fails the test.
+//!
+//! Each input's `snapshot_from_json` and `state::decode` verdicts —
+//! refused, or the `Debug` text of what it decoded — fold into two
+//! FNV-1a digests, as `grammar_digest.rs` does for the request grammar.
+//! The digests were recorded on the DOM decoders, so a decoder that
+//! reads fields as it scans must accept exactly what they accepted, as
+//! the same values. Error text is left out.
 
 use dbp_algos::registry::{online_packer, AlgoParams};
 use dbp_core::observe::PackEvent;
@@ -21,6 +30,8 @@ use dbp_serve::protocol::{parse_response, Request, Response, Submit};
 use dbp_serve::state::{self, checkpoint_file_name};
 use dbp_serve::wire::RequestLines;
 use dbp_serve::{ServeConfig, Service};
+use std::fmt::Debug;
+use std::path::Path;
 
 /// Request lines fed to every decoder (the differential test runs ten
 /// times as many through the request reader alone).
@@ -28,6 +39,53 @@ const REQUEST_LINES: usize = 20_000;
 
 /// Bytes a flip writes: structure, number and string characters.
 const FLIPS: &[u8] = b"{}[]\":,-09e.\\ n";
+
+/// The `snapshot_from_json` verdicts over the whole corpus.
+const SNAPSHOT_DIGEST: u64 = 0x8299_106b_101e_8b9d;
+/// The `state::decode` verdicts over the whole corpus.
+const CHECKPOINT_DIGEST: u64 = 0x6444_5df4_e946_3b9b;
+
+/// 64-bit FNV-1a over decoder verdicts.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn verdict<T: Debug, E>(&mut self, result: &Result<T, E>) {
+        match result {
+            Ok(value) => self.write(format!("ok {value:?}").as_bytes()),
+            Err(_) => self.write(b"refused"),
+        }
+        self.write(b"\n");
+    }
+}
+
+/// The verdict digests of the two checkpoint decoders.
+struct Verdicts {
+    snapshot: Fnv,
+    checkpoint: Fnv,
+}
+
+/// A version 1 session line from the resilience fixture: CBDT after 13
+/// items, with packer state, tags and pending departures.
+fn v1_line() -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../dbp-resilience/fixtures/v1-roster-sessions.tsv");
+    let fixture = std::fs::read_to_string(path).unwrap();
+    let line = fixture
+        .lines()
+        .find(|line| line.starts_with("cbdt\t13\t"))
+        .expect("the fixture holds cbdt at cut 13");
+    line.splitn(3, '\t').nth(2).unwrap().to_string()
+}
 
 /// A real two-shard checkpoint: its manifest line, then one snapshot
 /// line per shard.
@@ -84,14 +142,17 @@ fn mutations(line: &str) -> Vec<String> {
     out
 }
 
-/// Decodes `text` every way; restores and drives what decodes as a
-/// snapshot. Returns whether a session was restored.
-fn feed(text: &str) -> bool {
-    let _ = state::decode(text);
+/// Decodes `text` every way, folding the checkpoint decoders' verdicts
+/// into `verdicts`; restores and drives what decodes as a snapshot.
+/// Returns whether a session was restored.
+fn feed(text: &str, verdicts: &mut Verdicts) -> bool {
+    verdicts.checkpoint.verdict(&state::decode(text));
     let _ = trace::parse_jsonl(text);
     let _ = vectrace::parse_jsonl(text);
     let _ = parse_response(text);
-    let Ok(snap) = snapshot_from_json(text) else {
+    let snap = snapshot_from_json(text);
+    verdicts.snapshot.verdict(&snap);
+    let Ok(snap) = snap else {
         return false;
     };
     let mut packer = online_packer("first-fit", AlgoParams { delta: 1, mu: 1.0 });
@@ -132,18 +193,25 @@ fn hostile_files_get_a_value_or_a_typed_error() {
         visible_departure: Some(12),
     });
 
+    let v1 = v1_line();
+
     // The real lines decode, so the mutations start from valid files.
     assert_eq!(state::decode(&checkpoint).unwrap().sessions.len(), 2);
+    assert_eq!(snapshot_from_json(&v1).unwrap().open_bins.len(), 5);
     assert_eq!(trace::parse_jsonl(&trace_line).unwrap().len(), 1);
     assert_eq!(vectrace::parse_jsonl(&vector_line).unwrap().len(), 1);
 
+    let mut verdicts = Verdicts {
+        snapshot: Fnv::new(),
+        checkpoint: Fnv::new(),
+    };
     for line in RequestLines::new(0x5eed_0022).take(REQUEST_LINES) {
-        assert!(!feed(&line));
+        assert!(!feed(&line, &mut verdicts));
     }
     let (mut inputs, mut restored) = (0usize, 0usize);
-    for line in [manifest, sessions[0], &trace_line, &vector_line] {
+    for line in [manifest, sessions[0], &v1, &trace_line, &vector_line] {
         for bad in mutations(line) {
-            restored += usize::from(feed(&bad));
+            restored += usize::from(feed(&bad, &mut verdicts));
             inputs += 1;
         }
     }
@@ -152,15 +220,27 @@ fn hostile_files_get_a_value_or_a_typed_error() {
     assert!(restored > 100, "{restored} restored");
     // Inside an otherwise real checkpoint.
     for bad in mutations(manifest) {
-        let _ = state::decode(&format!("{bad}\n{}\n{}\n", sessions[0], sessions[1]));
+        let text = format!("{bad}\n{}\n{}\n", sessions[0], sessions[1]);
+        verdicts.checkpoint.verdict(&state::decode(&text));
         inputs += 1;
     }
     for bad in mutations(sessions[1]) {
-        let _ = state::decode(&format!("{manifest}\n{}\n{bad}\n", sessions[0]));
+        let text = format!("{manifest}\n{}\n{bad}\n", sessions[0]);
+        verdicts.checkpoint.verdict(&state::decode(&text));
         inputs += 1;
     }
     eprintln!(
         "{REQUEST_LINES} request lines and {inputs} mutated files decoded without a panic \
-         ({restored} mutated snapshots restored and packed)"
+         ({restored} mutated snapshots restored and packed); verdicts: snapshot {:#018x}, \
+         checkpoint {:#018x}",
+        verdicts.snapshot.0, verdicts.checkpoint.0
+    );
+    assert_eq!(
+        verdicts.snapshot.0, SNAPSHOT_DIGEST,
+        "snapshot_from_json verdicts moved"
+    );
+    assert_eq!(
+        verdicts.checkpoint.0, CHECKPOINT_DIGEST,
+        "state::decode verdicts moved"
     );
 }

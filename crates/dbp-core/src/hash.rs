@@ -24,12 +24,15 @@
 //! arbitrary as it was under `RandomState`.
 
 use std::collections::hash_map::RandomState;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hasher};
 use std::sync::OnceLock;
 
 /// A `HashMap` hashed with [`FoldState`].
 pub(crate) type FoldMap<K, V> = HashMap<K, V, FoldState>;
+
+/// A `HashSet` hashed with [`FoldState`].
+pub(crate) type FoldSet<K> = HashSet<K, FoldState>;
 
 /// One 64×64→128-bit multiply, its halves XOR-folded.
 #[inline]

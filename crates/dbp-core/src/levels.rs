@@ -501,7 +501,7 @@ impl LevelIndex<Size> for LevelBits {
         self.dir.len() * size_of::<u16>()
             + self.pages.capacity() * size_of::<Page>()
             + self.free.capacity() * size_of::<u16>()
-            + self.ties.capacity() * size_of::<(u64, Tie)>()
+            + self.ties.len() * size_of::<(u64, Tie)>()
             + self
                 .ties
                 .values()

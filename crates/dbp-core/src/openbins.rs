@@ -769,7 +769,8 @@ impl<D: Demand> OpenBins<D> {
     }
 
     /// Bytes of heap-adjacent state held per open slot — a cheap live-state
-    /// proxy used by the benchmark's RSS estimate.
+    /// proxy used by the benchmark's RSS estimate. Hash maps count their
+    /// entries, not their key-dependent capacity.
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         let fit = self.fit.borrow();
@@ -788,8 +789,8 @@ impl<D: Demand> OpenBins<D> {
         self.bins.capacity() * size_of::<Option<OpenBin<D>>>()
             + self.links.capacity() * size_of::<Links>()
             + self.free.capacity() * size_of::<u32>()
-            + self.index.capacity() * (size_of::<BinId>() + size_of::<u32>())
-            + self.tags.capacity() * (size_of::<u64>() + size_of::<TagList>())
+            + self.index.len() * (size_of::<BinId>() + size_of::<u32>())
+            + self.tags.len() * (size_of::<u64>() + size_of::<TagList>())
             + fit_bytes
             + self
                 .iter()

@@ -76,7 +76,7 @@
 
 use crate::demand::Demand;
 use crate::error::DbpError;
-use crate::hash::FoldMap;
+use crate::hash::{FoldMap, FoldSet, FoldState};
 use crate::interval::Time;
 use crate::item::{Item, ItemId};
 use crate::observe::{FitDecision, NoopObserver, OpKind, PackEvent, PackObserver};
@@ -88,7 +88,7 @@ use crate::openbins::OpenBins;
 use crate::packing::BinId;
 use crate::sizevec::{SizeVec, VecClairvoyance, VecInstance};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 use std::marker::PhantomData;
 
 /// Snapshot format version written by [`StreamingSession::snapshot`] and
@@ -412,7 +412,10 @@ impl<'p, P: PackerHandle, O: PackObserver<DemandOf<P>>> StreamingSession<'p, O, 
         packer.packer_mut().reset();
         packer.packer_mut().restore_state(&snap.packer_state)?;
         let mut open = OpenBins::new();
-        let mut placement = FoldMap::default();
+        // Sized once, from the items the snapshot holds rather than from a
+        // count it claims.
+        let live = snap.open_bins.iter().map(|b| b.items.len()).sum();
+        let mut placement = FoldMap::with_capacity_and_hasher(live, FoldState::default());
         // Re-inserting bins in opening order rebuilds both the global and
         // the per-tag intrusive order lists exactly (per-tag order is a
         // subsequence of global order); slab slot indices may differ from
@@ -470,7 +473,8 @@ impl<'p, P: PackerHandle, O: PackObserver<DemandOf<P>>> StreamingSession<'p, O, 
                 placement.len()
             )));
         }
-        let mut departing = HashSet::with_capacity(snap.departures.len());
+        let mut departing =
+            FoldSet::with_capacity_and_hasher(placement.len(), FoldState::default());
         let mut departures = BinaryHeap::with_capacity(snap.departures.len());
         for &(t, id) in &snap.departures {
             if !placement.contains_key(&id) || !departing.insert(id) {
@@ -575,11 +579,13 @@ impl<'p, P: PackerHandle, O: PackObserver<DemandOf<P>>> StreamingSession<'p, O, 
     /// That is all the session holds — it keeps no bin history — so the
     /// estimate follows the open bins and live items, not the stream's
     /// length. O(open bins); the engine benchmark samples this as its
-    /// RSS proxy.
+    /// RSS proxy. Hash maps count their live entries, not their
+    /// capacity: a map's growth depends on its per-process hash keys, and
+    /// the estimate is a function of the stream alone.
     pub fn approx_live_bytes(&self) -> usize {
         use std::mem::size_of;
         self.open.approx_bytes()
-            + self.placement.capacity() * (size_of::<ItemId>() + size_of::<BinId>())
+            + self.placement.len() * (size_of::<ItemId>() + size_of::<BinId>())
             + self.departures.capacity() * size_of::<Reverse<(Time, ItemId)>>()
     }
 
@@ -1212,6 +1218,31 @@ mod tests {
             })
             .collect();
         assert_eq!(estimates, vec![(15, 10), (17, 12)]);
+    }
+
+    #[test]
+    fn live_bytes_are_a_function_of_the_stream_alone() {
+        // Hash maps count their entries: under inserts and removes their
+        // capacity depends on tombstones, and so on the per-process hash
+        // keys, which moved the estimate between runs of one build.
+        let mut packer = FirstFit;
+        let mut s = StreamingSession::new(ClairvoyanceMode::Clairvoyant, &mut packer);
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut peak = 0;
+        for k in 0..20_000u32 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let size = Size::from_raw(1 + (state >> 40) % (Size::SCALE / 2));
+            let t = Time::from(k / 2);
+            let departure = t + 1 + (state % 400) as Time;
+            s.arrive(&Item::new(k, size, t, departure)).unwrap();
+            peak = peak.max(s.approx_live_bytes());
+        }
+        assert_eq!(
+            (s.live_items(), s.approx_live_bytes(), peak),
+            (404, 37_184, 38_480)
+        );
     }
 
     #[test]

@@ -1,13 +1,17 @@
-//! The workspace's one JSON grammar: a borrowed scanner, the owned DOM
-//! built on it, and typed field readers.
+//! The workspace's one JSON grammar: a top-down reader, the owned DOM
+//! built on it, and typed value readers.
 //!
 //! The workspace carries no `serde_json`. Every JSON document it reads
 //! — serve requests and responses, checkpoints, traces, benchmark files
-//! — goes through [`scan`], one validating pass over the borrowed text
-//! that hands each value to a [`Sink`]. [`parse`] is the sink that
-//! builds the owned [`Json`] DOM; the serve protocol's request reader is
-//! one that records a few top-level fields and builds nothing else. The
-//! grammar, written once:
+//! — is walked by a [`Reader`]: one validating pass over the borrowed
+//! text that the caller steers. [`Reader::object`] calls back once per
+//! member with the reader standing at its value, [`Reader::array`] once
+//! per element, [`Reader::scalar`] and [`Reader::read`] read a scalar,
+//! and [`Reader::skip`] validates a value and builds nothing. A decoder
+//! reads the fields it wants as they are scanned and keeps nothing else
+//! — the serve request reader and the checkpoint decoders do; [`parse`]
+//! reads every value into the owned [`Json`] DOM. The grammar, written
+//! once:
 //!
 //! - whitespace is space, tab, CR and LF, and only whitespace may follow
 //!   the document;
@@ -21,11 +25,13 @@
 //!   bytes as a hexadecimal `u32` (so `\u+041` is `A`) and a surrogate
 //!   is refused. Raw control characters are accepted. A string stays
 //!   borrowed until it is read, and is unescaped only if it holds a `\`;
-//! - arrays and objects nest at most [`MAX_DEPTH`] deep. Object keys may
-//!   repeat; the DOM keeps every pair and [`Json::get`] finds the first.
+//! - arrays and objects nest at most [`MAX_DEPTH`] deep, read or skipped.
+//!   Object keys may repeat; the DOM keeps every pair and [`Json::get`]
+//!   finds the first, as the field-by-field decoders do.
 //!
-//! Decoders read an object's fields with [`Json::field`], typed by the
-//! [`FieldValue`] they ask for; its errors name the key.
+//! A scalar converts to a typed value through [`FromScalar`], one set of
+//! conversions that [`Reader::read`] and [`Json::field`] (through
+//! [`FieldValue`]) share; a `Json::field` error names the key.
 
 use std::borrow::Cow;
 use std::fmt::Write as _;
@@ -105,21 +111,149 @@ impl Json {
         matches!(self, Json::Null)
     }
 
+    /// The value as a [`Scalar`]; `None` for an array or an object. A
+    /// string's text is already unescaped, so it reads as it is.
+    fn scalar(&self) -> Option<Scalar<'_>> {
+        Some(match self {
+            Json::Null => Scalar::Null,
+            Json::Bool(b) => Scalar::Bool(*b),
+            Json::Num(text) => Scalar::Num(text),
+            Json::Str(s) => Scalar::Str(RawStr {
+                raw: s,
+                escaped: false,
+            }),
+            Json::Arr(_) | Json::Obj(_) => return None,
+        })
+    }
+
     /// Reads field `key` of an object as a `T`; the error names the key.
     /// A missing key is an error whatever `T` is.
     pub fn field<'a, T: FieldValue<'a>>(&'a self, key: &str) -> Result<T, String> {
-        let value = self
-            .get(key)
-            .ok_or_else(|| format!("missing field {key:?}"))?;
-        T::read(value).map_err(|what| format!("field {key:?} {what}"))
+        named(key, T::read(required(self.get(key), key)?))
     }
 }
 
-/// A type [`Json::field`] reads a value as.
+/// Names field `key` in what went wrong reading it.
+pub fn named<T>(key: &str, read: Result<T, String>) -> Result<T, String> {
+    read.map_err(|what| format!("field {key:?} {what}"))
+}
+
+/// The value read for field `key`, or the error that it is missing.
+pub fn required<T>(value: Option<T>, key: &str) -> Result<T, String> {
+    value.ok_or_else(|| format!("missing field {key:?}"))
+}
+
+/// A type a scalar converts to, for [`Reader::read`] and, through
+/// [`FieldValue`], [`Json::field`]. `None` stands for an array or an
+/// object, which no scalar type accepts.
+pub trait FromScalar<'a>: Sized {
+    /// The value as `Self`, or what is wrong with it, worded to follow
+    /// the field's name (`is not a string`).
+    fn from_scalar(value: Option<Scalar<'a>>) -> Result<Self, String>;
+}
+
+impl<'a> FromScalar<'a> for Cow<'a, str> {
+    fn from_scalar(value: Option<Scalar<'a>>) -> Result<Self, String> {
+        match value {
+            Some(Scalar::Str(s)) => Ok(s.text()),
+            _ => Err("is not a string".into()),
+        }
+    }
+}
+
+impl FromScalar<'_> for String {
+    fn from_scalar(value: Option<Scalar<'_>>) -> Result<Self, String> {
+        Cow::from_scalar(value).map(Cow::into_owned)
+    }
+}
+
+impl FromScalar<'_> for bool {
+    fn from_scalar(value: Option<Scalar<'_>>) -> Result<Self, String> {
+        match value {
+            Some(Scalar::Bool(b)) => Ok(b),
+            _ => Err("is not a boolean".into()),
+        }
+    }
+}
+
+/// The number's literal text parsed as `T`.
+#[inline]
+fn number<T: std::str::FromStr>(value: Option<Scalar<'_>>, what: &str) -> Result<T, String> {
+    match value {
+        Some(Scalar::Num(text)) => text.parse().ok(),
+        _ => None,
+    }
+    .ok_or_else(|| format!("is not {what}"))
+}
+
+impl FromScalar<'_> for i64 {
+    #[inline]
+    fn from_scalar(value: Option<Scalar<'_>>) -> Result<Self, String> {
+        number(value, "an integer")
+    }
+}
+
+impl FromScalar<'_> for u64 {
+    #[inline]
+    fn from_scalar(value: Option<Scalar<'_>>) -> Result<Self, String> {
+        number(value, "an unsigned integer")
+    }
+}
+
+impl FromScalar<'_> for u128 {
+    fn from_scalar(value: Option<Scalar<'_>>) -> Result<Self, String> {
+        number(value, "an unsigned integer")
+    }
+}
+
+/// Only for genuinely real-valued fields (see [`Json::as_f64`]).
+impl FromScalar<'_> for f64 {
+    fn from_scalar(value: Option<Scalar<'_>>) -> Result<Self, String> {
+        number(value, "a number")
+    }
+}
+
+/// Ids: a value past `u32::MAX` is refused, not truncated, so
+/// `"id":4294967296` is an error rather than item 0.
+impl FromScalar<'_> for u32 {
+    #[inline]
+    fn from_scalar(value: Option<Scalar<'_>>) -> Result<Self, String> {
+        let n = u64::from_scalar(value)?;
+        u32::try_from(n).map_err(|_| format!("= {n} exceeds u32"))
+    }
+}
+
+/// Counts, refusing values that do not fit.
+impl FromScalar<'_> for usize {
+    fn from_scalar(value: Option<Scalar<'_>>) -> Result<Self, String> {
+        let n = u64::from_scalar(value)?;
+        usize::try_from(n).map_err(|_| format!("= {n} exceeds usize"))
+    }
+}
+
+/// A `null` reads as `None`.
+impl<'a, T: FromScalar<'a>> FromScalar<'a> for Option<T> {
+    #[inline]
+    fn from_scalar(value: Option<Scalar<'a>>) -> Result<Self, String> {
+        match value {
+            Some(Scalar::Null) => Ok(None),
+            value => T::from_scalar(value).map(Some),
+        }
+    }
+}
+
+/// A type [`Json::field`] reads a value as: any [`FromScalar`] type, or
+/// a borrow of the DOM.
 pub trait FieldValue<'a>: Sized {
     /// The value as `Self`, or what is wrong with it, worded to follow
     /// the field's name (`is not a string`).
     fn read(value: &'a Json) -> Result<Self, String>;
+}
+
+impl<'a, T: FromScalar<'a>> FieldValue<'a> for T {
+    fn read(value: &'a Json) -> Result<Self, String> {
+        T::from_scalar(value.scalar())
+    }
 }
 
 impl<'a> FieldValue<'a> for &'a Json {
@@ -134,86 +268,9 @@ impl<'a> FieldValue<'a> for &'a str {
     }
 }
 
-impl FieldValue<'_> for String {
-    fn read(value: &Json) -> Result<Self, String> {
-        <&str>::read(value).map(str::to_string)
-    }
-}
-
-impl FieldValue<'_> for bool {
-    fn read(value: &Json) -> Result<Self, String> {
-        match value {
-            Json::Bool(b) => Ok(*b),
-            _ => Err("is not a boolean".into()),
-        }
-    }
-}
-
 impl<'a> FieldValue<'a> for &'a [Json] {
     fn read(value: &'a Json) -> Result<Self, String> {
         value.as_array().ok_or_else(|| "is not an array".into())
-    }
-}
-
-/// The number's literal text parsed as `T`.
-fn number<T: std::str::FromStr>(value: &Json, what: &str) -> Result<T, String> {
-    match value {
-        Json::Num(text) => text.parse().ok(),
-        _ => None,
-    }
-    .ok_or_else(|| format!("is not {what}"))
-}
-
-impl FieldValue<'_> for i64 {
-    fn read(value: &Json) -> Result<Self, String> {
-        number(value, "an integer")
-    }
-}
-
-impl FieldValue<'_> for u64 {
-    fn read(value: &Json) -> Result<Self, String> {
-        number(value, "an unsigned integer")
-    }
-}
-
-impl FieldValue<'_> for u128 {
-    fn read(value: &Json) -> Result<Self, String> {
-        number(value, "an unsigned integer")
-    }
-}
-
-/// Only for genuinely real-valued fields (see [`Json::as_f64`]).
-impl FieldValue<'_> for f64 {
-    fn read(value: &Json) -> Result<Self, String> {
-        number(value, "a number")
-    }
-}
-
-/// Ids: a value past `u32::MAX` is refused, not truncated, so
-/// `"id":4294967296` is an error rather than item 0.
-impl FieldValue<'_> for u32 {
-    fn read(value: &Json) -> Result<Self, String> {
-        let n = u64::read(value)?;
-        u32::try_from(n).map_err(|_| format!("= {n} exceeds u32"))
-    }
-}
-
-/// Counts, refusing values that do not fit.
-impl FieldValue<'_> for usize {
-    fn read(value: &Json) -> Result<Self, String> {
-        let n = u64::read(value)?;
-        usize::try_from(n).map_err(|_| format!("= {n} exceeds usize"))
-    }
-}
-
-/// A present `null` reads as `None`.
-impl<'a, T: FieldValue<'a>> FieldValue<'a> for Option<T> {
-    fn read(value: &'a Json) -> Result<Self, String> {
-        if value.is_null() {
-            Ok(None)
-        } else {
-            T::read(value).map(Some)
-        }
     }
 }
 
@@ -246,13 +303,13 @@ pub fn escape_into(out: &mut String, s: &str) {
     }
 }
 
-/// The deepest nesting of arrays and objects [`scan`] accepts. The
-/// scanner recurses once per level, so without a cap one hostile line of
+/// The deepest nesting of arrays and objects a [`Reader`] accepts. The
+/// reader recurses once per level, so without a cap one hostile line of
 /// `[`s exhausts the thread's stack and aborts the process. The repo's
 /// own documents nest far less (a serve checkpoint about 7 levels).
 pub const MAX_DEPTH: usize = 128;
 
-/// A scalar value, borrowed from the scanned text.
+/// A scalar value, borrowed from the read text.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Scalar<'a> {
     /// `null`.
@@ -265,8 +322,8 @@ pub enum Scalar<'a> {
     Str(RawStr<'a>),
 }
 
-/// A string's contents between its quotes, borrowed from the scanned
-/// text with its escapes still in place; the scanner checked each one.
+/// A string's contents between its quotes, borrowed from the read text
+/// with its escapes still in place; the reader checked each one.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RawStr<'a> {
     raw: &'a str,
@@ -285,95 +342,224 @@ impl<'a> RawStr<'a> {
     }
 }
 
-/// What one [`scan`] of a document hands its values to. The scanner
-/// validates everything before a sink sees it, so a sink only builds.
-pub trait Sink<'a> {
-    /// What a value becomes.
-    type Value;
-    /// An array under construction.
-    type Array: Default;
-    /// An object under construction.
-    type Object: Default;
-    /// A scalar value.
-    fn scalar(&mut self, scalar: Scalar<'a>) -> Self::Value;
-    /// Appends an element to `array`.
-    fn push(&mut self, array: &mut Self::Array, value: Self::Value);
-    /// Adds a member to `object`, which sits inside `depth` arrays and
-    /// objects (0 for the document itself). Keys may repeat.
-    fn member(
-        &mut self,
-        object: &mut Self::Object,
-        depth: usize,
-        key: RawStr<'a>,
-        value: Self::Value,
-    );
-    /// A finished array.
-    fn array(&mut self, array: Self::Array) -> Self::Value;
-    /// A finished object.
-    fn object(&mut self, object: Self::Object) -> Self::Value;
-}
-
-/// Scans `text` as one JSON document, requiring nothing but whitespace
-/// to follow it, and returns what `sink` made of it. Nesting deeper than
-/// [`MAX_DEPTH`] is an error.
-pub fn scan<'a, S: Sink<'a>>(text: &'a str, sink: &mut S) -> Result<S::Value, String> {
-    let mut sc = Scanner { text, pos: 0 };
-    let value = sc.value(0, sink)?;
-    sc.skip_ws();
-    if sc.pos != text.len() {
-        return Err(format!("trailing data at byte {}", sc.pos));
-    }
-    Ok(value)
-}
-
-/// Parses one JSON document from `text` into the owned DOM (see
-/// [`scan`]).
+/// Parses one JSON document from `text` into the owned DOM.
 pub fn parse(text: &str) -> Result<Json, String> {
-    scan(text, &mut Dom)
+    let mut r = Reader::new(text);
+    let doc = r.json()?;
+    r.finish()?;
+    Ok(doc)
 }
 
-/// The sink that builds [`Json`].
-struct Dom;
+/// A top-down reader over one JSON document, the workspace's one way to
+/// walk JSON (see the module doc for the grammar).
+///
+/// The caller says what it expects next and the reader validates that
+/// value as it reads it; it allocates only to report an error, and after
+/// an error it is spent. A value of another kind than the one asked for
+/// is validated first, so a malformed value reports its own error, and
+/// then refused. A member or element that a callback of
+/// [`Reader::object`] or [`Reader::array`] leaves unread is validated
+/// and skipped, so a decoder ignores a key by not reading it. Call
+/// [`Reader::finish`] after the document's one value.
+pub struct Reader<'a> {
+    text: &'a str,
+    pos: usize,
+    /// The arrays and objects the reader stands inside.
+    depth: usize,
+}
 
-impl<'a> Sink<'a> for Dom {
-    type Value = Json;
-    type Array = Vec<Json>;
-    type Object = Vec<(String, Json)>;
-
-    fn scalar(&mut self, scalar: Scalar<'a>) -> Json {
-        match scalar {
-            Scalar::Null => Json::Null,
-            Scalar::Bool(b) => Json::Bool(b),
-            Scalar::Num(text) => Json::Num(text.to_string()),
-            Scalar::Str(s) => Json::Str(s.text().into_owned()),
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Reader<'a> {
+        Reader {
+            text,
+            pos: 0,
+            depth: 0,
         }
     }
 
-    fn push(&mut self, array: &mut Vec<Json>, value: Json) {
-        array.push(value);
+    /// Reads an object, calling `member` with each key (unescaped) in
+    /// document order, duplicates included, and the reader standing at
+    /// the member's value.
+    pub fn object(
+        &mut self,
+        mut member: impl FnMut(&mut Reader<'a>, &str) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.items(b'{', b'}', "an object", |r| {
+            let key = r.string()?.text();
+            r.skip_ws();
+            if r.peek() != Some(b':') {
+                return Err(format!("expected ':' at byte {}", r.pos));
+            }
+            r.pos += 1;
+            r.read_by(|r| member(r, &key))
+        })
     }
 
-    fn member(&mut self, object: &mut Vec<(String, Json)>, _: usize, key: RawStr<'a>, value: Json) {
-        object.push((key.text().into_owned(), value));
+    /// Reads an array, calling `element` with the reader standing at
+    /// each element in turn.
+    pub fn array(
+        &mut self,
+        mut element: impl FnMut(&mut Reader<'a>) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.items(b'[', b']', "an array", |r| r.read_by(&mut element))
     }
 
-    fn array(&mut self, array: Vec<Json>) -> Json {
-        Json::Arr(array)
+    /// Reads a scalar. An array or an object is validated and skipped,
+    /// and reads as `None`.
+    #[inline]
+    pub fn scalar(&mut self) -> Result<Option<Scalar<'a>>, String> {
+        self.skip_ws();
+        if matches!(self.peek(), Some(b'[' | b'{')) {
+            self.skip()?;
+            return Ok(None);
+        }
+        self.token().map(Some)
     }
 
-    fn object(&mut self, object: Vec<(String, Json)>) -> Json {
-        Json::Obj(object)
+    /// Reads a scalar as a `T`.
+    #[inline]
+    pub fn read<T: FromScalar<'a>>(&mut self) -> Result<T, String> {
+        T::from_scalar(self.scalar()?)
     }
-}
 
-/// A one-pass validating scanner over borrowed text; it allocates only
-/// to report an error.
-struct Scanner<'a> {
-    text: &'a str,
-    pos: usize,
-}
+    /// Validates the next value and builds nothing; returns its text, so
+    /// a decoder can read it again once it knows how.
+    pub fn skip(&mut self) -> Result<&'a str, String> {
+        self.skip_ws();
+        let start = self.pos;
+        match self.peek() {
+            Some(b'{') => self.object(|_, _| Ok(()))?,
+            Some(b'[') => self.array(|_| Ok(()))?,
+            _ => {
+                self.token()?;
+            }
+        }
+        Ok(&self.text[start..self.pos])
+    }
 
-impl<'a> Scanner<'a> {
+    /// Fills `slot` with `read` unless it is filled already: the first
+    /// occurrence of a key wins, and a later one is left unread (so it
+    /// is validated and skipped, not type-checked).
+    #[inline]
+    pub fn first<T>(
+        &mut self,
+        slot: &mut Option<T>,
+        read: impl FnOnce(&mut Reader<'a>) -> Result<T, String>,
+    ) -> Result<(), String> {
+        if slot.is_none() {
+            *slot = Some(read(self)?);
+        }
+        Ok(())
+    }
+
+    /// Requires nothing but whitespace after the value read.
+    pub fn finish(mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return Err(format!("trailing data at byte {}", self.pos));
+        }
+        Ok(())
+    }
+
+    /// Reads the next value into the owned DOM.
+    fn json(&mut self) -> Result<Json, String> {
+        self.skip_ws();
+        Ok(match self.peek() {
+            Some(b'{') => {
+                let mut pairs = Vec::new();
+                self.object(|r, key| {
+                    let value = r.json()?;
+                    pairs.push((key.to_string(), value));
+                    Ok(())
+                })?;
+                Json::Obj(pairs)
+            }
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.array(|r| {
+                    items.push(r.json()?);
+                    Ok(())
+                })?;
+                Json::Arr(items)
+            }
+            _ => match self.token()? {
+                Scalar::Null => Json::Null,
+                Scalar::Bool(b) => Json::Bool(b),
+                Scalar::Num(text) => Json::Num(text.to_string()),
+                Scalar::Str(s) => Json::Str(s.text().into_owned()),
+            },
+        })
+    }
+
+    /// Reads the `,`-separated items between `open` and `close`, each
+    /// with `item`, under the depth cap; a value of another kind is
+    /// validated, then refused.
+    fn items(
+        &mut self,
+        open: u8,
+        close: u8,
+        what: &str,
+        mut item: impl FnMut(&mut Reader<'a>) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.skip_ws();
+        let at = self.pos;
+        if self.peek() != Some(open) {
+            self.skip()?;
+            return Err(format!("expected {what} at byte {at}"));
+        }
+        if self.depth >= MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {at}"
+            ));
+        }
+        self.depth += 1;
+        self.pos += 1;
+        self.skip_ws();
+        if self.peek() == Some(close) {
+            return self.leave();
+        }
+        loop {
+            self.skip_ws();
+            item(self)?;
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(c) if c == close => return self.leave(),
+                _ => {
+                    return Err(format!(
+                        "expected ',' or '{}' at byte {}",
+                        close as char, self.pos
+                    ))
+                }
+            }
+        }
+    }
+
+    /// Lets `read` read the value at `pos`, skips it if `read` did not,
+    /// and stops at the next non-whitespace byte.
+    #[inline]
+    fn read_by(
+        &mut self,
+        read: impl FnOnce(&mut Reader<'a>) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.skip_ws();
+        let at = self.pos;
+        read(self)?;
+        if self.pos == at {
+            self.skip()?;
+        }
+        self.skip_ws();
+        Ok(())
+    }
+
+    /// Steps past the closing bracket at `pos`.
+    #[inline]
+    fn leave(&mut self) -> Result<(), String> {
+        self.pos += 1;
+        self.depth -= 1;
+        Ok(())
+    }
+
     #[inline]
     fn peek(&self) -> Option<u8> {
         self.text.as_bytes().get(self.pos).copied()
@@ -386,28 +572,18 @@ impl<'a> Scanner<'a> {
         }
     }
 
-    /// Scans the value at `pos`, which sits inside `depth` arrays and
-    /// objects.
-    fn value<S: Sink<'a>>(&mut self, depth: usize, sink: &mut S) -> Result<S::Value, String> {
-        self.skip_ws();
-        let scalar = match self.peek() {
-            Some(b'[' | b'{') if depth >= MAX_DEPTH => {
-                return Err(format!(
-                    "nesting deeper than {MAX_DEPTH} levels at byte {}",
-                    self.pos
-                ))
-            }
-            None => return Err("unexpected end of input".into()),
-            Some(b'[') => return self.array(depth, sink),
-            Some(b'{') => return self.object(depth, sink),
-            Some(b'n') => self.literal("null", Scalar::Null)?,
-            Some(b't') => self.literal("true", Scalar::Bool(true))?,
-            Some(b'f') => self.literal("false", Scalar::Bool(false))?,
-            Some(b'"') => Scalar::Str(self.string()?),
-            Some(c) if c.is_ascii_digit() || c == b'-' => Scalar::Num(self.number()?),
-            Some(c) => return Err(format!("unexpected byte {:?} at {}", c as char, self.pos)),
-        };
-        Ok(sink.scalar(scalar))
+    /// Reads the scalar at `pos`.
+    #[inline]
+    fn token(&mut self) -> Result<Scalar<'a>, String> {
+        match self.peek() {
+            None => Err("unexpected end of input".into()),
+            Some(b'n') => self.literal("null", Scalar::Null),
+            Some(b't') => self.literal("true", Scalar::Bool(true)),
+            Some(b'f') => self.literal("false", Scalar::Bool(false)),
+            Some(b'"') => self.string().map(Scalar::Str),
+            Some(c) if c.is_ascii_digit() || c == b'-' => self.number().map(Scalar::Num),
+            Some(c) => Err(format!("unexpected byte {:?} at {}", c as char, self.pos)),
+        }
     }
 
     fn literal(&mut self, lit: &str, scalar: Scalar<'a>) -> Result<Scalar<'a>, String> {
@@ -421,7 +597,7 @@ impl<'a> Scanner<'a> {
 
     /// The run of `[0-9.eE+-]` after a leading digit or `-`; the run must
     /// parse as `f64`, so `01`, `1.` and `1e400` pass and `-`, `1e` and
-    /// `1.2.3` do not. `always`, as for [`Scanner::string`].
+    /// `1.2.3` do not. `always`, as for [`Reader::string`].
     #[inline(always)]
     fn number(&mut self) -> Result<&'a str, String> {
         let bytes = self.text.as_bytes();
@@ -446,9 +622,9 @@ impl<'a> Scanner<'a> {
         Ok(text)
     }
 
-    /// Scans the string at `pos`, checking every escape. `always`: the
-    /// walk is generic, so it is compiled in the caller's crate, where a
-    /// plain `#[inline]` left this a call and `parse_request` ~25% slower.
+    /// Reads the string at `pos`, checking every escape. `always`: a
+    /// plain `#[inline]` left this a call from the callers' crates, and
+    /// `parse_request` ~25% slower.
     #[inline(always)]
     fn string(&mut self) -> Result<RawStr<'a>, String> {
         if self.peek() != Some(b'"') {
@@ -477,59 +653,6 @@ impl<'a> Scanner<'a> {
             .get(start..at)
             .ok_or("string splits a character")?;
         Ok(RawStr { raw, escaped })
-    }
-
-    fn array<S: Sink<'a>>(&mut self, depth: usize, sink: &mut S) -> Result<S::Value, String> {
-        self.pos += 1;
-        let mut array = S::Array::default();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(sink.array(array));
-        }
-        loop {
-            let value = self.value(depth + 1, sink)?;
-            sink.push(&mut array, value);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(sink.array(array));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object<S: Sink<'a>>(&mut self, depth: usize, sink: &mut S) -> Result<S::Value, String> {
-        self.pos += 1;
-        let mut object = S::Object::default();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(sink.object(object));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            if self.peek() != Some(b':') {
-                return Err(format!("expected ':' at byte {}", self.pos));
-            }
-            self.pos += 1;
-            let value = self.value(depth + 1, sink)?;
-            sink.member(&mut object, depth, key, value);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(sink.object(object));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
     }
 }
 
@@ -625,7 +748,7 @@ mod tests {
         );
         assert_eq!(v.field::<u128>("big"), Ok(u128::MAX));
         assert_eq!(v.field::<Option<i64>>("n"), Ok(None));
-        assert_eq!(v.field::<Option<&str>>("s"), Ok(Some("x")));
+        assert_eq!(v.field::<Option<String>>("s"), Ok(Some("x".into())));
         assert_eq!(
             v.field::<i64>("s").unwrap_err(),
             "field \"s\" is not an integer"
@@ -633,6 +756,72 @@ mod tests {
         assert_eq!(
             v.field::<Option<i64>>("gone").unwrap_err(),
             "missing field \"gone\""
+        );
+    }
+
+    #[test]
+    fn the_reader_reads_what_it_is_asked_for_and_skips_the_rest() {
+        let text = r#"{"a":1,"x":{"y":[1,{"z":null}]},"b":[true,"s\n",[2]],"a":"dup"} "#;
+        let mut r = Reader::new(text);
+        let (mut a, mut b, mut keys) = (None, Vec::new(), Vec::new());
+        r.object(|r, key| {
+            keys.push(key.to_string());
+            match key {
+                // The first "a" wins; the later one is not type-checked.
+                "a" => r.first(&mut a, Reader::read::<u64>),
+                "b" => r.array(|r| {
+                    b.push(r.scalar()?);
+                    Ok(())
+                }),
+                _ => Ok(()),
+            }
+        })
+        .unwrap();
+        r.finish().unwrap();
+        assert_eq!(a, Some(1));
+        assert_eq!(keys, ["a", "x", "b", "a"]);
+        assert_eq!(b.len(), 3);
+        assert_eq!(b[0], Some(Scalar::Bool(true)));
+        assert_eq!(
+            b[1].map(|s| match s {
+                Scalar::Str(s) => s.text().into_owned(),
+                _ => String::new(),
+            }),
+            Some("s\n".to_string())
+        );
+        assert_eq!(b[2], None, "an array reads as no scalar");
+        // An unread value is still validated.
+        let bad = r#"{"a":1,"x":[1,]}"#;
+        assert!(Reader::new(bad).object(|_, _| Ok(())).is_err());
+    }
+
+    #[test]
+    fn skip_validates_a_value_and_returns_its_text() {
+        let mut r = Reader::new(r#" [1, {"k": "v"}] "#);
+        assert_eq!(r.skip(), Ok(r#"[1, {"k": "v"}]"#));
+        r.finish().unwrap();
+        assert!(Reader::new("[1,]").skip().is_err());
+        let mut r = Reader::new("1 2");
+        r.skip().unwrap();
+        assert_eq!(r.finish().unwrap_err(), "trailing data at byte 2");
+    }
+
+    #[test]
+    fn a_value_of_another_kind_reports_its_own_error_first() {
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let err = Reader::new(&deep).object(|_, _| Ok(())).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        assert_eq!(
+            Reader::new(" [1]").object(|_, _| Ok(())).unwrap_err(),
+            "expected an object at byte 1"
+        );
+        assert_eq!(
+            Reader::new("{}").read::<u64>().unwrap_err(),
+            "is not an unsigned integer"
+        );
+        assert_eq!(
+            Reader::new("[").scalar().unwrap_err(),
+            "unexpected end of input"
         );
     }
 

@@ -40,7 +40,8 @@
 use dbp_core::online::PackerState;
 use dbp_core::stream::{BinSnapshot, SessionSnapshot, SNAPSHOT_VERSION};
 use dbp_core::{ActiveItem, BinId, DbpError, ItemId, Size, Time};
-use dbp_obs::json::{escape, parse, FieldValue, Json};
+use dbp_obs::json::{escape, named, required, FromScalar, Reader};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -117,112 +118,258 @@ pub fn snapshot_to_json(snap: &SessionSnapshot) -> String {
 
 /// Decodes a checkpoint document produced by [`snapshot_to_json`], or a
 /// version 1 document converted to version 2 (see the module docs).
+///
+/// One [`Reader`] pass reads each field into the snapshot as it is
+/// scanned and builds nothing else. Keys may come in any order and
+/// compare unescaped; the first occurrence of a key wins, and later ones
+/// and unknown keys are validated but not read. The fields whose meaning
+/// depends on the version (`closed_usage`, each bin's `placed`, version
+/// 1's `records`) are kept until the document's end, since `version` may
+/// follow them.
 pub fn snapshot_from_json(text: &str) -> Result<SessionSnapshot, DbpError> {
     decode(text).map_err(bad)
 }
 
 fn decode(text: &str) -> Result<SessionSnapshot, String> {
-    let doc = parse(text)?;
-    let format: &str = doc.field("format")?;
-    if format != CHECKPOINT_FORMAT {
-        return Err(format!(
-            "not a checkpoint: format {format:?} (expected {CHECKPOINT_FORMAT:?})"
-        ));
-    }
-    let version: u32 = doc.field("version")?;
-    let v1 = version == 1;
-    let packer = doc.field("packer")?;
-    let packer_state = match doc.field::<&Json>("packer_state")? {
-        Json::Obj(pairs) => {
-            let mut fields = Vec::with_capacity(pairs.len());
-            for (k, v) in pairs {
-                let value =
-                    i64::read(v).map_err(|what| format!("packer_state field {k:?} {what}"))?;
-                fields.push((k.clone(), value));
+    let mut doc = Document::default();
+    let mut r = Reader::new(text);
+    r.object(|r, key| named(key, doc.member(r, key)))?;
+    r.finish()?;
+    doc.snapshot()
+}
+
+/// A scalar whose type is checked only once the version is known: its
+/// syntax is checked as it is read, its type is not yet.
+fn deferred<'a, T: FromScalar<'a>>(r: &mut Reader<'a>) -> Result<Result<T, String>, String> {
+    Ok(T::from_scalar(r.scalar()?))
+}
+
+/// The top-level fields, each from the first occurrence of its key.
+#[derive(Default)]
+struct Document<'a> {
+    format: Option<Cow<'a, str>>,
+    version: Option<u32>,
+    packer: Option<String>,
+    packer_state: Option<PackerState>,
+    next_bin: Option<u32>,
+    last_arrival: Option<Option<Time>>,
+    /// Version 2 only.
+    closed_usage: Option<Result<u128, String>>,
+    open_bins: Option<Vec<BinSnapshot>>,
+    /// What is wrong with the first open bin whose `placed` is missing
+    /// or not a `u64`; version 1 ignores `placed`.
+    bad_placed: Option<String>,
+    departures: Option<Vec<(Time, ItemId)>>,
+    /// Version 1's bin history, validated and kept as text.
+    records: Option<&'a str>,
+}
+
+impl<'a> Document<'a> {
+    fn member(&mut self, r: &mut Reader<'a>, key: &str) -> Result<(), String> {
+        match key {
+            "format" => r.first(&mut self.format, Reader::read),
+            "version" => r.first(&mut self.version, Reader::read),
+            "packer" => r.first(&mut self.packer, Reader::read),
+            "packer_state" => r.first(&mut self.packer_state, read_packer_state),
+            "next_bin" => r.first(&mut self.next_bin, Reader::read),
+            "last_arrival" => r.first(&mut self.last_arrival, Reader::read),
+            "closed_usage" => r.first(&mut self.closed_usage, deferred),
+            "open_bins" => {
+                let bad_placed = &mut self.bad_placed;
+                r.first(&mut self.open_bins, |r| {
+                    let mut bins = Vec::new();
+                    r.array(|r| {
+                        bins.push(read_bin(r, bad_placed)?);
+                        Ok(())
+                    })?;
+                    Ok(bins)
+                })
             }
-            PackerState::from_fields(fields)
+            "departures" => r.first(&mut self.departures, read_departures),
+            "records" => r.first(&mut self.records, Reader::skip),
+            _ => Ok(()),
         }
-        _ => return Err("field \"packer_state\" is not an object".into()),
-    };
-    let next_bin = doc.field("next_bin")?;
-    let mut open_bins = Vec::new();
-    for b in doc.field::<&[Json]>("open_bins")? {
-        let mut items = Vec::new();
-        for a in b.field::<&[Json]>("items")? {
-            items.push(ActiveItem {
-                id: ItemId(a.field("id")?),
-                size: Size::from_raw(a.field("size_raw")?),
-                departure: a.field("departure")?,
-            });
+    }
+
+    fn snapshot(self) -> Result<SessionSnapshot, String> {
+        let format = required(self.format, "format")?;
+        if format != CHECKPOINT_FORMAT {
+            return Err(format!(
+                "not a checkpoint: format {format:?} (expected {CHECKPOINT_FORMAT:?})"
+            ));
         }
-        open_bins.push(BinSnapshot {
-            id: BinId(b.field("id")?),
-            opened_at: b.field("opened_at")?,
-            tag: b.field("tag")?,
-            placed: if v1 { 0 } else { b.field("placed")? },
-            items,
+        let version = required(self.version, "version")?;
+        let v1 = version == 1;
+        let next_bin = required(self.next_bin, "next_bin")?;
+        let mut open_bins = required(self.open_bins, "open_bins")?;
+        let closed_usage = if v1 {
+            for b in &mut open_bins {
+                b.placed = 0;
+            }
+            v1_history(required(self.records, "records")?, next_bin, &mut open_bins)?
+        } else {
+            if let Some(what) = self.bad_placed {
+                return Err(what);
+            }
+            named("closed_usage", required(self.closed_usage, "closed_usage")?)?
+        };
+        Ok(SessionSnapshot {
+            version: if v1 { SNAPSHOT_VERSION } else { version },
+            packer: required(self.packer, "packer")?,
+            packer_state: required(self.packer_state, "packer_state")?,
+            open_bins,
+            departures: required(self.departures, "departures")?,
+            next_bin,
+            last_arrival: required(self.last_arrival, "last_arrival")?,
+            closed_usage,
+            watermark: 0,
+            above: Vec::new(),
+        })
+    }
+}
+
+/// Every pair in order, duplicates included.
+fn read_packer_state(r: &mut Reader<'_>) -> Result<PackerState, String> {
+    let mut fields = Vec::new();
+    r.object(|r, key| {
+        let value = r
+            .read()
+            .map_err(|what| format!("packer_state field {key:?} {what}"))?;
+        fields.push((key.to_string(), value));
+        Ok(())
+    })?;
+    Ok(PackerState::from_fields(fields))
+}
+
+/// One open bin; a `placed` that is missing or not a `u64` reads as 0
+/// and is noted in `bad_placed`.
+fn read_bin(r: &mut Reader<'_>, bad_placed: &mut Option<String>) -> Result<BinSnapshot, String> {
+    let (mut id, mut opened_at, mut tag, mut placed, mut items) = (None, None, None, None, None);
+    r.object(|r, key| {
+        named(
+            key,
+            match key {
+                "id" => r.first(&mut id, Reader::read),
+                "opened_at" => r.first(&mut opened_at, Reader::read),
+                "tag" => r.first(&mut tag, Reader::read),
+                "placed" => r.first(&mut placed, deferred),
+                "items" => r.first(&mut items, read_items),
+                _ => Ok(()),
+            },
+        )
+    })?;
+    let placed = required(placed, "placed")
+        .and_then(|placed| named("placed", placed))
+        .unwrap_or_else(|what| {
+            bad_placed.get_or_insert(what);
+            0
         });
-    }
-    let closed_usage = if v1 {
-        v1_history(&doc, next_bin, &mut open_bins)?
-    } else {
-        doc.field("closed_usage")?
-    };
-    let mut departures = Vec::new();
-    for pair in doc.field::<&[Json]>("departures")? {
-        match pair {
-            Json::Arr(tv) if tv.len() == 2 => {
-                let t = i64::read(&tv[0]).map_err(|what| format!("departure time {what}"))?;
-                let id = u32::read(&tv[1]).map_err(|what| format!("departure id {what}"))?;
-                departures.push((t, ItemId(id)));
-            }
-            _ => return Err("entry in \"departures\" is not a [time, id] pair".into()),
-        }
-    }
-    Ok(SessionSnapshot {
-        version: if v1 { SNAPSHOT_VERSION } else { version },
-        packer,
-        packer_state,
-        open_bins,
-        departures,
-        next_bin,
-        last_arrival: doc.field("last_arrival")?,
-        closed_usage,
-        watermark: 0,
-        above: Vec::new(),
+    Ok(BinSnapshot {
+        id: BinId(required(id, "id")?),
+        opened_at: required(opened_at, "opened_at")?,
+        tag: required(tag, "tag")?,
+        placed,
+        items: required(items, "items")?,
     })
+}
+
+fn read_items(r: &mut Reader<'_>) -> Result<Vec<ActiveItem>, String> {
+    let mut items = Vec::new();
+    r.array(|r| {
+        let (mut id, mut size_raw, mut departure) = (None, None, None);
+        r.object(|r, key| {
+            named(
+                key,
+                match key {
+                    "id" => r.first(&mut id, Reader::read),
+                    "size_raw" => r.first(&mut size_raw, Reader::read),
+                    "departure" => r.first(&mut departure, Reader::read),
+                    _ => Ok(()),
+                },
+            )
+        })?;
+        items.push(ActiveItem {
+            id: ItemId(required(id, "id")?),
+            size: Size::from_raw(required(size_raw, "size_raw")?),
+            departure: required(departure, "departure")?,
+        });
+        Ok(())
+    })?;
+    Ok(items)
+}
+
+/// `[time, id]` pairs.
+fn read_departures(r: &mut Reader<'_>) -> Result<Vec<(Time, ItemId)>, String> {
+    let mut departures = Vec::new();
+    r.array(|r| {
+        let (mut pair, mut len) = ((0, ItemId(0)), 0);
+        r.array(|r| {
+            match len {
+                0 => pair.0 = r.read().map_err(|what| format!("departure time {what}"))?,
+                1 => pair.1 = ItemId(r.read().map_err(|what| format!("departure id {what}"))?),
+                _ => {}
+            }
+            len += 1;
+            Ok(())
+        })?;
+        if len != 2 {
+            return Err("entry in \"departures\" is not a [time, id] pair".into());
+        }
+        departures.push(pair);
+        Ok(())
+    })?;
+    Ok(departures)
 }
 
 /// Reduces a version 1 document's bin history to what version 2 keeps:
 /// returns the usage of the records whose bin is not open, and sets each
 /// open bin's `placed` to its record's item count.
-fn v1_history(doc: &Json, next_bin: u32, open_bins: &mut [BinSnapshot]) -> Result<u128, String> {
-    let records: &[Json] = doc.field("records")?;
-    if records.len() != next_bin as usize {
-        return Err(format!(
-            "snapshot has {} bin records but next_bin is {next_bin}",
-            records.len()
-        ));
-    }
+fn v1_history(records: &str, next_bin: u32, open_bins: &mut [BinSnapshot]) -> Result<u128, String> {
     let open: HashMap<BinId, usize> = open_bins
         .iter()
         .enumerate()
         .map(|(k, b)| (b.id, k))
         .collect();
-    let mut closed_usage = 0u128;
-    for (i, r) in records.iter().enumerate() {
-        let id: u32 = r.field("id")?;
+    let (mut closed_usage, mut count) = (0u128, 0usize);
+    Reader::new(records).array(|r| {
+        let i = count;
+        count += 1;
+        let (mut id, mut items, mut opened_at, mut closed_at, mut tag) =
+            (None, None, None, None, None);
+        r.object(|r, key| {
+            named(
+                key,
+                match key {
+                    "id" => r.first(&mut id, Reader::read::<u32>),
+                    "items" => r.first(&mut items, |r| {
+                        let mut n = 0u64;
+                        r.array(|r| {
+                            r.read::<u32>()
+                                .map_err(|_| "record item id is not a u32".to_string())?;
+                            n += 1;
+                            Ok(())
+                        })?;
+                        Ok(n)
+                    }),
+                    "opened_at" => r.first(&mut opened_at, Reader::read::<Time>),
+                    "closed_at" => r.first(&mut closed_at, Reader::read::<Time>),
+                    "tag" => r.first(&mut tag, Reader::read::<u64>),
+                    _ => Ok(()),
+                },
+            )
+        })?;
+        let id = required(id, "id")?;
         if id as usize != i {
             return Err(format!("bin record {i} carries id {id}"));
         }
-        let items: &[Json] = r.field("items")?;
-        if items.iter().any(|v| u32::read(v).is_err()) {
-            return Err("record item id is not a u32".into());
-        }
-        let (opened_at, closed_at): (Time, Time) = (r.field("opened_at")?, r.field("closed_at")?);
-        r.field::<u64>("tag")?;
+        let items = required(items, "items")?;
+        let (opened_at, closed_at) = (
+            required(opened_at, "opened_at")?,
+            required(closed_at, "closed_at")?,
+        );
+        required(tag, "tag")?;
         match open.get(&BinId(id)) {
-            Some(&k) => open_bins[k].placed = items.len() as u64,
+            Some(&k) => open_bins[k].placed = items,
             None => {
                 let span = i128::from(closed_at) - i128::from(opened_at);
                 if span < 0 {
@@ -233,6 +380,12 @@ fn v1_history(doc: &Json, next_bin: u32, open_bins: &mut [BinSnapshot]) -> Resul
                 closed_usage += span as u128;
             }
         }
+        Ok(())
+    })?;
+    if count != next_bin as usize {
+        return Err(format!(
+            "snapshot has {count} bin records but next_bin is {next_bin}"
+        ));
     }
     Ok(closed_usage)
 }

@@ -11,15 +11,21 @@
 //!   integer overflow panics).
 //! - Snapshot size follows the open bins: on a deep instance the
 //!   full-stream snapshot is about as big as the quarter-stream one.
+//! - `snapshot_from_json` reads fields as it scans them. On documents
+//!   whose members are shuffled, repeated, retyped, dropped, added or
+//!   spelled with escapes, and whose `version` comes last, it decides
+//!   exactly as the DOM decoder it replaced, kept here as the reference.
 
 use dbp_algos::registry::{clairvoyance_for, online_packer, AlgoParams, ONLINE_ALGOS};
 use dbp_bench::check::baseline_instance;
 use dbp_bench::check::BenchInstance;
-use dbp_core::online::{BinRecord, PackerState};
+use dbp_core::online::{ActiveItem, BinRecord, PackerState};
+use dbp_core::stream::{BinSnapshot, SNAPSHOT_VERSION};
 use dbp_core::{
-    ClairvoyanceMode, DbpError, Instance, Item, RunRecorder, SessionSnapshot, Size,
-    StreamingSession,
+    BinId, ClairvoyanceMode, DbpError, Instance, Item, ItemId, RunRecorder, SessionSnapshot, Size,
+    StreamingSession, Time,
 };
+use dbp_obs::json::{escape, parse, FieldValue, Json};
 use dbp_resilience::{snapshot_from_json, snapshot_to_json};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -343,4 +349,271 @@ fn deep_instance_snapshots_follow_the_open_bins_not_the_stream() {
         "{} items: {quarter_bytes} B at the quarter, {full_bytes} B at the end",
         inst.len()
     );
+}
+
+/// The decoder `snapshot_from_json` replaced: build the whole DOM, then
+/// read the fields off it.
+fn dom_snapshot(text: &str) -> Result<SessionSnapshot, String> {
+    let doc = parse(text)?;
+    if doc.field::<&str>("format")? != "dbp-checkpoint" {
+        return Err("not a checkpoint".into());
+    }
+    let version: u32 = doc.field("version")?;
+    let v1 = version == 1;
+    let packer_state = match doc.field::<&Json>("packer_state")? {
+        Json::Obj(pairs) => PackerState::from_fields(
+            pairs
+                .iter()
+                .map(|(k, v)| Ok((k.clone(), i64::read(v)?)))
+                .collect::<Result<_, String>>()?,
+        ),
+        _ => return Err("packer_state is not an object".into()),
+    };
+    let next_bin = doc.field("next_bin")?;
+    let mut open_bins = Vec::new();
+    for b in doc.field::<&[Json]>("open_bins")? {
+        let mut items = Vec::new();
+        for a in b.field::<&[Json]>("items")? {
+            items.push(ActiveItem {
+                id: ItemId(a.field("id")?),
+                size: Size::from_raw(a.field("size_raw")?),
+                departure: a.field("departure")?,
+            });
+        }
+        open_bins.push(BinSnapshot {
+            id: BinId(b.field("id")?),
+            opened_at: b.field("opened_at")?,
+            tag: b.field("tag")?,
+            placed: if v1 { 0 } else { b.field("placed")? },
+            items,
+        });
+    }
+    let closed_usage = if v1 {
+        dom_v1_history(&doc, next_bin, &mut open_bins)?
+    } else {
+        doc.field("closed_usage")?
+    };
+    let mut departures = Vec::new();
+    for pair in doc.field::<&[Json]>("departures")? {
+        match pair.as_array() {
+            Some([t, id]) => departures.push((i64::read(t)?, ItemId(u32::read(id)?))),
+            _ => return Err("not a [time, id] pair".into()),
+        }
+    }
+    Ok(SessionSnapshot {
+        version: if v1 { SNAPSHOT_VERSION } else { version },
+        packer: doc.field("packer")?,
+        packer_state,
+        open_bins,
+        departures,
+        next_bin,
+        last_arrival: doc.field("last_arrival")?,
+        closed_usage,
+        watermark: 0,
+        above: Vec::new(),
+    })
+}
+
+fn dom_v1_history(
+    doc: &Json,
+    next_bin: u32,
+    open_bins: &mut [BinSnapshot],
+) -> Result<u128, String> {
+    let records: &[Json] = doc.field("records")?;
+    if records.len() != next_bin as usize {
+        return Err("record count".into());
+    }
+    let open: HashMap<BinId, usize> = open_bins
+        .iter()
+        .enumerate()
+        .map(|(k, b)| (b.id, k))
+        .collect();
+    let mut closed_usage = 0u128;
+    for (i, r) in records.iter().enumerate() {
+        let id: u32 = r.field("id")?;
+        if id as usize != i {
+            return Err("record id".into());
+        }
+        let items: &[Json] = r.field("items")?;
+        if items.iter().any(|v| u32::read(v).is_err()) {
+            return Err("record item".into());
+        }
+        let (opened_at, closed_at): (Time, Time) = (r.field("opened_at")?, r.field("closed_at")?);
+        r.field::<u64>("tag")?;
+        match open.get(&BinId(id)) {
+            Some(&k) => open_bins[k].placed = items.len() as u64,
+            None => {
+                let span = i128::from(closed_at) - i128::from(opened_at);
+                if span < 0 {
+                    return Err("record closes before it opens".into());
+                }
+                closed_usage += span as u128;
+            }
+        }
+    }
+    Ok(closed_usage)
+}
+
+/// SplitMix64.
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) % n as u64) as usize
+    }
+}
+
+/// A value of some other shape, for retyped and repeated members.
+fn stray(rng: &mut Rng) -> Json {
+    match rng.below(7) {
+        0 => Json::Null,
+        1 => Json::Bool(true),
+        2 => Json::Num("-1".into()),
+        3 => Json::Num("4294967296".into()),
+        4 => Json::Str("x".into()),
+        5 => Json::Arr(vec![Json::Num("1".into())]),
+        _ => Json::Obj(vec![("id".into(), Json::Arr(Vec::new()))]),
+    }
+}
+
+/// The objects in `value`, itself included.
+fn objects(value: &Json) -> usize {
+    match value {
+        Json::Arr(items) => items.iter().map(objects).sum(),
+        Json::Obj(pairs) => 1 + pairs.iter().map(|(_, v)| objects(v)).sum::<usize>(),
+        _ => 0,
+    }
+}
+
+/// Shuffles the members of most objects under `value` and edits about
+/// one object in `one_in`: repeats a member (with its own or another
+/// value, before or after it), drops one, retypes one or adds an unknown
+/// one.
+fn vary(value: &mut Json, one_in: usize, rng: &mut Rng) {
+    match value {
+        Json::Arr(items) => items.iter_mut().for_each(|v| vary(v, one_in, rng)),
+        Json::Obj(pairs) => {
+            pairs.iter_mut().for_each(|(_, v)| vary(v, one_in, rng));
+            if pairs.is_empty() {
+                return;
+            }
+            if rng.below(3) > 0 {
+                for i in (1..pairs.len()).rev() {
+                    pairs.swap(i, rng.below(i + 1));
+                }
+            }
+            if rng.below(one_in) > 0 {
+                return;
+            }
+            let k = rng.below(pairs.len());
+            match rng.below(6) {
+                0 | 1 => {
+                    let value = if rng.below(2) == 0 {
+                        pairs[k].1.clone()
+                    } else {
+                        stray(rng)
+                    };
+                    let at = if rng.below(2) == 0 { k } else { pairs.len() };
+                    pairs.insert(at, (pairs[k].0.clone(), value));
+                }
+                2 => {
+                    pairs.remove(k);
+                }
+                3 => pairs[k].1 = stray(rng),
+                _ => pairs.insert(k, ("unknown".into(), stray(rng))),
+            }
+        }
+        _ => {}
+    }
+}
+
+/// Writes `value` as JSON, spelling some key characters as `\u` escapes.
+fn write(value: &Json, rng: &mut Rng, out: &mut String) {
+    match value {
+        Json::Null => out.push_str("null"),
+        Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Json::Num(text) => out.push_str(text),
+        Json::Str(s) => {
+            let _ = write!(out, "\"{}\"", escape(s));
+        }
+        Json::Arr(items) => {
+            out.push('[');
+            for (i, v) in items.iter().enumerate() {
+                out.push_str(if i > 0 { "," } else { "" });
+                write(v, rng, out);
+            }
+            out.push(']');
+        }
+        Json::Obj(pairs) => {
+            out.push('{');
+            for (i, (k, v)) in pairs.iter().enumerate() {
+                out.push_str(if i > 0 { ",\"" } else { "\"" });
+                for c in k.chars() {
+                    if rng.below(16) == 0 {
+                        let _ = write!(out, "\\u{:04x}", c as u32);
+                    } else {
+                        out.push(c);
+                    }
+                }
+                out.push_str("\":");
+                write(v, rng, out);
+            }
+            out.push('}');
+        }
+    }
+}
+
+#[test]
+fn the_field_reader_decides_every_document_as_the_dom_decoder_did() {
+    let inst = workload();
+    let items = arrivals(&inst);
+    let params = AlgoParams::from_instance(&inst);
+    let mut bases: Vec<String> = fixture().into_values().collect();
+    bases.sort();
+    for algo in ONLINE_ALGOS {
+        for cut in [13, 27, 40] {
+            let mut packer = online_packer(algo, params);
+            let mut s = StreamingSession::new(clairvoyance_for(algo), &mut *packer);
+            for item in &items[..cut] {
+                s.arrive(item).unwrap();
+            }
+            bases.push(snapshot_to_json(&s.snapshot()));
+        }
+    }
+    let mut rng = Rng(0x5eed_0033);
+    let (mut accepted, mut refused, mut v1_late) = (0, 0, 0);
+    for base in &bases {
+        for _ in 0..100 {
+            let mut doc = parse(base).unwrap();
+            let one_in = objects(&doc);
+            vary(&mut doc, one_in, &mut rng);
+            // Half the time, `version` comes last: after `records` and
+            // after every bin's `placed`.
+            if let (Json::Obj(pairs), 0) = (&mut doc, rng.below(2)) {
+                if let Some(i) = pairs.iter().position(|(k, _)| k == "version") {
+                    let version = pairs.remove(i);
+                    pairs.push(version);
+                }
+            }
+            let mut text = String::new();
+            write(&doc, &mut rng, &mut text);
+            match (snapshot_from_json(&text), dom_snapshot(&text)) {
+                (Ok(got), Ok(want)) => {
+                    assert_eq!(got, want, "{text}");
+                    accepted += 1;
+                    v1_late += usize::from(
+                        text.contains("\"records\"") && text.ends_with(",\"version\":1}"),
+                    );
+                }
+                (Err(_), Err(_)) => refused += 1,
+                (got, want) => panic!("{text}\nreader: {got:?}\nDOM: {want:?}"),
+            }
+        }
+    }
+    eprintln!("{accepted} accepted ({v1_late} version 1 with the version last), {refused} refused");
+    assert!(accepted > 2_000 && refused > 500 && v1_late > 100);
 }

@@ -40,7 +40,7 @@
 //! and internal failures.
 
 use dbp_core::Time;
-use dbp_obs::json::{escape, escape_into, parse, scan, RawStr, Scalar, Sink};
+use dbp_obs::json::{escape, escape_into, parse, Reader, Scalar};
 use std::borrow::Cow;
 use std::fmt::Write as _;
 
@@ -196,14 +196,20 @@ impl Response {
 
 /// Parses one request line.
 ///
-/// One pass of [`dbp_obs::json::scan`] over the borrowed line; the only
-/// allocation on a valid `submit` is the owned tenant. The whole line
-/// must be one JSON document, the first occurrence of a key wins,
-/// unknown keys are ignored (but validated, as nested values are), and
-/// integer fields read the number's literal text.
+/// One [`Reader`] pass over the borrowed line; the only allocation on a
+/// valid `submit` is the owned tenant. The whole line must be one JSON
+/// object, the first occurrence of a key wins, unknown keys are ignored
+/// (but validated, as nested values are), and integer fields read the
+/// number's literal text.
 pub fn parse_request(line: &str) -> Result<Request, String> {
     let mut f = RequestFields::default();
-    scan(line, &mut f)?;
+    let mut r = Reader::new(line);
+    r.object(|r, key| match f.slot(key) {
+        // No field takes an array or an object, so one reads as null.
+        Some(slot) => r.first(slot, |r| Ok(r.scalar()?.unwrap_or(Scalar::Null))),
+        None => Ok(()),
+    })?;
+    r.finish()?;
     let op = string_field(f.op, "op")?;
     match &*op {
         "submit" => {
@@ -214,8 +220,8 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             let job: u64 = integer_field(f.job, "job")?;
             let job = u32::try_from(job).map_err(|_| format!("job id {job} overflows u32"))?;
             // A size that does not convert counts as absent.
-            let size_raw = f.size_raw.and_then(Token::number_as);
-            let size = f.size.and_then(Token::number_as);
+            let size_raw = number_as(f.size_raw);
+            let size = number_as(f.size);
             if size.is_none() && size_raw.is_none() {
                 return Err("submit needs \"size\" or \"size_raw\"".into());
             }
@@ -236,57 +242,41 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     }
 }
 
-/// A value of the request object, borrowed from the line.
-#[derive(Clone, Copy)]
-enum Token<'a> {
-    /// A string, escapes still in place.
-    Str(RawStr<'a>),
-    /// A number's literal text.
-    Num(&'a str),
-    /// `null`, a boolean, an array or an object: no field takes one.
-    Other,
-}
-
-impl Token<'_> {
-    /// The number's literal text parsed as `T`; `None` for a non-number
-    /// or a literal `T` does not accept.
-    fn number_as<T: std::str::FromStr>(self) -> Option<T> {
-        match self {
-            Token::Num(text) => text.parse().ok(),
-            _ => None,
-        }
+/// The number's literal text parsed as `T`; `None` for a missing value,
+/// a non-number or a literal `T` does not accept.
+fn number_as<T: std::str::FromStr>(value: Option<Scalar<'_>>) -> Option<T> {
+    match value {
+        Some(Scalar::Num(text)) => text.parse().ok(),
+        _ => None,
     }
 }
 
-fn string_field<'a>(token: Option<Token<'a>>, key: &str) -> Result<Cow<'a, str>, String> {
-    match token {
-        Some(Token::Str(s)) => Ok(s.text()),
+fn string_field<'a>(value: Option<Scalar<'a>>, key: &str) -> Result<Cow<'a, str>, String> {
+    match value {
+        Some(Scalar::Str(s)) => Ok(s.text()),
         _ => Err(format!("missing or non-string field {key:?}")),
     }
 }
 
-fn integer_field<T: std::str::FromStr>(token: Option<Token<'_>>, key: &str) -> Result<T, String> {
-    token
-        .and_then(Token::number_as)
-        .ok_or_else(|| format!("missing or non-integer field {key:?}"))
+fn integer_field<T: std::str::FromStr>(value: Option<Scalar<'_>>, key: &str) -> Result<T, String> {
+    number_as(value).ok_or_else(|| format!("missing or non-integer field {key:?}"))
 }
 
-/// The first occurrence of each key [`parse_request`] reads. As the
-/// scanner's sink it builds nothing: it keeps the top-level members it
-/// has a slot for and drops every other value once it is validated.
+/// The first occurrence of each top-level key [`parse_request`] reads,
+/// borrowed from the line.
 #[derive(Default)]
 struct RequestFields<'a> {
-    op: Option<Token<'a>>,
-    tenant: Option<Token<'a>>,
-    job: Option<Token<'a>>,
-    size_raw: Option<Token<'a>>,
-    size: Option<Token<'a>>,
-    arrival: Option<Token<'a>>,
-    departure: Option<Token<'a>>,
+    op: Option<Scalar<'a>>,
+    tenant: Option<Scalar<'a>>,
+    job: Option<Scalar<'a>>,
+    size_raw: Option<Scalar<'a>>,
+    size: Option<Scalar<'a>>,
+    arrival: Option<Scalar<'a>>,
+    departure: Option<Scalar<'a>>,
 }
 
 impl<'a> RequestFields<'a> {
-    fn slot(&mut self, key: &str) -> Option<&mut Option<Token<'a>>> {
+    fn slot(&mut self, key: &str) -> Option<&mut Option<Scalar<'a>>> {
         Some(match key {
             "op" => &mut self.op,
             "tenant" => &mut self.tenant,
@@ -297,38 +287,6 @@ impl<'a> RequestFields<'a> {
             "departure" => &mut self.departure,
             _ => return None,
         })
-    }
-}
-
-impl<'a> Sink<'a> for RequestFields<'a> {
-    type Value = Token<'a>;
-    type Array = ();
-    type Object = ();
-
-    fn scalar(&mut self, scalar: Scalar<'a>) -> Token<'a> {
-        match scalar {
-            Scalar::Str(s) => Token::Str(s),
-            Scalar::Num(text) => Token::Num(text),
-            Scalar::Null | Scalar::Bool(_) => Token::Other,
-        }
-    }
-
-    fn push(&mut self, (): &mut (), _: Token<'a>) {}
-
-    fn member(&mut self, (): &mut (), depth: usize, key: RawStr<'a>, value: Token<'a>) {
-        if depth == 0 {
-            if let Some(slot) = self.slot(&key.text()) {
-                slot.get_or_insert(value);
-            }
-        }
-    }
-
-    fn array(&mut self, (): ()) -> Token<'a> {
-        Token::Other
-    }
-
-    fn object(&mut self, (): ()) -> Token<'a> {
-        Token::Other
     }
 }
 

@@ -692,7 +692,7 @@ fn unescape(raw: &str) -> String {
     while let Some(i) = bytes[copied..].iter().position(|&b| b == b'\\') {
         let at = copied + i;
         out.push_str(&raw[copied..at]);
-        let (c, len) = escape_at(bytes, at).expect("the scanner checked every escape");
+        let (c, len) = escape_at(bytes, at).expect("the reader checked every escape");
         out.push(c);
         copied = at + len;
     }

@@ -491,8 +491,8 @@ fn objects(value: &Json) -> usize {
 
 /// Shuffles the members of most objects under `value` and edits about
 /// one object in `one_in`: repeats a member (with its own or another
-/// value, before or after it), drops one, retypes one or adds an unknown
-/// one.
+/// value, before or after it), drops one, retypes one or adds one it
+/// does not read.
 fn vary(value: &mut Json, one_in: usize, rng: &mut Rng) {
     match value {
         Json::Arr(items) => items.iter_mut().for_each(|v| vary(v, one_in, rng)),
@@ -524,7 +524,12 @@ fn vary(value: &mut Json, one_in: usize, rng: &mut Rng) {
                     pairs.remove(k);
                 }
                 3 => pairs[k].1 = stray(rng),
-                _ => pairs.insert(k, ("unknown".into(), stray(rng))),
+                // A key this object may not carry, or one only the
+                // other version reads.
+                _ => {
+                    let key = ["unknown", "placed", "closed_usage", "records"][rng.below(4)];
+                    pairs.insert(k, (key.into(), stray(rng)));
+                }
             }
         }
         _ => {}

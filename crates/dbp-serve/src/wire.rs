@@ -15,7 +15,7 @@
 //! - truncated lines, single-character flips, and random strings over a
 //!   JSON-ish alphabet.
 //!
-//! `parse_request` and `dbp_obs::json::parse` run on one scanner, and
+//! `parse_request` and `dbp_obs::json::parse` run on one reader, and
 //! three tests in `crates/dbp-serve/tests` draw their lines from here:
 //! `grammar_digest.rs` pins both entry points' verdicts on the first
 //! 200,000 lines to digests recorded before the two shared a grammar,

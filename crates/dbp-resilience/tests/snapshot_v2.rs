@@ -589,6 +589,17 @@ fn the_field_reader_decides_every_document_as_the_dom_decoder_did() {
             bases.push(snapshot_to_json(&s.snapshot()));
         }
     }
+    // Version 1 ignores `placed`, even in a bin no record covers (an id
+    // past `next_bin`, which restore refuses): it decodes as 0.
+    let (snap, records) = sample();
+    let v1 = v1_document(&snap, &records);
+    let uncovered = v1.replacen("{\"id\":1,", "{\"id\":7,\"placed\":9,", 1);
+    assert_ne!(uncovered, v1);
+    assert_eq!(
+        snapshot_from_json(&uncovered).unwrap().open_bins[0].placed,
+        0
+    );
+    bases.push(uncovered);
     let mut rng = Rng(0x5eed_0033);
     let (mut accepted, mut refused, mut v1_late) = (0, 0, 0);
     for base in &bases {

@@ -392,3 +392,71 @@ pub(crate) fn list_checkpoints(dir: &Path) -> Result<Vec<(u64, PathBuf)>, DbpErr
     found.sort();
     Ok(found)
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The manifest reader keeps the DOM decoder's rules: any key order,
+    /// keys compared unescaped (`v\u0065rsion` is `version`), the first
+    /// occurrence wins and a later one is not type-checked, unknown keys
+    /// are skipped, a `decision_seq` that is missing or not a `u64` reads
+    /// as 0, and `above` entries must fit a `u32`.
+    #[test]
+    fn the_manifest_reader_keeps_the_dom_rules() {
+        let ck = ServeCheckpoint {
+            seq: 3,
+            algo: "first-fit".into(),
+            router: "hash:0".into(),
+            fleet_cap: Some(6),
+            last_arrival: Some(9),
+            watermark: 4,
+            above: vec![6, 9],
+            placed: 5,
+            shed: 1,
+            rejected: 0,
+            decision_seq: 7,
+            tenants: vec![TenantCounters {
+                tenant: "t1".into(),
+                submitted: 6,
+                placed: 5,
+                shed: 1,
+                rejected: 0,
+            }],
+            sessions: Vec::new(),
+        };
+        let encoded = encode(&ck);
+        assert_eq!(
+            decode_manifest(encoded.trim_end()).unwrap(),
+            (ck.clone(), 0)
+        );
+
+        let shuffled = |decision_seq: &str, above: &str, seq: &str| {
+            format!(
+                r#"{{"tenants":[{{"rejected":0,"shed":1,"placed":5,"submitted":6,"tenant":"t1","x":[{{}}]}}],"above":{above},{decision_seq}"rejected":0,"shed":1,"placed":5,"watermark":4,"last_arrival":9,"fleet_cap":6,"shards":0,"router":"hash:0","algo":"first-fit",{seq}"v\u0065rsion":1,"format":"dbp-serve-checkpoint","seq":"later","unknown":{{"a":[1]}}}}"#
+            )
+        };
+        let read = |decision_seq, above, seq| decode_manifest(&shuffled(decision_seq, above, seq));
+        assert_eq!(
+            read(
+                r#""decision_seq":7,"decision_seq":"x","#,
+                "[6,9]",
+                r#""seq":3,"#
+            )
+            .unwrap(),
+            (ck.clone(), 0)
+        );
+        let floor_0 = ServeCheckpoint {
+            decision_seq: 0,
+            ..ck.clone()
+        };
+        for decision_seq in ["", r#""decision_seq":"x","#, r#""decision_seq":-1,"#] {
+            let got = read(decision_seq, "[6,9]", r#""seq":3,"#).unwrap();
+            assert_eq!(got, (floor_0.clone(), 0), "{decision_seq}");
+        }
+        assert!(read("", "[6,4294967296]", r#""seq":3,"#).is_err());
+        // The first `seq` is the one read, and it must be a number.
+        assert!(read("", "[6,9]", "").is_err());
+        assert!(read("", "[6,9]", r#""seq":null,"#).is_err());
+    }
+}

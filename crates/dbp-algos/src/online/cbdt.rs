@@ -91,10 +91,18 @@ impl ClassifyByDepartureTime {
     /// category `i` covering departures in `(epoch + (i−1)ρ, epoch + iρ]`.
     fn category(&self, dep: Time) -> u64 {
         let epoch = self.epoch.expect("category queried before first arrival");
-        let off = dep - epoch; // ≥ 1 since dep > arrival ≥ epoch
-        debug_assert!(off >= 1);
-        ((off + self.rho - 1) / self.rho) as u64
+        departure_class(dep, epoch, self.rho)
     }
+}
+
+/// `⌈(dep − epoch) / ρ⌉`, the departure class of an item departing at
+/// `dep`. The offset is at least 1 when `epoch` is the session's first
+/// arrival, since `dep > arrival ≥ epoch`; an epoch restored from a
+/// checkpoint that is not (one after `dep`, or far enough from it to
+/// overflow the subtraction) puts the item in class 1.
+pub(crate) fn departure_class(dep: Time, epoch: Time, rho: i64) -> u64 {
+    let off = dep.saturating_sub(epoch).max(1);
+    ((off - 1) / rho + 1) as u64
 }
 
 impl<D: Demand> OnlinePacker<D> for ClassifyByDepartureTime {
@@ -151,6 +159,17 @@ mod tests {
         assert_eq!(p.category(11), 2);
         assert_eq!(p.category(20), 2);
         assert_eq!(p.category(21), 3);
+    }
+
+    #[test]
+    fn a_restored_epoch_past_the_departure_gives_class_one() {
+        let mut p = ClassifyByDepartureTime::new(10);
+        p.epoch = Some(100);
+        assert_eq!(p.category(50), 1);
+        p.epoch = Some(Time::MIN);
+        assert_eq!(p.category(Time::MAX), (Time::MAX - 1) as u64 / 10 + 1);
+        p.epoch = Some(Time::MAX);
+        assert_eq!(p.category(Time::MIN), 1);
     }
 
     #[test]

@@ -17,6 +17,7 @@ use dbp_core::interval::Time;
 use dbp_core::online::{Decision, ItemView, OnlinePacker, OpenBins, PackerState};
 
 use super::cbd::ClassifyByDuration;
+use super::cbdt::departure_class;
 
 /// Duration-then-departure-time classified First Fit.
 #[derive(Clone, Debug)]
@@ -93,8 +94,7 @@ impl OnlinePacker for CombinedClassify {
         let i = dur_tag as i64 - (1 << 32);
         let lower = self.duration.base() as f64 * self.duration.alpha().powi(i as i32);
         let rho = self.rho_for(lower);
-        let off = dep - self.epoch.unwrap();
-        let dep_tag = ((off + rho - 1) / rho) as u64;
+        let dep_tag = departure_class(dep, self.epoch.unwrap(), rho);
         // Duration class in high 32 bits, departure class (mod 2^32) low.
         let tag = (dur_tag << 32) | (dep_tag & 0xFFFF_FFFF);
         let (decision, scanned) = first_fit_tagged_in(self.mode, tag, item.size, open_bins);

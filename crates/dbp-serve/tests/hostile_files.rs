@@ -7,11 +7,11 @@
 //! version 1 session snapshot from the resilience fixture, a
 //! serve-checkpoint manifest, a scalar trace line and a vector trace
 //! line. Every input goes to every file decoder: `snapshot_from_json` (a
-//! snapshot that decodes is restored, then packs two more items and
-//! finishes), `state::decode`, `trace::parse_jsonl`,
-//! `vectrace::parse_jsonl` and `parse_response`. Mutated manifests and
-//! snapshot lines also go to `state::decode` inside an otherwise real
-//! checkpoint. A panic anywhere fails the test.
+//! snapshot that decodes is restored by the packer of the line it came
+//! from, then packs two more items and finishes), `state::decode`,
+//! `trace::parse_jsonl`, `vectrace::parse_jsonl` and `parse_response`.
+//! Mutated manifests and snapshot lines also go to `state::decode`
+//! inside an otherwise real checkpoint. A panic anywhere fails the test.
 //!
 //! Each input's `snapshot_from_json` and `state::decode` verdicts —
 //! refused, or the `Debug` text of what it decoded — fold into two
@@ -20,9 +20,10 @@
 //! reads fields as it scans must accept exactly what they accepted, as
 //! the same values. Error text is left out.
 
+use dbp_algos::online::ClassifyByDepartureTime;
 use dbp_algos::registry::{online_packer, AlgoParams};
 use dbp_core::observe::PackEvent;
-use dbp_core::{ClairvoyanceMode, Item, ItemId, Size, SizeVec, StreamingSession};
+use dbp_core::{ClairvoyanceMode, Item, ItemId, OnlinePacker, Size, SizeVec, StreamingSession};
 use dbp_obs::json::MAX_DEPTH;
 use dbp_obs::{trace, vectrace};
 use dbp_resilience::snapshot_from_json;
@@ -76,6 +77,8 @@ struct Verdicts {
 
 /// A version 1 session line from the resilience fixture: CBDT after 13
 /// items, with packer state, tags and pending departures.
+///
+/// Its packer is `cbdt(rho=30)`.
 fn v1_line() -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../dbp-resilience/fixtures/v1-roster-sessions.tsv");
@@ -155,7 +158,13 @@ fn feed(text: &str, verdicts: &mut Verdicts) -> bool {
     let Ok(snap) = snap else {
         return false;
     };
-    let mut packer = online_packer("first-fit", AlgoParams { delta: 1, mu: 1.0 });
+    // The packer of the real line the snapshot came from, so that only a
+    // mutated packer name is refused for its name.
+    let mut packer: Box<dyn OnlinePacker> = if snap.packer.starts_with("cbdt") {
+        Box::new(ClassifyByDepartureTime::new(30))
+    } else {
+        online_packer("first-fit", AlgoParams { delta: 1, mu: 1.0 })
+    };
     let Ok(mut session) =
         StreamingSession::restore(ClairvoyanceMode::Clairvoyant, &mut *packer, &snap)
     else {
@@ -208,16 +217,22 @@ fn hostile_files_get_a_value_or_a_typed_error() {
     for line in RequestLines::new(0x5eed_0022).take(REQUEST_LINES) {
         assert!(!feed(&line, &mut verdicts));
     }
-    let (mut inputs, mut restored) = (0usize, 0usize);
+    let (mut inputs, mut restored) = (0usize, Vec::new());
     for line in [manifest, sessions[0], &v1, &trace_line, &vector_line] {
+        let mut n = 0;
         for bad in mutations(line) {
-            restored += usize::from(feed(&bad, &mut verdicts));
+            n += usize::from(feed(&bad, &mut verdicts));
             inputs += 1;
         }
+        restored.push(n);
     }
-    // Many flips leave a snapshot that still restores: the restore and
-    // the arrivals after it are exercised, not just the decoder.
-    assert!(restored > 100, "{restored} restored");
+    // Many flips leave a snapshot of either version that still restores:
+    // the restore and the arrivals after it are exercised, not just the
+    // decoder.
+    assert!(
+        restored[1] > 100 && restored[2] > 100,
+        "{restored:?} restored"
+    );
     // Inside an otherwise real checkpoint.
     for bad in mutations(manifest) {
         let text = format!("{bad}\n{}\n{}\n", sessions[0], sessions[1]);
@@ -231,9 +246,9 @@ fn hostile_files_get_a_value_or_a_typed_error() {
     }
     eprintln!(
         "{REQUEST_LINES} request lines and {inputs} mutated files decoded without a panic \
-         ({restored} mutated snapshots restored and packed); verdicts: snapshot {:#018x}, \
+         ({} version 2 and {} version 1 mutated snapshots restored and packed); verdicts: snapshot {:#018x}, \
          checkpoint {:#018x}",
-        verdicts.snapshot.0, verdicts.checkpoint.0
+        restored[1], restored[2], verdicts.snapshot.0, verdicts.checkpoint.0
     );
     assert_eq!(
         verdicts.snapshot.0, SNAPSHOT_DIGEST,

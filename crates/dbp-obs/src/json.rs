@@ -9,7 +9,7 @@
 //! per element, [`Reader::scalar`] and [`Reader::read`] read a scalar,
 //! and [`Reader::skip`] validates a value and builds nothing. A decoder
 //! reads the fields it wants as they are scanned and keeps nothing else
-//! — the serve request reader and the checkpoint decoders do; [`parse`]
+//! — the serve request reader and the snapshot decoder do; [`parse`]
 //! reads every value into the owned [`Json`] DOM. The grammar, written
 //! once:
 //!

@@ -28,9 +28,8 @@
 
 use dbp_core::stream::SessionSnapshot;
 use dbp_core::{DbpError, Time};
-use dbp_obs::json::{escape, named, required, FromScalar, Reader};
+use dbp_obs::json::{escape, parse, FieldValue, Json};
 use dbp_resilience::{snapshot_from_json, snapshot_to_json};
-use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -176,140 +175,58 @@ pub fn decode(text: &str) -> Result<ServeCheckpoint, DbpError> {
 }
 
 /// Decodes the manifest line: the checkpoint without its sessions, and
-/// the number of session lines that follow it. One [`Reader`] pass, as
-/// for the session lines: the first occurrence of a key wins, and later
-/// ones and unknown keys are validated but not read.
+/// the number of session lines that follow it.
 fn decode_manifest(manifest: &str) -> Result<(ServeCheckpoint, usize), DbpError> {
     let read = || -> Result<(ServeCheckpoint, usize), String> {
-        let mut m = Manifest::default();
-        let mut r = Reader::new(manifest);
-        r.object(|r, key| named(key, m.member(r, key)))?;
-        r.finish()?;
-        m.checkpoint()
-    };
-    read().map_err(|what| bad(format!("manifest: {what}")))
-}
-
-/// The manifest's fields, each from the first occurrence of its key.
-#[derive(Default)]
-struct Manifest<'a> {
-    format: Option<Cow<'a, str>>,
-    version: Option<u32>,
-    seq: Option<u64>,
-    algo: Option<String>,
-    router: Option<String>,
-    shards: Option<usize>,
-    fleet_cap: Option<Option<u64>>,
-    last_arrival: Option<Option<Time>>,
-    watermark: Option<u32>,
-    above: Option<Vec<u32>>,
-    placed: Option<u64>,
-    shed: Option<u64>,
-    rejected: Option<u64>,
-    /// `None` inside for a value that is not a `u64`, which reads as 0,
-    /// as a missing one does.
-    decision_seq: Option<Option<u64>>,
-    tenants: Option<Vec<TenantCounters>>,
-}
-
-impl<'a> Manifest<'a> {
-    fn member(&mut self, r: &mut Reader<'a>, key: &str) -> Result<(), String> {
-        match key {
-            "format" => r.first(&mut self.format, Reader::read),
-            "version" => r.first(&mut self.version, Reader::read),
-            "seq" => r.first(&mut self.seq, Reader::read),
-            "algo" => r.first(&mut self.algo, Reader::read),
-            "router" => r.first(&mut self.router, Reader::read),
-            "shards" => r.first(&mut self.shards, Reader::read),
-            "fleet_cap" => r.first(&mut self.fleet_cap, Reader::read),
-            "last_arrival" => r.first(&mut self.last_arrival, Reader::read),
-            "watermark" => r.first(&mut self.watermark, Reader::read),
-            "above" => r.first(&mut self.above, |r| {
-                let mut above = Vec::new();
-                r.array(|r| {
-                    let id = r
-                        .read()
-                        .map_err(|what| format!("entry in \"above\" {what}"))?;
-                    above.push(id);
-                    Ok(())
-                })?;
-                Ok(above)
-            }),
-            "placed" => r.first(&mut self.placed, Reader::read),
-            "shed" => r.first(&mut self.shed, Reader::read),
-            "rejected" => r.first(&mut self.rejected, Reader::read),
-            "decision_seq" => r.first(&mut self.decision_seq, |r| {
-                Ok(u64::from_scalar(r.scalar()?).ok())
-            }),
-            "tenants" => r.first(&mut self.tenants, |r| {
-                let mut tenants = Vec::new();
-                r.array(|r| {
-                    tenants.push(read_tenant(r)?);
-                    Ok(())
-                })?;
-                Ok(tenants)
-            }),
-            _ => Ok(()),
-        }
-    }
-
-    fn checkpoint(self) -> Result<(ServeCheckpoint, usize), String> {
-        let format = required(self.format, "format")?;
+        let doc = parse(manifest)?;
+        let format: &str = doc.field("format")?;
         if format != SERVE_CHECKPOINT_FORMAT {
             return Err(format!(
                 "not a serve checkpoint: format {format:?} (expected {SERVE_CHECKPOINT_FORMAT:?})"
             ));
         }
-        let version = required(self.version, "version")?;
+        let version: u32 = doc.field("version")?;
         if version != SERVE_CHECKPOINT_VERSION {
             return Err(format!(
                 "unsupported serve checkpoint version {version} (this build reads \
                  {SERVE_CHECKPOINT_VERSION})"
             ));
         }
+        let above = doc
+            .field::<&[Json]>("above")?
+            .iter()
+            .map(u32::read)
+            .collect::<Result<_, _>>()
+            .map_err(|what| format!("entry in \"above\" {what}"))?;
+        let mut tenants = Vec::new();
+        for t in doc.field::<&[Json]>("tenants")? {
+            tenants.push(TenantCounters {
+                tenant: t.field("tenant")?,
+                submitted: t.field("submitted")?,
+                placed: t.field("placed")?,
+                shed: t.field("shed")?,
+                rejected: t.field("rejected")?,
+            });
+        }
         let ck = ServeCheckpoint {
-            seq: required(self.seq, "seq")?,
-            algo: required(self.algo, "algo")?,
-            router: required(self.router, "router")?,
-            fleet_cap: required(self.fleet_cap, "fleet_cap")?,
-            last_arrival: required(self.last_arrival, "last_arrival")?,
-            watermark: required(self.watermark, "watermark")?,
-            above: required(self.above, "above")?,
-            placed: required(self.placed, "placed")?,
-            shed: required(self.shed, "shed")?,
-            rejected: required(self.rejected, "rejected")?,
+            seq: doc.field("seq")?,
+            algo: doc.field("algo")?,
+            router: doc.field("router")?,
+            fleet_cap: doc.field("fleet_cap")?,
+            last_arrival: doc.field("last_arrival")?,
+            watermark: doc.field("watermark")?,
+            above,
+            placed: doc.field("placed")?,
+            shed: doc.field("shed")?,
+            rejected: doc.field("rejected")?,
             // Absent in pre-WAL checkpoints.
-            decision_seq: self.decision_seq.flatten().unwrap_or(0),
-            tenants: required(self.tenants, "tenants")?,
+            decision_seq: doc.field("decision_seq").unwrap_or(0),
+            tenants,
             sessions: Vec::new(),
         };
-        Ok((ck, required(self.shards, "shards")?))
-    }
-}
-
-fn read_tenant(r: &mut Reader<'_>) -> Result<TenantCounters, String> {
-    let (mut tenant, mut submitted, mut placed, mut shed, mut rejected) =
-        (None, None, None, None, None);
-    r.object(|r, key| {
-        named(
-            key,
-            match key {
-                "tenant" => r.first(&mut tenant, Reader::read),
-                "submitted" => r.first(&mut submitted, Reader::read),
-                "placed" => r.first(&mut placed, Reader::read),
-                "shed" => r.first(&mut shed, Reader::read),
-                "rejected" => r.first(&mut rejected, Reader::read),
-                _ => Ok(()),
-            },
-        )
-    })?;
-    Ok(TenantCounters {
-        tenant: required(tenant, "tenant")?,
-        submitted: required(submitted, "submitted")?,
-        placed: required(placed, "placed")?,
-        shed: required(shed, "shed")?,
-        rejected: required(rejected, "rejected")?,
-    })
+        Ok((ck, doc.field("shards")?))
+    };
+    read().map_err(|what| bad(format!("manifest: {what}")))
 }
 
 /// The canonical file name of checkpoint `seq`.
@@ -391,72 +308,4 @@ pub(crate) fn list_checkpoints(dir: &Path) -> Result<Vec<(u64, PathBuf)>, DbpErr
     }
     found.sort();
     Ok(found)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The manifest reader keeps the DOM decoder's rules: any key order,
-    /// keys compared unescaped (`v\u0065rsion` is `version`), the first
-    /// occurrence wins and a later one is not type-checked, unknown keys
-    /// are skipped, a `decision_seq` that is missing or not a `u64` reads
-    /// as 0, and `above` entries must fit a `u32`.
-    #[test]
-    fn the_manifest_reader_keeps_the_dom_rules() {
-        let ck = ServeCheckpoint {
-            seq: 3,
-            algo: "first-fit".into(),
-            router: "hash:0".into(),
-            fleet_cap: Some(6),
-            last_arrival: Some(9),
-            watermark: 4,
-            above: vec![6, 9],
-            placed: 5,
-            shed: 1,
-            rejected: 0,
-            decision_seq: 7,
-            tenants: vec![TenantCounters {
-                tenant: "t1".into(),
-                submitted: 6,
-                placed: 5,
-                shed: 1,
-                rejected: 0,
-            }],
-            sessions: Vec::new(),
-        };
-        let encoded = encode(&ck);
-        assert_eq!(
-            decode_manifest(encoded.trim_end()).unwrap(),
-            (ck.clone(), 0)
-        );
-
-        let shuffled = |decision_seq: &str, above: &str, seq: &str| {
-            format!(
-                r#"{{"tenants":[{{"rejected":0,"shed":1,"placed":5,"submitted":6,"tenant":"t1","x":[{{}}]}}],"above":{above},{decision_seq}"rejected":0,"shed":1,"placed":5,"watermark":4,"last_arrival":9,"fleet_cap":6,"shards":0,"router":"hash:0","algo":"first-fit",{seq}"v\u0065rsion":1,"format":"dbp-serve-checkpoint","seq":"later","unknown":{{"a":[1]}}}}"#
-            )
-        };
-        let read = |decision_seq, above, seq| decode_manifest(&shuffled(decision_seq, above, seq));
-        assert_eq!(
-            read(
-                r#""decision_seq":7,"decision_seq":"x","#,
-                "[6,9]",
-                r#""seq":3,"#
-            )
-            .unwrap(),
-            (ck.clone(), 0)
-        );
-        let floor_0 = ServeCheckpoint {
-            decision_seq: 0,
-            ..ck.clone()
-        };
-        for decision_seq in ["", r#""decision_seq":"x","#, r#""decision_seq":-1,"#] {
-            let got = read(decision_seq, "[6,9]", r#""seq":3,"#).unwrap();
-            assert_eq!(got, (floor_0.clone(), 0), "{decision_seq}");
-        }
-        assert!(read("", "[6,4294967296]", r#""seq":3,"#).is_err());
-        // The first `seq` is the one read, and it must be a number.
-        assert!(read("", "[6,9]", "").is_err());
-        assert!(read("", "[6,9]", r#""seq":null,"#).is_err());
-    }
 }

@@ -43,7 +43,8 @@ use dbp_core::{ActiveItem, BinId, DbpError, ItemId, Size, Time};
 use dbp_obs::json::{escape, named, required, FromScalar, Reader};
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::fmt::Write as _;
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
 /// The `format` field every checkpoint document carries.
@@ -58,62 +59,65 @@ fn bad(what: impl Into<String>) -> DbpError {
 
 /// Encodes a snapshot as a single-line JSON document.
 pub fn snapshot_to_json(snap: &SessionSnapshot) -> String {
-    let mut out = String::with_capacity(256);
-    let _ = write!(
+    let mut out = Vec::with_capacity(256);
+    write_snapshot_json(&mut out, snap).expect("a Vec takes every write");
+    String::from_utf8(out).expect("the encoder writes UTF-8")
+}
+
+/// Writes [`snapshot_to_json`]'s document to `out` as it is encoded,
+/// with no intermediate `String`: a checkpoint streams each shard's
+/// snapshot into its file this way.
+pub fn write_snapshot_json<W: Write>(out: &mut W, snap: &SessionSnapshot) -> io::Result<()> {
+    write!(
         out,
         "{{\"format\":\"{CHECKPOINT_FORMAT}\",\"version\":{},\"packer\":\"{}\"",
         snap.version,
         escape(&snap.packer)
-    );
-    out.push_str(",\"packer_state\":{");
+    )?;
+    out.write_all(b",\"packer_state\":{")?;
     for (i, (k, v)) in snap.packer_state.fields().iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            out.write_all(b",")?;
         }
-        let _ = write!(out, "\"{}\":{v}", escape(k));
+        write!(out, "\"{}\":{v}", escape(k))?;
     }
-    out.push('}');
-    let _ = write!(out, ",\"next_bin\":{}", snap.next_bin);
+    out.write_all(b"}")?;
+    write!(out, ",\"next_bin\":{}", snap.next_bin)?;
     match snap.last_arrival {
-        Some(t) => {
-            let _ = write!(out, ",\"last_arrival\":{t}");
-        }
-        None => out.push_str(",\"last_arrival\":null"),
+        Some(t) => write!(out, ",\"last_arrival\":{t}")?,
+        None => out.write_all(b",\"last_arrival\":null")?,
     }
-    let _ = write!(out, ",\"closed_usage\":{}", snap.closed_usage);
-    out.push_str(",\"open_bins\":[");
+    write!(out, ",\"closed_usage\":{}", snap.closed_usage)?;
+    out.write_all(b",\"open_bins\":[")?;
     for (i, b) in snap.open_bins.iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            out.write_all(b",")?;
         }
-        let _ = write!(
+        write!(
             out,
             "{{\"id\":{},\"opened_at\":{},\"tag\":{},\"placed\":{},\"items\":[",
             b.id.0, b.opened_at, b.tag, b.placed
-        );
+        )?;
         for (j, a) in b.items.iter().enumerate() {
             if j > 0 {
-                out.push(',');
+                out.write_all(b",")?;
             }
-            let _ = write!(out, "{{\"id\":{},\"size_raw\":{}", a.id.0, a.size.raw());
+            write!(out, "{{\"id\":{},\"size_raw\":{}", a.id.0, a.size.raw())?;
             match a.departure {
-                Some(d) => {
-                    let _ = write!(out, ",\"departure\":{d}}}");
-                }
-                None => out.push_str(",\"departure\":null}"),
+                Some(d) => write!(out, ",\"departure\":{d}}}")?,
+                None => out.write_all(b",\"departure\":null}")?,
             }
         }
-        out.push_str("]}");
+        out.write_all(b"]}")?;
     }
-    out.push_str("],\"departures\":[");
+    out.write_all(b"],\"departures\":[")?;
     for (i, (t, id)) in snap.departures.iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            out.write_all(b",")?;
         }
-        let _ = write!(out, "[{t},{}]", id.0);
+        write!(out, "[{t},{}]", id.0)?;
     }
-    out.push_str("]}");
-    out
+    out.write_all(b"]}")
 }
 
 /// Decodes a checkpoint document produced by [`snapshot_to_json`], or a
@@ -393,34 +397,43 @@ fn v1_history(records: &str, next_bin: u32, open_bins: &mut [BinSnapshot]) -> Re
 /// Fsyncs a directory, making previously renamed entries durable. Every
 /// rename-based commit needs this: the rename itself may sit in the
 /// directory's page cache until the metadata is flushed.
-pub fn fsync_dir(dir: &Path) -> std::io::Result<()> {
+pub fn fsync_dir(dir: &Path) -> io::Result<()> {
     crate::failpoint::io_op("dir_fsync")?;
-    std::fs::File::open(dir)?.sync_all()
+    File::open(dir)?.sync_all()
 }
 
-/// Durably writes `bytes` to `path`: temp file in the same directory,
-/// `sync_all`, rename over the canonical name, then parent-directory
-/// fsync. A crash at any point leaves either the old content or the new
-/// content under `path`, never a torn file. Every step runs through a
-/// [`crate::failpoint`] hook so the torture harness can crash it.
-pub fn durable_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+/// Bytes a [`durable_write`] writer buffers before each `write`.
+const WRITE_BUFFER: usize = 64 * 1024;
+
+/// Durably writes what `fill` writes to `path`: temp file in the same
+/// directory (`fill` writes through a buffer straight into it, so a
+/// document is never built whole first), `sync_all`, rename over the
+/// canonical name, then parent-directory fsync. A crash at any point
+/// leaves either the old content or the new content under `path`, never
+/// a torn file. Every step runs through a [`crate::failpoint`] hook so
+/// the torture harness can crash it. Returns the file's length.
+pub fn durable_write<F>(path: &Path, fill: F) -> io::Result<u64>
+where
+    F: FnOnce(&mut BufWriter<File>) -> io::Result<()>,
+{
     let tmp = match path.file_name().and_then(|n| n.to_str()) {
         Some(name) => path.with_file_name(format!("{name}.tmp")),
         None => {
-            return Err(std::io::Error::other(format!(
+            return Err(io::Error::other(format!(
                 "durable_write: {} has no file name",
                 path.display()
             )))
         }
     };
-    {
+    let len = {
         crate::failpoint::io_op("ckpt_write")?;
-        let mut f = std::fs::File::create(&tmp)?;
-        use std::io::Write as _;
-        f.write_all(bytes)?;
+        let mut f = BufWriter::with_capacity(WRITE_BUFFER, File::create(&tmp)?);
+        fill(&mut f)?;
+        let f = f.into_inner().map_err(io::IntoInnerError::into_error)?;
         crate::failpoint::io_op("ckpt_sync")?;
         f.sync_all()?;
-    }
+        f.metadata()?.len()
+    };
     crate::failpoint::io_op("ckpt_rename")?;
     std::fs::rename(&tmp, path)?;
     if let Some(dir) = path.parent() {
@@ -428,7 +441,7 @@ pub fn durable_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
             fsync_dir(dir)?;
         }
     }
-    Ok(())
+    Ok(len)
 }
 
 #[cfg(test)]

@@ -42,6 +42,7 @@ pub use chaos::{
     simulate_chaos, ChaosConfig, ChaosReport, JobOutcome, SubmissionFate, SubmissionRecord,
 };
 pub use checkpoint::{
-    durable_write, fsync_dir, snapshot_from_json, snapshot_to_json, CHECKPOINT_FORMAT,
+    durable_write, fsync_dir, snapshot_from_json, snapshot_to_json, write_snapshot_json,
+    CHECKPOINT_FORMAT,
 };
 pub use fault::{AdmissionPolicy, FaultEvent, FaultKind, FaultPlan, RecoveryPolicy};

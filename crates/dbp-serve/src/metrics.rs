@@ -6,7 +6,8 @@
 //! per-shard open-bin gauges, the checkpoint and decision cursors, the
 //! newest checkpoint's size and the checkpoint-cost histogram, the
 //! submit batch-size histogram, the WAL's frame, byte and sync
-//! counters, the placement, WAL-append and WAL-commit latency
+//! counters, the frames and bytes logged since the newest checkpoint,
+//! the placement, WAL-append and WAL-commit latency
 //! histograms, and the boot-recovery gauges ride along
 //! (`docs/observability.md` lists every family; the golden test in
 //! `tests/service.rs` pins them). Series come from
@@ -29,6 +30,11 @@ pub struct WalView<'a> {
     pub bytes: u64,
     /// Data syncs and directory syncs issued since boot.
     pub syncs: u64,
+    /// Frames logged since the newest checkpoint written or restored
+    /// (the replayed tail included).
+    pub frames_since_checkpoint: u64,
+    /// Bytes of those frames.
+    pub bytes_since_checkpoint: u64,
     /// Per-frame latency of encoding into the commit buffer (no IO).
     pub append_ns: &'a Histogram,
     /// Per-batch commit latency (the write plus the policy sync).
@@ -57,8 +63,8 @@ pub struct MetricsView<'a> {
     pub place_ns: &'a Histogram,
     /// Submissions decided per lock acquisition.
     pub submit_batch_size: &'a Histogram,
-    /// Encoded size of the newest checkpoint written since boot (0
-    /// before the first).
+    /// Encoded size of the newest checkpoint written, or restored at
+    /// boot (0 before either).
     pub checkpoint_bytes: u64,
     /// Wall-clock cost per checkpoint.
     pub checkpoint_ns: &'a Histogram,
@@ -127,7 +133,7 @@ pub fn render_metrics(v: &MetricsView<'_>) -> String {
     render_gauge(
         &mut out,
         "dbp_serve_checkpoint_bytes",
-        "Encoded size of the newest checkpoint written since boot",
+        "Encoded size of the newest checkpoint written, or restored at boot",
         [(&algo_label, v.checkpoint_bytes)],
     );
     render_histogram(
@@ -172,6 +178,20 @@ pub fn render_metrics(v: &MetricsView<'_>) -> String {
             ),
         ] {
             render_counter(&mut out, name, help, &algo_label, value);
+        }
+        for (name, help, value) in [
+            (
+                "dbp_serve_wal_frames_since_checkpoint",
+                "WAL frames logged since the newest checkpoint written or restored",
+                wal.frames_since_checkpoint,
+            ),
+            (
+                "dbp_serve_wal_bytes_since_checkpoint",
+                "WAL frame bytes logged since the newest checkpoint written or restored",
+                wal.bytes_since_checkpoint,
+            ),
+        ] {
+            render_gauge(&mut out, name, help, [(&algo_label, value)]);
         }
         render_histogram(
             &mut out,
@@ -325,6 +345,8 @@ mod tests {
                 frames: 17,
                 bytes: 2_048,
                 syncs: 3,
+                frames_since_checkpoint: 5,
+                bytes_since_checkpoint: 355,
                 append_ns: &append,
                 commit_ns: &commit,
             }),
@@ -334,6 +356,10 @@ mod tests {
         assert!(text.contains("dbp_serve_wal_bytes_total{algo=\"first-fit\"} 2048"));
         assert!(text.contains("# TYPE dbp_serve_wal_syncs_total counter"));
         assert!(text.contains("dbp_serve_wal_syncs_total{algo=\"first-fit\"} 3"));
+        assert!(text.contains("# TYPE dbp_serve_wal_frames_since_checkpoint gauge"));
+        assert!(text.contains("dbp_serve_wal_frames_since_checkpoint{algo=\"first-fit\"} 5"));
+        assert!(text.contains("# TYPE dbp_serve_wal_bytes_since_checkpoint gauge"));
+        assert!(text.contains("dbp_serve_wal_bytes_since_checkpoint{algo=\"first-fit\"} 355"));
         assert!(text.contains("dbp_serve_wal_append_ns_count{algo=\"first-fit\"} 2"));
         assert!(text.contains("# TYPE dbp_serve_wal_commit_ns histogram"));
         assert!(text.contains("dbp_serve_wal_commit_ns_count{algo=\"first-fit\"} 1"));

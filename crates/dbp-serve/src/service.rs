@@ -28,10 +28,16 @@
 //!   client resubmission beyond the watermark (under
 //!   [`FsyncPolicy::Always`]; weaker policies trade a bounded window
 //!   of resubmission for throughput).
+//! - **Recovery follows live state.** A WAL without a
+//!   [`ServeConfig::checkpoint_dir`] checkpoints into its own directory
+//!   once the log since the last checkpoint outgrows
+//!   [`LOG_PER_CHECKPOINT`] times that checkpoint's size (Raft-style
+//!   compaction by size), so replay and the log kept on disk stay
+//!   within a constant of the live state, not the history.
 
 use crate::protocol::{RejectReason, Request, Response, StatusBody, Submit};
 use crate::state::{
-    kept_checkpoint_floor, list_checkpoints, read_serve_checkpoint, write_serve_checkpoint,
+    kept_checkpoint_floor, list_checkpoints, read_sized, write_checkpoint_streamed,
     ServeCheckpoint, TenantCounters,
 };
 use crate::wal::{self, DecisionFrame, FrameOutcome, FsyncPolicy, WalWriter};
@@ -58,9 +64,14 @@ pub struct ServeConfig {
     pub router: ShardRouter,
     /// Max open bins across the whole fleet; `None` = uncapped.
     pub fleet_cap: Option<usize>,
-    /// Where checkpoints live; `None` disables checkpointing.
+    /// Where checkpoints live; `None` puts them in `wal_dir` when a WAL
+    /// is configured (see [`ServeConfig::checkpoint_home`]) and disables
+    /// them otherwise.
     pub checkpoint_dir: Option<PathBuf>,
-    /// Auto-checkpoint after this many placement decisions.
+    /// Auto-checkpoint after this many placement decisions. Without a
+    /// `checkpoint_dir`, a checkpoint also waits until the log written
+    /// since the last one holds [`LOG_PER_CHECKPOINT`] times that
+    /// checkpoint's size.
     pub checkpoint_every: u64,
     /// Where write-ahead decision-log segments live; `None` disables
     /// the WAL (recovery then leans on checkpoints + resubmission).
@@ -91,6 +102,13 @@ impl ServeConfig {
         }
     }
 
+    /// Where checkpoints live: `checkpoint_dir`, else the WAL directory,
+    /// where the log sizes its own checkpoints (`serve-<seq>.ckpt` and
+    /// `wal-<seq>.wal` never collide). `None` without either.
+    pub fn checkpoint_home(&self) -> Option<&Path> {
+        self.checkpoint_dir.as_deref().or(self.wal_dir.as_deref())
+    }
+
     /// Validates the configuration.
     pub fn validate(&self) -> Result<(), DbpError> {
         let bad = |what: String| DbpError::InvalidParameter { what };
@@ -115,6 +133,14 @@ impl ServeConfig {
     }
 }
 
+/// In a WAL-only service, an auto-checkpoint also waits until the log
+/// written since the last checkpoint holds this many times that
+/// checkpoint's encoded size. Replay after a crash then reads less than
+/// this multiple of the restored checkpoint, and the directory holds a
+/// constant multiple of the live state. A multiple of 1 halves replay
+/// again but checkpoints twice as often, under the coordinator lock.
+pub const LOG_PER_CHECKPOINT: u64 = 2;
+
 #[derive(Clone, Copy, Debug, Default)]
 struct Totals {
     submitted: u64,
@@ -134,6 +160,10 @@ struct Core {
     rejected: u64,
     tenants: BTreeMap<String, Totals>,
     decided_since_ckpt: u64,
+    /// WAL frames, and their bytes, logged since the newest checkpoint
+    /// written or restored (the replayed tail counts after a restart).
+    wal_frames_since_ckpt: u64,
+    wal_bytes_since_ckpt: u64,
     ckpt_seq: u64,
     /// Global decision sequence: every decision (placed, shed, or
     /// rejected) gets the next number; the WAL frame carrying it is
@@ -153,7 +183,8 @@ struct Core {
     /// Submissions per [`Service::handle_batch`] call; observability
     /// only.
     submit_batch_size: Histogram,
-    /// Encoded size of the newest checkpoint written since boot.
+    /// Encoded size of the newest checkpoint written, or restored at
+    /// boot; 0 before either.
     checkpoint_bytes: u64,
     /// Wall-clock cost of each checkpoint: snapshot, encode, durable
     /// write, WAL rotation and prune; observability only.
@@ -222,23 +253,23 @@ pub struct Service {
 
 impl Service {
     /// Boots the service: validates `cfg`, restores the newest good
-    /// checkpoint when a checkpoint directory is configured (walking
-    /// past torn or unrestorable files), and builds one session per
-    /// shard.
+    /// checkpoint in its [`ServeConfig::checkpoint_home`] (walking past
+    /// torn or unrestorable files), builds one session per shard, and
+    /// replays the WAL past that checkpoint.
     pub fn start(cfg: ServeConfig) -> Result<Service, DbpError> {
         let boot = Instant::now();
         cfg.validate()?;
-        let (restored, skipped) = match &cfg.checkpoint_dir {
+        let (restored, skipped) = match cfg.checkpoint_home() {
             Some(dir) => Self::restore_newest(&cfg, dir)?,
             None => (None, Vec::new()),
         };
-        let (restored, shards) = match restored {
-            Some((ck, shards)) => (Some(ck), shards),
+        let (restored, checkpoint_bytes, shards) = match restored {
+            Some((ck, bytes, shards)) => (Some(ck), bytes, shards),
             None => {
                 let fresh = (0..cfg.shards)
                     .map(|_| OwnedSession::owned(ClairvoyanceMode::Clairvoyant, packer_for(&cfg)))
                     .collect();
-                (None, fresh)
+                (None, 0, fresh)
             }
         };
         let ck = restored.as_ref();
@@ -268,6 +299,8 @@ impl Service {
                     .collect()
             }),
             decided_since_ckpt: 0,
+            wal_frames_since_ckpt: 0,
+            wal_bytes_since_ckpt: 0,
             ckpt_seq: ck.map_or(0, |ck| ck.seq),
             decision_seq: ck.map_or(0, |ck| ck.decision_seq),
             wal: None,
@@ -275,7 +308,7 @@ impl Service {
             wal_append_ns: Histogram::new(),
             wal_commit_ns: Histogram::new(),
             submit_batch_size: Histogram::new(),
-            checkpoint_bytes: 0,
+            checkpoint_bytes,
             checkpoint_ns: Histogram::new(),
             failed: None,
         };
@@ -296,14 +329,14 @@ impl Service {
     /// Restores the newest checkpoint in `dir` that decodes and whose
     /// session snapshots restore, walking past newer files that do not —
     /// a torn write, or a crafted session line the restore refuses.
-    /// Returns it with its shard sessions, plus the files skipped, newest
-    /// first. A checkpoint written under another configuration refuses
-    /// the boot instead.
+    /// Returns it with its size and shard sessions, plus the files
+    /// skipped, newest first. A checkpoint written under another
+    /// configuration refuses the boot instead.
     fn restore_newest(cfg: &ServeConfig, dir: &Path) -> Result<(Restored, Vec<PathBuf>), DbpError> {
         let mut all = list_checkpoints(dir)?;
         let mut skipped = Vec::new();
         while let Some((_, path)) = all.pop() {
-            let Ok(ck) = read_serve_checkpoint(&path) else {
+            let Ok((ck, bytes)) = read_sized(&path) else {
                 skipped.push(path);
                 continue;
             };
@@ -320,7 +353,7 @@ impl Service {
                 })
                 .collect::<Result<Vec<_>, _>>();
             match shards {
-                Ok(shards) => return Ok((Some((ck, shards)), skipped)),
+                Ok(shards) => return Ok((Some((ck, bytes, shards)), skipped)),
                 Err(_) => skipped.push(path),
             }
         }
@@ -339,33 +372,32 @@ impl Service {
         boot: Instant,
     ) -> Result<RecoveryStats, DbpError> {
         let floor = core.decision_seq;
-        let rec = wal::recover_wal(wal_dir, cfg.shards + 1, floor)?;
-        for frame in &rec.frames {
-            let submit = frame.to_submit();
-            let (resp, routed) = Self::decide(cfg, core, &submit);
+        let rec = wal::recover_wal(wal_dir, cfg.shards + 1, floor, core.ckpt_seq)?;
+        let replayed_frames = rec.frames.len() as u64;
+        for frame in rec.frames {
+            let (seq, job, logged) = (frame.seq, frame.job, frame.outcome);
+            let (resp, routed) = Self::decide(cfg, core, &frame.into_submit());
             let outcome = match Self::outcome_of(&resp, routed) {
                 Some(o) => o,
                 None => {
                     return Err(DbpError::Internal {
-                        what: format!(
-                            "WAL replay of decision {} (job {}) failed: {resp:?}",
-                            frame.seq, frame.job
-                        ),
+                        what: format!("WAL replay of decision {seq} (job {job}) failed: {resp:?}"),
                     })
                 }
             };
-            if outcome != frame.outcome {
+            if outcome != logged {
                 return Err(DbpError::Internal {
                     what: format!(
-                        "WAL replay diverged at decision {}: log says {:?}, replay produced \
-                         {outcome:?} — refusing to serve a state that disagrees with \
-                         acknowledged responses",
-                        frame.seq, frame.outcome
+                        "WAL replay diverged at decision {seq}: log says {logged:?}, replay \
+                         produced {outcome:?} — refusing to serve a state that disagrees with \
+                         acknowledged responses"
                     ),
                 });
             }
-            core.decision_seq = frame.seq;
+            core.decision_seq = seq;
         }
+        core.wal_frames_since_ckpt = replayed_frames;
+        core.wal_bytes_since_ckpt = rec.frame_bytes;
         let writer =
             WalWriter::open(wal_dir, cfg.shards + 1, core.ckpt_seq, cfg.fsync).map_err(|e| {
                 DbpError::Io {
@@ -375,7 +407,7 @@ impl Service {
         core.wal = Some(writer);
         Ok(RecoveryStats {
             duration_ns: u64::try_from(boot.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            replayed_frames: rec.frames.len() as u64,
+            replayed_frames,
             wal_bytes: rec.bytes_scanned,
             truncated_files: rec.truncated.len() as u64,
             dropped_after_gap: rec.dropped_after_gap,
@@ -513,6 +545,8 @@ impl Service {
                             frames: w.frames_appended(),
                             bytes: w.bytes_appended(),
                             syncs: w.syncs(),
+                            frames_since_checkpoint: core.wal_frames_since_ckpt,
+                            bytes_since_checkpoint: core.wal_bytes_since_ckpt,
                             append_ns: &core.wal_append_ns,
                             commit_ns: &core.wal_commit_ns,
                         }),
@@ -535,7 +569,7 @@ impl Service {
                         }
                     }
                 }
-                if self.cfg.checkpoint_dir.is_some() && core.failed.is_none() {
+                if self.cfg.checkpoint_home().is_some() && core.failed.is_none() {
                     // Best-effort final checkpoint; shutdown proceeds
                     // regardless (the previous good one still restores).
                     if let Err(e) = self.checkpoint_locked(&mut core) {
@@ -712,14 +746,14 @@ impl Service {
             if let Some(wal) = core.wal.as_mut() {
                 let stream = routed.unwrap_or(self.cfg.shards) as u32;
                 let wal_start = Instant::now();
-                wal.push(&DecisionFrame::of_submit(seq, stream, s, outcome));
+                let bytes = wal.push(&DecisionFrame::of_submit(seq, stream, s, outcome));
                 core.wal_append_ns.record(nanos_since(wal_start));
+                core.wal_frames_since_ckpt += 1;
+                core.wal_bytes_since_ckpt += bytes;
                 uncovered.get_or_insert(out.len());
             }
             core.decision_seq = seq;
-            if self.cfg.checkpoint_dir.is_some()
-                && core.decided_since_ckpt >= self.cfg.checkpoint_every
-            {
+            if self.checkpoint_due(&core) {
                 // Auto-checkpoint failures must not fail the placement
                 // that triggered them: the decision already happened.
                 // A durable checkpoint holds every decision so far, and
@@ -762,12 +796,29 @@ impl Service {
         core.failed = Some(err);
     }
 
-    /// Snapshots every shard and writes checkpoint `ckpt_seq + 1`.
+    /// True once an auto-checkpoint is due: after `checkpoint_every`
+    /// decisions and, when checkpoints share the WAL's directory, once
+    /// the log since the newest checkpoint also holds
+    /// [`LOG_PER_CHECKPOINT`] times that checkpoint's size.
+    fn checkpoint_due(&self, core: &Core) -> bool {
+        let counted = core.decided_since_ckpt >= self.cfg.checkpoint_every;
+        match (&self.cfg.checkpoint_dir, &self.cfg.wal_dir) {
+            (Some(_), _) => counted,
+            (None, Some(_)) => {
+                counted
+                    && core.wal_bytes_since_ckpt
+                        >= LOG_PER_CHECKPOINT.saturating_mul(core.checkpoint_bytes)
+            }
+            (None, None) => false,
+        }
+    }
+
+    /// Writes checkpoint `ckpt_seq + 1`, snapshotting one shard at a time
+    /// as its line is written.
     fn checkpoint_locked(&self, core: &mut Core) -> Result<u64, DbpError> {
         let dir = self
             .cfg
-            .checkpoint_dir
-            .as_ref()
+            .checkpoint_home()
             .ok_or_else(|| DbpError::InvalidParameter {
                 what: "no checkpoint directory configured".into(),
             })?;
@@ -779,9 +830,8 @@ impl Service {
             });
         }
         let start = Instant::now();
-        let sessions = core.shards.iter().map(OwnedSession::snapshot).collect();
         let seq = core.ckpt_seq + 1;
-        let ck = ServeCheckpoint {
+        let manifest = ServeCheckpoint {
             seq,
             algo: self.cfg.algo.clone(),
             router: self.cfg.router.name(),
@@ -794,11 +844,14 @@ impl Service {
             rejected: core.rejected,
             decision_seq: core.decision_seq,
             tenants: core.tenant_counters(),
-            sessions,
+            sessions: Vec::new(),
         };
-        core.checkpoint_bytes = write_serve_checkpoint(dir, &ck)?;
+        let sessions = core.shards.iter().map(OwnedSession::snapshot);
+        core.checkpoint_bytes = write_checkpoint_streamed(dir, &manifest, sessions)?;
         core.ckpt_seq = seq;
         core.decided_since_ckpt = 0;
+        core.wal_frames_since_ckpt = 0;
+        core.wal_bytes_since_ckpt = 0;
         // The checkpoint is durable: rotate the WAL so frames it covers
         // stop accumulating, and drop segments the oldest *kept*
         // checkpoint no longer needs. Both are hygiene, not
@@ -822,8 +875,9 @@ impl Service {
     }
 }
 
-/// A restored checkpoint with its shard sessions, when one restored.
-type Restored = Option<(ServeCheckpoint, Vec<OwnedSession>)>;
+/// A restored checkpoint with its size in bytes and its shard sessions,
+/// when one restored.
+type Restored = Option<(ServeCheckpoint, u64, Vec<OwnedSession>)>;
 
 /// A fresh packer of the configured algorithm.
 fn packer_for(cfg: &ServeConfig) -> Box<dyn OnlinePacker + Send> {

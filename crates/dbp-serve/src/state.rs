@@ -11,8 +11,10 @@
 //! The manifest records the coordinator state a restart needs — id
 //! watermark + overflow set, stream clock, per-tenant counters, config
 //! fingerprint (algo/router/shards/fleet cap) — and the per-shard lines
-//! reuse [`dbp_resilience::snapshot_to_json`] verbatim, so every
-//! bit-identity guarantee the resilience layer proves carries over.
+//! reuse [`dbp_resilience::snapshot_to_json`]'s encoder verbatim, so
+//! every bit-identity guarantee the resilience layer proves carries
+//! over. A service streams each shard's line into the file as it
+//! snapshots that shard, so the document is never held whole.
 //!
 //! The session lines hold live state only (snapshot version 2), so a
 //! checkpoint's size follows the open bins and live items, not the
@@ -29,8 +31,9 @@
 use dbp_core::stream::SessionSnapshot;
 use dbp_core::{DbpError, Time};
 use dbp_obs::json::{escape, parse, FieldValue, Json};
-use dbp_resilience::{snapshot_from_json, snapshot_to_json};
-use std::fmt::Write as _;
+use dbp_resilience::{snapshot_from_json, write_snapshot_json};
+use std::borrow::Borrow;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// The `format` tag of the manifest line.
@@ -101,46 +104,53 @@ pub struct ServeCheckpoint {
 
 /// Encodes a checkpoint as its multi-line document.
 pub fn encode(ck: &ServeCheckpoint) -> String {
-    let mut out = String::with_capacity(512);
-    let _ = write!(
+    let mut out = Vec::with_capacity(512);
+    write_document(&mut out, ck, ck.sessions.iter()).expect("a Vec takes every write");
+    String::from_utf8(out).expect("the encoder writes UTF-8")
+}
+
+/// Writes `ck`'s manifest line, then one line per snapshot `sessions`
+/// yields, each encoded as it is yielded; `ck.sessions` is not read.
+fn write_document<W: Write, S: Borrow<SessionSnapshot>>(
+    out: &mut W,
+    ck: &ServeCheckpoint,
+    sessions: impl ExactSizeIterator<Item = S>,
+) -> std::io::Result<()> {
+    write!(
         out,
         "{{\"format\":\"{SERVE_CHECKPOINT_FORMAT}\",\"version\":{SERVE_CHECKPOINT_VERSION},\
          \"seq\":{},\"algo\":\"{}\",\"router\":\"{}\",\"shards\":{}",
         ck.seq,
         escape(&ck.algo),
         escape(&ck.router),
-        ck.sessions.len()
-    );
+        sessions.len()
+    )?;
     match ck.fleet_cap {
-        Some(c) => {
-            let _ = write!(out, ",\"fleet_cap\":{c}");
-        }
-        None => out.push_str(",\"fleet_cap\":null"),
+        Some(c) => write!(out, ",\"fleet_cap\":{c}")?,
+        None => out.write_all(b",\"fleet_cap\":null")?,
     }
     match ck.last_arrival {
-        Some(t) => {
-            let _ = write!(out, ",\"last_arrival\":{t}");
-        }
-        None => out.push_str(",\"last_arrival\":null"),
+        Some(t) => write!(out, ",\"last_arrival\":{t}")?,
+        None => out.write_all(b",\"last_arrival\":null")?,
     }
-    let _ = write!(
+    write!(
         out,
         ",\"watermark\":{},\"placed\":{},\"shed\":{},\"rejected\":{},\"decision_seq\":{}",
         ck.watermark, ck.placed, ck.shed, ck.rejected, ck.decision_seq
-    );
-    out.push_str(",\"above\":[");
+    )?;
+    out.write_all(b",\"above\":[")?;
     for (i, id) in ck.above.iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            out.write_all(b",")?;
         }
-        let _ = write!(out, "{id}");
+        write!(out, "{id}")?;
     }
-    out.push_str("],\"tenants\":[");
+    out.write_all(b"],\"tenants\":[")?;
     for (i, t) in ck.tenants.iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            out.write_all(b",")?;
         }
-        let _ = write!(
+        write!(
             out,
             "{{\"tenant\":\"{}\",\"submitted\":{},\"placed\":{},\"shed\":{},\"rejected\":{}}}",
             escape(&t.tenant),
@@ -148,14 +158,14 @@ pub fn encode(ck: &ServeCheckpoint) -> String {
             t.placed,
             t.shed,
             t.rejected
-        );
+        )?;
     }
-    out.push_str("]}\n");
-    for snap in &ck.sessions {
-        out.push_str(&snapshot_to_json(snap));
-        out.push('\n');
+    out.write_all(b"]}\n")?;
+    for snap in sessions {
+        write_snapshot_json(out, snap.borrow())?;
+        out.write_all(b"\n")?;
     }
-    out
+    Ok(())
 }
 
 /// Decodes a checkpoint document.
@@ -244,15 +254,28 @@ fn seq_of(name: &str) -> Option<u64> {
 
 /// Writes checkpoint `ck` into `dir` durably — temp file, `sync_all`,
 /// rename, parent-directory fsync (via
-/// [`dbp_resilience::durable_write`]) — and prunes all but the newest
-/// [`KEPT_CHECKPOINTS`] files. Returns the encoded size in bytes.
+/// [`dbp_resilience::durable_write`]) — and prunes all but the
+/// newest [`KEPT_CHECKPOINTS`] files. Returns the encoded size in bytes.
 pub fn write_serve_checkpoint(dir: &Path, ck: &ServeCheckpoint) -> Result<u64, DbpError> {
+    write_checkpoint_streamed(dir, ck, ck.sessions.iter())
+}
+
+/// [`write_serve_checkpoint`] with the session lines taken from
+/// `sessions` instead of `ck.sessions`, each encoded through a buffer
+/// into the file as it is yielded and dropped before the next: a
+/// service snapshots one shard at a time, so one shard's snapshot is
+/// alive at once and the document is never built whole. The bytes are
+/// [`encode`]'s.
+pub(crate) fn write_checkpoint_streamed<S: Borrow<SessionSnapshot>>(
+    dir: &Path,
+    ck: &ServeCheckpoint,
+    sessions: impl ExactSizeIterator<Item = S>,
+) -> Result<u64, DbpError> {
     let mkdir =
         dbp_resilience::failpoint::io_op("ckpt_mkdir").and_then(|()| std::fs::create_dir_all(dir));
     mkdir.map_err(|e| io(format!("cannot create {}: {e}", dir.display())))?;
     let path = dir.join(checkpoint_file_name(ck.seq));
-    let text = encode(ck);
-    dbp_resilience::durable_write(&path, text.as_bytes())
+    let bytes = dbp_resilience::durable_write(&path, |f| write_document(f, ck, sessions))
         .map_err(|e| io(format!("committing {}: {e}", path.display())))?;
     // Prune: keep the newest KEPT_CHECKPOINTS by sequence.
     let mut all = list_checkpoints(dir)?;
@@ -262,7 +285,7 @@ pub fn write_serve_checkpoint(dir: &Path, ck: &ServeCheckpoint) -> Result<u64, D
             let _ = std::fs::remove_file(oldest);
         }
     }
-    Ok(text.len() as u64)
+    Ok(bytes)
 }
 
 /// The WAL replay floor of the *oldest* checkpoint still on disk: every
@@ -287,9 +310,14 @@ pub fn kept_checkpoint_floor(dir: &Path) -> Result<Option<u64>, DbpError> {
 /// Reads a checkpoint file; torn or corrupt files surface as typed
 /// errors, never panics.
 pub fn read_serve_checkpoint(path: &Path) -> Result<ServeCheckpoint, DbpError> {
+    read_sized(path).map(|(ck, _)| ck)
+}
+
+/// [`read_serve_checkpoint`], with the file's length in bytes.
+pub(crate) fn read_sized(path: &Path) -> Result<(ServeCheckpoint, u64), DbpError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| io(format!("cannot read checkpoint {}: {e}", path.display())))?;
-    decode(&text)
+    Ok((decode(&text)?, text.len() as u64))
 }
 
 /// Checkpoint files in `dir`, sorted by ascending sequence number.

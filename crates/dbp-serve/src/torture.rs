@@ -25,6 +25,12 @@
 //!    disagrees with what was acknowledged), a torn newest checkpoint
 //!    with the WAL subsuming it, and a cold empty-directory boot.
 //!
+//! A sweep runs in one of two layouts: checkpoints in their own
+//! directory on a fixed decision count, or the WAL-only layout, where
+//! they go into the WAL directory on the log's size rule
+//! ([`crate::service::LOG_PER_CHECKPOINT`]). `--self-test` sweeps both,
+//! so crash points land inside size-triggered checkpoints too.
+//!
 //! Error injection models a dying disk, not lost page cache: an
 //! in-process "crash" keeps bytes that were written but not synced, so
 //! the sweep proves IO-failure handling plus recovery correctness for
@@ -65,6 +71,9 @@ pub struct TortureConfig {
     pub scratch: Option<PathBuf>,
     /// Tag namespacing the default scratch root.
     pub tag: String,
+    /// No checkpoint directory: checkpoints go into the WAL directory,
+    /// on the log's size rule.
+    pub wal_only: bool,
 }
 
 impl TortureConfig {
@@ -81,6 +90,29 @@ impl TortureConfig {
             stride: 1,
             scratch: None,
             tag: tag.to_string(),
+            wal_only: false,
+        }
+    }
+
+    /// [`TortureConfig::quick`] in the WAL-only layout, over a longer
+    /// stream. A checkpoint interval of one decision never binds, so the
+    /// size rule alone spaces the checkpoints: the stream crosses four,
+    /// and the fourth prunes the first.
+    pub fn quick_wal_only(tag: &str) -> TortureConfig {
+        TortureConfig {
+            jobs: 120,
+            checkpoint_every: 1,
+            wal_only: true,
+            ..TortureConfig::quick(&format!("{tag}-wal-only"))
+        }
+    }
+
+    /// The layout's name, for reports.
+    pub fn layout(&self) -> &'static str {
+        if self.wal_only {
+            "WAL-only"
+        } else {
+            "checkpoint directory"
         }
     }
 }
@@ -130,7 +162,7 @@ pub fn torture_stream(n: u32) -> Vec<Submit> {
 fn serve_cfg(t: &TortureConfig, dir: &Path, checkpoint_every: u64) -> ServeConfig {
     let mut cfg = ServeConfig::new(t.shards, &t.algo);
     cfg.fleet_cap = t.fleet_cap;
-    cfg.checkpoint_dir = Some(dir.join("ckpt"));
+    cfg.checkpoint_dir = (!t.wal_only).then(|| dir.join("ckpt"));
     cfg.checkpoint_every = checkpoint_every;
     cfg.wal_dir = Some(dir.join("wal"));
     cfg.fsync = t.fsync;
@@ -378,23 +410,23 @@ fn build_victim(
     Ok((dir, cfg, upto))
 }
 
-/// The victim's largest WAL segment — the one worth corrupting.
-fn fattest_segment(dir: &Path) -> Result<PathBuf, String> {
+/// The victim's newest WAL segment: the tail past its newest
+/// checkpoint, which recovery must read (it skips the older segments
+/// kept for older checkpoints), so the one worth corrupting.
+fn newest_segment(dir: &Path) -> Result<PathBuf, String> {
     let wal_dir = dir.join("wal");
-    let mut best: Option<(u64, PathBuf)> = None;
+    let mut newest: Option<(u64, PathBuf)> = None;
     for entry in std::fs::read_dir(&wal_dir).map_err(|e| format!("list wal: {e}"))? {
         let entry = entry.map_err(|e| format!("list wal: {e}"))?;
-        let len = entry.metadata().map_err(|e| e.to_string())?.len();
-        if entry
-            .file_name()
-            .to_str()
-            .is_some_and(|n| wal::parse_segment_name(n).is_some())
-            && best.as_ref().is_none_or(|(l, _)| len > *l)
-        {
-            best = Some((len, entry.path()));
+        let first = entry.file_name().to_str().and_then(wal::parse_segment_name);
+        if let Some((None, first)) = first {
+            if newest.as_ref().is_none_or(|(n, _)| first > *n) {
+                newest = Some((first, entry.path()));
+            }
         }
     }
-    best.map(|(_, p)| p)
+    newest
+        .map(|(_, p)| p)
         .ok_or_else(|| "victim left no WAL segments".into())
 }
 
@@ -437,7 +469,7 @@ fn drill_torn_tail(
     reference: &[String],
 ) -> Result<(), String> {
     let (dir, cfg, upto) = build_victim(t, scratch, jobs, "drill-torn", t.checkpoint_every)?;
-    let seg = fattest_segment(&dir)?;
+    let seg = newest_segment(&dir)?;
     let len = std::fs::metadata(&seg).map_err(|e| e.to_string())?.len();
     let f = std::fs::OpenOptions::new()
         .write(true)
@@ -456,7 +488,7 @@ fn drill_bit_flip(
     reference: &[String],
 ) -> Result<(), String> {
     let (dir, cfg, upto) = build_victim(t, scratch, jobs, "drill-flip", t.checkpoint_every)?;
-    let seg = fattest_segment(&dir)?;
+    let seg = newest_segment(&dir)?;
     let mut bytes = std::fs::read(&seg).map_err(|e| e.to_string())?;
     if bytes.len() <= wal::WAL_HEADER_LEN as usize {
         return Err("segment too small to flip".into());
@@ -479,7 +511,7 @@ fn drill_outcome_rewrite(
     // No checkpoints: every frame replays, so the mutation is always
     // in the replayed range.
     let (dir, cfg, _) = build_victim(t, scratch, jobs, "drill-rewrite", u64::MAX / 2)?;
-    let seg = fattest_segment(&dir)?;
+    let seg = newest_segment(&dir)?;
     let mut bytes = std::fs::read(&seg).map_err(|e| e.to_string())?;
     // Walk the frames to the last one.
     let mut at = wal::WAL_HEADER_LEN as usize;
@@ -517,11 +549,11 @@ fn drill_torn_checkpoint(
     jobs: &[Submit],
     reference: &[String],
 ) -> Result<(), String> {
-    let (dir, cfg, upto) = build_victim(t, scratch, jobs, "drill-torn-ckpt", t.checkpoint_every)?;
+    let (_, cfg, upto) = build_victim(t, scratch, jobs, "drill-torn-ckpt", t.checkpoint_every)?;
     // Tear the newest checkpoint mid-file; the WAL subsumes it, so the
     // recovered watermark must still reach every decision.
-    let ckpt_dir = dir.join("ckpt");
-    let newest = std::fs::read_dir(&ckpt_dir)
+    let ckpt_dir = cfg.checkpoint_home().ok_or("no checkpoint home")?;
+    let newest = std::fs::read_dir(ckpt_dir)
         .map_err(|e| format!("list ckpt: {e}"))?
         .filter_map(|e| e.ok().map(|e| e.path()))
         .filter(|p| p.extension().is_some_and(|x| x == "ckpt"))
@@ -565,8 +597,11 @@ fn drill_cold_boot(
     Ok(())
 }
 
-/// The `dbp serve-torture --self-test` entry point: a quick sweep over
-/// every crash point of a small stream, plus all corruption drills.
-pub fn self_test(tag: &str) -> Result<TortureReport, DbpError> {
-    run(&TortureConfig::quick(tag))
+/// The `dbp serve-torture --self-test` sweeps: every crash point of a
+/// small stream, plus all corruption drills, in each layout.
+pub fn self_test_configs(tag: &str) -> [TortureConfig; 2] {
+    [
+        TortureConfig::quick(tag),
+        TortureConfig::quick_wal_only(tag),
+    ]
 }

@@ -43,14 +43,19 @@
 //! never appends to them, and pruning deletes them once the one log
 //! alone reaches the floor.
 //!
-//! **Recovery.** [`recover_wal`] scans every segment, stops each file at
-//! the first torn or checksum-failing frame, merges the survivors by
-//! sequence, keeps only the contiguous run starting at
-//! `checkpoint floor + 1` (an unsynced OS cache can persist appends out
-//! of order across files, so a gap means everything after it is
-//! unreliable), and *physically truncates* every file back to its last
-//! kept frame so the next writer's appends keep in-file sequences
-//! monotonic. Corruption is detected and cut, never consumed.
+//! **Recovery.** [`recover_wal`] scans every segment that can hold a
+//! frame past the restored checkpoint's floor (by the same file-name
+//! rule prune uses, so boot reads the tail, not the log kept for older
+//! checkpoints), stops each file at the first torn or checksum-failing
+//! frame, merges the survivors by sequence, keeps only the contiguous
+//! run starting at `checkpoint floor + 1` (an unsynced OS cache can
+//! persist appends out of order across files, so a gap means everything
+//! after it is unreliable), and *physically truncates* every file back
+//! to its last kept frame so the next writer's appends keep in-file
+//! sequences monotonic. Corruption is detected and cut, never consumed.
+//! A log whose first frame past the floor lies beyond `floor + 1`, in a
+//! segment opened after a checkpoint newer than the restored one, is
+//! refused untouched: it continues a checkpoint the boot could not see.
 
 use dbp_core::DbpError;
 use std::fs::{File, OpenOptions};
@@ -254,10 +259,11 @@ impl<'a> DecisionFrame<&'a str> {
 }
 
 impl DecisionFrame {
-    /// Reconstructs the submission this frame recorded, for replay.
-    pub fn to_submit(&self) -> Submit {
+    /// The submission this frame recorded, for replay; the tenant moves
+    /// into it.
+    pub fn into_submit(self) -> Submit {
         Submit {
-            tenant: self.tenant.clone(),
+            tenant: self.tenant,
             job: self.job,
             size: if self.size_is_raw {
                 None
@@ -364,10 +370,9 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Decodes a frame payload whose CRC already verified. Errors here mean
-/// a version/layout problem (or a 2^-32 CRC collision) — recovery
-/// refuses to boot on them rather than guess.
-pub fn decode_payload(payload: &[u8]) -> Result<DecisionFrame, DbpError> {
+/// Reads a frame payload's version, sequence and stream, leaving the
+/// cursor on the job id.
+fn payload_head<'a>(payload: &'a [u8]) -> Result<(Cursor<'a>, u64, u32), DbpError> {
     let mut c = Cursor { b: payload, at: 0 };
     let version = c.u8()?;
     if version != FRAME_VERSION {
@@ -377,6 +382,14 @@ pub fn decode_payload(payload: &[u8]) -> Result<DecisionFrame, DbpError> {
     }
     let seq = c.u64()?;
     let stream = c.u32()?;
+    Ok((c, seq, stream))
+}
+
+/// Decodes a frame payload whose CRC already verified. Errors here mean
+/// a version/layout problem (or a 2^-32 CRC collision) — recovery
+/// refuses to boot on them rather than guess.
+pub fn decode_payload(payload: &[u8]) -> Result<DecisionFrame, DbpError> {
+    let (mut c, seq, stream) = payload_head(payload)?;
     let job = c.u32()?;
     let size_is_raw = match c.u8()? {
         0 => false,
@@ -537,15 +550,18 @@ impl WalWriter {
         self.commit()
     }
 
-    /// Encodes one frame into the commit buffer. No IO: the next
-    /// [`WalWriter::commit`] (or sync, or rotation) writes it.
-    pub fn push<T: AsRef<str>>(&mut self, frame: &DecisionFrame<T>) {
+    /// Encodes one frame into the commit buffer and returns its length
+    /// in bytes. No IO: the next [`WalWriter::commit`] (or sync, or
+    /// rotation) writes it.
+    pub fn push<T: AsRef<str>>(&mut self, frame: &DecisionFrame<T>) -> u64 {
         debug_assert!(frame.stream < self.n_streams, "frame stream out of range");
         if self.buf.is_empty() {
             self.buf_first_seq = frame.seq;
         }
+        let before = self.buf.len();
         encode_frame_into(&mut self.buf, frame);
         self.buf_frames += 1;
+        (self.buf.len() - before) as u64
     }
 
     /// Writes the buffered frames and applies the fsync policy: under
@@ -670,27 +686,14 @@ impl WalWriter {
         Ok(())
     }
 
-    /// Deletes segments fully covered by the oldest kept checkpoint:
-    /// a segment whose successor starts at or below `floor + 1` holds
-    /// only frames `<= floor`. Recovery cut every older per-stream
-    /// segment back to its last replayed frame, so all of them precede
-    /// the first one-log frame: they go once any one-log segment starts
-    /// at or below `floor + 1`. The open segment is never deleted.
+    /// Deletes the segments the oldest kept checkpoint's `floor` covers:
+    /// each segment whose successor starts at or below `floor + 1`, and
+    /// the older per-stream segments once a one-log segment starts
+    /// there. The open segment is never deleted.
     pub fn prune(&mut self, floor: u64) -> std::io::Result<()> {
-        let bound = floor.saturating_add(1);
         let segments = list_segments(&self.dir)?;
-        let (log, older): (Vec<_>, Vec<_>) =
-            segments.iter().partition(|(stream, _, _)| stream.is_none());
-        let mut doomed: Vec<&PathBuf> = log
-            .windows(2)
-            .filter(|pair| pair[1].1 <= bound)
-            .map(|pair| &pair[0].2)
-            .collect();
-        if log.first().is_some_and(|(_, first, _)| *first <= bound) {
-            doomed.extend(older.iter().map(|(_, _, path)| path));
-        }
-        for path in doomed {
-            if self.segment.as_ref().is_some_and(|s| &s.path == path) {
+        for ((_, _, path), doomed) in segments.iter().zip(covered(&segments, floor)) {
+            if !doomed || self.segment.as_ref().is_some_and(|s| &s.path == path) {
                 continue;
             }
             failpoint::io_op("wal_prune")?;
@@ -700,9 +703,38 @@ impl WalWriter {
     }
 }
 
+/// A segment file as `(stream, first_seq, path)`: the stream is `None`
+/// for a one-log segment.
+type Segment = (Option<u32>, u64, PathBuf);
+
+/// Which of `segments` ([`list_segments`]' order) hold only frames
+/// `<= floor`: a one-log segment whose successor starts at or below
+/// `floor + 1`, and every older per-stream segment once a one-log
+/// segment starts there (recovery cut each back to its last replayed
+/// frame, so all of them precede the first one-log frame). Prune deletes
+/// them and recovery does not read them, so both are pure file-name
+/// computations.
+fn covered(segments: &[Segment], floor: u64) -> Vec<bool> {
+    let bound = floor.saturating_add(1);
+    let log: Vec<u64> = segments
+        .iter()
+        .filter(|(stream, _, _)| stream.is_none())
+        .map(|(_, first, _)| *first)
+        .collect();
+    let log_reaches = log.first().is_some_and(|first| *first <= bound);
+    let mut successor = log.iter().skip(1);
+    segments
+        .iter()
+        .map(|(stream, _, _)| match stream {
+            None => successor.next().is_some_and(|next| *next <= bound),
+            Some(_) => log_reaches,
+        })
+        .collect()
+}
+
 /// Segment files in `dir` as `(stream, first_seq, path)`, sorted: the
 /// one log by first sequence, then any older per-stream segments.
-fn list_segments(dir: &Path) -> std::io::Result<Vec<(Option<u32>, u64, PathBuf)>> {
+fn list_segments(dir: &Path) -> std::io::Result<Vec<Segment>> {
     let mut found = Vec::new();
     let entries = match std::fs::read_dir(dir) {
         Ok(e) => e,
@@ -729,8 +761,23 @@ struct SegmentScan {
     valid_len: u64,
     /// Why the scan stopped early, if it did.
     torn: Option<String>,
-    /// Intact frames, with each frame's start offset.
-    frames: Vec<(u64, DecisionFrame)>,
+    /// The checkpoint its header names: the one it was opened after (0
+    /// when the header is torn).
+    ckpt_seq: u64,
+    /// Each intact frame past the floor: its start offset and sequence,
+    /// in file order.
+    spans: Vec<(u64, u64)>,
+    /// Those frames, decoded.
+    frames: Vec<DecisionFrame>,
+}
+
+impl SegmentScan {
+    /// Bytes of intact frame `i`, its length prefix and checksum
+    /// included.
+    fn frame_len(&self, i: usize) -> u64 {
+        let end = self.spans.get(i + 1).map_or(self.valid_len, |(at, _)| *at);
+        end - self.spans[i].0
+    }
 }
 
 /// Scans one segment file — a one-log segment when `stream` is `None`,
@@ -739,12 +786,15 @@ struct SegmentScan {
 /// violates the format's invariants — a stream the segment cannot hold,
 /// non-monotonic sequence, undecodable payload — is a typed error: that
 /// is not a crashed write, it is a log that cannot be trusted. So is a
-/// segment written for another stream count.
+/// segment written for another stream count. A frame at or below
+/// `floor` is checked the same way but not decoded or kept: no replay
+/// reads it.
 fn scan_segment(
     path: &Path,
     stream: Option<u32>,
     first_seq: u64,
     n_streams: usize,
+    floor: u64,
 ) -> Result<SegmentScan, DbpError> {
     let topology = |what: String| {
         bad(format!(
@@ -764,6 +814,8 @@ fn scan_segment(
         len,
         valid_len: 0,
         torn: None,
+        ckpt_seq: 0,
+        spans: Vec::new(),
         frames: Vec::new(),
     };
     let hdr = WAL_HEADER_LEN as usize;
@@ -782,6 +834,7 @@ fn scan_segment(
         }
         return Ok(scan);
     }
+    scan.ckpt_seq = u64::from_le_bytes(bytes[20..28].try_into().unwrap());
     let count = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
     if stream.is_none() && count as usize != n_streams {
         return Err(topology(format!("segment was written for {count} streams")));
@@ -813,28 +866,31 @@ fn scan_segment(
             scan.torn = Some(format!("frame checksum mismatch at offset {at}"));
             break;
         }
-        let frame = decode_payload(payload)
-            .map_err(|e| bad(format!("{}: offset {at}: {e}", path.display())))?;
+        let undecodable = |e: DbpError| bad(format!("{}: offset {at}: {e}", path.display()));
+        let (_, seq, frame_stream) = payload_head(payload).map_err(undecodable)?;
         let holds = match stream {
-            Some(s) => frame.stream == s,
-            None => (frame.stream as usize) < n_streams,
+            Some(s) => frame_stream == s,
+            None => (frame_stream as usize) < n_streams,
         };
         if !holds {
             return Err(bad(format!(
-                "{}: frame at offset {at} claims stream {}, which this segment cannot hold",
+                "{}: frame at offset {at} claims stream {frame_stream}, which this segment \
+                 cannot hold",
                 path.display(),
-                frame.stream
             )));
         }
-        if frame.seq < first_seq || last_seq.is_some_and(|l| frame.seq <= l) {
+        if seq < first_seq || last_seq.is_some_and(|l| seq <= l) {
             return Err(bad(format!(
-                "{}: frame sequence {} at offset {at} breaks in-file monotonicity",
+                "{}: frame sequence {seq} at offset {at} breaks in-file monotonicity",
                 path.display(),
-                frame.seq
             )));
         }
-        last_seq = Some(frame.seq);
-        scan.frames.push((at as u64, frame));
+        last_seq = Some(seq);
+        if seq > floor {
+            scan.frames
+                .push(decode_payload(payload).map_err(undecodable)?);
+            scan.spans.push((at as u64, seq));
+        }
         at = end;
         scan.valid_len = at as u64;
     }
@@ -847,6 +903,8 @@ pub struct WalRecovery {
     /// Replayable frames: the contiguous run `floor+1, floor+2, ...`,
     /// in sequence order.
     pub frames: Vec<DecisionFrame>,
+    /// Bytes of the replayable frames on disk.
+    pub frame_bytes: u64,
     /// Total segment bytes scanned.
     pub bytes_scanned: u64,
     /// Files cut back, as `(path, new_len, reason)`.
@@ -855,26 +913,46 @@ pub struct WalRecovery {
     pub dropped_after_gap: u64,
 }
 
-/// Scans every segment under `dir`, verifies and merges frames, and
-/// returns the replayable contiguous run after `floor` (the restored
-/// checkpoint's decision sequence). Torn tails, checksum failures, and
-/// post-gap frames are physically truncated away so the next writer's
-/// appends keep every in-file sequence monotonic.
-pub fn recover_wal(dir: &Path, n_streams: usize, floor: u64) -> Result<WalRecovery, DbpError> {
+/// Scans the segments under `dir` that can hold a frame past `floor`
+/// (the decision sequence of checkpoint `ckpt_seq`, the one the boot
+/// restored, or 0 for none) — every segment [`WalWriter::prune`] would
+/// keep — verifies and merges frames, and returns the replayable
+/// contiguous run after `floor`.
+/// Torn tails, checksum failures, and post-gap frames are physically
+/// truncated away so the next writer's appends keep every in-file
+/// sequence monotonic.
+///
+/// A log that skips past `floor + 1` into a segment opened after a
+/// checkpoint newer than `ckpt_seq` continues a checkpoint this boot did
+/// not restore — the one file that holds the decisions in between was
+/// deleted or lives elsewhere. That is refused with
+/// [`DbpError::InvalidParameter`] naming the checkpoint, before any file
+/// is touched: cutting the log there would destroy acknowledged
+/// decisions.
+pub fn recover_wal(
+    dir: &Path,
+    n_streams: usize,
+    floor: u64,
+    ckpt_seq: u64,
+) -> Result<WalRecovery, DbpError> {
     let mut out = WalRecovery::default();
     let segments = list_segments(dir).map_err(|e| io(format!("cannot list WAL dir: {e}")))?;
     let mut scans = Vec::with_capacity(segments.len());
-    for (stream, first_seq, path) in &segments {
-        let scan = scan_segment(path, *stream, *first_seq, n_streams)?;
+    for ((stream, first_seq, path), skip) in segments.iter().zip(covered(&segments, floor)) {
+        if skip {
+            continue;
+        }
+        let scan = scan_segment(path, *stream, *first_seq, n_streams, floor)?;
         out.bytes_scanned += scan.len;
         scans.push(scan);
     }
-    // Merge all intact frames by global sequence; duplicates mean two
-    // files both claim a decision, which no crash can produce.
+    // Merge the intact frames past the floor by global sequence;
+    // duplicates mean two files both claim a decision, which no crash
+    // can produce.
     let mut all: Vec<(u64, usize, usize)> = Vec::new();
     for (si, scan) in scans.iter().enumerate() {
-        for (fi, (_, frame)) in scan.frames.iter().enumerate() {
-            all.push((frame.seq, si, fi));
+        for (fi, (_, seq)) in scan.spans.iter().enumerate() {
+            all.push((*seq, si, fi));
         }
     }
     all.sort_unstable();
@@ -887,28 +965,56 @@ pub fn recover_wal(dir: &Path, n_streams: usize, floor: u64) -> Result<WalRecove
             )));
         }
     }
+    if let Some(&(seq, si, _)) = all.first() {
+        let scan = &scans[si];
+        if seq != floor + 1 && scan.ckpt_seq > ckpt_seq {
+            let restored = match ckpt_seq {
+                0 => "no checkpoint".to_string(),
+                n => format!("checkpoint {n}"),
+            };
+            let missing = crate::state::checkpoint_file_name(scan.ckpt_seq);
+            return Err(DbpError::InvalidParameter {
+                what: format!(
+                    "WAL segment {} continues checkpoint {} ({missing}), but this boot \
+                     restored {restored}: the log resumes at decision {seq}, so decisions \
+                     {}..{} exist only in that checkpoint — refusing to cut the log; boot \
+                     with the checkpoint directory that holds {missing}",
+                    scan.path.display(),
+                    scan.ckpt_seq,
+                    floor + 1,
+                    seq - 1,
+                ),
+            });
+        }
+    }
     // Keep the contiguous run starting right after the checkpoint
     // floor; anything past the first gap may have been persisted out of
-    // order relative to lost frames, so it cannot be trusted.
+    // order relative to lost frames, so it cannot be trusted. Frames
+    // move out of their scans in file order, which is `all`'s order
+    // within each scan.
+    let mut decoded: Vec<_> = scans
+        .iter_mut()
+        .map(|scan| std::mem::take(&mut scan.frames).into_iter())
+        .collect();
     let mut last_kept = floor;
-    for &(seq, si, fi) in all.iter().skip_while(|&&(seq, _, _)| seq <= floor) {
+    for &(seq, si, fi) in &all {
+        let frame = decoded[si].next().expect("one decoded frame per span");
         if seq != last_kept + 1 {
             break;
         }
         last_kept = seq;
-        out.frames.push(scans[si].frames[fi].1.clone());
+        out.frame_bytes += scans[si].frame_len(fi);
+        out.frames.push(frame);
     }
-    let kept = out.frames.len();
-    let total_past_floor = all.iter().filter(|&&(seq, _, _)| seq > floor).count();
-    out.dropped_after_gap = (total_past_floor - kept) as u64;
+    out.dropped_after_gap = (all.len() - out.frames.len()) as u64;
     // Physically cut every file back to its last kept frame: torn
     // tails, corrupt bytes, and post-gap frames all disappear so future
     // appends cannot interleave with stale sequences.
     for scan in &scans {
         let keep_until = scan
-            .frames
+            .spans
             .iter()
-            .find(|(_, f)| f.seq > last_kept)
+            .find(|(_, seq)| *seq > last_kept)
             .map(|(off, _)| *off)
             .unwrap_or(scan.valid_len);
         let cut = keep_until.min(scan.valid_len);
@@ -1017,14 +1123,14 @@ mod tests {
             1,
             "every stream logs into one segment"
         );
-        let rec = recover_wal(&dir, 3, 0).unwrap();
+        let rec = recover_wal(&dir, 3, 0, 0).unwrap();
         assert_eq!(rec.frames.len(), 20);
         assert_eq!(rec.frames[0].seq, 1);
         assert_eq!(rec.frames[4].stream, 2);
         assert_eq!(rec.frames[19].seq, 20);
         assert!(rec.truncated.is_empty());
         // A floor skips the covered prefix.
-        let rec = recover_wal(&dir, 3, 12).unwrap();
+        let rec = recover_wal(&dir, 3, 12, 0).unwrap();
         assert_eq!(rec.frames.first().map(|f| f.seq), Some(13));
         assert_eq!(rec.frames.len(), 8);
     }
@@ -1042,11 +1148,11 @@ mod tests {
         let f = OpenOptions::new().write(true).open(&seg).unwrap();
         f.set_len(len - 5).unwrap();
         drop(f);
-        let rec = recover_wal(&dir, 1, 0).unwrap();
+        let rec = recover_wal(&dir, 1, 0, 0).unwrap();
         assert_eq!(rec.frames.len(), 9, "the torn 10th frame is cut");
         assert_eq!(rec.truncated.len(), 1);
         // Recovery is idempotent: the truncated file now scans clean.
-        let rec2 = recover_wal(&dir, 1, 0).unwrap();
+        let rec2 = recover_wal(&dir, 1, 0, 0).unwrap();
         assert_eq!(rec2.frames.len(), 9);
         assert!(rec2.truncated.is_empty());
     }
@@ -1064,7 +1170,7 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x10;
         std::fs::write(&seg, &bytes).unwrap();
-        let rec = recover_wal(&dir, 1, 0).unwrap();
+        let rec = recover_wal(&dir, 1, 0, 0).unwrap();
         assert!(rec.frames.len() < 10, "frames at/after the flip are gone");
         assert_eq!(rec.truncated.len(), 1);
         for (i, f) in rec.frames.iter().enumerate() {
@@ -1086,12 +1192,12 @@ mod tests {
             w.append(&frame(seq, 0, seq as u32)).unwrap();
         }
         drop(w);
-        let rec = recover_wal(&dir, 2, 0).unwrap();
+        let rec = recover_wal(&dir, 2, 0, 0).unwrap();
         assert_eq!(rec.frames.len(), 5, "1..=5 replay; 8..9 are post-gap");
         assert_eq!(rec.dropped_after_gap, 2);
         assert_eq!(rec.truncated.len(), 1, "the second segment is cut at seq 8");
         // After truncation a re-scan finds exactly the replayable run.
-        let rec2 = recover_wal(&dir, 2, 0).unwrap();
+        let rec2 = recover_wal(&dir, 2, 0, 0).unwrap();
         assert_eq!(rec2.frames.len(), 5);
         assert_eq!(rec2.dropped_after_gap, 0);
         assert!(rec2.truncated.is_empty());
@@ -1119,7 +1225,7 @@ mod tests {
         let left = list_segments(&dir).unwrap();
         assert_eq!(left.len(), 2);
         assert_eq!(left[0].1, 6);
-        let rec = recover_wal(&dir, 1, 5).unwrap();
+        let rec = recover_wal(&dir, 1, 5, 0).unwrap();
         assert_eq!(rec.frames.len(), 7, "6..=12 still replay");
     }
 
@@ -1129,7 +1235,7 @@ mod tests {
         let mut w = WalWriter::open(&dir, 3, 0, FsyncPolicy::Never).unwrap();
         w.append(&frame(1, 2, 1)).unwrap();
         drop(w);
-        let err = recover_wal(&dir, 2, 0).unwrap_err();
+        let err = recover_wal(&dir, 2, 0, 0).unwrap_err();
         assert!(err.to_string().contains("different topology"));
     }
 
@@ -1144,7 +1250,7 @@ mod tests {
         let mut bytes = std::fs::read(&seg).unwrap();
         bytes.extend_from_slice(&encode_frame(&frame(2, 2, 2)));
         std::fs::write(&seg, &bytes).unwrap();
-        let err = recover_wal(&dir, 2, 0).unwrap_err();
+        let err = recover_wal(&dir, 2, 0, 0).unwrap_err();
         assert!(err.to_string().contains("claims stream 2"), "{err}");
     }
 
@@ -1194,7 +1300,7 @@ mod tests {
         );
         w.append(&frame(4, 0, 4)).unwrap();
         drop(w);
-        let rec = recover_wal(&dir, 2, 0).unwrap();
+        let rec = recover_wal(&dir, 2, 0, 0).unwrap();
         let seqs: Vec<u64> = rec.frames.iter().map(|f| f.seq).collect();
         assert_eq!(seqs, [1, 2, 3, 4]);
     }

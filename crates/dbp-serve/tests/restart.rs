@@ -1,17 +1,18 @@
 //! Restart semantics: kill-and-resume bit-identity, torn-checkpoint
 //! fallback, and config-fingerprint validation.
 
-use dbp_algos::registry::{online_packer, AlgoParams};
+use dbp_algos::registry::{online_packer, AlgoParams, ONLINE_ALGOS};
 use dbp_core::stream::OwnedSession;
 use dbp_core::{ClairvoyanceMode, DbpError, Size};
 use dbp_resilience::failpoint::FailGuard;
 use dbp_resilience::snapshot_to_json;
 use dbp_serve::protocol::{render_response, Request, Response, Submit};
+use dbp_serve::service::LOG_PER_CHECKPOINT;
 use dbp_serve::state::{
-    checkpoint_file_name, kept_checkpoint_floor, read_serve_checkpoint, write_serve_checkpoint,
-    KEPT_CHECKPOINTS,
+    checkpoint_file_name, encode, kept_checkpoint_floor, read_serve_checkpoint,
+    write_serve_checkpoint, KEPT_CHECKPOINTS,
 };
-use dbp_serve::torture::torture_stream;
+use dbp_serve::torture::{drive, torture_stream};
 use dbp_serve::wal::{self, DecisionFrame};
 use dbp_serve::{RejectReason, ServeConfig, Service};
 use std::collections::BTreeMap;
@@ -401,6 +402,193 @@ fn checkpoint_bytes_stay_flat_over_a_ten_times_longer_stream() {
         assert!(
             long as f64 <= 1.25 * short as f64,
             "K={shards}: {short} B after 2,000 jobs, {long} B after 20,000"
+        );
+    }
+}
+
+/// Reads a gauge or counter sample from a service's `/metrics` text.
+fn metric(service: &Service, name: &str) -> u64 {
+    let text = match service.handle(&Request::Metrics) {
+        Response::Metrics { text } => text,
+        other => panic!("{other:?}"),
+    };
+    let prefix = format!("{name}{{algo=\"first-fit\"}} ");
+    text.lines()
+        .find_map(|l| l.strip_prefix(&prefix))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no {name} sample"))
+}
+
+/// Every file in `dir` with its bytes, by name.
+fn dir_contents(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            let name = e.file_name().to_string_lossy().into_owned();
+            (name, std::fs::read(e.path()).unwrap())
+        })
+        .collect()
+}
+
+/// Without a checkpoint directory the log sizes its own checkpoints, so
+/// WAL-only recovery follows the live state, not the history: after a
+/// kill, at 2,000 jobs and at 20,000, the boot restores a checkpoint
+/// from the WAL directory, reads only the tail past it and replays less
+/// than [`LOG_PER_CHECKPOINT`] times its size, and the directory holds a
+/// constant multiple of the newest checkpoint. Each segment a kept
+/// checkpoint opened holds the log up to the next checkpoint: at least
+/// that multiple of its own checkpoint, and less than one frame more.
+#[test]
+fn wal_only_recovery_stays_flat_over_a_ten_times_longer_stream() {
+    let boot_after_kill = |jobs: u32| -> (u64, u64, u64, u64) {
+        let dir = fresh_dir(&format!("restart-wal-only-{jobs}"));
+        let mut cfg = ServeConfig::new(2, "first-fit");
+        cfg.wal_dir = Some(dir.clone());
+        cfg.fsync = dbp_serve::FsyncPolicy::Never; // the test kills in-process
+        cfg.checkpoint_every = 10;
+        let stream = torture_stream(jobs);
+        let service = Service::start(cfg.clone()).unwrap();
+        assert_eq!(drive(&service, &stream).1, None);
+        drop(service);
+        let on_disk = dir_contents(&dir);
+        let dir_bytes: u64 = on_disk.values().map(|b| b.len() as u64).sum();
+        let checkpoints: Vec<(u64, u64)> = on_disk
+            .iter()
+            .filter(|(name, _)| name.ends_with(".ckpt"))
+            .map(|(name, b)| {
+                let ck = read_serve_checkpoint(&dir.join(name)).unwrap();
+                (ck.decision_seq, b.len() as u64)
+            })
+            .collect();
+        let (_, newest) = *checkpoints
+            .last()
+            .expect("the WAL directory holds checkpoints");
+        for pair in checkpoints.windows(2) {
+            let ((floor, ckpt_bytes), (next_floor, _)) = (pair[0], pair[1]);
+            let segment = &on_disk[&wal::segment_file_name(floor + 1)];
+            let logged = segment.len() as u64 - wal::WAL_HEADER_LEN;
+            let frame = logged / (next_floor - floor);
+            assert!(
+                logged >= LOG_PER_CHECKPOINT * ckpt_bytes
+                    && logged < LOG_PER_CHECKPOINT * ckpt_bytes + frame,
+                "{jobs} jobs: {logged} B logged between checkpoints at {floor} and \
+                 {next_floor}, after a {ckpt_bytes} B checkpoint"
+            );
+        }
+        let service = Service::start(cfg).unwrap();
+        assert!(service.restored_seq().is_some(), "{jobs} jobs: no restore");
+        assert_eq!(status(&service), (jobs, u64::from(jobs)), "{jobs} jobs");
+        let restored = metric(&service, "dbp_serve_checkpoint_bytes");
+        assert_eq!(
+            restored, newest,
+            "{jobs} jobs: the gauge reports the restored file"
+        );
+        let replayed = metric(&service, "dbp_serve_wal_bytes_since_checkpoint");
+        let frames = metric(&service, "dbp_serve_wal_frames_since_checkpoint");
+        let rec = service.recovery().unwrap();
+        assert_eq!(frames, rec.replayed_frames);
+        assert_eq!(
+            rec.wal_bytes,
+            wal::WAL_HEADER_LEN + replayed,
+            "{jobs} jobs: the boot reads the tail segment alone"
+        );
+        (replayed, restored, dir_bytes, frames)
+    };
+    let bound = (KEPT_CHECKPOINTS as u64) * (1 + LOG_PER_CHECKPOINT) + 1;
+    let mut dirs = Vec::new();
+    for jobs in [2_000, 20_000] {
+        let (replayed, restored, dir_bytes, frames) = boot_after_kill(jobs);
+        eprintln!(
+            "{jobs} jobs: replayed {frames} frames, {replayed} B, over a {restored} B \
+             checkpoint; WAL directory {dir_bytes} B"
+        );
+        assert!(
+            replayed < LOG_PER_CHECKPOINT * restored,
+            "{jobs} jobs: replayed {replayed} B over a {restored} B checkpoint"
+        );
+        assert!(
+            dir_bytes <= bound * restored,
+            "{jobs} jobs: the WAL directory holds {dir_bytes} B, more than {bound} times the \
+             {restored} B checkpoint"
+        );
+        dirs.push(dir_bytes);
+    }
+    assert!(
+        dirs[1] as f64 <= 1.5 * dirs[0] as f64,
+        "the WAL directory grew with the stream: {dirs:?}"
+    );
+}
+
+/// Run 5,500 jobs with a checkpoint directory, kill the service, and
+/// boot on the WAL directory alone: the log continues checkpoints the
+/// boot cannot see, so it must refuse, naming the checkpoint its oldest
+/// segment continues, and leave every file byte for byte as it was.
+/// Booting with the checkpoint directory then recovers every decision.
+#[test]
+fn a_log_that_continues_an_unrestored_checkpoint_is_refused_untouched() {
+    let dir = fresh_dir("restart-wal-orphan");
+    let mut cfg = ServeConfig::new(2, "first-fit");
+    cfg.checkpoint_dir = Some(dir.join("ckpt"));
+    cfg.checkpoint_every = 1_000;
+    cfg.wal_dir = Some(dir.join("wal"));
+    cfg.fsync = dbp_serve::FsyncPolicy::Never; // the test kills in-process
+    let stream = torture_stream(5_500);
+    let service = Service::start(cfg.clone()).unwrap();
+    assert_eq!(drive(&service, &stream).1, None);
+    drop(service);
+    let before = dir_contents(&dir.join("wal"));
+
+    let mut wal_only = cfg.clone();
+    wal_only.checkpoint_dir = None;
+    let err = match Service::start(wal_only) {
+        Err(e) => e,
+        Ok(s) => panic!(
+            "booted at {:?} on a log whose checkpoint is missing",
+            status(&s)
+        ),
+    };
+    assert!(matches!(err, DbpError::InvalidParameter { .. }), "{err:?}");
+    let msg = err.to_string();
+    // Checkpoints 3, 4 and 5 are kept; the log starts after 3's floor.
+    assert!(
+        msg.contains(&checkpoint_file_name(3)) && msg.contains("refusing to cut the log"),
+        "{msg}"
+    );
+    assert_eq!(
+        dir_contents(&dir.join("wal")),
+        before,
+        "the refusal touched the log"
+    );
+
+    let service = Service::start(cfg).unwrap();
+    assert_eq!(service.restored_seq(), Some(5));
+    assert_eq!(status(&service), (5_500, 5_500));
+}
+
+/// A service streams each shard's snapshot into its checkpoint file; the
+/// bytes are `encode`'s for the checkpoint they decode to, for every
+/// packer in the roster.
+#[test]
+fn streamed_checkpoints_are_the_encoders_bytes_across_the_roster() {
+    for algo in ONLINE_ALGOS {
+        let dir = fresh_dir(&format!("restart-streamed-{algo}"));
+        let mut cfg = ServeConfig::new(2, algo);
+        cfg.fleet_cap = Some(12);
+        cfg.checkpoint_dir = Some(dir.clone());
+        let service = Service::start(cfg).unwrap();
+        assert_eq!(drive(&service, &torture_stream(300)).1, None);
+        let seq = checkpoint(&service);
+        let file = std::fs::read_to_string(dir.join(checkpoint_file_name(seq))).unwrap();
+        let ck = read_serve_checkpoint(&dir.join(checkpoint_file_name(seq))).unwrap();
+        assert_eq!(ck.sessions.len(), 2, "{algo}");
+        assert!(
+            ck.sessions.iter().any(|s| !s.open_bins.is_empty()),
+            "{algo}: the checkpoint holds live bins"
+        );
+        assert!(
+            encode(&ck) == file,
+            "{algo}: streamed bytes differ from encode's"
         );
     }
 }

@@ -230,6 +230,8 @@ const SERVE_FAMILIES: &[(&str, &str)] = &[
     ("dbp_serve_wal_frames_total", "counter"),
     ("dbp_serve_wal_bytes_total", "counter"),
     ("dbp_serve_wal_syncs_total", "counter"),
+    ("dbp_serve_wal_frames_since_checkpoint", "gauge"),
+    ("dbp_serve_wal_bytes_since_checkpoint", "gauge"),
     ("dbp_serve_wal_append_ns", "histogram"),
     ("dbp_serve_wal_commit_ns", "histogram"),
     ("dbp_serve_recovery_duration_ns", "gauge"),

@@ -98,7 +98,7 @@ fn write_segment(name: &str, streams: u32, frames: &[DecisionFrame]) -> (PathBuf
 /// Recovery after damage must yield a bit-exact prefix of what was
 /// written — or a typed refusal. Never a decision that wasn't logged.
 fn assert_prefix_or_typed_error(dir: &PathBuf, streams: u32, originals: &[DecisionFrame]) {
-    match wal::recover_wal(dir, streams as usize, 0) {
+    match wal::recover_wal(dir, streams as usize, 0, 0) {
         Ok(rec) => {
             assert!(rec.frames.len() <= originals.len());
             for (got, want) in rec.frames.iter().zip(originals) {
@@ -106,7 +106,7 @@ fn assert_prefix_or_typed_error(dir: &PathBuf, streams: u32, originals: &[Decisi
             }
             // Recovery truncated the damage away: a second scan is clean
             // and agrees.
-            let again = wal::recover_wal(dir, streams as usize, 0).unwrap();
+            let again = wal::recover_wal(dir, streams as usize, 0, 0).unwrap();
             assert_eq!(again.frames, rec.frames);
             assert!(again.truncated.is_empty(), "recovery must be idempotent");
         }
@@ -156,7 +156,7 @@ proptest! {
         drop(f);
         // Truncation is what a real crash does; it can never look like
         // anything worse than a torn tail, so recovery must succeed.
-        let rec = wal::recover_wal(&dir, streams as usize, 0).unwrap();
+        let rec = wal::recover_wal(&dir, streams as usize, 0, 0).unwrap();
         prop_assert!(rec.frames.len() <= frames.len());
         for (got, want) in rec.frames.iter().zip(&frames) {
             prop_assert_eq!(got, want);
@@ -164,7 +164,7 @@ proptest! {
         if cut >= len {
             prop_assert_eq!(rec.frames.len(), frames.len(), "no cut, no loss");
         }
-        let again = wal::recover_wal(&dir, streams as usize, 0).unwrap();
+        let again = wal::recover_wal(&dir, streams as usize, 0, 0).unwrap();
         prop_assert_eq!(again.frames.len(), rec.frames.len());
         prop_assert!(again.truncated.is_empty());
         let _ = std::fs::remove_dir_all(&dir);

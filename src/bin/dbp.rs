@@ -159,16 +159,23 @@ Drive it with the `load_serve` generator; see docs/serving.md.
 With `--wal-dir` the service also write-ahead-logs every decision
 (checksummed frames, `--fsync` policy, segments rotated and pruned at
 checkpoints): restart = newest good checkpoint + WAL replay, so every
-acknowledged decision survives `kill -9`, bit-identically.
-`serve-torture` proves it — a deterministic sweep that injects an IO
-failure at every WAL/checkpoint IO boundary in turn (`--stride` to
-sample) and checks recovery from each prefix plus corruption drills
-(torn tails, bit flips, CRC-consistent rewrites); exit 5 on any
-violation. The environment knob DBP_CRASH_AT_IO=<n> aborts the whole
-process at global IO op n instead (the CI kill-grade drill). The
-serving path's throughput, latency and recovery time are measured by
-the repository benchmark's serve-* workloads (BENCHMARK.json). See
-docs/serving.md.
+acknowledged decision survives `kill -9`, bit-identically. Without
+`--checkpoint-dir`, checkpoints go into the WAL directory, and one is
+taken once `--checkpoint-every` decisions (default 1000) have been made
+since the last AND the log written since then holds twice the last
+checkpoint's size, so a restart replays a tail bounded by the live
+state, not the run's history. A log that continues a checkpoint the
+boot cannot find (say, a restart without the `--checkpoint-dir` it ran
+with) is refused with exit 2 and left untouched. `serve-torture` proves
+recovery — a deterministic sweep that injects an IO failure at every
+WAL/checkpoint IO boundary in turn (`--stride` to sample) and checks
+recovery from each prefix plus corruption drills (torn tails, bit
+flips, CRC-consistent rewrites); `--self-test` sweeps both layouts,
+with a checkpoint directory and without; exit 5 on any violation. The
+environment knob DBP_CRASH_AT_IO=<n> aborts the whole process at
+global IO op n instead (the CI kill-grade drill). The serving path's
+throughput, latency and recovery time are measured by the repository
+benchmark's serve-* workloads (BENCHMARK.json). See docs/serving.md.
 
 `chaos` sweeps the roster under seeded fault injection (spot
 revocations, rack failures, crashes) with rotating recovery and
@@ -1916,10 +1923,13 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
 /// accounting, corruption detected rather than consumed). Exit 5 on any
 /// violated invariant.
 fn serve_torture(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    use clairvoyant_dbp::serve::torture::{run, TortureConfig};
+    use clairvoyant_dbp::serve::torture::{run, self_test_configs, TortureConfig};
 
-    let mut cfg = TortureConfig::quick("cli");
-    if !flags.contains_key("self-test") {
+    let self_test = flags.contains_key("self-test");
+    let mut configs = if self_test {
+        self_test_configs("cli").to_vec()
+    } else {
+        let mut cfg = TortureConfig::quick("cli");
         cfg.jobs = get_num(flags, "jobs", cfg.jobs)?;
         cfg.stride = get_num(flags, "stride", cfg.stride)?;
         cfg.checkpoint_every = get_num(flags, "checkpoint-every", cfg.checkpoint_every)?;
@@ -1931,35 +1941,44 @@ fn serve_torture(flags: &HashMap<String, String>) -> Result<(), CliError> {
             known_algo(algo, ONLINE_ALGOS, "online")?;
             cfg.algo = algo.clone();
         }
+        vec![cfg]
+    };
+    let mut violations = 0;
+    for cfg in &mut configs {
+        if let Some(dir) = flags.get("scratch") {
+            // One subdirectory per layout, so one sweep's kept fixtures
+            // survive the next sweep's fresh start.
+            let dir = std::path::PathBuf::from(dir);
+            cfg.scratch = Some(if self_test { dir.join(&cfg.tag) } else { dir });
+        }
+        println!(
+            "serve-torture: {} jobs, fsync {}, checkpoint every {}, stride {}, {} layout",
+            cfg.jobs,
+            cfg.fsync.name(),
+            cfg.checkpoint_every,
+            cfg.stride,
+            cfg.layout(),
+        );
+        let report = run(cfg).map_err(|e| CliError::Runtime(e.to_string()))?;
+        println!(
+            "crash-point space: {} IO ops; {} crash points exercised, {} corruption drills",
+            report.io_ops_total, report.crash_points, report.drills,
+        );
+        for v in &report.violations {
+            eprintln!("VIOLATION ({} layout): {v}", cfg.layout());
+        }
+        if !report.passed() {
+            eprintln!("failing fixtures kept under {}", report.scratch.display());
+        }
+        violations += report.violations.len();
     }
-    if let Some(dir) = flags.get("scratch") {
-        cfg.scratch = Some(dir.into());
-    }
-    println!(
-        "serve-torture: {} jobs, fsync {}, checkpoint every {}, stride {}",
-        cfg.jobs,
-        cfg.fsync.name(),
-        cfg.checkpoint_every,
-        cfg.stride,
-    );
-    let report = run(&cfg).map_err(|e| CliError::Runtime(e.to_string()))?;
-    println!(
-        "crash-point space: {} IO ops; {} crash points exercised, {} corruption drills",
-        report.io_ops_total, report.crash_points, report.drills,
-    );
-    if report.passed() {
+    if violations == 0 {
         println!("serve-torture: ok — every crash point recovered, every drill held");
         Ok(())
     } else {
-        for v in &report.violations {
-            eprintln!("VIOLATION: {v}");
-        }
-        eprintln!("failing fixtures kept under {}", report.scratch.display());
         Err(CliError::Violations(format!(
-            "{} durability violation(s) across {} crash points + {} drills",
-            report.violations.len(),
-            report.crash_points,
-            report.drills,
+            "{violations} durability violation(s) across {} sweep(s)",
+            configs.len()
         )))
     }
 }
